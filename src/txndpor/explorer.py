@@ -60,28 +60,6 @@ EXTENSIBLE_LEVELS = (
 )
 
 
-class OracleOrder:
-    """The fixed scheduling priority: transaction ids compare lexicographically.
-
-    Sessions rank by declaration position, transactions by session position,
-    and the init transaction before everything.  Event-level comparisons are
-    id-tuple comparisons; an event compares against a transaction through its
-    own transaction.
-    """
-
-    @staticmethod
-    def txn_before(a: TxnId, b: TxnId) -> bool:
-        return a < b
-
-    @staticmethod
-    def event_before(a: EventId, b: EventId) -> bool:
-        return a < b
-
-    @staticmethod
-    def event_before_txn(e: EventId, t: TxnId) -> bool:
-        return e.txn < t
-
-
 @dataclass(frozen=True)
 class ReorderCandidate:
     """A read that a newly committed transaction could have supplied."""
@@ -286,14 +264,7 @@ def reads_causally_latest(
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
     read_ev = h.history.event(r)
-    pos_r = h.position[r]
-    dropset = {
-        eid
-        for eid in h.order
-        if h.position[eid] >= pos_r
-        and not causally_before_or_equal(h.history, eid.txn, t)
-    }
-    base = drop_events(h, dropset).history
+    base = drop_events(h, _swap_drop_set(h, r, t) | {r}).history
     reader = r.txn
     fresh = Event(r, READ, var=read_ev.var)
     candidates = []
@@ -314,7 +285,7 @@ def reads_causally_latest(
 
 def optimality(
     st: ExplorationState, r: EventId, t: TxnId, level: IsolationLevel
-) -> bool:
+) -> ExplorationState | None:
     """The swap gate: accept the pivot only on the canonical route.
 
     Requires every external read the swap would delete — and the pivot
@@ -322,6 +293,9 @@ def optimality(
     writer, and the rebuilt history to be consistent.  Exactly one pivot
     into any given history passes this gate, which keeps the enumeration
     duplicate-free.
+
+    Returns the swapped state ``swap(st, r, t)`` when the pivot passes, for
+    the caller to enter, and None when it is rejected.
     """
     h = st.history
     dropset = _swap_drop_set(h, r, t)
@@ -333,11 +307,11 @@ def optimality(
     affected.sort(key=lambda eid: h.position[eid])
     for read_id in affected:
         if swapped(h, read_id):
-            return False
+            return None
         if not reads_causally_latest(h, level, read_id, t):
-            return False
+            return None
     result = swap(st, r, t)
-    return check_consistency(result.history.history, level)
+    return result if check_consistency(result.history.history, level) else None
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +420,10 @@ def _explore(
 
     def take_swaps(st: ExplorationState, depth: int) -> None:
         for cand in compute_reorderings(st.history):
-            if optimality(st, cand.read, cand.writer, weak):
+            child = optimality(st, cand.read, cand.writer, weak)
+            if child is not None:
                 stats.swaps_taken += 1
-                enter(swap(st, cand.read, cand.writer), st, depth + 1)
+                enter(child, st, depth + 1)
             else:
                 stats.swaps_rejected += 1
 

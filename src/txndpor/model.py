@@ -13,6 +13,15 @@ Typical construction goes through :class:`OrderedHistory`::
     h = h.append(read_event(TxnId(0, 0), 1, "x"), writer=INIT_TXN)
 
 All values are immutable; mutation happens by producing new values.
+
+Full validation runs wherever a history enters from outside: ``History(...)``,
+``OrderedHistory(...)``, :func:`canonical_decode`, :func:`drop_events` and
+:meth:`History.with_writer`.  The one-event edits the explorer makes at every
+step (:meth:`History.with_begin`, :meth:`History.with_event` and
+:meth:`OrderedHistory.append`) start from an already valid value, check only
+the delta with the same rules, and carry the parent's derived relations
+forward updated by it.  A begin that is not last in its session falls back
+to full validation.
 """
 
 from __future__ import annotations
@@ -276,23 +285,11 @@ class History:
             reader = by_id.get(read_id.txn)
             if reader is None or read_id.index >= len(reader.events):
                 raise ValueError(f"wr source read {read_id} not in history")
-            ev = reader.events[read_id.index]
-            if ev.kind != READ:
-                raise ValueError(f"wr source {read_id} is not a read")
-            if reader.has_own_write_before(read_id.index, ev.var):  # type: ignore[arg-type]
-                raise ValueError(f"read {read_id} is internal, cannot have a writer")
-            if writer == read_id.txn:
-                raise ValueError(f"read {read_id} reads from its own transaction")
-            wlog = by_id.get(writer)
-            if wlog is None:
-                raise ValueError(f"writer {writer} of read {read_id} not in history")
-            if wlog.status == ABORTED:
-                raise ValueError(f"read {read_id} reads from aborted {writer}")
-            if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
-                raise ValueError(f"writer {writer} does not write {ev.var!r}")
+            _check_wr_edge(by_id, reader, read_id, writer)
         # Session order united with write-read must stay acyclic.
         if self._has_causal_cycle():
             raise ValueError("so union wr is cyclic")
+        _register_live(self)
 
     def _has_causal_cycle(self) -> bool:
         color: dict[TxnId, int] = {}
@@ -417,31 +414,148 @@ class History:
 
     # -- editing ------------------------------------------------------------
 
+    @classmethod
+    def _derived(cls, logs, wr, **relations) -> "History":
+        """A child of a valid history whose delta the caller has checked.
+
+        Skips ``__post_init__``; ``relations`` are the parent's derived
+        relations updated by the delta and become the child's cached
+        properties.
+        """
+        h = object.__new__(cls)
+        h.__dict__.update(relations, logs=logs, wr=wr)
+        _register_live(h)
+        return h
+
+    def _is_session_tail(self, txn: TxnId) -> bool:
+        """Whether a begin of ``txn`` would come last in a non-init session."""
+        same = self.sessions.get(txn.session)
+        return txn.session >= 0 and (not same or same[-1] < txn)
+
     def with_begin(self, txn: TxnId) -> "History":
+        """Open ``txn`` with its begin event.
+
+        A begin that comes last in its session is derived from this history;
+        any other begin goes through full validation.
+        """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
-        logs = tuple(sorted(self.logs + (TransactionLog(txn, (begin_event(txn),)),),
+        begin = begin_event(txn)
+        logs = tuple(sorted(self.logs + (TransactionLog(txn, (begin,)),),
                             key=lambda log: log.id))
-        return History(logs, self.wr)
+        if not self._is_session_tail(txn):
+            return History(logs, self.wr)
+        same = self.sessions.get(txn.session, ())
+        pred = same[-1] if same else INIT_TXN
+        sessions = dict(self.sessions)
+        sessions[txn.session] = same + (txn,)
+        adjacency = dict(self.causal_adjacency)
+        adjacency[pred] = tuple(sorted(adjacency[pred] + (txn,)))
+        adjacency[txn] = ()
+        closure = {
+            a: c | {txn} if a == pred or pred in c else c
+            for a, c in self.causal_closure.items()
+        }
+        closure[txn] = frozenset()
+        return History._derived(
+            logs,
+            self.wr,
+            by_id={log.id: log for log in logs},
+            txn_ids=tuple(log.id for log in logs),
+            sessions=dict(sorted(sessions.items())),
+            so_pairs=self.so_pairs | {(a, txn) for a in (INIT_TXN,) + same},
+            causal_adjacency=adjacency,
+            causal_closure=closure,
+            wr_txn_pairs=self.wr_txn_pairs,
+            wr_map=self.wr_map,
+            event_ids=self.event_ids | {begin.id},
+            variables=self.variables,
+        )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
-        """Append one event to its (existing) transaction, optionally with a wr edge."""
+        """Append one event to its (existing) transaction, optionally with a wr edge.
+
+        Derived from this history: only the new log, the new wr edge and,
+        for an abort, the reads observing the aborting transaction are
+        checked.
+        """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
             raise ValueError(f"event {event.id} is not the next of {log.id}")
         new_log = TransactionLog(log.id, log.events + (event,))
+        if writer is not None and event.kind != READ:
+            raise ValueError("only reads take a writer")
         logs = tuple(new_log if l.id == log.id else l for l in self.logs)
+        by_id = dict(self.by_id)
+        by_id[log.id] = new_log
+        if event.kind == ABORT:
+            for read_id, w in self.wr:
+                if w == log.id:
+                    raise ValueError(f"read {read_id} reads from aborted {w}")
         wr = self.wr
+        wr_map = self.wr_map
+        adjacency = self.causal_adjacency
+        closure = self.causal_closure
+        wr_txn_pairs = self.wr_txn_pairs
         if writer is not None:
-            if event.kind != READ:
-                raise ValueError("only reads take a writer")
+            _check_wr_edge(self.by_id, new_log, event.id, writer)
+            # The new edge closes a cycle exactly when the reader already
+            # reaches the writer.
+            if writer in closure[log.id]:
+                raise ValueError("so union wr is cyclic")
             wr = tuple(sorted(wr + ((event.id, writer),)))
-        return History(logs, wr)
+            wr_map = dict(wr)
+            pair = (writer, log.id)
+            if pair not in wr_txn_pairs:
+                wr_txn_pairs = wr_txn_pairs | {pair}
+                if log.id not in adjacency[writer]:
+                    adjacency = dict(adjacency)
+                    adjacency[writer] = tuple(sorted(adjacency[writer] + (log.id,)))
+                gained = closure[log.id] | {log.id}
+                closure = {
+                    a: c | gained if a == writer or writer in c else c
+                    for a, c in closure.items()
+                }
+        return History._derived(
+            logs,
+            wr,
+            by_id=by_id,
+            txn_ids=self.txn_ids,
+            sessions=self.sessions,
+            so_pairs=self.so_pairs,
+            causal_adjacency=adjacency,
+            causal_closure=closure,
+            wr_txn_pairs=wr_txn_pairs,
+            wr_map=wr_map,
+            event_ids=self.event_ids | {event.id},
+            variables=self.variables,
+        )
 
     def with_writer(self, read: EventId, writer: TxnId) -> "History":
         """Redirect (or attach) the wr edge of one read."""
         rest = tuple(p for p in self.wr if p[0] != read)
         return History(self.logs, tuple(sorted(rest + ((read, writer),))))
+
+
+def _check_wr_edge(
+    by_id: dict[TxnId, TransactionLog], reader: TransactionLog, read_id: EventId, writer: TxnId
+) -> None:
+    """Reject a wr edge from ``writer`` to ``read_id``, an event of ``reader``,
+    that no valid history has (cycles aside)."""
+    ev = reader.events[read_id.index]
+    if ev.kind != READ:
+        raise ValueError(f"wr source {read_id} is not a read")
+    if reader.has_own_write_before(read_id.index, ev.var):  # type: ignore[arg-type]
+        raise ValueError(f"read {read_id} is internal, cannot have a writer")
+    if writer == read_id.txn:
+        raise ValueError(f"read {read_id} reads from its own transaction")
+    wlog = by_id.get(writer)
+    if wlog is None:
+        raise ValueError(f"writer {writer} of read {read_id} not in history")
+    if wlog.status == ABORTED:
+        raise ValueError(f"read {read_id} reads from aborted {writer}")
+    if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
+        raise ValueError(f"writer {writer} does not write {ev.var!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +709,35 @@ class OrderedHistory:
         """Extend with one event at the end of the order.
 
         A begin event opens a new log; any other event extends its pending
-        log.  ``writer`` attaches the wr edge of an external read.
+        log.  ``writer`` attaches the wr edge of an external read.  The
+        result is derived from this value, checking only the appended
+        transaction's span; a begin that is not last in its session goes
+        through full validation instead.
         """
+        txn = event.id.txn
+        order = self.order + (event.id,)
         if event.kind == BEGIN:
             if writer is not None:
                 raise ValueError("begin takes no writer")
-            hist = self.history.with_begin(event.id.txn)
+            hist = self.history.with_begin(txn)
+            if not self.history._is_session_tail(txn):
+                return OrderedHistory(hist, order)
         else:
             hist = self.history.with_event(event, writer)
-        return OrderedHistory(hist, self.order + (event.id,))
+        last = len(self.order)
+        after = hist.causal_closure[txn]
+        if after:
+            raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
+        first = self.txn_spans[txn][0] if event.kind != BEGIN else last
+        if writer is not None and self.txn_spans[writer][1] > first:
+            raise ValueError(f"order violates so/wr between {writer} and {txn}")
+        position = dict(self.position)
+        position[event.id] = last
+        spans = dict(self.txn_spans)
+        spans[txn] = (first, last)
+        h = object.__new__(OrderedHistory)
+        h.__dict__.update(history=hist, order=order, position=position, txn_spans=spans)
+        return h
 
 
 def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
@@ -737,16 +871,15 @@ class HistoryMemoryTracker:
 
 _ACTIVE_TRACKER: HistoryMemoryTracker | None = None
 
-_original_post_init = History.__post_init__
 
+def _register_live(h: History) -> None:
+    """Count a new history with the active tracker, if any.
 
-def _tracking_post_init(self: History) -> None:
-    _original_post_init(self)
+    Both ways a history comes to exist reach this: full validation and the
+    derived edits.
+    """
     if _ACTIVE_TRACKER is not None:
-        _ACTIVE_TRACKER._register(self)
-
-
-History.__post_init__ = _tracking_post_init  # type: ignore[method-assign]
+        _ACTIVE_TRACKER._register(h)
 
 
 @contextmanager

@@ -21,11 +21,14 @@ from fixtures import (
 from txndpor.generate import random_history, random_prefix
 from txndpor.model import (
     ABORTED,
+    BEGIN,
     COMMITTED,
     INIT_TXN,
     PENDING,
+    Event,
     EventId,
     History,
+    OrderedHistory,
     TransactionLog,
     TxnId,
     abort_event,
@@ -322,6 +325,112 @@ def test_drop_events_rejects_orphaning_a_surviving_read():
     oh = canonical_sort(full)
     with pytest.raises(ValueError):
         drop_events(oh, {e.id for e in full.txn(TRIO_WRITER).events})
+
+
+# ---------------------------------------------------------------------------
+# Derived edits
+# ---------------------------------------------------------------------------
+
+HISTORY_RELATIONS = (
+    "by_id", "txn_ids", "sessions", "so_pairs", "causal_adjacency",
+    "causal_closure", "wr_txn_pairs", "wr_map", "event_ids", "variables",
+)
+ORDER_RELATIONS = ("position", "txn_spans")
+
+
+def _next_edits(h: History) -> list[tuple[Event, TxnId | None]]:
+    """Every one-event edit of ``h``: each next event of each pending
+    transaction (a read with no writer and with every transaction as
+    writer), and a begin of each unstarted id up to two past the last one
+    of every session and of one new session (so gaps are both opened and
+    filled), plus one in session -1."""
+    edits: list[tuple[Event, TxnId | None]] = []
+    for p in h.pending_txns():
+        i = len(h.txn(p).events)
+        edits += [(commit_event(p, i), None), (abort_event(p, i), None)]
+        for var in h.variables:
+            edits += [(write_event(p, i, var, 7), None), (read_event(p, i, var), None)]
+            edits += [(read_event(p, i, var), w) for w in h.txn_ids]
+    top = max(t.session for t in h.txn_ids)
+    for s in range(top + 2):
+        used = {t.index for t in h.sessions.get(s, ())}
+        for k in range(max(used, default=-1) + 3):
+            if k not in used:
+                edits.append((begin_event(TxnId(s, k)), None))
+    if TxnId(-1, 1) not in h.by_id:
+        edits.append((begin_event(TxnId(-1, 1)), None))
+    return edits
+
+
+def _full_edit(h: History, event: Event, writer: TxnId | None) -> History:
+    """The edited history built from scratch by the validating constructor."""
+    tid = event.id.txn
+    if event.kind == BEGIN:
+        logs = h.logs + (TransactionLog(tid, (event,)),)
+    else:
+        extended = TransactionLog(tid, h.txn(tid).events + (event,))
+        logs = tuple(extended if log.id == tid else log for log in h.logs)
+    wr = h.wr + (((event.id, writer),) if writer is not None else ())
+    return History(tuple(sorted(logs, key=lambda log: log.id)), tuple(sorted(wr)))
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_same_value(derived, full, relations, carried: bool) -> None:
+    assert derived == full
+    for name in relations:
+        assert not carried or name in vars(derived), name
+        assert getattr(derived, name) == getattr(full, name), name
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_derived_edits_match_full_construction(seed):
+    """Every edit derived from a valid parent equals the same history built
+    by full validation, with equal derived relations, and raises exactly
+    when full construction raises (with the same message for the history).
+    Walks a few random edits deep so that parents are themselves derived."""
+    rng = random.Random(seed)
+    h = random_history(rng)
+    for start in (h, random_prefix(rng, h)):
+        current = canonical_sort(start)
+        for _ in range(3):
+            hist = current.history
+            accepted = []
+            for event, writer in _next_edits(hist):
+                tid = event.id.txn
+                # Only a begin that is not last in a non-init session is
+                # built by full validation instead of derived.
+                carried = event.kind != BEGIN or (
+                    tid.session >= 0
+                    and all(t < tid for t in hist.sessions.get(tid.session, ()))
+                )
+                full, full_err = _outcome(lambda: _full_edit(hist, event, writer))
+                if event.kind == BEGIN:
+                    derived, err = _outcome(lambda: hist.with_begin(event.id.txn))
+                else:
+                    derived, err = _outcome(lambda: hist.with_event(event, writer))
+                assert err == full_err, (event, writer)
+                if full is not None:
+                    _assert_same_value(derived, full, HISTORY_RELATIONS, carried)
+                order = current.order + (event.id,)
+                full_oh = (
+                    None if full is None else _outcome(lambda: OrderedHistory(full, order))[0]
+                )
+                oh, _ = _outcome(lambda: current.append(event, writer))
+                assert (oh is None) == (full_oh is None), (event, writer)
+                if oh is not None:
+                    _assert_same_value(oh, full_oh, ORDER_RELATIONS, carried)
+                    _assert_same_value(oh.history, full, HISTORY_RELATIONS, carried)
+                    accepted.append(oh)
+            if not accepted:
+                break
+            current = rng.choice(accepted)
 
 
 # ---------------------------------------------------------------------------
