@@ -20,7 +20,8 @@ Full validation runs wherever a history enters from outside: ``History(...)``,
 step (:meth:`History.with_begin`, :meth:`History.with_event` and
 :meth:`OrderedHistory.append`) start from an already valid value, check only
 the delta with the same rules, and carry the parent's derived relations
-forward updated by it.  A begin that is not last in its session falls back
+forward updated by it.  Only :meth:`History.with_begin` of a transaction
+that is not last in its session, or of one in the init session, falls back
 to full validation.
 """
 
@@ -427,25 +428,20 @@ class History:
         _register_live(h)
         return h
 
-    def _is_session_tail(self, txn: TxnId) -> bool:
-        """Whether a begin of ``txn`` would come last in a non-init session."""
-        same = self.sessions.get(txn.session)
-        return txn.session >= 0 and (not same or same[-1] < txn)
-
     def with_begin(self, txn: TxnId) -> "History":
         """Open ``txn`` with its begin event.
 
-        A begin that comes last in its session is derived from this history;
-        any other begin goes through full validation.
+        A begin that comes last in a non-init session is derived from this
+        history; any other begin goes through full validation.
         """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
         begin = begin_event(txn)
         logs = tuple(sorted(self.logs + (TransactionLog(txn, (begin,)),),
                             key=lambda log: log.id))
-        if not self._is_session_tail(txn):
-            return History(logs, self.wr)
         same = self.sessions.get(txn.session, ())
+        if txn.session < 0 or (same and same[-1] > txn):
+            return History(logs, self.wr)
         pred = same[-1] if same else INIT_TXN
         sessions = dict(self.sessions)
         sessions[txn.session] = same + (txn,)
@@ -468,8 +464,6 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=self.wr_txn_pairs,
             wr_map=self.wr_map,
-            event_ids=self.event_ids | {begin.id},
-            variables=self.variables,
         )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
@@ -527,8 +521,6 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=wr_txn_pairs,
             wr_map=wr_map,
-            event_ids=self.event_ids | {event.id},
-            variables=self.variables,
         )
 
     def with_writer(self, read: EventId, writer: TxnId) -> "History":
@@ -711,8 +703,8 @@ class OrderedHistory:
         A begin event opens a new log; any other event extends its pending
         log.  ``writer`` attaches the wr edge of an external read.  The
         result is derived from this value, checking only the appended
-        transaction's span; a begin that is not last in its session goes
-        through full validation instead.
+        transaction's span (a begin that is not last in its session always
+        fails that check, since its session successor already precedes it).
         """
         txn = event.id.txn
         order = self.order + (event.id,)
@@ -720,8 +712,6 @@ class OrderedHistory:
             if writer is not None:
                 raise ValueError("begin takes no writer")
             hist = self.history.with_begin(txn)
-            if not self.history._is_session_tail(txn):
-                return OrderedHistory(hist, order)
         else:
             hist = self.history.with_event(event, writer)
         last = len(self.order)
