@@ -10,6 +10,7 @@ from .explorer import (
     ReorderCandidate,
     RunStats,
     TimeLimitExceeded,
+    causal_extension_exists,
     compute_reorderings,
     dfs,
     explore_ce,
@@ -25,7 +26,6 @@ from .isolation import (
     AxiomInstance,
     CommitOrder,
     brute_force_consistency,
-    causal_extension_exists,
     check_consistency,
     forced_edges,
 )
@@ -42,7 +42,6 @@ from .model import (
     causal_reachable,
     drop_events,
     is_prefix,
-    lift_wr_to_txns,
 )
 from .oracles import canonical_order, is_or_respectful, prev
 from .program import (
@@ -93,7 +92,6 @@ __all__ = [
     "forced_edges",
     "is_or_respectful",
     "is_prefix",
-    "lift_wr_to_txns",
     "next_event",
     "optimality",
     "parse",

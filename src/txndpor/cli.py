@@ -67,7 +67,6 @@ class RunConfig:
     emit: str | None
     dedup: bool
     oracle_check: bool
-    seed: int | None
     time_limit: float | None
     stats_json: str | None
 
@@ -111,8 +110,6 @@ def cli() -> None:
               help="Suppress duplicate histories in the emitted file.")
 @click.option("--oracle-check", is_flag=True,
               help="Verify the uniqueness oracles at every explored state.")
-@click.option("--seed", type=int, default=None,
-              help="Accepted for interface parity; runs are deterministic.")
 @click.option("--time-limit", type=float, default=None,
               help="Wall-clock budget in seconds.")
 @click.option("--stats-json", type=click.Path(dir_okay=False), default=None,
@@ -125,7 +122,6 @@ def run(
     emit: str | None,
     dedup: bool,
     oracle_check: bool,
-    seed: int | None,
     time_limit: float | None,
     stats_json: str | None,
 ) -> int:
@@ -137,7 +133,6 @@ def run(
         emit=emit,
         dedup=dedup,
         oracle_check=oracle_check,
-        seed=seed,
         time_limit=time_limit,
         stats_json=stats_json,
     )

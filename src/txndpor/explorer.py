@@ -11,6 +11,14 @@ that read observing the newly committed writer, deleting everything that
 causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
+A read's candidate writers are filtered in one place, ``_consistent_writers``:
+the transactions writing the read's variable whose wr edge keeps the history
+consistent at the level.  Callers choose only which transactions to offer:
+:func:`valid_writes` (and :func:`dfs`) offer the committed transactions in
+order of entry; the gate offers the reader's causal predecessors, highest
+priority first, and takes the first; :func:`causal_extension_exists` asks
+whether any causal predecessor qualifies.
+
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
 serializable histories via causally consistent scheduling.
@@ -25,16 +33,17 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .isolation import check_consistency
 from .model import (
-    ABORTED,
     COMMIT,
     COMMITTED,
+    PENDING,
     READ,
     Event,
     EventId,
+    History,
     IsolationLevel,
     OrderedHistory,
     TxnId,
@@ -50,13 +59,6 @@ from .program import (
     apply_event,
     replay,
     step_local,
-)
-
-EXTENSIBLE_LEVELS = (
-    IsolationLevel.TRUE,
-    IsolationLevel.RC,
-    IsolationLevel.RA,
-    IsolationLevel.CC,
 )
 
 
@@ -118,6 +120,39 @@ def next_event(st: ExplorationState) -> NextAction | None:
     return None
 
 
+def _consistent_writers(
+    hist: History, read: Event, level: IsolationLevel, candidates: Iterable[TxnId]
+) -> Iterator[TxnId]:
+    """The candidate writers of ``read``, in the given order.
+
+    Yields each candidate that writes ``read.var`` and keeps ``hist``
+    ``level``-consistent once ``read`` is appended observing it.  This is
+    the one candidate-writer filter; callers differ only in which
+    transactions they offer and in what order.
+    """
+    for t in candidates:
+        if hist.txn(t).writes_var(read.var) and check_consistency(  # type: ignore[arg-type]
+            hist.with_event(read, writer=t), level
+        ):
+            yield t
+
+
+def _committed_by_entry(h: OrderedHistory) -> list[TxnId]:
+    """Committed transactions in the order they entered ``h``."""
+    hist = h.history
+    spans = h.txn_spans
+    return sorted(
+        (t for t in hist.txn_ids if hist.txn(t).status == COMMITTED),
+        key=lambda t: spans[t][0],
+    )
+
+
+def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
+    """Transactions causally before ``txn``, highest priority first."""
+    closure = hist.causal_closure
+    return [t for t in reversed(hist.txn_ids) if txn in closure[t]]
+
+
 def valid_writes(
     st: ExplorationState, action: NextAction, level: IsolationLevel
 ) -> list[TxnId]:
@@ -126,21 +161,43 @@ def valid_writes(
     Candidates are filtered by consistency of the extended history and
     returned in the order their transactions entered the history.
     """
-    hist = st.history.history
     event = action.event
     assert event.kind == READ and event.var is not None
-    spans = st.history.txn_spans
-    committed = sorted(
-        (t for t in hist.txn_ids if hist.txn(t).status == COMMITTED),
-        key=lambda t: spans[t][0],
+    return list(
+        _consistent_writers(
+            st.history.history, event, level, _committed_by_entry(st.history)
+        )
     )
-    out = []
-    for t in committed:
-        if not hist.txn(t).writes_var(event.var):
-            continue
-        if check_consistency(hist.with_event(event, writer=t), level):
-            out.append(t)
-    return out
+
+
+# The levels at which every reachable history extends by its next event
+# (see causal_extension_exists); explore_ce runs only under these.
+EXTENSIBLE_LEVELS = (
+    IsolationLevel.TRUE,
+    IsolationLevel.RC,
+    IsolationLevel.RA,
+    IsolationLevel.CC,
+)
+
+
+def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool:
+    """Whether ``h`` extends consistently by ``e`` without new dependencies.
+
+    The extending event must be the next program-order event of a pending
+    transaction.  An external read may only observe transactions already
+    causally before its own (session order or write-read, transitively,
+    including init); all other events extend the history as-is.  Returns True
+    when some such extension satisfies ``level``.
+    """
+    t = e.id.txn
+    log = h.txn(t)
+    if log.status != PENDING:
+        raise ValueError(f"transaction {t} is not pending")
+    if e.id.index != len(log.events):
+        raise ValueError(f"event {e.id} is not the next event of {t}")
+    if e.kind == READ and not log.has_own_write_before(e.id.index, e.var):  # type: ignore[arg-type]
+        return any(_consistent_writers(h, e, level, _causal_predecessors(h, t)))
+    return check_consistency(h.with_event(e), level)
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +313,20 @@ def reads_causally_latest(
 
     The history is cut back to just before ``r`` (discarding, as a swap
     would, everything from ``r`` onward not causally before ``t``); the
-    candidates are the non-aborted transactions causally before the reader
-    that write the variable and keep the cut history consistent when ``r``
-    is re-appended reading from them.  True when ``r``'s writer in ``h`` is
-    the highest-priority candidate.
+    candidates are the transactions causally before the reader that write
+    the variable and keep the cut history consistent when ``r`` is
+    re-appended reading from them.  True when ``r``'s writer in ``h`` is the
+    highest-priority candidate; lower-priority candidates are not checked.
     """
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
-    read_ev = h.history.event(r)
     base = drop_events(h, _swap_drop_set(h, r, t) | {r}).history
-    reader = r.txn
-    fresh = Event(r, READ, var=read_ev.var)
-    candidates = []
-    for cand in base.txn_ids:
-        if cand == reader:
-            continue
-        clog = base.txn(cand)
-        if clog.status == ABORTED or not clog.writes_var(read_ev.var):  # type: ignore[arg-type]
-            continue
-        if not causal_reachable(base, cand, reader):
-            continue
-        if check_consistency(base.with_event(fresh, writer=cand), level):
-            candidates.append(cand)
-    if not candidates:
-        return False
-    return h.history.wr_map.get(r) == max(candidates)
+    fresh = Event(r, READ, var=h.history.event(r).var)
+    latest = next(
+        _consistent_writers(base, fresh, level, _causal_predecessors(base, r.txn)),
+        None,
+    )
+    return latest is not None and latest == h.history.wr_map.get(r)
 
 
 def optimality(
@@ -476,16 +522,12 @@ def dfs(
             action = step_local(st, pending[0].session)
             event = action.event
             if action.is_external_read:
-                spans = st.history.txn_spans
-                committed = sorted(
-                    (t for t in hist.txn_ids if hist.txn(t).status == COMMITTED),
-                    key=lambda t: spans[t][0],
+                # The filter rather than valid_writes, so that traced runs
+                # count these checks under dfs.
+                committed = _committed_by_entry(st.history)
+                successors.extend(
+                    (event, t) for t in _consistent_writers(hist, event, level, committed)
                 )
-                for t in committed:
-                    if not hist.txn(t).writes_var(event.var):  # type: ignore[arg-type]
-                        continue
-                    if check_consistency(hist.with_event(event, writer=t), level):
-                        successors.append((event, t))
             else:
                 if check_consistency(hist.with_event(event), level):
                     successors.append((event, None))

@@ -26,11 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (
-    ABORTED,
-    INIT_TXN,
-    PENDING,
-    READ,
-    Event,
     EventId,
     History,
     IsolationLevel,
@@ -66,14 +61,6 @@ class CommitOrder:
     """A strict total order over a history's transactions."""
 
     order: tuple[TxnId, ...]
-
-    @property
-    def position(self) -> dict[TxnId, int]:
-        return {t: i for i, t in enumerate(self.order)}
-
-    def before(self, a: TxnId, b: TxnId) -> bool:
-        pos = self.position
-        return pos[a] < pos[b]
 
 
 def axiom_instances(h: History) -> tuple[AxiomInstance, ...]:
@@ -271,32 +258,23 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
         True when some strict total commit order extending session order and
         write-read satisfies every axiom instance of the level.
     """
-    if level is IsolationLevel.TRUE:
-        return True
-    if level in (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC):
-        edges = set(h.so_pairs) | set(h.wr_txn_pairs) | forced_edges(h, level)
-        return _acyclic(h.txn_ids, edges)
-    return _OrderSearch(h, level).search() is not None
+    return level is IsolationLevel.TRUE or find_commit_order(h, level) is not None
 
 
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
-    """A witnessing commit order, or None when the history is inconsistent."""
+    """A witnessing commit order, or None when the history is inconsistent.
+
+    For SI and SER the order search decides; for the other levels the witness
+    is the smallest-first topological order of so, wr and the forced edges,
+    which exists exactly when they are acyclic.
+    """
     if level in (IsolationLevel.SI, IsolationLevel.SER):
         return _OrderSearch(h, level).search()
-    if not check_consistency(h, level):
-        return None
-    extra: set[tuple[TxnId, TxnId]] = set()
+    edges = set(h.so_pairs) | set(h.wr_txn_pairs)
     if level is not IsolationLevel.TRUE:
-        extra = forced_edges(h, level)
-    order = _some_topological_order(
-        h.txn_ids, set(h.so_pairs) | set(h.wr_txn_pairs) | extra
-    )
-    assert order is not None
-    return CommitOrder(order)
-
-
-def _acyclic(nodes: tuple[TxnId, ...], edges: set[tuple[TxnId, TxnId]]) -> bool:
-    return _some_topological_order(nodes, edges) is not None
+        edges |= forced_edges(h, level)
+    order = _some_topological_order(h.txn_ids, edges)
+    return None if order is None else CommitOrder(order)
 
 
 def _some_topological_order(
@@ -373,38 +351,3 @@ def _brute_force_cached(encoded: bytes, level: IsolationLevel) -> bool:
 def brute_force_consistency_cached(h: History, level: IsolationLevel) -> bool:
     """Memoized wrapper keyed by canonical encoding (for large test corpora)."""
     return _brute_force_cached(canonical_encode(h), level)
-
-
-# ---------------------------------------------------------------------------
-# Causal extensibility
-# ---------------------------------------------------------------------------
-
-
-def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool:
-    """Whether ``h`` extends consistently by ``e`` without new dependencies.
-
-    The extending event must be the next program-order event of a pending
-    transaction.  An external read may only observe transactions already
-    causally before its own (session order or write-read, transitively,
-    including init); all other events extend the history as-is.  Returns True
-    when some such extension satisfies ``level``.
-    """
-    t = e.id.txn
-    log = h.txn(t)
-    if log.status != PENDING:
-        raise ValueError(f"transaction {t} is not pending")
-    if e.id.index != len(log.events):
-        raise ValueError(f"event {e.id} is not the next event of {t}")
-    if e.kind == READ and not log.has_own_write_before(e.id.index, e.var):  # type: ignore[arg-type]
-        for candidate in h.txn_ids:
-            if candidate == t:
-                continue
-            clog = h.txn(candidate)
-            if clog.status == ABORTED or not clog.writes_var(e.var):  # type: ignore[arg-type]
-                continue
-            if not causal_reachable(h, candidate, t):
-                continue
-            if check_consistency(h.with_event(e, writer=candidate), level):
-                return True
-        return False
-    return check_consistency(h.with_event(e), level)

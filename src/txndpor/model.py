@@ -258,7 +258,7 @@ class History:
     init transaction precedes every other.  ``wr`` maps each (externally)
     reading event to the transaction whose write it observes; totality of
     ``wr`` over the external reads is *not* a construction invariant (partial
-    histories arise while editing) — see :meth:`is_well_formed`.
+    histories arise while editing).
     """
 
     logs: tuple[TransactionLog, ...]
@@ -348,10 +348,6 @@ class History:
         """All external reads across all logs (aborted readers included)."""
         for log in self.logs:
             yield from log.read_set
-
-    def is_well_formed(self) -> bool:
-        """Whether every external read has a writer assigned."""
-        return all(r.id in self.wr_map for r in self.external_reads())
 
     def pending_txns(self) -> tuple[TxnId, ...]:
         return tuple(
@@ -553,19 +549,6 @@ def _check_wr_edge(
 # ---------------------------------------------------------------------------
 # Relation helpers
 # ---------------------------------------------------------------------------
-
-
-def lift_wr_to_txns(h: History) -> set[tuple[TxnId, TxnId]]:
-    """The write-read relation lifted to transaction pairs.
-
-    Args:
-        h: any history.
-
-    Returns:
-        All pairs (writer, reader) such that some read of the reader
-        observes a write of the writer.
-    """
-    return set(h.wr_txn_pairs)
 
 
 def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:

@@ -171,9 +171,6 @@ class Program:
     def txn_body(self, tid: TxnId) -> Transaction:
         return self.sessions[tid.session].txns[tid.index]
 
-    def txn_count(self, session: int) -> int:
-        return len(self.sessions[session].txns)
-
 
 # ---------------------------------------------------------------------------
 # Parsing

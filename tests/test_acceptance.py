@@ -23,11 +23,16 @@ from fixtures import (
     snapshot_blocker,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
-from txndpor.explorer import RunStats, dfs, explore_ce, explore_ce_star
+from txndpor.explorer import (
+    RunStats,
+    causal_extension_exists,
+    dfs,
+    explore_ce,
+    explore_ce_star,
+)
 from txndpor.generate import random_history, random_prefix, random_program
 from txndpor.isolation import (
     brute_force_consistency,
-    causal_extension_exists,
     check_consistency,
 )
 from txndpor.model import (

@@ -82,8 +82,14 @@ def test_run_emits_decodable_canonical_lines(program_file, tmp_path, capsys):
 def test_run_output_is_deterministic(program_file, tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["run", program_file("abort_flip"), "--emit", str(a)]) == 0
-    assert main(["run", program_file("abort_flip"), "--emit", str(b), "--seed", "7"]) == 0
+    assert main(["run", program_file("abort_flip"), "--emit", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_rejects_seed(program_file, capsys):
+    assert main(["run", program_file("abort_flip"), "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "No such option" in err and "--seed" in err
 
 
 def test_run_star_mode_filters(program_file, capsys):

@@ -17,6 +17,7 @@ from fixtures import (
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
     TimeLimitExceeded,
+    causal_extension_exists,
     compute_reorderings,
     dfs,
     explore_ce,
@@ -28,6 +29,7 @@ from txndpor.explorer import (
     swapped,
     valid_writes,
 )
+from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
     COMMIT,
@@ -38,6 +40,7 @@ from txndpor.model import (
     TxnId,
     begin_event,
     canonical_encode,
+    causal_reachable,
     causally_before_or_equal,
     commit_event,
     drop_events,
@@ -137,6 +140,31 @@ def test_valid_writes_exclude_the_torn_observation():
     assert action.event.var == "y"
     assert valid_writes(st, action, IsolationLevel.RC) == [wr]
     assert valid_writes(st, action, IsolationLevel.RA) == [wr]
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_reachable_reads_extend_causally_within_their_valid_writes(level):
+    """At every entered state whose next action is an external read, the
+    read extends observing a causal predecessor, and every causal
+    predecessor it may consistently observe is one of its valid writes."""
+    reads = 0
+    for name in sorted(EXAMPLE_PROGRAMS):
+        for _, st in entered_states(example(name), level):
+            action = next_event(st)
+            if action is None or not action.is_external_read:
+                continue
+            reads += 1
+            hist, event = st.history.history, action.event
+            assert causal_extension_exists(hist, event, level)
+            causal = {
+                t
+                for t in hist.txn_ids
+                if causal_reachable(hist, t, event.id.txn)
+                and hist.txn(t).writes_var(event.var)
+                and check_consistency(hist.with_event(event, writer=t), level)
+            }
+            assert causal <= set(valid_writes(st, action, level))
+    assert reads
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from fixtures import (
     pending_writer_extension,
     snapshot_blocker,
 )
+from txndpor.explorer import causal_extension_exists
 from txndpor.generate import random_history, random_prefix
 from txndpor.isolation import (
     axiom_instances,
     brute_force_consistency,
     brute_force_consistency_cached,
-    causal_extension_exists,
     check_consistency,
     find_commit_order,
     forced_edges,

@@ -39,7 +39,6 @@ from txndpor.model import (
     commit_event,
     drop_events,
     is_prefix,
-    lift_wr_to_txns,
     read_event,
     track_history_memory,
     write_event,
@@ -213,11 +212,11 @@ def test_init_precedes_all_sessions_in_session_order():
 
 
 def test_wr_lifts_to_expected_transaction_pairs():
-    assert lift_wr_to_txns(causal_cycle_history()) == CYCLE_WR_LIFT
+    assert set(causal_cycle_history().wr_txn_pairs) == CYCLE_WR_LIFT
 
 
 def test_wr_lift_of_init_only_history_is_empty():
-    assert lift_wr_to_txns(History(logs=(init_log("x"),), wr=())) == set()
+    assert set(History(logs=(init_log("x"),), wr=()).wr_txn_pairs) == set()
 
 
 def test_causal_reachability_through_intermediate_transaction():
