@@ -18,6 +18,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def cli() -> None:
               help="Suppress duplicate histories in the emitted file.")
 @click.option("--oracle-check", is_flag=True,
               help="Verify the uniqueness oracles at every explored state.")
-@click.option("--time-limit", type=float, default=None,
+@click.option("--time-limit", type=click.FloatRange(min=0), default=None,
               help="Wall-clock budget in seconds.")
 @click.option("--stats-json", type=click.Path(dir_okay=False), default=None,
               help="Write run counters as JSON to this file.")
@@ -182,7 +183,6 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
     raw = 0
     violation = False
     truncated = False
-    out = open(config.emit, "wb") if config.emit else None
     hook = None
     if config.oracle_check:
         weak = config.weak_level or config.level
@@ -199,26 +199,31 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
         if assertions(st):
             violation = True
 
-    try:
-        if config.mode == "explore-ce":
-            stats = explore_ce(
-                prog, config.level, emit=on_emit, entry_hook=hook,
-                time_limit=config.time_limit,
-            )
-        elif config.mode == "explore-ce-star":
-            assert config.weak_level is not None
-            stats = explore_ce_star(
-                prog, config.weak_level, config.level, emit=on_emit,
-                entry_hook=hook, time_limit=config.time_limit,
-            )
-        else:
-            stats = dfs(prog, config.level, emit=on_emit, time_limit=config.time_limit)
-    except TimeLimitExceeded as exc:
-        stats = exc.stats
-        truncated = True
-    finally:
-        if out is not None:
-            out.close()
+    # Open both outputs first, so that a bad path fails before the work.
+    with ExitStack() as files:
+        out = files.enter_context(open(config.emit, "wb")) if config.emit else None
+        stats_out = (files.enter_context(open(config.stats_json, "w"))
+                     if config.stats_json else None)
+        try:
+            if config.mode == "explore-ce":
+                stats = explore_ce(
+                    prog, config.level, emit=on_emit, entry_hook=hook,
+                    time_limit=config.time_limit,
+                )
+            elif config.mode == "explore-ce-star":
+                assert config.weak_level is not None
+                stats = explore_ce_star(
+                    prog, config.weak_level, config.level, emit=on_emit,
+                    entry_hook=hook, time_limit=config.time_limit,
+                )
+            else:
+                stats = dfs(prog, config.level, emit=on_emit, time_limit=config.time_limit)
+        except TimeLimitExceeded as exc:
+            stats = exc.stats
+            truncated = True
+        if stats_out is not None:
+            payload = dict(stats.as_dict(), distinct_histories=len(seen))
+            stats_out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     click.echo(f"distinct histories: {len(seen)}")
     click.echo(f"raw emissions: {raw}")
@@ -233,11 +238,6 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
     if violation:
         click.echo("assertion violated by at least one history")
 
-    if config.stats_json:
-        payload = dict(stats.as_dict(), distinct_histories=len(seen))
-        Path(config.stats_json).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
     if violation:
         return 2
     if truncated:
@@ -253,7 +253,8 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
 @cli.command()
 @click.option("--suite", type=click.Choice(_SUITES + ["all"]), default="all",
               help="Which self-check to run.")
-@click.option("--cases", type=int, default=25, help="Random cases per suite.")
+@click.option("--cases", type=click.IntRange(min=0), default=25,
+              help="Random cases per suite.")
 @click.option("--seed", type=int, default=0, help="Random seed.")
 @click.option("--level", type=click.Choice(["rc", "ra", "cc", "true"]), default="cc",
               help="Exploration level for the program-based suites.")
@@ -261,7 +262,7 @@ def verify(suite: str, cases: int, seed: int, level: str) -> int:
     """Cross-check the enumerator against its independent oracles."""
     lvl = IsolationLevel.from_name(level)
     suites = _SUITES if suite == "all" else [suite]
-    if cases <= 0:
+    if cases == 0:
         for name in suites:
             click.echo(f"{name}: vacuous (0 cases)")
         return 0
@@ -404,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleCheckError as exc:
         click.echo(f"oracle check failed: {exc}", err=True)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return int(result) if isinstance(result, int) else 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from .isolation import _some_topological_order
+from .isolation import find_commit_order
 from .model import (
     ABORTED,
     COMMITTED,
@@ -21,6 +21,7 @@ from .model import (
     WRITE,
     EventId,
     History,
+    IsolationLevel,
     TransactionLog,
     TxnId,
     abort_event,
@@ -125,10 +126,9 @@ def random_history(
 
 def random_prefix(rng: random.Random, h: History) -> History:
     """A random downward-closed prefix of ``h`` (possibly all or init-only)."""
-    base = set(h.so_pairs) | set(h.wr_txn_pairs)
-    block_order = _some_topological_order(h.txn_ids, base)
+    block_order = find_commit_order(h, IsolationLevel.TRUE)
     assert block_order is not None
-    sequence = [ev.id for t in block_order for ev in h.txn(t).events]
+    sequence = [ev.id for t in block_order.order for ev in h.txn(t).events]
     floor = len(h.txn(INIT_TXN).events)
     k = rng.randint(floor, len(sequence))
     kept = set(sequence[:k])

@@ -8,12 +8,25 @@ visibility premise relates ``t2`` to the reading transaction, then ``t2`` must
 be ordered before ``t1``.
 
 For read committed, read atomic and causal consistency the premise never
-mentions the commit order, so consistency reduces to an acyclicity check on
-session order, write-read and the forced conclusion edges.  Snapshot
-isolation and serializability quantify over the commit order itself and are
-decided by a backtracking search over order extensions, pruning branches
-whose partial order already makes some premise unavoidable and the matching
-conclusion impossible.
+mentions the commit order, so consistency is acyclicity of G = session
+order, write-read and the forced conclusion edges.  The transitive closure
+of G (None on a cycle) is cached per history and level.  A one-event edit
+(``History.with_begin``/``with_event``) records its parent's cache and the
+edit; its closure is the parent's plus the new edges, where (a, b) closes a
+cycle iff a == b or b reaches a.  A begin of ``t`` adds (session predecessor
+or init, ``t``); a commit, a read without a writer or a repeated write adds
+nothing; a first write by ``t`` adds the forced edges with overwriter ``t``;
+a read of ``t`` observing ``w`` adds (``w``, ``t``) and the forced edges of
+the reads of ``t`` and of what ``t`` reaches, whose premises alone can
+change.  This is exact because such edits only add transactions, writes and
+wr edges, in which every premise is monotone: G only grows, and a parent's
+cycle stays.  An abort removes forced edges, so it, like a history without a
+cached parent closure, takes one full computation, then cached.
+
+Snapshot isolation and serializability quantify over the commit order
+itself and are decided by a backtracking search over order extensions,
+pruning branches whose partial order already makes some premise unavoidable
+and the matching conclusion impossible.
 
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
@@ -24,8 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Container, Iterable, Iterator
 
 from .model import (
+    ABORT,
+    BEGIN,
+    INIT_TXN,
+    WRITE,
     EventId,
     History,
     IsolationLevel,
@@ -106,13 +124,52 @@ def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
         All pairs (overwriter, writer) whose axiom premise holds, i.e. the
         edges any witnessing commit order must contain.
     """
-    if level not in (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC):
+    if level not in _CLOSURE_LEVELS:
         raise ValueError(f"no order-free premise for {level}")
-    return {
-        (inst.overwriter, inst.writer)
-        for inst in axiom_instances(h)
-        if _premise_static(h, level, inst)
-    }
+    return set(_forced_edges_of(h, level, h.by_id, _writers_by_var(h)))
+
+
+_CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+
+
+def _writers_by_var(h: History) -> dict[str, list[TxnId]]:
+    out: dict[str, list[TxnId]] = {}
+    for log in h.logs:
+        for var in log.write_set:
+            out.setdefault(var, []).append(log.id)
+    return out
+
+
+def _forced_edges_of(
+    h: History, level: IsolationLevel, readers: Container[TxnId], writers: dict[str, list[TxnId]]
+) -> Iterator[tuple[TxnId, TxnId]]:
+    """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC).
+
+    A read of ``x`` by ``t3`` observing ``w`` forces every ``t2 != w`` in
+    ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
+    of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
+    at CC ``t2`` is causally before ``t3``.
+    """
+    current, seen = None, set()
+    # wr is sorted, so each reader's reads come together in program order.
+    for rid, w in h.wr:
+        t3 = rid.txn
+        if t3 not in readers:
+            continue
+        if t3 != current:
+            current, seen = t3, set()
+        for t2 in writers.get(h.by_id[t3].events[rid.index].var, ()):  # type: ignore[arg-type]
+            if t2 == w:
+                continue
+            if level is IsolationLevel.RC:
+                premise = t2 in seen
+            elif level is IsolationLevel.RA:
+                premise = (t2, t3) in h.so_pairs or (t2, t3) in h.wr_txn_pairs
+            else:
+                premise = t3 in h.causal_closure[t2]
+            if premise:
+                yield t2, w
+        seen.add(w)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +244,6 @@ class _OrderSearch:
                 return True
         return False
 
-    # -- exact evaluation of full orders -------------------------------------
-
-    def _full_ok(self) -> bool:
-        return total_order_satisfies(self.h, self.level, self.pos)
-
     def search(self) -> CommitOrder | None:
         order: list[TxnId] = []
 
@@ -199,7 +251,7 @@ class _OrderSearch:
             if self._violated():
                 return False
             if len(order) == len(self.h.txn_ids):
-                return self._full_ok()
+                return total_order_satisfies(self.h, self.level, self.pos)
             for t in self.h.txn_ids:
                 if t in self.pos or not all(p in self.pos for p in self.preds[t]):
                     continue
@@ -258,7 +310,56 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
         True when some strict total commit order extending session order and
         write-read satisfies every axiom instance of the level.
     """
-    return level is IsolationLevel.TRUE or find_commit_order(h, level) is not None
+    if level is IsolationLevel.TRUE:
+        return True
+    if level in _CLOSURE_LEVELS:
+        return _forced_closure(h, level) is not None
+    return _OrderSearch(h, level).search() is not None
+
+
+def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
+    """The transitive closure of so, wr and the forced edges, or None on a cycle.
+
+    Cached per history and level; derived from the parent's cached closure
+    when ``h`` is a one-event edit of a history checked at ``level``.
+    """
+    cache = h.consistency_cache
+    if level in cache:
+        return cache[level]
+    parent_cache, event, writer = h.derivation or ({}, None, None)
+    reach = parent_cache.get(level)
+    if level not in parent_cache or event.kind == ABORT:
+        # An abort takes away the aborted writes' forced edges.
+        reach = _with_edges(h.causal_closure, forced_edges(h, level))
+    elif reach is not None:  # every other edit only adds edges: a cycle stays
+        t = event.id.txn
+        if event.kind == BEGIN:
+            same = h.sessions[t.session]
+            pred = same[-2] if len(same) > 1 else INIT_TXN
+            reach = _with_edges({**reach, t: frozenset()}, [(pred, t)])
+        elif writer is not None:
+            readers = h.causal_closure[t] | {t}
+            new = _forced_edges_of(h, level, readers, _writers_by_var(h))
+            reach = _with_edges(reach, [(writer, t), *new])
+        elif event.kind == WRITE and not h.txn(t).has_own_write_before(
+            event.id.index, event.var  # type: ignore[arg-type]
+        ):
+            new = _forced_edges_of(h, level, h.by_id, {event.var: [t]})  # type: ignore[dict-item]
+            reach = _with_edges(reach, new)
+    cache[level] = reach
+    return reach
+
+
+def _with_edges(reach: dict, edges: Iterable[tuple[TxnId, TxnId]]) -> dict | None:
+    """``reach`` closed under ``edges`` (a new dict), or None on a cycle."""
+    for a, b in edges:
+        if a == b or a in reach[b]:
+            return None
+        if b in reach[a]:
+            continue
+        gained = reach[b] | {b}
+        reach = {x: r | gained if x == a or a in r else r for x, r in reach.items()}
+    return reach
 
 
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
@@ -270,34 +371,16 @@ def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     """
     if level in (IsolationLevel.SI, IsolationLevel.SER):
         return _OrderSearch(h, level).search()
-    edges = set(h.so_pairs) | set(h.wr_txn_pairs)
-    if level is not IsolationLevel.TRUE:
-        edges |= forced_edges(h, level)
-    order = _some_topological_order(h.txn_ids, edges)
-    return None if order is None else CommitOrder(order)
-
-
-def _some_topological_order(
-    nodes: tuple[TxnId, ...], edges: set[tuple[TxnId, TxnId]]
-) -> tuple[TxnId, ...] | None:
-    node_set = set(nodes)
-    indeg = {n: 0 for n in nodes}
-    succs: dict[TxnId, list[TxnId]] = {n: [] for n in nodes}
-    for a, b in edges:
-        if a in node_set and b in node_set and a != b:
-            succs[a].append(b)
-            indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
-    out: list[TxnId] = []
-    while ready:
-        n = ready.pop(0)
-        out.append(n)
-        for m in succs[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-        ready.sort()
-    return tuple(out) if len(out) == len(nodes) else None
+    reach = h.causal_closure if level is IsolationLevel.TRUE else _forced_closure(h, level)
+    if reach is None:
+        return None
+    order: list[TxnId] = []
+    left = list(h.txn_ids)  # sorted
+    while left:
+        first = next(t for t in left if not any(t in reach[u] for u in left))
+        order.append(first)
+        left.remove(first)
+    return CommitOrder(tuple(order))
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,15 @@ class History:
     def wr_txn_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:
         return frozenset((writer, rid.txn) for rid, writer in self.wr)
 
+    @cached_property
+    def consistency_cache(self) -> dict:
+        """Per-level results of :func:`isolation.check_consistency`."""
+        return {}
+
+    # (parent's consistency_cache, event, writer) of a derived edit, never the
+    # parent itself; None after full construction.  Not a dataclass field.
+    derivation = None
+
     # -- editing ------------------------------------------------------------
 
     @classmethod
@@ -460,6 +469,7 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=self.wr_txn_pairs,
             wr_map=self.wr_map,
+            derivation=(self.consistency_cache, begin, None),
         )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
@@ -517,6 +527,7 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=wr_txn_pairs,
             wr_map=wr_map,
+            derivation=(self.consistency_cache, event, writer),
         )
 
     def with_writer(self, read: EventId, writer: TxnId) -> "History":
@@ -817,7 +828,7 @@ def canonical_decode(data: bytes | str) -> History:
 
 
 class HistoryMemoryTracker:
-    """Counts bytes of History values currently alive.
+    """Counts History values currently alive, and their bytes.
 
     Each history is weighed by its canonical encoding length; the weight is
     released when the value is garbage collected.  Only histories created
@@ -825,6 +836,7 @@ class HistoryMemoryTracker:
     """
 
     def __init__(self) -> None:
+        self.live = 0
         self.live_bytes = 0
         self.peak_bytes = 0
         self.max_history_bytes = 0
@@ -833,12 +845,14 @@ class HistoryMemoryTracker:
     def _register(self, h: History) -> None:
         size = len(canonical_encode(h))
         self.registered += 1
+        self.live += 1
         self.live_bytes += size
         self.peak_bytes = max(self.peak_bytes, self.live_bytes)
         self.max_history_bytes = max(self.max_history_bytes, size)
         weakref.finalize(h, self._release, size)
 
     def _release(self, size: int) -> None:
+        self.live -= 1
         self.live_bytes -= size
 
 

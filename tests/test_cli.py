@@ -171,6 +171,25 @@ def test_run_rejects_an_unparsable_program(tmp_path, capsys):
     assert "expected ','" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--emit", "--stats-json"])
+def test_run_rejects_an_unwritable_output_before_enumerating(
+    program_file, tmp_path, capsys, option
+):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["run", program_file("racing_reads"), option, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err
+    assert "distinct histories" not in captured.out
+
+
+def test_run_rejects_a_negative_time_limit(program_file, capsys):
+    assert main(["run", program_file("racing_reads"), "--time-limit", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'--time-limit'" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -199,6 +218,14 @@ def test_verify_zero_cases_is_reported_vacuous(capsys):
     code = main(["verify", "--suite", "soundness", "--cases", "0"])
     assert code == 0
     assert _lines(capsys) == ["soundness: vacuous (0 cases)"]
+
+
+def test_verify_rejects_negative_cases(capsys):
+    assert main(["verify", "--suite", "soundness", "--cases", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "'--cases'" in captured.err
+    assert "vacuous" not in captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from fixtures import (
@@ -46,9 +48,10 @@ from txndpor.model import (
     drop_events,
     is_prefix,
     read_event,
+    track_history_memory,
     write_event,
 )
-from txndpor.program import ExplorationState, apply_event, step_local
+from txndpor.program import ExplorationState, apply_event, parse, step_local
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
@@ -480,3 +483,18 @@ def test_time_limit_raises_with_partial_counters():
 def test_time_limit_applies_to_the_naive_search_too():
     with pytest.raises(TimeLimitExceeded):
         dfs(example("racing_reads"), IsolationLevel.CC, time_limit=0.0)
+
+
+@pytest.mark.parametrize("name", ["racing_reads", "abort_flip"])
+def test_retained_states_do_not_keep_their_ancestors_alive(name):
+    """A derived history records its parent's consistency cache, never the
+    parent itself: keeping the emitted states keeps only their own
+    histories alive.  SER (dfs) and TRUE (explore_ce) fill no closure."""
+    program = parse(EXAMPLE_PROGRAMS[name])
+    kept: list[ExplorationState] = []
+    with track_history_memory() as tracker:
+        dfs(program, IsolationLevel.SER, emit=kept.append)
+        explore_ce(program, IsolationLevel.TRUE, emit=kept.append)
+        gc.collect()
+        assert tracker.registered > 3 * len(kept)
+        assert tracker.live <= len(kept) + 2

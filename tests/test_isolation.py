@@ -20,7 +20,7 @@ from fixtures import (
     snapshot_blocker,
 )
 from txndpor.explorer import causal_extension_exists
-from txndpor.generate import random_history, random_prefix
+from txndpor.generate import random_history, random_prefix, random_program
 from txndpor.isolation import (
     axiom_instances,
     brute_force_consistency,
@@ -31,17 +31,20 @@ from txndpor.isolation import (
     total_order_satisfies,
 )
 from txndpor.model import (
+    COMMITTED,
     INIT_TXN,
     EventId,
     History,
     IsolationLevel,
     TransactionLog,
     TxnId,
+    abort_event,
     begin_event,
     commit_event,
     read_event,
     write_event,
 )
+from txndpor.program import ExplorationState, apply_event, parse, step_local
 
 ALL_LEVELS = (
     IsolationLevel.RC,
@@ -248,3 +251,137 @@ def test_fractured_observation_is_rejected_even_by_read_committed():
     )
     assert not check_consistency(h, IsolationLevel.RC)
     assert not brute_force_consistency(h, IsolationLevel.RC)
+
+
+# ---------------------------------------------------------------------------
+# Closures derived from the parent's (RC, RA, CC)
+# ---------------------------------------------------------------------------
+
+CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+
+
+def _random_walk(rng: random.Random, program):
+    """States of one random run: any session may begin next, and an
+    external read observes any committed writer, consistent or not."""
+    st = ExplorationState.initial(program)
+    yield st
+    while True:
+        hist = st.history.history
+        pending = hist.pending_txns()
+        if pending:
+            action = step_local(st, pending[0].session)
+            writer = None
+            if action.is_external_read:
+                writer = rng.choice([
+                    t for t in hist.txn_ids
+                    if hist.txn(t).status == COMMITTED
+                    and hist.txn(t).writes_var(action.event.var)
+                ])
+            st = apply_event(st, action.event, writer=writer)
+        else:
+            starts = [
+                tid for s in range(len(program.sessions))
+                if (tid := st.next_unstarted_txn(s)) is not None
+            ]
+            if not starts:
+                return
+            st = apply_event(st, begin_event(rng.choice(starts)))
+        yield st
+
+
+def _assert_derived_matches_full(h: History, level: IsolationLevel) -> bool:
+    full = check_consistency(History(h.logs, h.wr), level)
+    assert check_consistency(h, level) == full, (h, level)
+    if len(h.txn_ids) <= 8:
+        assert brute_force_consistency(h, level) == full, (h, level)
+    return full
+
+
+def test_derived_closures_agree_with_full_construction_and_brute_force():
+    """Every step of random runs is checked at RC, RA and CC from its
+    parent's cached closure; the verdict must equal full construction's
+    (no cache) and the brute-force oracle's."""
+    checks = inconsistent = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        program = parse(random_program(rng))
+        for _ in range(2):
+            for step, st in enumerate(_random_walk(rng, program)):
+                h = st.history.history
+                for level in CLOSURE_LEVELS:
+                    # The parent was checked one step earlier, so every
+                    # check after the initial one takes the derived path.
+                    assert step == 0 or level in h.derivation[0]
+                    checks += 1
+                    inconsistent += not _assert_derived_matches_full(h, level)
+    assert checks > 20_000
+    assert inconsistent > 500
+
+
+def _checked(h: History) -> History:
+    for level in CLOSURE_LEVELS:
+        check_consistency(h, level)
+    return h
+
+
+def _log(tid: TxnId, *events) -> TransactionLog:
+    return TransactionLog(tid, (begin_event(tid),) + events)
+
+
+def test_derived_closure_when_the_extended_transaction_has_causal_successors():
+    """t0 is still pending while its session successor t1 already read x
+    from init.  t0 reading z from w puts w causally before t1, so w's x
+    must precede init at CC (a cycle); t0 writing x puts t0 before t1's
+    observed init at RA and CC."""
+    t0, t1, w = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
+    h = _checked(History(
+        (
+            init_log("x", "z"),
+            _log(t0),
+            _log(t1, read_event(t1, 1, "x"), commit_event(t1, 2)),
+            _log(w, write_event(w, 1, "x", 1), write_event(w, 2, "z", 1),
+                 commit_event(w, 3)),
+        ),
+        ((EventId(t1, 1), INIT_TXN),),
+    ))
+    read = h.with_event(read_event(t0, 1, "z"), writer=w)
+    write = h.with_event(write_event(t0, 1, "x", 2))
+    verdicts = {IsolationLevel.RC: True, IsolationLevel.RA: True, IsolationLevel.CC: False}
+    for level, expected in verdicts.items():
+        assert _assert_derived_matches_full(read, level) == expected
+        assert _assert_derived_matches_full(write, level) == (level is IsolationLevel.RC)
+
+
+def test_derived_closure_of_an_inconsistent_parent():
+    """Edits of an inconsistent history stay inconsistent, and an abort
+    that removes the offending write makes it consistent again."""
+    t0, t1, w = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
+    h = _checked(History(
+        (
+            init_log("x", "y"),
+            _log(t0, write_event(t0, 1, "x", 2)),
+            _log(t1, read_event(t1, 1, "x"), commit_event(t1, 2)),
+            _log(w, write_event(w, 1, "y", 1), commit_event(w, 2)),
+        ),
+        ((EventId(t1, 1), INIT_TXN),),
+    ))
+    assert not check_consistency(h, IsolationLevel.RA)
+    for child in (
+        h.with_event(read_event(t0, 2, "y"), writer=w),
+        h.with_event(write_event(t0, 2, "y", 3)),
+        h.with_event(commit_event(t0, 2)),
+    ):
+        for level in CLOSURE_LEVELS:
+            assert _assert_derived_matches_full(child, level) == (
+                level is IsolationLevel.RC
+            )
+    aborted = h.with_event(abort_event(t0, 2))
+    for level in CLOSURE_LEVELS:
+        assert _assert_derived_matches_full(aborted, level)
+
+
+def test_derived_closure_of_a_begin():
+    h = _checked(causal_cycle_history())
+    child = h.with_begin(TxnId(2, 0))
+    for level in CLOSURE_LEVELS:
+        assert _assert_derived_matches_full(child, level) == CYCLE_VERDICTS[level]
