@@ -21,6 +21,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -277,16 +278,10 @@ def verify(suite: str, cases: int, seed: int, level: str) -> int:
     return 0
 
 
-def _explore_encodings(prog: Program, level: IsolationLevel) -> list[bytes]:
+def _encodings(enumerate_: Callable, prog: Program, level: IsolationLevel) -> list[bytes]:
+    """Encodings of the histories ``enumerate_`` (explore_ce or dfs) emits."""
     out: list[bytes] = []
-    explore_ce(prog, level, emit=lambda st: out.append(
-        canonical_encode(st.history.history)))
-    return out
-
-
-def _dfs_encodings(prog: Program, level: IsolationLevel) -> list[bytes]:
-    out: list[bytes] = []
-    dfs(prog, level, emit=lambda st: out.append(
+    enumerate_(prog, level, emit=lambda st: out.append(
         canonical_encode(st.history.history)))
     return out
 
@@ -325,7 +320,7 @@ def _suite_soundness(rng: random.Random, cases: int, level: IsolationLevel) -> s
     def unsound(prog: Program) -> bool:
         return any(
             not brute_force_consistency_cached(canonical_decode(enc), level)
-            for enc in _explore_encodings(prog, level)
+            for enc in _encodings(explore_ce, prog, level)
         )
 
     for src in _corpus(rng, cases):
@@ -338,7 +333,7 @@ def _suite_soundness(rng: random.Random, cases: int, level: IsolationLevel) -> s
 
 def _suite_completeness(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
     def incomplete(prog: Program) -> bool:
-        return set(_explore_encodings(prog, level)) != set(_dfs_encodings(prog, level))
+        return set(_encodings(explore_ce, prog, level)) != set(_encodings(dfs, prog, level))
 
     for src in _corpus(rng, cases):
         if incomplete(parse(src)):
@@ -350,7 +345,7 @@ def _suite_completeness(rng: random.Random, cases: int, level: IsolationLevel) -
 
 def _suite_optimality(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
     def duplicated(prog: Program) -> bool:
-        encs = _explore_encodings(prog, level)
+        encs = _encodings(explore_ce, prog, level)
         return len(encs) != len(set(encs))
 
     for src in _corpus(rng, cases):

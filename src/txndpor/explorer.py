@@ -11,13 +11,13 @@ that read observing the newly committed writer, deleting everything that
 causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
-A read's candidate writers are filtered in one place, ``_consistent_writers``:
-the transactions writing the read's variable whose wr edge keeps the history
-consistent at the level.  Callers choose only which transactions to offer:
-:func:`valid_writes` (and :func:`dfs`) offer the committed transactions in
-order of entry; the gate offers the reader's causal predecessors, highest
-priority first, and takes the first; :func:`causal_extension_exists` asks
-whether any causal predecessor qualifies.
+Every state the traversal enters is the state that was checked:
+:func:`valid_writes` (and :func:`dfs`) build each child with ``apply_event``
+and keep those whose history is consistent at the level.  Histories checked
+but never entered go through ``_consistent_writers``, which yields the
+offered writers whose wr edge keeps the history consistent: the gate offers
+the reader's causal predecessors, highest priority first, and takes the
+first; :func:`causal_extension_exists` asks whether any qualifies.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
@@ -126,9 +126,9 @@ def _consistent_writers(
     """The candidate writers of ``read``, in the given order.
 
     Yields each candidate that writes ``read.var`` and keeps ``hist``
-    ``level``-consistent once ``read`` is appended observing it.  This is
-    the one candidate-writer filter; callers differ only in which
-    transactions they offer and in what order.
+    ``level``-consistent once ``read`` is appended observing it.  Used for
+    histories that are checked but never entered: the gate's cut histories
+    and :func:`causal_extension_exists`.
     """
     for t in candidates:
         if hist.txn(t).writes_var(read.var) and check_consistency(  # type: ignore[arg-type]
@@ -153,21 +153,33 @@ def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
     return [t for t in reversed(hist.txn_ids) if txn in closure[t]]
 
 
+def _read_children(
+    st: ExplorationState, read: Event
+) -> Iterator[tuple[TxnId, ExplorationState]]:
+    """``st`` extended by the external ``read`` observing each committed
+    transaction that writes its variable, in the order they entered."""
+    hist = st.history.history
+    for t in _committed_by_entry(st.history):
+        if hist.txn(t).writes_var(read.var):  # type: ignore[arg-type]
+            yield t, apply_event(st, read, writer=t)
+
+
 def valid_writes(
     st: ExplorationState, action: NextAction, level: IsolationLevel
-) -> list[TxnId]:
-    """Committed transactions the pending external read may observe.
+) -> dict[TxnId, ExplorationState]:
+    """The states the pending external read extends ``st`` to, by writer.
 
-    Candidates are filtered by consistency of the extended history and
-    returned in the order their transactions entered the history.
+    Keys are the committed transactions the read may observe, in the order
+    they entered the history; each value is ``st`` extended by the read
+    observing that writer, kept when its history is ``level``-consistent.
     """
     event = action.event
     assert event.kind == READ and event.var is not None
-    return list(
-        _consistent_writers(
-            st.history.history, event, level, _committed_by_entry(st.history)
-        )
-    )
+    return {
+        t: child
+        for t, child in _read_children(st, event)
+        if check_consistency(child.history.history, level)
+    }
 
 
 # The levels at which every reachable history extends by its next event
@@ -247,20 +259,20 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     """Rebuild the history with read ``r`` observing transaction ``t``.
 
     Everything after ``r`` that is not causally before ``t`` is deleted; the
-    reader keeps its prefix through ``r``, is rewired to ``t``, and moves to
-    the end of the order as the unique pending transaction.  The program is
-    replayed over the result, so local state — and with it the reader's
-    remaining control flow — is recomputed from the new value of ``r``.
+    reader keeps its events before ``r`` and moves to the end of the order
+    as the unique pending transaction, where ``r`` is appended observing
+    ``t``.  The program is replayed along the kept events, so local state —
+    and with it the reader's remaining control flow — is recomputed from the
+    new value of ``r``.
     """
     h = st.history
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
-    kept = drop_events(h, _swap_drop_set(h, r, t))
-    hist = kept.history.with_writer(r, t)
-    others = tuple(eid for eid in kept.order if eid.txn != r.txn)
-    reader_events = tuple(eid for eid in kept.order if eid.txn == r.txn)
-    reordered = OrderedHistory(hist, others + reader_events)
-    return replay(st.program, reordered)
+    dropped = _swap_drop_set(h, r, t)
+    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
+    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
+    base = replay(st.program, h.history, others + prefix)
+    return apply_event(base, h.history.event(r), writer=t)
 
 
 def swapped(h: OrderedHistory, r: EventId) -> bool:
@@ -451,16 +463,13 @@ def _explore(
                 stats.filtered_outputs += 1
             return
         if action.is_external_read:
-            writers = valid_writes(st, action, weak)
-            if not writers:
+            children = list(valid_writes(st, action, weak).values())
+            if not children:
                 stats.blocked_calls += 1
                 return
-            for writer in writers:
-                child = apply_event(st, action.event, writer=writer)
-                enter(child, st, depth + 1)
-                take_swaps(child, depth)
         else:
-            child = apply_event(st, action.event)
+            children = [apply_event(st, action.event)]
+        for child in children:
             enter(child, st, depth + 1)
             take_swaps(child, depth)
 
@@ -514,35 +523,27 @@ def dfs(
             if emit is not None:
                 emit(st)
             return
-        hist = st.history.history
-        successors: list[tuple[Event, TxnId | None]] = []
-        pending = hist.pending_txns()
+        pending = st.history.history.pending_txns()
         if pending:
             assert len(pending) == 1
             action = step_local(st, pending[0].session)
-            event = action.event
             if action.is_external_read:
-                # The filter rather than valid_writes, so that traced runs
-                # count these checks under dfs.
-                committed = _committed_by_entry(st.history)
-                successors.extend(
-                    (event, t) for t in _consistent_writers(hist, event, level, committed)
-                )
+                children = [child for _, child in _read_children(st, action.event)]
             else:
-                if check_consistency(hist.with_event(event), level):
-                    successors.append((event, None))
+                children = [apply_event(st, action.event)]
         else:
-            for session in range(len(program.sessions)):
-                tid = st.next_unstarted_txn(session)
-                if tid is None:
-                    continue
-                if check_consistency(hist.with_begin(tid), level):
-                    successors.append((begin_event(tid), None))
+            children = [
+                apply_event(st, begin_event(tid))
+                for session in range(len(program.sessions))
+                if (tid := st.next_unstarted_txn(session)) is not None
+            ]
+        # Checked here, not in valid_writes, so traced runs count them under dfs.
+        successors = [c for c in children if check_consistency(c.history.history, level)]
         if not successors:
             stats.blocked_calls += 1
             return
-        for event, writer in successors:
-            rec(apply_event(st, event, writer=writer), depth + 1)
+        for child in successors:
+            rec(child, depth + 1)
 
     rec(ExplorationState.initial(program), 1)
     stats.wall_time = time.monotonic() - start

@@ -15,14 +15,13 @@ Typical construction goes through :class:`OrderedHistory`::
 All values are immutable; mutation happens by producing new values.
 
 Full validation runs wherever a history enters from outside: ``History(...)``,
-``OrderedHistory(...)``, :func:`canonical_decode`, :func:`drop_events` and
-:meth:`History.with_writer`.  The one-event edits the explorer makes at every
-step (:meth:`History.with_begin`, :meth:`History.with_event` and
-:meth:`OrderedHistory.append`) start from an already valid value, check only
-the delta with the same rules, and carry the parent's derived relations
-forward updated by it.  Only :meth:`History.with_begin` of a transaction
-that is not last in its session, or of one in the init session, falls back
-to full validation.
+``OrderedHistory(...)``, :func:`canonical_decode` and :func:`drop_events`.
+The one-event edits the explorer makes at every step (:meth:`History.with_begin`,
+:meth:`History.with_event` and :meth:`OrderedHistory.append`) start from an
+already valid value, check only the delta with the same rules, and carry the
+parent's derived relations forward updated by it.  Only
+:meth:`History.with_begin` of a transaction that is not last in its session,
+or of one in the init session, falls back to full validation.
 """
 
 from __future__ import annotations
@@ -288,23 +287,9 @@ class History:
                 raise ValueError(f"wr source read {read_id} not in history")
             _check_wr_edge(by_id, reader, read_id, writer)
         # Session order united with write-read must stay acyclic.
-        if self._has_causal_cycle():
+        if any(t in reach for t, reach in self.causal_closure.items()):
             raise ValueError("so union wr is cyclic")
         _register_live(self)
-
-    def _has_causal_cycle(self) -> bool:
-        color: dict[TxnId, int] = {}
-
-        def visit(node: TxnId) -> bool:
-            color[node] = 1
-            for nxt in self.causal_adjacency.get(node, ()):
-                c = color.get(nxt, 0)
-                if c == 1 or (c == 0 and visit(nxt)):
-                    return True
-            color[node] = 2
-            return False
-
-        return any(color.get(t, 0) == 0 and visit(t) for t in self.txn_ids)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -529,11 +514,6 @@ class History:
             wr_map=wr_map,
             derivation=(self.consistency_cache, event, writer),
         )
-
-    def with_writer(self, read: EventId, writer: TxnId) -> "History":
-        """Redirect (or attach) the wr edge of one read."""
-        rest = tuple(p for p in self.wr if p[0] != read)
-        return History(self.logs, tuple(sorted(rest + ((read, writer),))))
 
 
 def _check_wr_edge(

@@ -190,7 +190,7 @@ def max_completion(
     that keeps the history consistent.  This reconstructs exactly the
     completion a swap deleted.
     """
-    st = replay(program, base)
+    st = replay(program, base.history, base.order)
     for _ in range(10_000):
         candidates = []
         for session in range(len(program.sessions)):

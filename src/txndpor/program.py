@@ -20,8 +20,8 @@ session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
 state reached by running the program along it; :func:`replay` rebuilds that
-state from scratch for a given ordered history, verifying every recorded
-value against the program semantics.
+state from scratch along a sequence of a history's events, applying each
+with :func:`apply_event`, which verifies it against the program semantics.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable
 
 from .model import (
     BEGIN,
@@ -37,6 +38,8 @@ from .model import (
     READ,
     WRITE,
     Event,
+    EventId,
+    History,
     OrderedHistory,
     TxnId,
     abort_event,
@@ -725,27 +728,21 @@ def apply_event(
     return ExplorationState(st.program, hist, sessions)
 
 
-def replay(program: Program, ordered: OrderedHistory) -> ExplorationState:
-    """Re-execute ``program`` along an ordered history, rebuilding local state.
+def replay(program: Program, history: History, order: Iterable[EventId]) -> ExplorationState:
+    """Re-execute ``program`` along ``order``, rebuilding local state.
 
-    Every event is checked against the program: kinds, variables and write
-    values must match what the program computes at that point.  The replayed
-    history must come out equal to the input.
+    Each event of ``order`` is taken, with its writer, from ``history`` and
+    appended by :func:`apply_event`, which checks it against the program.
+    Init events are skipped; ``history``'s init transaction must be the
+    program's.
     """
     st = ExplorationState.initial(program)
-    if ordered.history.txn(INIT_TXN).events != st.history.history.txn(INIT_TXN).events:
+    if history.txn(INIT_TXN).events != st.history.history.txn(INIT_TXN).events:
         raise ProgramError("initial transaction does not match the program")
-    wr_map = ordered.history.wr_map
-    for eid in ordered.order:
-        if eid.txn == INIT_TXN:
-            continue
-        event = ordered.history.event(eid)
-        if event.kind == BEGIN:
-            st = apply_event(st, event)
-        else:
-            st = apply_event(st, event, writer=wr_map.get(eid))
-    if st.history != ordered:
-        raise ProgramError("replayed history differs from the input")
+    wr_map = history.wr_map
+    for eid in order:
+        if eid.txn != INIT_TXN:
+            st = apply_event(st, history.event(eid), writer=wr_map.get(eid))
     return st
 
 

@@ -6,6 +6,12 @@ out by hand, so the suite can use them as frozen ground truth.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import txndpor
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import explore_ce
 from txndpor.model import (
@@ -319,3 +325,25 @@ def abort_flip_baseline_state() -> ExplorationState:
     explore_ce(example("abort_flip"), IsolationLevel.CC, entry_hook=hook)
     assert captured, "baseline state of abort_flip was never explored"
     return captured[0]
+
+
+# ---------------------------------------------------------------------------
+# A fresh interpreter, for checks that the test process's state (imports
+# already made, the recursion limit explore_ce and dfs raise) would defeat.
+# ---------------------------------------------------------------------------
+
+SRC = Path(txndpor.__file__).resolve().parents[1]
+
+
+def run_fresh(code: str, *paths: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with the package and ``paths``
+    importable."""
+    path = os.pathsep.join(
+        filter(None, [str(SRC), *map(str, paths), os.environ.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )

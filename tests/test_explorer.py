@@ -35,6 +35,7 @@ from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
     COMMIT,
+    COMMITTED,
     INIT_TXN,
     READ,
     WRITE,
@@ -117,10 +118,10 @@ def test_valid_writes_narrow_with_the_level():
     st, action = _split_reads_probe()
     assert action.event.kind == READ and action.event.var == "x"
     writer = TxnId(0, 0)
-    assert valid_writes(st, action, IsolationLevel.CC) == [writer]
-    assert valid_writes(st, action, IsolationLevel.RA) == [INIT_TXN, writer]
-    assert valid_writes(st, action, IsolationLevel.RC) == [INIT_TXN, writer]
-    assert valid_writes(st, action, IsolationLevel.TRUE) == [INIT_TXN, writer]
+    assert list(valid_writes(st, action, IsolationLevel.CC)) == [writer]
+    assert list(valid_writes(st, action, IsolationLevel.RA)) == [INIT_TXN, writer]
+    assert list(valid_writes(st, action, IsolationLevel.RC)) == [INIT_TXN, writer]
+    assert list(valid_writes(st, action, IsolationLevel.TRUE)) == [INIT_TXN, writer]
 
 
 def test_valid_writes_exclude_the_torn_observation():
@@ -141,15 +142,18 @@ def test_valid_writes_exclude_the_torn_observation():
     )
     action = step_local(st, 0)
     assert action.event.var == "y"
-    assert valid_writes(st, action, IsolationLevel.RC) == [wr]
-    assert valid_writes(st, action, IsolationLevel.RA) == [wr]
+    assert list(valid_writes(st, action, IsolationLevel.RC)) == [wr]
+    assert list(valid_writes(st, action, IsolationLevel.RA)) == [wr]
 
 
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_reachable_reads_extend_causally_within_their_valid_writes(level):
     """At every entered state whose next action is an external read, the
     read extends observing a causal predecessor, and every causal
-    predecessor it may consistently observe is one of its valid writes."""
+    predecessor it may consistently observe is one of its valid writes.
+    The states valid_writes returns are the read applied to the state,
+    keyed by exactly the committed writers, in order of entry, whose
+    extended history is consistent."""
     reads = 0
     for name in sorted(EXAMPLE_PROGRAMS):
         for _, st in entered_states(example(name), level):
@@ -166,7 +170,19 @@ def test_reachable_reads_extend_causally_within_their_valid_writes(level):
                 and hist.txn(t).writes_var(event.var)
                 and check_consistency(hist.with_event(event, writer=t), level)
             }
-            assert causal <= set(valid_writes(st, action, level))
+            children = valid_writes(st, action, level)
+            assert causal <= set(children)
+            entered = dict.fromkeys(eid.txn for eid in st.history.order)
+            consistent = [
+                t
+                for t in entered
+                if hist.txn(t).status == COMMITTED
+                and hist.txn(t).writes_var(event.var)
+                and check_consistency(hist.with_event(event, writer=t), level)
+            ]
+            assert list(children) == consistent
+            for t, child in children.items():
+                assert child == apply_event(st, event, writer=t)
     assert reads
 
 

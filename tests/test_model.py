@@ -17,6 +17,7 @@ from fixtures import (
     causal_cycle_history,
     containment_trio,
     init_log,
+    run_fresh,
 )
 from txndpor.generate import random_history, random_prefix
 from txndpor.model import (
@@ -194,6 +195,26 @@ def test_history_rejects_causal_cycles():
             logs=(ini, a, b),
             wr=tuple(sorted([(EventId(T0, 1), T1), (EventId(T1, 1), T0)])),
         )
+
+
+def test_long_session_history_is_checked_without_deep_recursion():
+    """A history of one 1,500-transaction session is built, encoded and
+    decoded at the default recursion limit.  It runs in a fresh interpreter
+    because explore_ce and dfs raise the limit for the whole process."""
+    code = (
+        "import sys\n"
+        "from txndpor.model import (INIT_TXN, History, TransactionLog, TxnId,\n"
+        "    begin_event, canonical_decode, canonical_encode, commit_event, write_event)\n"
+        "assert sys.getrecursionlimit() < 1500\n"
+        "def log(t, value):\n"
+        "    events = (begin_event(t), write_event(t, 1, 'x', value), commit_event(t, 2))\n"
+        "    return TransactionLog(t, events)\n"
+        "logs = (log(INIT_TXN, 0),) + tuple(log(TxnId(0, i), i) for i in range(1500))\n"
+        "data = canonical_encode(History(logs, ()))\n"
+        "assert canonical_encode(canonical_decode(data)) == data\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_init_precedes_all_sessions_in_session_order():

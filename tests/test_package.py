@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import txndpor
+from fixtures import run_fresh
 
 SRC = str(Path(txndpor.__file__).resolve().parents[1])
 
@@ -33,4 +34,24 @@ def test_submodule_imports_first_and_every_export_resolves(module):
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_bench_tracer_finds_every_binding_it_wraps():
+    """The benchmark's traced mode wraps names it looks up in ``explorer``,
+    ``program`` and ``model``; for each workload it installs and restores
+    them all in a fresh interpreter with ``bench/`` importable."""
+    code = (
+        "import tracing\n"
+        "from txndpor import explorer\n"
+        "before = dict(vars(explorer))\n"
+        "for wl in ('ce-cc', 'ce-rc', 'dfs-ser'):\n"
+        "    with tracing.Tracer(wl).installed():\n"
+        "        pass\n"
+        "assert vars(explorer) == before\n"
+    )
+    proc = run_fresh(code, BENCH)
     assert proc.returncode == 0, proc.stderr

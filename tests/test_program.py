@@ -266,14 +266,14 @@ def test_replay_rebuilds_every_emitted_state(name):
     explore_ce(prog, IsolationLevel.CC, emit=states.append)
     assert states
     for terminal in states:
-        assert replay(prog, terminal.history) == terminal
+        assert replay(prog, terminal.history.history, terminal.history.order) == terminal
 
 
 def test_replay_rejects_a_history_from_a_different_program():
     states = []
     explore_ce(example("pair_reader"), IsolationLevel.RC, emit=states.append)
     with pytest.raises(ProgramError):
-        replay(example("split_reads"), states[0].history)
+        replay(example("split_reads"), states[0].history.history, states[0].history.order)
 
 
 # ---------------------------------------------------------------------------
