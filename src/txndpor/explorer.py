@@ -12,12 +12,12 @@ causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
 Every state the traversal enters is the state that was checked:
-:func:`valid_writes` (and :func:`dfs`) build each child with ``apply_event``
-and keep those whose history is consistent at the level.  Histories checked
-but never entered go through ``_consistent_writers``, which yields the
-offered writers whose wr edge keeps the history consistent: the gate offers
-the reader's causal predecessors, highest priority first, and takes the
-first; :func:`causal_extension_exists` asks whether any qualifies.
+:func:`valid_writes` (and :func:`dfs`) check each extended history and pass
+those that hold to ``apply_event``, so no program code runs on a rejected
+child.  Histories checked but never entered go through ``_consistent_writers``,
+which yields the offered writers whose wr edge keeps the history consistent:
+the gate offers the reader's causal predecessors, highest priority first,
+and takes the first; :func:`causal_extension_exists` asks whether any qualifies.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
@@ -153,15 +153,15 @@ def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
     return [t for t in reversed(hist.txn_ids) if txn in closure[t]]
 
 
-def _read_children(
+def _read_extensions(
     st: ExplorationState, read: Event
-) -> Iterator[tuple[TxnId, ExplorationState]]:
-    """``st`` extended by the external ``read`` observing each committed
-    transaction that writes its variable, in the order they entered."""
+) -> Iterator[tuple[TxnId, OrderedHistory]]:
+    """``st``'s history extended by the external ``read`` observing each
+    committed transaction that writes its variable, in the order they entered."""
     hist = st.history.history
     for t in _committed_by_entry(st.history):
         if hist.txn(t).writes_var(read.var):  # type: ignore[arg-type]
-            yield t, apply_event(st, read, writer=t)
+            yield t, st.history.append(read, writer=t)
 
 
 def valid_writes(
@@ -171,14 +171,14 @@ def valid_writes(
 
     Keys are the committed transactions the read may observe, in the order
     they entered the history; each value is ``st`` extended by the read
-    observing that writer, kept when its history is ``level``-consistent.
+    observing that writer, built only when its history is ``level``-consistent.
     """
     event = action.event
     assert event.kind == READ and event.var is not None
     return {
-        t: child
-        for t, child in _read_children(st, event)
-        if check_consistency(child.history.history, level)
+        t: apply_event(st, event, writer=t, history=h)
+        for t, h in _read_extensions(st, event)
+        if check_consistency(h.history, level)
     }
 
 
@@ -527,18 +527,23 @@ def dfs(
         if pending:
             assert len(pending) == 1
             action = step_local(st, pending[0].session)
+            event = action.event
             if action.is_external_read:
-                children = [child for _, child in _read_children(st, action.event)]
+                extensions = [(event, t, h) for t, h in _read_extensions(st, event)]
             else:
-                children = [apply_event(st, action.event)]
+                extensions = [(event, None, st.history.append(event))]
         else:
-            children = [
-                apply_event(st, begin_event(tid))
+            extensions = [
+                (begin_event(tid), None, st.history.append(begin_event(tid)))
                 for session in range(len(program.sessions))
                 if (tid := st.next_unstarted_txn(session)) is not None
             ]
         # Checked here, not in valid_writes, so traced runs count them under dfs.
-        successors = [c for c in children if check_consistency(c.history.history, level)]
+        successors = [
+            apply_event(st, event, writer=writer, history=h)
+            for event, writer, h in extensions
+            if check_consistency(h.history, level)
+        ]
         if not successors:
             stats.blocked_calls += 1
             return

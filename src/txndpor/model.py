@@ -26,6 +26,7 @@ or of one in the init session, falls back to full validation.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import weakref
 from contextlib import contextmanager
@@ -286,9 +287,11 @@ class History:
             if reader is None or read_id.index >= len(reader.events):
                 raise ValueError(f"wr source read {read_id} not in history")
             _check_wr_edge(by_id, reader, read_id, writer)
-        # Session order united with write-read must stay acyclic.
-        if any(t in reach for t, reach in self.causal_closure.items()):
-            raise ValueError("so union wr is cyclic")
+        # so union wr must stay acyclic; graphlib's cycle search is iterative.
+        try:
+            graphlib.TopologicalSorter(self.causal_adjacency).prepare()
+        except graphlib.CycleError:
+            raise ValueError("so union wr is cyclic") from None
         _register_live(self)
 
     # -- basic accessors ----------------------------------------------------

@@ -649,7 +649,10 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
 
 
 def apply_event(
-    st: ExplorationState, event: Event, writer: TxnId | None = None
+    st: ExplorationState,
+    event: Event,
+    writer: TxnId | None = None,
+    history: OrderedHistory | None = None,
 ) -> ExplorationState:
     """Apply one database event, checking it against the program semantics.
 
@@ -658,21 +661,19 @@ def apply_event(
     transaction's own latest write for internal reads); write events are
     verified to carry exactly the value the program computes here.  Raises
     :class:`ProgramError` when the event does not match the program.
+
+    ``history``, when given, is ``st.history.append(event, writer=writer)``
+    already built and checked by the caller, and is entered as is: no
+    program code after the event runs before that check.
     """
     session = event.id.txn.session
     ls = st.sessions[session]
+    if writer is not None and event.kind != READ:
+        raise ProgramError(f"{event.kind} events take no writer")
     if event.kind == BEGIN:
-        if writer is not None:
-            raise ProgramError("begin events take no writer")
         expected = st.next_unstarted_txn(session)
         if expected != event.id.txn:
             raise ProgramError(f"cannot begin {event.id.txn}, expected {expected}")
-        env = ls.env
-        queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
-        new_ls = replace(
-            ls, locals=_freeze_env(env), in_txn=True, queue=queue
-        )
-        hist = st.history.append(event)
     else:
         action = step_local(st, session)
         if action.event.id != event.id or action.event.kind != event.kind:
@@ -688,7 +689,6 @@ def apply_event(
                 if writer is not None:
                     raise ProgramError("internal reads take no writer")
                 value = action.internal_value
-                hist = st.history.append(event)
             else:
                 if writer is None:
                     raise ProgramError(f"external read {event.id} needs a writer")
@@ -697,31 +697,26 @@ def apply_event(
                 if wev is None:
                     raise ProgramError(f"{writer} has no write on {event.var!r}")
                 value = wev.value
-                hist = st.history.append(event, writer=writer)
-            env = ls.env
-            assert action.target is not None and value is not None
-            env[action.target] = value
-            queue = _normalize(env, ls.queue[1:])
-            new_ls = replace(ls, locals=_freeze_env(env), queue=queue)
         elif event.kind == WRITE:
-            if writer is not None:
-                raise ProgramError("write events take no writer")
             if event.var != action.event.var or event.value != action.event.value:
                 raise ProgramError(
                     f"write {event.var}={event.value} does not match the program's "
                     f"{action.event.var}={action.event.value}"
                 )
-            env = ls.env
-            hist = st.history.append(event)
-            queue = _normalize(env, ls.queue[1:])
-            new_ls = replace(ls, locals=_freeze_env(env), queue=queue)
-        else:  # COMMIT or ABORT
-            if writer is not None:
-                raise ProgramError(f"{event.kind} events take no writer")
-            hist = st.history.append(event)
-            new_ls = replace(
-                ls, in_txn=False, txn_index=ls.txn_index + 1, queue=()
-            )
+    hist = history if history is not None else st.history.append(event, writer=writer)
+    if event.kind == BEGIN:
+        env = ls.env
+        queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
+        new_ls = replace(ls, locals=_freeze_env(env), in_txn=True, queue=queue)
+    elif event.kind in (READ, WRITE):
+        env = ls.env
+        if event.kind == READ:
+            assert action.target is not None and value is not None
+            env[action.target] = value
+        queue = _normalize(env, ls.queue[1:])
+        new_ls = replace(ls, locals=_freeze_env(env), queue=queue)
+    else:  # COMMIT or ABORT
+        new_ls = replace(ls, in_txn=False, txn_index=ls.txn_index + 1, queue=())
     sessions = tuple(
         new_ls if s == session else old for s, old in enumerate(st.sessions)
     )

@@ -435,6 +435,38 @@ def test_enumeration_equals_deduplicated_naive_search(name, level):
     assert set(direct) == naive
 
 
+# Once the reader has read y from the second transaction of session a,
+# reading x from the first is inconsistent at every level but TRUE, and
+# only that writer's value makes ``b + a`` overflow.
+OVERFLOW_IF_INCONSISTENT = """\
+session a {
+  txn { write(x, 9223372036854775807); }
+  txn { write(x, 0); write(y, 1); }
+}
+session b {
+  txn { a = read(y); b = read(x); c = b + a; }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "level, outputs", [(IsolationLevel.RC, 4), (IsolationLevel.CC, 3)]
+)
+def test_no_program_code_runs_on_a_rejected_read(level, outputs):
+    stats = explore_ce(parse(OVERFLOW_IF_INCONSISTENT), level)
+    assert (stats.outputs, stats.blocked_calls) == (outputs, 0)
+
+
+def test_naive_search_runs_no_program_code_on_a_rejected_branch():
+    seen: set[bytes] = set()
+    stats = dfs(
+        parse(OVERFLOW_IF_INCONSISTENT),
+        IsolationLevel.SER,
+        emit=lambda s: seen.add(canonical_encode(s.history.history)),
+    )
+    assert (stats.outputs, len(seen), stats.blocked_calls) == (6, 3, 0)
+
+
 def test_single_transaction_program_has_one_history():
     from fixtures import SINGLE_WRITE_SOURCE
     from txndpor.program import parse
