@@ -12,12 +12,16 @@ causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
 Every state the traversal enters is the state that was checked:
-:func:`valid_writes` (and :func:`dfs`) check each extended history and pass
-those that hold to ``apply_event``, so no program code runs on a rejected
-child.  Histories checked but never entered go through ``_consistent_writers``,
-which yields the offered writers whose wr edge keeps the history consistent:
-the gate offers the reader's causal predecessors, highest priority first,
-and takes the first; :func:`causal_extension_exists` asks whether any qualifies.
+:func:`valid_writes`, :func:`dfs` and the gate check each extended history and
+pass those that hold to ``apply_event``, so no program code runs on a rejected
+child or swap.  Histories checked but never entered go through
+``_consistent_writers``, which yields the offered writers whose wr edge keeps
+the history consistent: the gate offers the reader's causal predecessors,
+highest priority first, and takes the first; :func:`causal_extension_exists`
+asks whether any qualifies.
+
+Both searches run in one loop, ``_walk``, over an explicit stack of per-node
+generators, so no run is bounded by the interpreter's recursion limit.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
@@ -30,7 +34,6 @@ next) and therefore emits the same history many times.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -137,16 +140,6 @@ def _consistent_writers(
             yield t
 
 
-def _committed_by_entry(h: OrderedHistory) -> list[TxnId]:
-    """Committed transactions in the order they entered ``h``."""
-    hist = h.history
-    spans = h.txn_spans
-    return sorted(
-        (t for t in hist.txn_ids if hist.txn(t).status == COMMITTED),
-        key=lambda t: spans[t][0],
-    )
-
-
 def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
     """Transactions causally before ``txn``, highest priority first."""
     closure = hist.causal_closure
@@ -159,8 +152,9 @@ def _read_extensions(
     """``st``'s history extended by the external ``read`` observing each
     committed transaction that writes its variable, in the order they entered."""
     hist = st.history.history
-    for t in _committed_by_entry(st.history):
-        if hist.txn(t).writes_var(read.var):  # type: ignore[arg-type]
+    for t in st.history.txn_spans:  # keyed in the order transactions entered
+        log = hist.txn(t)
+        if log.status == COMMITTED and log.writes_var(read.var):  # type: ignore[arg-type]
             yield t, st.history.append(read, writer=t)
 
 
@@ -255,6 +249,16 @@ def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     }
 
 
+def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:
+    """``st`` replayed along what a swap on ``r`` keeps, up to just before
+    ``r``.  Kept events keep their writers and so their values; only the
+    pivot, appended next, can bring in a new one."""
+    h = st.history
+    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
+    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
+    return replay(st.program, h.history, others + prefix)
+
+
 def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     """Rebuild the history with read ``r`` observing transaction ``t``.
 
@@ -268,10 +272,7 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     h = st.history
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
-    dropped = _swap_drop_set(h, r, t)
-    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
-    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
-    base = replay(st.program, h.history, others + prefix)
+    base = _swap_base(st, r, _swap_drop_set(h, r, t))
     return apply_event(base, h.history.event(r), writer=t)
 
 
@@ -353,7 +354,8 @@ def optimality(
     duplicate-free.
 
     Returns the swapped state ``swap(st, r, t)`` when the pivot passes, for
-    the caller to enter, and None when it is rejected.
+    the caller to enter, and None when it is rejected.  The rebuilt history
+    is checked before the pivot is applied, so a rejected swap runs no code.
     """
     h = st.history
     dropset = _swap_drop_set(h, r, t)
@@ -368,8 +370,12 @@ def optimality(
             return None
         if not reads_causally_latest(h, level, read_id, t):
             return None
-    result = swap(st, r, t)
-    return result if check_consistency(result.history.history, level) else None
+    base = _swap_base(st, r, dropset)
+    pivot = h.history.event(r)
+    rebuilt = base.history.append(pivot, writer=t)
+    if not check_consistency(rebuilt.history, level):
+        return None
+    return apply_event(base, pivot, writer=t, history=rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +384,8 @@ def optimality(
 
 Emit = Callable[[ExplorationState], None]
 EntryHook = Callable[[ExplorationState | None, ExplorationState], None]
+# A node to enter and the state it was derived from (None at the root).
+Node = tuple[ExplorationState, ExplorationState | None]
 
 
 def explore_ce(
@@ -431,6 +439,33 @@ def explore_ce_star(
     return _explore(program, weak, strong, emit, entry_hook, time_limit)
 
 
+def _walk(
+    root: ExplorationState,
+    successors: Callable[[ExplorationState, ExplorationState | None], Iterator[Node]],
+    stats: RunStats,
+    time_limit: float | None,
+) -> RunStats:
+    """Depth-first search from ``root`` over a stack of one generator per
+    open node: ``successors(st, parent)`` does the node's work, then yields
+    its children as ``(child, st)``.  A node's depth is the stack's height
+    when it is yielded; only this loop counts nodes and checks the time."""
+    start = time.monotonic()
+    stack: list[Iterator[Node]] = [iter([(root, None)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        stats.recursive_calls += 1
+        stats.max_depth = max(stats.max_depth, len(stack))
+        if time_limit is not None and time.monotonic() - start > time_limit:
+            stats.wall_time = time.monotonic() - start
+            raise TimeLimitExceeded(stats)
+        stack.append(successors(*node))
+    stats.wall_time = time.monotonic() - start
+    return stats
+
+
 def _explore(
     program: Program,
     weak: IsolationLevel,
@@ -440,15 +475,8 @@ def _explore(
     time_limit: float | None,
 ) -> RunStats:
     stats = RunStats()
-    start = time.monotonic()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
-    def enter(st: ExplorationState, parent: ExplorationState | None, depth: int) -> None:
-        stats.recursive_calls += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            stats.wall_time = time.monotonic() - start
-            raise TimeLimitExceeded(stats)
+    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[Node]:
         if not check_consistency(st.history.history, weak):
             stats.inconsistent_branch_entries += 1
         if entry_hook is not None:
@@ -470,21 +498,16 @@ def _explore(
         else:
             children = [apply_event(st, action.event)]
         for child in children:
-            enter(child, st, depth + 1)
-            take_swaps(child, depth)
+            yield child, st
+            for cand in compute_reorderings(child.history):
+                swapped_st = optimality(child, cand.read, cand.writer, weak)
+                if swapped_st is None:
+                    stats.swaps_rejected += 1
+                else:
+                    stats.swaps_taken += 1
+                    yield swapped_st, child
 
-    def take_swaps(st: ExplorationState, depth: int) -> None:
-        for cand in compute_reorderings(st.history):
-            child = optimality(st, cand.read, cand.writer, weak)
-            if child is not None:
-                stats.swaps_taken += 1
-                enter(child, st, depth + 1)
-            else:
-                stats.swaps_rejected += 1
-
-    enter(ExplorationState.initial(program), None, 1)
-    stats.wall_time = time.monotonic() - start
-    return stats
+    return _walk(ExplorationState.initial(program), successors, stats, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +532,8 @@ def dfs(
     Works at every isolation level.
     """
     stats = RunStats()
-    start = time.monotonic()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
-    def rec(st: ExplorationState, depth: int) -> None:
-        stats.recursive_calls += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            stats.wall_time = time.monotonic() - start
-            raise TimeLimitExceeded(stats)
+    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[Node]:
         if st.is_complete():
             stats.outputs += 1
             if emit is not None:
@@ -539,17 +555,14 @@ def dfs(
                 if (tid := st.next_unstarted_txn(session)) is not None
             ]
         # Checked here, not in valid_writes, so traced runs count them under dfs.
-        successors = [
+        children = [
             apply_event(st, event, writer=writer, history=h)
             for event, writer, h in extensions
             if check_consistency(h.history, level)
         ]
-        if not successors:
+        if not children:
             stats.blocked_calls += 1
-            return
-        for child in successors:
-            rec(child, depth + 1)
+        for child in children:
+            yield child, st
 
-    rec(ExplorationState.initial(program), 1)
-    stats.wall_time = time.monotonic() - start
-    return stats
+    return _walk(ExplorationState.initial(program), successors, stats, time_limit)

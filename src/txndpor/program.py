@@ -398,12 +398,15 @@ def parse(text: str) -> Program:
 
     Raises:
         ParseError: on syntax errors, duplicate session names, empty
-            transaction bodies, misplaced asserts, or a local that may be
-            read before it is assigned.
+            transaction bodies, misplaced asserts, a local that may be read
+            before it is assigned, or expressions nested too deeply.
     """
-    program = _Parser(text).parse_program()
-    _check_assert_positions(program)
-    _check_definite_assignment(program)
+    try:
+        program = _Parser(text).parse_program()
+        _check_assert_positions(program)
+        _check_definite_assignment(program)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1, 1) from None
     return program
 
 
@@ -493,6 +496,13 @@ def _check_definite_assignment(program: Program) -> None:
 
 
 def eval_expr(expr: Expr, env: dict[str, int]) -> int:
+    try:
+        return _eval(expr, env)
+    except RecursionError:  # parse checks at a shallower stack than a run's
+        raise ProgramError("expression nested too deeply") from None
+
+
+def _eval(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, LocalRef):
@@ -500,8 +510,8 @@ def eval_expr(expr: Expr, env: dict[str, int]) -> int:
             return env[expr.name]
         except KeyError:
             raise ProgramError(f"local {expr.name!r} is unassigned") from None
-    left = eval_expr(expr.left, env)
-    right = eval_expr(expr.right, env)
+    left = _eval(expr.left, env)
+    right = _eval(expr.right, env)
     if expr.op == "+":
         value = left + right
     elif expr.op == "-":
@@ -746,15 +756,16 @@ def format_expr(expr: Expr) -> str:
         return str(expr.value)
     if isinstance(expr, LocalRef):
         return expr.name
-
-    def wrap(child: Expr, tight: bool) -> str:
+    # One frame per nesting level, as in evaluation: an assert that evaluated
+    # can be formatted.
+    tight = expr.op == "*"
+    sides = []
+    for child in (expr.left, expr.right):
         text = format_expr(child)
         if isinstance(child, BinaryOp) and (tight or child.op in ("==", "!=", "<", "<=")):
-            return f"({text})"
-        return text
-
-    tight = expr.op == "*"
-    return f"{wrap(expr.left, tight)} {expr.op} {wrap(expr.right, tight)}"
+            text = f"({text})"
+        sides.append(text)
+    return f"{sides[0]} {expr.op} {sides[1]}"
 
 
 def format_instr(instr: Instr) -> str:

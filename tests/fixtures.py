@@ -329,7 +329,7 @@ def abort_flip_baseline_state() -> ExplorationState:
 
 # ---------------------------------------------------------------------------
 # A fresh interpreter, for checks that the test process's state (imports
-# already made, the recursion limit explore_ce and dfs raise) would defeat.
+# already made, a recursion limit some other code raised) would defeat.
 # ---------------------------------------------------------------------------
 
 SRC = Path(txndpor.__file__).resolve().parents[1]

@@ -171,6 +171,39 @@ def test_run_rejects_an_unparsable_program(tmp_path, capsys):
     assert "expected ','" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expr", ["+".join(["1"] * 1200), "(" * 400 + "1" + ")" * 400], ids=["sum", "parens"]
+)
+def test_run_rejects_a_too_deeply_nested_expression(tmp_path, expr):
+    """Run in a fresh interpreter at its default recursion limit."""
+    path = tmp_path / "deep.txn"
+    path.write_text(f"session s {{ txn {{ a = {expr}; write(x, a); }} }}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "txndpor", "run", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "expression nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_reports_a_long_violated_assert(tmp_path):
+    """A 600-term condition is evaluated and its violation rendered at the
+    default recursion limit of a fresh interpreter."""
+    path = tmp_path / "assert.txn"
+    cond = "+".join(["a"] * 600)
+    path.write_text(f"session s {{ txn {{ a = 1; assert({cond} == 0); }} }}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "txndpor", "run", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "assertion violated by at least one history" in proc.stdout
+
+
 @pytest.mark.parametrize("option", ["--emit", "--stats-json"])
 def test_run_rejects_an_unwritable_output_before_enumerating(
     program_file, tmp_path, capsys, option

@@ -15,6 +15,7 @@ from fixtures import (
     abort_flip_baseline_state,
     entered_states,
     example,
+    run_fresh,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
@@ -465,6 +466,58 @@ def test_naive_search_runs_no_program_code_on_a_rejected_branch():
         emit=lambda s: seen.add(canonical_encode(s.history.history)),
     )
     assert (stats.outputs, len(seen), stats.blocked_calls) == (6, 3, 0)
+
+
+# A swap makes b's first read observe a's first transaction after b's second
+# read observed a's second: inconsistent at cc, and only that combination
+# makes ``q + p + 1`` overflow.
+OVERFLOW_IF_SWAPPED = """\
+session b {
+  txn { p = read(x); q = read(y); c = q + p + 1; }
+}
+session a {
+  txn { write(x, 0 - 1); }
+  txn { write(y, 9223372036854775807); }
+}
+"""
+
+
+def test_no_program_code_runs_on_a_rejected_swap():
+    emitted: list[bytes] = []
+    explore_ce(
+        parse(OVERFLOW_IF_SWAPPED),
+        IsolationLevel.CC,
+        emit=lambda s: emitted.append(canonical_encode(s.history.history)),
+    )
+    naive: set[bytes] = set()
+    dfs(
+        parse(OVERFLOW_IF_SWAPPED),
+        IsolationLevel.CC,
+        emit=lambda s: naive.add(canonical_encode(s.history.history)),
+    )
+    assert len(naive) == 3
+    assert sorted(emitted) == sorted(naive)
+
+
+def test_deep_runs_keep_the_default_recursion_limit():
+    """One transaction of 1,100 writes is explored deeper than the recursion
+    limit, which no run changes.  A fresh interpreter starts at the default."""
+    code = (
+        "import sys\n"
+        "from txndpor.explorer import dfs, explore_ce\n"
+        "from txndpor.model import IsolationLevel\n"
+        "from txndpor.program import parse\n"
+        "body = ' '.join(f'write(x, {i});' for i in range(1100))\n"
+        "program = parse('session s { txn { ' + body + ' } }')\n"
+        "limit = sys.getrecursionlimit()\n"
+        "for run in (explore_ce, dfs):\n"
+        "    stats = run(program, IsolationLevel.CC)\n"
+        "    assert stats.outputs == 1, stats\n"
+        "    assert stats.max_depth > limit, (stats.max_depth, limit)\n"
+        "    assert sys.getrecursionlimit() == limit\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_single_transaction_program_has_one_history():

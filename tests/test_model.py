@@ -199,8 +199,8 @@ def test_history_rejects_causal_cycles():
 
 def test_long_session_history_is_checked_without_deep_recursion():
     """A history of one 1,500-transaction session is built, encoded and
-    decoded at the default recursion limit.  It runs in a fresh interpreter
-    because explore_ce and dfs raise the limit for the whole process."""
+    decoded at the default recursion limit, in a fresh interpreter so that
+    nothing else in the process can have raised it."""
     code = (
         "import sys\n"
         "from txndpor.model import (INIT_TXN, History, TransactionLog, TxnId,\n"

@@ -40,3 +40,14 @@ def test_bench_tracer_finds_every_binding_it_wraps():
     )
     proc = run_fresh(code, BENCH)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_never_changes_the_recursion_limit():
+    """The searches keep their own stack; no module may raise the
+    interpreter-wide recursion limit."""
+    offenders = [
+        path.name
+        for path in Path(txndpor.__file__).parent.rglob("*.py")
+        if "setrecursionlimit" in path.read_text()
+    ]
+    assert offenders == []

@@ -31,7 +31,9 @@ from txndpor.model import (
 )
 from txndpor.program import (
     AssignInstr,
+    BinaryOp,
     ExplorationState,
+    IntLiteral,
     IfInstr,
     ParseError,
     ProgramError,
@@ -39,6 +41,7 @@ from txndpor.program import (
     WriteInstr,
     apply_event,
     assertions,
+    eval_expr,
     format_expr,
     format_program,
     parse,
@@ -129,6 +132,18 @@ def test_assignment_surviving_an_abort_satisfies_later_uses():
         if e.kind == WRITE and log.id != INIT_TXN
     ]
     assert writes == [("y", 1)]
+
+
+def test_too_deep_an_expression_fails_to_parse_or_evaluate_with_a_message():
+    """parse rejects a sum nested past the recursion limit, and evaluation,
+    which runs deeper in the stack than parse's check, reports one too."""
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse("session s { txn { a = " + "+".join(["1"] * 1200) + "; } }")
+    expr = IntLiteral(1)
+    for _ in range(1200):
+        expr = BinaryOp("+", expr, IntLiteral(1))
+    with pytest.raises(ProgramError, match="expression nested too deeply"):
+        eval_expr(expr, {})
 
 
 # ---------------------------------------------------------------------------
