@@ -182,7 +182,7 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
 
     seen: set[bytes] = set()
     raw = 0
-    violation = False
+    violated: set[str] = set()  # rendered violated asserts, over all histories
     truncated = False
     hook = None
     if config.oracle_check:
@@ -190,15 +190,14 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
         hook = _oracle_hook(prog, weak)
 
     def on_emit(st: ExplorationState) -> None:
-        nonlocal raw, violation
+        nonlocal raw
         raw += 1
         encoded = canonical_encode(st.history.history)
         fresh = encoded not in seen
         seen.add(encoded)
         if out is not None and (fresh or not config.dedup):
             out.write(encoded + b"\n")
-        if assertions(st):
-            violation = True
+        violated.update(assertions(st))
 
     # Open both outputs first, so that a bad path fails before the work.
     with ExitStack() as files:
@@ -236,10 +235,10 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
     click.echo(f"wall time: {stats.wall_time:.3f}s")
     if truncated:
         click.echo("time limit exceeded; results are partial")
-    if violation:
+    if violated:
         click.echo("assertion violated by at least one history")
-
-    if violation:
+        for text in sorted(violated):
+            click.echo(f"  {text}")
         return 2
     if truncated:
         return 3

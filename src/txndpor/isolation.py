@@ -23,10 +23,29 @@ wr edges, in which every premise is monotone: G only grows, and a parent's
 cycle stays.  An abort removes forced edges, so it, like a history without a
 cached parent closure, takes one full computation, then cached.
 
-Snapshot isolation and serializability quantify over the commit order
-itself and are decided by a backtracking search over order extensions,
-pruning branches whose partial order already makes some premise unavoidable
-and the matching conclusion impossible.
+Serializability and snapshot isolation quantify over the commit order itself.
+Both are decided by a depth-first search that appends transactions to a
+prefix of the commit order, one at a time, respecting so/wr, and trying
+candidates in ``txn_ids`` order; the first full order found is the
+lexicographically first witness.
+
+At SER an instance is violated exactly when ``w <co t2 <co t3`` (writer,
+overwriter, reader), and that violation is created at the step that places
+``t2`` while ``w`` is placed and ``t3`` is not.  So ``t`` may be placed next
+iff its so/wr predecessors are placed and no instance with overwriter ``t``
+has its writer placed and its reader unplaced (the frontier search of Biswas
+and Enea, OOPSLA 2019).  Since this rule reads only the *set* of placed
+transactions, whether a prefix has a valid completion depends on its set
+alone: the search memoizes the failed sets of one call, which bounds it by
+the number of so/wr-closed sets, O(n^k) for k sessions, instead of the
+number of orders.
+
+At SI an instance's premise holds when ``t2`` precedes some ``t4`` inside
+the prefix (a so/wr predecessor of ``t3``, or a transaction ordered before
+``t3`` that writes a variable ``t3`` writes), so whether a prefix can be
+completed depends on its order and not just its set; the SI search
+therefore memoizes nothing and prunes a branch once its partial order makes
+some premise unavoidable and the matching conclusion impossible.
 
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
@@ -177,6 +196,56 @@ def _forced_edges_of(
 # ---------------------------------------------------------------------------
 
 
+def _ser_order(h: History) -> CommitOrder | None:
+    """The first so/wr linear extension, in ``txn_ids`` order, that SER accepts.
+
+    The frontier search of the module docstring.  Transactions are indexed
+    ``0..n-1``, a placed set is an int bitmask, and ``by_over[t]`` holds the
+    (writer, reader) bits of the instances whose overwriter is ``t``.
+    """
+    txns = h.txn_ids
+    n = len(txns)
+    idx = {t: i for i, t in enumerate(txns)}
+    preds = [0] * n
+    for a, succs in h.causal_adjacency.items():
+        for b in succs:
+            preds[idx[b]] |= 1 << idx[a]
+    by_over: list[list[tuple[int, int]]] = [[] for _ in txns]
+    writers = _writers_by_var(h)
+    for rid, w in h.wr:
+        r = rid.txn
+        for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
+            if t2 != w and t2 != r:  # t2 == t3 never meets the premise t2 <co t3
+                by_over[idx[t2]].append((1 << idx[w], 1 << idx[r]))
+
+    full = (1 << n) - 1
+    failed: set[int] = set()
+    order: list[int] = []
+    tried = [0]  # per depth, the first candidate index not yet tried
+    placed = 0
+    while placed != full:
+        for i in range(tried[-1], n):
+            bit = 1 << i
+            if not (
+                placed & bit
+                or preds[i] & ~placed
+                or placed | bit in failed
+                or any(placed & wb and not placed & rb for wb, rb in by_over[i])
+            ):
+                tried[-1] = i + 1
+                tried.append(0)
+                order.append(i)
+                placed |= bit
+                break
+        else:
+            failed.add(placed)
+            if not order:
+                return None
+            tried.pop()
+            placed ^= 1 << order.pop()
+    return CommitOrder(tuple(txns[i] for i in order))
+
+
 def _prefix_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
     """Transactions one so/wr step before ``t3`` (the t4 of the prefix premise)."""
     return tuple(
@@ -195,22 +264,29 @@ def _conflict_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
 
 
 class _OrderSearch:
-    """Backtracking search for a commit order satisfying SI or SER.
+    """Backtracking search for a commit order satisfying SI.
 
     Transactions are appended one at a time, respecting so/wr.  Placed
     transactions are totally ordered; unplaced ones come after every placed
     one in any completion, which makes some premise/conclusion facts definite
     already at interior nodes.  A branch is abandoned as soon as some
     instance's premise is definitely true while its conclusion is definitely
-    false; full orders are checked exactly.
+    false.  Once every transaction is placed these facts are the literal
+    axioms, so the first full order reached is a witness.
     """
 
-    def __init__(self, h: History, level: IsolationLevel):
+    def __init__(self, h: History):
         self.h = h
-        self.level = level
         self.instances = axiom_instances(h)
-        self.prefix_w = {t: _prefix_witnesses(h, t) for t in h.txn_ids}
-        self.conflict_w = {t: _conflict_witnesses(h, t) for t in h.txn_ids}
+        # The t4 candidates of the prefix and conflict premises, per t3.
+        self.prefix_w: dict[TxnId, set[TxnId]] = {t: set() for t in h.txn_ids}
+        for a, b in h.so_pairs | h.wr_txn_pairs:
+            self.prefix_w[b].add(a)
+        writers = _writers_by_var(h)
+        self.conflict_w = {
+            t: {u for var in h.by_id[t].write_set for u in writers[var]} - {t}
+            for t in h.txn_ids
+        }
         self.preds: dict[TxnId, set[TxnId]] = {t: set() for t in h.txn_ids}
         for a, succs in h.causal_adjacency.items():
             for b in succs:
@@ -224,10 +300,8 @@ class _OrderSearch:
         return a in self.pos and (b not in self.pos or self.pos[a] < self.pos[b])
 
     def _def_premise(self, inst: AxiomInstance) -> bool:
+        """The prefix or the conflict premise of ``inst`` (same conclusion)."""
         t2, t3 = inst.overwriter, inst.reader
-        if self.level is IsolationLevel.SER:
-            return self._def_before(t2, t3)
-        # Snapshot isolation: prefix or conflict premise, same conclusion.
         for t4 in self.prefix_w[t3]:
             if t4 == t2 or self._def_before(t2, t4):
                 return True
@@ -245,27 +319,28 @@ class _OrderSearch:
         return False
 
     def search(self) -> CommitOrder | None:
+        txns = self.h.txn_ids
         order: list[TxnId] = []
-
-        def extend() -> bool:
-            if self._violated():
-                return False
-            if len(order) == len(self.h.txn_ids):
-                return total_order_satisfies(self.h, self.level, self.pos)
-            for t in self.h.txn_ids:
+        tried = [0]  # per depth, the first candidate index not yet tried
+        while len(order) < len(txns):
+            for i in range(tried[-1], len(txns)):
+                t = txns[i]
                 if t in self.pos or not all(p in self.pos for p in self.preds[t]):
                     continue
                 self.pos[t] = len(order)
+                if self._violated():
+                    del self.pos[t]
+                    continue
+                tried[-1] = i + 1
+                tried.append(0)
                 order.append(t)
-                if extend():
-                    return True
-                order.pop()
-                del self.pos[t]
-            return False
-
-        if extend():
-            return CommitOrder(tuple(order))
-        return None
+                break
+            else:
+                if not order:
+                    return None
+                tried.pop()
+                del self.pos[order.pop()]
+        return CommitOrder(tuple(order))
 
 
 def total_order_satisfies(
@@ -314,7 +389,7 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
         return True
     if level in _CLOSURE_LEVELS:
         return _forced_closure(h, level) is not None
-    return _OrderSearch(h, level).search() is not None
+    return find_commit_order(h, level) is not None
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
@@ -365,12 +440,15 @@ def _with_edges(reach: dict, edges: Iterable[tuple[TxnId, TxnId]]) -> dict | Non
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     """A witnessing commit order, or None when the history is inconsistent.
 
-    For SI and SER the order search decides; for the other levels the witness
-    is the smallest-first topological order of so, wr and the forced edges,
-    which exists exactly when they are acyclic.
+    For SER and SI the order searches decide, and the witness is the first
+    valid so/wr linear extension in ``txn_ids`` order; for the other levels
+    the witness is the smallest-first topological order of so, wr and the
+    forced edges, which exists exactly when they are acyclic.
     """
-    if level in (IsolationLevel.SI, IsolationLevel.SER):
-        return _OrderSearch(h, level).search()
+    if level is IsolationLevel.SER:
+        return _ser_order(h)
+    if level is IsolationLevel.SI:
+        return _OrderSearch(h).search()
     reach = h.causal_closure if level is IsolationLevel.TRUE else _forced_closure(h, level)
     if reach is None:
         return None

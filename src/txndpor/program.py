@@ -27,7 +27,7 @@ with :func:`apply_event`, which verifies it against the program semantics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -90,36 +90,44 @@ Expr = IntLiteral | LocalRef | BinaryOp
 
 
 @dataclass(frozen=True)
-class ReadInstr:
+class _Located:
+    """``at``: (line, col) of the node's first token in the source, for
+    messages; not part of the node's value."""
+
+    at: tuple[int, int] = field(default=(1, 1), compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class ReadInstr(_Located):
     target: str
     var: str
 
 
 @dataclass(frozen=True)
-class WriteInstr:
+class WriteInstr(_Located):
     var: str
     expr: Expr
 
 
 @dataclass(frozen=True)
-class AssignInstr:
+class AssignInstr(_Located):
     target: str
     expr: Expr
 
 
 @dataclass(frozen=True)
-class IfInstr:
+class IfInstr(_Located):
     cond: Expr
     body: "Instr"
 
 
 @dataclass(frozen=True)
-class AbortInstr:
+class AbortInstr(_Located):
     pass
 
 
 @dataclass(frozen=True)
-class AssertInstr:
+class AssertInstr(_Located):
     cond: Expr
 
 
@@ -132,7 +140,7 @@ class Transaction:
 
 
 @dataclass(frozen=True)
-class SessionDecl:
+class SessionDecl(_Located):
     name: str
     txns: tuple[Transaction, ...]
 
@@ -277,14 +285,16 @@ class _Parser:
             sessions.append(self.parse_session())
         if self.peek().kind != "eof":
             raise self.error("expected 'session' or end of input")
-        names = [s.name for s in sessions]
-        for name in names:
-            if names.count(name) > 1:
-                raise ParseError(f"duplicate session name {name!r}", 1, 1)
+        names: set[str] = set()
+        for sess in sessions:
+            if sess.name in names:
+                raise ParseError(f"duplicate session name {sess.name!r}", *sess.at)
+            names.add(sess.name)
         return Program(tuple(sessions))
 
     def parse_session(self) -> SessionDecl:
         self.expect_keyword("session")
+        at = (self.peek().line, self.peek().col)
         name = self.expect_name()
         self.expect_op("{")
         txns = []
@@ -293,7 +303,7 @@ class _Parser:
         if not txns:
             raise self.error("a session needs at least one transaction")
         self.expect_op("}")
-        return SessionDecl(name, tuple(txns))
+        return SessionDecl(name, tuple(txns), at=at)
 
     def parse_txn(self) -> Transaction:
         self.expect_keyword("txn")
@@ -308,6 +318,7 @@ class _Parser:
 
     def parse_instr(self) -> Instr:
         tok = self.peek()
+        at = (tok.line, tok.col)
         if tok.kind == "ident" and tok.text == "write":
             self.next()
             self.expect_op("(")
@@ -316,7 +327,7 @@ class _Parser:
             expr = self.parse_expr()
             self.expect_op(")")
             self.expect_op(";")
-            return WriteInstr(var, expr)
+            return WriteInstr(var, expr, at=at)
         if tok.kind == "ident" and tok.text == "if":
             self.next()
             self.expect_op("(")
@@ -325,18 +336,18 @@ class _Parser:
             self.expect_op("{")
             body = self.parse_instr()
             self.expect_op("}")
-            return IfInstr(cond, body)
+            return IfInstr(cond, body, at=at)
         if tok.kind == "ident" and tok.text == "abort":
             self.next()
             self.expect_op(";")
-            return AbortInstr()
+            return AbortInstr(at=at)
         if tok.kind == "ident" and tok.text == "assert":
             self.next()
             self.expect_op("(")
             cond = self.parse_expr()
             self.expect_op(")")
             self.expect_op(";")
-            return AssertInstr(cond)
+            return AssertInstr(cond, at=at)
         target = self.expect_name()
         self.expect_op("=")
         if self.at_keyword("read"):
@@ -345,10 +356,10 @@ class _Parser:
             var = self.expect_name()
             self.expect_op(")")
             self.expect_op(";")
-            return ReadInstr(target, var)
+            return ReadInstr(target, var, at=at)
         expr = self.parse_expr()
         self.expect_op(";")
-        return AssignInstr(target, expr)
+        return AssignInstr(target, expr, at=at)
 
     def parse_expr(self) -> Expr:
         left = self.parse_sum()
@@ -411,19 +422,16 @@ def parse(text: str) -> Program:
 
 
 def _check_assert_positions(program: Program) -> None:
-    def contains_assert(instr: Instr) -> bool:
-        if isinstance(instr, AssertInstr):
-            return True
-        if isinstance(instr, IfInstr):
-            return contains_assert(instr.body)
-        return False
-
     for sess in program.sessions:
         for t, txn in enumerate(sess.txns):
             for pos, instr in enumerate(txn.instrs):
-                if isinstance(instr, IfInstr) and contains_assert(instr):
+                nested = instr
+                while isinstance(nested, IfInstr):
+                    nested = nested.body
+                if nested is not instr and isinstance(nested, AssertInstr):
                     raise ParseError(
-                        f"assert inside a conditional in session {sess.name!r}", 1, 1
+                        f"assert inside a conditional in session {sess.name!r}",
+                        *nested.at,
                     )
                 if isinstance(instr, AssertInstr):
                     last_txn = t == len(sess.txns) - 1
@@ -432,8 +440,7 @@ def _check_assert_positions(program: Program) -> None:
                         raise ParseError(
                             f"assert must be the last instruction of the final "
                             f"transaction of session {sess.name!r}",
-                            1,
-                            1,
+                            *instr.at,
                         )
 
 
@@ -451,14 +458,13 @@ def _check_definite_assignment(program: Program) -> None:
         for txn in sess.txns:
             exits: list[set[str]] = []
 
-            def require(expr: Expr, cur: set[str]) -> None:
+            def require(instr: Instr, expr: Expr, cur: set[str]) -> None:
                 missing = _expr_locals(expr) - cur
                 if missing:
                     raise ParseError(
                         f"local {sorted(missing)[0]!r} may be used before "
                         f"assignment in session {sess.name!r}",
-                        1,
-                        1,
+                        *instr.at,
                     )
 
             def walk(instr: Instr, cur: set[str], dead: bool) -> bool:
@@ -466,18 +472,18 @@ def _check_definite_assignment(program: Program) -> None:
                 if isinstance(instr, ReadInstr):
                     cur.add(instr.target)
                 elif isinstance(instr, AssignInstr):
-                    require(instr.expr, cur)
+                    require(instr, instr.expr, cur)
                     cur.add(instr.target)
                 elif isinstance(instr, WriteInstr):
-                    require(instr.expr, cur)
+                    require(instr, instr.expr, cur)
                 elif isinstance(instr, AssertInstr):
-                    require(instr.cond, cur)
+                    require(instr, instr.cond, cur)
                 elif isinstance(instr, AbortInstr):
                     if not dead:
                         exits.append(set(cur))
                     return True
                 else:  # IfInstr: the body may not run, so its gains don't survive
-                    require(instr.cond, cur)
+                    require(instr, instr.cond, cur)
                     walk(instr.body, set(cur), dead)
                 return dead
 

@@ -133,6 +133,28 @@ def test_run_flags_assertion_violations(program_file, capsys):
     assert main(["run", program_file("fractured_read"), "--level", "ra"]) == 0
 
 
+def test_run_names_each_violated_assert_once(tmp_path, capsys):
+    """The README's demo with its assert negated: every history violates it,
+    and the run names it once after the summary line."""
+    path = tmp_path / "demo.txn"
+    path.write_text(
+        "session reader {\n"
+        "  txn { a = read(x); b = read(x); assert(b < a); }\n"
+        "}\n"
+        "session writer {\n"
+        "  txn { write(x, 1); }\n"
+        "  txn { write(x, 2); }\n"
+        "}\n"
+    )
+    assert main(["run", str(path), "--level", "cc"]) == 2
+    out = _lines(capsys)
+    assert "raw emissions: 3" in out
+    assert out[-2:] == [
+        "assertion violated by at least one history",
+        "  session reader: assert(b < a)",
+    ]
+
+
 def test_run_time_limit_exit_code(program_file, capsys):
     code = main(
         ["run", program_file("racing_reads"), "--time-limit", "0.0"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from fixtures import (
     init_log,
     pending_reader_extension,
     pending_writer_extension,
+    run_fresh,
     snapshot_blocker,
 )
 from txndpor.explorer import causal_extension_exists
@@ -251,6 +253,85 @@ def test_fractured_observation_is_rejected_even_by_read_committed():
     )
     assert not check_consistency(h, IsolationLevel.RC)
     assert not brute_force_consistency(h, IsolationLevel.RC)
+
+
+# ---------------------------------------------------------------------------
+# The commit-order searches (SER, SI)
+# ---------------------------------------------------------------------------
+
+
+def _write_skew_history(m: int) -> History:
+    """A reads y from init and writes x, B reads x from init and writes y,
+    and m one-transaction sessions each write a variable of their own."""
+    a, b = TxnId(0, 0), TxnId(1, 0)
+    own = [f"z{i}" for i in range(m)]
+    logs = [
+        init_log("x", "y", *own),
+        TransactionLog(a, (begin_event(a), read_event(a, 1, "y"),
+                           write_event(a, 2, "x", 1), commit_event(a, 3))),
+        TransactionLog(b, (begin_event(b), read_event(b, 1, "x"),
+                           write_event(b, 2, "y", 1), commit_event(b, 3))),
+    ]
+    for i, var in enumerate(own):
+        t = TxnId(i + 2, 0)
+        logs.append(TransactionLog(t, (begin_event(t), write_event(t, 1, var, 1),
+                                       commit_event(t, 2))))
+    return History(tuple(logs), ((EventId(a, 1), INIT_TXN), (EventId(b, 1), INIT_TXN)))
+
+
+def test_ser_fails_fast_on_write_skew_with_many_independent_sessions():
+    """Neither of A and B can be ordered first at SER, whatever the order of
+    the m bystanders; a search over orders instead of placed sets tries all
+    m! of them (about 1 s at m = 8, and 7x more per added transaction)."""
+    h = _write_skew_history(12)
+    assert not check_consistency(h, IsolationLevel.SER)
+    assert check_consistency(h, IsolationLevel.SI)
+
+
+def test_long_session_history_is_decided_without_deep_recursion():
+    """Both searches keep their own stack: one session of 1,100 transactions
+    is decided at SER and SI at the default recursion limit of a fresh
+    interpreter."""
+    code = (
+        "import sys\n"
+        "from txndpor.isolation import check_consistency\n"
+        "from txndpor.model import (INIT_TXN, History, IsolationLevel, TransactionLog,\n"
+        "    TxnId, begin_event, commit_event, write_event)\n"
+        "assert sys.getrecursionlimit() < 1100\n"
+        "def log(t, value):\n"
+        "    events = (begin_event(t), write_event(t, 1, 'x', value), commit_event(t, 2))\n"
+        "    return TransactionLog(t, events)\n"
+        "logs = (log(INIT_TXN, 0),) + tuple(log(TxnId(0, i), i) for i in range(1100))\n"
+        "h = History(logs, ())\n"
+        "assert check_consistency(h, IsolationLevel.SER)\n"
+        "assert check_consistency(h, IsolationLevel.SI)\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _first_valid_extension(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
+    """The first so/wr linear extension, in ``txn_ids`` order, that the
+    literal axioms accept."""
+    base = h.so_pairs | h.wr_txn_pairs
+    for order in itertools.permutations(h.txn_ids):  # lexicographic in txn_ids
+        pos = {t: i for i, t in enumerate(order)}
+        if all(pos[a] < pos[b] for a, b in base) and total_order_satisfies(h, level, pos):
+            return order
+    return None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_order_search_witness_is_the_first_valid_extension(seed):
+    rng = random.Random(seed)
+    h = random_history(rng)
+    for x in (h, random_prefix(rng, h)):
+        assert len(x.txn_ids) <= 8
+        for level in (IsolationLevel.SER, IsolationLevel.SI):
+            witness = find_commit_order(x, level)
+            expected = _first_valid_extension(x, level)
+            assert (witness.order if witness else None) == expected, (x, level)
 
 
 # ---------------------------------------------------------------------------

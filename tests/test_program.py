@@ -117,6 +117,62 @@ def test_assert_must_close_the_final_transaction():
         parse("session s { txn { a = read(x); if (a == 1) { assert(a == 1); } } }")
 
 
+@pytest.mark.parametrize(
+    "source, line, col, fragment",
+    [
+        (
+            "session s { txn { write(x, 1); } }\n"
+            "session t { txn { write(x, 2); } }\n"
+            "session s { txn { write(y, 1); } }\n",
+            3,
+            9,
+            "duplicate session name 's'",
+        ),
+        (
+            "session s {\n"
+            "  txn { a = read(x); }\n"
+            "  txn { assert(a == 0);\n"
+            "        write(x, 1); }\n"
+            "}\n",
+            3,
+            9,
+            "assert must be the last instruction",
+        ),
+        (
+            "session s {\n"
+            "  txn { a = read(x);\n"
+            "    if (a == 1) { if (a == 1) { assert(a == 1); } } }\n"
+            "}\n",
+            3,
+            33,
+            "assert inside a conditional",
+        ),
+        (
+            "session s {\n"
+            "  txn { b = read(x); }\n"
+            "  txn { if (b == 0) { write(y, a); } }\n"
+            "}\n",
+            3,
+            23,
+            "'a' may be used before assignment",
+        ),
+    ],
+    ids=["duplicate-session", "assert-not-last", "assert-in-if", "use-before-assignment"],
+)
+def test_static_check_errors_point_at_the_offending_construct(source, line, col, fragment):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert fragment in str(exc.value)
+
+
+def test_source_positions_are_not_part_of_a_program():
+    """The same program parsed from differently laid out text is equal."""
+    one = parse("session s { txn { a = read(x); write(y, a); } }")
+    two = parse("session s {\n  txn {\n    a = read(x);\n    write(y, a);\n  }\n}\n")
+    assert one == two and hash(one) == hash(two)
+
+
 def test_assignment_surviving_an_abort_satisfies_later_uses():
     """A local assigned before an abort stays defined for later transactions."""
     prog = parse("session s { txn { a = read(x); abort; } txn { write(y, a + 1); } }")
