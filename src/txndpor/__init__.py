@@ -8,6 +8,7 @@ baseline and brute-force consistency oracle used to validate it.
 
 from .explorer import (
     ReorderCandidate,
+    RunInterrupted,
     RunStats,
     TimeLimitExceeded,
     causal_extension_exists,
@@ -71,6 +72,7 @@ __all__ = [
     "ParseError",
     "Program",
     "ReorderCandidate",
+    "RunInterrupted",
     "RunStats",
     "TimeLimitExceeded",
     "TransactionLog",

@@ -6,7 +6,8 @@ self-checking suites that cross-validate the enumerator against the naive
 baseline and the brute-force consistency oracle on random corpora.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 assertion violation found
-(reported even when the run was truncated), 3 time limit exceeded.
+(reported even when the run was truncated), 3 time limit exceeded, 130
+interrupted by Ctrl-C (partial stats are still printed and written).
 
 Set ``TXNDPOR_LOG`` to ``info`` or ``trace`` for progress logging.
 """
@@ -26,7 +27,7 @@ from typing import Callable
 import click
 
 from .examples import EXAMPLE_PROGRAMS
-from .explorer import TimeLimitExceeded, dfs, explore_ce, explore_ce_star
+from .explorer import RunInterrupted, TimeLimitExceeded, dfs, explore_ce, explore_ce_star
 from .generate import (
     random_history,
     random_program,
@@ -183,7 +184,7 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
     seen: set[bytes] = set()
     raw = 0
     violated: set[str] = set()  # rendered violated asserts, over all histories
-    truncated = False
+    partial: BaseException | None = None  # what cut the run short
     hook = None
     if config.oracle_check:
         weak = config.weak_level or config.level
@@ -218,9 +219,8 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
                 )
             else:
                 stats = dfs(prog, config.level, emit=on_emit, time_limit=config.time_limit)
-        except TimeLimitExceeded as exc:
-            stats = exc.stats
-            truncated = True
+        except (TimeLimitExceeded, RunInterrupted) as exc:
+            stats, partial = exc.stats, exc
         if stats_out is not None:
             payload = dict(stats.as_dict(), distinct_histories=len(seen))
             stats_out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -233,16 +233,17 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
     click.echo(f"swaps taken: {stats.swaps_taken}, rejected: {stats.swaps_rejected}")
     click.echo(f"max depth: {stats.max_depth}")
     click.echo(f"wall time: {stats.wall_time:.3f}s")
-    if truncated:
-        click.echo("time limit exceeded; results are partial")
+    if partial is not None:
+        click.echo(f"{partial}; results are partial")
     if violated:
         click.echo("assertion violated by at least one history")
         for text in sorted(violated):
             click.echo(f"  {text}")
+    if isinstance(partial, RunInterrupted):
+        return 130
+    if violated:
         return 2
-    if truncated:
-        return 3
-    return 0
+    return 0 if partial is None else 3
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ class TimeLimitExceeded(RuntimeError):
         self.stats = stats
 
 
+class RunInterrupted(KeyboardInterrupt):
+    """Raised when Ctrl-C stops a run; carries partial stats."""
+
+    def __init__(self, stats: RunStats):
+        super().__init__("interrupted")
+        self.stats = stats
+
+
 # ---------------------------------------------------------------------------
 # Scheduling
 # ---------------------------------------------------------------------------
@@ -448,21 +456,25 @@ def _walk(
     """Depth-first search from ``root`` over a stack of one generator per
     open node: ``successors(st, parent)`` does the node's work, then yields
     its children as ``(child, st)``.  A node's depth is the stack's height
-    when it is yielded; only this loop counts nodes and checks the time."""
+    when it is yielded; only this loop counts nodes, checks the time and
+    turns Ctrl-C into :class:`RunInterrupted`."""
     start = time.monotonic()
     stack: list[Iterator[Node]] = [iter([(root, None)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        stats.recursive_calls += 1
-        stats.max_depth = max(stats.max_depth, len(stack))
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            stats.wall_time = time.monotonic() - start
-            raise TimeLimitExceeded(stats)
-        stack.append(successors(*node))
-    stats.wall_time = time.monotonic() - start
+    try:
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            stats.recursive_calls += 1
+            stats.max_depth = max(stats.max_depth, len(stack))
+            if time_limit is not None and time.monotonic() - start > time_limit:
+                raise TimeLimitExceeded(stats)
+            stack.append(successors(*node))
+    except KeyboardInterrupt:
+        raise RunInterrupted(stats) from None
+    finally:
+        stats.wall_time = time.monotonic() - start
     return stats
 
 

@@ -24,28 +24,29 @@ cycle stays.  An abort removes forced edges, so it, like a history without a
 cached parent closure, takes one full computation, then cached.
 
 Serializability and snapshot isolation quantify over the commit order itself.
-Both are decided by a depth-first search that appends transactions to a
-prefix of the commit order, one at a time, respecting so/wr, and trying
-candidates in ``txn_ids`` order; the first full order found is the
-lexicographically first witness.
+Both are decided by one search that commits transactions one at a time,
+respecting so/wr, trying candidates in ``txn_ids`` order.  Its state is the
+set of *placed* (committed) transactions and the set of *open* ones, whose
+snapshot is taken but whose commit is not.  ``t`` may commit next iff its
+so/wr predecessors are placed, no open transaction conflicts with it, and
+every instance with overwriter ``t``, writer placed and reader ``t3``
+neither placed nor open can open ``t3`` now: ``t3``'s predecessors are
+placed and ``t3`` does not conflict with ``t``.  At SI two transactions
+conflict when both write one variable; at SER every pair conflicts, so
+nothing ever opens and the rule is the frontier search of Biswas and Enea
+(OOPSLA 2019): ``w <co t2 <co t3`` (writer, overwriter, reader) is exactly
+a violated SER instance.
 
-At SER an instance is violated exactly when ``w <co t2 <co t3`` (writer,
-overwriter, reader), and that violation is created at the step that places
-``t2`` while ``w`` is placed and ``t3`` is not.  So ``t`` may be placed next
-iff its so/wr predecessors are placed and no instance with overwriter ``t``
-has its writer placed and its reader unplaced (the frontier search of Biswas
-and Enea, OOPSLA 2019).  Since this rule reads only the *set* of placed
-transactions, whether a prefix has a valid completion depends on its set
-alone: the search memoizes the failed sets of one call, which bounds it by
-the number of so/wr-closed sets, O(n^k) for k sessions, instead of the
-number of orders.
-
-At SI an instance's premise holds when ``t2`` precedes some ``t4`` inside
-the prefix (a so/wr predecessor of ``t3``, or a transaction ordered before
-``t3`` that writes a variable ``t3`` writes), so whether a prefix can be
-completed depends on its order and not just its set; the SI search
-therefore memoizes nothing and prunes a branch once its partial order makes
-some premise unavoidable and the matching conclusion impossible.
+The search memoizes the failed (placed, open) pairs of one call.  An open
+transaction is the first unplaced one of its session, so for k sessions
+this bounds the search by O(n^k) placed sets times 2^k open sets instead of
+the number of orders.  The memo is exact: any SI witness can be rescheduled
+so that each snapshot is taken as late as possible, just before the
+transaction's own commit or just before the first commit that overwrites
+one of its reads whose writer has already committed.  In that form
+everything the rule reads is in (placed, open), so a failed pair can never
+be completed.  As the memo only cuts subtrees without a completion, the
+first order found is the lexicographically first witness.
 
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
@@ -196,12 +197,15 @@ def _forced_edges_of(
 # ---------------------------------------------------------------------------
 
 
-def _ser_order(h: History) -> CommitOrder | None:
-    """The first so/wr linear extension, in ``txn_ids`` order, that SER accepts.
+def _commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
+    """The first so/wr linear extension, in ``txn_ids`` order, that SER or SI
+    accepts.
 
     The frontier search of the module docstring.  Transactions are indexed
-    ``0..n-1``, a placed set is an int bitmask, and ``by_over[t]`` holds the
-    (writer, reader) bits of the instances whose overwriter is ``t``.
+    ``0..n-1``, the placed and open sets are int bitmasks, ``conflicts[t]``
+    holds the transactions that may not run concurrently with ``t`` and
+    ``by_over[t]`` the (writer bit, reader index) of the instances whose
+    overwriter is ``t``.
     """
     txns = h.txn_ids
     n = len(txns)
@@ -210,39 +214,57 @@ def _ser_order(h: History) -> CommitOrder | None:
     for a, succs in h.causal_adjacency.items():
         for b in succs:
             preds[idx[b]] |= 1 << idx[a]
-    by_over: list[list[tuple[int, int]]] = [[] for _ in txns]
+    full = (1 << n) - 1
     writers = _writers_by_var(h)
+    if level is IsolationLevel.SER:
+        conflicts = [full ^ 1 << i for i in range(n)]
+    else:
+        conflicts = [0] * n
+        for ws in writers.values():
+            mask = sum(1 << idx[t] for t in ws)
+            for t in ws:
+                conflicts[idx[t]] |= mask ^ 1 << idx[t]
+    by_over: list[list[tuple[int, int]]] = [[] for _ in txns]
     for rid, w in h.wr:
         r = rid.txn
         for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
-            if t2 != w and t2 != r:  # t2 == t3 never meets the premise t2 <co t3
-                by_over[idx[t2]].append((1 << idx[w], 1 << idx[r]))
+            if t2 != w and t2 != r:  # t2 == t3 never meets a premise
+                by_over[idx[t2]].append((1 << idx[w], idx[r]))
 
-    full = (1 << n) - 1
     failed: set[int] = set()
     order: list[int] = []
+    saved: list[int] = []  # per depth, the open set before that commit
     tried = [0]  # per depth, the first candidate index not yet tried
-    placed = 0
+    placed = opened = 0
     while placed != full:
         for i in range(tried[-1], n):
             bit = 1 << i
-            if not (
-                placed & bit
-                or preds[i] & ~placed
-                or placed | bit in failed
-                or any(placed & wb and not placed & rb for wb, rb in by_over[i])
-            ):
-                tried[-1] = i + 1
-                tried.append(0)
-                order.append(i)
-                placed |= bit
-                break
+            if placed & bit or preds[i] & ~placed or opened & conflicts[i]:
+                continue
+            now = opened
+            for wb, r in by_over[i]:
+                rb = 1 << r
+                if placed & wb and not (placed | now) & rb:
+                    if preds[r] & ~placed or conflicts[i] & rb:
+                        break
+                    now |= rb
+            else:
+                now &= ~bit
+                if placed | bit | now << n not in failed:
+                    tried[-1] = i + 1
+                    tried.append(0)
+                    order.append(i)
+                    saved.append(opened)
+                    placed |= bit
+                    opened = now
+                    break
         else:
-            failed.add(placed)
+            failed.add(placed | opened << n)
             if not order:
                 return None
             tried.pop()
             placed ^= 1 << order.pop()
+            opened = saved.pop()
     return CommitOrder(tuple(txns[i] for i in order))
 
 
@@ -261,86 +283,6 @@ def _conflict_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
         t for t in h.txn_ids
         if t != t3 and any(h.txn(t).writes_var(v) for v in t3_vars)
     )
-
-
-class _OrderSearch:
-    """Backtracking search for a commit order satisfying SI.
-
-    Transactions are appended one at a time, respecting so/wr.  Placed
-    transactions are totally ordered; unplaced ones come after every placed
-    one in any completion, which makes some premise/conclusion facts definite
-    already at interior nodes.  A branch is abandoned as soon as some
-    instance's premise is definitely true while its conclusion is definitely
-    false.  Once every transaction is placed these facts are the literal
-    axioms, so the first full order reached is a witness.
-    """
-
-    def __init__(self, h: History):
-        self.h = h
-        self.instances = axiom_instances(h)
-        # The t4 candidates of the prefix and conflict premises, per t3.
-        self.prefix_w: dict[TxnId, set[TxnId]] = {t: set() for t in h.txn_ids}
-        for a, b in h.so_pairs | h.wr_txn_pairs:
-            self.prefix_w[b].add(a)
-        writers = _writers_by_var(h)
-        self.conflict_w = {
-            t: {u for var in h.by_id[t].write_set for u in writers[var]} - {t}
-            for t in h.txn_ids
-        }
-        self.preds: dict[TxnId, set[TxnId]] = {t: set() for t in h.txn_ids}
-        for a, succs in h.causal_adjacency.items():
-            for b in succs:
-                self.preds[b].add(a)
-        self.pos: dict[TxnId, int] = {}
-
-    # -- definite facts about partial orders --------------------------------
-
-    def _def_before(self, a: TxnId, b: TxnId) -> bool:
-        """(a, b) lies in the commit order of every completion."""
-        return a in self.pos and (b not in self.pos or self.pos[a] < self.pos[b])
-
-    def _def_premise(self, inst: AxiomInstance) -> bool:
-        """The prefix or the conflict premise of ``inst`` (same conclusion)."""
-        t2, t3 = inst.overwriter, inst.reader
-        for t4 in self.prefix_w[t3]:
-            if t4 == t2 or self._def_before(t2, t4):
-                return True
-        for t4 in self.conflict_w[t3]:
-            if (t4 == t2 or self._def_before(t2, t4)) and self._def_before(t4, t3):
-                return True
-        return False
-
-    def _violated(self) -> bool:
-        for inst in self.instances:
-            if self._def_before(inst.writer, inst.overwriter) and self._def_premise(
-                inst
-            ):
-                return True
-        return False
-
-    def search(self) -> CommitOrder | None:
-        txns = self.h.txn_ids
-        order: list[TxnId] = []
-        tried = [0]  # per depth, the first candidate index not yet tried
-        while len(order) < len(txns):
-            for i in range(tried[-1], len(txns)):
-                t = txns[i]
-                if t in self.pos or not all(p in self.pos for p in self.preds[t]):
-                    continue
-                self.pos[t] = len(order)
-                if self._violated():
-                    del self.pos[t]
-                    continue
-                tried[-1] = i + 1
-                tried.append(0)
-                order.append(t)
-                break
-            else:
-                if not order:
-                    return None
-                tried.pop()
-                del self.pos[order.pop()]
-        return CommitOrder(tuple(order))
 
 
 def total_order_satisfies(
@@ -440,15 +382,13 @@ def _with_edges(reach: dict, edges: Iterable[tuple[TxnId, TxnId]]) -> dict | Non
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     """A witnessing commit order, or None when the history is inconsistent.
 
-    For SER and SI the order searches decide, and the witness is the first
-    valid so/wr linear extension in ``txn_ids`` order; for the other levels
-    the witness is the smallest-first topological order of so, wr and the
-    forced edges, which exists exactly when they are acyclic.
+    For SER and SI one frontier search decides both, and the witness is
+    the first valid so/wr linear extension in ``txn_ids`` order; for the
+    other levels the witness is the smallest-first topological order of so,
+    wr and the forced edges, which exists exactly when they are acyclic.
     """
-    if level is IsolationLevel.SER:
-        return _ser_order(h)
-    if level is IsolationLevel.SI:
-        return _OrderSearch(h).search()
+    if level in (IsolationLevel.SER, IsolationLevel.SI):
+        return _commit_order(h, level)
     reach = h.causal_closure if level is IsolationLevel.TRUE else _forced_closure(h, level)
     if reach is None:
         return None

@@ -412,12 +412,13 @@ def parse(text: str) -> Program:
             transaction bodies, misplaced asserts, a local that may be read
             before it is assigned, or expressions nested too deeply.
     """
+    parser = _Parser(text)
     try:
-        program = _Parser(text).parse_program()
-        _check_assert_positions(program)
-        _check_definite_assignment(program)
+        program = parser.parse_program()
     except RecursionError:
-        raise ParseError("expression nested too deeply", 1, 1) from None
+        raise parser.error("expression nested too deeply") from None
+    _check_assert_positions(program)
+    _check_definite_assignment(program)
     return program
 
 
@@ -459,7 +460,10 @@ def _check_definite_assignment(program: Program) -> None:
             exits: list[set[str]] = []
 
             def require(instr: Instr, expr: Expr, cur: set[str]) -> None:
-                missing = _expr_locals(expr) - cur
+                try:
+                    missing = _expr_locals(expr) - cur
+                except RecursionError:
+                    raise ParseError("expression nested too deeply", *instr.at) from None
                 if missing:
                     raise ParseError(
                         f"local {sorted(missing)[0]!r} may be used before "

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from txndpor import cli
 from txndpor.cli import main
 from txndpor.examples import EXAMPLE_PROGRAMS
+from txndpor.explorer import RunInterrupted, RunStats
 from txndpor.model import canonical_decode
 
 
@@ -161,6 +163,23 @@ def test_run_time_limit_exit_code(program_file, capsys):
     )
     assert code == 3
     assert "time limit exceeded" in capsys.readouterr().out
+
+
+def test_run_reports_partial_stats_on_ctrl_c(program_file, tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise RunInterrupted(RunStats(outputs=5, recursive_calls=9))
+
+    monkeypatch.setattr(cli, "explore_ce", interrupted)
+    stats = tmp_path / "stats.json"
+    code = main(["run", program_file("racing_reads"), "--stats-json", str(stats)])
+    assert code == 130
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "blocked calls: 0" in lines
+    assert lines[-1] == "interrupted; results are partial"
+    assert "Traceback" not in out + err
+    payload = json.loads(stats.read_text())
+    assert (payload["outputs"], payload["recursive_calls"]) == (5, 9)
 
 
 def test_run_writes_stats_json(program_file, tmp_path, capsys):

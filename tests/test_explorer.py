@@ -19,6 +19,7 @@ from fixtures import (
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
+    RunInterrupted,
     TimeLimitExceeded,
     causal_extension_exists,
     compute_reorderings,
@@ -584,6 +585,17 @@ def test_time_limit_raises_with_partial_counters():
 def test_time_limit_applies_to_the_naive_search_too():
     with pytest.raises(TimeLimitExceeded):
         dfs(example("racing_reads"), IsolationLevel.CC, time_limit=0.0)
+
+
+def test_ctrl_c_raises_with_partial_counters():
+    def emit(st):
+        raise KeyboardInterrupt
+
+    for run in (explore_ce, dfs):
+        with pytest.raises(RunInterrupted) as exc:
+            run(example("racing_reads"), IsolationLevel.CC, emit=emit)
+        assert exc.value.stats.outputs == 1
+        assert exc.value.stats.wall_time > 0
 
 
 @pytest.mark.parametrize("name", ["racing_reads", "abort_flip"])

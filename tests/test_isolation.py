@@ -288,6 +288,31 @@ def test_ser_fails_fast_on_write_skew_with_many_independent_sessions():
     assert check_consistency(h, IsolationLevel.SI)
 
 
+def _lost_update_history(m: int) -> History:
+    """A and B both read x from init and write x, and m one-transaction
+    sessions each write a variable of their own."""
+    a, b = TxnId(0, 0), TxnId(1, 0)
+    own = [f"z{i}" for i in range(m)]
+    logs = [init_log("x", *own)]
+    for t in (a, b):
+        logs.append(TransactionLog(t, (begin_event(t), read_event(t, 1, "x"),
+                                       write_event(t, 2, "x", 1), commit_event(t, 3))))
+    for i, var in enumerate(own):
+        t = TxnId(i + 2, 0)
+        logs.append(TransactionLog(t, (begin_event(t), write_event(t, 1, var, 1),
+                                       commit_event(t, 2))))
+    return History(tuple(logs), ((EventId(a, 1), INIT_TXN), (EventId(b, 1), INIT_TXN)))
+
+
+def test_si_fails_fast_on_lost_update_with_many_independent_sessions():
+    """Whichever of A and B commits second overwrote the other while its
+    snapshot still showed init; a search over orders instead of (placed,
+    open) sets tries every order of the m bystanders first (15 s at m = 9)."""
+    h = _lost_update_history(12)
+    assert not check_consistency(h, IsolationLevel.SI)
+    assert not check_consistency(h, IsolationLevel.SER)
+
+
 def test_long_session_history_is_decided_without_deep_recursion():
     """Both searches keep their own stack: one session of 1,100 transactions
     is decided at SER and SI at the default recursion limit of a fresh

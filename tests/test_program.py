@@ -202,6 +202,18 @@ def test_too_deep_an_expression_fails_to_parse_or_evaluate_with_a_message():
         eval_expr(expr, {})
 
 
+@pytest.mark.parametrize(
+    "expr", ["+".join(["1"] * 1200), "(" * 400 + "1" + ")" * 400], ids=["sum", "parens"]
+)
+def test_too_deep_an_expression_is_reported_on_its_line(expr):
+    """The sum overflows the definite-assignment check, the parentheses the
+    parser; both report the line of the expression, not 1:1."""
+    text = f"session s {{\n  txn {{\n    a = {expr};\n  }}\n}}"
+    with pytest.raises(ParseError, match="expression nested too deeply") as info:
+        parse(text)
+    assert info.value.line == 3
+
+
 # ---------------------------------------------------------------------------
 # Formatting round trips
 # ---------------------------------------------------------------------------
