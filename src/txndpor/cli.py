@@ -7,7 +7,8 @@ baseline and the brute-force consistency oracle on random corpora.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 assertion violation found
 (reported even when the run was truncated), 3 time limit exceeded, 130
-interrupted by Ctrl-C (partial stats are still printed and written).
+interrupted by Ctrl-C (a run still prints and writes its partial stats;
+any other command prints ``interrupted``).
 
 Set ``TXNDPOR_LOG`` to ``info`` or ``trace`` for progress logging.
 """
@@ -388,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         result = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
+    except click.exceptions.Abort:  # Ctrl-C outside a run's search
+        click.echo("interrupted", err=True)
+        return 130
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

@@ -11,6 +11,10 @@ that read observing the newly committed writer, deleting everything that
 causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
+A swap and its gate cut the current state instead of rebuilding it from the
+root (see :func:`_swap_base`); transactions run one at a time, so no
+transaction but the reader is ever cut partway.
+
 Every state the traversal enters is the state that was checked:
 :func:`valid_writes`, :func:`dfs` and the gate check each extended history and
 pass those that hold to ``apply_event``, so no program code runs on a rejected
@@ -57,6 +61,7 @@ from .model import (
 )
 from .program import (
     ExplorationState,
+    LocalState,
     NextAction,
     Program,
     apply_event,
@@ -258,13 +263,23 @@ def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
 
 
 def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:
-    """``st`` replayed along what a swap on ``r`` keeps, up to just before
-    ``r``.  Kept events keep their writers and so their values; only the
-    pivot, appended next, can bring in a new one."""
+    """``st`` cut back to what a swap on ``r`` keeps, up to just before ``r``.
+
+    The history loses ``dropped`` and the whole reader; each session that
+    lost transactions goes back to the locals its first lost one began
+    with, and only the reader's events before ``r`` are replayed on top.
+    Kept events keep their writers and so their values; only the pivot,
+    appended next, can bring in a new one."""
     h = st.history
-    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
-    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
-    return replay(st.program, h.history, others + prefix)
+    reader = h.history.txn(r.txn)
+    cut = drop_events(h, dropped | {ev.id for ev in reader.events})
+    sessions = list(st.sessions)
+    for tid in sorted({eid.txn for eid in dropped} | {r.txn}, reverse=True):  # first lost last
+        assert tid not in cut.history.by_id, f"swap cuts {tid} partway"
+        begun = sessions[tid.session].begun
+        sessions[tid.session] = LocalState(begun[tid.index], tid.index, begun=begun[: tid.index])
+    base = ExplorationState(st.program, cut, tuple(sessions))
+    return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
 
 
 def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
@@ -273,9 +288,9 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     Everything after ``r`` that is not causally before ``t`` is deleted; the
     reader keeps its events before ``r`` and moves to the end of the order
     as the unique pending transaction, where ``r`` is appended observing
-    ``t``.  The program is replayed along the kept events, so local state —
-    and with it the reader's remaining control flow — is recomputed from the
-    new value of ``r``.
+    ``t``.  Other sessions keep their local state as of the cut and the
+    reader is replayed along its kept events, so its remaining control flow
+    is recomputed from the new value of ``r``.
     """
     h = st.history
     if causally_before_or_equal(h.history, r.txn, t):

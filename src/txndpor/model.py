@@ -15,13 +15,14 @@ Typical construction goes through :class:`OrderedHistory`::
 All values are immutable; mutation happens by producing new values.
 
 Full validation runs wherever a history enters from outside: ``History(...)``,
-``OrderedHistory(...)``, :func:`canonical_decode` and :func:`drop_events`.
-The one-event edits the explorer makes at every step (:meth:`History.with_begin`,
-:meth:`History.with_event` and :meth:`OrderedHistory.append`) start from an
-already valid value, check only the delta with the same rules, and carry the
-parent's derived relations forward updated by it.  Only
-:meth:`History.with_begin` of a transaction that is not last in its session,
-or of one in the init session, falls back to full validation.
+``OrderedHistory(...)`` and :func:`canonical_decode`.  The explorer's edits
+start from an already valid value and check only what the edit can break,
+with the same rules and messages.  The one-event edits (:meth:`History.with_begin`,
+:meth:`History.with_event`, :meth:`OrderedHistory.append`) carry the parent's
+derived relations forward updated by the delta; only a begin that is not last
+in its session, or is in the init session, falls back to full validation.
+:func:`drop_events`, the cut a swap and its gate make, recomputes them from
+the result instead, since deleting events can shrink causality.
 """
 
 from __future__ import annotations
@@ -713,11 +714,18 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
     wr edges whose read was dropped disappear.  Ids absent from the history
     are ignored.  Raises if a surviving read's writer loses the write it
     observes (callers must include such reads in the drop set).
+
+    Derived from ``h``: only truncated logs (still program-order prefixes),
+    surviving reads' writers and init are re-checked; a deletion keeps ids
+    sorted and unique, reads' own wr checks, so union wr acyclic and the
+    order extending it.  Relations are recomputed: a cut may lose wr edges.
     """
+    cut = {eid.txn for eid in dropped}
     new_logs = []
     for log in h.history.logs:
-        events = tuple(ev for ev in log.events if ev.id not in dropped)
-        if events:
+        if log.id not in cut:
+            new_logs.append(log)
+        elif events := tuple(ev for ev in log.events if ev.id not in dropped):
             new_logs.append(TransactionLog(log.id, events))
     survivors = {log.id: log for log in new_logs}
     new_wr = []
@@ -730,9 +738,15 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
                 f"dropping writer events of {writer} while read {read_id} survives"
             )
         new_wr.append((read_id, writer))
-    hist = History(tuple(new_logs), tuple(sorted(new_wr)))
+    if INIT_TXN not in survivors:
+        raise ValueError("history lacks the init transaction")
+    if survivors[INIT_TXN].status != COMMITTED:
+        raise ValueError("init transaction must be committed")
+    hist = History._derived(tuple(new_logs), tuple(new_wr), by_id=survivors)
     order = tuple(eid for eid in h.order if eid not in dropped)
-    return OrderedHistory(hist, order)
+    out = object.__new__(OrderedHistory)
+    out.__dict__.update(history=hist, order=order)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
 state reached by running the program along it; :func:`replay` rebuilds that
-state from scratch along a sequence of a history's events, applying each
-with :func:`apply_event`, which verifies it against the program semantics.
+state from scratch (or from a swap's cut state) along a sequence of a
+history's events, applying each with :func:`apply_event`, which verifies it
+against the program semantics.
 """
 
 from __future__ import annotations
@@ -553,12 +554,15 @@ class LocalState:
     ``queue`` holds the remaining instructions of the open transaction with
     silent instructions (assignments, resolved conditionals, asserts) already
     consumed, so its head — when present — is always a database action.
+    ``begun`` holds the locals each begun transaction started from, so a
+    swap can set the session back to any of its begins without a replay.
     """
 
     locals: tuple[tuple[str, int], ...] = ()
     txn_index: int = 0
     in_txn: bool = False
     queue: tuple[Instr, ...] = ()
+    begun: tuple[tuple[tuple[str, int], ...], ...] = ()
 
     @property
     def env(self) -> dict[str, int]:
@@ -727,7 +731,8 @@ def apply_event(
     if event.kind == BEGIN:
         env = ls.env
         queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
-        new_ls = replace(ls, locals=_freeze_env(env), in_txn=True, queue=queue)
+        new_ls = replace(ls, locals=_freeze_env(env), in_txn=True, queue=queue,
+                         begun=ls.begun + (ls.locals,))
     elif event.kind in (READ, WRITE):
         env = ls.env
         if event.kind == READ:
@@ -743,15 +748,17 @@ def apply_event(
     return ExplorationState(st.program, hist, sessions)
 
 
-def replay(program: Program, history: History, order: Iterable[EventId]) -> ExplorationState:
+def replay(program: Program, history: History, order: Iterable[EventId],
+           start: ExplorationState | None = None) -> ExplorationState:
     """Re-execute ``program`` along ``order``, rebuilding local state.
 
     Each event of ``order`` is taken, with its writer, from ``history`` and
-    appended by :func:`apply_event`, which checks it against the program.
+    appended by :func:`apply_event`, which checks it against the program,
+    starting from ``start`` (a swap's cut state) or the initial state.
     Init events are skipped; ``history``'s init transaction must be the
-    program's.
+    starting state's.
     """
-    st = ExplorationState.initial(program)
+    st = start if start is not None else ExplorationState.initial(program)
     if history.txn(INIT_TXN).events != st.history.history.txn(INIT_TXN).events:
         raise ProgramError("initial transaction does not match the program")
     wr_map = history.wr_map

@@ -182,6 +182,18 @@ def test_run_reports_partial_stats_on_ctrl_c(program_file, tmp_path, capsys, mon
     assert (payload["outputs"], payload["recursive_calls"]) == (5, 9)
 
 
+def test_verify_exits_130_on_ctrl_c(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "axioms", interrupted)
+    code = main(["verify", "--suite", "axioms", "--cases", "1"])
+    assert code == 130
+    out, err = capsys.readouterr()
+    assert err.split() == ["interrupted"]
+    assert "Traceback" not in out + err
+
+
 def test_run_writes_stats_json(program_file, tmp_path, capsys):
     stats = tmp_path / "stats.json"
     assert main(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
     RunInterrupted,
     TimeLimitExceeded,
+    _swap_base,
+    _swap_drop_set,
     causal_extension_exists,
     compute_reorderings,
     dfs,
@@ -33,6 +38,7 @@ from txndpor.explorer import (
     swapped,
     valid_writes,
 )
+from txndpor.generate import random_program
 from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
@@ -54,7 +60,7 @@ from txndpor.model import (
     track_history_memory,
     write_event,
 )
-from txndpor.program import ExplorationState, apply_event, parse, step_local
+from txndpor.program import ExplorationState, apply_event, parse, replay, step_local
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
@@ -282,6 +288,37 @@ def test_swap_result_minus_its_pivot_is_a_prefix_of_the_parent():
         assert checked > 0
 
 
+def _swap_base_from_root(st: ExplorationState, r, dropped) -> ExplorationState:
+    """The swap base rebuilt from the root: every kept event of the other
+    transactions, then the reader's events before ``r``, replayed in order."""
+    h = st.history
+    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
+    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
+    return replay(st.program, h.history, others + prefix)
+
+
+@pytest.mark.parametrize("level", (IsolationLevel.CC, IsolationLevel.RC))
+def test_swaps_match_a_replay_from_the_root(level):
+    """On every (state, candidate) explore_ce reaches, the swap base cut
+    from the current state, and the swap itself, equal the states replayed
+    from the root, per-session local state included."""
+    rng = random.Random(9)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(random_program(rng)) for _ in range(150)]
+    checked = 0
+    for prog in programs:
+        for _, st in entered_states(prog, level):
+            for cand in compute_reorderings(st.history):
+                r, t = cand.read, cand.writer
+                dropped = _swap_drop_set(st.history, r, t)
+                reference = _swap_base_from_root(st, r, dropped)
+                assert _swap_base(st, r, dropped) == reference
+                pivot = st.history.history.event(r)
+                assert swap(st, r, t) == apply_event(reference, pivot, writer=t)
+                checked += 1
+    assert checked > 200
+
+
 # ---------------------------------------------------------------------------
 # Swap detection
 # ---------------------------------------------------------------------------
@@ -422,6 +459,42 @@ def test_run_counters_match_frozen_values(name):
     assert stats.inconsistent_branch_entries == 0
     naive_stats = dfs(example(name), IsolationLevel.CC)
     assert naive_stats.outputs == naive
+
+
+PROG3 = Path(__file__).resolve().parents[1] / "bench" / "programs" / "prog3.txn"
+
+# level -> (outputs, nodes, swaps taken, swaps rejected, max depth, sha256 of
+#           the canonical encodings in emission order, one per line)
+PROG3_RUNS = {
+    IsolationLevel.CC: (
+        250, 1029, 40, 45, 47,
+        "33cd4d51e552dce426e5f102e83596be4a40275724205ca945f27ce8ccc13a5a",
+    ),
+    IsolationLevel.RC: (
+        2112, 5982, 109, 143, 47,
+        "103ebdcaefa65a05e6863ea2cbfc3a0a8bc03277db864dc283d8ae3717d6aaaa",
+    ),
+}
+
+
+@pytest.mark.parametrize("level", sorted(PROG3_RUNS, key=lambda lv: lv.value))
+def test_prog3_fingerprint_matches_frozen_values(level):
+    """Every counter and the emission sequence itself are frozen on the
+    benchmark's ``prog3``.  The values were computed before the swap base and
+    the gate's cut were derived by restricting the current state (they used
+    to be rebuilt from the root), so they pin that both build the same
+    states in the same order."""
+    outputs, calls, taken, rejected, depth, sha = PROG3_RUNS[level]
+    digest = hashlib.sha256()
+
+    def emit(st: ExplorationState) -> None:
+        digest.update(canonical_encode(st.history.history) + b"\n")
+
+    stats = explore_ce(parse(PROG3.read_text()), level, emit=emit)
+    assert (stats.outputs, stats.filtered_outputs, stats.recursive_calls) == (outputs, 0, calls)
+    assert (stats.blocked_calls, stats.inconsistent_branch_entries) == (0, 0)
+    assert (stats.swaps_taken, stats.swaps_rejected, stats.max_depth) == (taken, rejected, depth)
+    assert digest.hexdigest() == sha
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))

@@ -19,7 +19,10 @@ from fixtures import (
     init_log,
     run_fresh,
 )
+from txndpor.examples import EXAMPLE_PROGRAMS
+from txndpor.explorer import explore_ce
 from txndpor.generate import random_history, random_prefix
+from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
     BEGIN,
@@ -29,6 +32,7 @@ from txndpor.model import (
     Event,
     EventId,
     History,
+    IsolationLevel,
     OrderedHistory,
     TransactionLog,
     TxnId,
@@ -45,6 +49,7 @@ from txndpor.model import (
     write_event,
 )
 from txndpor.oracles import canonical_sort
+from txndpor.program import parse
 
 T0 = TxnId(0, 0)
 T1 = TxnId(1, 0)
@@ -451,6 +456,90 @@ def test_derived_edits_match_full_construction(seed):
             if not accepted:
                 break
             current = rng.choice(accepted)
+
+
+def _full_drop(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
+    """``drop_events`` built by full validation: every surviving log rebuilt,
+    the same orphaned-read check, then the validating constructors."""
+    logs = []
+    for log in h.history.logs:
+        events = tuple(ev for ev in log.events if ev.id not in dropped)
+        if events:
+            logs.append(TransactionLog(log.id, events))
+    survivors = {log.id: log for log in logs}
+    wr = []
+    for read_id, writer in h.history.wr:
+        if read_id in dropped:
+            continue
+        wlog = survivors.get(writer)
+        if wlog is None or not wlog.writes_var(h.history.event(read_id).var):
+            raise ValueError(
+                f"dropping writer events of {writer} while read {read_id} survives"
+            )
+        wr.append((read_id, writer))
+    order = tuple(eid for eid in h.order if eid not in dropped)
+    return OrderedHistory(History(tuple(logs), tuple(sorted(wr))), order)
+
+
+def _drop_sets(rng: random.Random, oh: OrderedHistory) -> list[tuple[str, set[EventId]]]:
+    """Named drop sets for ``oh``: each kind the history admits, plus random
+    sets and random suffixes of the order."""
+    h = oh.history
+    out = [("empty", set()), ("init event", {rng.choice(h.txn(INIT_TXN).events).id})]
+    for log in h.logs:
+        if len(log.events) >= 3:
+            out.append(("middle event", {log.events[rng.randrange(1, len(log.events) - 1)].id}))
+        if log.status == PENDING and log.id != INIT_TXN:
+            k = rng.randrange(len(log.events))
+            out.append(("pending suffix", {ev.id for ev in log.events[k:]}))
+    for _, writer in h.wr:
+        out.append(("writer of a surviving read", {ev.id for ev in h.txn(writer).events}))
+    events = list(oh.order)
+    for _ in range(3):
+        out.append(("random", set(rng.sample(events, rng.randrange(len(events) + 1)))))
+        out.append(("order suffix", set(events[rng.randrange(len(events) + 1):])))
+    return out
+
+
+def test_derived_drop_matches_full_construction():
+    """``drop_events`` derived from its valid parent equals the same cut built
+    by full validation, with equal derived relations and the same
+    consistency verdict, and raises exactly when full construction raises,
+    with the same message.  Parents are random histories, their prefixes,
+    and the states explore_ce enters on the example programs."""
+    rng = random.Random(0)
+    parents = []
+    for seed in range(120):
+        h = histories(seed)
+        parents += [canonical_sort(h), canonical_sort(random_prefix(rng, h))]
+    for name in sorted(EXAMPLE_PROGRAMS):
+        prog = parse(EXAMPLE_PROGRAMS[name])
+        explore_ce(prog, IsolationLevel.CC, entry_hook=lambda _, st: parents.append(st.history))
+    outcomes: dict[str, set[bool]] = {}
+    for oh in parents:
+        for kind, dropped in _drop_sets(rng, oh):
+            full, full_err = _outcome(lambda: _full_drop(oh, dropped))
+            derived, err = _outcome(lambda: drop_events(oh, dropped))
+            assert err == full_err, (kind, dropped)
+            outcomes.setdefault(kind, set()).add(err is None)
+            if full is not None:
+                _assert_same_value(derived, full, ORDER_RELATIONS, False)
+                _assert_same_value(derived.history, full.history, HISTORY_RELATIONS, False)
+                for level in (IsolationLevel.RC, IsolationLevel.CC):
+                    assert check_consistency(derived.history, level) == check_consistency(
+                        full.history, level
+                    )
+    # An empty drop always passes; losing an init event, a middle event or
+    # the writer of a surviving read always raises; the rest do both.
+    assert outcomes == {
+        "empty": {True},
+        "init event": {False},
+        "middle event": {False},
+        "writer of a surviving read": {False},
+        "pending suffix": {True, False},
+        "random": {True, False},
+        "order suffix": {True, False},
+    }
 
 
 # ---------------------------------------------------------------------------
