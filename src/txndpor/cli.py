@@ -130,6 +130,14 @@ def run(
     stats_json: str | None,
 ) -> int:
     """Enumerate the histories of PROGRAM."""
+    # An output must not overwrite the program or the other output.
+    named: dict[object, str] = {}
+    for option, path in (("PROGRAM", program), ("--emit", emit), ("--stats-json", stats_json)):
+        if path is None:
+            continue
+        other = named.setdefault(_file_identity(path), option)
+        if other != option:
+            raise click.UsageError(f"{other} and {option} name the same file {path}")
     config = RunConfig(
         mode=mode,
         level=IsolationLevel.from_name(level),
@@ -142,6 +150,17 @@ def run(
     )
     text = Path(program).read_text()
     return _execute_run(config, parse(text))
+
+
+def _file_identity(path: str) -> object:
+    """The file ``path`` names: its device and inode if it exists, so that
+    hard links match, else its resolved path."""
+    resolved = Path(path).resolve()
+    try:
+        st = resolved.stat()
+    except OSError:
+        return resolved
+    return st.st_dev, st.st_ino
 
 
 def _oracle_hook(prog: Program, level: IsolationLevel):
@@ -223,7 +242,7 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
         except (TimeLimitExceeded, RunInterrupted) as exc:
             stats, partial = exc.stats, exc
         if stats_out is not None:
-            payload = dict(stats.as_dict(), distinct_histories=len(seen))
+            payload = dict(stats.as_dict(), distinct_histories=len(seen), schema_version=1)
             stats_out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     click.echo(f"distinct histories: {len(seen)}")

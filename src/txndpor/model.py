@@ -23,6 +23,13 @@ derived relations forward updated by the delta; only a begin that is not last
 in its session, or is in the init session, falls back to full validation.
 :func:`drop_events`, the cut a swap and its gate make, recomputes them from
 the result instead, since deleting events can shrink causality.
+
+:func:`canonical_encode` builds a history's bytes from JSON fragments cached
+on its immutable logs (:attr:`TransactionLog.fragment`); emitted histories
+share most of their logs, so each log is encoded once.  The bytes equal
+``json.dumps(..., sort_keys=True)`` of the whole object: keys are written in
+sorted order, and ``wr``, which differs between histories sharing a log, is
+never cached.
 """
 
 from __future__ import annotations
@@ -190,6 +197,13 @@ class TransactionLog:
             if ev.kind == WRITE:
                 out[ev.var] = ev  # type: ignore[index]
         return out
+
+    @cached_property
+    def fragment(self) -> str:
+        """This log's object in :func:`canonical_encode`, built on first use."""
+        obj = {"events": [_event_obj(ev) for ev in self.events],
+               "id": list(self.id), "status": self.status}
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     def writes_var(self, var: str) -> bool:
         return var in self.write_set
@@ -768,55 +782,95 @@ def canonical_encode(h: History) -> bytes:
 
     Two histories encode identically exactly when they are equal as values
     (same logs, session order, write-read relation).  The encoding doubles
-    as the on-disk JSON record emitted by the command line front end.
+    as the on-disk JSON record emitted by the command line front end: the
+    object ``{"so": ..., "txns": [...], "wr": [...]}`` as
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes it.
+
+    Each ``txns`` entry is its log's :attr:`TransactionLog.fragment`, cached
+    on the immutable log, so a log shared by many emitted histories is
+    encoded once.  The small ``so`` and ``wr`` parts are written here, with
+    ``so`` keyed by session ids sorted as strings, as ``sort_keys`` does.
+    Nothing that depends on ``wr`` is cached: one log appears in histories
+    with different writers.
     """
-    obj = {
-        "txns": [
-            {
-                "id": list(log.id),
-                "events": [_event_obj(ev) for ev in log.events],
-                "status": log.status,
-            }
-            for log in h.logs
-        ],
-        "so": {
-            str(session): [list(t) for t in txns]
-            for session, txns in sorted(h.sessions.items())
-        },
-        "wr": [
-            [[rid.txn.session, rid.txn.index, rid.index], list(writer)]
-            for rid, writer in h.wr
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    so = ",".join(f'"{s}":[{",".join(f"[{t.session},{t.index}]" for t in txns)}]'
+                  for s, txns in sorted(h.sessions.items(), key=lambda kv: str(kv[0])))
+    wr = ",".join(f"[[{r.txn.session},{r.txn.index},{r.index}],[{w.session},{w.index}]]"
+                  for r, w in h.wr)
+    txns = ",".join(log.fragment for log in h.logs)
+    return f'{{"so":{{{so}}},"txns":[{txns}],"wr":[{wr}]}}'.encode()
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value``, if its type is exactly ``kind`` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, not {value!r}")
+    return value
+
+
+def _ints(value, n: int, what: str) -> tuple[int, ...]:
+    """``value``, a list of ``n`` integers, as a tuple."""
+    if len(_typed(value, list, what)) != n:
+        raise ValueError(f"{what} must be a list of {n} integers, not {value!r}")
+    return tuple(_typed(v, int, what) for v in value)
+
+
+def _keyed(value, keys: set[str], what: str, optional: frozenset = frozenset()) -> dict:
+    """``value``, an object with every key of ``keys`` and others only from ``optional``."""
+    if not keys <= _typed(value, dict, what).keys() <= keys | optional:
+        raise ValueError(f"{what} must have the keys {sorted(keys)}, not {sorted(value)}")
+    return value
 
 
 def canonical_decode(data: bytes | str) -> History:
-    """Inverse of :func:`canonical_encode`."""
-    obj = json.loads(data)
+    """Inverse of :func:`canonical_encode`; validates its input.
+
+    Raises ``ValueError`` on malformed or too deeply nested JSON, a missing
+    or unknown key, an id, index or value that is not an integer (bools
+    included), a kind, variable or status that is not a string, a status or
+    ``so`` that disagrees with the logs, and on anything ``History`` rejects.
+    """
+    try:
+        obj = _keyed(json.loads(data), {"so", "txns", "wr"}, "an encoded history")
+    except RecursionError:
+        raise ValueError("encoded history is nested too deeply") from None
     logs = []
-    for tobj in obj["txns"]:
-        tid = TxnId(*tobj["id"])
+    for tobj in _typed(obj["txns"], list, "txns"):
+        tobj = _keyed(tobj, {"events", "id", "status"}, "a transaction")
+        tid = TxnId(*_ints(tobj["id"], 2, "a transaction id"))
         events = []
-        for eobj in tobj["events"]:
+        for eobj in _typed(tobj["events"], list, f"the events of {tid}"):
+            eobj = _keyed(eobj, {"index", "kind"}, f"an event of {tid}", {"var", "value"})
             events.append(
                 Event(
-                    EventId(tid, eobj["index"]),
-                    eobj["kind"],
-                    var=eobj.get("var"),
-                    value=eobj.get("value"),
+                    EventId(tid, _typed(eobj["index"], int, "an event index")),
+                    _typed(eobj["kind"], str, "an event kind"),
+                    var=_typed(eobj["var"], str, "a variable") if "var" in eobj else None,
+                    value=_typed(eobj["value"], int, "a value") if "value" in eobj else None,
                 )
             )
         log = TransactionLog(tid, tuple(events))
-        if log.status != tobj["status"]:
+        if log.status != _typed(tobj["status"], str, "a status"):
             raise ValueError(f"status mismatch for {tid} in encoded history")
         logs.append(log)
-    wr = tuple(
-        sorted(
-            (EventId(TxnId(r[0], r[1]), r[2]), TxnId(*w)) for r, w in obj["wr"]
-        )
-    )
-    return History(tuple(sorted(logs, key=lambda log: log.id)), wr)
+    wr = []
+    for edge in _typed(obj["wr"], list, "wr"):
+        if len(_typed(edge, list, "a wr edge")) != 2:
+            raise ValueError(f"a wr edge must be a list of a read and a writer, not {edge!r}")
+        session, index, pos = _ints(edge[0], 3, "a wr read")
+        writer = TxnId(*_ints(edge[1], 2, "a wr writer"))
+        wr.append((EventId(TxnId(session, index), pos), writer))
+    h = History(tuple(sorted(logs, key=lambda log: log.id)), tuple(sorted(wr)))
+    so = {
+        session: [_ints(t, 2, "an so entry") for t in _typed(txns, list, "an so session")]
+        for session, txns in _typed(obj["so"], dict, "so").items()
+    }
+    if so != {str(s): list(txns) for s, txns in h.sessions.items()}:
+        raise ValueError("so disagrees with the session order of the logs")
+    return h
 
 
 # ---------------------------------------------------------------------------

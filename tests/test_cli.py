@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -206,6 +207,14 @@ def test_run_writes_stats_json(program_file, tmp_path, capsys):
     assert payload["swaps_rejected"] == 1
     assert payload["blocked_calls"] == 0
     assert payload["inconsistent_branch_entries"] == 0
+    assert payload["schema_version"] == 1
+    assert sorted(payload) == sorted(
+        [
+            "schema_version", "distinct_histories", "outputs", "filtered_outputs",
+            "recursive_calls", "blocked_calls", "inconsistent_branch_entries",
+            "swaps_taken", "swaps_rejected", "max_depth", "wall_time",
+        ]
+    )
 
 
 def test_run_oracle_check_passes_on_examples(program_file, capsys):
@@ -267,6 +276,39 @@ def test_run_rejects_an_unwritable_output_before_enumerating(
     assert captured.err.startswith("error: ")
     assert "No such file or directory" in captured.err
     assert "distinct histories" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "clash",
+    [
+        (["--stats-json", "{program}"], "PROGRAM and --stats-json"),
+        (["--emit", "{program}"], "PROGRAM and --emit"),
+        (["--emit", "{out}", "--stats-json", "{out_alias}"], "--emit and --stats-json"),
+        (["--stats-json", "{link}"], "PROGRAM and --stats-json"),
+    ],
+    ids=["stats-over-program", "emit-over-program", "emit-and-stats", "stats-over-hard-link"],
+)
+def test_run_refuses_outputs_that_name_the_same_file(program_file, tmp_path, capsys, clash):
+    """Paths are compared resolved, or by inode when the file exists, and
+    the refusal comes before any file is opened: the program is unchanged
+    and no output is created."""
+    args, pair = clash
+    program = program_file("racing_reads")
+    source = tmp_path / "racing_reads.txn"
+    before = source.read_bytes()
+    link = tmp_path / "link.txn"
+    os.link(source, link)
+    out = tmp_path / "out.json"
+    paths = {"program": program, "out": str(out), "link": str(link),
+             "out_alias": str(tmp_path / "." / "out.json")}
+    code = main(["run", program] + [arg.format(**paths) for arg in args])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"{pair} name the same file" in captured.err
+    assert "distinct histories" not in captured.out
+    assert source.read_bytes() == before
+    assert not out.exists()
 
 
 def test_run_rejects_a_negative_time_limit(program_file, capsys):

@@ -585,6 +585,177 @@ def test_encoding_collides_only_on_equal_histories(seed):
     assert (canonical_encode(a) == canonical_encode(b)) == (a == b)
 
 
+def _reference_encode(h: History) -> bytes:
+    """The canonical encoding as one ``json.dumps`` of the whole history, the
+    way it was computed before logs cached their fragments."""
+
+    def event_obj(ev: Event) -> dict:
+        obj: dict = {"index": ev.id.index, "kind": ev.kind}
+        if ev.var is not None:
+            obj["var"] = ev.var
+        if ev.value is not None:
+            obj["value"] = ev.value
+        return obj
+
+    obj = {
+        "txns": [
+            {"id": list(log.id), "events": [event_obj(ev) for ev in log.events],
+             "status": log.status}
+            for log in h.logs
+        ],
+        "so": {
+            str(session): [list(t) for t in txns]
+            for session, txns in sorted(h.sessions.items())
+        },
+        "wr": [
+            [[rid.txn.session, rid.txn.index, rid.index], list(writer)]
+            for rid, writer in h.wr
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+ODD_VAR = 'q"\\\u00fc'  # a quote, a backslash and a non-ASCII letter
+
+
+def _twelve_sessions() -> History:
+    """One transaction per session 0..11, aborted and pending logs, a
+    negative value, a value beyond 2**63 and an odd variable name."""
+    logs = [init_log("x", ODD_VAR)]
+    wr = []
+    for k in range(12):
+        t = TxnId(k, 0)
+        logs.append(TransactionLog(t, (begin_event(t), write_event(t, 1, "x", -k),
+                                       write_event(t, 2, ODD_VAR, 2**64 + k),
+                                       commit_event(t, 3))))
+        if k in (3, 11):
+            t2 = TxnId(k, 1)
+            tail = abort_event(t2, 2) if k == 3 else read_event(t2, 2, ODD_VAR)
+            logs.append(TransactionLog(t2, (begin_event(t2), read_event(t2, 1, "x"), tail)))
+            wr.append((EventId(t2, 1), TxnId(10, 0)))
+            if k == 11:
+                wr.append((EventId(t2, 2), INIT_TXN))
+    return History(tuple(logs), tuple(sorted(wr)))
+
+
+# Sessions s0..s10 each write their own variable; s0 then reads s10's and
+# s10 reads s1's, so the program has a few histories.
+ELEVEN_SESSIONS = "\n".join(
+    f"session s{k} {{ txn {{ write(v{k}, {k - 5}); }}"
+    + {0: " txn { a = read(v10); }", 10: " txn { b = read(v1); }"}.get(k, "")
+    + " }"
+    for k in range(11)
+)
+
+
+def test_encoding_matches_the_json_dumps_reference():
+    """The encoding assembled from cached log fragments is byte-identical to
+    one ``json.dumps(sort_keys=True)`` of the whole history."""
+    rng = random.Random(1)
+    cases = []
+    for seed in range(150):
+        h = histories(seed)
+        cases += [h, random_prefix(rng, h)]
+    for name in sorted(EXAMPLE_PROGRAMS):
+        for level in (IsolationLevel.CC, IsolationLevel.RC):
+            explore_ce(parse(EXAMPLE_PROGRAMS[name]), level,
+                       entry_hook=lambda _, st: cases.append(st.history.history))
+    many = _twelve_sessions()
+    cases.append(many)
+    assert {log.status for log in many.logs} == {COMMITTED, ABORTED, PENDING}
+    for h in cases:
+        assert canonical_encode(h) == _reference_encode(h)
+    encoded = canonical_encode(many)
+    assert encoded.index(b'"10":') < encoded.index(b'"2":')
+    assert b'"var":"q\\"\\\\\\u00fc"' in encoded
+    assert b"18446744073709551617" in encoded and b'"value":-11' in encoded
+    assert canonical_encode(canonical_decode(encoded)) == encoded
+
+
+def test_encoding_of_an_eleven_session_program_matches_the_reference():
+    emitted = []
+    stats = explore_ce(parse(ELEVEN_SESSIONS), IsolationLevel.CC,
+                       emit=lambda st: emitted.append(st.history.history))
+    assert stats.outputs == len(emitted) > 1
+    for h in emitted:
+        encoded = canonical_encode(h)
+        assert encoded == _reference_encode(h)
+        assert encoded.index(b'"10":') < encoded.index(b'"2":')
+
+
+def test_log_fragment_is_computed_on_first_encoding_only():
+    h = causal_cycle_history()
+    assert not any("fragment" in vars(log) for log in h.logs)
+    canonical_encode(h)
+    assert all("fragment" in vars(log) for log in h.logs)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_encoded_bytes_round_trip(seed):
+    rng = random.Random(seed)
+    h = random_history(rng)
+    for data in (canonical_encode(h), canonical_encode(random_prefix(rng, h))):
+        assert canonical_encode(canonical_decode(data)) == data
+
+
+def _one_read_document() -> dict:
+    """A decoded encoding: init writes x, T0 reads it and writes 1."""
+    t = TxnId(0, 0)
+    log = TransactionLog(t, (begin_event(t), read_event(t, 1, "x"),
+                             write_event(t, 2, "x", 1), commit_event(t, 3)))
+    return json.loads(canonical_encode(History((init_log("x"), log),
+                                               ((EventId(t, 1), INIT_TXN),))))
+
+
+def _set(path: tuple, value):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: {}, "must have the keys"),
+        (lambda doc: [], "must be an object"),
+        (lambda doc: dict(doc, extra=1), "must have the keys"),
+        (_set(("txns",), {}), "txns must be a list"),
+        (_set(("txns", 1, "id"), [-1]), "transaction id must be a list of 2"),
+        (_set(("txns", 1, "id"), [0, True]), "transaction id must be an integer"),
+        (_set(("txns", 1, "events", 2, "value"), "zero"), "value must be an integer"),
+        (_set(("txns", 1, "events", 2, "value"), True), "value must be an integer"),
+        (_set(("txns", 1, "events", 2, "index"), 2.0), "event index must be an integer"),
+        (_set(("txns", 1, "events", 2, "kind"), 7), "event kind must be a string"),
+        (_set(("txns", 1, "events", 2, "var"), None), "variable must be a string"),
+        (_set(("txns", 1, "events", 2, "size"), 1), "must have the keys"),
+        (_set(("txns", 1, "status"), 1), "status must be a string"),
+        (_set(("txns", 1, "status"), "pending"), "status mismatch"),
+        (_set(("wr", 0), [[0, 0, 1]]), "wr edge must be a list of a read and a writer"),
+        (_set(("wr", 0, 1), [-1, False]), "wr writer must be an integer"),
+        (_set(("so",), {"0": [[5, 5]]}), "so disagrees"),
+        (_set(("so",), {}), "so disagrees"),
+        (_set(("so",), {"0": [[0, False]]}), "so entry must be an integer"),
+    ],
+)
+def test_decode_rejects_what_no_history_encodes_to(edit, message):
+    valid = _one_read_document()
+    assert canonical_decode(json.dumps(valid))
+    with pytest.raises(ValueError, match=message):
+        canonical_decode(json.dumps(edit(valid)))
+
+
+@pytest.mark.parametrize("text", ["", "{", "[" * 100_000], ids=["empty", "cut", "deep"])
+def test_decode_rejects_malformed_json(text):
+    with pytest.raises(ValueError):
+        canonical_decode(text)
+
+
 # ---------------------------------------------------------------------------
 # Allocation tracking
 # ---------------------------------------------------------------------------
