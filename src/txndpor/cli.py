@@ -100,6 +100,12 @@ def cli() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    if value != value:  # NaN, which FloatRange lets through
+        raise click.BadParameter("nan is not a number of seconds")
+    return value
+
+
 @cli.command()
 @click.argument("program", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(_MODES), default="explore-ce",
@@ -115,6 +121,7 @@ def cli() -> None:
 @click.option("--oracle-check", is_flag=True,
               help="Verify the uniqueness oracles at every explored state.")
 @click.option("--time-limit", type=click.FloatRange(min=0), default=None,
+              callback=_not_nan,
               help="Wall-clock budget in seconds.")
 @click.option("--stats-json", type=click.Path(dir_okay=False), default=None,
               help="Write run counters as JSON to this file.")

@@ -473,6 +473,8 @@ def _walk(
     its children as ``(child, st)``.  A node's depth is the stack's height
     when it is yielded; only this loop counts nodes, checks the time and
     turns Ctrl-C into :class:`RunInterrupted`."""
+    if time_limit is not None and not time_limit >= 0:  # NaN too
+        raise ValueError(f"time_limit must be a number of seconds >= 0, not {time_limit}")
     start = time.monotonic()
     stack: list[Iterator[Node]] = [iter([(root, None)])]
     try:

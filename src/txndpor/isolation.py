@@ -48,6 +48,33 @@ everything the rule reads is in (placed, open), so a failed pair can never
 be completed.  As the memo only cuts subtrees without a completion, the
 first order found is the lexicographically first witness.
 
+:func:`check_consistency` caches a witness order per history at SER and SI
+(None when there is none) and, for a one-event edit of a history found
+consistent, derives it from the parent's witness ``o``.  Instances are read
+as :func:`total_order_satisfies` reads them: a wr edge plus another
+transaction whose ``write_set`` holds the variable, where ``write_set``
+holds a pending transaction's writes and none of an aborted one's.
+
+- A begin of ``t``, last in its session: ``o`` plus ``t`` last.  ``t`` has
+  no reads, writes or so/wr successors, so the instances, prefix and
+  conflict witnesses are the parent's.  Both levels.
+- A commit, a read without a writer or a repeated write changes no write
+  set and no wr edge, and an abort only empties its write set (no read may
+  observe it): instances and conflict witnesses stay or shrink, premises
+  are monotone in them, so ``o`` stands.  Both levels.
+- At SER, a read of ``t`` observing ``w`` on ``x`` adds (``w``, ``t``) and
+  the instances (``x``, ``w``, ``t2``, ``t``), violated iff ``w <o t2 <o
+  t``, as ``t`` writes no ``x`` yet: ``o`` stands iff ``w <o t`` with no
+  writer of ``x`` between.  A first write of ``x`` by ``t`` adds the
+  instances with overwriter ``t``: ``o`` stands iff no read of ``x`` by a
+  ``t3`` observes a ``w`` with ``w <o t <o t3``.
+
+Anything else searches and caches the result: a read or first write at SI,
+which can add prefix or conflict witnesses to older instances; a failed SER
+rule; no derivation; a parent inconsistent or unchecked at the level.  So
+every False comes from the search.  :func:`find_commit_order` always
+searches, for the lexicographically first witness.
+
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
 literally.  It exists to cross-check the optimized decision procedures.
@@ -197,7 +224,7 @@ def _forced_edges_of(
 # ---------------------------------------------------------------------------
 
 
-def _commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
+def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
     """The first so/wr linear extension, in ``txn_ids`` order, that SER or SI
     accepts.
 
@@ -265,7 +292,7 @@ def _commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
             tried.pop()
             placed ^= 1 << order.pop()
             opened = saved.pop()
-    return CommitOrder(tuple(txns[i] for i in order))
+    return tuple(txns[i] for i in order)
 
 
 def _prefix_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
@@ -331,7 +358,34 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
         return True
     if level in _CLOSURE_LEVELS:
         return _forced_closure(h, level) is not None
-    return find_commit_order(h, level) is not None
+    return _witness(h, level) is not None
+
+
+def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
+    """A SER or SI witness order of ``h``, or None: cached, and the parent's
+    when a rule of the module docstring keeps it, else the full search's."""
+    cache = h.consistency_cache
+    if level in cache:
+        return cache[level]
+    parent_cache, event, writer = h.derivation or ({}, None, None)
+    order = parent_cache.get(level)
+    if order is not None:
+        t, x = event.id.txn, event.var
+        first_write = event.kind == WRITE and not h.txn(t).has_own_write_before(event.id.index, x)
+        if event.kind == BEGIN:
+            order += (t,)
+        elif level is IsolationLevel.SI and (writer is not None or first_write):
+            order = None
+        elif writer is not None:  # writer before t, no writer of x between
+            i, j = order.index(writer), order.index(t)
+            if i > j or any(h.by_id[u].writes_var(x) for u in order[i + 1 : j]):
+                order = None
+        elif first_write:  # no read of x observing w with w < t < reader
+            pos = {u: i for i, u in enumerate(order)}
+            if any(pos[w] < pos[t] < pos[r.txn] for r, w in h.wr if h.event(r).var == x):
+                order = None
+    cache[level] = _commit_order(h, level) if order is None else order
+    return cache[level]
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
@@ -388,7 +442,8 @@ def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     wr and the forced edges, which exists exactly when they are acyclic.
     """
     if level in (IsolationLevel.SER, IsolationLevel.SI):
-        return _commit_order(h, level)
+        order = _commit_order(h, level)
+        return None if order is None else CommitOrder(order)
     reach = h.causal_closure if level is IsolationLevel.TRUE else _forced_closure(h, level)
     if reach is None:
         return None

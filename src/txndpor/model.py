@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import graphlib
 import json
-import weakref
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -307,7 +305,6 @@ class History:
             graphlib.TopologicalSorter(self.causal_adjacency).prepare()
         except graphlib.CycleError:
             raise ValueError("so union wr is cyclic") from None
-        _register_live(self)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -433,7 +430,6 @@ class History:
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
-        _register_live(h)
         return h
 
     def with_begin(self, txn: TxnId) -> "History":
@@ -872,63 +868,3 @@ def canonical_decode(data: bytes | str) -> History:
         raise ValueError("so disagrees with the session order of the logs")
     return h
 
-
-# ---------------------------------------------------------------------------
-# Live-history accounting (used by the space-behavior tests)
-# ---------------------------------------------------------------------------
-
-
-class HistoryMemoryTracker:
-    """Counts History values currently alive, and their bytes.
-
-    Each history is weighed by its canonical encoding length; the weight is
-    released when the value is garbage collected.  Only histories created
-    while the tracker is installed are counted.
-    """
-
-    def __init__(self) -> None:
-        self.live = 0
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.max_history_bytes = 0
-        self.registered = 0
-
-    def _register(self, h: History) -> None:
-        size = len(canonical_encode(h))
-        self.registered += 1
-        self.live += 1
-        self.live_bytes += size
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        self.max_history_bytes = max(self.max_history_bytes, size)
-        weakref.finalize(h, self._release, size)
-
-    def _release(self, size: int) -> None:
-        self.live -= 1
-        self.live_bytes -= size
-
-
-_ACTIVE_TRACKER: HistoryMemoryTracker | None = None
-
-
-def _register_live(h: History) -> None:
-    """Count a new history with the active tracker, if any.
-
-    Both ways a history comes to exist reach this: full validation and the
-    derived edits.
-    """
-    if _ACTIVE_TRACKER is not None:
-        _ACTIVE_TRACKER._register(h)
-
-
-@contextmanager
-def track_history_memory() -> Iterator[HistoryMemoryTracker]:
-    """Install a :class:`HistoryMemoryTracker` for the duration of the block."""
-    global _ACTIVE_TRACKER
-    if _ACTIVE_TRACKER is not None:
-        raise RuntimeError("history memory tracking is already active")
-    tracker = HistoryMemoryTracker()
-    _ACTIVE_TRACKER = tracker
-    try:
-        yield tracker
-    finally:
-        _ACTIVE_TRACKER = None

@@ -9,7 +9,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import txndpor
 from txndpor.examples import EXAMPLE_PROGRAMS
@@ -22,6 +25,7 @@ from txndpor.model import (
     TransactionLog,
     TxnId,
     begin_event,
+    canonical_encode,
     commit_event,
     read_event,
     write_event,
@@ -347,3 +351,71 @@ def run_fresh(code: str, *paths: Path) -> subprocess.CompletedProcess:
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+# ---------------------------------------------------------------------------
+# Live-history accounting for the space-behavior tests, installed from
+# outside the model.
+# ---------------------------------------------------------------------------
+
+
+class HistoryMemoryTracker:
+    """Counts History values currently alive, and their bytes.
+
+    Each history is weighed by its canonical encoding length; the weight is
+    released when the value is garbage collected.  Only histories created
+    while the tracker is installed are counted.
+    """
+
+    def __init__(self) -> None:
+        self.live = 0
+        self.live_bytes = 0
+        self.peak_bytes = 0
+        self.max_history_bytes = 0
+        self.registered = 0
+
+    def _register(self, h: History) -> None:
+        size = len(canonical_encode(h))
+        self.registered += 1
+        self.live += 1
+        self.live_bytes += size
+        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        self.max_history_bytes = max(self.max_history_bytes, size)
+        weakref.finalize(h, self._release, size)
+
+    def _release(self, size: int) -> None:
+        self.live -= 1
+        self.live_bytes -= size
+
+
+# The two ways a history comes to exist: full validation, which the
+# generated __init__ reaches through the class attribute, and the derived
+# edits.
+_POST_INIT = History.__dict__["__post_init__"]
+_DERIVED = History.__dict__["_derived"]
+
+
+@contextmanager
+def track_history_memory() -> Iterator[HistoryMemoryTracker]:
+    """Install a :class:`HistoryMemoryTracker` for the duration of the block,
+    by wrapping ``History.__post_init__`` and ``History._derived``."""
+    if History.__dict__["__post_init__"] is not _POST_INIT:
+        raise RuntimeError("history memory tracking is already active")
+    tracker = HistoryMemoryTracker()
+
+    def post_init(h: History) -> None:
+        _POST_INIT(h)
+        tracker._register(h)
+
+    def derived(cls, logs, wr, **relations) -> History:
+        h = _DERIVED.__func__(cls, logs, wr, **relations)
+        tracker._register(h)
+        return h
+
+    History.__post_init__ = post_init  # type: ignore[method-assign]
+    History._derived = classmethod(derived)  # type: ignore[method-assign,assignment]
+    try:
+        yield tracker
+    finally:
+        History.__post_init__ = _POST_INIT  # type: ignore[method-assign]
+        History._derived = _DERIVED  # type: ignore[method-assign]

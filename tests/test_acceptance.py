@@ -21,6 +21,7 @@ from fixtures import (
     pending_reader_extension,
     pending_writer_extension,
     snapshot_blocker,
+    track_history_memory,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
@@ -47,7 +48,6 @@ from txndpor.model import (
     commit_event,
     is_prefix,
     read_event,
-    track_history_memory,
     write_event,
 )
 from txndpor.oracles import canonical_order, is_or_respectful, iterate_prev, prev

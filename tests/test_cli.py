@@ -318,6 +318,15 @@ def test_run_rejects_a_negative_time_limit(program_file, capsys):
     assert "'--time-limit'" in err
 
 
+def test_run_rejects_a_nan_time_limit(program_file, capsys):
+    args = ["run", program_file("racing_reads"), "--mode", "dfs", "--level", "ser"]
+    assert main(args + ["--time-limit", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "'--time-limit': nan is not a number of seconds" in captured.err
+    assert "distinct histories" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

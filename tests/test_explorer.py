@@ -19,6 +19,7 @@ from fixtures import (
     entered_states,
     example,
     run_fresh,
+    track_history_memory,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
@@ -57,7 +58,6 @@ from txndpor.model import (
     drop_events,
     is_prefix,
     read_event,
-    track_history_memory,
     write_event,
 )
 from txndpor.program import ExplorationState, apply_event, parse, replay, step_local
@@ -658,6 +658,20 @@ def test_time_limit_raises_with_partial_counters():
 def test_time_limit_applies_to_the_naive_search_too():
     with pytest.raises(TimeLimitExceeded):
         dfs(example("racing_reads"), IsolationLevel.CC, time_limit=0.0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_time_limit_must_be_a_number_of_seconds(limit):
+    """A NaN budget would never expire: each entry point refuses it, and a
+    negative one, before exploring anything."""
+    program = example("racing_reads")
+    for run in (
+        lambda: explore_ce(program, IsolationLevel.CC, time_limit=limit),
+        lambda: explore_ce_star(program, IsolationLevel.CC, IsolationLevel.SER, time_limit=limit),
+        lambda: dfs(program, IsolationLevel.SER, time_limit=limit),
+    ):
+        with pytest.raises(ValueError, match="time_limit must be a number of seconds"):
+            run()
 
 
 def test_ctrl_c_raises_with_partial_counters():

@@ -21,9 +21,11 @@ from fixtures import (
     run_fresh,
     snapshot_blocker,
 )
+from txndpor import isolation
 from txndpor.explorer import causal_extension_exists
 from txndpor.generate import random_history, random_prefix, random_program
 from txndpor.isolation import (
+    _commit_order,
     axiom_instances,
     brute_force_consistency,
     brute_force_consistency_cached,
@@ -33,6 +35,7 @@ from txndpor.isolation import (
     total_order_satisfies,
 )
 from txndpor.model import (
+    ABORT,
     COMMITTED,
     INIT_TXN,
     EventId,
@@ -491,3 +494,187 @@ def test_derived_closure_of_a_begin():
     child = h.with_begin(TxnId(2, 0))
     for level in CLOSURE_LEVELS:
         assert _assert_derived_matches_full(child, level) == CYCLE_VERDICTS[level]
+
+
+# ---------------------------------------------------------------------------
+# Witness orders derived from the parent's (SER, SI)
+# ---------------------------------------------------------------------------
+
+WITNESS_LEVELS = (IsolationLevel.SER, IsolationLevel.SI)
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """Count the full searches :func:`check_consistency` runs from now on."""
+    calls = [0]
+
+    def counted(h, level):
+        calls[0] += 1
+        return _commit_order(h, level)
+
+    monkeypatch.setattr(isolation, "_commit_order", counted)
+    return calls
+
+
+def _assert_witness_matches_search(h: History, level: IsolationLevel) -> bool:
+    verdict = check_consistency(h, level)
+    assert verdict == (_commit_order(h, level) is not None), (h, level)
+    if len(h.txn_ids) <= 8:
+        assert brute_force_consistency(h, level) == verdict, (h, level)
+    return verdict
+
+
+def test_derived_ser_si_verdicts_agree_with_full_search_and_brute_force(monkeypatch):
+    """Every step of random runs, aborts included, is checked at SER and SI
+    from its parent's cached witness; the verdict must equal the full
+    search's and the brute-force oracle's, and most checks must be
+    answered without a search."""
+    searches = _count_searches(monkeypatch)
+    checks = inconsistent = aborts = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        program = parse(random_program(rng))
+        for _ in range(2):
+            for step, st in enumerate(_random_walk(rng, program)):
+                h = st.history.history
+                aborts += step > 0 and h.derivation[1].kind == ABORT
+                for level in WITNESS_LEVELS:
+                    # The parent was checked one step earlier, so every
+                    # check after the initial one consults its witness.
+                    assert step == 0 or level in h.derivation[0]
+                    checks += 1
+                    inconsistent += not _assert_witness_matches_search(h, level)
+    assert checks > 20_000
+    assert inconsistent > 1_000
+    assert aborts > 200
+    assert searches[0] < checks / 2
+
+
+def _x_writer(tid: TxnId) -> TransactionLog:
+    return _log(tid, write_event(tid, 1, "x", 1), commit_event(tid, 2))
+
+
+T00, T01, T10 = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
+
+
+def _witness_edits():
+    """(rule, parent, child, {level: (verdict, searched)}) for each rule of
+    the isolation module docstring, with hand-worked verdicts."""
+    init = init_log("x", "y")
+    both_derived = {level: (True, False) for level in WITNESS_LEVELS}
+
+    opened = History((init, _x_writer(T10)), ())
+    yield "begin", opened, opened.with_begin(T00), both_derived
+
+    writing = History((init, _log(T00, write_event(T00, 1, "x", 1))), ())
+    for rule, event in (
+        ("commit", commit_event(T00, 2)),
+        ("abort", abort_event(T00, 2)),
+        ("repeated write", write_event(T00, 2, "x", 2)),
+        ("internal read", read_event(T00, 2, "x")),
+    ):
+        yield rule, writing, writing.with_event(event), both_derived
+
+    # t0 wrote x while its session successor t1 read x from init: init <
+    # t0 < t1 breaks both levels, and only aborting t0 mends it.
+    broken = History(
+        (init, _log(T00, write_event(T00, 1, "x", 2)),
+         _log(T01, read_event(T01, 1, "x"), commit_event(T01, 2))),
+        ((EventId(T01, 1), INIT_TXN),),
+    )
+    yield "abort of an inconsistent parent", broken, broken.with_event(
+        abort_event(T00, 2)
+    ), {level: (True, True) for level in WITNESS_LEVELS}
+
+    reader_last = History((init, _x_writer(T00), _log(T10)), ())
+    yield "read, writer before the reader", reader_last, reader_last.with_event(
+        read_event(T10, 1, "x"), writer=T00
+    ), {IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)}
+
+    # The parent's witness is (init, t0, t10): the fast path must fall
+    # back, not answer False.
+    reader_first = History((init, _log(T00), _x_writer(T10)), ())
+    yield "read, writer after the reader", reader_first, reader_first.with_event(
+        read_event(T00, 1, "x"), writer=T10
+    ), {level: (True, True) for level in WITNESS_LEVELS}
+
+    # t10 already read y from t01, so t01's x lies between t00 and t10.
+    between = History(
+        (init, _x_writer(T00),
+         _log(T01, write_event(T01, 1, "x", 2), write_event(T01, 2, "y", 2),
+              commit_event(T01, 3)),
+         _log(T10, read_event(T10, 1, "y"))),
+        ((EventId(T10, 1), T01),),
+    )
+    yield "read, a writer between", between, between.with_event(
+        read_event(T10, 2, "x"), writer=T00
+    ), {level: (False, True) for level in WITNESS_LEVELS}
+
+    read_before = History(
+        (init, _log(T00, read_event(T00, 1, "x"), commit_event(T00, 2)), _log(T10)),
+        ((EventId(T00, 1), INIT_TXN),),
+    )
+    yield "first write after the reader", read_before, read_before.with_event(
+        write_event(T10, 1, "x", 1)
+    ), {IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)}
+
+    # The parent's witness is (init, t00, t10), where t00's new x would lie
+    # between init and t10's read; t10 can still go first.
+    read_after = History(
+        (init, _log(T00), _log(T10, read_event(T10, 1, "x"), commit_event(T10, 2))),
+        ((EventId(T10, 1), INIT_TXN),),
+    )
+    yield "first write before a reader", read_after, read_after.with_event(
+        write_event(T00, 1, "x", 1)
+    ), {level: (True, True) for level in WITNESS_LEVELS}
+
+    successor_read = History(
+        (init, _log(T00), _log(T01, read_event(T01, 1, "x"), commit_event(T01, 2))),
+        ((EventId(T01, 1), INIT_TXN),),
+    )
+    yield "first write before a session successor's read", successor_read, (
+        successor_read.with_event(write_event(T00, 1, "x", 2))
+    ), {level: (False, True) for level in WITNESS_LEVELS}
+
+
+@pytest.mark.parametrize("level", WITNESS_LEVELS)
+def test_witness_rules_on_hand_built_edits(level, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    for rule, parent, child, expected in _witness_edits():
+        check_consistency(parent, level)
+        before = searches[0]
+        verdict = _assert_witness_matches_search(child, level)
+        assert (verdict, searches[0] > before) == expected[level], (rule, level)
+
+
+@pytest.mark.parametrize("level", WITNESS_LEVELS)
+def test_find_commit_order_ignores_a_derived_witness(level):
+    """A begin appends its transaction to the parent's witness, which is
+    not the first valid extension; find_commit_order still finds that."""
+    parent = History((init_log("x"), _x_writer(T10)), ())
+    assert check_consistency(parent, level)
+    child = parent.with_begin(T00)
+    assert check_consistency(child, level)
+    assert child.consistency_cache[level] == (INIT_TXN, T10, T00)
+    assert find_commit_order(child, level).order == (INIT_TXN, T00, T10)
+    assert _first_valid_extension(child, level) == (INIT_TXN, T00, T10)
+
+
+def test_find_commit_order_is_the_full_search_after_derived_checks():
+    """On random runs, find_commit_order returns the first valid extension
+    whatever witness check_consistency has cached."""
+    differing = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        program = parse(random_program(rng))
+        for st in _random_walk(rng, program):
+            h = st.history.history
+            for level in WITNESS_LEVELS:
+                if not check_consistency(h, level):
+                    continue
+                found = find_commit_order(h, level).order
+                assert found == _commit_order(History(h.logs, h.wr), level)
+                if h.consistency_cache[level] != found:
+                    differing += 1
+                    if len(h.txn_ids) <= 6:
+                        assert found == _first_valid_extension(h, level)
+    assert differing > 100

@@ -18,6 +18,7 @@ from fixtures import (
     containment_trio,
     init_log,
     run_fresh,
+    track_history_memory,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import explore_ce
@@ -45,7 +46,6 @@ from txndpor.model import (
     drop_events,
     is_prefix,
     read_event,
-    track_history_memory,
     write_event,
 )
 from txndpor.oracles import canonical_sort
