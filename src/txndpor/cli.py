@@ -21,7 +21,6 @@ import os
 import random
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -61,20 +60,6 @@ class OracleCheckError(RuntimeError):
     """An exploration state failed one of the uniqueness oracles."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a single ``run`` invocation needs."""
-
-    mode: str
-    level: IsolationLevel
-    weak_level: IsolationLevel | None
-    emit: str | None
-    dedup: bool
-    oracle_check: bool
-    time_limit: float | None
-    stats_json: str | None
-
-
 def _configure_logging() -> None:
     value = os.environ.get("TXNDPOR_LOG", "off").lower()
     if value in ("", "off"):
@@ -106,57 +91,10 @@ def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) ->
     return value
 
 
-@cli.command()
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(_MODES), default="explore-ce",
-              help="Enumeration strategy.")
-@click.option("--level", type=click.Choice(_LEVEL_NAMES), default="cc",
-              help="Isolation level (the emission level, for star mode).")
-@click.option("--weak-level", type=click.Choice(_LEVEL_NAMES), default=None,
-              help="Traversal level for explore-ce-star.")
-@click.option("--emit", type=click.Path(dir_okay=False), default=None,
-              help="Write one JSON history per line to this file.")
-@click.option("--dedup", is_flag=True,
-              help="Suppress duplicate histories in the emitted file.")
-@click.option("--oracle-check", is_flag=True,
-              help="Verify the uniqueness oracles at every explored state.")
-@click.option("--time-limit", type=click.FloatRange(min=0), default=None,
-              callback=_not_nan,
-              help="Wall-clock budget in seconds.")
-@click.option("--stats-json", type=click.Path(dir_okay=False), default=None,
-              help="Write run counters as JSON to this file.")
-def run(
-    program: str,
-    mode: str,
-    level: str,
-    weak_level: str | None,
-    emit: str | None,
-    dedup: bool,
-    oracle_check: bool,
-    time_limit: float | None,
-    stats_json: str | None,
-) -> int:
-    """Enumerate the histories of PROGRAM."""
-    # An output must not overwrite the program or the other output.
-    named: dict[object, str] = {}
-    for option, path in (("PROGRAM", program), ("--emit", emit), ("--stats-json", stats_json)):
-        if path is None:
-            continue
-        other = named.setdefault(_file_identity(path), option)
-        if other != option:
-            raise click.UsageError(f"{other} and {option} name the same file {path}")
-    config = RunConfig(
-        mode=mode,
-        level=IsolationLevel.from_name(level),
-        weak_level=IsolationLevel.from_name(weak_level) if weak_level else None,
-        emit=emit,
-        dedup=dedup,
-        oracle_check=oracle_check,
-        time_limit=time_limit,
-        stats_json=stats_json,
-    )
-    text = Path(program).read_text()
-    return _execute_run(config, parse(text))
+def _level(
+    ctx: click.Context, param: click.Parameter, name: str | None
+) -> IsolationLevel | None:
+    return IsolationLevel.from_name(name) if name else None
 
 
 def _file_identity(path: str) -> object:
@@ -199,23 +137,61 @@ def _oracle_hook(prog: Program, level: IsolationLevel):
     return hook
 
 
-def _execute_run(config: RunConfig, prog: Program) -> int:
-    if config.mode == "explore-ce-star" and config.weak_level is None:
+@cli.command()
+@click.argument("program", type=click.Path(exists=True, dir_okay=False))
+@click.option("--mode", type=click.Choice(_MODES), default="explore-ce",
+              help="Enumeration strategy.")
+@click.option("--level", type=click.Choice(_LEVEL_NAMES), default="cc", callback=_level,
+              help="Isolation level (the emission level, for star mode).")
+@click.option("--weak-level", type=click.Choice(_LEVEL_NAMES), default=None,
+              callback=_level, help="Traversal level for explore-ce-star.")
+@click.option("--emit", type=click.Path(dir_okay=False), default=None,
+              help="Write one JSON history per line to this file.")
+@click.option("--dedup", is_flag=True,
+              help="Suppress duplicate histories in the emitted file.")
+@click.option("--oracle-check", is_flag=True,
+              help="Verify the uniqueness oracles at every explored state.")
+@click.option("--time-limit", type=click.FloatRange(min=0), default=None,
+              callback=_not_nan,
+              help="Wall-clock budget in seconds.")
+@click.option("--stats-json", type=click.Path(dir_okay=False), default=None,
+              help="Write run counters as JSON to this file.")
+def run(
+    program: str,
+    mode: str,
+    level: IsolationLevel,
+    weak_level: IsolationLevel | None,
+    emit: str | None,
+    dedup: bool,
+    oracle_check: bool,
+    time_limit: float | None,
+    stats_json: str | None,
+) -> int:
+    """Enumerate the histories of PROGRAM."""
+    # An output must not overwrite the program or the other output.
+    named: dict[object, str] = {}
+    for option, path in (("PROGRAM", program), ("--emit", emit), ("--stats-json", stats_json)):
+        if path is None:
+            continue
+        other = named.setdefault(_file_identity(path), option)
+        if other != option:
+            raise click.UsageError(f"{other} and {option} name the same file {path}")
+    prog = parse(Path(program).read_text())
+    if mode == "explore-ce-star" and weak_level is None:
         raise click.UsageError("explore-ce-star requires --weak-level")
-    if config.mode != "explore-ce-star" and config.weak_level is not None:
+    if mode != "explore-ce-star" and weak_level is not None:
         raise click.UsageError("--weak-level only applies to explore-ce-star")
-    if config.oracle_check and config.mode == "dfs":
+    if oracle_check and mode == "dfs":
         raise click.UsageError("--oracle-check applies to the explore modes")
-    _log.info("running %s at %s", config.mode, config.level.value)
+    _log.info("running %s at %s", mode, level.value)
 
     seen: set[bytes] = set()
     raw = 0
     violated: set[str] = set()  # rendered violated asserts, over all histories
     partial: BaseException | None = None  # what cut the run short
     hook = None
-    if config.oracle_check:
-        weak = config.weak_level or config.level
-        hook = _oracle_hook(prog, weak)
+    if oracle_check:
+        hook = _oracle_hook(prog, weak_level or level)
 
     def on_emit(st: ExplorationState) -> None:
         nonlocal raw
@@ -223,29 +199,27 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
         encoded = canonical_encode(st.history.history)
         fresh = encoded not in seen
         seen.add(encoded)
-        if out is not None and (fresh or not config.dedup):
+        if out is not None and (fresh or not dedup):
             out.write(encoded + b"\n")
         violated.update(assertions(st))
 
     # Open both outputs first, so that a bad path fails before the work.
     with ExitStack() as files:
-        out = files.enter_context(open(config.emit, "wb")) if config.emit else None
-        stats_out = (files.enter_context(open(config.stats_json, "w"))
-                     if config.stats_json else None)
+        out = files.enter_context(open(emit, "wb")) if emit else None
+        stats_out = files.enter_context(open(stats_json, "w")) if stats_json else None
         try:
-            if config.mode == "explore-ce":
+            if mode == "explore-ce":
                 stats = explore_ce(
-                    prog, config.level, emit=on_emit, entry_hook=hook,
-                    time_limit=config.time_limit,
+                    prog, level, emit=on_emit, entry_hook=hook, time_limit=time_limit
                 )
-            elif config.mode == "explore-ce-star":
-                assert config.weak_level is not None
+            elif mode == "explore-ce-star":
+                assert weak_level is not None
                 stats = explore_ce_star(
-                    prog, config.weak_level, config.level, emit=on_emit,
-                    entry_hook=hook, time_limit=config.time_limit,
+                    prog, weak_level, level, emit=on_emit, entry_hook=hook,
+                    time_limit=time_limit,
                 )
             else:
-                stats = dfs(prog, config.level, emit=on_emit, time_limit=config.time_limit)
+                stats = dfs(prog, level, emit=on_emit, time_limit=time_limit)
         except (TimeLimitExceeded, RunInterrupted) as exc:
             stats, partial = exc.stats, exc
         if stats_out is not None:
@@ -285,10 +259,9 @@ def _execute_run(config: RunConfig, prog: Program) -> int:
               help="Random cases per suite.")
 @click.option("--seed", type=int, default=0, help="Random seed.")
 @click.option("--level", type=click.Choice(["rc", "ra", "cc", "true"]), default="cc",
-              help="Exploration level for the program-based suites.")
-def verify(suite: str, cases: int, seed: int, level: str) -> int:
+              callback=_level, help="Exploration level for the program-based suites.")
+def verify(suite: str, cases: int, seed: int, level: IsolationLevel) -> int:
     """Cross-check the enumerator against its independent oracles."""
-    lvl = IsolationLevel.from_name(level)
     suites = _SUITES if suite == "all" else [suite]
     if cases == 0:
         for name in suites:
@@ -296,7 +269,7 @@ def verify(suite: str, cases: int, seed: int, level: str) -> int:
         return 0
     for name in suites:
         rng = random.Random(seed)
-        failure = _SUITE_RUNNERS[name](rng, cases, lvl)
+        failure = _SUITE_RUNNERS[name](rng, cases, level)
         if failure is not None:
             click.echo(f"{name}: FAILED")
             click.echo(failure)
@@ -311,12 +284,6 @@ def _encodings(enumerate_: Callable, prog: Program, level: IsolationLevel) -> li
     enumerate_(prog, level, emit=lambda st: out.append(
         canonical_encode(st.history.history)))
     return out
-
-
-def _corpus(rng: random.Random, cases: int) -> list[str]:
-    return list(EXAMPLE_PROGRAMS.values()) + [
-        random_program(rng) for _ in range(cases)
-    ]
 
 
 def _suite_axioms(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
@@ -343,64 +310,54 @@ def _suite_axioms(rng: random.Random, cases: int, level: IsolationLevel) -> str 
     return None
 
 
-def _suite_soundness(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
-    def unsound(prog: Program) -> bool:
-        return any(
-            not brute_force_consistency_cached(canonical_decode(enc), level)
-            for enc in _encodings(explore_ce, prog, level)
-        )
+def _corpus_suite(message: str, fails: Callable[[Program, IsolationLevel], bool]):
+    """A suite that walks the example programs and ``cases`` random ones;
+    on the first that ``fails`` at the level, it reports ``message`` and
+    the program shrunk."""
 
-    for src in _corpus(rng, cases):
-        if unsound(parse(src)):
-            return "inconsistent history emitted for:\n" + shrink_failing_program(
-                src, unsound
-            )
-    return None
+    def suite(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
+        def failing(prog: Program) -> bool:
+            return fails(prog, level)
 
+        randoms = [random_program(rng) for _ in range(cases)]
+        for src in list(EXAMPLE_PROGRAMS.values()) + randoms:
+            if failing(parse(src)):
+                return message + shrink_failing_program(src, failing)
+        return None
 
-def _suite_completeness(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
-    def incomplete(prog: Program) -> bool:
-        return set(_encodings(explore_ce, prog, level)) != set(_encodings(dfs, prog, level))
-
-    for src in _corpus(rng, cases):
-        if incomplete(parse(src)):
-            return "enumeration differs from the baseline for:\n" + (
-                shrink_failing_program(src, incomplete)
-            )
-    return None
+    return suite
 
 
-def _suite_optimality(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
-    def duplicated(prog: Program) -> bool:
-        encs = _encodings(explore_ce, prog, level)
-        return len(encs) != len(set(encs))
-
-    for src in _corpus(rng, cases):
-        if duplicated(parse(src)):
-            return "duplicate emission for:\n" + shrink_failing_program(src, duplicated)
-    return None
+def _unsound(prog: Program, level: IsolationLevel) -> bool:
+    return any(
+        not brute_force_consistency_cached(canonical_decode(enc), level)
+        for enc in _encodings(explore_ce, prog, level)
+    )
 
 
-def _suite_oracles(rng: random.Random, cases: int, level: IsolationLevel) -> str | None:
-    def violates(prog: Program) -> bool:
-        try:
-            explore_ce(prog, level, entry_hook=_oracle_hook(prog, level))
-        except OracleCheckError:
-            return True
-        return False
+def _incomplete(prog: Program, level: IsolationLevel) -> bool:
+    return set(_encodings(explore_ce, prog, level)) != set(_encodings(dfs, prog, level))
 
-    for src in _corpus(rng, cases):
-        if violates(parse(src)):
-            return "oracle violation for:\n" + shrink_failing_program(src, violates)
-    return None
+
+def _duplicated(prog: Program, level: IsolationLevel) -> bool:
+    encs = _encodings(explore_ce, prog, level)
+    return len(encs) != len(set(encs))
+
+
+def _violates_oracles(prog: Program, level: IsolationLevel) -> bool:
+    try:
+        explore_ce(prog, level, entry_hook=_oracle_hook(prog, level))
+    except OracleCheckError:
+        return True
+    return False
 
 
 _SUITE_RUNNERS = {
     "axioms": _suite_axioms,
-    "soundness": _suite_soundness,
-    "completeness": _suite_completeness,
-    "optimality": _suite_optimality,
-    "oracles": _suite_oracles,
+    "soundness": _corpus_suite("inconsistent history emitted for:\n", _unsound),
+    "completeness": _corpus_suite("enumeration differs from the baseline for:\n", _incomplete),
+    "optimality": _corpus_suite("duplicate emission for:\n", _duplicated),
+    "oracles": _corpus_suite("oracle violation for:\n", _violates_oracles),
 }
 
 

@@ -17,8 +17,9 @@ transaction but the reader is ever cut partway.
 
 Every state the traversal enters is the state that was checked:
 :func:`valid_writes`, :func:`dfs` and the gate check each extended history and
-pass those that hold to ``apply_event``, so no program code runs on a rejected
-child or swap.  Histories checked but never entered go through
+pass those that hold, with the action the walk stepped, to ``advance``, so
+each event is stepped once and no program code runs on a rejected child or
+swap.  Histories checked but never entered go through
 ``_consistent_writers``, which yields the offered writers whose wr edge keeps
 the history consistent: the gate offers the reader's causal predecessors,
 highest priority first, and takes the first; :func:`causal_extension_exists`
@@ -64,6 +65,7 @@ from .program import (
     LocalState,
     NextAction,
     Program,
+    advance,
     apply_event,
     replay,
     step_local,
@@ -159,16 +161,21 @@ def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
     return [t for t in reversed(hist.txn_ids) if txn in closure[t]]
 
 
-def _read_extensions(
-    st: ExplorationState, read: Event
-) -> Iterator[tuple[TxnId, OrderedHistory]]:
-    """``st``'s history extended by the external ``read`` observing each
-    committed transaction that writes its variable, in the order they entered."""
+def _extensions(
+    st: ExplorationState, action: NextAction
+) -> Iterator[tuple[TxnId | None, OrderedHistory]]:
+    """``st``'s history extended by ``action``'s event, with its writer: an
+    external read observing each committed transaction that writes its
+    variable, in the order they entered; any other event with no writer."""
+    event = action.event
+    if not action.is_external_read:
+        yield None, st.history.append(event)
+        return
     hist = st.history.history
     for t in st.history.txn_spans:  # keyed in the order transactions entered
         log = hist.txn(t)
-        if log.status == COMMITTED and log.writes_var(read.var):  # type: ignore[arg-type]
-            yield t, st.history.append(read, writer=t)
+        if log.status == COMMITTED and log.writes_var(event.var):  # type: ignore[arg-type]
+            yield t, st.history.append(event, writer=t)
 
 
 def valid_writes(
@@ -180,11 +187,10 @@ def valid_writes(
     they entered the history; each value is ``st`` extended by the read
     observing that writer, built only when its history is ``level``-consistent.
     """
-    event = action.event
-    assert event.kind == READ and event.var is not None
+    assert action.is_external_read
     return {
-        t: apply_event(st, event, writer=t, history=h)
-        for t, h in _read_extensions(st, event)
+        t: advance(st, action, t, h)
+        for t, h in _extensions(st, action)
         if check_consistency(h.history, level)
     }
 
@@ -394,11 +400,11 @@ def optimality(
         if not reads_causally_latest(h, level, read_id, t):
             return None
     base = _swap_base(st, r, dropset)
-    pivot = h.history.event(r)
-    rebuilt = base.history.append(pivot, writer=t)
+    pivot = step_local(base, r.txn.session)
+    rebuilt = base.history.append(pivot.event, writer=t)
     if not check_consistency(rebuilt.history, level):
         return None
-    return apply_event(base, pivot, writer=t, history=rebuilt)
+    return advance(base, pivot, t, rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +531,7 @@ def _explore(
                 stats.blocked_calls += 1
                 return
         else:
-            children = [apply_event(st, action.event)]
+            children = [advance(st, action)]
         for child in children:
             yield child, st
             for cand in compute_reorderings(child.history):
@@ -571,22 +577,18 @@ def dfs(
         pending = st.history.history.pending_txns()
         if pending:
             assert len(pending) == 1
-            action = step_local(st, pending[0].session)
-            event = action.event
-            if action.is_external_read:
-                extensions = [(event, t, h) for t, h in _read_extensions(st, event)]
-            else:
-                extensions = [(event, None, st.history.append(event))]
+            actions = [step_local(st, pending[0].session)]
         else:
-            extensions = [
-                (begin_event(tid), None, st.history.append(begin_event(tid)))
+            actions = [
+                NextAction(begin_event(tid))
                 for session in range(len(program.sessions))
                 if (tid := st.next_unstarted_txn(session)) is not None
             ]
         # Checked here, not in valid_writes, so traced runs count them under dfs.
         children = [
-            apply_event(st, event, writer=writer, history=h)
-            for event, writer, h in extensions
+            advance(st, action, writer, h)
+            for action in actions
+            for writer, h in _extensions(st, action)
             if check_consistency(h.history, level)
         ]
         if not children:

@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterator
 
 from .model import (
     ABORT,
@@ -97,6 +97,7 @@ from .model import (
     TxnId,
     canonical_encode,
     causal_reachable,
+    closure_with_edges,
 )
 
 # ---------------------------------------------------------------------------
@@ -401,35 +402,23 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
     reach = parent_cache.get(level)
     if level not in parent_cache or event.kind == ABORT:
         # An abort takes away the aborted writes' forced edges.
-        reach = _with_edges(h.causal_closure, forced_edges(h, level))
+        reach = closure_with_edges(h.causal_closure, forced_edges(h, level))
     elif reach is not None:  # every other edit only adds edges: a cycle stays
         t = event.id.txn
         if event.kind == BEGIN:
             same = h.sessions[t.session]
             pred = same[-2] if len(same) > 1 else INIT_TXN
-            reach = _with_edges({**reach, t: frozenset()}, [(pred, t)])
+            reach = closure_with_edges({**reach, t: frozenset()}, [(pred, t)])
         elif writer is not None:
             readers = h.causal_closure[t] | {t}
             new = _forced_edges_of(h, level, readers, _writers_by_var(h))
-            reach = _with_edges(reach, [(writer, t), *new])
+            reach = closure_with_edges(reach, [(writer, t), *new])
         elif event.kind == WRITE and not h.txn(t).has_own_write_before(
             event.id.index, event.var  # type: ignore[arg-type]
         ):
             new = _forced_edges_of(h, level, h.by_id, {event.var: [t]})  # type: ignore[dict-item]
-            reach = _with_edges(reach, new)
+            reach = closure_with_edges(reach, new)
     cache[level] = reach
-    return reach
-
-
-def _with_edges(reach: dict, edges: Iterable[tuple[TxnId, TxnId]]) -> dict | None:
-    """``reach`` closed under ``edges`` (a new dict), or None on a cycle."""
-    for a, b in edges:
-        if a == b or a in reach[b]:
-            return None
-        if b in reach[a]:
-            continue
-        gained = reach[b] | {b}
-        reach = {x: r | gained if x == a or a in r else r for x, r in reach.items()}
     return reach
 
 

@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -452,11 +452,9 @@ class History:
         adjacency = dict(self.causal_adjacency)
         adjacency[pred] = tuple(sorted(adjacency[pred] + (txn,)))
         adjacency[txn] = ()
-        closure = {
-            a: c | {txn} if a == pred or pred in c else c
-            for a, c in self.causal_closure.items()
-        }
-        closure[txn] = frozenset()
+        closure = closure_with_edges(
+            {**self.causal_closure, txn: frozenset()}, [(pred, txn)]
+        )
         return History._derived(
             logs,
             self.wr,
@@ -498,9 +496,8 @@ class History:
         wr_txn_pairs = self.wr_txn_pairs
         if writer is not None:
             _check_wr_edge(self.by_id, new_log, event.id, writer)
-            # The new edge closes a cycle exactly when the reader already
-            # reaches the writer.
-            if writer in closure[log.id]:
+            closure = closure_with_edges(closure, [(writer, log.id)])
+            if closure is None:
                 raise ValueError("so union wr is cyclic")
             wr = tuple(sorted(wr + ((event.id, writer),)))
             wr_map = dict(wr)
@@ -510,11 +507,6 @@ class History:
                 if log.id not in adjacency[writer]:
                     adjacency = dict(adjacency)
                     adjacency[writer] = tuple(sorted(adjacency[writer] + (log.id,)))
-                gained = closure[log.id] | {log.id}
-                closure = {
-                    a: c | gained if a == writer or writer in c else c
-                    for a, c in closure.items()
-                }
         return History._derived(
             logs,
             wr,
@@ -554,6 +546,22 @@ def _check_wr_edge(
 # ---------------------------------------------------------------------------
 # Relation helpers
 # ---------------------------------------------------------------------------
+
+
+def closure_with_edges(
+    reach: dict[TxnId, frozenset[TxnId]], edges: Iterable[tuple[TxnId, TxnId]]
+) -> dict[TxnId, frozenset[TxnId]] | None:
+    """The transitive closure ``reach`` (each transaction's strict
+    successors) closed under ``edges``: a new dict, or ``reach`` itself when
+    every edge is already in it, or None when an edge closes a cycle."""
+    for a, b in edges:
+        if a == b or a in reach[b]:
+            return None
+        if b in reach[a]:
+            continue
+        gained = reach[b] | {b}
+        reach = {x: r | gained if x == a or a in r else r for x, r in reach.items()}
+    return reach
 
 
 def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:

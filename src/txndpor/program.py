@@ -19,10 +19,13 @@ instruction, and an ``assert`` may only appear as the last instruction of a
 session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
-state reached by running the program along it; :func:`replay` rebuilds that
-state from scratch (or from a swap's cut state) along a sequence of a
-history's events, applying each with :func:`apply_event`, which verifies it
-against the program semantics.
+state reached by running the program along it.  :func:`apply_event` is the
+checked boundary: it accepts an event only if it equals the program's own
+next event for its session, then applies it with :func:`advance`.  The
+explorer's walks call :func:`advance` directly with the action they stepped,
+so each event is stepped once.  :func:`replay` rebuilds a state from scratch
+(or from a swap's cut state) along a sequence of a history's events, checking
+each through :func:`apply_event`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .model import (
     OrderedHistory,
     TxnId,
     abort_event,
+    begin_event,
     commit_event,
     read_event,
     write_event,
@@ -647,6 +651,8 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     already consumed when the transaction reached this point, so the result
     is determined by the queue head (or commit, when the queue is empty).
     """
+    if not 0 <= session < len(st.sessions):
+        raise ProgramError(f"session {session} is not in the program")
     ls = st.sessions[session]
     if not ls.in_txn:
         raise ProgramError(f"session {session} has no open transaction")
@@ -673,60 +679,61 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
 
 
 def apply_event(
+    st: ExplorationState, event: Event, writer: TxnId | None = None
+) -> ExplorationState:
+    """Apply one database event, checked against the program semantics.
+
+    ``event`` must equal the program's own next event of its session: the
+    begin of the session's next transaction, or what :func:`step_local`
+    resolves in its open one, a write's value included.  An external read
+    needs a ``writer`` that writes its variable, and observes that writer's
+    final write on it; no other event takes a writer.  Raises
+    :class:`ProgramError` for any other input, and applies the event with
+    :func:`advance` otherwise.
+    """
+    session = event.id.txn.session
+    if not 0 <= session < len(st.sessions):
+        raise ProgramError(f"session {session} is not in the program")
+    if event.kind == BEGIN and not st.sessions[session].in_txn:
+        tid = st.next_unstarted_txn(session)
+        action = NextAction(begin_event(tid)) if tid is not None else None
+    else:
+        action = step_local(st, session)
+    if action is None or action.event != event:
+        raise ProgramError(
+            f"{event} does not match the program's next event "
+            f"{action.event if action else None}"
+        )
+    if action.is_external_read:
+        if writer is None:
+            raise ProgramError(f"external read {event.id} needs a writer")
+        wlog = st.history.history.by_id.get(writer)
+        if wlog is None or not wlog.writes_var(event.var):  # type: ignore[arg-type]
+            raise ProgramError(f"{writer} has no write on {event.var!r}")
+    elif writer is not None:
+        what = "internal reads" if event.kind == READ else f"{event.kind} events"
+        raise ProgramError(f"{what} take no writer")
+    return advance(st, action, writer)
+
+
+def advance(
     st: ExplorationState,
-    event: Event,
+    action: NextAction,
     writer: TxnId | None = None,
     history: OrderedHistory | None = None,
 ) -> ExplorationState:
-    """Apply one database event, checking it against the program semantics.
+    """Apply ``action``, the program's next event as :func:`step_local` or a
+    begin of :meth:`ExplorationState.next_unstarted_txn` gives it, unchecked.
 
-    Begin events open the session's next transaction; read events assign the
-    observed value (the writer's final write on the variable, or the
-    transaction's own latest write for internal reads); write events are
-    verified to carry exactly the value the program computes here.  Raises
-    :class:`ProgramError` when the event does not match the program.
-
-    ``history``, when given, is ``st.history.append(event, writer=writer)``
-    already built and checked by the caller, and is entered as is: no
-    program code after the event runs before that check.
+    ``writer`` is an external read's writer, whose final write on the
+    variable the read observes.  ``history``, when given, is
+    ``st.history.append(action.event, writer=writer)`` already built and
+    checked by the caller, and is entered as is: no program code after the
+    event runs before that check.
     """
+    event = action.event
     session = event.id.txn.session
     ls = st.sessions[session]
-    if writer is not None and event.kind != READ:
-        raise ProgramError(f"{event.kind} events take no writer")
-    if event.kind == BEGIN:
-        expected = st.next_unstarted_txn(session)
-        if expected != event.id.txn:
-            raise ProgramError(f"cannot begin {event.id.txn}, expected {expected}")
-    else:
-        action = step_local(st, session)
-        if action.event.id != event.id or action.event.kind != event.kind:
-            raise ProgramError(
-                f"event {event.id}:{event.kind} does not match the program's "
-                f"next action {action.event.id}:{action.event.kind}"
-            )
-        if event.kind == READ:
-            if event.var != action.event.var:
-                raise ProgramError(f"read of {event.var!r} where program reads "
-                                   f"{action.event.var!r}")
-            if action.internal_value is not None:
-                if writer is not None:
-                    raise ProgramError("internal reads take no writer")
-                value = action.internal_value
-            else:
-                if writer is None:
-                    raise ProgramError(f"external read {event.id} needs a writer")
-                wlog = st.history.history.txn(writer)
-                wev = wlog.write_set.get(event.var)  # type: ignore[arg-type]
-                if wev is None:
-                    raise ProgramError(f"{writer} has no write on {event.var!r}")
-                value = wev.value
-        elif event.kind == WRITE:
-            if event.var != action.event.var or event.value != action.event.value:
-                raise ProgramError(
-                    f"write {event.var}={event.value} does not match the program's "
-                    f"{action.event.var}={action.event.value}"
-                )
     hist = history if history is not None else st.history.append(event, writer=writer)
     if event.kind == BEGIN:
         env = ls.env
@@ -736,8 +743,11 @@ def apply_event(
     elif event.kind in (READ, WRITE):
         env = ls.env
         if event.kind == READ:
-            assert action.target is not None and value is not None
-            env[action.target] = value
+            assert action.target is not None
+            env[action.target] = (
+                action.internal_value if writer is None
+                else st.history.history.txn(writer).write_set[event.var].value  # type: ignore[index]
+            )
         queue = _normalize(env, ls.queue[1:])
         new_ls = replace(ls, locals=_freeze_env(env), queue=queue)
     else:  # COMMIT or ABORT

@@ -21,6 +21,7 @@ from fixtures import (
     run_fresh,
     track_history_memory,
 )
+from txndpor import explorer
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
     RunInterrupted,
@@ -42,7 +43,9 @@ from txndpor.explorer import (
 from txndpor.generate import random_program
 from txndpor.isolation import check_consistency
 from txndpor.model import (
+    ABORT,
     ABORTED,
+    BEGIN,
     COMMIT,
     COMMITTED,
     INIT_TXN,
@@ -60,7 +63,14 @@ from txndpor.model import (
     read_event,
     write_event,
 )
-from txndpor.program import ExplorationState, apply_event, parse, replay, step_local
+from txndpor.program import (
+    ExplorationState,
+    advance,
+    apply_event,
+    parse,
+    replay,
+    step_local,
+)
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
@@ -192,6 +202,46 @@ def test_reachable_reads_extend_causally_within_their_valid_writes(level):
             for t, child in children.items():
                 assert child == apply_event(st, event, writer=t)
     assert reads
+
+
+WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [(dfs, IsolationLevel.SER)]
+
+
+@pytest.mark.parametrize(
+    "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
+)
+def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch):
+    """The walks apply the action they stepped with ``advance``, unchecked.
+    Every state they build that way, of every event kind, equals
+    ``apply_event`` of the same event and writer after its checks.  Every
+    state ``explore_ce`` enters is ``apply_event`` of its last event on its
+    parent, or, for a swapped state, ``swap`` of its parent."""
+    kinds: set[str] = set()
+
+    def checked_advance(st, action, writer=None, history=None):
+        child = advance(st, action, writer, history)
+        assert child == apply_event(st, action.event, writer)
+        kinds.add(action.event.kind)
+        return child
+
+    monkeypatch.setattr(explorer, "advance", checked_advance)
+    swaps = 0
+    for name in sorted(EXAMPLE_PROGRAMS):
+        if walk is dfs:
+            assert dfs(example(name), level).outputs
+            continue
+        for parent, st in entered_states(example(name), level):
+            if parent is None:
+                continue
+            last = st.history.order[-1]
+            writer = st.history.history.wr_map.get(last)
+            if st.history.order[:-1] == parent.history.order:
+                assert st == apply_event(parent, st.history.history.event(last), writer)
+            else:
+                assert st == swap(parent, last, writer)
+                swaps += 1
+    assert kinds == {BEGIN, READ, WRITE, COMMIT, ABORT}
+    assert swaps or walk is dfs
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from txndpor.model import (
     INIT_TXN,
     READ,
     WRITE,
+    Event,
     IsolationLevel,
     TxnId,
     begin_event,
@@ -317,6 +319,77 @@ def test_apply_event_rejects_an_external_read_without_a_writer():
     with pytest.raises(ProgramError, match="needs a writer"):
         apply_event(done, read_event(left1, 1, "x"))
     assert prog is done.program
+
+
+# Session s's first transaction writes x, reads it back (internal) and reads
+# y (external); w's transaction writes only x.
+REJECTIONS_SOURCE = """\
+session s { txn { write(x, 5); a = read(x); b = read(y); } txn { c = read(x); } }
+session w { txn { write(x, 1); } }
+"""
+S0, S1, W = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
+S0_WRITE = write_event(S0, 1, "x", 5)
+# w runs to its commit, then s runs up to its external read of y.
+REJECTIONS_PREFIX = [
+    (begin_event(W), None),
+    (write_event(W, 1, "x", 1), None),
+    (commit_event(W, 2), None),
+    (begin_event(S0), None),
+    (S0_WRITE, None),
+    (read_event(S0, 2, "x"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, event, writer, expected",
+    [
+        (0, begin_event(S1), None, begin_event(S0)),
+        (0, begin_event(TxnId(2, 0)), None, "session 2 is not in the program"),
+        (0, begin_event(TxnId(-2, 0)), None, "session -2 is not in the program"),
+        (0, commit_event(S0, 1), None, "no open transaction"),
+        (4, begin_event(S1), None, S0_WRITE),
+        (4, S0_WRITE, INIT_TXN, "write events take no writer"),
+        (4, write_event(S0, 1, "x", 6), None, S0_WRITE),
+        (4, write_event(S0, 1, "y", 5), None, S0_WRITE),
+        (4, commit_event(S0, 1), None, S0_WRITE),
+        (5, read_event(S0, 2, "x"), INIT_TXN, "internal reads take no writer"),
+        (6, read_event(S0, 3, "y"), None, "needs a writer"),
+        (6, read_event(S0, 3, "x"), INIT_TXN, read_event(S0, 3, "y")),
+        (6, read_event(S0, 3, "y"), W, "has no write on 'y'"),
+        (6, read_event(S0, 3, "y"), S1, "has no write on 'y'"),
+    ],
+    ids=[
+        "begin-out-of-turn", "session-too-large", "session-negative",
+        "no-open-transaction", "begin-inside-a-transaction", "writer-on-a-write",
+        "wrong-write-value", "wrong-write-variable", "wrong-kind",
+        "writer-on-an-internal-read", "external-read-without-writer",
+        "wrong-read-variable", "writer-lacking-the-write", "writer-not-in-history",
+    ],
+)
+def test_apply_event_rejects_what_the_program_does_not_do(steps, event, writer, expected):
+    """``expected`` is the message, or for a mismatch the program's own next
+    event, which the message names in full next to the rejected one."""
+    st = ExplorationState.initial(parse(REJECTIONS_SOURCE))
+    for ev, w in REJECTIONS_PREFIX[:steps]:
+        st = apply_event(st, ev, writer=w)
+    if isinstance(expected, Event):
+        expected = re.escape(f"{event} does not match the program's next event {expected}")
+    with pytest.raises(ProgramError, match=expected):
+        apply_event(st, event, writer=writer)
+
+
+@pytest.mark.parametrize("session", [-2, 2])
+def test_sessions_outside_the_program_are_rejected(session):
+    """A negative session must not alias one counted from the end, and one
+    past the last must not raise IndexError: step_local, apply_event and
+    replay all reject both."""
+    prog = parse(REJECTIONS_SOURCE)
+    st = ExplorationState.initial(prog)
+    with pytest.raises(ProgramError, match=f"session {session} is not in the program"):
+        step_local(st, session)
+    foreign = st.history.append(begin_event(TxnId(session, 0)))
+    with pytest.raises(ProgramError, match=f"session {session} is not in the program"):
+        replay(prog, foreign.history, foreign.order)
 
 
 def test_trailing_assignment_feeds_the_next_transaction():
