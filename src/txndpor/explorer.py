@@ -11,19 +11,18 @@ that read observing the newly committed writer, deleting everything that
 causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
-A swap and its gate cut the current state instead of rebuilding it from the
-root (see :func:`_swap_base`); transactions run one at a time, so no
-transaction but the reader is ever cut partway.
+A swap cuts the current state instead of rebuilding it from the root (see
+:func:`_swap_base`); transactions run one at a time, so no transaction but
+the reader is ever cut partway.  The gate builds no cut at all: which writer
+the cut would offer each affected read is a query on the current history
+(:func:`reads_causally_latest`, whose docstring proves the two agree).
 
 Every state the traversal enters is the state that was checked:
 :func:`valid_writes`, :func:`dfs` and the gate check each extended history and
 pass those that hold, with the action the walk stepped, to ``advance``, so
 each event is stepped once and no program code runs on a rejected child or
-swap.  Histories checked but never entered go through
-``_consistent_writers``, which yields the offered writers whose wr edge keeps
-the history consistent: the gate offers the reader's causal predecessors,
-highest priority first, and takes the first; :func:`causal_extension_exists`
-asks whether any qualifies.
+swap.  The only histories checked but never entered are the extensions
+:func:`causal_extension_exists` tries.
 
 Both searches run in one loop, ``_walk``, over an explicit stack of per-node
 generators, so no run is bounded by the interpreter's recursion limit.
@@ -41,9 +40,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from .isolation import check_consistency
+from .isolation import _forced_edges_of, _writers_by_var, check_consistency
 from .model import (
     COMMIT,
     COMMITTED,
@@ -58,6 +57,7 @@ from .model import (
     begin_event,
     causal_reachable,
     causally_before_or_equal,
+    closure_with_edges,
     drop_events,
 )
 from .program import (
@@ -138,29 +138,6 @@ def next_event(st: ExplorationState) -> NextAction | None:
     return None
 
 
-def _consistent_writers(
-    hist: History, read: Event, level: IsolationLevel, candidates: Iterable[TxnId]
-) -> Iterator[TxnId]:
-    """The candidate writers of ``read``, in the given order.
-
-    Yields each candidate that writes ``read.var`` and keeps ``hist``
-    ``level``-consistent once ``read`` is appended observing it.  Used for
-    histories that are checked but never entered: the gate's cut histories
-    and :func:`causal_extension_exists`.
-    """
-    for t in candidates:
-        if hist.txn(t).writes_var(read.var) and check_consistency(  # type: ignore[arg-type]
-            hist.with_event(read, writer=t), level
-        ):
-            yield t
-
-
-def _causal_predecessors(hist: History, txn: TxnId) -> list[TxnId]:
-    """Transactions causally before ``txn``, highest priority first."""
-    closure = hist.causal_closure
-    return [t for t in reversed(hist.txn_ids) if txn in closure[t]]
-
-
 def _extensions(
     st: ExplorationState, action: NextAction
 ) -> Iterator[tuple[TxnId | None, OrderedHistory]]:
@@ -221,7 +198,12 @@ def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool
     if e.id.index != len(log.events):
         raise ValueError(f"event {e.id} is not the next event of {t}")
     if e.kind == READ and not log.has_own_write_before(e.id.index, e.var):  # type: ignore[arg-type]
-        return any(_consistent_writers(h, e, level, _causal_predecessors(h, t)))
+        return any(
+            t in h.causal_closure[w]
+            and h.txn(w).writes_var(e.var)  # type: ignore[arg-type]
+            and check_consistency(h.with_event(e, writer=w), level)
+            for w in h.txn_ids
+        )
     return check_consistency(h.with_event(e), level)
 
 
@@ -259,13 +241,8 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
 
 def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     """Events strictly after ``r`` whose transaction is not causally before ``t``."""
-    pos_r = h.position[r]
-    return {
-        eid
-        for eid in h.order
-        if h.position[eid] > pos_r
-        and not causally_before_or_equal(h.history, eid.txn, t)
-    }
+    after = h.order[h.position[r] + 1 :]
+    return {eid for eid in after if not causally_before_or_equal(h.history, eid.txn, t)}
 
 
 def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:
@@ -288,6 +265,14 @@ def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> Explo
     return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
 
 
+def _external_read(h: OrderedHistory, r: EventId) -> Event:
+    """The event ``r``, which must be an external read of ``h``."""
+    ev = h.history.event(r) if r in h.position else None
+    if ev is None or ev not in h.history.txn(r.txn).read_set:
+        raise ValueError(f"event {r} is not an external read of the history")
+    return ev
+
+
 def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     """Rebuild the history with read ``r`` observing transaction ``t``.
 
@@ -299,10 +284,11 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     is recomputed from the new value of ``r``.
     """
     h = st.history
+    pivot = _external_read(h, r)
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
     base = _swap_base(st, r, _swap_drop_set(h, r, t))
-    return apply_event(base, h.history.event(r), writer=t)
+    return apply_event(base, pivot, writer=t)
 
 
 def swapped(h: OrderedHistory, r: EventId) -> bool:
@@ -358,17 +344,84 @@ def reads_causally_latest(
     candidates are the transactions causally before the reader that write
     the variable and keep the cut history consistent when ``r`` is
     re-appended reading from them.  True when ``r``'s writer in ``h`` is the
-    highest-priority candidate; lower-priority candidates are not checked.
+    highest-priority candidate.  ``h`` must be ``level``-consistent, run
+    its transactions one at a time and let reads observe committed writers
+    only, as every state :func:`explore_ce` and :func:`dfs` enter does.
+
+    The cut is never built: the verdict is a query on ``h``, exact by the
+    following.  Let R be the reader; a transaction the cut keeps whole is
+    *kept*.
+
+    - Only R is cut partway.  Any other transaction lies wholly before
+      ``r``, and is kept, or wholly after it, and is kept iff it is
+      causally at or before ``t``.
+    - Nothing cut reaches a kept transaction.  R's session successors and
+      readers run after it commits, so after ``r``, and none is causally
+      before ``t``, or R would be; a dropped transaction causally before a
+      kept one would be kept.  So every so/wr path between kept
+      transactions stays among them, and ``h.causal_closure`` restricted
+      to them is the cut's causality, except toward R: R's causal past P
+      in the cut is its session predecessors, the writers of its reads
+      before ``r`` and whatever reaches those.  As the query only adds
+      edges between kept transactions, it may close ``h.causal_closure``
+      under them whole: no cycle through a cut transaction can close.
+    - The cut is consistent.  Its forced edges are those of the kept
+      reads.  A kept transaction's reads keep ``h``'s premises, and a
+      writer meeting one is kept and is not R, so their edges are the
+      checker's own on ``h``.  R's reads before ``r`` take
+      the premise toward R in the cut: at rc the writers of R's earlier
+      reads, as in ``h``; at ra R's session predecessors and the writers
+      of its kept reads; at cc P.  Each lies within ``h``'s premise, so
+      the cut's so, wr and forced edges are some of ``h``'s, which are
+      acyclic.
+    - The candidate test.  Appending ``r`` observing a ``w`` in P adds the
+      wr edge (``w``, R), which changes no causality, and the forced edges
+      (``t2``, ``w``) for every other writer ``t2`` of the variable in R's
+      premise above.  At ra the new wr pair also puts ``w`` in the premise
+      of R's kept reads, which adds (``w``, ``w_y``) for each that observes
+      a ``w_y != w`` on a variable ``w`` writes.  ``w`` is accepted iff
+      these edges close no cycle in the closure of the cut's graph.
+    - ``r``'s own writer, when in P, is always accepted: every edge it
+      adds is one of ``h``'s.  At TRUE every candidate is.  So the verdict
+      is that ``r``'s writer is in P and every member of P above it that
+      writes the variable is rejected.
     """
-    if causally_before_or_equal(h.history, r.txn, t):
-        raise ValueError(f"reader {r.txn} is causally before {t}")
-    base = drop_events(h, _swap_drop_set(h, r, t) | {r}).history
-    fresh = Event(r, READ, var=h.history.event(r).var)
-    latest = next(
-        _consistent_writers(base, fresh, level, _causal_predecessors(base, r.txn)),
-        None,
-    )
-    return latest is not None and latest == h.history.wr_map.get(r)
+    hist = h.history
+    var = _external_read(h, r).var
+    reader = r.txn
+    if causally_before_or_equal(hist, reader, t):
+        raise ValueError(f"reader {reader} is causally before {t}")
+    closure, current = hist.causal_closure, hist.wr_map.get(r)
+    earlier = [(e.id, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
+    direct = {w for _, w in earlier} | {u for u in hist.txn_ids if (u, reader) in hist.so_pairs}
+    past = direct | {u for u in hist.txn_ids if not closure[u].isdisjoint(direct)}
+    if current not in past:
+        return False
+    above = [w for w in past if w > current and hist.by_id[w].writes_var(var)]  # type: ignore[arg-type]
+    if not above or level is IsolationLevel.TRUE:
+        return not above
+    kept = {
+        u for u in hist.txn_ids
+        if u != reader and (h.txn_before_event(u, r) or causally_before_or_equal(hist, u, t))
+    }
+    reach = closure_with_edges(closure, _forced_edges_of(hist, level, kept, _writers_by_var(hist)))
+
+    def closes_cycle(w: TxnId) -> bool:
+        """Whether R's reads in the cut and then ``r`` observing ``w`` force a cycle."""
+        edges: list[tuple[TxnId, TxnId]] = []
+        seen: set[TxnId] = set()
+        fixed = direct | {w} if level is IsolationLevel.RA else past
+        for rid, observed in earlier + [(r, w)]:
+            before = seen if level is IsolationLevel.RC else fixed
+            y = hist.event(rid).var
+            edges += [
+                (t2, observed) for t2 in before
+                if t2 != observed and hist.by_id[t2].writes_var(y)  # type: ignore[arg-type]
+            ]
+            seen.add(observed)
+        return closure_with_edges(reach, edges) is None
+
+    return all(closes_cycle(w) for w in above)
 
 
 def optimality(

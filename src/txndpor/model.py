@@ -21,8 +21,8 @@ with the same rules and messages.  The one-event edits (:meth:`History.with_begi
 :meth:`History.with_event`, :meth:`OrderedHistory.append`) carry the parent's
 derived relations forward updated by the delta; only a begin that is not last
 in its session, or is in the init session, falls back to full validation.
-:func:`drop_events`, the cut a swap and its gate make, recomputes them from
-the result instead, since deleting events can shrink causality.
+:func:`drop_events`, the cut a swap makes, recomputes them from the result
+instead, since deleting events can shrink causality.
 
 :func:`canonical_encode` builds a history's bytes from JSON fragments cached
 on its immutable logs (:attr:`TransactionLog.fragment`); emitted histories

@@ -686,8 +686,8 @@ def apply_event(
     ``event`` must equal the program's own next event of its session: the
     begin of the session's next transaction, or what :func:`step_local`
     resolves in its open one, a write's value included.  An external read
-    needs a ``writer`` that writes its variable, and observes that writer's
-    final write on it; no other event takes a writer.  Raises
+    needs a committed ``writer`` that writes its variable, and observes that
+    writer's final write on it; no other event takes a writer.  Raises
     :class:`ProgramError` for any other input, and applies the event with
     :func:`advance` otherwise.
     """
@@ -710,6 +710,8 @@ def apply_event(
         wlog = st.history.history.by_id.get(writer)
         if wlog is None or not wlog.writes_var(event.var):  # type: ignore[arg-type]
             raise ProgramError(f"{writer} has no write on {event.var!r}")
+        if wlog.status != COMMITTED:
+            raise ProgramError(f"{writer} has not committed; {event.id} cannot observe it")
     elif writer is not None:
         what = "internal reads" if event.kind == READ else f"{event.kind} events"
         raise ProgramError(f"{what} take no writer")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,12 @@ from txndpor.model import (
     INIT_TXN,
     READ,
     WRITE,
+    Event,
+    EventId,
+    History,
     IsolationLevel,
+    OrderedHistory,
+    TransactionLog,
     TxnId,
     begin_event,
     canonical_encode,
@@ -473,6 +479,162 @@ def test_gate_accepts_everything_on_the_flip_example():
     assert reasons == []
 
 
+def _reads_causally_latest_by_cut(h, level, r, t) -> bool:
+    """The reference for ``reads_causally_latest``: build the cut history a
+    swap on ``r`` toward ``t`` leaves up to just before ``r``, then try the
+    reader's causal predecessors in the cut, highest priority first, as
+    ``r``'s writer, each checked for consistency from scratch.  True when
+    the first that writes the variable and keeps the cut consistent is
+    ``r``'s writer in ``h``."""
+    if causally_before_or_equal(h.history, r.txn, t):
+        raise ValueError(f"reader {r.txn} is causally before {t}")
+    base = drop_events(h, _swap_drop_set(h, r, t) | {r}).history
+    fresh = Event(r, READ, var=h.history.event(r).var)
+    closure = base.causal_closure
+    for w in reversed(base.txn_ids):
+        if (
+            r.txn in closure[w]
+            and base.txn(w).writes_var(fresh.var)
+            and check_consistency(base.with_event(fresh, writer=w), level)
+        ):
+            return w == h.history.wr_map.get(r)
+    return False
+
+
+def _gate_queries(prog, level):
+    """Every (history, affected read, pivot's writer) the gate of
+    ``explore_ce`` can ask about: for each candidate pivot at each entered
+    state, the pivot and each external read its swap would delete."""
+    for _, st in entered_states(prog, level):
+        h = st.history
+        for cand in compute_reorderings(h):
+            dropped = _swap_drop_set(h, cand.read, cand.writer)
+            for read in h.history.external_reads():
+                if read.id == cand.read or read.id in dropped:
+                    yield h, read.id, cand.writer
+
+
+# Small programs on which a gate that gets one premise of the cut wrong
+# disagrees with the reference, where the random draws below rarely do.
+GATE_CORNER_PROGRAMS = [
+    # ra: observing a writer from outside the reader's wr predecessors adds
+    # that writer to the premise of the reader's earlier reads.
+    "session s0 { txn { a = read(x); b = read(x); } txn { c = read(x); d = read(x); } }"
+    " session s1 { txn { write(x, 1); } } session s2 { txn { write(x, 1); } }",
+    # cc: the premise of the re-appended read is the reader's whole causal
+    # past, not only its so and wr predecessors.
+    "session s0 { txn { write(x, 4); } } session s1 { txn { b = read(x); } txn { c = read(x); d = read(x); } }"
+    " session s2 { txn { write(x, 1); } txn { write(x, 4); } }",
+    # ra: the premise of the re-appended read takes in the reader's session
+    # predecessors, not only its wr predecessors.
+    "session s0 { txn { a = read(x); } txn { write(x, 4); } txn { c = read(x); } }"
+    " session s1 { txn { write(x, 2); } txn { write(x, 3); } }",
+    # cc: the reader's reads before the re-appended one take the cut's
+    # premise, not the current history's, which also counts what reaches the
+    # reader only through its later reads.
+    "session a { txn { write(y, 1); write(x, 1); } } session b { txn { v0 = read(v); write(y, 2); } txn { write(u, 2); } }"
+    " session c { txn { write(x, 3); write(v, 3); } txn { p = read(y); o = read(x); n = read(u); } }"
+    " session d { txn { write(x, 4); } }",
+    # rc: a kept reader's forced edge closes the cycle that rejects a writer.
+    "session s0 { txn { write(y, 1); write(x, 1); write(z, 1); } } session s1 { txn { a = read(q); b = read(z); } }"
+    " session s2 { txn { write(x, 2); write(z, 2); write(q, 2); } txn { c = read(y); d = read(x); } }"
+    " session s3 { txn { write(x, 4); } }",
+    # rc: the same forced edge, from a reader the swap drops, closes none.
+    "session s0 { txn { write(y, 1); write(x, 1); write(z, 1); } }"
+    " session s1 { txn { write(x, 2); write(z, 2); write(q, 2); } txn { c = read(y); d = read(x); } }"
+    " session s2 { txn { a = read(q); b = read(z); } } session s3 { txn { write(x, 4); } }",
+    # rc: each of the reader's kept reads has only the writers of the reads
+    # before it as premise, not all of them.
+    "session s0 { txn { write(y, 1); write(x, 1); } } session s1 { txn { write(x, 2); write(q, 2); } }"
+    " session s2 { txn { a = read(q); write(y, 3); write(z, 3); } }"
+    " session s3 { txn { b = read(y); c = read(z); d = read(x); } } session s4 { txn { write(x, 4); } }",
+]
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_gate_query_matches_the_cut_it_replaces(level):
+    """On every query explore_ce's gate can make, on the examples, the corner
+    programs and 150 random programs, the query on the current history gives
+    the verdict of the cut history built and checked from scratch."""
+    rng = random.Random(13)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
+    programs += [parse(random_program(rng)) for _ in range(150)]
+    verdicts = []
+    for prog in programs:
+        for h, rid, t in _gate_queries(prog, level):
+            expected = _reads_causally_latest_by_cut(h, level, rid, t)
+            assert reads_causally_latest(h, level, rid, t) == expected, (h, rid, t)
+            verdicts.append(expected)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_gate_query_builds_no_history(monkeypatch):
+    """The query builds no transaction log, history or ordered history and
+    cuts nothing, yet keeps the reference's verdicts."""
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
+    cases = [
+        (h, level, rid, t, _reads_causally_latest_by_cut(h, level, rid, t))
+        for level in EXTENSIBLE
+        for prog in programs
+        for h, rid, t in _gate_queries(prog, level)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate's query built a history")
+
+    monkeypatch.setattr(explorer, "drop_events", refuse)
+    for cls, name in [
+        (History, "with_event"), (History, "with_begin"), (History, "_derived"),
+        (History, "__post_init__"), (OrderedHistory, "__post_init__"),
+        (OrderedHistory, "append"), (TransactionLog, "__post_init__"),
+    ]:
+        monkeypatch.setattr(cls, name, refuse)
+    for h, level, rid, t, expected in cases:
+        assert reads_causally_latest(h, level, rid, t) == expected
+    assert {expected for *_, expected in cases} == {True, False}
+
+
+BAD_READS_SOURCE = """\
+session a { txn { write(x, 1); b = read(x); c = read(y); } }
+session w { txn { write(y, 2); } }
+"""
+BAD_READS_A, BAD_READS_W = TxnId(0, 0), TxnId(1, 0)
+
+
+@pytest.mark.parametrize("call", ["swap", "reads_causally_latest"])
+@pytest.mark.parametrize(
+    "r",
+    [
+        EventId(BAD_READS_A, 99),
+        EventId(TxnId(5, 0), 0),
+        EventId(BAD_READS_A, 0),
+        EventId(BAD_READS_A, 1),
+        EventId(BAD_READS_A, 2),
+    ],
+    ids=["unknown-index", "unknown-transaction", "begin", "write", "internal-read"],
+)
+def test_swap_and_its_gate_query_reject_what_is_not_an_external_read(call, r):
+    st = _drive(
+        ExplorationState.initial(parse(BAD_READS_SOURCE)),
+        [
+            (begin_event(BAD_READS_W), None),
+            (write_event(BAD_READS_W, 1, "y", 2), None),
+            (commit_event(BAD_READS_W, 2), None),
+            (begin_event(BAD_READS_A), None),
+            (write_event(BAD_READS_A, 1, "x", 1), None),
+            (read_event(BAD_READS_A, 2, "x"), None),
+            (read_event(BAD_READS_A, 3, "y"), BAD_READS_W),
+        ],
+    )
+    with pytest.raises(ValueError, match=re.escape(f"event {r} is not an external read")):
+        if call == "swap":
+            swap(st, r, BAD_READS_W)
+        else:
+            reads_causally_latest(st.history, IsolationLevel.CC, r, BAD_READS_W)
+
+
 # ---------------------------------------------------------------------------
 # Whole-run counts, frozen per example
 # ---------------------------------------------------------------------------
@@ -541,6 +703,73 @@ def test_prog3_fingerprint_matches_frozen_values(level):
         digest.update(canonical_encode(st.history.history) + b"\n")
 
     stats = explore_ce(parse(PROG3.read_text()), level, emit=emit)
+    assert (stats.outputs, stats.filtered_outputs, stats.recursive_calls) == (outputs, 0, calls)
+    assert (stats.blocked_calls, stats.inconsistent_branch_entries) == (0, 0)
+    assert (stats.swaps_taken, stats.swaps_rejected, stats.max_depth) == (taken, rejected, depth)
+    assert digest.hexdigest() == sha
+
+
+def _ring(sessions: int, txns: int) -> str:
+    """S sessions of T transactions; transaction j of session s has
+    k = s*T + j, reads V[k % 3] and writes V[(k+1) % 3] with that value + 1,
+    for V = x, y, z."""
+    v = "xyz"
+    return "\n".join(
+        f"session s{s} {{ " + " ".join(
+            f"txn {{ l{k} = read({v[k % 3]}); write({v[(k + 1) % 3]}, l{k} + 1); }}"
+            for k in range(s * txns, (s + 1) * txns)
+        ) + " }"
+        for s in range(sessions)
+    )
+
+
+GATE_HEAVY_SOURCES = {"ring3x2": _ring(3, 2), "ring3x3": _ring(3, 3), "prog3": PROG3.read_text()}
+
+# (program, level) -> (outputs, nodes, swaps taken, swaps rejected, max depth,
+#                      sha256 of the canonical encodings in emission order)
+GATE_HEAVY_RUNS = {
+    ("ring3x2", IsolationLevel.RC): (
+        326, 1464, 102, 232, 41,
+        "a93604f4d52a957e091f0a3682e8a91e54bd8d0bd261559a9e8ebb24b57d8be2",
+    ),
+    ("ring3x2", IsolationLevel.RA): (
+        76, 398, 40, 27, 41,
+        "25d79b99ee5811b96bae36ef6a552695a1ec754b60fef4edad5fe997f79cca48",
+    ),
+    ("ring3x2", IsolationLevel.CC): (
+        76, 398, 40, 27, 41,
+        "25d79b99ee5811b96bae36ef6a552695a1ec754b60fef4edad5fe997f79cca48",
+    ),
+    ("ring3x3", IsolationLevel.RA): (
+        451, 3131, 140, 550, 79,
+        "afc1b330a17d69daf9b6d3074a839a37e9e4518313d1c1d08942739870f0915b",
+    ),
+    ("ring3x3", IsolationLevel.CC): (
+        451, 3131, 140, 550, 79,
+        "afc1b330a17d69daf9b6d3074a839a37e9e4518313d1c1d08942739870f0915b",
+    ),
+    ("prog3", IsolationLevel.RA): (
+        276, 1081, 40, 45, 47,
+        "f4a1523f2db217bf33e9441c7948a808f8986875b1d180528296021e00391a27",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, level", sorted(GATE_HEAVY_RUNS, key=lambda key: (key[0], key[1].value)),
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_gate_heavy_fingerprints_match_frozen_values(name, level):
+    """Every counter and the emission sequence, frozen on the runs where the
+    gate does the most work, from the gate that built a cut history per
+    query: the query on the current history must take the same swaps."""
+    outputs, calls, taken, rejected, depth, sha = GATE_HEAVY_RUNS[name, level]
+    digest = hashlib.sha256()
+
+    def emit(st: ExplorationState) -> None:
+        digest.update(canonical_encode(st.history.history) + b"\n")
+
+    stats = explore_ce(parse(GATE_HEAVY_SOURCES[name]), level, emit=emit)
     assert (stats.outputs, stats.filtered_outputs, stats.recursive_calls) == (outputs, 0, calls)
     assert (stats.blocked_calls, stats.inconsistent_branch_entries) == (0, 0)
     assert (stats.swaps_taken, stats.swaps_rejected, stats.max_depth) == (taken, rejected, depth)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,18 @@ def test_library_never_changes_the_recursion_limit():
         if "setrecursionlimit" in path.read_text()
     ]
     assert offenders == []
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(txndpor.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_module_parses_at_the_supported_python_floor(path):
+    """Each module parses with the grammar of the oldest Python that
+    ``requires-python`` admits, so syntax from a later release fails here
+    even when the suite runs on that later release."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', PYPROJECT.read_text())
+    assert floor is not None
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))

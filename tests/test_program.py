@@ -392,6 +392,19 @@ def test_sessions_outside_the_program_are_rejected(session):
         replay(prog, foreign.history, foreign.order)
 
 
+def test_external_reads_observe_only_committed_writers():
+    """No dirty read: a read may not observe a transaction that is still
+    pending, though that transaction already wrote the variable."""
+    writer, reader = TxnId(0, 0), TxnId(1, 0)
+    st = ExplorationState.initial(parse(
+        "session a { txn { write(x, 7); write(y, 1); } } session b { txn { r = read(x); } }"
+    ))
+    for ev in (begin_event(writer), write_event(writer, 1, "x", 7), begin_event(reader)):
+        st = apply_event(st, ev)
+    with pytest.raises(ProgramError, match=re.escape(f"{writer} has not committed")):
+        apply_event(st, read_event(reader, 1, "x"), writer=writer)
+
+
 def test_trailing_assignment_feeds_the_next_transaction():
     """Silent instructions after the last database action still run: the
     assignment lands before the transaction commits and persists."""
