@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .isolation import _forced_edges_of, _writers_by_var, check_consistency
+from .isolation import _forced_edges_of, check_consistency
 from .model import (
     COMMIT,
     COMMITTED,
@@ -55,7 +55,6 @@ from .model import (
     OrderedHistory,
     TxnId,
     begin_event,
-    causal_reachable,
     causally_before_or_equal,
     closure_with_edges,
     drop_events,
@@ -199,10 +198,8 @@ def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool
         raise ValueError(f"event {e.id} is not the next event of {t}")
     if e.kind == READ and not log.has_own_write_before(e.id.index, e.var):  # type: ignore[arg-type]
         return any(
-            t in h.causal_closure[w]
-            and h.txn(w).writes_var(e.var)  # type: ignore[arg-type]
-            and check_consistency(h.with_event(e, writer=w), level)
-            for w in h.txn_ids
+            t in h.causal_closure[w] and check_consistency(h.with_event(e, writer=w), level)
+            for w in h.writers.get(e.var, ())  # type: ignore[arg-type]
         )
     return check_consistency(h.with_event(e), level)
 
@@ -305,31 +302,25 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
     observe such transactions.  Reads produced by plain scheduling never
     satisfy this; the read a swap pivots on always does, and the verdict is
     stable under extending the history, since the reader's earlier
-    observations are frozen.
+    observations are frozen.  The query looks only at the writer's causal
+    successors and the reader's wr edges before ``r``.
     """
     if r not in h.position:
         raise ValueError(f"event {r} not in history")
-    t = h.history.wr_map.get(r)
+    hist = h.history
+    t = hist.wr_map.get(r)
     if t is None:
         return False
     reader = r.txn
-    if not h.txn_before_event(t, r):
+    if not h.txn_before_event(t, r) or not reader < t:
         return False
-    if not reader < t:
-        return False
-    for other in h.history.txn_ids:
-        if not other < reader:
-            continue
-        if h.event_before_txn(r, other):
-            continue
-        if causal_reachable(h.history, t, other):
+    after_t = hist.causal_closure[t]
+    for other in after_t:
+        if other < reader and not h.event_before_txn(r, other):
             return False
-    for read_id, writer in h.history.wr:
-        if (
-            read_id.txn == reader
-            and read_id.index < r.index
-            and causally_before_or_equal(h.history, t, writer)
-        ):
+    for ev in hist.by_id[reader].events[: r.index]:
+        w = hist.wr_map.get(ev.id)  # only external reads have one
+        if w == t or w in after_t:
             return False
     return True
 
@@ -404,7 +395,7 @@ def reads_causally_latest(
         u for u in hist.txn_ids
         if u != reader and (h.txn_before_event(u, r) or causally_before_or_equal(hist, u, t))
     }
-    reach = closure_with_edges(closure, _forced_edges_of(hist, level, kept, _writers_by_var(hist)))
+    reach = closure_with_edges(closure, _forced_edges_of(hist, level, kept, hist.writers))
 
     def closes_cycle(w: TxnId) -> bool:
         """Whether R's reads in the cut and then ``r`` observing ``w`` force a cycle."""

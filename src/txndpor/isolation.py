@@ -174,22 +174,15 @@ def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
     """
     if level not in _CLOSURE_LEVELS:
         raise ValueError(f"no order-free premise for {level}")
-    return set(_forced_edges_of(h, level, h.by_id, _writers_by_var(h)))
+    return set(_forced_edges_of(h, level, h.by_id, h.writers))
 
 
 _CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
 
-def _writers_by_var(h: History) -> dict[str, list[TxnId]]:
-    out: dict[str, list[TxnId]] = {}
-    for log in h.logs:
-        for var in log.write_set:
-            out.setdefault(var, []).append(log.id)
-    return out
-
-
 def _forced_edges_of(
-    h: History, level: IsolationLevel, readers: Container[TxnId], writers: dict[str, list[TxnId]]
+    h: History, level: IsolationLevel, readers: Container[TxnId],
+    writers: dict[str, tuple[TxnId, ...]],
 ) -> Iterator[tuple[TxnId, TxnId]]:
     """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC).
 
@@ -243,7 +236,7 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
         for b in succs:
             preds[idx[b]] |= 1 << idx[a]
     full = (1 << n) - 1
-    writers = _writers_by_var(h)
+    writers = h.writers
     if level is IsolationLevel.SER:
         conflicts = [full ^ 1 << i for i in range(n)]
     else:
@@ -411,12 +404,12 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
             reach = closure_with_edges({**reach, t: frozenset()}, [(pred, t)])
         elif writer is not None:
             readers = h.causal_closure[t] | {t}
-            new = _forced_edges_of(h, level, readers, _writers_by_var(h))
+            new = _forced_edges_of(h, level, readers, h.writers)
             reach = closure_with_edges(reach, [(writer, t), *new])
         elif event.kind == WRITE and not h.txn(t).has_own_write_before(
             event.id.index, event.var  # type: ignore[arg-type]
         ):
-            new = _forced_edges_of(h, level, h.by_id, {event.var: [t]})  # type: ignore[dict-item]
+            new = _forced_edges_of(h, level, h.by_id, {event.var: (t,)})  # type: ignore[dict-item]
             reach = closure_with_edges(reach, new)
     cache[level] = reach
     return reach

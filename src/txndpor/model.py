@@ -19,10 +19,16 @@ Full validation runs wherever a history enters from outside: ``History(...)``,
 start from an already valid value and check only what the edit can break,
 with the same rules and messages.  The one-event edits (:meth:`History.with_begin`,
 :meth:`History.with_event`, :meth:`OrderedHistory.append`) carry the parent's
-derived relations forward updated by the delta; only a begin that is not last
-in its session, or is in the init session, falls back to full validation.
-:func:`drop_events`, the cut a swap makes, recomputes them from the result
-instead, since deleting events can shrink causality.
+derived relations forward updated by the delta: the index by id, sessions,
+session order, causal adjacency and closure, the wr map and pairs, and the
+writer index :attr:`History.writers`.  Only a begin that is not last in its
+session, or is in the init session, falls back to full validation.
+:meth:`History.with_event` extends the open log by
+:meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
+and the event is its next one and no begin, and carries ``status`` and
+``write_set``; any other event goes to the validating constructor, which
+raises.  :func:`drop_events`, the cut a swap makes, recomputes the relations
+from the result instead, since deleting events can shrink causality.
 
 :func:`canonical_encode` builds a history's bytes from JSON fragments cached
 on its immutable logs (:attr:`TransactionLog.fragment`); emitted histories
@@ -202,6 +208,30 @@ class TransactionLog:
         obj = {"events": [_event_obj(ev) for ev in self.events],
                "id": list(self.id), "status": self.status}
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def extended(self, event: Event) -> "TransactionLog":
+        """This log plus ``event``, with ``status`` and ``write_set`` carried
+        over and updated by the one event.
+
+        Checks in O(1) what the event can break: that this log is pending and
+        that ``event`` is its next event and no begin.  Any other input goes
+        through the validating constructor, which raises its usual message.
+        """
+        kind = event.kind
+        if (self.status != PENDING or kind == BEGIN
+                or event.id != EventId(self.id, len(self.events))):
+            return TransactionLog(self.id, self.events + (event,))
+        write_set = self.write_set
+        if kind == ABORT:
+            write_set = {}
+        elif kind == WRITE:
+            write_set = {**write_set, event.var: event}
+        log = object.__new__(TransactionLog)
+        log.__dict__.update(
+            id=self.id, events=self.events + (event,), write_set=write_set,
+            status=COMMITTED if kind == COMMIT else ABORTED if kind == ABORT else PENDING,
+        )
+        return log
 
     def writes_var(self, var: str) -> bool:
         return var in self.write_set
@@ -410,6 +440,16 @@ class History:
         return frozenset((writer, rid.txn) for rid, writer in self.wr)
 
     @cached_property
+    def writers(self) -> dict[str, tuple[TxnId, ...]]:
+        """Variable -> the transactions whose ``write_set`` holds it, in
+        ``logs`` order.  Never mutated, so derived edits share it."""
+        out: dict[str, list[TxnId]] = {}
+        for log in self.logs:
+            for var in log.write_set:
+                out.setdefault(var, []).append(log.id)
+        return {var: tuple(ts) for var, ts in out.items()}
+
+    @cached_property
     def consistency_cache(self) -> dict:
         """Per-level results of :func:`isolation.check_consistency`."""
         return {}
@@ -426,7 +466,8 @@ class History:
 
         Skips ``__post_init__``; ``relations`` are the parent's derived
         relations updated by the delta and become the child's cached
-        properties.
+        properties.  A relation left out (``drop_events`` passes only
+        ``by_id``) is computed from the result on first use.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -466,29 +507,45 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=self.wr_txn_pairs,
             wr_map=self.wr_map,
+            writers=self.writers,
             derivation=(self.consistency_cache, begin, None),
         )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
         """Append one event to its (existing) transaction, optionally with a wr edge.
 
-        Derived from this history: only the new log, the new wr edge and,
-        for an abort, the reads observing the aborting transaction are
-        checked.
+        Derived from this history: the new log is
+        :meth:`TransactionLog.extended`, and only its O(1) checks, the new wr
+        edge and, for an abort, the reads observing the aborting transaction
+        are checked.  Every relation is carried over.  The writer index
+        changes only on a first write of a variable, which inserts the
+        transaction in order, and on an abort, which removes it.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
             raise ValueError(f"event {event.id} is not the next of {log.id}")
-        new_log = TransactionLog(log.id, log.events + (event,))
+        new_log = log.extended(event)
         if writer is not None and event.kind != READ:
             raise ValueError("only reads take a writer")
-        logs = tuple(new_log if l.id == log.id else l for l in self.logs)
+        i = self.txn_ids.index(log.id)
+        logs = self.logs[:i] + (new_log,) + self.logs[i + 1 :]
         by_id = dict(self.by_id)
         by_id[log.id] = new_log
+        writers = self.writers
         if event.kind == ABORT:
             for read_id, w in self.wr:
                 if w == log.id:
                     raise ValueError(f"read {read_id} reads from aborted {w}")
+            if log.write_set:
+                writers = dict(writers)
+                for var in log.write_set:
+                    if kept := tuple(t for t in writers[var] if t != log.id):
+                        writers[var] = kept
+                    else:
+                        del writers[var]
+        elif event.kind == WRITE and event.var not in log.write_set:
+            ordered = tuple(sorted(writers.get(event.var, ()) + (log.id,)))  # type: ignore[arg-type]
+            writers = {**writers, event.var: ordered}  # type: ignore[dict-item]
         wr = self.wr
         wr_map = self.wr_map
         adjacency = self.causal_adjacency
@@ -518,6 +575,7 @@ class History:
             causal_closure=closure,
             wr_txn_pairs=wr_txn_pairs,
             wr_map=wr_map,
+            writers=writers,
             derivation=(self.consistency_cache, event, writer),
         )
 

@@ -31,7 +31,7 @@ each through :func:`apply_event`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -740,8 +740,7 @@ def advance(
     if event.kind == BEGIN:
         env = ls.env
         queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
-        new_ls = replace(ls, locals=_freeze_env(env), in_txn=True, queue=queue,
-                         begun=ls.begun + (ls.locals,))
+        new_ls = LocalState(_freeze_env(env), ls.txn_index, True, queue, ls.begun + (ls.locals,))
     elif event.kind in (READ, WRITE):
         env = ls.env
         if event.kind == READ:
@@ -751,12 +750,10 @@ def advance(
                 else st.history.history.txn(writer).write_set[event.var].value  # type: ignore[index]
             )
         queue = _normalize(env, ls.queue[1:])
-        new_ls = replace(ls, locals=_freeze_env(env), queue=queue)
+        new_ls = LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
     else:  # COMMIT or ABORT
-        new_ls = replace(ls, in_txn=False, txn_index=ls.txn_index + 1, queue=())
-    sessions = tuple(
-        new_ls if s == session else old for s, old in enumerate(st.sessions)
-    )
+        new_ls = LocalState(ls.locals, ls.txn_index + 1, False, (), ls.begun)
+    sessions = st.sessions[:session] + (new_ls,) + st.sessions[session + 1 :]
     return ExplorationState(st.program, hist, sessions)
 
 

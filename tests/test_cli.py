@@ -9,11 +9,25 @@ import sys
 
 import pytest
 
+import txndpor
 from txndpor import cli
 from txndpor.cli import main
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import RunInterrupted, RunStats
 from txndpor.model import canonical_decode
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m txndpor ARGS`` in a fresh interpreter that imports this
+    package: its ``src`` directory goes first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(txndpor.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "txndpor", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -240,11 +254,7 @@ def test_run_rejects_a_too_deeply_nested_expression(tmp_path, expr):
     """Run in a fresh interpreter at its default recursion limit."""
     path = tmp_path / "deep.txn"
     path.write_text(f"session s {{ txn {{ a = {expr}; write(x, a); }} }}")
-    proc = subprocess.run(
-        [sys.executable, "-m", "txndpor", "run", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("run", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "expression nested too deeply" in proc.stderr
@@ -257,11 +267,7 @@ def test_run_reports_a_long_violated_assert(tmp_path):
     path = tmp_path / "assert.txn"
     cond = "+".join(["a"] * 600)
     path.write_text(f"session s {{ txn {{ a = 1; assert({cond} == 0); }} }}")
-    proc = subprocess.run(
-        [sys.executable, "-m", "txndpor", "run", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("run", str(path))
     assert proc.returncode == 2, proc.stderr
     assert "assertion violated by at least one history" in proc.stdout
 
@@ -385,10 +391,6 @@ def test_log_environment_variable_accepts_info(program_file, capsys, monkeypatch
 def test_module_entry_point(tmp_path):
     path = tmp_path / "p.txn"
     path.write_text(EXAMPLE_PROGRAMS["pair_reader"])
-    proc = subprocess.run(
-        [sys.executable, "-m", "txndpor", "run", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("run", str(path))
     assert proc.returncode == 0
     assert "distinct histories: 2" in proc.stdout

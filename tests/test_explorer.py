@@ -569,6 +569,54 @@ def test_gate_query_matches_the_cut_it_replaces(level):
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
+def _swapped_by_scan(h, r) -> bool:
+    """The reference for ``swapped``: every transaction checked against the
+    writer, and every wr edge checked for an earlier read of the reader."""
+    if r not in h.position:
+        raise ValueError(f"event {r} not in history")
+    t = h.history.wr_map.get(r)
+    if t is None:
+        return False
+    reader = r.txn
+    if not h.txn_before_event(t, r):
+        return False
+    if not reader < t:
+        return False
+    for other in h.history.txn_ids:
+        if not other < reader:
+            continue
+        if h.event_before_txn(r, other):
+            continue
+        if causal_reachable(h.history, t, other):
+            return False
+    for read_id, writer in h.history.wr:
+        if (
+            read_id.txn == reader
+            and read_id.index < r.index
+            and causally_before_or_equal(h.history, t, writer)
+        ):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_swapped_query_matches_the_scan_it_replaces(level):
+    """On every read explore_ce's gate can ask ``swapped`` about, on the
+    examples, the corner programs and 150 random programs, the query gives
+    the verdict of the full scan."""
+    rng = random.Random(13)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
+    programs += [parse(random_program(rng)) for _ in range(150)]
+    verdicts = []
+    for prog in programs:
+        for h, rid, _ in _gate_queries(prog, level):
+            expected = _swapped_by_scan(h, rid)
+            assert swapped(h, rid) == expected, (h, rid)
+            verdicts.append(expected)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 400
+
+
 def test_gate_query_builds_no_history(monkeypatch):
     """The query builds no transaction log, history or ordered history and
     cuts nothing, yet keeps the reference's verdicts."""

@@ -20,9 +20,10 @@ from fixtures import (
     run_fresh,
     track_history_memory,
 )
+from txndpor import explorer
 from txndpor.examples import EXAMPLE_PROGRAMS
-from txndpor.explorer import explore_ce
-from txndpor.generate import random_history, random_prefix
+from txndpor.explorer import dfs, explore_ce
+from txndpor.generate import random_history, random_prefix, random_program
 from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
@@ -49,7 +50,7 @@ from txndpor.model import (
     write_event,
 )
 from txndpor.oracles import canonical_sort
-from txndpor.program import parse
+from txndpor.program import advance, parse
 
 T0 = TxnId(0, 0)
 T1 = TxnId(1, 0)
@@ -456,6 +457,104 @@ def test_derived_edits_match_full_construction(seed):
             if not accepted:
                 break
             current = rng.choice(accepted)
+
+
+T2 = TxnId(2, 0)
+
+
+def _three_outcomes() -> History:
+    """Init on x, then T0 committed, T1 aborted and T2 pending after a read."""
+    h = OrderedHistory.initial(("x",))
+    for event, writer in [
+        (begin_event(T0), None), (write_event(T0, 1, "x", 1), None), (commit_event(T0, 2), None),
+        (begin_event(T1), None), (abort_event(T1, 1), None),
+        (begin_event(T2), None), (read_event(T2, 1, "x"), T0),
+    ]:
+        h = h.append(event, writer)
+    return h.history
+
+
+WITH_EVENT_REJECTIONS = {
+    "after a commit": (
+        write_event(T0, 3, "x", 2), None,
+        "transaction TxnId(session=0, index=0) continues past commit",
+    ),
+    "after an abort": (
+        commit_event(T1, 2), None,
+        "transaction TxnId(session=1, index=0) continues past abort",
+    ),
+    "a begin at index 2": (
+        Event(EventId(T2, 2), BEGIN), None,
+        "transaction TxnId(session=2, index=0) has a non-initial begin",
+    ),
+    "a wrong index": (
+        write_event(T2, 3, "x", 2), None,
+        "event EventId(txn=TxnId(session=2, index=0), index=3) is not the next of "
+        "TxnId(session=2, index=0)",
+    ),
+    "a writer on a write": (write_event(T2, 2, "x", 2), T0, "only reads take a writer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITH_EVENT_REJECTIONS))
+def test_with_event_rejects_what_no_log_continues_with(case):
+    """``History.with_event`` refuses each input with the message the
+    validating constructor gives for it."""
+    event, writer, message = WITH_EVENT_REJECTIONS[case]
+    with pytest.raises(ValueError) as caught:
+        _three_outcomes().with_event(event, writer)
+    assert str(caught.value) == message
+
+
+def _assert_derived_state_is_fresh(h: History) -> None:
+    """Each log of ``h`` equals its events rebuilt through validation, with
+    equal ``status``, ``write_set`` and ``read_set``, and ``h.writers``
+    equals a full scan of the rebuilt logs, order included."""
+    scan: dict[str, list[TxnId]] = {}
+    for log in h.logs:
+        fresh = TransactionLog(log.id, log.events)
+        assert log == fresh
+        assert (log.status, log.write_set, log.read_set) == (
+            fresh.status, fresh.write_set, fresh.read_set
+        ), log.id
+        for var in fresh.write_set:
+            scan.setdefault(var, []).append(log.id)
+    assert h.writers == {var: tuple(ts) for var, ts in scan.items()}
+
+
+DERIVED_WALKS = [("explore_ce", lv) for lv in ("rc", "ra", "cc")] + [("dfs", "ser"), ("dfs", "si")]
+
+
+@pytest.mark.parametrize("walk, level", DERIVED_WALKS, ids=[f"{w}-{lv}" for w, lv in DERIVED_WALKS])
+def test_entered_states_carry_the_logs_and_writers_full_construction_gives(
+    walk, level, monkeypatch
+):
+    """Every state the walk enters, on the examples and 40 random programs,
+    carries logs and a writer index equal to those built from scratch."""
+    level = IsolationLevel.from_name(level)
+    rng = random.Random(14)
+    sources = [EXAMPLE_PROGRAMS[name] for name in sorted(EXAMPLE_PROGRAMS)]
+    sources += [random_program(rng) for _ in range(40)]
+    entered = 0
+
+    def check(st) -> None:
+        nonlocal entered
+        _assert_derived_state_is_fresh(st.history.history)
+        entered += 1
+
+    if walk == "dfs":
+        def checked_advance(*args):
+            child = advance(*args)
+            check(child)
+            return child
+
+        monkeypatch.setattr(explorer, "advance", checked_advance)
+        for source in sources:
+            dfs(parse(source), level)
+    else:
+        for source in sources:
+            explore_ce(parse(source), level, entry_hook=lambda _, st: check(st))
+    assert entered > 1000
 
 
 def _full_drop(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
