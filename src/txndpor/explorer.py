@@ -24,15 +24,18 @@ each event is stepped once and no program code runs on a rejected child or
 swap.  The only histories checked but never entered are the extensions
 :func:`causal_extension_exists` tries.
 
-Both searches run in one loop, ``_walk``, over an explicit stack of per-node
-generators, so no run is bounded by the interpreter's recursion limit.
+Both searches follow one scheduling rule read from the session states,
+``_schedule``: the open transaction steps on, else any session may begin;
+:func:`next_event` takes the first action and :func:`dfs` all.  Both run in
+one loop, ``_walk``, over an explicit stack of per-node generators, so no
+run is bounded by the interpreter's recursion limit.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
 serializable histories via causally consistent scheduling.
 
 :func:`dfs` is the deliberately naive baseline used to cross-check coverage:
-it branches over every scheduling decision (including which session begins
+it branches over every action of the rule (including which session begins
 next) and therefore emits the same history many times.
 """
 
@@ -46,6 +49,7 @@ from .isolation import _forced_edges_of, check_consistency
 from .model import (
     COMMIT,
     COMMITTED,
+    INIT_TXN,
     PENDING,
     READ,
     Event,
@@ -118,23 +122,30 @@ class RunInterrupted(KeyboardInterrupt):
 # ---------------------------------------------------------------------------
 
 
-def next_event(st: ExplorationState) -> NextAction | None:
-    """The unique next event under the fixed scheduling priority.
+def _schedule(st: ExplorationState) -> Iterator[NextAction]:
+    """The scheduling rule: the actions the walks may take next from ``st``.
 
-    A pending transaction (there must be at most one) is driven to its next
-    database event; otherwise the smallest unstarted transaction begins;
-    otherwise the run is complete and None is returned.
+    The open transaction, read from the session states, is driven to its
+    next database event; with none open, each session begins its next
+    transaction, in session order; a complete run yields nothing.  Raises
+    ValueError when more than one transaction is open.
     """
-    pending = st.history.history.pending_txns()
+    pending = tuple(TxnId(s, ls.txn_index) for s, ls in enumerate(st.sessions) if ls.in_txn)
     if len(pending) > 1:
         raise ValueError(f"multiple pending transactions: {pending}")
     if pending:
-        return step_local(st, pending[0].session)
-    for session in range(len(st.program.sessions)):
+        yield step_local(st, pending[0].session)
+        return
+    for session in range(len(st.sessions)):
         tid = st.next_unstarted_txn(session)
         if tid is not None:
-            return NextAction(begin_event(tid))
-    return None
+            yield NextAction(begin_event(tid))
+
+
+def next_event(st: ExplorationState) -> NextAction | None:
+    """The unique next event under the fixed scheduling priority: the first
+    action of :func:`_schedule`, or None when the run is complete."""
+    return next(_schedule(st), None)
 
 
 def _extensions(
@@ -196,7 +207,7 @@ def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool
         raise ValueError(f"transaction {t} is not pending")
     if e.id.index != len(log.events):
         raise ValueError(f"event {e.id} is not the next event of {t}")
-    if e.kind == READ and not log.has_own_write_before(e.id.index, e.var):  # type: ignore[arg-type]
+    if e.kind == READ and e.var not in log.write_set:
         return any(
             t in h.causal_closure[w] and check_consistency(h.with_event(e, writer=w), level)
             for w in h.writers.get(e.var, ())  # type: ignore[arg-type]
@@ -293,17 +304,18 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
 
     True exactly when ``r`` observes a transaction that ran entirely before
     it yet outranks the reader in scheduling priority, no transaction below
-    the reader's priority ran after ``r`` while causally following the
-    writer, and no earlier read of the same transaction observes a writer
-    causally at-or-after the writer of ``r``.  The last condition is what
-    separates a pivot from a read appended after one: when a swap happens
-    its writer has just committed, so nothing the reader observed earlier
-    can causally follow it — whereas reads appended behind a pivot routinely
-    observe such transactions.  Reads produced by plain scheduling never
-    satisfy this; the read a swap pivots on always does, and the verdict is
-    stable under extending the history, since the reader's earlier
-    observations are frozen.  The query looks only at the writer's causal
-    successors and the reader's wr edges before ``r``.
+    the reader's priority that causally follows the writer began at or
+    before ``r`` (each runs entirely after it), and no earlier read of the
+    same transaction observes a writer causally at-or-after the writer of
+    ``r``.  The last condition is what separates a pivot from a read
+    appended after one: when a swap happens its writer has just committed,
+    so nothing the reader observed earlier can causally follow it — whereas
+    reads appended behind a pivot routinely observe such transactions.
+    Reads produced by plain scheduling never satisfy this; the read a swap
+    pivots on always does, and the verdict is stable under extending the
+    history, since the reader's earlier observations are frozen.  The query
+    looks only at the writer's causal successors and the reader's wr edges
+    before ``r``.
     """
     if r not in h.position:
         raise ValueError(f"event {r} not in history")
@@ -384,7 +396,8 @@ def reads_causally_latest(
         raise ValueError(f"reader {reader} is causally before {t}")
     closure, current = hist.causal_closure, hist.wr_map.get(r)
     earlier = [(e.id, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
-    direct = {w for _, w in earlier} | {u for u in hist.txn_ids if (u, reader) in hist.so_pairs}
+    same = hist.sessions[reader.session]
+    direct = {w for _, w in earlier} | {INIT_TXN, *same[: same.index(reader)]}
     past = direct | {u for u in hist.txn_ids if not closure[u].isdisjoint(direct)}
     if current not in past:
         return False
@@ -438,11 +451,10 @@ def optimality(
         if read.id == r or read.id in dropset
     ]
     affected.sort(key=lambda eid: h.position[eid])
-    for read_id in affected:
-        if swapped(h, read_id):
-            return None
-        if not reads_causally_latest(h, level, read_id, t):
-            return None
+    if any(swapped(h, read_id) for read_id in affected):
+        return None
+    if not all(reads_causally_latest(h, level, read_id, t) for read_id in affected):
+        return None
     base = _swap_base(st, r, dropset)
     pivot = step_local(base, r.txn.session)
     rebuilt = base.history.append(pivot.event, writer=t)
@@ -603,31 +615,23 @@ def dfs(
 ) -> RunStats:
     """Enumerate complete histories by branching over every scheduling choice.
 
-    Branches over which session begins a transaction next and over every
-    consistent writer for each external read, gating every single extension
-    on consistency (necessary for SI and SER, where writes can be the
-    blocking step).  The same history is reached along many interleavings,
-    so emissions contain duplicates; callers deduplicate by encoding.
+    Branches over every action of the scheduling rule (each session's next
+    begin when none is open) and over every consistent writer for each
+    external read, gating every single extension on consistency (necessary
+    for SI and SER, where writes can be the blocking step).  The same
+    history is reached along many interleavings, so emissions contain
+    duplicates; callers deduplicate by encoding.
     Works at every isolation level.
     """
     stats = RunStats()
 
     def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[Node]:
-        if st.is_complete():
+        actions = list(_schedule(st))
+        if not actions:
             stats.outputs += 1
             if emit is not None:
                 emit(st)
             return
-        pending = st.history.history.pending_txns()
-        if pending:
-            assert len(pending) == 1
-            actions = [step_local(st, pending[0].session)]
-        else:
-            actions = [
-                NextAction(begin_event(tid))
-                for session in range(len(program.sessions))
-                if (tid := st.next_unstarted_txn(session)) is not None
-            ]
         # Checked here, not in valid_writes, so traced runs count them under dfs.
         children = [
             advance(st, action, writer, h)

@@ -21,7 +21,9 @@ the reads of ``t`` and of what ``t`` reaches, whose premises alone can
 change.  This is exact because such edits only add transactions, writes and
 wr edges, in which every premise is monotone: G only grows, and a parent's
 cycle stays.  An abort removes forced edges, so it, like a history without a
-cached parent closure, takes one full computation, then cached.
+cached parent closure, takes one full computation, then cached.  A first
+write (its variable not yet in the open log's ``write_set``) is told by a
+flag the edit records in ``History.derivation``.
 
 Serializability and snapshot isolation quantify over the commit order itself.
 Both are decided by one search that commits transactions one at a time,
@@ -90,7 +92,6 @@ from .model import (
     ABORT,
     BEGIN,
     INIT_TXN,
-    WRITE,
     EventId,
     History,
     IsolationLevel,
@@ -361,11 +362,10 @@ def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
     cache = h.consistency_cache
     if level in cache:
         return cache[level]
-    parent_cache, event, writer = h.derivation or ({}, None, None)
+    parent_cache, event, writer, first_write = h.derivation or ({}, None, None, False)
     order = parent_cache.get(level)
     if order is not None:
         t, x = event.id.txn, event.var
-        first_write = event.kind == WRITE and not h.txn(t).has_own_write_before(event.id.index, x)
         if event.kind == BEGIN:
             order += (t,)
         elif level is IsolationLevel.SI and (writer is not None or first_write):
@@ -391,7 +391,7 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
     cache = h.consistency_cache
     if level in cache:
         return cache[level]
-    parent_cache, event, writer = h.derivation or ({}, None, None)
+    parent_cache, event, writer, first_write = h.derivation or ({}, None, None, False)
     reach = parent_cache.get(level)
     if level not in parent_cache or event.kind == ABORT:
         # An abort takes away the aborted writes' forced edges.
@@ -406,9 +406,7 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
             readers = h.causal_closure[t] | {t}
             new = _forced_edges_of(h, level, readers, h.writers)
             reach = closure_with_edges(reach, [(writer, t), *new])
-        elif event.kind == WRITE and not h.txn(t).has_own_write_before(
-            event.id.index, event.var  # type: ignore[arg-type]
-        ):
+        elif first_write:
             new = _forced_edges_of(h, level, h.by_id, {event.var: (t,)})  # type: ignore[dict-item]
             reach = closure_with_edges(reach, new)
     cache[level] = reach

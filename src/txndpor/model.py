@@ -27,8 +27,11 @@ session, or is in the init session, falls back to full validation.
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
 and the event is its next one and no begin, and carries ``status`` and
 ``write_set``; any other event goes to the validating constructor, which
-raises.  :func:`drop_events`, the cut a swap makes, recomputes the relations
-from the result instead, since deleting events can shrink causality.
+raises.  The edit records :attr:`History.derivation`: the parent's
+consistency cache, the event, its writer and whether it is a first write,
+read from the open log's ``write_set``.  :func:`drop_events`, the cut a swap
+makes, recomputes the relations from the result instead, since deleting
+events can shrink causality.
 
 :func:`canonical_encode` builds a history's bytes from JSON fragments cached
 on its immutable logs (:attr:`TransactionLog.fragment`); emitted histories
@@ -236,11 +239,6 @@ class TransactionLog:
     def writes_var(self, var: str) -> bool:
         return var in self.write_set
 
-    def has_own_write_before(self, index: int, var: str) -> bool:
-        return any(
-            ev.kind == WRITE and ev.var == var for ev in self.events[:index]
-        )
-
 
 # ---------------------------------------------------------------------------
 # Isolation levels
@@ -329,7 +327,8 @@ class History:
             reader = by_id.get(read_id.txn)
             if reader is None or read_id.index >= len(reader.events):
                 raise ValueError(f"wr source read {read_id} not in history")
-            _check_wr_edge(by_id, reader, read_id, writer)
+            ev = reader.events[read_id.index]
+            _check_wr_edge(by_id, ev, ev not in reader.read_set, writer)
         # so union wr must stay acyclic; graphlib's cycle search is iterative.
         try:
             graphlib.TopologicalSorter(self.causal_adjacency).prepare()
@@ -454,8 +453,8 @@ class History:
         """Per-level results of :func:`isolation.check_consistency`."""
         return {}
 
-    # (parent's consistency_cache, event, writer) of a derived edit, never the
-    # parent itself; None after full construction.  Not a dataclass field.
+    # (parent's consistency_cache, event, writer, is a first write) of a derived
+    # edit, never the parent itself; None after full construction.  Not a field.
     derivation = None
 
     # -- editing ------------------------------------------------------------
@@ -466,8 +465,8 @@ class History:
 
         Skips ``__post_init__``; ``relations`` are the parent's derived
         relations updated by the delta and become the child's cached
-        properties.  A relation left out (``drop_events`` passes only
-        ``by_id``) is computed from the result on first use.
+        properties, ``derivation`` (the edit) among them.  A relation left out
+        (``drop_events`` passes only ``by_id``) is computed on first use.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -508,7 +507,7 @@ class History:
             wr_txn_pairs=self.wr_txn_pairs,
             wr_map=self.wr_map,
             writers=self.writers,
-            derivation=(self.consistency_cache, begin, None),
+            derivation=(self.consistency_cache, begin, None, False),
         )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
@@ -519,7 +518,9 @@ class History:
         edge and, for an abort, the reads observing the aborting transaction
         are checked.  Every relation is carried over.  The writer index
         changes only on a first write of a variable, which inserts the
-        transaction in order, and on an abort, which removes it.
+        transaction in order, and on an abort, which removes it.  The open
+        log's ``write_set`` tells a first write, recorded in ``derivation``,
+        and an internal read.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
@@ -532,6 +533,7 @@ class History:
         by_id = dict(self.by_id)
         by_id[log.id] = new_log
         writers = self.writers
+        first_write = event.kind == WRITE and event.var not in log.write_set
         if event.kind == ABORT:
             for read_id, w in self.wr:
                 if w == log.id:
@@ -543,7 +545,7 @@ class History:
                         writers[var] = kept
                     else:
                         del writers[var]
-        elif event.kind == WRITE and event.var not in log.write_set:
+        elif first_write:
             ordered = tuple(sorted(writers.get(event.var, ()) + (log.id,)))  # type: ignore[arg-type]
             writers = {**writers, event.var: ordered}  # type: ignore[dict-item]
         wr = self.wr
@@ -552,7 +554,7 @@ class History:
         closure = self.causal_closure
         wr_txn_pairs = self.wr_txn_pairs
         if writer is not None:
-            _check_wr_edge(self.by_id, new_log, event.id, writer)
+            _check_wr_edge(self.by_id, event, event.var in log.write_set, writer)
             closure = closure_with_edges(closure, [(writer, log.id)])
             if closure is None:
                 raise ValueError("so union wr is cyclic")
@@ -576,27 +578,27 @@ class History:
             wr_txn_pairs=wr_txn_pairs,
             wr_map=wr_map,
             writers=writers,
-            derivation=(self.consistency_cache, event, writer),
+            derivation=(self.consistency_cache, event, writer, first_write),
         )
 
 
 def _check_wr_edge(
-    by_id: dict[TxnId, TransactionLog], reader: TransactionLog, read_id: EventId, writer: TxnId
+    by_id: dict[TxnId, TransactionLog], ev: Event, internal: bool, writer: TxnId
 ) -> None:
-    """Reject a wr edge from ``writer`` to ``read_id``, an event of ``reader``,
-    that no valid history has (cycles aside)."""
-    ev = reader.events[read_id.index]
+    """Reject a wr edge from ``writer`` to the event ``ev`` that no valid
+    history has (cycles aside); ``internal``: ``ev``'s transaction wrote its
+    variable before it."""
     if ev.kind != READ:
-        raise ValueError(f"wr source {read_id} is not a read")
-    if reader.has_own_write_before(read_id.index, ev.var):  # type: ignore[arg-type]
-        raise ValueError(f"read {read_id} is internal, cannot have a writer")
-    if writer == read_id.txn:
-        raise ValueError(f"read {read_id} reads from its own transaction")
+        raise ValueError(f"wr source {ev.id} is not a read")
+    if internal:
+        raise ValueError(f"read {ev.id} is internal, cannot have a writer")
+    if writer == ev.id.txn:
+        raise ValueError(f"read {ev.id} reads from its own transaction")
     wlog = by_id.get(writer)
     if wlog is None:
-        raise ValueError(f"writer {writer} of read {read_id} not in history")
+        raise ValueError(f"writer {writer} of read {ev.id} not in history")
     if wlog.status == ABORTED:
-        raise ValueError(f"read {read_id} reads from aborted {writer}")
+        raise ValueError(f"read {ev.id} reads from aborted {writer}")
     if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
         raise ValueError(f"writer {writer} does not write {ev.var!r}")
 

@@ -19,7 +19,9 @@ instruction, and an ``assert`` may only appear as the last instruction of a
 session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
-state reached by running the program along it.  :func:`apply_event` is the
+state reached by running the program along it; ``in_txn`` marks a session's
+open transaction, whose log's ``write_set`` answers its internal reads.
+:func:`apply_event` is the
 checked boundary: it accepts an event only if it equals the program's own
 next event for its session, then applies it with :func:`advance`.  The
 explorer's walks call :func:`advance` directly with the action they stepped,
@@ -631,12 +633,6 @@ class ExplorationState:
             tuple(LocalState() for _ in program.sessions),
         )
 
-    def is_complete(self) -> bool:
-        return all(
-            not ls.in_txn and ls.txn_index == len(self.program.sessions[s].txns)
-            for s, ls in enumerate(self.sessions)
-        )
-
     def next_unstarted_txn(self, session: int) -> TxnId | None:
         ls = self.sessions[session]
         if ls.in_txn or ls.txn_index >= len(self.program.sessions[session].txns):
@@ -665,13 +661,10 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     if isinstance(head, AbortInstr):
         return NextAction(abort_event(tid, index))
     if isinstance(head, ReadInstr):
-        own = [
-            ev for ev in log.events if ev.kind == WRITE and ev.var == head.var
-        ]
-        internal = own[-1].value if own else None
+        own = log.write_set.get(head.var)  # the open log's last write of it
         return NextAction(
             read_event(tid, index, head.var), target=head.target,
-            internal_value=internal,
+            internal_value=None if own is None else own.value,
         )
     assert isinstance(head, WriteInstr)
     value = eval_expr(head.expr, ls.env)

@@ -71,6 +71,7 @@ from txndpor.model import (
 )
 from txndpor.program import (
     ExplorationState,
+    NextAction,
     advance,
     apply_event,
     parse,
@@ -79,6 +80,7 @@ from txndpor.program import (
 )
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [(dfs, IsolationLevel.SER)]
 
 
 def _drive(st: ExplorationState, steps) -> ExplorationState:
@@ -110,6 +112,70 @@ def test_next_event_returns_none_when_complete():
     states = []
     explore_ce(example("pair_reader"), IsolationLevel.RC, emit=states.append)
     assert all(next_event(s) is None for s in states)
+
+
+def _schedule_by_scan(st: ExplorationState) -> list[NextAction]:
+    """The reference for ``explorer._schedule``: the rule as ``next_event``
+    and ``dfs`` each stated it, ``dfs``'s completeness test first, the open
+    transaction found by scanning every log's status."""
+    if all(
+        not ls.in_txn and ls.txn_index == len(st.program.sessions[s].txns)
+        for s, ls in enumerate(st.sessions)
+    ):
+        return []
+    pending = st.history.history.pending_txns()
+    if len(pending) > 1:
+        raise ValueError(f"multiple pending transactions: {pending}")
+    if pending:
+        return [step_local(st, pending[0].session)]
+    return [
+        NextAction(begin_event(tid))
+        for session in range(len(st.program.sessions))
+        if (tid := st.next_unstarted_txn(session)) is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
+)
+def test_schedule_matches_the_scan_it_replaces(walk, level, monkeypatch):
+    """On every state the walk enters, on the examples, the gate's corner
+    programs and 150 random programs, the scheduling rule read from the
+    session states gives the reference's actions in the same order."""
+    schedule = explorer._schedule
+    checked = []
+
+    def checked_schedule(st):
+        actions = list(schedule(st))
+        assert actions == _schedule_by_scan(st), st
+        checked.append(len(actions))
+        return iter(actions)
+
+    monkeypatch.setattr(explorer, "_schedule", checked_schedule)
+    rng = random.Random(13)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
+    programs += [parse(random_program(rng)) for _ in range(150)]
+    nodes = 0
+    for prog in programs:
+        nodes += walk(prog, level).recursive_calls
+    assert len(checked) == nodes
+    assert checked.count(0) and checked.count(1) and max(checked) > 1
+
+
+def test_dfs_rejects_two_pending_transactions(monkeypatch):
+    st = ExplorationState.initial(example("racing_reads"))
+    st = apply_event(st, begin_event(TxnId(0, 0)))
+    st = apply_event(st, begin_event(TxnId(1, 0)))
+    with pytest.raises(ValueError) as expected:
+        next_event(st)
+    monkeypatch.setattr(ExplorationState, "initial", classmethod(lambda cls, program: st))
+    with pytest.raises(ValueError) as raised:
+        dfs(st.program, IsolationLevel.SER)
+    assert str(raised.value) == str(expected.value) == (
+        "multiple pending transactions: "
+        "(TxnId(session=0, index=0), TxnId(session=1, index=0))"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +274,6 @@ def test_reachable_reads_extend_causally_within_their_valid_writes(level):
             for t, child in children.items():
                 assert child == apply_event(st, event, writer=t)
     assert reads
-
-
-WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [(dfs, IsolationLevel.SER)]
 
 
 @pytest.mark.parametrize(

@@ -506,6 +506,26 @@ def test_with_event_rejects_what_no_log_continues_with(case):
     assert str(caught.value) == message
 
 
+def test_with_event_tells_an_internal_read_by_the_open_logs_writes():
+    """A read of a variable its open transaction already wrote takes no
+    writer in ``History.with_event``, with the validating constructor's
+    message; a read of another variable still takes one."""
+    h = History((init_log("x", "y"), TransactionLog(T0, (begin_event(T0),))), ())
+    h = h.with_event(write_event(T0, 1, "y", 1))
+    h = h.with_event(read_event(T0, 2, "x"), INIT_TXN)
+    assert h.wr_map == {EventId(T0, 2): INIT_TXN}
+    read_y = read_event(T0, 3, "y")
+    with pytest.raises(ValueError) as caught:
+        h.with_event(read_y, INIT_TXN)
+    with pytest.raises(ValueError) as built:
+        History((h.logs[0], TransactionLog(T0, h.by_id[T0].events + (read_y,))),
+                h.wr + ((read_y.id, INIT_TXN),))
+    assert str(caught.value) == str(built.value) == (
+        f"read {read_y.id} is internal, cannot have a writer"
+    )
+    assert h.with_event(read_y).derivation[1:] == (read_y, None, False)
+
+
 def _assert_derived_state_is_fresh(h: History) -> None:
     """Each log of ``h`` equals its events rebuilt through validation, with
     equal ``status``, ``write_set`` and ``read_set``, and ``h.writers``

@@ -282,17 +282,22 @@ def test_failed_guard_skips_straight_to_commit():
 
 
 def test_read_of_own_earlier_write_needs_no_writer():
-    prog = parse("session s { txn { write(x, 5); a = read(x); } }")
     t = TxnId(0, 0)
-    st = ExplorationState.initial(prog)
-    st = apply_event(st, begin_event(t))
-    st = apply_event(st, write_event(t, 1, "x", 5))
-    action = step_local(st, 0)
-    assert action.event.kind == READ
-    assert action.internal_value == 5
-    assert not action.is_external_read
-    grown = apply_event(st, action.event)
-    assert dict(grown.sessions[0].locals) == {"a": 5}
+    for source, writes, value in (
+        ("session s { txn { write(x, 5); a = read(x); } }", [("x", 5)], 5),
+        # The read takes the last write of x, not the first.
+        ("session s { txn { write(x, 5); write(y, 1); write(x, 7); a = read(x); } }",
+         [("x", 5), ("y", 1), ("x", 7)], 7),
+    ):
+        st = apply_event(ExplorationState.initial(parse(source)), begin_event(t))
+        for index, (var, written) in enumerate(writes, start=1):
+            st = apply_event(st, write_event(t, index, var, written))
+        action = step_local(st, 0)
+        assert action.event.kind == READ
+        assert action.internal_value == value
+        assert not action.is_external_read
+        grown = apply_event(st, action.event)
+        assert dict(grown.sessions[0].locals) == {"a": value}
 
 
 def test_step_local_requires_an_open_transaction():
