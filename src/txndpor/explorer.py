@@ -173,8 +173,10 @@ def valid_writes(
     Keys are the committed transactions the read may observe, in the order
     they entered the history; each value is ``st`` extended by the read
     observing that writer, built only when its history is ``level``-consistent.
+    Raises ``ValueError`` when ``action`` is not an external read.
     """
-    assert action.is_external_read
+    if not action.is_external_read:
+        raise ValueError(f"{action.event} is not an external read")
     return {
         t: advance(st, action, t, h)
         for t, h in _extensions(st, action)

@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterator
+from typing import Iterable, Iterator
 
 from .model import (
     ABORT,
@@ -182,7 +182,7 @@ _CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
 
 def _forced_edges_of(
-    h: History, level: IsolationLevel, readers: Container[TxnId],
+    h: History, level: IsolationLevel, readers: Iterable[TxnId],
     writers: dict[str, tuple[TxnId, ...]],
 ) -> Iterator[tuple[TxnId, TxnId]]:
     """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC).
@@ -190,28 +190,31 @@ def _forced_edges_of(
     A read of ``x`` by ``t3`` observing ``w`` forces every ``t2 != w`` in
     ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
     of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
-    at CC ``t2`` is causally before ``t3``.
+    at CC ``t2`` is causally before ``t3``.  Each reader's reads are its
+    log's ``read_set`` in program order, with writers from ``wr_map``.  The
+    RA premise is an id test, since the session order is the ids' order:
+    ``t2`` is init or earlier in ``t3``'s session, or one of ``t3``'s reads
+    observes it.
     """
-    current, seen = None, set()
-    # wr is sorted, so each reader's reads come together in program order.
-    for rid, w in h.wr:
-        t3 = rid.txn
-        if t3 not in readers:
-            continue
-        if t3 != current:
-            current, seen = t3, set()
-        for t2 in writers.get(h.by_id[t3].events[rid.index].var, ()):  # type: ignore[arg-type]
-            if t2 == w:
-                continue
-            if level is IsolationLevel.RC:
-                premise = t2 in seen
-            elif level is IsolationLevel.RA:
-                premise = (t2, t3) in h.so_pairs or (t2, t3) in h.wr_txn_pairs
-            else:
-                premise = t3 in h.causal_closure[t2]
-            if premise:
-                yield t2, w
-        seen.add(w)
+    wr_map = h.wr_map
+    for t3 in readers:
+        reads = [(ev.var, wr_map[ev.id]) for ev in h.by_id[t3].read_set if ev.id in wr_map]
+        observed = {w for _, w in reads}
+        seen = set()
+        for var, w in reads:
+            for t2 in writers.get(var, ()):  # type: ignore[arg-type]
+                if t2 == w:
+                    continue
+                if level is IsolationLevel.RC:
+                    premise = t2 in seen
+                elif level is IsolationLevel.RA:
+                    premise = (t2 == INIT_TXN or t2 in observed
+                               or (t2.session == t3.session and t2 < t3))
+                else:
+                    premise = t3 in h.causal_closure[t2]
+                if premise:
+                    yield t2, w
+            seen.add(w)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +227,20 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
     accepts.
 
     The frontier search of the module docstring.  Transactions are indexed
-    ``0..n-1``, the placed and open sets are int bitmasks, ``conflicts[t]``
-    holds the transactions that may not run concurrently with ``t`` and
+    ``0..n-1``, the placed and open sets are int bitmasks, ``preds[t]`` holds
+    ``t``'s causal predecessors (from ``causal_closure``), ``conflicts[t]``
+    the transactions that may not run concurrently with ``t`` and
     ``by_over[t]`` the (writer bit, reader index) of the instances whose
-    overwriter is ``t``.
+    overwriter is ``t``.  A placed set is always downward closed under so/wr,
+    so "every causal predecessor placed" admits exactly the candidates that
+    "every direct predecessor placed" does: the search, its memo and its
+    witness are those of the direct so/wr predecessors.
     """
     txns = h.txn_ids
     n = len(txns)
     idx = {t: i for i, t in enumerate(txns)}
     preds = [0] * n
-    for a, succs in h.causal_adjacency.items():
+    for a, succs in h.causal_closure.items():
         for b in succs:
             preds[idx[b]] |= 1 << idx[a]
     full = (1 << n) - 1

@@ -18,11 +18,13 @@ Full validation runs wherever a history enters from outside: ``History(...)``,
 ``OrderedHistory(...)`` and :func:`canonical_decode`.  The explorer's edits
 start from an already valid value and check only what the edit can break,
 with the same rules and messages.  The one-event edits (:meth:`History.with_begin`,
-:meth:`History.with_event`, :meth:`OrderedHistory.append`) carry the parent's
-derived relations forward updated by the delta: the index by id, sessions,
-session order, causal adjacency and closure, the wr map and pairs, and the
-writer index :attr:`History.writers`.  Only a begin that is not last in its
-session, or is in the init session, falls back to full validation.
+:meth:`History.with_event`, :meth:`OrderedHistory.append`) carry six of the
+parent's derived relations forward updated by the delta: the index by id, the
+transaction ids, sessions, causal closure, wr map and the writer index
+:attr:`History.writers`.  The session-order pairs, so/wr adjacency and wr
+transaction pairs are views computed on first use; only full construction
+and the literal reference checkers read them.  Only a begin that is not last
+in its session, or is in the init session, falls back to full validation.
 :meth:`History.with_event` extends the open log by
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
 and the event is its next one and no begin, and carries ``status`` and
@@ -466,7 +468,9 @@ class History:
         Skips ``__post_init__``; ``relations`` are the parent's derived
         relations updated by the delta and become the child's cached
         properties, ``derivation`` (the edit) among them.  A relation left out
-        (``drop_events`` passes only ``by_id``) is computed on first use.
+        (the one-event edits leave out the session-order pairs, so/wr
+        adjacency and wr transaction pairs, ``drop_events`` all but ``by_id``)
+        is computed on first use.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -476,7 +480,8 @@ class History:
         """Open ``txn`` with its begin event.
 
         A begin that comes last in a non-init session is derived from this
-        history; any other begin goes through full validation.
+        history, adding (session predecessor or init, ``txn``) to the closure;
+        any other begin goes through full validation.
         """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
@@ -489,9 +494,6 @@ class History:
         pred = same[-1] if same else INIT_TXN
         sessions = dict(self.sessions)
         sessions[txn.session] = same + (txn,)
-        adjacency = dict(self.causal_adjacency)
-        adjacency[pred] = tuple(sorted(adjacency[pred] + (txn,)))
-        adjacency[txn] = ()
         closure = closure_with_edges(
             {**self.causal_closure, txn: frozenset()}, [(pred, txn)]
         )
@@ -501,10 +503,7 @@ class History:
             by_id={log.id: log for log in logs},
             txn_ids=tuple(log.id for log in logs),
             sessions=dict(sorted(sessions.items())),
-            so_pairs=self.so_pairs | {(a, txn) for a in (INIT_TXN,) + same},
-            causal_adjacency=adjacency,
             causal_closure=closure,
-            wr_txn_pairs=self.wr_txn_pairs,
             wr_map=self.wr_map,
             writers=self.writers,
             derivation=(self.consistency_cache, begin, None, False),
@@ -516,11 +515,12 @@ class History:
         Derived from this history: the new log is
         :meth:`TransactionLog.extended`, and only its O(1) checks, the new wr
         edge and, for an abort, the reads observing the aborting transaction
-        are checked.  Every relation is carried over.  The writer index
-        changes only on a first write of a variable, which inserts the
-        transaction in order, and on an abort, which removes it.  The open
-        log's ``write_set`` tells a first write, recorded in ``derivation``,
-        and an internal read.
+        are checked.  The relations :meth:`with_begin` carries are carried
+        over: a wr edge adds its read to ``wr_map`` and (writer, reader) to
+        the closure.  The writer index changes only on a first write of a
+        variable, which inserts the transaction in order, and on an abort,
+        which removes it.  The open log's ``write_set`` tells a first write,
+        recorded in ``derivation``, and an internal read.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
@@ -550,32 +550,21 @@ class History:
             writers = {**writers, event.var: ordered}  # type: ignore[dict-item]
         wr = self.wr
         wr_map = self.wr_map
-        adjacency = self.causal_adjacency
         closure = self.causal_closure
-        wr_txn_pairs = self.wr_txn_pairs
         if writer is not None:
             _check_wr_edge(self.by_id, event, event.var in log.write_set, writer)
             closure = closure_with_edges(closure, [(writer, log.id)])
             if closure is None:
                 raise ValueError("so union wr is cyclic")
             wr = tuple(sorted(wr + ((event.id, writer),)))
-            wr_map = dict(wr)
-            pair = (writer, log.id)
-            if pair not in wr_txn_pairs:
-                wr_txn_pairs = wr_txn_pairs | {pair}
-                if log.id not in adjacency[writer]:
-                    adjacency = dict(adjacency)
-                    adjacency[writer] = tuple(sorted(adjacency[writer] + (log.id,)))
+            wr_map = {**wr_map, event.id: writer}
         return History._derived(
             logs,
             wr,
             by_id=by_id,
             txn_ids=self.txn_ids,
             sessions=self.sessions,
-            so_pairs=self.so_pairs,
-            causal_adjacency=adjacency,
             causal_closure=closure,
-            wr_txn_pairs=wr_txn_pairs,
             wr_map=wr_map,
             writers=writers,
             derivation=(self.consistency_cache, event, writer, first_write),

@@ -80,6 +80,8 @@ from txndpor.program import (
 )
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+# History relations only full construction and the reference checkers read.
+HISTORY_VIEWS = {"so_pairs", "causal_adjacency", "wr_txn_pairs"}
 WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [(dfs, IsolationLevel.SER)]
 
 
@@ -311,6 +313,32 @@ def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch
                 swaps += 1
     assert kinds == {BEGIN, READ, WRITE, COMMIT, ABORT}
     assert swaps or walk is dfs
+
+
+VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
+    (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
+]
+
+
+@pytest.mark.parametrize(
+    "walk, level", VIEW_WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in VIEW_WALKS]
+)
+def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
+    """No state the walks enter past the root holds the session-order pairs,
+    the so/wr adjacency or the wr transaction pairs, even once the run is
+    over: derived edits do not carry them and nothing on the walks' path
+    computes them.  ``explore_ce``'s states come from its entry hook,
+    ``dfs``'s from its emissions."""
+    states: list[ExplorationState] = []
+    for name in sorted(EXAMPLE_PROGRAMS):
+        if walk is dfs:
+            dfs(example(name), level, emit=states.append)
+        else:
+            explore_ce(example(name), level,
+                       entry_hook=lambda parent, st: states.append(st) if parent else None)
+    assert states
+    for st in states:
+        assert not HISTORY_VIEWS & vars(st.history.history).keys(), st.history.order
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +772,20 @@ def test_swap_and_its_gate_query_reject_what_is_not_an_external_read(call, r):
             swap(st, r, BAD_READS_W)
         else:
             reads_causally_latest(st.history, IsolationLevel.CC, r, BAD_READS_W)
+
+
+def test_valid_writes_reject_what_is_not_an_external_read():
+    """A begin and an internal read take no writer: ``valid_writes`` raises
+    with the event, also under ``python -O``."""
+    st = ExplorationState.initial(parse(BAD_READS_SOURCE))
+    begin = next_event(st)
+    st = _drive(st, [(begin.event, None), (write_event(BAD_READS_A, 1, "x", 1), None)])
+    internal = step_local(st, 0)
+    assert begin.event.kind == BEGIN and internal.internal_value == 1
+    for action in (begin, internal):
+        with pytest.raises(ValueError) as caught:
+            valid_writes(st, action, IsolationLevel.CC)
+        assert str(caught.value) == f"{action.event} is not an external read"
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,27 @@ def test_consistency_is_closed_under_containment(seed):
             assert check_consistency(p, level)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_forced_edges_are_those_the_literal_premise_grants(seed):
+    """The forced edges at RC, RA and CC are (overwriter, writer) of exactly
+    the axiom instances whose premise ``_premise_static`` grants, and those
+    of a set of readers are the instances those readers read: a random
+    subset, and a transaction with what it reaches, as a read's edit asks."""
+    rng = random.Random(seed)
+    h = random_history(rng)
+    for x in (h, random_prefix(rng, h)):
+        t = rng.choice(x.txn_ids)
+        subsets = (rng.sample(x.txn_ids, rng.randint(0, len(x.txn_ids))),
+                   x.causal_closure[t] | {t})
+        for level in (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC):
+            granted = [i for i in axiom_instances(x) if isolation._premise_static(x, level, i)]
+            assert forced_edges(x, level) == {(i.overwriter, i.writer) for i in granted}
+            for readers in subsets:
+                edges = set(isolation._forced_edges_of(x, level, readers, x.writers))
+                assert edges == {(i.overwriter, i.writer) for i in granted if i.reader in readers}
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
 def test_commit_order_witnesses_validate(seed):
