@@ -394,6 +394,14 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
 
     Cached per history and level; derived from the parent's cached closure
     when ``h`` is a one-event edit of a history checked at ``level``.
+
+    A first write of ``x`` by ``t`` adds the forced edges whose overwriter
+    is ``t``, and only readers in ``h.causal_closure[t]`` can have one: the
+    premise relating ``t`` to a reader puts the reader there at each level.
+    At RC the reader observed ``t``; at RA it follows ``t`` in its session
+    or observed ``t``; at CC ``t`` is causally before it by definition.
+    ``t`` itself is never such a reader.  In the walks ``t`` is the last
+    pending transaction, so its closure is empty.
     """
     cache = h.consistency_cache
     if level in cache:
@@ -414,7 +422,8 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
             new = _forced_edges_of(h, level, readers, h.writers)
             reach = closure_with_edges(reach, [(writer, t), *new])
         elif first_write:
-            new = _forced_edges_of(h, level, h.by_id, {event.var: (t,)})  # type: ignore[dict-item]
+            readers = h.causal_closure[t]
+            new = _forced_edges_of(h, level, readers, {event.var: (t,)})  # type: ignore[dict-item]
             reach = closure_with_edges(reach, new)
     cache[level] = reach
     return reach

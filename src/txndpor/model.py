@@ -27,20 +27,20 @@ and the literal reference checkers read them.  Only a begin that is not last
 in its session, or is in the init session, falls back to full validation.
 :meth:`History.with_event` extends the open log by
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
-and the event is its next one and no begin, and carries ``status`` and
-``write_set``; any other event goes to the validating constructor, which
-raises.  The edit records :attr:`History.derivation`: the parent's
-consistency cache, the event, its writer and whether it is a first write,
-read from the open log's ``write_set``.  :func:`drop_events`, the cut a swap
+and the event is its next one and no begin, and carries ``status``,
+``write_set`` and ``read_set``; any other event goes to the validating
+constructor, which raises.  The edit records :attr:`History.derivation`: the
+parent's consistency cache, the event, its writer and whether it is a first
+write, read from the open log's ``write_set``.  :func:`drop_events`, the cut a swap
 makes, recomputes the relations from the result instead, since deleting
 events can shrink causality.
 
-:func:`canonical_encode` builds a history's bytes from JSON fragments cached
-on its immutable logs (:attr:`TransactionLog.fragment`); emitted histories
-share most of their logs, so each log is encoded once.  The bytes equal
-``json.dumps(..., sort_keys=True)`` of the whole object: keys are written in
-sorted order, and ``wr``, which differs between histories sharing a log, is
-never cached.
+:func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
+separators=(",", ":"))`` without calling it, from fragments of the immutable
+values emitted histories share: each event and each log caches its own, and
+bounded memos hold the ``so`` part per tuple of session lists and each ``wr``
+edge.  Keys are written in sorted order and variables escaped by ``json``'s
+ASCII escaper; an event's variable is a ``str`` and its value an ``int``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ import graphlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -106,8 +107,10 @@ ABORTED = "aborted"
 class Event:
     """One database action: begin/read/write/commit/abort.
 
-    A read or write carries exactly one variable; a write also carries the
-    (already evaluated) integer value.
+    A read or write carries exactly one variable, a ``str``; a write also
+    carries the (already evaluated) value, an ``int`` and no ``bool``.  These
+    are the types :func:`canonical_decode` accepts, so every event's
+    encoding reads back.
     """
 
     id: EventId
@@ -127,6 +130,20 @@ class Event:
         else:  # WRITE
             if self.var is None or self.value is None:
                 raise ValueError("write events carry a variable and a value")
+            _typed(self.value, int, "a value")
+        if self.var is not None:
+            _typed(self.var, str, "a variable")
+
+    @cached_property
+    def fragment(self) -> str:
+        """This event's object in :func:`canonical_encode`, built on first
+        use with its keys in sorted order."""
+        head = f'{{"index":{self.id.index},"kind":"{self.kind}"'
+        if self.kind == WRITE:
+            return f'{head},"value":{self.value},"var":{encode_basestring_ascii(self.var)}}}'
+        if self.kind == READ:
+            return f'{head},"var":{encode_basestring_ascii(self.var)}}}'
+        return head + "}"
 
 
 def begin_event(txn: TxnId) -> Event:
@@ -209,14 +226,15 @@ class TransactionLog:
 
     @cached_property
     def fragment(self) -> str:
-        """This log's object in :func:`canonical_encode`, built on first use."""
-        obj = {"events": [_event_obj(ev) for ev in self.events],
-               "id": list(self.id), "status": self.status}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        """This log's object in :func:`canonical_encode`, built on first use
+        from its events' fragments."""
+        events = ",".join(ev.fragment for ev in self.events)
+        return (f'{{"events":[{events}],"id":[{self.id.session},{self.id.index}],'
+                f'"status":"{self.status}"}}')
 
     def extended(self, event: Event) -> "TransactionLog":
-        """This log plus ``event``, with ``status`` and ``write_set`` carried
-        over and updated by the one event.
+        """This log plus ``event``, with ``status``, ``write_set`` and
+        ``read_set`` carried over and updated by the one event.
 
         Checks in O(1) what the event can break: that this log is pending and
         that ``event`` is its next event and no begin.  Any other input goes
@@ -227,13 +245,17 @@ class TransactionLog:
                 or event.id != EventId(self.id, len(self.events))):
             return TransactionLog(self.id, self.events + (event,))
         write_set = self.write_set
+        read_set = self.read_set
         if kind == ABORT:
             write_set = {}
         elif kind == WRITE:
             write_set = {**write_set, event.var: event}
+        elif kind == READ and event.var not in write_set:
+            read_set += (event,)
         log = object.__new__(TransactionLog)
         log.__dict__.update(
             id=self.id, events=self.events + (event,), write_set=write_set,
+            read_set=read_set,
             status=COMMITTED if kind == COMMIT else ABORTED if kind == ABORT else PENDING,
         )
         return log
@@ -821,15 +843,6 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
 # ---------------------------------------------------------------------------
 
 
-def _event_obj(ev: Event) -> dict:
-    obj: dict = {"index": ev.id.index, "kind": ev.kind}
-    if ev.var is not None:
-        obj["var"] = ev.var
-    if ev.value is not None:
-        obj["value"] = ev.value
-    return obj
-
-
 def canonical_encode(h: History) -> bytes:
     """Deterministic, order-independent encoding of a history.
 
@@ -839,19 +852,36 @@ def canonical_encode(h: History) -> bytes:
     object ``{"so": ..., "txns": [...], "wr": [...]}`` as
     ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes it.
 
-    Each ``txns`` entry is its log's :attr:`TransactionLog.fragment`, cached
-    on the immutable log, so a log shared by many emitted histories is
-    encoded once.  The small ``so`` and ``wr`` parts are written here, with
-    ``so`` keyed by session ids sorted as strings, as ``sort_keys`` does.
-    Nothing that depends on ``wr`` is cached: one log appears in histories
-    with different writers.
+    Each ``txns`` entry is its log's cached :attr:`TransactionLog.fragment`,
+    the join of its events' cached :attr:`Event.fragment`.  The ``so`` part
+    is memoized per tuple of session lists (:func:`_so_fragment`, 64
+    entries; all complete histories of a program share one) and each ``wr``
+    edge per edge (:func:`_wr_fragment`, 1,024 entries).  A history's ``wr``
+    is never cached whole: one log appears in histories with different
+    writers.
     """
-    so = ",".join(f'"{s}":[{",".join(f"[{t.session},{t.index}]" for t in txns)}]'
-                  for s, txns in sorted(h.sessions.items(), key=lambda kv: str(kv[0])))
-    wr = ",".join(f"[[{r.txn.session},{r.txn.index},{r.index}],[{w.session},{w.index}]]"
-                  for r, w in h.wr)
+    so = _so_fragment(tuple(h.sessions.values()))
+    wr = ",".join(map(_wr_fragment, h.wr))
     txns = ",".join(log.fragment for log in h.logs)
     return f'{{"so":{{{so}}},"txns":[{txns}],"wr":[{wr}]}}'.encode()
+
+
+@lru_cache(maxsize=64)
+def _so_fragment(sessions: tuple[tuple[TxnId, ...], ...]) -> str:
+    """The ``so`` object's members for the session lists ``sessions``, keyed
+    by session ids sorted as strings, as ``sort_keys`` does."""
+    return ",".join(
+        f'"{txns[0].session}":[{",".join(f"[{t.session},{t.index}]" for t in txns)}]'
+        for txns in sorted(sessions, key=lambda txns: str(txns[0].session))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _wr_fragment(edge: tuple[EventId, TxnId]) -> str:
+    """One ``wr`` edge as its list ``[[session,index,position],[session,index]]``."""
+    read, writer = edge
+    return (f"[[{read.txn.session},{read.txn.index},{read.index}],"
+            f"[{writer.session},{writer.index}]]")
 
 
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}

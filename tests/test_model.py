@@ -20,7 +20,7 @@ from fixtures import (
     run_fresh,
     track_history_memory,
 )
-from txndpor import explorer
+from txndpor import explorer, model
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import dfs, explore_ce
 from txndpor.generate import random_history, random_prefix, random_program
@@ -104,6 +104,24 @@ def test_read_set_excludes_reads_after_own_write():
         ),
     )
     assert [e.id.index for e in log.read_set] == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: write_event(T0, 1, "x", True), "a value must be an integer, not True"),
+        (lambda: write_event(T0, 1, "x", 1.0), "a value must be an integer, not 1.0"),
+        (lambda: read_event(T0, 1, 7), "a variable must be a string, not 7"),
+        (lambda: write_event(T0, 1, 7, 1), "a variable must be a string, not 7"),
+    ],
+    ids=["bool value", "float value", "int read var", "int write var"],
+)
+def test_event_rejects_what_the_decoder_rejects(make, message):
+    """An event whose encoding :func:`canonical_decode` would refuse cannot
+    be built, and says why in the decoder's words."""
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 def test_write_set_is_last_write_per_variable_and_empty_when_aborted():
@@ -545,6 +563,28 @@ def _assert_derived_state_is_fresh(h: History) -> None:
     assert h.writers == {var: tuple(ts) for var, ts in scan.items()}
 
 
+def test_extended_logs_carry_their_read_set():
+    """Every log :meth:`TransactionLog.extended` returns carries ``status``,
+    ``write_set`` and ``read_set``, each equal to that of the same events
+    built through validation; internal reads and aborts included."""
+    internal = TransactionLog(T0, (begin_event(T0), read_event(T0, 1, "x"),
+                                   write_event(T0, 2, "x", 5), read_event(T0, 3, "x"),
+                                   read_event(T0, 4, "y"), abort_event(T0, 5)))
+    logs = [internal] + [log for seed in range(100) for log in histories(seed).logs]
+    extended = 0
+    for full in logs:
+        log = TransactionLog(full.id, full.events[:1])
+        for ev in full.events[1:]:
+            log = log.extended(ev)
+            assert {"status", "write_set", "read_set"} <= vars(log).keys()
+            fresh = TransactionLog(log.id, log.events)
+            assert (log.status, log.write_set, log.read_set) == (
+                fresh.status, fresh.write_set, fresh.read_set
+            ), log.id
+            extended += 1
+    assert extended > 500
+
+
 DERIVED_WALKS = [("explore_ce", lv) for lv in ("rc", "ra", "cc")] + [("dfs", "ser"), ("dfs", "si")]
 
 
@@ -810,6 +850,48 @@ def test_log_fragment_is_computed_on_first_encoding_only():
     assert not any("fragment" in vars(log) for log in h.logs)
     canonical_encode(h)
     assert all("fragment" in vars(log) for log in h.logs)
+
+
+def test_event_fragment_is_computed_on_first_encoding_only():
+    t = TxnId(0, 0)
+    log = TransactionLog(t, (begin_event(t), read_event(t, 1, ODD_VAR),
+                             write_event(t, 2, "x", -3), abort_event(t, 3)))
+    h = History((init_log("x", ODD_VAR), log), ((EventId(t, 1), INIT_TXN),))
+    events = list(h.events())
+    assert not any("fragment" in vars(ev) for ev in events)
+    assert canonical_encode(h) == _reference_encode(h)
+    assert all("fragment" in vars(ev) for ev in events)
+
+
+def _reader_history(session: int, reads: int) -> History:
+    """Init writes ``x``; the first transaction of ``session`` reads it
+    ``reads`` times, each read observing init."""
+    t = TxnId(session, 0)
+    events = (begin_event(t),) + tuple(read_event(t, i, "x") for i in range(1, reads + 1))
+    return History((init_log("x"), TransactionLog(t, events)),
+                   tuple((ev.id, INIT_TXN) for ev in events[1:]))
+
+
+def test_encoding_matches_the_reference_while_its_memos_evict():
+    """The emissions of two programs, encoded interleaved with histories that
+    bring more session lists and wr edges than the ``so`` and ``wr`` memos
+    hold, each equal the ``json.dumps`` reference, and the memos evict."""
+    so_bound = model._so_fragment.cache_parameters()["maxsize"]
+    wr_bound = model._wr_fragment.cache_parameters()["maxsize"]
+    fillers = [_reader_history(s, wr_bound // so_bound + 1) for s in range(so_bound + 1)]
+    assert len({edge for h in fillers for edge in h.wr}) > wr_bound
+    a, b = [], []
+    for name, out in (("racing_reads", a), ("guarded_write", b)):
+        explore_ce(parse(EXAMPLE_PROGRAMS[name]), IsolationLevel.RC,
+                   emit=lambda st, out=out: out.append(st.history.history))
+    model._so_fragment.cache_clear()
+    model._wr_fragment.cache_clear()
+    for i, filler in enumerate(fillers * 2):
+        for h in (a[i % len(a)], b[i % len(b)], filler):
+            assert canonical_encode(h) == _reference_encode(h)
+    for memo, bound in ((model._so_fragment, so_bound), (model._wr_fragment, wr_bound)):
+        info = memo.cache_info()
+        assert info.currsize == bound and info.misses > 2 * bound and info.hits > 0
 
 
 @settings(max_examples=100, derandomize=True)

@@ -68,3 +68,47 @@ def test_every_module_parses_at_the_supported_python_floor(path):
     floor = re.search(r'requires-python = ">=3\.(\d+)"', PYPROJECT.read_text())
     assert floor is not None
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))
+
+
+def _unbounded_memos(source: str) -> list[int]:
+    """Lines of ``source`` that use ``functools.cache`` or an ``lru_cache``
+    with ``maxsize=None``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found = any(alias.name == "cache" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found = (node.attr == "cache" and isinstance(node.value, ast.Name)
+                     and node.value.id == "functools")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            found = name == "lru_cache" and any(
+                isinstance(size, ast.Constant) and size.value is None for size in sizes
+            )
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_library_memos_are_bounded():
+    """No memo in the library can grow without bound over a long run, such as
+    a ``txndpor verify`` of a large program: no ``functools.cache`` and no
+    ``lru_cache(maxsize=None)``."""
+    for unbounded in (
+        "from functools import cache",
+        "import functools\n@functools.cache\ndef f(x): pass",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass",
+        "import functools\n@functools.lru_cache(None)\ndef f(x): pass",
+    ):
+        assert _unbounded_memos(unbounded), unbounded
+    assert _unbounded_memos("cache = {}\n@lru_cache(maxsize=64)\ndef f(x): pass") == []
+    offenders = {
+        path.name: lines
+        for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))
+        if (lines := _unbounded_memos(path.read_text()))
+    }
+    assert offenders == {}
