@@ -126,8 +126,7 @@ def _oracle_hook(prog: Program, level: IsolationLevel):
             raise OracleCheckError(
                 f"predecessor mismatch at {canonical_encode(st.history.history)!r}"
             )
-        spans = st.history.txn_spans
-        appearance = sorted(st.history.history.txn_ids, key=lambda t: spans[t][0])
+        appearance = list(st.history.starts)
         for a, b in zip(appearance, appearance[1:]):
             if not canonical_order(st.history.history, a, b):
                 raise OracleCheckError(
@@ -148,7 +147,7 @@ def _oracle_hook(prog: Program, level: IsolationLevel):
 @click.option("--emit", type=click.Path(dir_okay=False), default=None,
               help="Write one JSON history per line to this file.")
 @click.option("--dedup", is_flag=True,
-              help="Suppress duplicate histories in the emitted file.")
+              help="Suppress duplicate histories in the --emit file.")
 @click.option("--oracle-check", is_flag=True,
               help="Verify the uniqueness oracles at every explored state.")
 @click.option("--time-limit", type=click.FloatRange(min=0), default=None,
@@ -183,6 +182,8 @@ def run(
         raise click.UsageError("--weak-level only applies to explore-ce-star")
     if oracle_check and mode == "dfs":
         raise click.UsageError("--oracle-check applies to the explore modes")
+    if dedup and emit is None:
+        raise click.UsageError("--dedup applies only with --emit")
     _log.info("running %s at %s", mode, level.value)
 
     seen: set[bytes] = set()

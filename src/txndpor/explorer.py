@@ -12,10 +12,11 @@ causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
 A swap cuts the current state instead of rebuilding it from the root (see
-:func:`_swap_base`); transactions run one at a time, so no transaction but
-the reader is ever cut partway.  The gate builds no cut at all: which writer
-the cut would offer each affected read is a query on the current history
-(:func:`reads_causally_latest`, whose docstring proves the two agree).
+:func:`_swap_base`); an ordered history runs its transactions one at a time,
+so no transaction but the reader is ever cut partway.  The gate builds no cut
+at all: which writer the cut would offer each affected read is a query on the
+current history (:func:`reads_causally_latest`, whose docstring proves the two
+agree).
 
 Every state the traversal enters is the state that was checked:
 :func:`valid_writes`, :func:`dfs` and the gate check each extended history and
@@ -159,7 +160,7 @@ def _extensions(
         yield None, st.history.append(event)
         return
     hist = st.history.history
-    for t in st.history.txn_spans:  # keyed in the order transactions entered
+    for t in st.history.starts:  # keyed in the order transactions entered
         log = hist.txn(t)
         if log.status == COMMITTED and log.writes_var(event.var):  # type: ignore[arg-type]
             yield t, st.history.append(event, writer=t)
@@ -227,31 +228,27 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
 
     Empty unless the last event is a commit of some transaction ``t``.  A
     candidate is an external read ``r`` (of any log, aborted readers
-    included) on a variable ``t`` writes, whose transaction ran entirely
-    before ``t`` and is causally unrelated to it.
+    included) on a variable ``t`` writes, whose transaction is causally
+    unrelated to ``t``; ``t`` entered last, so every such reader ran entirely
+    before it.  Candidates come in the order of the history.
     """
     if h.last_event.kind != COMMIT:
         return []
     t = h.order[-1].txn
     hist = h.history
     tlog = hist.txn(t)
-    out = []
-    for read in hist.external_reads():
-        reader = read.id.txn
-        if reader == t or not tlog.writes_var(read.var):  # type: ignore[arg-type]
-            continue
-        if not h.txn_before_txn(reader, t):
-            continue
-        if causally_before_or_equal(hist, reader, t):
-            continue
-        out.append(ReorderCandidate(read.id, t))
-    out.sort(key=lambda c: h.position[c.read])
-    return out
+    return [
+        ReorderCandidate(read.id, t)
+        for reader in h.starts
+        if reader != t and not causally_before_or_equal(hist, reader, t)
+        for read in hist.by_id[reader].read_set
+        if tlog.writes_var(read.var)  # type: ignore[arg-type]
+    ]
 
 
 def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     """Events strictly after ``r`` whose transaction is not causally before ``t``."""
-    after = h.order[h.position[r] + 1 :]
+    after = h.order[h.starts[r.txn] + r.index + 1 :]
     return {eid for eid in after if not causally_before_or_equal(h.history, eid.txn, t)}
 
 
@@ -275,11 +272,15 @@ def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> Explo
     return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
 
 
-def _external_read(h: OrderedHistory, r: EventId) -> Event:
-    """The event ``r``, which must be an external read of ``h``."""
-    ev = h.history.event(r) if r in h.position else None
-    if ev is None or ev not in h.history.txn(r.txn).read_set:
+def _pivot(h: OrderedHistory, r: EventId, t: TxnId) -> Event:
+    """The event ``r``, which must be an external read of ``h`` whose reader
+    is not causally before ``t``: a read a swap toward ``t`` can pivot on."""
+    log = h.history.by_id.get(r.txn)
+    ev = next((e for e in log.read_set if e.id == r), None) if log else None
+    if ev is None:
         raise ValueError(f"event {r} is not an external read of the history")
+    if causally_before_or_equal(h.history, r.txn, t):
+        raise ValueError(f"reader {r.txn} is causally before {t}")
     return ev
 
 
@@ -293,11 +294,8 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     reader is replayed along its kept events, so its remaining control flow
     is recomputed from the new value of ``r``.
     """
-    h = st.history
-    pivot = _external_read(h, r)
-    if causally_before_or_equal(h.history, r.txn, t):
-        raise ValueError(f"reader {r.txn} is causally before {t}")
-    base = _swap_base(st, r, _swap_drop_set(h, r, t))
+    pivot = _pivot(st.history, r, t)
+    base = _swap_base(st, r, _swap_drop_set(st.history, r, t))
     return apply_event(base, pivot, writer=t)
 
 
@@ -319,9 +317,9 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
     looks only at the writer's causal successors and the reader's wr edges
     before ``r``.
     """
-    if r not in h.position:
-        raise ValueError(f"event {r} not in history")
     hist = h.history
+    if r.txn not in hist.by_id or not 0 <= r.index < len(hist.by_id[r.txn].events):
+        raise ValueError(f"event {r} not in history")
     t = hist.wr_map.get(r)
     if t is None:
         return False
@@ -349,9 +347,9 @@ def reads_causally_latest(
     candidates are the transactions causally before the reader that write
     the variable and keep the cut history consistent when ``r`` is
     re-appended reading from them.  True when ``r``'s writer in ``h`` is the
-    highest-priority candidate.  ``h`` must be ``level``-consistent, run
-    its transactions one at a time and let reads observe committed writers
-    only, as every state :func:`explore_ce` and :func:`dfs` enter does.
+    highest-priority candidate.  ``h`` must be ``level``-consistent and let
+    reads observe committed writers only, as every state :func:`explore_ce`
+    and :func:`dfs` enter does.
 
     The cut is never built: the verdict is a query on ``h``, exact by the
     following.  Let R be the reader; a transaction the cut keeps whole is
@@ -392,10 +390,8 @@ def reads_causally_latest(
       writes the variable is rejected.
     """
     hist = h.history
-    var = _external_read(h, r).var
+    var = _pivot(h, r, t).var
     reader = r.txn
-    if causally_before_or_equal(hist, reader, t):
-        raise ValueError(f"reader {reader} is causally before {t}")
     closure, current = hist.causal_closure, hist.wr_map.get(r)
     earlier = [(e.id, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
     same = hist.sessions[reader.session]
@@ -444,15 +440,17 @@ def optimality(
     Returns the swapped state ``swap(st, r, t)`` when the pivot passes, for
     the caller to enter, and None when it is rejected.  The rebuilt history
     is checked before the pivot is applied, so a rejected swap runs no code.
+    Raises ``ValueError`` on the arguments :func:`swap` refuses.
     """
     h = st.history
+    _pivot(h, r, t)
     dropset = _swap_drop_set(h, r, t)
     affected = [
         read.id
-        for read in h.history.external_reads()
+        for u in h.starts
+        for read in h.history.by_id[u].read_set
         if read.id == r or read.id in dropset
     ]
-    affected.sort(key=lambda eid: h.position[eid])
     if any(swapped(h, read_id) for read_id in affected):
         return None
     if not all(reads_causally_latest(h, level, read_id, t) for read_id in affected):

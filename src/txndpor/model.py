@@ -4,7 +4,10 @@ A history abstracts one execution's database interaction: a set of transaction
 logs together with a session order (derived from positional transaction ids)
 and a write-read relation mapping each external read to the transaction whose
 write it observes.  An ordered history additionally carries the total order in
-which events were appended during exploration.
+which events were appended during exploration: each transaction's events
+consecutively and in program order, the transactions in an order extending so
+union wr.  So transactions enter one at a time, and the order is fixed by
+where each one starts (:attr:`OrderedHistory.starts`).
 
 Typical construction goes through :class:`OrderedHistory`::
 
@@ -31,9 +34,10 @@ and the event is its next one and no begin, and carries ``status``,
 ``write_set`` and ``read_set``; any other event goes to the validating
 constructor, which raises.  The edit records :attr:`History.derivation`: the
 parent's consistency cache, the event, its writer and whether it is a first
-write, read from the open log's ``write_set``.  :func:`drop_events`, the cut a swap
-makes, recomputes the relations from the result instead, since deleting
-events can shrink causality.
+write, read from the open log's ``write_set``.  :meth:`OrderedHistory.append`
+carries ``starts``, which only a begin changes.  :func:`drop_events`, the cut
+a swap makes, recomputes the relations from the result instead, since
+deleting events can shrink causality.
 
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` without calling it, from fragments of the immutable
@@ -691,37 +695,33 @@ def is_prefix(p: History, h: History) -> bool:
 
 @dataclass(frozen=True)
 class OrderedHistory:
-    """A history plus the total order in which its events were added.
+    """A history plus the order in which its transactions entered.
 
-    The order contains every event exactly once and extends program order,
-    session order, and write-read: whenever two transactions are related by
-    (so union wr)+, all events of the first precede all events of the second.
+    The order lists each transaction's events consecutively and in program
+    order, and the transactions in an order extending so union wr.  Several
+    may be pending, but only the last to enter is extended.  :attr:`starts`,
+    each transaction's first position in entry order, is the one order
+    relation carried; :attr:`position` and :attr:`txn_spans` are views.
     """
 
     history: History
     order: tuple[EventId, ...]
 
     def __post_init__(self) -> None:
-        if set(self.order) != set(self.history.event_ids) or len(self.order) != len(
+        if set(self.order) != self.history.event_ids or len(self.order) != len(
             self.history.event_ids
         ):
             raise ValueError("order must list exactly the history's events")
-        pos = {eid: i for i, eid in enumerate(self.order)}
-        for log in self.history.logs:
-            for a, b in zip(log.events, log.events[1:]):
-                if pos[a.id] > pos[b.id]:
-                    raise ValueError(f"order violates program order in {log.id}")
+        order, starts = self.order, self.starts
+        for i, eid in enumerate(order):
+            if eid.index and order[i - 1].txn != eid.txn:
+                raise ValueError(f"order interleaves {eid.txn} with {order[i - 1].txn}")
+            if eid.index != i - starts[eid.txn]:
+                raise ValueError(f"event {eid} is not the next of {eid.txn}")
         closure = self.history.causal_closure
-        spans = {
-            log.id: (
-                min(pos[ev.id] for ev in log.events),
-                max(pos[ev.id] for ev in log.events),
-            )
-            for log in self.history.logs
-        }
-        for a, (_, last_a) in spans.items():
+        for a, first in starts.items():
             for b in closure[a]:
-                if last_a > spans[b][0]:
+                if starts[b] < first:
                     raise ValueError(f"order violates so/wr between {a} and {b}")
 
     @classmethod
@@ -736,18 +736,19 @@ class OrderedHistory:
         return cls(hist, tuple(ev.id for ev in events))
 
     @cached_property
+    def starts(self) -> dict[TxnId, int]:
+        """Transaction -> position of its begin, keyed in entry order."""
+        return {eid.txn: i for i, eid in enumerate(self.order) if not eid.index}
+
+    @cached_property
     def position(self) -> dict[EventId, int]:
         return {eid: i for i, eid in enumerate(self.order)}
 
     @cached_property
     def txn_spans(self) -> dict[TxnId, tuple[int, int]]:
         """Transaction -> (first, last) positions of its events in the order."""
-        first: dict[TxnId, int] = {}
-        last: dict[TxnId, int] = {}
-        for i, eid in enumerate(self.order):
-            first.setdefault(eid.txn, i)
-            last[eid.txn] = i
-        return {t: (first[t], last[t]) for t in first}
+        by_id = self.history.by_id
+        return {t: (i, i + len(by_id[t].events) - 1) for t, i in self.starts.items()}
 
     @property
     def last_event(self) -> Event:
@@ -755,45 +756,40 @@ class OrderedHistory:
 
     def txn_before_event(self, txn: TxnId, eid: EventId) -> bool:
         """All of ``txn``'s events precede ``eid`` in the order."""
-        return self.txn_spans[txn][1] < self.position[eid]
+        return self.starts[txn] < self.starts[eid.txn]
 
     def event_before_txn(self, eid: EventId, txn: TxnId) -> bool:
         """``eid`` precedes all of ``txn``'s events in the order."""
-        return self.position[eid] < self.txn_spans[txn][0]
+        return self.starts[eid.txn] < self.starts[txn]
 
     def txn_before_txn(self, a: TxnId, b: TxnId) -> bool:
-        return self.txn_spans[a][1] < self.txn_spans[b][0]
+        return self.starts[a] < self.starts[b]
 
     def append(self, event: Event, writer: TxnId | None = None) -> "OrderedHistory":
         """Extend with one event at the end of the order.
 
-        A begin event opens a new log; any other event extends its pending
-        log.  ``writer`` attaches the wr edge of an external read.  The
-        result is derived from this value, checking only the appended
-        transaction's span (a begin that is not last in its session always
-        fails that check, since its session successor already precedes it).
+        A begin event opens a new log, which enters last; any other event
+        extends the pending log of the last transaction to enter.
+        ``writer`` attaches the wr edge of an external read.  The result is
+        derived from this value: a begin is checked to have no causal
+        successor (one that is not last in its session always has one), and
+        a read's writer entered earlier, so it needs no check of its own.
         """
         txn = event.id.txn
-        order = self.order + (event.id,)
+        starts = self.starts
         if event.kind == BEGIN:
             if writer is not None:
                 raise ValueError("begin takes no writer")
             hist = self.history.with_begin(txn)
+            if after := hist.causal_closure[txn]:
+                raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
+            starts = {**starts, txn: len(self.order)}
         else:
             hist = self.history.with_event(event, writer)
-        last = len(self.order)
-        after = hist.causal_closure[txn]
-        if after:
-            raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
-        first = self.txn_spans[txn][0] if event.kind != BEGIN else last
-        if writer is not None and self.txn_spans[writer][1] > first:
-            raise ValueError(f"order violates so/wr between {writer} and {txn}")
-        position = dict(self.position)
-        position[event.id] = last
-        spans = dict(self.txn_spans)
-        spans[txn] = (first, last)
+            if txn != (last := self.order[-1].txn):
+                raise ValueError(f"order interleaves {txn} with {last}")
         h = object.__new__(OrderedHistory)
-        h.__dict__.update(history=hist, order=order, position=position, txn_spans=spans)
+        h.__dict__.update(history=hist, order=self.order + (event.id,), starts=starts)
         return h
 
 
@@ -806,8 +802,9 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
 
     Derived from ``h``: only truncated logs (still program-order prefixes),
     surviving reads' writers and init are re-checked; a deletion keeps ids
-    sorted and unique, reads' own wr checks, so union wr acyclic and the
-    order extending it.  Relations are recomputed: a cut may lose wr edges.
+    sorted and unique, reads' own wr checks, so union wr acyclic, each
+    transaction's events consecutive and the order of entry extending so
+    union wr.  Relations are recomputed: a cut may lose wr edges.
     """
     cut = {eid.txn for eid in dropped}
     new_logs = []

@@ -84,6 +84,15 @@ def test_run_dfs_overcounts_but_matches_after_dedup(program_file, capsys, tmp_pa
     assert len(direct.read_bytes().splitlines()) == 9
 
 
+def test_run_rejects_dedup_without_an_emit_file(program_file, capsys):
+    """``--dedup`` only filters the ``--emit`` file; alone it is a usage
+    error, not a flag that silently does nothing."""
+    assert main(["run", program_file("racing_reads"), "--mode", "dfs", "--dedup"]) == 1
+    captured = capsys.readouterr()
+    assert "--dedup applies only with --emit" in captured.err
+    assert "distinct histories" not in captured.out
+
+
 def test_run_emits_decodable_canonical_lines(program_file, tmp_path, capsys):
     emitted = tmp_path / "histories.jsonl"
     assert main(["run", program_file("split_reads"), "--emit", str(emitted)]) == 0

@@ -325,10 +325,12 @@ VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
 )
 def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
     """No state the walks enter past the root holds the session-order pairs,
-    the so/wr adjacency or the wr transaction pairs, even once the run is
-    over: derived edits do not carry them and nothing on the walks' path
-    computes them.  ``explore_ce``'s states come from its entry hook,
-    ``dfs``'s from its emissions."""
+    the so/wr adjacency or the wr transaction pairs, nor the order's
+    per-event positions or transaction spans, even once the run is over:
+    derived edits do not carry them and nothing on the walks' path computes
+    them.  Each state's ``starts``, and the two order views once computed,
+    equal their definitions from the order.  ``explore_ce``'s states come
+    from its entry hook, ``dfs``'s from its emissions."""
     states: list[ExplorationState] = []
     for name in sorted(EXAMPLE_PROGRAMS):
         if walk is dfs:
@@ -339,6 +341,17 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
     assert states
     for st in states:
         assert not HISTORY_VIEWS & vars(st.history.history).keys(), st.history.order
+        assert not {"position", "txn_spans"} & vars(st.history).keys(), st.history.order
+    for st in states:
+        h = st.history
+        first: dict[TxnId, int] = {}
+        last: dict[TxnId, int] = {}
+        for i, eid in enumerate(h.order):
+            first.setdefault(eid.txn, i)
+            last[eid.txn] = i
+        assert list(h.starts.items()) == list(first.items())
+        assert h.position == {eid: i for i, eid in enumerate(h.order)}
+        assert h.txn_spans == {t: (first[t], last[t]) for t in first}
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +427,13 @@ def test_swap_replays_control_flow_from_the_new_value():
 
 
 def test_swap_rejects_a_causally_tied_reader():
+    """``swap`` and its gate ``optimality`` refuse a reader causally before
+    the writer, by the same check."""
     base = abort_flip_baseline_state()
     with pytest.raises(ValueError, match="causally before"):
         swap(base, FLIP_FIRST_READ, FLIP_ABORTING)
+    with pytest.raises(ValueError, match="causally before"):
+        optimality(base, FLIP_FIRST_READ, FLIP_ABORTING, IsolationLevel.CC)
 
 
 def test_swap_result_minus_its_pivot_is_a_prefix_of_the_parent():
@@ -742,7 +759,7 @@ session w { txn { write(y, 2); } }
 BAD_READS_A, BAD_READS_W = TxnId(0, 0), TxnId(1, 0)
 
 
-@pytest.mark.parametrize("call", ["swap", "reads_causally_latest"])
+@pytest.mark.parametrize("call", ["swap", "optimality", "reads_causally_latest"])
 @pytest.mark.parametrize(
     "r",
     [
@@ -770,6 +787,8 @@ def test_swap_and_its_gate_query_reject_what_is_not_an_external_read(call, r):
     with pytest.raises(ValueError, match=re.escape(f"event {r} is not an external read")):
         if call == "swap":
             swap(st, r, BAD_READS_W)
+        elif call == "optimality":
+            optimality(st, r, BAD_READS_W, IsolationLevel.CC)
         else:
             reads_causally_latest(st.history, IsolationLevel.CC, r, BAD_READS_W)
 

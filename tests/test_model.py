@@ -371,6 +371,31 @@ def test_drop_events_rejects_orphaning_a_surviving_read():
         drop_events(oh, {e.id for e in full.txn(TRIO_WRITER).events})
 
 
+def test_ordered_histories_refuse_to_interleave_transactions():
+    """Once T1 has begun, pending T0 takes no further event: ``append`` and
+    the validating constructor refuse the order alike, naming both."""
+    h = OrderedHistory.initial(("x",)).append(begin_event(T0)).append(begin_event(T1))
+    write = write_event(T0, 1, "x", 1)
+    with pytest.raises(ValueError) as appended:
+        h.append(write)
+    with pytest.raises(ValueError) as built:
+        OrderedHistory(h.history.with_event(write), h.order + (write.id,))
+    assert str(appended.value) == str(built.value) == f"order interleaves {T0} with {T1}"
+
+
+def test_ordered_histories_refuse_a_transaction_out_of_program_order():
+    """T0's events listed consecutively, but its commit before its write."""
+    h = OrderedHistory.initial(("x",)).append(begin_event(T0))
+    full = h.history.with_event(write_event(T0, 1, "x", 1))
+    order = h.order + (EventId(T0, 2), EventId(T0, 1))
+    with pytest.raises(ValueError) as built:
+        OrderedHistory(full.with_event(commit_event(T0, 2)), order)
+    with pytest.raises(ValueError) as appended:
+        h.append(commit_event(T0, 2))
+    message = f"event {EventId(T0, 2)} is not the next of {T0}"
+    assert str(built.value) == str(appended.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Derived edits
 # ---------------------------------------------------------------------------
@@ -381,7 +406,9 @@ HISTORY_VIEWS = ("so_pairs", "causal_adjacency", "wr_txn_pairs")
 HISTORY_RELATIONS = (
     "by_id", "txn_ids", "sessions", "causal_closure", "wr_map", *HISTORY_VIEWS,
 )
-ORDER_RELATIONS = ("position", "txn_spans")
+# Ordered edits carry ``starts``; the two views are computed on first use.
+ORDER_VIEWS = ("position", "txn_spans")
+ORDER_RELATIONS = ("starts", *ORDER_VIEWS)
 
 
 def _next_edits(h: History) -> list[tuple[Event, TxnId | None]]:
@@ -430,7 +457,7 @@ def _outcome(build):
 def _assert_same_value(derived, full, relations, carried: bool) -> None:
     assert derived == full
     for name in relations:
-        assert not carried or name in HISTORY_VIEWS or name in vars(derived), name
+        assert not carried or name in HISTORY_VIEWS + ORDER_VIEWS or name in vars(derived), name
     for name in relations:
         assert getattr(derived, name) == getattr(full, name), name
 

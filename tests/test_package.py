@@ -112,3 +112,36 @@ def test_library_memos_are_bounded():
         if (lines := _unbounded_memos(path.read_text()))
     }
     assert offenders == {}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names ``source`` imports (``__future__`` features aside) that no
+    name in it reads."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_library_leaves_no_unused_import():
+    """Every module but ``__init__.py``, whose imports are re-exports, reads
+    each name it imports, so code that is deleted takes its imports along."""
+    seeded = (
+        "from __future__ import annotations\n"
+        "import os.path, re\n"
+        "from json import dumps, loads as ld\n"
+        "os.path.join(ld('1'))\n"
+    )
+    assert _unused_imports(seeded) == ["dumps", "re"]
+    offenders = {
+        path.name: names
+        for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert offenders == {}
