@@ -18,12 +18,14 @@ at all: which writer the cut would offer each affected read is a query on the
 current history (:func:`reads_causally_latest`, whose docstring proves the two
 agree).
 
-Every state the traversal enters is the state that was checked:
-:func:`valid_writes`, :func:`dfs` and the gate check each extended history and
-pass those that hold, with the action the walk stepped, to ``advance``, so
-each event is stepped once and no program code runs on a rejected child or
-swap.  The only histories checked but never entered are the extensions
-:func:`causal_extension_exists` tries.
+Every state the traversal enters is the state that was checked.
+:func:`valid_writes` decides each writer of a read on the parent, whose
+reader entered last, and builds only the children that pass; the gate and
+:func:`dfs`, the naive reference, check each history they build.  Each
+passes the action the walk stepped to ``advance``, so each event is stepped
+once and no program code runs on a rejected child or swap.  The only
+histories built and checked but never entered are those the gate and
+:func:`dfs` reject and the extensions :func:`causal_extension_exists` tries.
 
 Both searches follow one scheduling rule read from the session states,
 ``_schedule``: the open transaction steps on, else any session may begin;
@@ -46,7 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .isolation import _forced_edges_of, check_consistency
+from .isolation import _forced_edges_of, _read_closures, _read_edges, check_consistency
 from .model import (
     COMMIT,
     COMMITTED,
@@ -149,21 +151,17 @@ def next_event(st: ExplorationState) -> NextAction | None:
     return next(_schedule(st), None)
 
 
-def _extensions(
-    st: ExplorationState, action: NextAction
-) -> Iterator[tuple[TxnId | None, OrderedHistory]]:
-    """``st``'s history extended by ``action``'s event, with its writer: an
-    external read observing each committed transaction that writes its
-    variable, in the order they entered; any other event with no writer."""
-    event = action.event
+def _writers(st: ExplorationState, action: NextAction) -> list[TxnId | None]:
+    """The writers ``action``'s event may take in ``st``: for an external
+    read, each committed transaction that writes its variable, in the order
+    they entered; for any other event, only None."""
     if not action.is_external_read:
-        yield None, st.history.append(event)
-        return
-    hist = st.history.history
-    for t in st.history.starts:  # keyed in the order transactions entered
-        log = hist.txn(t)
-        if log.status == COMMITTED and log.writes_var(event.var):  # type: ignore[arg-type]
-            yield t, st.history.append(event, writer=t)
+        return [None]
+    by_id = st.history.history.by_id
+    return [
+        t for t in st.history.starts  # keyed in the order transactions entered
+        if by_id[t].status == COMMITTED and by_id[t].writes_var(action.event.var)  # type: ignore[arg-type]
+    ]
 
 
 def valid_writes(
@@ -173,16 +171,27 @@ def valid_writes(
 
     Keys are the committed transactions the read may observe, in the order
     they entered the history; each value is ``st`` extended by the read
-    observing that writer, built only when its history is ``level``-consistent.
-    Raises ``ValueError`` when ``action`` is not an external read.
+    observing that writer, when its history is ``level``-consistent.  Each
+    writer is decided on ``st`` (:func:`isolation._read_closures`), since
+    the reader entered last, and only an accepted writer's state is built,
+    its closure cached as its verdict.  At TRUE every writer is accepted;
+    when ``st`` is inconsistent, none is.  Raises ``ValueError`` when
+    ``action`` is not an external read.
     """
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
-    return {
-        t: advance(st, action, t, h)
-        for t, h in _extensions(st, action)
-        if check_consistency(h.history, level)
-    }
+    event, writers = action.event, _writers(st, action)
+    if level is IsolationLevel.TRUE:
+        return {t: advance(st, action, t) for t in writers}
+    if not check_consistency(st.history.history, level):
+        return {}
+    children = {}
+    for t, reach in _read_closures(st.history.history, level, event, writers):
+        if reach is not None:
+            h = st.history.append(event, writer=t)
+            h.history.consistency_cache[level] = reach
+            children[t] = advance(st, action, t, h)
+    return children
 
 
 # The levels at which every reachable history extends by its next event
@@ -259,10 +268,11 @@ def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> Explo
     lost transactions goes back to the locals its first lost one began
     with, and only the reader's events before ``r`` are replayed on top.
     Kept events keep their writers and so their values; only the pivot,
-    appended next, can bring in a new one."""
+    appended next, can bring in a new one.  The cut is :func:`_swap_cut`,
+    whose relations the reader's begin carries on instead of recomputing."""
     h = st.history
     reader = h.history.txn(r.txn)
-    cut = drop_events(h, dropped | {ev.id for ev in reader.events})
+    cut = _swap_cut(h, dropped | {ev.id for ev in reader.events})
     sessions = list(st.sessions)
     for tid in sorted({eid.txn for eid in dropped} | {r.txn}, reverse=True):  # first lost last
         assert tid not in cut.history.by_id, f"swap cuts {tid} partway"
@@ -270,6 +280,26 @@ def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> Explo
         sessions[tid.session] = LocalState(begun[tid.index], tid.index, begun=begun[: tid.index])
     base = ExplorationState(st.program, cut, tuple(sessions))
     return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
+
+
+def _swap_cut(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
+    """``drop_events(h, dropped)`` for a swap, the reader's events among
+    ``dropped``: whole transactions go, none reaching a kept one (the second
+    bullet of :func:`reads_causally_latest`).  So the cut carries ``h``'s
+    causal closure restricted to the kept transactions, and ``h``'s ids,
+    sessions, writer index and wr map without the dropped ones."""
+    cut = drop_events(h, dropped)
+    hist, kept = h.history, cut.history.by_id
+    cut.history.__dict__.update(  # fresh and unshared: fill its lazy relations
+        txn_ids=tuple(kept),
+        causal_closure={u: hist.causal_closure[u].intersection(kept) for u in kept},
+        sessions={s: ts for s, txns in hist.sessions.items()
+                  if (ts := tuple(u for u in txns if u in kept))},
+        writers={x: ws for x, txns in hist.writers.items()
+                 if (ws := tuple(u for u in txns if u in kept))},
+        wr_map={rid: w for rid, w in hist.wr_map.items() if rid not in dropped},
+    )
+    return cut
 
 
 def _pivot(h: OrderedHistory, r: EventId, t: TxnId) -> Event:
@@ -393,7 +423,7 @@ def reads_causally_latest(
     var = _pivot(h, r, t).var
     reader = r.txn
     closure, current = hist.causal_closure, hist.wr_map.get(r)
-    earlier = [(e.id, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
+    earlier = [(e.var, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
     same = hist.sessions[reader.session]
     direct = {w for _, w in earlier} | {INIT_TXN, *same[: same.index(reader)]}
     past = direct | {u for u in hist.txn_ids if not closure[u].isdisjoint(direct)}
@@ -407,23 +437,14 @@ def reads_causally_latest(
         if u != reader and (h.txn_before_event(u, r) or causally_before_or_equal(hist, u, t))
     }
     reach = closure_with_edges(closure, _forced_edges_of(hist, level, kept, hist.writers))
-
-    def closes_cycle(w: TxnId) -> bool:
-        """Whether R's reads in the cut and then ``r`` observing ``w`` force a cycle."""
-        edges: list[tuple[TxnId, TxnId]] = []
-        seen: set[TxnId] = set()
-        fixed = direct | {w} if level is IsolationLevel.RA else past
-        for rid, observed in earlier + [(r, w)]:
-            before = seen if level is IsolationLevel.RC else fixed
-            y = hist.event(rid).var
-            edges += [
-                (t2, observed) for t2 in before
-                if t2 != observed and hist.by_id[t2].writes_var(y)  # type: ignore[arg-type]
-            ]
-            seen.add(observed)
-        return closure_with_edges(reach, edges) is None
-
-    return all(closes_cycle(w) for w in above)
+    # R's reads in the cut, then r observing w; at cc R's premise is P.
+    in_p = {u: frozenset([reader] if u in past else []) for u in hist.txn_ids}
+    return all(
+        closure_with_edges(
+            reach, _read_edges(level, reader, earlier + [(var, w)], hist.writers, in_p)  # type: ignore[arg-type]
+        ) is None
+        for w in above
+    )
 
 
 def optimality(
@@ -590,6 +611,8 @@ def _explore(
             children = [advance(st, action)]
         for child in children:
             yield child, st
+            if action.event.kind != COMMIT:  # only a commit has candidates
+                continue
             for cand in compute_reorderings(child.history):
                 swapped_st = optimality(child, cand.read, cand.writer, weak)
                 if swapped_st is None:
@@ -634,9 +657,10 @@ def dfs(
             return
         # Checked here, not in valid_writes, so traced runs count them under dfs.
         children = [
-            advance(st, action, writer, h)
-            for action in actions
-            for writer, h in _extensions(st, action)
+            advance(st, a, w, h)
+            for a in actions
+            for w in _writers(st, a)
+            for h in [st.history.append(a.event, writer=w)]
             if check_consistency(h.history, level)
         ]
         if not children:

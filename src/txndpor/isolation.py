@@ -92,6 +92,7 @@ from .model import (
     ABORT,
     BEGIN,
     INIT_TXN,
+    Event,
     EventId,
     History,
     IsolationLevel,
@@ -185,36 +186,61 @@ def _forced_edges_of(
     h: History, level: IsolationLevel, readers: Iterable[TxnId],
     writers: dict[str, tuple[TxnId, ...]],
 ) -> Iterator[tuple[TxnId, TxnId]]:
-    """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC).
-
-    A read of ``x`` by ``t3`` observing ``w`` forces every ``t2 != w`` in
-    ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
-    of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
-    at CC ``t2`` is causally before ``t3``.  Each reader's reads are its
-    log's ``read_set`` in program order, with writers from ``wr_map``.  The
-    RA premise is an id test, since the session order is the ids' order:
-    ``t2`` is init or earlier in ``t3``'s session, or one of ``t3``'s reads
-    observes it.
-    """
+    """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC):
+    :func:`_read_edges` of each reader's reads, its log's ``read_set`` in
+    program order with writers from ``wr_map``."""
     wr_map = h.wr_map
     for t3 in readers:
         reads = [(ev.var, wr_map[ev.id]) for ev in h.by_id[t3].read_set if ev.id in wr_map]
-        observed = {w for _, w in reads}
-        seen = set()
-        for var, w in reads:
-            for t2 in writers.get(var, ()):  # type: ignore[arg-type]
-                if t2 == w:
-                    continue
-                if level is IsolationLevel.RC:
-                    premise = t2 in seen
-                elif level is IsolationLevel.RA:
-                    premise = (t2 == INIT_TXN or t2 in observed
-                               or (t2.session == t3.session and t2 < t3))
-                else:
-                    premise = t3 in h.causal_closure[t2]
-                if premise:
-                    yield t2, w
-            seen.add(w)
+        yield from _read_edges(level, t3, reads, writers, h.causal_closure)  # type: ignore[arg-type]
+
+
+def _read_edges(
+    level: IsolationLevel, t3: TxnId, reads: list[tuple[str, TxnId]],
+    writers: dict[str, tuple[TxnId, ...]], closure: dict[TxnId, frozenset[TxnId]],
+) -> Iterator[tuple[TxnId, TxnId]]:
+    """The forced edges (t2, w) of ``t3``'s ``reads``, (variable, writer)
+    pairs in program order.
+
+    A read of ``x`` observing ``w`` forces every ``t2 != w`` in
+    ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
+    of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
+    at CC ``t3`` is in ``closure[t2]``.  The RA premise is an id test, since
+    the session order is the ids' order: ``t2`` is init or earlier in
+    ``t3``'s session, or one of ``reads`` observes it.
+    """
+    observed = {w for _, w in reads}
+    seen = set()
+    for var, w in reads:
+        for t2 in writers.get(var, ()):
+            if t2 == w:
+                continue
+            if level is IsolationLevel.RC:
+                premise = t2 in seen
+            elif level is IsolationLevel.RA:
+                premise = (t2 == INIT_TXN or t2 in observed
+                           or (t2.session == t3.session and t2 < t3))
+            else:
+                premise = t3 in closure[t2]
+            if premise:
+                yield t2, w
+        seen.add(w)
+
+
+def _read_closures(
+    h: History, level: IsolationLevel, read: Event, candidates: Iterable[TxnId]
+) -> Iterator[tuple[TxnId, dict | None]]:
+    """Each ``w`` of ``candidates`` with the closure :func:`_forced_closure`
+    derives for ``h.with_event(read, writer=w)``, built on ``h`` alone.
+    ``h`` is ``level``-consistent (RC, RA, CC) and ``read``'s transaction
+    entered it last, as in the walks."""
+    reach, t, closure = _forced_closure(h, level), read.id.txn, h.causal_closure
+    reads = [(ev.var, h.wr_map[ev.id]) for ev in h.by_id[t].read_set if ev.id in h.wr_map]
+    for w in candidates:
+        if level is IsolationLevel.CC:  # the child's causality toward t
+            closure = closure_with_edges(h.causal_closure, [(w, t)])
+        edges = _read_edges(level, t, reads + [(read.var, w)], h.writers, closure)  # type: ignore[arg-type]
+        yield w, closure_with_edges(reach, [(w, t), *edges])  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +428,11 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
     or observed ``t``; at CC ``t`` is causally before it by definition.
     ``t`` itself is never such a reader.  In the walks ``t`` is the last
     pending transaction, so its closure is empty.
+
+    So a read of ``t`` observing ``w`` in the walks adds (``w``, ``t``) and
+    the forced edges of ``t``'s reads alone, which need no child:
+    :func:`_read_closures` asks them of the parent, with the CC premise
+    ``t2 == w`` or ``t2`` reaching ``w`` or ``t`` in the parent.
     """
     cache = h.consistency_cache
     if level in cache:

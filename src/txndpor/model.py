@@ -35,9 +35,11 @@ and the event is its next one and no begin, and carries ``status``,
 constructor, which raises.  The edit records :attr:`History.derivation`: the
 parent's consistency cache, the event, its writer and whether it is a first
 write, read from the open log's ``write_set``.  :meth:`OrderedHistory.append`
-carries ``starts``, which only a begin changes.  :func:`drop_events`, the cut
-a swap makes, recomputes the relations from the result instead, since
-deleting events can shrink causality.
+carries ``starts``, which only a begin changes.  :func:`drop_events`
+recomputes the relations from the result instead, since deleting events can
+shrink causality; only the cut a swap makes, which drops no transaction that
+reaches a kept one, is given them by restriction (``explorer._swap_cut``).
+Lazy relations fill by :class:`lazy_property`, which takes no lock.
 
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` without calling it, from fragments of the immutable
@@ -53,9 +55,26 @@ import graphlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
+
+
+class lazy_property:
+    """``functools.cached_property`` without its lock: the first read stores
+    ``func(instance)`` in the instance's ``__dict__``, where later reads find
+    it before this non-data descriptor.  Up to Python 3.11 the functools one
+    takes a class-wide lock on every fill; nothing here runs threads."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -138,7 +157,7 @@ class Event:
         if self.var is not None:
             _typed(self.var, str, "a variable")
 
-    @cached_property
+    @lazy_property
     def fragment(self) -> str:
         """This event's object in :func:`canonical_encode`, built on first
         use with its keys in sorted order."""
@@ -196,7 +215,7 @@ class TransactionLog:
             if ev.kind in (COMMIT, ABORT) and pos != len(self.events) - 1:
                 raise ValueError(f"transaction {self.id} continues past {ev.kind}")
 
-    @cached_property
+    @lazy_property
     def status(self) -> str:
         last = self.events[-1].kind
         if last == COMMIT:
@@ -205,7 +224,7 @@ class TransactionLog:
             return ABORTED
         return PENDING
 
-    @cached_property
+    @lazy_property
     def read_set(self) -> tuple[Event, ...]:
         """External reads: reads with no program-order-earlier same-variable write."""
         out = []
@@ -217,7 +236,7 @@ class TransactionLog:
                 written.add(ev.var)  # type: ignore[arg-type]
         return tuple(out)
 
-    @cached_property
+    @lazy_property
     def write_set(self) -> dict[str, Event]:
         """Last write per variable; empty for aborted transactions."""
         if self.status == ABORTED:
@@ -228,7 +247,7 @@ class TransactionLog:
                 out[ev.var] = ev  # type: ignore[index]
         return out
 
-    @cached_property
+    @lazy_property
     def fragment(self) -> str:
         """This log's object in :func:`canonical_encode`, built on first use
         from its events' fragments."""
@@ -286,6 +305,9 @@ class IsolationLevel(Enum):
     CC = "cc"
     SI = "si"
     SER = "ser"
+
+    # Members are singletons: hash by identity, in C, not by name in Python.
+    __hash__ = object.__hash__
 
     @property
     def strength(self) -> int:
@@ -365,11 +387,11 @@ class History:
 
     # -- basic accessors ----------------------------------------------------
 
-    @cached_property
+    @lazy_property
     def by_id(self) -> dict[TxnId, TransactionLog]:
         return {log.id: log for log in self.logs}
 
-    @cached_property
+    @lazy_property
     def txn_ids(self) -> tuple[TxnId, ...]:
         return tuple(log.id for log in self.logs)
 
@@ -379,11 +401,11 @@ class History:
         except KeyError:
             raise ValueError(f"unknown transaction {tid}") from None
 
-    @cached_property
+    @lazy_property
     def wr_map(self) -> dict[EventId, TxnId]:
         return dict(self.wr)
 
-    @cached_property
+    @lazy_property
     def event_ids(self) -> frozenset[EventId]:
         return frozenset(ev.id for log in self.logs for ev in log.events)
 
@@ -397,14 +419,9 @@ class History:
             raise ValueError(f"unknown event {eid}")
         return log.events[eid.index]
 
-    @cached_property
+    @lazy_property
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(self.txn(INIT_TXN).write_set))
-
-    def external_reads(self) -> Iterator[Event]:
-        """All external reads across all logs (aborted readers included)."""
-        for log in self.logs:
-            yield from log.read_set
 
     def pending_txns(self) -> tuple[TxnId, ...]:
         return tuple(
@@ -413,7 +430,7 @@ class History:
 
     # -- session order and causality ----------------------------------------
 
-    @cached_property
+    @lazy_property
     def sessions(self) -> dict[int, tuple[TxnId, ...]]:
         """Session id -> its transactions in session order (init excluded)."""
         out: dict[int, list[TxnId]] = {}
@@ -422,7 +439,7 @@ class History:
                 out.setdefault(tid.session, []).append(tid)
         return {s: tuple(sorted(ts)) for s, ts in out.items()}
 
-    @cached_property
+    @lazy_property
     def so_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:
         """The session order as a relation: same-session pairs plus init before all."""
         pairs = {
@@ -434,7 +451,7 @@ class History:
                     pairs.add((a, b))
         return frozenset(pairs)
 
-    @cached_property
+    @lazy_property
     def causal_adjacency(self) -> dict[TxnId, tuple[TxnId, ...]]:
         """Successor lists for so union wr (session successors, not the closure)."""
         adj: dict[TxnId, set[TxnId]] = {t: set() for t in self.txn_ids}
@@ -447,7 +464,7 @@ class History:
             adj[writer].add(reader)
         return {t: tuple(sorted(s)) for t, s in adj.items()}
 
-    @cached_property
+    @lazy_property
     def causal_closure(self) -> dict[TxnId, frozenset[TxnId]]:
         """t -> every transaction strictly reachable from t via so union wr."""
         out: dict[TxnId, frozenset[TxnId]] = {}
@@ -462,11 +479,11 @@ class History:
             out[start] = frozenset(seen)
         return out
 
-    @cached_property
+    @lazy_property
     def wr_txn_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:
         return frozenset((writer, rid.txn) for rid, writer in self.wr)
 
-    @cached_property
+    @lazy_property
     def writers(self) -> dict[str, tuple[TxnId, ...]]:
         """Variable -> the transactions whose ``write_set`` holds it, in
         ``logs`` order.  Never mutated, so derived edits share it."""
@@ -476,7 +493,7 @@ class History:
                 out.setdefault(var, []).append(log.id)
         return {var: tuple(ts) for var, ts in out.items()}
 
-    @cached_property
+    @lazy_property
     def consistency_cache(self) -> dict:
         """Per-level results of :func:`isolation.check_consistency`."""
         return {}
@@ -735,16 +752,16 @@ class OrderedHistory:
         hist = History((log,), ())
         return cls(hist, tuple(ev.id for ev in events))
 
-    @cached_property
+    @lazy_property
     def starts(self) -> dict[TxnId, int]:
         """Transaction -> position of its begin, keyed in entry order."""
         return {eid.txn: i for i, eid in enumerate(self.order) if not eid.index}
 
-    @cached_property
+    @lazy_property
     def position(self) -> dict[EventId, int]:
         return {eid: i for i, eid in enumerate(self.order)}
 
-    @cached_property
+    @lazy_property
     def txn_spans(self) -> dict[TxnId, tuple[int, int]]:
         """Transaction -> (first, last) positions of its events in the order."""
         by_id = self.history.by_id
@@ -761,9 +778,6 @@ class OrderedHistory:
     def event_before_txn(self, eid: EventId, txn: TxnId) -> bool:
         """``eid`` precedes all of ``txn``'s events in the order."""
         return self.starts[eid.txn] < self.starts[txn]
-
-    def txn_before_txn(self, a: TxnId, b: TxnId) -> bool:
-        return self.starts[a] < self.starts[b]
 
     def append(self, event: Event, writer: TxnId | None = None) -> "OrderedHistory":
         """Extend with one event at the end of the order.

@@ -27,7 +27,6 @@ from .model import (
     ABORTED,
     BEGIN,
     INIT_TXN,
-    READ,
     EventId,
     History,
     IsolationLevel,
@@ -143,13 +142,7 @@ def is_or_respectful(
     hist = h.history
     if len(hist.pending_txns()) > 1:
         return False
-    swapped_txns = {
-        eid.txn
-        for eid in h.order
-        if hist.event(eid).kind == READ
-        and eid in hist.wr_map
-        and swapped(h, eid)
-    }
+    swapped_txns = {rid.txn for rid in hist.wr_map if swapped(h, rid)}
 
     def witness(later_txn: TxnId, priority_bound: TxnId) -> bool:
         return any(
@@ -157,21 +150,18 @@ def is_or_respectful(
             for w in swapped_txns
         )
 
-    for e in h.order:
-        for e2 in h.order:
-            if e <= e2 and h.position[e] > h.position[e2]:
-                if not witness(e2.txn, e.txn):
-                    return False
-    incomplete = [t for t in hist.pending_txns()]
-    if static_txns is not None:
-        incomplete.extend(
-            t for t in static_txns if t != INIT_TXN and t not in hist.by_id
-        )
-    for u in incomplete:
-        for e2 in h.order:
-            if u < e2.txn and not witness(e2.txn, u):
-                return False
-    return True
+    # Each transaction's events are consecutive, so an event of ``a`` comes
+    # after one of a lower-priority ``b`` exactly when ``a`` entered after
+    # ``b``; an incomplete ``a`` misses events after every ``b``.
+    entered = list(dict.fromkeys(eid.txn for eid in h.order))
+    incomplete = [*hist.pending_txns(),
+                  *(t for t in static_txns or () if t != INIT_TXN and t not in hist.by_id)]
+    return all(
+        witness(b, a)
+        for i, b in enumerate(entered)
+        for a in entered[i + 1 :] + incomplete
+        if a < b
+    )
 
 
 # ---------------------------------------------------------------------------

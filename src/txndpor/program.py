@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .model import (
@@ -51,6 +50,7 @@ from .model import (
     abort_event,
     begin_event,
     commit_event,
+    lazy_property,
     read_event,
     write_event,
 )
@@ -156,7 +156,7 @@ class SessionDecl(_Located):
 class Program:
     sessions: tuple[SessionDecl, ...]
 
-    @cached_property
+    @lazy_property
     def variables(self) -> tuple[str, ...]:
         """All shared variables mentioned anywhere, sorted."""
         out: set[str] = set()
@@ -175,7 +175,7 @@ class Program:
                     scan(instr)
         return tuple(sorted(out))
 
-    @cached_property
+    @lazy_property
     def asserts(self) -> tuple[tuple[int, Expr], ...]:
         """(session index, condition) for every assert instruction."""
         out = []

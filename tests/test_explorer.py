@@ -42,7 +42,7 @@ from txndpor.explorer import (
     valid_writes,
 )
 from txndpor.generate import random_program
-from txndpor.isolation import check_consistency
+from txndpor.isolation import _forced_closure, check_consistency
 from txndpor.model import (
     ABORT,
     ABORTED,
@@ -278,6 +278,82 @@ def test_reachable_reads_extend_causally_within_their_valid_writes(level):
     assert reads
 
 
+def _examples_corners_and_draws(seed: int, draws: int):
+    """The example programs, the gate's corner programs and ``draws``
+    random programs drawn from ``seed``."""
+    rng = random.Random(seed)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
+    return programs + [parse(random_program(rng)) for _ in range(draws)]
+
+
+def _next_reads(programs, level):
+    """(state, action) for every state explore_ce enters whose next action
+    is an external read."""
+    for prog in programs:
+        for _, st in entered_states(prog, level):
+            action = next_event(st)
+            if action is not None and action.is_external_read:
+                yield st, action
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_writers_decided_on_the_parent_match_build_then_check(level):
+    """On every state explore_ce enters whose next action is an external
+    read, on the examples, the corner programs and 100 random programs,
+    ``valid_writes`` gives the keys, in order, and the children of building
+    each extension and checking it.  Each child's cached closure is its
+    forced closure recomputed from full construction, without a cache."""
+    rejected = 0
+    for st, action in _next_reads(_examples_corners_and_draws(21, 100), level):
+        hist = st.history.history
+        built = {
+            t: st.history.append(action.event, writer=t)
+            for t in st.history.starts
+            if hist.txn(t).status == COMMITTED and hist.txn(t).writes_var(action.event.var)
+        }
+        expected = {
+            t: advance(st, action, t, h)
+            for t, h in built.items() if check_consistency(h.history, level)
+        }
+        children = valid_writes(st, action, level)
+        assert list(children) == list(expected)
+        assert children == expected
+        for child in children.values():
+            h = child.history.history
+            assert h.consistency_cache[level] == _forced_closure(History(h.logs, h.wr), level)
+        rejected += len(built) - len(children)
+    assert rejected > 100
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_valid_writes_build_nothing_for_a_rejected_writer(level, monkeypatch):
+    """``valid_writes`` appends the read once per writer it accepts and
+    builds nothing by full construction, so a rejected writer costs no
+    history and no ordered history."""
+    cases = list(_next_reads(_examples_corners_and_draws(22, 100), level))
+    appended: list[TxnId] = []
+    append = OrderedHistory.append
+
+    def counted(self, event, writer=None):
+        appended.append(writer)
+        return append(self, event, writer)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("valid_writes built a history by full construction")
+
+    monkeypatch.setattr(OrderedHistory, "append", counted)
+    monkeypatch.setattr(OrderedHistory, "__post_init__", refuse)
+    monkeypatch.setattr(History, "__post_init__", refuse)
+    rejected = 0
+    for st, action in cases:
+        appended.clear()
+        children = valid_writes(st, action, level)
+        assert appended == list(children)
+        rejected += len(explorer._writers(st, action)) - len(children)
+    assert rejected > 100
+
+
 @pytest.mark.parametrize(
     "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
 )
@@ -483,6 +559,36 @@ def test_swaps_match_a_replay_from_the_root(level):
     assert checked > 200
 
 
+# The relations a swap's cut carries, derived by restriction.
+CUT_RELATIONS = ("txn_ids", "sessions", "causal_closure", "writers", "wr_map")
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_swap_cuts_carry_the_relations_of_full_construction(level):
+    """On every swap explore_ce takes, on the examples, the corner programs
+    and 100 random programs, the cut is ``drop_events``' and carries its
+    ids, sessions, causal closure, writer index and wr map, each equal to
+    the same history's by full construction."""
+    swaps = 0
+    for prog in _examples_corners_and_draws(23, 100):
+        for _, st in entered_states(prog, level):
+            h = st.history
+            for cand in compute_reorderings(h):
+                r, t = cand.read, cand.writer
+                if optimality(st, r, t, level) is None:
+                    continue
+                reader = h.history.txn(r.txn)
+                dropped = _swap_drop_set(h, r, t) | {ev.id for ev in reader.events}
+                cut = explorer._swap_cut(h, dropped)
+                assert cut == drop_events(h, dropped)
+                full = History(cut.history.logs, cut.history.wr)
+                for name in CUT_RELATIONS:
+                    assert name in vars(cut.history), name
+                    assert getattr(cut.history, name) == getattr(full, name), name
+                swaps += 1
+    assert swaps > 100
+
+
 # ---------------------------------------------------------------------------
 # Swap detection
 # ---------------------------------------------------------------------------
@@ -537,7 +643,8 @@ def _classify_rejections(name: str, level: IsolationLevel):
             affected = sorted(
                 (
                     e.id
-                    for e in h.history.external_reads()
+                    for log in h.history.logs
+                    for e in log.read_set
                     if e.id == r or e.id in deleted
                 ),
                 key=lambda eid: h.position[eid],
@@ -617,9 +724,10 @@ def _gate_queries(prog, level):
         h = st.history
         for cand in compute_reorderings(h):
             dropped = _swap_drop_set(h, cand.read, cand.writer)
-            for read in h.history.external_reads():
-                if read.id == cand.read or read.id in dropped:
-                    yield h, read.id, cand.writer
+            for log in h.history.logs:
+                for read in log.read_set:
+                    if read.id == cand.read or read.id in dropped:
+                        yield h, read.id, cand.writer
 
 
 # Small programs on which a gate that gets one premise of the cut wrong

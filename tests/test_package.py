@@ -145,3 +145,38 @@ def test_library_leaves_no_unused_import():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def _locked_fills(source: str) -> list[int]:
+    """Lines of ``source`` that use ``functools.cached_property``, which up to
+    Python 3.11 takes a class-wide lock on every first fill."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found = any(alias.name == "cached_property" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found = (node.attr == "cached_property" and isinstance(node.value, ast.Name)
+                     and node.value.id == "functools")
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_library_fills_lazy_relations_without_a_lock():
+    """The library's lazy relations use ``model.lazy_property``, not
+    ``functools.cached_property``."""
+    for locked in (
+        "from functools import cached_property",
+        "from functools import lru_cache, cached_property as cp",
+        "import functools\nclass A:\n    @functools.cached_property\n    def f(self): pass",
+    ):
+        assert _locked_fills(locked), locked
+    assert _locked_fills("from .model import lazy_property\ncached_property = 1") == []
+    offenders = {
+        path.name: lines
+        for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))
+        if (lines := _locked_fills(path.read_text()))
+    }
+    assert offenders == {}
