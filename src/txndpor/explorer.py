@@ -133,11 +133,12 @@ def _schedule(st: ExplorationState) -> Iterator[NextAction]:
     transaction, in session order; a complete run yields nothing.  Raises
     ValueError when more than one transaction is open.
     """
-    pending = tuple(TxnId(s, ls.txn_index) for s, ls in enumerate(st.sessions) if ls.in_txn)
-    if len(pending) > 1:
+    open_sessions = [s for s, ls in enumerate(st.sessions) if ls.in_txn]
+    if len(open_sessions) > 1:
+        pending = tuple(TxnId(s, st.sessions[s].txn_index) for s in open_sessions)
         raise ValueError(f"multiple pending transactions: {pending}")
-    if pending:
-        yield step_local(st, pending[0].session)
+    if open_sessions:
+        yield step_local(st, open_sessions[0])
         return
     for session in range(len(st.sessions)):
         tid = st.next_unstarted_txn(session)
@@ -239,26 +240,30 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
     candidate is an external read ``r`` (of any log, aborted readers
     included) on a variable ``t`` writes, whose transaction is causally
     unrelated to ``t``; ``t`` entered last, so every such reader ran entirely
-    before it.  Candidates come in the order of the history.
+    before it.  Candidates come in the order of the history.  A ``t`` that
+    writes nothing has none; otherwise each reader is tested by membership in
+    its causal closure and each read by membership in ``t``'s write set.
     """
     if h.last_event.kind != COMMIT:
         return []
     t = h.order[-1].txn
     hist = h.history
-    tlog = hist.txn(t)
+    write_set = hist.by_id[t].write_set
+    if not write_set:
+        return []
     return [
         ReorderCandidate(read.id, t)
         for reader in h.starts
-        if reader != t and not causally_before_or_equal(hist, reader, t)
+        if reader != t and t not in hist.causal_closure[reader]
         for read in hist.by_id[reader].read_set
-        if tlog.writes_var(read.var)  # type: ignore[arg-type]
+        if read.var in write_set
     ]
 
 
 def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     """Events strictly after ``r`` whose transaction is not causally before ``t``."""
-    after = h.order[h.starts[r.txn] + r.index + 1 :]
-    return {eid for eid in after if not causally_before_or_equal(h.history, eid.txn, t)}
+    after, closure = h.order[h.starts[r.txn] + r.index + 1 :], h.history.causal_closure
+    return {eid for eid in after if eid.txn != t and t not in closure[eid.txn]}
 
 
 def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:

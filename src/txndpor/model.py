@@ -26,8 +26,10 @@ parent's derived relations forward updated by the delta: the index by id, the
 transaction ids, sessions, causal closure, wr map and the writer index
 :attr:`History.writers`.  The session-order pairs, so/wr adjacency and wr
 transaction pairs are views computed on first use; only full construction
-and the literal reference checkers read them.  Only a begin that is not last
-in its session, or is in the init session, falls back to full validation.
+and the literal reference checkers read them.  Each edit costs what its
+event changes: a new log or wr edge goes in at its ``bisect`` position, and a
+begin's log holds the very event ``append`` was given.  Only a begin that is
+not last in its session, or is in the init session, is fully validated.
 :meth:`History.with_event` extends the open log by
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
 and the event is its next one and no begin, and carries ``status``,
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import graphlib
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -263,9 +266,9 @@ class TransactionLog:
         that ``event`` is its next event and no begin.  Any other input goes
         through the validating constructor, which raises its usual message.
         """
-        kind = event.kind
+        kind, eid = event.kind, event.id
         if (self.status != PENDING or kind == BEGIN
-                or event.id != EventId(self.id, len(self.events))):
+                or eid.index != len(self.events) or eid.txn != self.id):
             return TransactionLog(self.id, self.events + (event,))
         write_set = self.write_set
         read_set = self.read_set
@@ -519,33 +522,40 @@ class History:
         h.__dict__.update(relations, logs=logs, wr=wr)
         return h
 
-    def with_begin(self, txn: TxnId) -> "History":
-        """Open ``txn`` with its begin event.
+    def with_begin(self, txn: TxnId, begin: Event | None = None) -> "History":
+        """Open ``txn`` with its begin event ``begin`` (built when not given).
 
-        A begin that comes last in a non-init session is derived from this
-        history, adding (session predecessor or init, ``txn``) to the closure;
-        any other begin goes through full validation.
+        The log goes in at its ``bisect`` position.  A begin that comes last
+        in a non-init session is derived from this history: its log built as
+        :meth:`TransactionLog.extended` builds one, ``sessions`` re-sorted
+        only for a new session and (session predecessor or init, ``txn``)
+        added to the closure in one pass.  Any other begin, or an event that
+        is not ``txn``'s begin, goes through full validation.
         """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
-        begin = begin_event(txn)
-        logs = tuple(sorted(self.logs + (TransactionLog(txn, (begin,)),),
-                            key=lambda log: log.id))
+        begin = begin or begin_event(txn)
+        i = bisect(self.txn_ids, txn)
         same = self.sessions.get(txn.session, ())
-        if txn.session < 0 or (same and same[-1] > txn):
-            return History(logs, self.wr)
+        if (txn.session < 0 or (same and same[-1] > txn)
+                or begin.kind != BEGIN or begin.id != (txn, 0)):
+            log = TransactionLog(txn, (begin,))
+            return History(self.logs[:i] + (log,) + self.logs[i:], self.wr)
+        log = object.__new__(TransactionLog)
+        log.__dict__.update(id=txn, events=(begin,), status=PENDING, write_set={}, read_set=())
+        logs = self.logs[:i] + (log,) + self.logs[i:]
+        txn_ids = self.txn_ids[:i] + (txn,) + self.txn_ids[i:]
+        sessions = {**self.sessions, txn.session: same + (txn,)}
         pred = same[-1] if same else INIT_TXN
-        sessions = dict(self.sessions)
-        sessions[txn.session] = same + (txn,)
-        closure = closure_with_edges(
-            {**self.causal_closure, txn: frozenset()}, [(pred, txn)]
-        )
+        closure = {x: r | {txn} if x == pred or pred in r else r
+                   for x, r in self.causal_closure.items()}
+        closure[txn] = frozenset()
         return History._derived(
             logs,
             self.wr,
-            by_id={log.id: log for log in logs},
-            txn_ids=tuple(log.id for log in logs),
-            sessions=dict(sorted(sessions.items())),
+            by_id=dict(zip(txn_ids, logs)),
+            txn_ids=txn_ids,
+            sessions=sessions if same else dict(sorted(sessions.items())),
             causal_closure=closure,
             wr_map=self.wr_map,
             writers=self.writers,
@@ -559,11 +569,12 @@ class History:
         :meth:`TransactionLog.extended`, and only its O(1) checks, the new wr
         edge and, for an abort, the reads observing the aborting transaction
         are checked.  The relations :meth:`with_begin` carries are carried
-        over: a wr edge adds its read to ``wr_map`` and (writer, reader) to
-        the closure.  The writer index changes only on a first write of a
-        variable, which inserts the transaction in order, and on an abort,
-        which removes it.  The open log's ``write_set`` tells a first write,
-        recorded in ``derivation``, and an internal read.
+        over: a wr edge goes into ``wr`` at its ``bisect`` position, adds its
+        read to ``wr_map`` and (writer, reader) to the closure.  The writer
+        index changes only on a first write of a variable, which inserts the
+        transaction in order, and on an abort, which removes it.  The open
+        log's ``write_set`` tells a first write, recorded in ``derivation``,
+        and an internal read.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
@@ -573,8 +584,6 @@ class History:
             raise ValueError("only reads take a writer")
         i = self.txn_ids.index(log.id)
         logs = self.logs[:i] + (new_log,) + self.logs[i + 1 :]
-        by_id = dict(self.by_id)
-        by_id[log.id] = new_log
         writers = self.writers
         first_write = event.kind == WRITE and event.var not in log.write_set
         if event.kind == ABORT:
@@ -599,12 +608,13 @@ class History:
             closure = closure_with_edges(closure, [(writer, log.id)])
             if closure is None:
                 raise ValueError("so union wr is cyclic")
-            wr = tuple(sorted(wr + ((event.id, writer),)))
+            j = bisect(wr, edge := (event.id, writer))
+            wr = wr[:j] + (edge,) + wr[j:]
             wr_map = {**wr_map, event.id: writer}
         return History._derived(
             logs,
             wr,
-            by_id=by_id,
+            by_id={**self.by_id, log.id: new_log},
             txn_ids=self.txn_ids,
             sessions=self.sessions,
             causal_closure=closure,
@@ -718,7 +728,7 @@ class OrderedHistory:
     order, and the transactions in an order extending so union wr.  Several
     may be pending, but only the last to enter is extended.  :attr:`starts`,
     each transaction's first position in entry order, is the one order
-    relation carried; :attr:`position` and :attr:`txn_spans` are views.
+    relation; an event's position is its transaction's start plus its index.
     """
 
     history: History
@@ -757,16 +767,6 @@ class OrderedHistory:
         """Transaction -> position of its begin, keyed in entry order."""
         return {eid.txn: i for i, eid in enumerate(self.order) if not eid.index}
 
-    @lazy_property
-    def position(self) -> dict[EventId, int]:
-        return {eid: i for i, eid in enumerate(self.order)}
-
-    @lazy_property
-    def txn_spans(self) -> dict[TxnId, tuple[int, int]]:
-        """Transaction -> (first, last) positions of its events in the order."""
-        by_id = self.history.by_id
-        return {t: (i, i + len(by_id[t].events) - 1) for t, i in self.starts.items()}
-
     @property
     def last_event(self) -> Event:
         return self.history.event(self.order[-1])
@@ -794,7 +794,7 @@ class OrderedHistory:
         if event.kind == BEGIN:
             if writer is not None:
                 raise ValueError("begin takes no writer")
-            hist = self.history.with_begin(txn)
+            hist = self.history.with_begin(txn, event)
             if after := hist.causal_closure[txn]:
                 raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
             starts = {**starts, txn: len(self.order)}

@@ -139,6 +139,7 @@ class AssertInstr(_Located):
 
 
 Instr = ReadInstr | WriteInstr | AssignInstr | IfInstr | AbortInstr | AssertInstr
+_SILENT = (AssignInstr, IfInstr, AssertInstr)  # run between database events
 
 
 @dataclass(frozen=True)
@@ -734,6 +735,9 @@ def advance(
         env = ls.env
         queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
         new_ls = LocalState(_freeze_env(env), ls.txn_index, True, queue, ls.begun + (ls.locals,))
+    elif event.kind == WRITE and (len(ls.queue) < 2 or not isinstance(ls.queue[1], _SILENT)):
+        # A write changes no local, and no silent instruction follows it.
+        new_ls = LocalState(ls.locals, ls.txn_index, ls.in_txn, ls.queue[1:], ls.begun)
     elif event.kind in (READ, WRITE):
         env = ls.env
         if event.kind == READ:

@@ -22,6 +22,7 @@ from txndpor.model import (
     EventId,
     History,
     IsolationLevel,
+    OrderedHistory,
     TransactionLog,
     TxnId,
     begin_event,
@@ -287,6 +288,11 @@ SINGLE_WRITE_SOURCE = "session s { txn { write(x, 1); } }\n"
 
 def example(name: str) -> Program:
     return parse(EXAMPLE_PROGRAMS[name])
+
+
+def order_positions(h: OrderedHistory) -> dict[EventId, int]:
+    """Event -> its position in ``h``'s order, for the reference scans."""
+    return {eid: i for i, eid in enumerate(h.order)}
 
 
 def entered_states(

@@ -127,8 +127,7 @@ def _entry_checker(program: Program, level: IsolationLevel, run: LevelRun):
                 "predecessor oracle disagrees with the entry edge"
             )
             return
-        spans = st.history.txn_spans
-        order = sorted(st.history.history.txn_ids, key=lambda t: spans[t][0])
+        order = list(st.history.starts)  # keyed in entry order
         for a, b in zip(order, order[1:]):
             if not canonical_order(st.history.history, a, b):
                 run.oracle_violations.append(

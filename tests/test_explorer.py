@@ -19,12 +19,14 @@ from fixtures import (
     abort_flip_baseline_state,
     entered_states,
     example,
+    order_positions,
     run_fresh,
     track_history_memory,
 )
 from txndpor import explorer
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
+    ReorderCandidate,
     RunInterrupted,
     TimeLimitExceeded,
     _swap_base,
@@ -70,8 +72,14 @@ from txndpor.model import (
     write_event,
 )
 from txndpor.program import (
+    AssertInstr,
+    AssignInstr,
     ExplorationState,
+    IfInstr,
+    LocalState,
     NextAction,
+    _freeze_env,
+    _normalize,
     advance,
     apply_event,
     parse,
@@ -391,6 +399,36 @@ def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch
     assert swaps or walk is dfs
 
 
+@pytest.mark.parametrize(
+    "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
+)
+def test_write_steps_keep_the_locals_the_env_path_computes(walk, level, monkeypatch):
+    """On every write step of the walks over the examples, the corner
+    programs and 50 random programs, the session's new ``LocalState``
+    equals the one built by running the rest of the queue on a copy of the
+    locals and freezing them, whether or not a silent instruction follows
+    the write."""
+    followed: list[bool] = []
+
+    def checked_advance(st, action, writer=None, history=None):
+        child = advance(st, action, writer, history)
+        if action.event.kind == WRITE:
+            session = action.event.id.txn.session
+            ls = st.sessions[session]
+            env = ls.env
+            queue = _normalize(env, ls.queue[1:])
+            expected = LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
+            assert child.sessions[session] == expected
+            followed.append(len(ls.queue) > 1 and isinstance(
+                ls.queue[1], (AssignInstr, IfInstr, AssertInstr)))
+        return child
+
+    monkeypatch.setattr(explorer, "advance", checked_advance)
+    for prog in _examples_corners_and_draws(24, 50):
+        walk(prog, level)
+    assert followed.count(True) and followed.count(False)
+
+
 VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
     (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
 ]
@@ -401,12 +439,11 @@ VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
 )
 def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
     """No state the walks enter past the root holds the session-order pairs,
-    the so/wr adjacency or the wr transaction pairs, nor the order's
-    per-event positions or transaction spans, even once the run is over:
-    derived edits do not carry them and nothing on the walks' path computes
-    them.  Each state's ``starts``, and the two order views once computed,
-    equal their definitions from the order.  ``explore_ce``'s states come
-    from its entry hook, ``dfs``'s from its emissions."""
+    the so/wr adjacency or the wr transaction pairs, even once the run is
+    over: derived edits do not carry them and nothing on the walks' path
+    computes them.  Each state's ``starts`` equals its definition from the
+    order.  ``explore_ce``'s states come from its entry hook, ``dfs``'s from
+    its emissions."""
     states: list[ExplorationState] = []
     for name in sorted(EXAMPLE_PROGRAMS):
         if walk is dfs:
@@ -417,17 +454,12 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
     assert states
     for st in states:
         assert not HISTORY_VIEWS & vars(st.history.history).keys(), st.history.order
-        assert not {"position", "txn_spans"} & vars(st.history).keys(), st.history.order
     for st in states:
         h = st.history
         first: dict[TxnId, int] = {}
-        last: dict[TxnId, int] = {}
         for i, eid in enumerate(h.order):
             first.setdefault(eid.txn, i)
-            last[eid.txn] = i
         assert list(h.starts.items()) == list(first.items())
-        assert h.position == {eid: i for i, eid in enumerate(h.order)}
-        assert h.txn_spans == {t: (first[t], last[t]) for t in first}
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +495,55 @@ def test_candidates_ignore_causally_tied_readers():
     explore_ce(example("split_reads"), IsolationLevel.CC, emit=states.append)
     stats = explore_ce(example("split_reads"), IsolationLevel.CC)
     assert stats.swaps_taken == 0 and stats.swaps_rejected == 0
+
+
+def _reorderings_by_scan(h: OrderedHistory) -> list[ReorderCandidate]:
+    """The reference for ``compute_reorderings``: every reader tested by the
+    validating ``causally_before_or_equal`` and every read by the committed
+    log's ``writes_var``, whether or not it writes anything."""
+    if h.last_event.kind != COMMIT:
+        return []
+    t = h.order[-1].txn
+    hist = h.history
+    tlog = hist.txn(t)
+    return [
+        ReorderCandidate(read.id, t)
+        for reader in h.starts
+        if reader != t and not causally_before_or_equal(hist, reader, t)
+        for read in hist.by_id[reader].read_set
+        if tlog.writes_var(read.var)
+    ]
+
+
+def _drop_set_by_scan(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
+    """The reference for ``_swap_drop_set``: each later event's transaction
+    tested by the validating ``causally_before_or_equal``."""
+    after = h.order[h.starts[r.txn] + r.index + 1 :]
+    return {eid for eid in after if not causally_before_or_equal(h.history, eid.txn, t)}
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_reorderings_match_the_scans_they_replace(level):
+    """On every commit state explore_ce enters, on the examples, the gate's
+    corner programs and 150 random programs, ``compute_reorderings`` gives
+    the reference's candidates in the same order, and ``_swap_drop_set``
+    the reference's drop set for every candidate."""
+    commits = writeless = candidates = 0
+    for prog in _examples_corners_and_draws(23, 150):
+        for _, st in entered_states(prog, level):
+            h = st.history
+            if h.last_event.kind != COMMIT:
+                continue
+            cands = compute_reorderings(h)
+            assert cands == _reorderings_by_scan(h), h.order
+            for c in cands:
+                assert _swap_drop_set(h, c.read, c.writer) == _drop_set_by_scan(
+                    h, c.read, c.writer
+                ), (h.order, c)
+            commits += 1
+            writeless += not h.history.txn(h.order[-1].txn).write_set
+            candidates += len(cands)
+    assert writeless and candidates > 100 and commits > candidates
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +714,11 @@ def _classify_rejections(name: str, level: IsolationLevel):
                 taken += 1
                 continue
             h = st.history
-            pos_r = h.position[r]
+            pos = order_positions(h)
             deleted = {
                 eid
                 for eid in h.order
-                if h.position[eid] > pos_r
+                if pos[eid] > pos[r]
                 and not causally_before_or_equal(h.history, eid.txn, t)
             }
             affected = sorted(
@@ -647,7 +728,7 @@ def _classify_rejections(name: str, level: IsolationLevel):
                     for e in log.read_set
                     if e.id == r or e.id in deleted
                 ),
-                key=lambda eid: h.position[eid],
+                key=lambda eid: pos[eid],
             )
             reason = None
             for rid in affected:
@@ -788,7 +869,7 @@ def test_gate_query_matches_the_cut_it_replaces(level):
 def _swapped_by_scan(h, r) -> bool:
     """The reference for ``swapped``: every transaction checked against the
     writer, and every wr edge checked for an earlier read of the reader."""
-    if r not in h.position:
+    if r not in order_positions(h):
         raise ValueError(f"event {r} not in history")
     t = h.history.wr_map.get(r)
     if t is None:

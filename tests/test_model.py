@@ -17,6 +17,7 @@ from fixtures import (
     causal_cycle_history,
     containment_trio,
     init_log,
+    order_positions,
     run_fresh,
     track_history_memory,
 )
@@ -28,6 +29,7 @@ from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
     BEGIN,
+    COMMIT,
     COMMITTED,
     INIT_TXN,
     PENDING,
@@ -341,7 +343,7 @@ def test_canonical_sort_lists_every_event_once_in_causal_order():
     h = causal_cycle_history()
     oh = canonical_sort(h)
     assert sorted(oh.order) == sorted(h.event_ids)
-    pos = oh.position
+    pos = order_positions(oh)
     for a, b in set(h.so_pairs) | set(h.wr_txn_pairs):
         assert pos[EventId(a, 0)] < pos[EventId(b, 0)]
     for eid in oh.order:
@@ -406,9 +408,8 @@ HISTORY_VIEWS = ("so_pairs", "causal_adjacency", "wr_txn_pairs")
 HISTORY_RELATIONS = (
     "by_id", "txn_ids", "sessions", "causal_closure", "wr_map", *HISTORY_VIEWS,
 )
-# Ordered edits carry ``starts``; the two views are computed on first use.
-ORDER_VIEWS = ("position", "txn_spans")
-ORDER_RELATIONS = ("starts", *ORDER_VIEWS)
+# Ordered edits carry ``starts``, their one order relation.
+ORDER_RELATIONS = ("starts",)
 
 
 def _next_edits(h: History) -> list[tuple[Event, TxnId | None]]:
@@ -457,7 +458,7 @@ def _outcome(build):
 def _assert_same_value(derived, full, relations, carried: bool) -> None:
     assert derived == full
     for name in relations:
-        assert not carried or name in HISTORY_VIEWS + ORDER_VIEWS or name in vars(derived), name
+        assert not carried or name in HISTORY_VIEWS or name in vars(derived), name
     for name in relations:
         assert getattr(derived, name) == getattr(full, name), name
 
@@ -572,6 +573,60 @@ def test_with_event_tells_an_internal_read_by_the_open_logs_writes():
         f"read {read_y.id} is internal, cannot have a writer"
     )
     assert h.with_event(read_y).derivation[1:] == (read_y, None, False)
+
+
+def _sessions_zero_and_two() -> OrderedHistory:
+    """Init on x, then (0, 0) and (2, 0) committed: session 1 is a gap."""
+    h = OrderedHistory.initial(("x",))
+    for t in (T0, TxnId(2, 0)):
+        for event in (begin_event(t), write_event(t, 1, "x", 1), commit_event(t, 2)):
+            h = h.append(event)
+    return h
+
+
+@pytest.mark.parametrize("txn", [
+    TxnId(0, 1), TxnId(2, 1), TxnId(0, 3), TxnId(1, 0), TxnId(3, 0),
+], ids=["existing-session", "existing-last-session", "gap-in-session",
+        "new-session-in-a-gap", "new-last-session"])
+def test_derived_begin_orders_like_full_construction(txn):
+    """A derived begin into an existing session, a new session or a gap puts
+    the new log where full construction does: ``logs``, ``txn_ids``,
+    ``list(by_id)`` and ``list(sessions)`` are equal in order.
+    ``append(begin)`` stores the very event it was passed, as
+    ``with_begin(txn, begin)`` does."""
+    h = _sessions_zero_and_two()
+    begin = begin_event(txn)
+    full = History(tuple(sorted(h.history.logs + (TransactionLog(txn, (begin,)),),
+                                key=lambda log: log.id)), h.history.wr)
+    for derived in (h.history.with_begin(txn), h.history.with_begin(txn, begin),
+                    h.append(begin).history):
+        assert derived.derivation is not None
+        assert derived.logs == full.logs
+        assert derived.txn_ids == full.txn_ids
+        assert list(derived.by_id) == list(full.by_id)
+        assert list(derived.sessions.items()) == list(full.sessions.items())
+    assert h.append(begin).history.by_id[txn].events[0] is begin
+    assert h.history.with_begin(txn, begin).by_id[txn].events[0] is begin
+
+
+@pytest.mark.parametrize("begin, message", [
+    (Event(EventId(TxnId(1, 0), 1), BEGIN),
+     "event EventId(txn=TxnId(session=1, index=0), index=1) at position 0 of "
+     "transaction TxnId(session=1, index=0)"),
+    (Event(EventId(TxnId(1, 0), 0), COMMIT),
+     "transaction TxnId(session=1, index=0) does not start with begin"),
+])
+def test_with_begin_refuses_what_is_not_the_transactions_begin(begin, message):
+    """An event that is not ``txn``'s begin goes to full validation, which
+    raises; the lean path never stores it.  ``append`` of a misnumbered
+    begin raises the same."""
+    h = _sessions_zero_and_two()
+    for edit in [lambda: h.history.with_begin(TxnId(1, 0), begin)] + (
+        [lambda: h.append(begin)] if begin.kind == BEGIN else []
+    ):
+        with pytest.raises(ValueError) as caught:
+            edit()
+        assert str(caught.value) == message
 
 
 def _assert_derived_state_is_fresh(h: History) -> None:

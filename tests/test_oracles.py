@@ -20,6 +20,7 @@ from fixtures import (
     entered_states,
     example,
     init_log,
+    order_positions,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import explore_ce, swap, swapped
@@ -211,9 +212,10 @@ def _is_or_respectful_by_events(h: OrderedHistory, static_txns=None) -> bool:
             for w in swapped_txns
         )
 
+    pos = order_positions(h)
     for e in h.order:
         for e2 in h.order:
-            if e <= e2 and h.position[e] > h.position[e2]:
+            if e <= e2 and pos[e] > pos[e2]:
                 if not witness(e2.txn, e.txn):
                     return False
     incomplete = list(hist.pending_txns())

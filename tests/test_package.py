@@ -180,3 +180,56 @@ def test_library_fills_lazy_relations_without_a_lock():
         if (lines := _locked_fills(path.read_text()))
     }
     assert offenders == {}
+
+
+def _history_allocations(source: str) -> list[tuple[str, int]]:
+    """(enclosing ``Class.function``, line) of every ``History`` that
+    ``source`` makes without its constructor: ``object.__new__(History)``,
+    or ``object.__new__(cls)`` in a method of ``History``."""
+    found = []
+
+    def visit(node: ast.AST, cls: str, func: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, func = node.name, ""
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not func:
+            func = node.name
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
+            target = ast.unparse(node.args[0]) if node.args else ""
+            if target.split(".")[-1] == "History" or (target == "cls" and cls == "History"):
+                found.append((f"{cls}.{func}" if cls else func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(ast.parse(source), "", "")
+    return found
+
+
+def test_histories_are_allocated_only_in_the_derived_constructor():
+    """``History._derived`` is the one place the library makes a history
+    without ``__post_init__``, so the retention accounting that wraps it
+    and ``__post_init__`` sees every history a lean edit makes."""
+    seeded = (
+        "from txndpor import model\n"
+        "def lean(logs):\n"
+        "    return object.__new__(model.History)\n"
+        "class History:\n"
+        "    @classmethod\n"
+        "    def _derived(cls, logs):\n"
+        "        return object.__new__(cls)\n"
+        "    def with_x(self):\n"
+        "        return object.__new__(History)\n"
+        "class OrderedHistory:\n"
+        "    @classmethod\n"
+        "    def lean(cls):\n"
+        "        return object.__new__(cls), object.__new__(OrderedHistory)\n"
+    )
+    assert _history_allocations(seeded) == [
+        ("lean", 3), ("History._derived", 7), ("History.with_x", 9),
+    ]
+    found = {
+        path.name: sites
+        for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))
+        if (sites := _history_allocations(path.read_text()))
+    }
+    assert [site for site, _ in found.pop("model.py")] == ["History._derived"]
+    assert found == {}
