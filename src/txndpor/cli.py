@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import random
+import stat
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -106,6 +107,34 @@ def _file_identity(path: str) -> object:
     except OSError:
         return resolved
     return st.st_dev, st.st_ino
+
+
+def _open_outputs(files: ExitStack, *outputs: tuple[str | None, str]) -> list:
+    """Open each ``(path, mode)`` of ``outputs`` for writing into ``files``
+    (None for no path), truncating only once all are open.  When one
+    fails, the files this call created are removed and the error raised:
+    every existing file is left byte-identical and no new one behind."""
+    opened: list = []
+    created: list[str] = []
+    try:
+        for path, mode in outputs:
+            if not path:
+                opened.append(None)
+                continue
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                created.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY)
+            opened.append(files.enter_context(open(fd, mode)))
+    except OSError:
+        for path in created:
+            os.unlink(path)
+        raise
+    for f in opened:
+        if f is not None and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate(0)
+    return opened
 
 
 def _oracle_hook(prog: Program, level: IsolationLevel):
@@ -206,8 +235,7 @@ def run(
 
     # Open both outputs first, so that a bad path fails before the work.
     with ExitStack() as files:
-        out = files.enter_context(open(emit, "wb")) if emit else None
-        stats_out = files.enter_context(open(stats_json, "w")) if stats_json else None
+        out, stats_out = _open_outputs(files, (emit, "wb"), (stats_json, "w"))
         try:
             if mode == "explore-ce":
                 stats = explore_ce(

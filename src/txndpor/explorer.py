@@ -18,14 +18,36 @@ at all: which writer the cut would offer each affected read is a query on the
 current history (:func:`reads_causally_latest`, whose docstring proves the two
 agree).
 
-Every state the traversal enters is the state that was checked.
-:func:`valid_writes` decides each writer of a read on the parent, whose
-reader entered last, and builds only the children that pass; the gate and
-:func:`dfs`, the naive reference, check each history they build.  Each
-passes the action the walk stepped to ``advance``, so each event is stepped
-once and no program code runs on a rejected child or swap.  The only
-histories built and checked but never entered are those the gate and
-:func:`dfs` reject and the extensions :func:`causal_extension_exists` tries.
+:func:`explore_ce` and :func:`explore_ce_star` walk one mutable trace
+(``_Trace``), as TruSt keeps one execution graph: at most one transaction
+is pending, and only the last to enter is extended, so a depth-first walk
+pushes each child's event and pops it once the child's subtree, and for a
+commit its swaps, are done.  Each read's writers are decided on the trace,
+as :func:`valid_writes` decides them, and each commit's reorder candidates
+read from it.  A state is materialized
+from the trace only where a caller needs one: for the gate, when a commit
+has candidates; for ``emit`` and the strong level's check on a complete
+history; and for ``entry_hook``, through ``advance`` from the parent's
+state.  These states share no dict the trace changes in place, so callers
+may keep them.  Each swap the gate takes starts a fresh trace for its
+subtree.
+
+The trace and the immutable model run one copy of each rule: the step
+(``program._step``), the local-state update (``program._local_after``),
+the candidate writers (:func:`_committed_writers`), the read decision
+(:func:`_accepted`), the reorderings (:func:`_reorderings`) and the
+relation changes of a begin (``model._begun``), a first write and an abort
+(``model._with_writer``, ``model._without_writer``,
+``isolation._forced_after``), each over plain relations that the trace
+carries under :class:`History`'s names.
+
+Every state a walk enters is the state that was checked.  A read's writer
+is decided on the parent, whose reader entered last, and only the children
+that pass are built; the gate and :func:`dfs`, the naive reference, check
+each history they build.  Each event is stepped once and no program code
+runs on a rejected child or swap.  The only histories built and checked but
+never entered are those the gate and :func:`dfs` reject and the extensions
+:func:`causal_extension_exists` tries.
 
 Both searches follow one scheduling rule read from the session states,
 ``_schedule``: the open transaction steps on, else any session may begin;
@@ -39,7 +61,8 @@ serializable histories via causally consistent scheduling.
 
 :func:`dfs` is the deliberately naive baseline used to cross-check coverage:
 it branches over every action of the rule (including which session begins
-next) and therefore emits the same history many times.
+next) and therefore emits the same history many times.  It, the gate and
+the public functions stay on the immutable model.
 """
 
 from __future__ import annotations
@@ -48,19 +71,33 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .isolation import _forced_edges_of, _read_closures, _read_edges, check_consistency
+from .isolation import (
+    _forced_after,
+    _forced_closure,
+    _forced_edges_of,
+    _read_closures,
+    _read_edges,
+    check_consistency,
+)
 from .model import (
+    ABORT,
+    BEGIN,
     COMMIT,
     COMMITTED,
     INIT_TXN,
     PENDING,
     READ,
+    WRITE,
     Event,
     EventId,
     History,
     IsolationLevel,
     OrderedHistory,
+    TransactionLog,
     TxnId,
+    _begun,
+    _with_writer,
+    _without_writer,
     begin_event,
     causally_before_or_equal,
     closure_with_edges,
@@ -71,6 +108,8 @@ from .program import (
     LocalState,
     NextAction,
     Program,
+    _local_after,
+    _step,
     advance,
     apply_event,
     replay,
@@ -131,19 +170,23 @@ def _schedule(st: ExplorationState) -> Iterator[NextAction]:
     The open transaction, read from the session states, is driven to its
     next database event; with none open, each session begins its next
     transaction, in session order; a complete run yields nothing.  Raises
-    ValueError when more than one transaction is open.
+    ValueError when more than one transaction is open.  ``st`` is a state or
+    the walk's trace: it reads only the program, the sessions' local states
+    and the logs by id.
     """
-    open_sessions = [s for s, ls in enumerate(st.sessions) if ls.in_txn]
+    sessions = st.sessions
+    open_sessions = [s for s, ls in enumerate(sessions) if ls.in_txn]
     if len(open_sessions) > 1:
-        pending = tuple(TxnId(s, st.sessions[s].txn_index) for s in open_sessions)
+        pending = tuple(TxnId(s, sessions[s].txn_index) for s in open_sessions)
         raise ValueError(f"multiple pending transactions: {pending}")
     if open_sessions:
-        yield step_local(st, open_sessions[0])
+        ls = sessions[open_sessions[0]]
+        tid = TxnId(open_sessions[0], ls.txn_index)
+        yield _step(ls, tid, st.by_id[tid])
         return
-    for session in range(len(st.sessions)):
-        tid = st.next_unstarted_txn(session)
-        if tid is not None:
-            yield NextAction(begin_event(tid))
+    for session, decl in enumerate(st.program.sessions):
+        if sessions[session].txn_index < len(decl.txns):
+            yield NextAction(begin_event(TxnId(session, sessions[session].txn_index)))
 
 
 def next_event(st: ExplorationState) -> NextAction | None:
@@ -154,15 +197,19 @@ def next_event(st: ExplorationState) -> NextAction | None:
 
 def _writers(st: ExplorationState, action: NextAction) -> list[TxnId | None]:
     """The writers ``action``'s event may take in ``st``: for an external
-    read, each committed transaction that writes its variable, in the order
-    they entered; for any other event, only None."""
+    read, :func:`_committed_writers` of its variable; for any other event,
+    only None."""
     if not action.is_external_read:
         return [None]
-    by_id = st.history.history.by_id
-    return [
-        t for t in st.history.starts  # keyed in the order transactions entered
-        if by_id[t].status == COMMITTED and by_id[t].writes_var(action.event.var)  # type: ignore[arg-type]
-    ]
+    return _committed_writers(st.history.starts, st.by_id, action.event.var)  # type: ignore[arg-type]
+
+
+def _committed_writers(
+    starts: dict[TxnId, int], by_id: dict[TxnId, TransactionLog], var: str
+) -> list[TxnId | None]:
+    """Each committed transaction that writes ``var``, in the order they
+    entered (``starts`` is keyed in that order)."""
+    return [t for t in starts if by_id[t].status == COMMITTED and by_id[t].writes_var(var)]
 
 
 def valid_writes(
@@ -181,18 +228,26 @@ def valid_writes(
     """
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
-    event, writers = action.event, _writers(st, action)
-    if level is IsolationLevel.TRUE:
-        return {t: advance(st, action, t) for t in writers}
-    if not check_consistency(st.history.history, level):
-        return {}
     children = {}
-    for t, reach in _read_closures(st.history.history, level, event, writers):
+    for t, reach in _accepted(st.history.history, level, action.event, _writers(st, action)):
+        h = st.history.append(action.event, writer=t)
         if reach is not None:
-            h = st.history.append(event, writer=t)
             h.history.consistency_cache[level] = reach
-            children[t] = advance(st, action, t, h)
+        children[t] = advance(st, action, t, h)
     return children
+
+
+def _accepted(h: History, level: IsolationLevel, read: Event, writers: list) -> list[tuple]:
+    """The read decision: each of ``writers`` that ``read``, by the
+    transaction that entered ``h`` last, may observe at ``level``, with the
+    forced closure of ``h`` extended by it (:func:`isolation._read_closures`;
+    None at TRUE, which accepts every writer).  None is accepted when ``h``
+    is inconsistent.  ``h`` is a history or the walk's trace."""
+    if level is IsolationLevel.TRUE:
+        return [(w, None) for w in writers]
+    if _forced_closure(h, level) is None:
+        return []
+    return [(w, reach) for w, reach in _read_closures(h, level, read, writers) if reach is not None]
 
 
 # The levels at which every reachable history extends by its next event
@@ -246,16 +301,23 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
     """
     if h.last_event.kind != COMMIT:
         return []
-    t = h.order[-1].txn
-    hist = h.history
-    write_set = hist.by_id[t].write_set
+    return _reorderings(h.order[-1].txn, h.starts, h.history.by_id, h.history.causal_closure)
+
+
+def _reorderings(
+    t: TxnId, starts: dict[TxnId, int], by_id: dict[TxnId, TransactionLog],
+    closure: dict[TxnId, frozenset[TxnId]],
+) -> list[ReorderCandidate]:
+    """:func:`compute_reorderings` of a history whose last event commits
+    ``t``, from its entry order, logs by id and causal closure."""
+    write_set = by_id[t].write_set
     if not write_set:
         return []
     return [
         ReorderCandidate(read.id, t)
-        for reader in h.starts
-        if reader != t and t not in hist.causal_closure[reader]
-        for read in hist.by_id[reader].read_set
+        for reader in starts
+        if reader != t and t not in closure[reader]
+        for read in by_id[reader].read_set
         if read.var in write_set
     ]
 
@@ -490,13 +552,134 @@ def optimality(
 
 
 # ---------------------------------------------------------------------------
+# The trace
+# ---------------------------------------------------------------------------
+
+
+class _Trace:
+    """One mutable state that :func:`explore_ce`'s walk extends and undoes.
+
+    It carries what a state carries, under the names
+    :class:`ExplorationState` and :class:`History` give them, so that the
+    rules shared with the immutable model read it as they read those:
+    ``program``, the sessions' local states ``sessions``, the logs
+    ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
+    the session lists ``session_txns``, ``causal_closure``, ``writers`` and
+    ``consistency_cache``, which holds the forced closure at ``level``
+    (nothing at TRUE).
+
+    :meth:`push` applies one event.  ``by_id``, ``starts``, ``wr_map``,
+    ``sessions`` and ``consistency_cache`` change in place, one key each;
+    the other relations are replaced by the new value the edit builds,
+    never changed, so a materialized state may share them.  :meth:`pop`
+    undoes the last push: the undo stack holds, per event, the replaced log
+    and local state and the previous relations, so it is never longer than
+    the walk is deep.
+    """
+
+    def __init__(self, st: ExplorationState, level: IsolationLevel):
+        h = st.history
+        hist = h.history
+        self.program, self.level = st.program, level
+        self.sessions = list(st.sessions)
+        self.by_id = {t: hist.by_id[t] for t in h.starts}
+        self.starts = dict(h.starts)
+        self.wr_map = dict(hist.wr_map)
+        self.txn_ids, self.session_txns = hist.txn_ids, hist.sessions
+        self.causal_closure, self.writers = hist.causal_closure, hist.writers
+        self.consistency_cache = (
+            {} if level is IsolationLevel.TRUE else {level: _forced_closure(hist, level)}
+        )
+        self.length = len(h.order)
+        self.undo: list[tuple] = []
+
+    def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
+        """The (writer, forced closure) of each child ``action`` leads to:
+        an external read's :func:`_accepted` writers, else the one child
+        whose closure :meth:`push` derives."""
+        if not action.is_external_read:
+            return [(None, None)]
+        writers = _committed_writers(self.starts, self.by_id, action.event.var)  # type: ignore[arg-type]
+        return _accepted(self, self.level, action.event, writers)  # type: ignore[arg-type]
+
+    def push(self, action: NextAction, writer: TxnId | None = None, reach: dict | None = None):
+        """Apply ``action`` (an external read observing ``writer``, with the
+        forced closure ``reach`` its decision computed)."""
+        event = action.event
+        kind, t = event.kind, event.id.txn
+        by_id, cache, level = self.by_id, self.consistency_cache, self.level
+        ls = self.sessions[t.session]
+        old = by_id.get(t)
+        self.undo.append((event, writer, old, ls, self.txn_ids, self.session_txns,
+                          self.causal_closure, self.writers, cache.get(level)))
+        first_write = False
+        if kind == BEGIN:
+            log, self.txn_ids, self.session_txns, self.causal_closure = _begun(
+                self.txn_ids, self.session_txns, self.causal_closure, event
+            )
+            self.starts[t] = self.length
+        else:
+            log = old.extended(event)  # type: ignore[union-attr]
+            if writer is not None:
+                self.wr_map[event.id] = writer
+                self.causal_closure = closure_with_edges(self.causal_closure, [(writer, t)])
+            elif kind == ABORT:
+                self.writers = _without_writer(self.writers, old)  # type: ignore[arg-type]
+            elif kind == WRITE and event.var not in old.write_set:  # type: ignore[union-attr]
+                first_write = True
+                self.writers = _with_writer(self.writers, event.var, t)  # type: ignore[arg-type]
+        self.sessions[t.session] = _local_after(self.program, ls, action, by_id, writer)
+        by_id[t] = log
+        self.length += 1
+        if cache:
+            cache[level] = reach if writer is not None else _forced_after(
+                self, level, cache[level], event, writer, first_write
+            )
+
+    def pop(self) -> None:
+        """Undo the last :meth:`push`."""
+        (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_closure,
+         self.writers, reach) = self.undo.pop()
+        t = event.id.txn
+        self.sessions[t.session] = ls
+        self.length -= 1
+        if old is None:
+            del self.by_id[t], self.starts[t]
+        else:
+            self.by_id[t] = old
+        if writer is not None:
+            del self.wr_map[event.id]
+        if self.consistency_cache:
+            self.consistency_cache[self.level] = reach
+
+    def ordered(self) -> OrderedHistory:
+        """The ordered history the trace stands at, sharing no dict it
+        changes in place; its verdict at ``level`` cached, its logs by id
+        and wr map left to be computed on first use."""
+        logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
+        hist = History._derived(
+            logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
+            sessions=self.session_txns, causal_closure=self.causal_closure,
+            writers=self.writers, consistency_cache=dict(self.consistency_cache),
+        )
+        h = object.__new__(OrderedHistory)
+        h.__dict__.update(
+            history=hist, starts=dict(self.starts),
+            order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
+        )
+        return h
+
+    def state(self) -> ExplorationState:
+        """The state the trace stands at, as :meth:`ordered` builds it."""
+        return ExplorationState(self.program, self.ordered(), tuple(self.sessions))
+
+
+# ---------------------------------------------------------------------------
 # The enumerator
 # ---------------------------------------------------------------------------
 
 Emit = Callable[[ExplorationState], None]
 EntryHook = Callable[[ExplorationState | None, ExplorationState], None]
-# A node to enter and the state it was derived from (None at the root).
-Node = tuple[ExplorationState, ExplorationState | None]
 
 
 def explore_ce(
@@ -512,9 +695,11 @@ def explore_ce(
     Args:
         program: the bounded program to explore.
         level: a causally extensible level (RC, RA, CC or TRUE).
-        emit: called once per complete history, in discovery order.
+        emit: called once per complete history, in discovery order, with a
+            state the caller may keep.
         entry_hook: called as ``entry_hook(parent, state)`` on every node
-            entered, with the state it was derived from (None at the root).
+            entered, with the state it was derived from (None at the root);
+            both may be kept.
         time_limit: wall-clock budget in seconds; exceeding it raises
             :class:`TimeLimitExceeded` carrying the partial stats.
 
@@ -551,20 +736,20 @@ def explore_ce_star(
 
 
 def _walk(
-    root: ExplorationState,
-    successors: Callable[[ExplorationState, ExplorationState | None], Iterator[Node]],
+    root: tuple,
+    successors: Callable[..., Iterator[tuple]],
     stats: RunStats,
     time_limit: float | None,
 ) -> RunStats:
-    """Depth-first search from ``root`` over a stack of one generator per
-    open node: ``successors(st, parent)`` does the node's work, then yields
-    its children as ``(child, st)``.  A node's depth is the stack's height
+    """Depth-first search from the node ``root`` over a stack of one
+    generator per open node: ``successors(*node)`` does the node's work,
+    then yields its children's nodes.  A node's depth is the stack's height
     when it is yielded; only this loop counts nodes, checks the time and
     turns Ctrl-C into :class:`RunInterrupted`."""
     if time_limit is not None and not time_limit >= 0:  # NaN too
         raise ValueError(f"time_limit must be a number of seconds >= 0, not {time_limit}")
     start = time.monotonic()
-    stack: list[Iterator[Node]] = [iter([(root, None)])]
+    stack: list[Iterator[tuple]] = [iter([root])]
     try:
         while stack:
             node = next(stack[-1], None)
@@ -593,13 +778,19 @@ def _explore(
 ) -> RunStats:
     stats = RunStats()
 
-    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[Node]:
-        if not check_consistency(st.history.history, weak):
+    # A node is (trace, parent, state): the trace stands at the node, whose
+    # state is materialized for the entry hook and for a swap, else None.
+    def successors(
+        tr: _Trace, parent: ExplorationState | None, st: ExplorationState | None
+    ) -> Iterator[tuple]:
+        if not check_consistency(tr, weak):
             stats.inconsistent_branch_entries += 1
         if entry_hook is not None:
             entry_hook(parent, st)
-        action = next_event(st)
+        action = next_event(tr)
         if action is None:
+            if st is None and (emit is not None or strong is not None):
+                st = tr.state()
             if strong is None or check_consistency(st.history.history, strong):
                 stats.outputs += 1
                 if emit is not None:
@@ -607,26 +798,30 @@ def _explore(
             else:
                 stats.filtered_outputs += 1
             return
-        if action.is_external_read:
-            children = list(valid_writes(st, action, weak).values())
-            if not children:
-                stats.blocked_calls += 1
-                return
-        else:
-            children = [advance(st, action)]
-        for child in children:
-            yield child, st
-            if action.event.kind != COMMIT:  # only a commit has candidates
-                continue
-            for cand in compute_reorderings(child.history):
-                swapped_st = optimality(child, cand.read, cand.writer, weak)
-                if swapped_st is None:
-                    stats.swaps_rejected += 1
-                else:
-                    stats.swaps_taken += 1
-                    yield swapped_st, child
+        children = tr.children(action)
+        if not children:
+            stats.blocked_calls += 1
+            return
+        for writer, reach in children:
+            tr.push(action, writer, reach)
+            child = None if entry_hook is None else advance(st, action, writer, tr.ordered())
+            yield tr, st, child
+            if action.event.kind == COMMIT:  # only a commit has candidates
+                t = action.event.id.txn
+                candidates = _reorderings(t, tr.starts, tr.by_id, tr.causal_closure)
+                if candidates and child is None:
+                    child = tr.state()  # what the gate reads
+                for cand in candidates:
+                    swapped_st = optimality(child, cand.read, cand.writer, weak)  # type: ignore[arg-type]
+                    if swapped_st is None:
+                        stats.swaps_rejected += 1
+                    else:  # on a fresh trace
+                        stats.swaps_taken += 1
+                        yield _Trace(swapped_st, weak), child, swapped_st
+            tr.pop()
 
-    return _walk(ExplorationState.initial(program), successors, stats, time_limit)
+    initial = ExplorationState.initial(program)
+    return _walk((_Trace(initial, weak), None, initial), successors, stats, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +848,7 @@ def dfs(
     """
     stats = RunStats()
 
-    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[Node]:
+    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[tuple]:
         actions = list(_schedule(st))
         if not actions:
             stats.outputs += 1
@@ -673,4 +868,4 @@ def dfs(
         for child in children:
             yield child, st
 
-    return _walk(ExplorationState.initial(program), successors, stats, time_limit)
+    return _walk((ExplorationState.initial(program), None), successors, stats, time_limit)

@@ -23,7 +23,8 @@ wr edges, in which every premise is monotone: G only grows, and a parent's
 cycle stays.  An abort removes forced edges, so it, like a history without a
 cached parent closure, takes one full computation, then cached.  A first
 write (its variable not yet in the open log's ``write_set``) is told by a
-flag the edit records in ``History.derivation``.
+flag the edit records in ``History.derivation``.  The explorer's trace
+applies the same rules (:func:`_forced_after`) to its closure in place.
 
 Serializability and snapshot isolation quantify over the commit order itself.
 Both are decided by one search that commits transactions one at a time,
@@ -84,6 +85,7 @@ literally.  It exists to cross-check the optimized decision procedures.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -438,25 +440,40 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
     if level in cache:
         return cache[level]
     parent_cache, event, writer, first_write = h.derivation or ({}, None, None, False)
-    reach = parent_cache.get(level)
-    if level not in parent_cache or event.kind == ABORT:
-        # An abort takes away the aborted writes' forced edges.
+    if level in parent_cache:
+        reach = _forced_after(h, level, parent_cache[level], event, writer, first_write)
+    else:
         reach = closure_with_edges(h.causal_closure, forced_edges(h, level))
-    elif reach is not None:  # every other edit only adds edges: a cycle stays
-        t = event.id.txn
-        if event.kind == BEGIN:
-            same = h.sessions[t.session]
-            pred = same[-2] if len(same) > 1 else INIT_TXN
-            reach = closure_with_edges({**reach, t: frozenset()}, [(pred, t)])
-        elif writer is not None:
-            readers = h.causal_closure[t] | {t}
-            new = _forced_edges_of(h, level, readers, h.writers)
-            reach = closure_with_edges(reach, [(writer, t), *new])
-        elif first_write:
-            readers = h.causal_closure[t]
-            new = _forced_edges_of(h, level, readers, {event.var: (t,)})  # type: ignore[dict-item]
-            reach = closure_with_edges(reach, new)
     cache[level] = reach
+    return reach
+
+
+def _forced_after(
+    h: History, level: IsolationLevel, reach: dict | None, event: Event,
+    writer: TxnId | None, first_write: bool,
+) -> dict | None:
+    """The forced closure of ``h``, the history just after ``event`` (with
+    ``writer``, a first write or not) was appended to one whose forced
+    closure is ``reach``: the rules of :func:`_forced_closure`.  Reads only
+    ``h``'s logs by id, transaction ids, causal closure, wr map and writer
+    index, which the explorer's trace carries under the same names."""
+    if event.kind == ABORT:  # it takes away the aborted writes' forced edges
+        return closure_with_edges(h.causal_closure, _forced_edges_of(h, level, h.by_id, h.writers))
+    if reach is None:  # every other edit only adds edges: a cycle stays
+        return None
+    t = event.id.txn
+    if event.kind == BEGIN:
+        before = h.txn_ids[bisect_left(h.txn_ids, t) - 1]
+        pred = before if before.session == t.session else INIT_TXN
+        return closure_with_edges({**reach, t: frozenset()}, [(pred, t)])
+    if writer is not None:
+        readers = h.causal_closure[t] | {t}
+        new = _forced_edges_of(h, level, readers, h.writers)
+        return closure_with_edges(reach, [(writer, t), *new])
+    if first_write:
+        readers = h.causal_closure[t]
+        new = _forced_edges_of(h, level, readers, {event.var: (t,)})  # type: ignore[dict-item]
+        return closure_with_edges(reach, new)
     return reach
 
 

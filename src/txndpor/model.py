@@ -18,9 +18,13 @@ Typical construction goes through :class:`OrderedHistory`::
 All values are immutable; mutation happens by producing new values.
 
 Full validation runs wherever a history enters from outside: ``History(...)``,
-``OrderedHistory(...)`` and :func:`canonical_decode`.  The explorer's edits
+``OrderedHistory(...)`` and :func:`canonical_decode`.  The derived edits
 start from an already valid value and check only what the edit can break,
-with the same rules and messages.  The one-event edits (:meth:`History.with_begin`,
+with the same rules and messages.  They serve ``explorer.dfs``, the gate's
+swaps and the public editing API; ``explorer.explore_ce`` walks a mutable
+trace instead, which applies the same relation changes (:func:`_begun`,
+:func:`_with_writer`, :func:`_without_writer`) in place and materializes
+histories only where a caller needs one.  The one-event edits (:meth:`History.with_begin`,
 :meth:`History.with_event`, :meth:`OrderedHistory.append`) carry six of the
 parent's derived relations forward updated by the delta: the index by id, the
 transaction ids, sessions, causal closure, wr map and the writer index
@@ -526,11 +530,9 @@ class History:
         """Open ``txn`` with its begin event ``begin`` (built when not given).
 
         The log goes in at its ``bisect`` position.  A begin that comes last
-        in a non-init session is derived from this history: its log built as
-        :meth:`TransactionLog.extended` builds one, ``sessions`` re-sorted
-        only for a new session and (session predecessor or init, ``txn``)
-        added to the closure in one pass.  Any other begin, or an event that
-        is not ``txn``'s begin, goes through full validation.
+        in a non-init session is derived from this history, its log and
+        relations by :func:`_begun`.  Any other begin, or an event that is
+        not ``txn``'s begin, goes through full validation.
         """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
@@ -541,21 +543,16 @@ class History:
                 or begin.kind != BEGIN or begin.id != (txn, 0)):
             log = TransactionLog(txn, (begin,))
             return History(self.logs[:i] + (log,) + self.logs[i:], self.wr)
-        log = object.__new__(TransactionLog)
-        log.__dict__.update(id=txn, events=(begin,), status=PENDING, write_set={}, read_set=())
+        log, txn_ids, sessions, closure = _begun(
+            self.txn_ids, self.sessions, self.causal_closure, begin
+        )
         logs = self.logs[:i] + (log,) + self.logs[i:]
-        txn_ids = self.txn_ids[:i] + (txn,) + self.txn_ids[i:]
-        sessions = {**self.sessions, txn.session: same + (txn,)}
-        pred = same[-1] if same else INIT_TXN
-        closure = {x: r | {txn} if x == pred or pred in r else r
-                   for x, r in self.causal_closure.items()}
-        closure[txn] = frozenset()
         return History._derived(
             logs,
             self.wr,
             by_id=dict(zip(txn_ids, logs)),
             txn_ids=txn_ids,
-            sessions=sessions if same else dict(sorted(sessions.items())),
+            sessions=sessions,
             causal_closure=closure,
             wr_map=self.wr_map,
             writers=self.writers,
@@ -590,16 +587,9 @@ class History:
             for read_id, w in self.wr:
                 if w == log.id:
                     raise ValueError(f"read {read_id} reads from aborted {w}")
-            if log.write_set:
-                writers = dict(writers)
-                for var in log.write_set:
-                    if kept := tuple(t for t in writers[var] if t != log.id):
-                        writers[var] = kept
-                    else:
-                        del writers[var]
+            writers = _without_writer(writers, log)
         elif first_write:
-            ordered = tuple(sorted(writers.get(event.var, ()) + (log.id,)))  # type: ignore[arg-type]
-            writers = {**writers, event.var: ordered}  # type: ignore[dict-item]
+            writers = _with_writer(writers, event.var, log.id)  # type: ignore[arg-type]
         wr = self.wr
         wr_map = self.wr_map
         closure = self.causal_closure
@@ -643,6 +633,54 @@ def _check_wr_edge(
         raise ValueError(f"read {ev.id} reads from aborted {writer}")
     if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
         raise ValueError(f"writer {writer} does not write {ev.var!r}")
+
+
+def _begun(
+    txn_ids: tuple[TxnId, ...], sessions: dict[int, tuple[TxnId, ...]],
+    closure: dict[TxnId, frozenset[TxnId]], begin: Event,
+) -> tuple[TransactionLog, tuple[TxnId, ...], dict[int, tuple[TxnId, ...]], dict]:
+    """A begin of ``begin``'s transaction ``t``, last in its session and not
+    init: its log, built as :meth:`TransactionLog.extended` builds one, and
+    the transaction ids, session lists and causal closure updated by it.
+    ``t`` goes in at its ``bisect`` position, ``sessions`` is re-sorted only
+    for a new session, and (session predecessor or init, ``t``) joins the
+    closure in one pass."""
+    t = begin.id.txn
+    log = object.__new__(TransactionLog)
+    log.__dict__.update(id=t, events=(begin,), status=PENDING, write_set={}, read_set=())
+    i = bisect(txn_ids, t)
+    same = sessions.get(t.session, ())
+    grown = {**sessions, t.session: same + (t,)}
+    pred = same[-1] if same else INIT_TXN
+    closure = {x: r | {t} if x == pred or pred in r else r for x, r in closure.items()}
+    closure[t] = frozenset()
+    return (log, txn_ids[:i] + (t,) + txn_ids[i:],
+            grown if same else dict(sorted(grown.items())), closure)
+
+
+def _with_writer(
+    writers: dict[str, tuple[TxnId, ...]], var: str, t: TxnId
+) -> dict[str, tuple[TxnId, ...]]:
+    """The writer index after ``t``'s first write of ``var``: ``t`` inserted
+    in order, in a new dict."""
+    return {**writers, var: tuple(sorted(writers.get(var, ()) + (t,)))}
+
+
+def _without_writer(
+    writers: dict[str, tuple[TxnId, ...]], log: TransactionLog
+) -> dict[str, tuple[TxnId, ...]]:
+    """The writer index after ``log``'s transaction aborts: it leaves the
+    entry of every variable it wrote, in a new dict (``writers`` itself
+    when it wrote nothing)."""
+    if not log.write_set:
+        return writers
+    writers = dict(writers)
+    for var in log.write_set:
+        if kept := tuple(t for t in writers[var] if t != log.id):
+            writers[var] = kept
+        else:
+            del writers[var]
+    return writers
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .model import (
     EventId,
     History,
     OrderedHistory,
+    TransactionLog,
     TxnId,
     abort_event,
     begin_event,
@@ -634,6 +635,12 @@ class ExplorationState:
             tuple(LocalState() for _ in program.sessions),
         )
 
+    @property
+    def by_id(self) -> dict[TxnId, TransactionLog]:
+        """The history's logs by transaction id, as the explorer's trace
+        carries them."""
+        return self.history.history.by_id
+
     def next_unstarted_txn(self, session: int) -> TxnId | None:
         ls = self.sessions[session]
         if ls.in_txn or ls.txn_index >= len(self.program.sessions[session].txns):
@@ -654,7 +661,12 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     if not ls.in_txn:
         raise ProgramError(f"session {session} has no open transaction")
     tid = TxnId(session, ls.txn_index)
-    log = st.history.history.txn(tid)
+    return _step(ls, tid, st.history.history.txn(tid))
+
+
+def _step(ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
+    """The step rule: the next event of ``tid``, open in a session at
+    ``ls``, whose log so far is ``log``."""
     index = len(log.events)
     if not ls.queue:
         return NextAction(commit_event(tid, index))
@@ -729,29 +741,38 @@ def advance(
     """
     event = action.event
     session = event.id.txn.session
-    ls = st.sessions[session]
     hist = history if history is not None else st.history.append(event, writer=writer)
+    new_ls = _local_after(st.program, st.sessions[session], action, st.history.history.by_id, writer)
+    sessions = st.sessions[:session] + (new_ls,) + st.sessions[session + 1 :]
+    return ExplorationState(st.program, hist, sessions)
+
+
+def _local_after(
+    program: Program, ls: LocalState, action: NextAction,
+    by_id: dict[TxnId, TransactionLog], writer: TxnId | None,
+) -> LocalState:
+    """The local-state rule: the session at ``ls`` after ``action``, an
+    external read observing ``writer``'s final write, from the logs
+    ``by_id`` before the event."""
+    event = action.event
     if event.kind == BEGIN:
         env = ls.env
-        queue = _normalize(env, st.program.txn_body(event.id.txn).instrs)
-        new_ls = LocalState(_freeze_env(env), ls.txn_index, True, queue, ls.begun + (ls.locals,))
-    elif event.kind == WRITE and (len(ls.queue) < 2 or not isinstance(ls.queue[1], _SILENT)):
+        queue = _normalize(env, program.txn_body(event.id.txn).instrs)
+        return LocalState(_freeze_env(env), ls.txn_index, True, queue, ls.begun + (ls.locals,))
+    if event.kind == WRITE and (len(ls.queue) < 2 or not isinstance(ls.queue[1], _SILENT)):
         # A write changes no local, and no silent instruction follows it.
-        new_ls = LocalState(ls.locals, ls.txn_index, ls.in_txn, ls.queue[1:], ls.begun)
-    elif event.kind in (READ, WRITE):
+        return LocalState(ls.locals, ls.txn_index, ls.in_txn, ls.queue[1:], ls.begun)
+    if event.kind in (READ, WRITE):
         env = ls.env
         if event.kind == READ:
             assert action.target is not None
             env[action.target] = (
                 action.internal_value if writer is None
-                else st.history.history.txn(writer).write_set[event.var].value  # type: ignore[index]
+                else by_id[writer].write_set[event.var].value  # type: ignore[index]
             )
         queue = _normalize(env, ls.queue[1:])
-        new_ls = LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
-    else:  # COMMIT or ABORT
-        new_ls = LocalState(ls.locals, ls.txn_index + 1, False, (), ls.begun)
-    sessions = st.sessions[:session] + (new_ls,) + st.sessions[session + 1 :]
-    return ExplorationState(st.program, hist, sessions)
+        return LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
+    return LocalState(ls.locals, ls.txn_index + 1, False, (), ls.begun)  # COMMIT or ABORT
 
 
 def replay(program: Program, history: History, order: Iterable[EventId],

@@ -9,8 +9,11 @@ shared across the criteria that judge different aspects of the same runs.
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import pytest
@@ -23,6 +26,7 @@ from fixtures import (
     snapshot_blocker,
     track_history_memory,
 )
+from txndpor import explorer
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
     RunStats,
@@ -30,6 +34,7 @@ from txndpor.explorer import (
     dfs,
     explore_ce,
     explore_ce_star,
+    next_event,
 )
 from txndpor.generate import random_history, random_prefix, random_program
 from txndpor.isolation import (
@@ -455,13 +460,59 @@ def test_swapping_exploration_beats_naive_enumeration(corpus_runs):
 
 
 @pytest.mark.criterion(9, "peak retained histories stay within the depth bound")
-def test_peak_retained_histories_track_recursion_depth():
-    """The enumerator holds one history per open recursion frame rather
-    than accumulating a frontier: allocator-level accounting stays within
-    twice depth times the largest single history."""
+def test_peak_retained_histories_track_recursion_depth(monkeypatch):
+    """The enumerator keeps search state bounded by the open recursion
+    frames rather than accumulating a frontier.  Its trace's undo stack is
+    shorter than the depth of every node it stands at; the ``tracemalloc``
+    peak of a run is at most depth times the largest complete history,
+    copied whole; and the histories it builds stay within twice depth
+    times the largest single history."""
     program = parse(EXAMPLE_PROGRAMS["racing_reads"])
     with track_history_memory() as tracker:
         stats = explore_ce(program, IsolationLevel.CC)
-    assert tracker.registered > stats.max_depth
     assert tracker.max_history_bytes > 0
     assert tracker.peak_bytes <= stats.max_depth * tracker.max_history_bytes * 2
+
+    entered: list = []  # keeps every state alive, so ids stay unique
+    depth_of: dict[int, int] = {}
+    undo_and_depth: list[tuple[int, int]] = []
+
+    def hook(parent, st) -> None:
+        entered.append(st)
+        if parent is None:
+            depth_of[id(st)] = 1
+        else:  # a swapped node is walked as its parent commit's sibling
+            swapped = st.history.order[:-1] != parent.history.order
+            depth_of[id(st)] = depth_of[id(parent)] + (not swapped)
+
+    def checked_next_event(tr):  # called on the trace right after the hook
+        undo_and_depth.append((len(tr.undo), depth_of[id(entered[-1])]))
+        return next_event(tr)
+
+    monkeypatch.setattr(explorer, "next_event", checked_next_event)
+    explore_ce(program, IsolationLevel.CC, entry_hook=hook)
+    monkeypatch.undo()
+    assert len(undo_and_depth) == stats.recursive_calls
+    assert max(depth for _, depth in undo_and_depth) == stats.max_depth
+    assert all(undo < depth for undo, depth in undo_and_depth)
+    assert max(undo for undo, _ in undo_and_depth) > 0
+
+    complete: list = []
+    explore_ce(program, IsolationLevel.CC, emit=complete.append)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        largest = 0
+        for st in complete:
+            base = tracemalloc.get_traced_memory()[0]
+            whole = copy.deepcopy(st.history)
+            largest = max(largest, tracemalloc.get_traced_memory()[0] - base)
+            del whole
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        explore_ce(program, IsolationLevel.CC)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= stats.max_depth * largest

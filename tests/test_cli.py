@@ -326,6 +326,29 @@ def test_run_refuses_outputs_that_name_the_same_file(program_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kept, failing", [("--emit", "--stats-json"), ("--stats-json", "--emit")])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_run_leaves_the_other_output_alone_when_an_open_fails(
+    program_file, tmp_path, capsys, kept, failing, existing
+):
+    """An output that cannot be opened fails the run before either output
+    is truncated, in either order: an existing file keeps its bytes and a
+    new one is not left behind."""
+    keep = tmp_path / "keep.out"
+    if existing:
+        keep.write_bytes(b'{"kept": true}')
+    argv = ["run", program_file("racing_reads"), kept, str(keep),
+            failing, str(tmp_path / "missing" / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err
+    assert "distinct histories" not in captured.out
+    if existing:
+        assert keep.read_bytes() == b'{"kept": true}'
+    else:
+        assert not keep.exists()
+
+
 def test_run_rejects_a_negative_time_limit(program_file, capsys):
     assert main(["run", program_file("racing_reads"), "--time-limit", "-1"]) == 1
     err = capsys.readouterr().err

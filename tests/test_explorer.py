@@ -24,6 +24,7 @@ from fixtures import (
     track_history_memory,
 )
 from txndpor import explorer
+from txndpor import program as program_module
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
     ReorderCandidate,
@@ -151,12 +152,15 @@ def _schedule_by_scan(st: ExplorationState) -> list[NextAction]:
 def test_schedule_matches_the_scan_it_replaces(walk, level, monkeypatch):
     """On every state the walk enters, on the examples, the gate's corner
     programs and 150 random programs, the scheduling rule read from the
-    session states gives the reference's actions in the same order."""
+    session states gives the reference's actions in the same order.
+    ``explore_ce`` schedules on its trace, materialized for the reference."""
     schedule = explorer._schedule
     checked = []
 
     def checked_schedule(st):
         actions = list(schedule(st))
+        if isinstance(st, explorer._Trace):
+            st = st.state()
         assert actions == _schedule_by_scan(st), st
         checked.append(len(actions))
         return iter(actions)
@@ -407,23 +411,24 @@ def test_write_steps_keep_the_locals_the_env_path_computes(walk, level, monkeypa
     programs and 50 random programs, the session's new ``LocalState``
     equals the one built by running the rest of the queue on a copy of the
     locals and freezing them, whether or not a silent instruction follows
-    the write."""
+    the write.  Both walks step locals by the one rule ``_local_after``:
+    ``dfs`` through ``advance``, ``explore_ce`` on its trace."""
     followed: list[bool] = []
+    local_after = program_module._local_after
 
-    def checked_advance(st, action, writer=None, history=None):
-        child = advance(st, action, writer, history)
+    def checked_local_after(prog, ls, action, by_id, writer):
+        new = local_after(prog, ls, action, by_id, writer)
         if action.event.kind == WRITE:
-            session = action.event.id.txn.session
-            ls = st.sessions[session]
             env = ls.env
             queue = _normalize(env, ls.queue[1:])
             expected = LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
-            assert child.sessions[session] == expected
+            assert new == expected
             followed.append(len(ls.queue) > 1 and isinstance(
                 ls.queue[1], (AssignInstr, IfInstr, AssertInstr)))
-        return child
+        return new
 
-    monkeypatch.setattr(explorer, "advance", checked_advance)
+    monkeypatch.setattr(program_module, "_local_after", checked_local_after)
+    monkeypatch.setattr(explorer, "_local_after", checked_local_after)
     for prog in _examples_corners_and_draws(24, 50):
         walk(prog, level)
     assert followed.count(True) and followed.count(False)
@@ -461,6 +466,80 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
             first.setdefault(eid.txn, i)
         assert list(h.starts.items()) == list(first.items())
 
+
+TRACE_LEVELS = EXTENSIBLE + (IsolationLevel.TRUE,)
+# The relations a materialized state carries or computes on first use.
+CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_closure", "wr_map", "writers")
+
+
+def _assert_matches_full_construction(st: ExplorationState, level: IsolationLevel) -> None:
+    """``st``'s history carries the relations and the verdict at ``level``
+    of the same logs and wr built by full validation, and ``starts`` is its
+    definition from the order."""
+    h = st.history
+    full = History(h.history.logs, h.history.wr)
+    for name in CARRIED_RELATIONS:
+        assert getattr(h.history, name) == getattr(full, name), name
+    first: dict[TxnId, int] = {}
+    for i, eid in enumerate(h.order):
+        first.setdefault(eid.txn, i)
+    assert list(h.starts.items()) == list(first.items())
+    if level is IsolationLevel.TRUE:
+        assert level not in h.history.consistency_cache
+    else:
+        assert h.history.consistency_cache[level] == _forced_closure(full, level)
+
+
+def _same_materialized(a: ExplorationState, b: ExplorationState) -> bool:
+    return a == b and a.history.starts == b.history.starts and all(
+        getattr(a.history.history, name) == getattr(b.history.history, name)
+        for name in CARRIED_RELATIONS + ("consistency_cache",)
+    )
+
+
+@pytest.mark.parametrize("level", TRACE_LEVELS, ids=[lvl.value for lvl in TRACE_LEVELS])
+def test_trace_snapshots_and_undo_are_exact(level, monkeypatch):
+    """``explore_ce`` walks one trace.  Every state it passes to ``emit``
+    and to ``entry_hook`` (node and parent), kept until the run is over,
+    matches full construction, so none shares what the trace changes
+    later, and an emitted state without the hook has a replay's locals;
+    and the trace materialized just before each push equals it
+    materialized just after the matching pop.  Over the examples, the
+    gate's corner programs and 100 random programs."""
+    programs = _examples_corners_and_draws(25, 100)
+    hooked: dict[int, ExplorationState] = {}
+    emitted: list[ExplorationState] = []
+
+    def keep(*states) -> None:
+        hooked.update((id(st), st) for st in states if st is not None)
+
+    for prog in programs:
+        explore_ce(prog, level, emit=keep, entry_hook=keep)
+        explore_ce(prog, level, emit=emitted.append)
+    for st in list(hooked.values()) + emitted:
+        _assert_matches_full_construction(st, level)
+    for st in emitted:
+        assert st.sessions == replay(st.program, st.history.history, st.history.order).sessions
+
+    push, pop = explorer._Trace.push, explorer._Trace.pop
+    before: list[ExplorationState] = []
+    pops = 0
+
+    def checked_push(self, *args):
+        before.append(self.state())
+        push(self, *args)
+
+    def checked_pop(self):
+        nonlocal pops
+        pop(self)
+        assert _same_materialized(self.state(), before.pop())
+        pops += 1
+
+    monkeypatch.setattr(explorer._Trace, "push", checked_push)
+    monkeypatch.setattr(explorer._Trace, "pop", checked_pop)
+    for prog in programs:
+        explore_ce(prog, level)
+    assert pops > 1000 and not before
 
 # ---------------------------------------------------------------------------
 # Reorder candidates
