@@ -42,7 +42,6 @@ from .model import (
     canonical_encode,
     causal_reachable,
     drop_events,
-    is_prefix,
 )
 from .oracles import canonical_order, is_or_respectful, prev
 from .program import (
@@ -93,7 +92,6 @@ __all__ = [
     "explore_ce_star",
     "forced_edges",
     "is_or_respectful",
-    "is_prefix",
     "next_event",
     "optimality",
     "parse",

@@ -28,7 +28,14 @@ from typing import Callable
 import click
 
 from .examples import EXAMPLE_PROGRAMS
-from .explorer import RunInterrupted, TimeLimitExceeded, dfs, explore_ce, explore_ce_star
+from .explorer import (
+    RunInterrupted,
+    TimeLimitExceeded,
+    _check_levels,
+    dfs,
+    explore_ce,
+    explore_ce_star,
+)
 from .generate import (
     random_history,
     random_program,
@@ -213,6 +220,10 @@ def run(
         raise click.UsageError("--oracle-check applies to the explore modes")
     if dedup and emit is None:
         raise click.UsageError("--dedup applies only with --emit")
+    if mode == "explore-ce":
+        _check_levels(level)
+    elif mode == "explore-ce-star":
+        _check_levels(weak_level, level)  # type: ignore[arg-type]
     _log.info("running %s at %s", mode, level.value)
 
     seen: set[bytes] = set()

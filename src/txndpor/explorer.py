@@ -18,36 +18,36 @@ at all: which writer the cut would offer each affected read is a query on the
 current history (:func:`reads_causally_latest`, whose docstring proves the two
 agree).
 
-:func:`explore_ce` and :func:`explore_ce_star` walk one mutable trace
-(``_Trace``), as TruSt keeps one execution graph: at most one transaction
-is pending, and only the last to enter is extended, so a depth-first walk
-pushes each child's event and pops it once the child's subtree, and for a
-commit its swaps, are done.  Each read's writers are decided on the trace,
-as :func:`valid_writes` decides them, and each commit's reorder candidates
-read from it.  A state is materialized
-from the trace only where a caller needs one: for the gate, when a commit
-has candidates; for ``emit`` and the strong level's check on a complete
-history; and for ``entry_hook``, through ``advance`` from the parent's
-state.  These states share no dict the trace changes in place, so callers
-may keep them.  Each swap the gate takes starts a fresh trace for its
-subtree.
+:func:`explore_ce`, :func:`explore_ce_star` and :func:`dfs` walk one mutable
+trace (``_Trace``), as TruSt keeps one execution graph: at most one
+transaction is pending, and only the last to enter is extended, so a
+depth-first walk pushes each child's event and pops it once the child's
+subtree, and for a commit its swaps, are done.  The trace derives each
+child's verdict from its parent's: the forced closure at RC, RA and CC, a
+witness order at SER and SI.  :func:`explore_ce` decides each read's
+writers on the trace, as :func:`valid_writes` decides them, and reads each
+commit's reorder candidates from it.  A state is materialized from the
+trace only where a caller needs one: for the gate, when a commit has
+candidates; for ``emit`` and the strong level's check on a complete
+history; and for ``entry_hook``.  These states share no dict the trace
+changes in place, so callers may keep them.  Each swap the gate takes
+starts a fresh trace for its subtree.
 
 The trace and the immutable model run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
 the candidate writers (:func:`_committed_writers`), the read decision
 (:func:`_accepted`), the reorderings (:func:`_reorderings`) and the
 relation changes of a begin (``model._begun``), a first write and an abort
-(``model._with_writer``, ``model._without_writer``,
-``isolation._forced_after``), each over plain relations that the trace
-carries under :class:`History`'s names.
+(``model._with_writer``, ``model._without_writer``), each over plain
+relations that the trace carries under :class:`History`'s names.
 
 Every state a walk enters is the state that was checked.  A read's writer
-is decided on the parent, whose reader entered last, and only the children
-that pass are built; the gate and :func:`dfs`, the naive reference, check
-each history they build.  Each event is stepped once and no program code
-runs on a rejected child or swap.  The only histories built and checked but
-never entered are those the gate and :func:`dfs` reject and the extensions
-:func:`causal_extension_exists` tries.
+is decided on the parent, whose reader entered last; :func:`dfs`, the
+naive reference, pushes every child and checks it on the trace before it
+steps the session's locals; the gate checks each history it builds.  Each
+event is stepped once and no program code runs on a rejected child or
+swap.  The only histories built and checked but never entered are those
+the gate rejects and the extensions :func:`causal_extension_exists` tries.
 
 Both searches follow one scheduling rule read from the session states,
 ``_schedule``: the open transaction steps on, else any session may begin;
@@ -61,8 +61,8 @@ serializable histories via causally consistent scheduling.
 
 :func:`dfs` is the deliberately naive baseline used to cross-check coverage:
 it branches over every action of the rule (including which session begins
-next) and therefore emits the same history many times.  It, the gate and
-the public functions stay on the immutable model.
+next) and therefore emits the same history many times.  The gate and the
+public functions stay on the immutable model.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ from .isolation import (
     _forced_edges_of,
     _read_closures,
     _read_edges,
+    _witness,
+    _witness_after,
     check_consistency,
 )
 from .model import (
@@ -195,15 +197,6 @@ def next_event(st: ExplorationState) -> NextAction | None:
     return next(_schedule(st), None)
 
 
-def _writers(st: ExplorationState, action: NextAction) -> list[TxnId | None]:
-    """The writers ``action``'s event may take in ``st``: for an external
-    read, :func:`_committed_writers` of its variable; for any other event,
-    only None."""
-    if not action.is_external_read:
-        return [None]
-    return _committed_writers(st.history.starts, st.by_id, action.event.var)  # type: ignore[arg-type]
-
-
 def _committed_writers(
     starts: dict[TxnId, int], by_id: dict[TxnId, TransactionLog], var: str
 ) -> list[TxnId | None]:
@@ -229,7 +222,8 @@ def valid_writes(
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
     children = {}
-    for t, reach in _accepted(st.history.history, level, action.event, _writers(st, action)):
+    writers = _committed_writers(st.history.starts, st.by_id, action.event.var)  # type: ignore[arg-type]
+    for t, reach in _accepted(st.history.history, level, action.event, writers):
         h = st.history.append(action.event, writer=t)
         if reach is not None:
             h.history.consistency_cache[level] = reach
@@ -557,7 +551,7 @@ def optimality(
 
 
 class _Trace:
-    """One mutable state that :func:`explore_ce`'s walk extends and undoes.
+    """One mutable state that the walks extend and undo.
 
     It carries what a state carries, under the names
     :class:`ExplorationState` and :class:`History` give them, so that the
@@ -565,10 +559,11 @@ class _Trace:
     ``program``, the sessions' local states ``sessions``, the logs
     ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
     the session lists ``session_txns``, ``causal_closure``, ``writers`` and
-    ``consistency_cache``, which holds the forced closure at ``level``
-    (nothing at TRUE).
+    ``consistency_cache``, which holds the verdict at ``level``: the forced
+    closure at RC, RA and CC, a witness order at SER and SI.
 
-    :meth:`push` applies one event.  ``by_id``, ``starts``, ``wr_map``,
+    :meth:`push` applies one event and derives the verdict, :meth:`enter`
+    steps the session's locals past it.  ``by_id``, ``starts``, ``wr_map``,
     ``sessions`` and ``consistency_cache`` change in place, one key each;
     the other relations are replaced by the new value the edit builds,
     never changed, so a materialized state may share them.  :meth:`pop`
@@ -587,31 +582,33 @@ class _Trace:
         self.wr_map = dict(hist.wr_map)
         self.txn_ids, self.session_txns = hist.txn_ids, hist.sessions
         self.causal_closure, self.writers = hist.causal_closure, hist.writers
-        self.consistency_cache = (
-            {} if level is IsolationLevel.TRUE else {level: _forced_closure(hist, level)}
-        )
+        closure = level in EXTENSIBLE_LEVELS
+        self.after = _forced_after if closure else _witness_after
+        self.consistency_cache = {} if level is IsolationLevel.TRUE else {
+            level: (_forced_closure if closure else _witness)(hist, level)
+        }
         self.length = len(h.order)
         self.undo: list[tuple] = []
 
     def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
         """The (writer, forced closure) of each child ``action`` leads to:
         an external read's :func:`_accepted` writers, else the one child
-        whose closure :meth:`push` derives."""
+        whose verdict :meth:`push` derives."""
         if not action.is_external_read:
             return [(None, None)]
         writers = _committed_writers(self.starts, self.by_id, action.event.var)  # type: ignore[arg-type]
         return _accepted(self, self.level, action.event, writers)  # type: ignore[arg-type]
 
     def push(self, action: NextAction, writer: TxnId | None = None, reach: dict | None = None):
-        """Apply ``action`` (an external read observing ``writer``, with the
-        forced closure ``reach`` its decision computed)."""
+        """Apply ``action``'s event, an external read observing ``writer``,
+        and derive the verdict (``after``), or take ``reach``, the forced
+        closure a read's decision computed."""
         event = action.event
         kind, t = event.kind, event.id.txn
         by_id, cache, level = self.by_id, self.consistency_cache, self.level
-        ls = self.sessions[t.session]
         old = by_id.get(t)
-        self.undo.append((event, writer, old, ls, self.txn_ids, self.session_txns,
-                          self.causal_closure, self.writers, cache.get(level)))
+        self.undo.append((event, writer, old, self.sessions[t.session], self.txn_ids,
+                          self.session_txns, self.causal_closure, self.writers, cache.get(level)))
         first_write = False
         if kind == BEGIN:
             log, self.txn_ids, self.session_txns, self.causal_closure = _begun(
@@ -628,16 +625,21 @@ class _Trace:
             elif kind == WRITE and event.var not in old.write_set:  # type: ignore[union-attr]
                 first_write = True
                 self.writers = _with_writer(self.writers, event.var, t)  # type: ignore[arg-type]
-        self.sessions[t.session] = _local_after(self.program, ls, action, by_id, writer)
         by_id[t] = log
         self.length += 1
         if cache:
-            cache[level] = reach if writer is not None else _forced_after(
+            cache[level] = reach if reach is not None else self.after(
                 self, level, cache[level], event, writer, first_write
             )
 
+    def enter(self, action: NextAction, writer: TxnId | None = None) -> None:
+        """Step the locals past the pushed ``action``, an external read
+        observing ``writer`` (``_local_after`` reads only its log)."""
+        s = action.event.id.txn.session
+        self.sessions[s] = _local_after(self.program, self.sessions[s], action, self.by_id, writer)
+
     def pop(self) -> None:
-        """Undo the last :meth:`push`."""
+        """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
         (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_closure,
          self.writers, reach) = self.undo.pop()
         t = event.id.txn
@@ -652,10 +654,10 @@ class _Trace:
         if self.consistency_cache:
             self.consistency_cache[self.level] = reach
 
-    def ordered(self) -> OrderedHistory:
-        """The ordered history the trace stands at, sharing no dict it
-        changes in place; its verdict at ``level`` cached, its logs by id
-        and wr map left to be computed on first use."""
+    def state(self) -> ExplorationState:
+        """The state the trace stands at, sharing no dict it changes in
+        place; its verdict at ``level`` cached, its logs by id and wr map
+        left to be computed on first use."""
         logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
         hist = History._derived(
             logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
@@ -667,11 +669,7 @@ class _Trace:
             history=hist, starts=dict(self.starts),
             order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
         )
-        return h
-
-    def state(self) -> ExplorationState:
-        """The state the trace stands at, as :meth:`ordered` builds it."""
-        return ExplorationState(self.program, self.ordered(), tuple(self.sessions))
+        return ExplorationState(self.program, h, tuple(self.sessions))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +704,7 @@ def explore_ce(
     Returns:
         The run's counters.
     """
-    if level not in EXTENSIBLE_LEVELS:
-        raise ValueError(f"{level.value} is not causally extensible; use dfs instead")
+    _check_levels(level)
     return _explore(program, level, None, emit, entry_hook, time_limit)
 
 
@@ -726,13 +723,19 @@ def explore_ce_star(
     histories failing ``strong`` are counted as filtered instead of emitted.
     ``strong`` must be at least as strong as ``weak``.
     """
-    if weak not in EXTENSIBLE_LEVELS:
-        raise ValueError(f"{weak.value} is not causally extensible")
-    if not strong.at_least(weak):
-        raise ValueError(
-            f"{strong.value} is weaker than the traversal level {weak.value}"
-        )
+    _check_levels(weak, strong)
     return _explore(program, weak, strong, emit, entry_hook, time_limit)
+
+
+def _check_levels(weak: IsolationLevel, strong: IsolationLevel | None = None) -> None:
+    """Raise ``ValueError`` unless :func:`explore_ce` may walk at ``weak``,
+    or :func:`explore_ce_star` may walk at ``weak`` and emit at
+    ``strong``."""
+    if weak not in EXTENSIBLE_LEVELS:
+        hint = "; use dfs instead" if strong is None else ""
+        raise ValueError(f"{weak.value} is not causally extensible{hint}")
+    if strong is not None and not strong.at_least(weak):
+        raise ValueError(f"{strong.value} is weaker than the traversal level {weak.value}")
 
 
 def _walk(
@@ -804,7 +807,8 @@ def _explore(
             return
         for writer, reach in children:
             tr.push(action, writer, reach)
-            child = None if entry_hook is None else advance(st, action, writer, tr.ordered())
+            tr.enter(action, writer)
+            child = None if entry_hook is None else tr.state()
             yield tr, st, child
             if action.event.kind == COMMIT:  # only a commit has candidates
                 t = action.event.id.txn
@@ -841,31 +845,35 @@ def dfs(
     Branches over every action of the scheduling rule (each session's next
     begin when none is open) and over every consistent writer for each
     external read, gating every single extension on consistency (necessary
-    for SI and SER, where writes can be the blocking step).  The same
-    history is reached along many interleavings, so emissions contain
-    duplicates; callers deduplicate by encoding.
-    Works at every isolation level.
+    for SI and SER, where writes can be the blocking step).  Each extension
+    is pushed on the walk's trace and checked there, from the verdict the
+    trace derives, and entered only when it passes.  The same history is
+    reached along many interleavings, so emissions contain duplicates;
+    callers deduplicate by encoding.  ``emit`` gets a state the caller may
+    keep.  Works at every isolation level.
     """
     stats = RunStats()
 
-    def successors(st: ExplorationState, parent: ExplorationState | None) -> Iterator[tuple]:
-        actions = list(_schedule(st))
+    def successors(tr: _Trace) -> Iterator[tuple]:
+        actions = list(_schedule(tr))
         if not actions:
             stats.outputs += 1
             if emit is not None:
-                emit(st)
+                emit(tr.state())
             return
-        # Checked here, not in valid_writes, so traced runs count them under dfs.
-        children = [
-            advance(st, a, w, h)
-            for a in actions
-            for w in _writers(st, a)
-            for h in [st.history.append(a.event, writer=w)]
-            if check_consistency(h.history, level)
-        ]
-        if not children:
+        blocked = True
+        for a in actions:
+            var = a.event.var if a.is_external_read else None
+            for w in [None] if var is None else _committed_writers(tr.starts, tr.by_id, var):
+                tr.push(a, w)
+                # Checked here, on the trace, so traced runs count them under dfs.
+                if check_consistency(tr, level):
+                    blocked = False
+                    tr.enter(a, w)
+                    yield (tr,)
+                tr.pop()
+        if blocked:
             stats.blocked_calls += 1
-        for child in children:
-            yield child, st
 
-    return _walk((ExplorationState.initial(program), None), successors, stats, time_limit)
+    root = _Trace(ExplorationState.initial(program), level)
+    return _walk((root,), successors, stats, time_limit)

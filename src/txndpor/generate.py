@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from .isolation import find_commit_order
 from .model import (
     ABORTED,
     COMMITTED,
@@ -21,7 +20,6 @@ from .model import (
     WRITE,
     EventId,
     History,
-    IsolationLevel,
     TransactionLog,
     TxnId,
     abort_event,
@@ -122,27 +120,6 @@ def random_history(
             writers_so_far.extend((tid, v) for v in own_writes)
         logs.append(TransactionLog(tid, tuple(events)))
     return History(tuple(sorted(logs, key=lambda log: log.id)), tuple(sorted(wr)))
-
-
-def random_prefix(rng: random.Random, h: History) -> History:
-    """A random downward-closed prefix of ``h`` (possibly all or init-only)."""
-    block_order = find_commit_order(h, IsolationLevel.TRUE)
-    assert block_order is not None
-    sequence = [ev.id for t in block_order.order for ev in h.txn(t).events]
-    floor = len(h.txn(INIT_TXN).events)
-    k = rng.randint(floor, len(sequence))
-    kept = set(sequence[:k])
-    logs = []
-    for log in h.logs:
-        events = []
-        for ev in log.events:
-            if ev.id not in kept:
-                break
-            events.append(ev)
-        if events:
-            logs.append(TransactionLog(log.id, tuple(events)))
-    wr = tuple(sorted(p for p in h.wr if p[0] in kept))
-    return History(tuple(sorted(logs, key=lambda log: log.id)), wr)
 
 
 # ---------------------------------------------------------------------------

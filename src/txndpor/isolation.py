@@ -10,21 +10,19 @@ be ordered before ``t1``.
 For read committed, read atomic and causal consistency the premise never
 mentions the commit order, so consistency is acyclicity of G = session
 order, write-read and the forced conclusion edges.  The transitive closure
-of G (None on a cycle) is cached per history and level.  A one-event edit
-(``History.with_begin``/``with_event``) records its parent's cache and the
-edit; its closure is the parent's plus the new edges, where (a, b) closes a
-cycle iff a == b or b reaches a.  A begin of ``t`` adds (session predecessor
-or init, ``t``); a commit, a read without a writer or a repeated write adds
-nothing; a first write by ``t`` adds the forced edges with overwriter ``t``;
-a read of ``t`` observing ``w`` adds (``w``, ``t``) and the forced edges of
-the reads of ``t`` and of what ``t`` reaches, whose premises alone can
-change.  This is exact because such edits only add transactions, writes and
-wr edges, in which every premise is monotone: G only grows, and a parent's
-cycle stays.  An abort removes forced edges, so it, like a history without a
-cached parent closure, takes one full computation, then cached.  A first
-write (its variable not yet in the open log's ``write_set``) is told by a
-flag the edit records in ``History.derivation``.  The explorer's trace
-applies the same rules (:func:`_forced_after`) to its closure in place.
+of G (None on a cycle) is cached per history and level, computed from
+scratch on first use.  The explorer's trace carries it at its level and
+derives each child's from its parent's (:func:`_forced_after`), where
+(a, b) closes a cycle iff a == b or b reaches a.  A begin of ``t`` adds
+(session predecessor or init, ``t``); a commit, a read without a writer or
+a repeated write adds nothing; a first write by ``t`` adds the forced edges
+with overwriter ``t``; a read of ``t`` observing ``w`` adds (``w``, ``t``)
+and the forced edges of the reads of ``t`` and of what ``t`` reaches, whose
+premises alone can change.  This is exact because such edits only add
+transactions, writes and wr edges, in which every premise is monotone: G
+only grows, and a parent's cycle stays.  An abort removes forced edges, so
+it takes one full computation.  A first write is one whose variable is not
+yet in the open log's ``write_set``.
 
 Serializability and snapshot isolation quantify over the commit order itself.
 Both are decided by one search that commits transactions one at a time,
@@ -52,9 +50,10 @@ be completed.  As the memo only cuts subtrees without a completion, the
 first order found is the lexicographically first witness.
 
 :func:`check_consistency` caches a witness order per history at SER and SI
-(None when there is none) and, for a one-event edit of a history found
-consistent, derives it from the parent's witness ``o``.  Instances are read
-as :func:`total_order_satisfies` reads them: a wr edge plus another
+(None when there is none), found by the search on first use.  The
+explorer's trace carries it at its level and derives each child's from its
+parent's witness ``o`` (:func:`_witness_after`).  Instances are read as
+:func:`total_order_satisfies` reads them: a wr edge plus another
 transaction whose ``write_set`` holds the variable, where ``write_set``
 holds a pending transaction's writes and none of an aborted one's.
 
@@ -72,11 +71,11 @@ holds a pending transaction's writes and none of an aborted one's.
   instances with overwriter ``t``: ``o`` stands iff no read of ``x`` by a
   ``t3`` observes a ``w`` with ``w <o t <o t3``.
 
-Anything else searches and caches the result: a read or first write at SI,
-which can add prefix or conflict witnesses to older instances; a failed SER
-rule; no derivation; a parent inconsistent or unchecked at the level.  So
-every False comes from the search.  :func:`find_commit_order` always
-searches, for the lexicographically first witness.
+Anything else searches: a read or first write at SI, which can add prefix
+or conflict witnesses to older instances; a failed SER rule; a parent
+without a witness.  So every False comes from the search.
+:func:`find_commit_order` always searches, for the lexicographically first
+witness.
 
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
@@ -232,8 +231,9 @@ def _read_edges(
 def _read_closures(
     h: History, level: IsolationLevel, read: Event, candidates: Iterable[TxnId]
 ) -> Iterator[tuple[TxnId, dict | None]]:
-    """Each ``w`` of ``candidates`` with the closure :func:`_forced_closure`
-    derives for ``h.with_event(read, writer=w)``, built on ``h`` alone.
+    """Each ``w`` of ``candidates`` with the closure :func:`_forced_after`
+    derives for ``h`` extended by ``read`` observing ``w``, built on ``h``
+    alone.
     ``h`` is ``level``-consistent (RC, RA, CC) and ``read``'s transaction
     entered it last, as in the walks."""
     reach, t, closure = _forced_closure(h, level), read.id.txn, h.causal_closure
@@ -262,7 +262,8 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
     overwriter is ``t``.  A placed set is always downward closed under so/wr,
     so "every causal predecessor placed" admits exactly the candidates that
     "every direct predecessor placed" does: the search, its memo and its
-    witness are those of the direct so/wr predecessors.
+    witness are those of the direct so/wr predecessors.  It reads only
+    relations the explorer's trace carries.
     """
     txns = h.txn_ids
     n = len(txns)
@@ -282,7 +283,7 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
             for t in ws:
                 conflicts[idx[t]] |= mask ^ 1 << idx[t]
     by_over: list[list[tuple[int, int]]] = [[] for _ in txns]
-    for rid, w in h.wr:
+    for rid, w in h.wr_map.items():
         r = rid.txn
         for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
             if t2 != w and t2 != r:  # t2 == t3 never meets a premise
@@ -392,18 +393,27 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
 
 
 def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
-    """A SER or SI witness order of ``h``, or None: cached, and the parent's
-    when a rule of the module docstring keeps it, else the full search's."""
+    """A SER or SI witness order of ``h``, or None: cached, else the
+    search's."""
     cache = h.consistency_cache
-    if level in cache:
-        return cache[level]
-    parent_cache, event, writer, first_write = h.derivation or ({}, None, None, False)
-    order = parent_cache.get(level)
+    if level not in cache:
+        cache[level] = _commit_order(h, level)
+    return cache[level]
+
+
+def _witness_after(
+    h: History, level: IsolationLevel, order: tuple[TxnId, ...] | None, event: Event,
+    writer: TxnId | None, first_write: bool,
+) -> tuple[TxnId, ...] | None:
+    """The witness order of ``h`` at SER or SI, the history just after
+    ``event`` (with ``writer``, a first write or not) was appended to one
+    whose witness is ``order``: ``order``, a begin's transaction appended,
+    where a rule of the module docstring keeps it, else the search's."""
     if order is not None:
         t, x = event.id.txn, event.var
         if event.kind == BEGIN:
-            order += (t,)
-        elif level is IsolationLevel.SI and (writer is not None or first_write):
+            return order + (t,)
+        if level is IsolationLevel.SI and (writer is not None or first_write):
             order = None
         elif writer is not None:  # writer before t, no writer of x between
             i, j = order.index(writer), order.index(t)
@@ -411,17 +421,30 @@ def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
                 order = None
         elif first_write:  # no read of x observing w with w < t < reader
             pos = {u: i for i, u in enumerate(order)}
-            if any(pos[w] < pos[t] < pos[r.txn] for r, w in h.wr if h.event(r).var == x):
+            if any(pos[w] < pos[t] < pos[r.txn] for r, w in h.wr_map.items()
+                   if h.by_id[r.txn].events[r.index].var == x):
                 order = None
-    cache[level] = _commit_order(h, level) if order is None else order
-    return cache[level]
+    return _commit_order(h, level) if order is None else order
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
-    """The transitive closure of so, wr and the forced edges, or None on a cycle.
+    """The transitive closure of so, wr and the forced edges, or None on a
+    cycle: cached per history and level, else computed from scratch."""
+    cache = h.consistency_cache
+    if level not in cache:
+        cache[level] = closure_with_edges(h.causal_closure, forced_edges(h, level))
+    return cache[level]
 
-    Cached per history and level; derived from the parent's cached closure
-    when ``h`` is a one-event edit of a history checked at ``level``.
+
+def _forced_after(
+    h: History, level: IsolationLevel, reach: dict | None, event: Event,
+    writer: TxnId | None, first_write: bool,
+) -> dict | None:
+    """The forced closure of ``h``, the history just after ``event`` (with
+    ``writer``, a first write or not) was appended to one whose forced
+    closure is ``reach``: the rules of the module docstring.  Reads only
+    ``h``'s logs by id, transaction ids, causal closure, wr map and writer
+    index, which the explorer's trace carries under the same names.
 
     A first write of ``x`` by ``t`` adds the forced edges whose overwriter
     is ``t``, and only readers in ``h.causal_closure[t]`` can have one: the
@@ -436,27 +459,6 @@ def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
     :func:`_read_closures` asks them of the parent, with the CC premise
     ``t2 == w`` or ``t2`` reaching ``w`` or ``t`` in the parent.
     """
-    cache = h.consistency_cache
-    if level in cache:
-        return cache[level]
-    parent_cache, event, writer, first_write = h.derivation or ({}, None, None, False)
-    if level in parent_cache:
-        reach = _forced_after(h, level, parent_cache[level], event, writer, first_write)
-    else:
-        reach = closure_with_edges(h.causal_closure, forced_edges(h, level))
-    cache[level] = reach
-    return reach
-
-
-def _forced_after(
-    h: History, level: IsolationLevel, reach: dict | None, event: Event,
-    writer: TxnId | None, first_write: bool,
-) -> dict | None:
-    """The forced closure of ``h``, the history just after ``event`` (with
-    ``writer``, a first write or not) was appended to one whose forced
-    closure is ``reach``: the rules of :func:`_forced_closure`.  Reads only
-    ``h``'s logs by id, transaction ids, causal closure, wr map and writer
-    index, which the explorer's trace carries under the same names."""
     if event.kind == ABORT:  # it takes away the aborted writes' forced edges
         return closure_with_edges(h.causal_closure, _forced_edges_of(h, level, h.by_id, h.writers))
     if reach is None:  # every other edit only adds edges: a cycle stays

@@ -20,9 +20,9 @@ All values are immutable; mutation happens by producing new values.
 Full validation runs wherever a history enters from outside: ``History(...)``,
 ``OrderedHistory(...)`` and :func:`canonical_decode`.  The derived edits
 start from an already valid value and check only what the edit can break,
-with the same rules and messages.  They serve ``explorer.dfs``, the gate's
-swaps and the public editing API; ``explorer.explore_ce`` walks a mutable
-trace instead, which applies the same relation changes (:func:`_begun`,
+with the same rules and messages.  They serve the gate's swaps and the
+public editing API; both of the explorer's walks run on a mutable trace
+instead, which applies the same relation changes (:func:`_begun`,
 :func:`_with_writer`, :func:`_without_writer`) in place and materializes
 histories only where a caller needs one.  The one-event edits (:meth:`History.with_begin`,
 :meth:`History.with_event`, :meth:`OrderedHistory.append`) carry six of the
@@ -38,9 +38,8 @@ not last in its session, or is in the init session, is fully validated.
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
 and the event is its next one and no begin, and carries ``status``,
 ``write_set`` and ``read_set``; any other event goes to the validating
-constructor, which raises.  The edit records :attr:`History.derivation`: the
-parent's consistency cache, the event, its writer and whether it is a first
-write, read from the open log's ``write_set``.  :meth:`OrderedHistory.append`
+constructor, which raises.  An edit starts with an empty consistency
+cache: it records nothing of its parent.  :meth:`OrderedHistory.append`
 carries ``starts``, which only a begin changes.  :func:`drop_events`
 recomputes the relations from the result instead, since deleting events can
 shrink causality; only the cut a swap makes, which drops no transaction that
@@ -505,10 +504,6 @@ class History:
         """Per-level results of :func:`isolation.check_consistency`."""
         return {}
 
-    # (parent's consistency_cache, event, writer, is a first write) of a derived
-    # edit, never the parent itself; None after full construction.  Not a field.
-    derivation = None
-
     # -- editing ------------------------------------------------------------
 
     @classmethod
@@ -517,10 +512,9 @@ class History:
 
         Skips ``__post_init__``; ``relations`` are the parent's derived
         relations updated by the delta and become the child's cached
-        properties, ``derivation`` (the edit) among them.  A relation left out
-        (the one-event edits leave out the session-order pairs, so/wr
-        adjacency and wr transaction pairs, ``drop_events`` all but ``by_id``)
-        is computed on first use.
+        properties.  A relation left out (the one-event edits leave out the
+        session-order pairs, so/wr adjacency and wr transaction pairs,
+        ``drop_events`` all but ``by_id``) is computed on first use.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -556,7 +550,6 @@ class History:
             causal_closure=closure,
             wr_map=self.wr_map,
             writers=self.writers,
-            derivation=(self.consistency_cache, begin, None, False),
         )
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
@@ -570,8 +563,7 @@ class History:
         read to ``wr_map`` and (writer, reader) to the closure.  The writer
         index changes only on a first write of a variable, which inserts the
         transaction in order, and on an abort, which removes it.  The open
-        log's ``write_set`` tells a first write, recorded in ``derivation``,
-        and an internal read.
+        log's ``write_set`` tells a first write and an internal read.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
@@ -582,13 +574,12 @@ class History:
         i = self.txn_ids.index(log.id)
         logs = self.logs[:i] + (new_log,) + self.logs[i + 1 :]
         writers = self.writers
-        first_write = event.kind == WRITE and event.var not in log.write_set
         if event.kind == ABORT:
             for read_id, w in self.wr:
                 if w == log.id:
                     raise ValueError(f"read {read_id} reads from aborted {w}")
             writers = _without_writer(writers, log)
-        elif first_write:
+        elif event.kind == WRITE and event.var not in log.write_set:  # a first write
             writers = _with_writer(writers, event.var, log.id)  # type: ignore[arg-type]
         wr = self.wr
         wr_map = self.wr_map
@@ -610,7 +601,6 @@ class History:
             causal_closure=closure,
             wr_map=wr_map,
             writers=writers,
-            derivation=(self.consistency_cache, event, writer, first_write),
         )
 
 
@@ -716,41 +706,6 @@ def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:
 def causally_before_or_equal(h: History, a: TxnId, b: TxnId) -> bool:
     """(a, b) in the reflexive-transitive closure of so union wr."""
     return a == b or causal_reachable(h, a, b)
-
-
-def is_prefix(p: History, h: History) -> bool:
-    """Whether ``p`` is a causally-downward-closed prefix of ``h``.
-
-    Every log of ``p`` must be a program-order prefix of the same-id log of
-    ``h``; the restricted write-read relation must match; and the event set
-    must be downward closed under program order, session order, and
-    write-read (a read present in ``p`` forces its writer's events in too).
-    """
-    for log in p.logs:
-        other = h.by_id.get(log.id)
-        if other is None or log.events != other.events[: len(log.events)]:
-            return False
-    p_events = p.event_ids
-    expected_wr = tuple(sorted(pair for pair in h.wr if pair[0] in p_events))
-    if p.wr != expected_wr:
-        return False
-    # Downward closure.  Program order holds by the log-prefix check; session
-    # order and write-read predecessors must be entirely present.
-    complete = {
-        log.id for log in p.logs if log.events == h.by_id[log.id].events
-    }
-    for log in p.logs:
-        if log.id == INIT_TXN:
-            continue
-        if INIT_TXN not in complete:
-            return False
-        for pred in h.sessions.get(log.id.session, ()):
-            if pred < log.id and pred not in complete:
-                return False
-    for read_id, writer in h.wr:
-        if read_id in p_events and writer not in complete:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterator
 
 from .isolation import check_consistency
 from .model import (
@@ -245,20 +244,3 @@ def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:
         base = drop_events(h, {last})
         return max_completion(program, base, writer, level).history.history
     return drop_events(h, {last}).history
-
-
-def iterate_prev(
-    program: Program,
-    h: History | OrderedHistory,
-    level: IsolationLevel,
-    limit: int = 10_000,
-) -> Iterator[History]:
-    """Walk predecessors back toward the starting history (inclusive stop)."""
-    cur = h if isinstance(h, OrderedHistory) else canonical_sort(h)
-    for _ in range(limit):
-        hist = prev(program, cur, level)
-        yield hist
-        if all(log.id == INIT_TXN for log in hist.logs):
-            return
-        cur = canonical_sort(hist)
-    raise RuntimeError("predecessor chain did not reach the starting history")

@@ -24,8 +24,8 @@ open transaction, whose log's ``write_set`` answers its internal reads.
 :func:`apply_event` is the
 checked boundary: it accepts an event only if it equals the program's own
 next event for its session, then applies it with :func:`advance`.  The
-explorer's walks call :func:`advance` directly with the action they stepped,
-so each event is stepped once.  :func:`replay` rebuilds a state from scratch
+explorer steps each event once, unchecked: its walks by ``_local_after``,
+its gate by :func:`advance`.  :func:`replay` rebuilds a state from scratch
 (or from a swap's cut state) along a sequence of a history's events, checking
 each through :func:`apply_event`.
 """

@@ -7,6 +7,7 @@ out by hand, so the suite can use them as frozen ground truth.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -17,6 +18,7 @@ from typing import Iterator
 import txndpor
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import explore_ce
+from txndpor.isolation import find_commit_order
 from txndpor.model import (
     INIT_TXN,
     EventId,
@@ -31,6 +33,7 @@ from txndpor.model import (
     read_event,
     write_event,
 )
+from txndpor.oracles import canonical_sort, prev
 from txndpor.program import ExplorationState, Program, parse
 
 
@@ -257,6 +260,84 @@ def snapshot_blocker() -> tuple[History, object]:
         ),
     )
     return h, write_event(SNAP_RIGHT, 3, "x", 2)
+
+
+# ---------------------------------------------------------------------------
+# Prefixes and predecessor chains, for the containment and oracle tests.
+# ---------------------------------------------------------------------------
+
+
+def is_prefix(p: History, h: History) -> bool:
+    """Whether ``p`` is a causally-downward-closed prefix of ``h``.
+
+    Every log of ``p`` must be a program-order prefix of the same-id log of
+    ``h``; the restricted write-read relation must match; and the event set
+    must be downward closed under program order, session order, and
+    write-read (a read present in ``p`` forces its writer's events in too).
+    """
+    for log in p.logs:
+        other = h.by_id.get(log.id)
+        if other is None or log.events != other.events[: len(log.events)]:
+            return False
+    p_events = p.event_ids
+    expected_wr = tuple(sorted(pair for pair in h.wr if pair[0] in p_events))
+    if p.wr != expected_wr:
+        return False
+    # Downward closure.  Program order holds by the log-prefix check; session
+    # order and write-read predecessors must be entirely present.
+    complete = {
+        log.id for log in p.logs if log.events == h.by_id[log.id].events
+    }
+    for log in p.logs:
+        if log.id == INIT_TXN:
+            continue
+        if INIT_TXN not in complete:
+            return False
+        for pred in h.sessions.get(log.id.session, ()):
+            if pred < log.id and pred not in complete:
+                return False
+    for read_id, writer in h.wr:
+        if read_id in p_events and writer not in complete:
+            return False
+    return True
+
+
+def random_prefix(rng: random.Random, h: History) -> History:
+    """A random downward-closed prefix of ``h`` (possibly all or init-only)."""
+    block_order = find_commit_order(h, IsolationLevel.TRUE)
+    assert block_order is not None
+    sequence = [ev.id for t in block_order.order for ev in h.txn(t).events]
+    floor = len(h.txn(INIT_TXN).events)
+    k = rng.randint(floor, len(sequence))
+    kept = set(sequence[:k])
+    logs = []
+    for log in h.logs:
+        events = []
+        for ev in log.events:
+            if ev.id not in kept:
+                break
+            events.append(ev)
+        if events:
+            logs.append(TransactionLog(log.id, tuple(events)))
+    wr = tuple(sorted(p for p in h.wr if p[0] in kept))
+    return History(tuple(sorted(logs, key=lambda log: log.id)), wr)
+
+
+def iterate_prev(
+    program: Program,
+    h: History | OrderedHistory,
+    level: IsolationLevel,
+    limit: int = 10_000,
+) -> Iterator[History]:
+    """Walk predecessors back toward the starting history (inclusive stop)."""
+    cur = h if isinstance(h, OrderedHistory) else canonical_sort(h)
+    for _ in range(limit):
+        hist = prev(program, cur, level)
+        yield hist
+        if all(log.id == INIT_TXN for log in hist.logs):
+            return
+        cur = canonical_sort(hist)
+    raise RuntimeError("predecessor chain did not reach the starting history")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ import pytest
 from fixtures import (
     causal_cycle_history,
     containment_trio,
+    is_prefix,
+    iterate_prev,
     pending_reader_extension,
     pending_writer_extension,
+    random_prefix,
     snapshot_blocker,
     track_history_memory,
 )
@@ -36,7 +39,7 @@ from txndpor.explorer import (
     explore_ce_star,
     next_event,
 )
-from txndpor.generate import random_history, random_prefix, random_program
+from txndpor.generate import random_history, random_program
 from txndpor.isolation import (
     brute_force_consistency,
     check_consistency,
@@ -51,11 +54,10 @@ from txndpor.model import (
     canonical_encode,
     causally_before_or_equal,
     commit_event,
-    is_prefix,
     read_event,
     write_event,
 )
-from txndpor.oracles import canonical_order, is_or_respectful, iterate_prev, prev
+from txndpor.oracles import canonical_order, is_or_respectful, prev
 from txndpor.program import Program, parse
 
 CHECKED_LEVELS = (

@@ -349,6 +349,39 @@ def test_run_leaves_the_other_output_alone_when_an_open_fails(
         assert not keep.exists()
 
 
+REFUSED_LEVELS = {
+    "explore-ce-at-si": (["--level", "si"], "si is not causally extensible; use dfs instead"),
+    "star-walking-at-ser": (
+        ["--mode", "explore-ce-star", "--weak-level", "ser"], "ser is not causally extensible"
+    ),
+    "star-emitting-below-its-walk": (
+        ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "rc"],
+        "rc is weaker than the traversal level cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_LEVELS))
+def test_run_refuses_a_level_before_opening_the_outputs(program_file, tmp_path, capsys, case):
+    """A level the mode refuses fails the run with the library's message
+    before either output is opened: existing outputs keep their bytes and
+    a missing one is not created."""
+    args, message = REFUSED_LEVELS[case]
+    program = program_file("racing_reads")
+    keep, stats = tmp_path / "keep.jsonl", tmp_path / "s.json"
+    keep.write_bytes(b"[1, 2]\n\n")
+    stats.write_bytes(b'{"a": 1}\n\n')
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    new = str(tmp_path / "new.out")
+    for outputs in ([keep, stats], [keep, new], [new, stats]):
+        argv = ["run", program, *args, "--emit", str(outputs[0]), "--stats-json", str(outputs[1])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "distinct histories" not in captured.out
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_run_rejects_a_negative_time_limit(program_file, capsys):
     assert main(["run", program_file("racing_reads"), "--time-limit", "-1"]) == 1
     err = capsys.readouterr().err

@@ -19,6 +19,7 @@ from fixtures import (
     abort_flip_baseline_state,
     entered_states,
     example,
+    is_prefix,
     order_positions,
     run_fresh,
     track_history_memory,
@@ -45,7 +46,12 @@ from txndpor.explorer import (
     valid_writes,
 )
 from txndpor.generate import random_program
-from txndpor.isolation import _forced_closure, check_consistency
+from txndpor.isolation import (
+    _commit_order,
+    _forced_closure,
+    check_consistency,
+    total_order_satisfies,
+)
 from txndpor.model import (
     ABORT,
     ABORTED,
@@ -68,7 +74,6 @@ from txndpor.model import (
     causally_before_or_equal,
     commit_event,
     drop_events,
-    is_prefix,
     read_event,
     write_event,
 )
@@ -362,7 +367,8 @@ def test_valid_writes_build_nothing_for_a_rejected_writer(level, monkeypatch):
         appended.clear()
         children = valid_writes(st, action, level)
         assert appended == list(children)
-        rejected += len(explorer._writers(st, action)) - len(children)
+        writers = explorer._committed_writers(st.history.starts, st.by_id, action.event.var)
+        rejected += len(writers) - len(children)
     assert rejected > 100
 
 
@@ -370,21 +376,34 @@ def test_valid_writes_build_nothing_for_a_rejected_writer(level, monkeypatch):
     "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
 )
 def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch):
-    """The walks apply the action they stepped with ``advance``, unchecked.
-    Every state they build that way, of every event kind, equals
-    ``apply_event`` of the same event and writer after its checks.  Every
-    state ``explore_ce`` enters is ``apply_event`` of its last event on its
-    parent, or, for a swapped state, ``swap`` of its parent."""
+    """Every state the walks enter, of every event kind, equals
+    ``apply_event`` of its last event and writer on its parent, after its
+    checks, or, for a swapped state, ``swap`` of its parent.  The states
+    are the trace materialized: ``explore_ce``'s from its entry hook,
+    ``dfs``'s just after each child is entered, its parent just before the
+    push."""
     kinds: set[str] = set()
-
-    def checked_advance(st, action, writer=None, history=None):
-        child = advance(st, action, writer, history)
-        assert child == apply_event(st, action.event, writer)
-        kinds.add(action.event.kind)
-        return child
-
-    monkeypatch.setattr(explorer, "advance", checked_advance)
     swaps = 0
+    parents: list[ExplorationState] = []
+    push, enter, pop = explorer._Trace.push, explorer._Trace.enter, explorer._Trace.pop
+
+    def checked_push(self, action, writer=None, reach=None):
+        parents.append(self.state())
+        push(self, action, writer, reach)
+
+    def checked_enter(self, action, writer=None):
+        enter(self, action, writer)
+        assert self.state() == apply_event(parents[-1], action.event, writer)
+        kinds.add(action.event.kind)
+
+    def checked_pop(self):
+        pop(self)
+        parents.pop()
+
+    if walk is dfs:
+        monkeypatch.setattr(explorer._Trace, "push", checked_push)
+        monkeypatch.setattr(explorer._Trace, "enter", checked_enter)
+        monkeypatch.setattr(explorer._Trace, "pop", checked_pop)
     for name in sorted(EXAMPLE_PROGRAMS):
         if walk is dfs:
             assert dfs(example(name), level).outputs
@@ -395,12 +414,15 @@ def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch
             last = st.history.order[-1]
             writer = st.history.history.wr_map.get(last)
             if st.history.order[:-1] == parent.history.order:
-                assert st == apply_event(parent, st.history.history.event(last), writer)
+                event = st.history.history.event(last)
+                assert st == apply_event(parent, event, writer)
+                kinds.add(event.kind)
             else:
                 assert st == swap(parent, last, writer)
                 swaps += 1
     assert kinds == {BEGIN, READ, WRITE, COMMIT, ABORT}
     assert swaps or walk is dfs
+    assert not parents
 
 
 @pytest.mark.parametrize(
@@ -411,8 +433,8 @@ def test_write_steps_keep_the_locals_the_env_path_computes(walk, level, monkeypa
     programs and 50 random programs, the session's new ``LocalState``
     equals the one built by running the rest of the queue on a copy of the
     locals and freezing them, whether or not a silent instruction follows
-    the write.  Both walks step locals by the one rule ``_local_after``:
-    ``dfs`` through ``advance``, ``explore_ce`` on its trace."""
+    the write.  Both walks step locals on their trace, and the swaps'
+    replays through ``advance``, by the one rule ``_local_after``."""
     followed: list[bool] = []
     local_after = program_module._local_after
 
@@ -468,6 +490,9 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
 
 
 TRACE_LEVELS = EXTENSIBLE + (IsolationLevel.TRUE,)
+TRACE_WALKS = [(explore_ce, level) for level in TRACE_LEVELS] + [
+    (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
+]
 # The relations a materialized state carries or computes on first use.
 CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_closure", "wr_map", "writers")
 
@@ -475,7 +500,9 @@ CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_closure", "wr_map",
 def _assert_matches_full_construction(st: ExplorationState, level: IsolationLevel) -> None:
     """``st``'s history carries the relations and the verdict at ``level``
     of the same logs and wr built by full validation, and ``starts`` is its
-    definition from the order."""
+    definition from the order.  At SER and SI the verdict is a witness: a
+    linear extension of so/wr that satisfies the level, found exactly when
+    the search finds one."""
     h = st.history
     full = History(h.history.logs, h.history.wr)
     for name in CARRIED_RELATIONS:
@@ -484,10 +511,18 @@ def _assert_matches_full_construction(st: ExplorationState, level: IsolationLeve
     for i, eid in enumerate(h.order):
         first.setdefault(eid.txn, i)
     assert list(h.starts.items()) == list(first.items())
+    verdict = h.history.consistency_cache.get(level)
     if level is IsolationLevel.TRUE:
         assert level not in h.history.consistency_cache
+    elif level in EXTENSIBLE:
+        assert verdict == _forced_closure(full, level)
     else:
-        assert h.history.consistency_cache[level] == _forced_closure(full, level)
+        assert (verdict is None) == (_commit_order(full, level) is None)
+        if verdict is not None:
+            pos = {t: i for i, t in enumerate(verdict)}
+            assert sorted(verdict) == list(full.txn_ids)
+            assert all(pos[a] < pos[b] for a, succ in full.causal_closure.items() for b in succ)
+            assert total_order_satisfies(full, level, pos)
 
 
 def _same_materialized(a: ExplorationState, b: ExplorationState) -> bool:
@@ -497,16 +532,20 @@ def _same_materialized(a: ExplorationState, b: ExplorationState) -> bool:
     )
 
 
-@pytest.mark.parametrize("level", TRACE_LEVELS, ids=[lvl.value for lvl in TRACE_LEVELS])
-def test_trace_snapshots_and_undo_are_exact(level, monkeypatch):
-    """``explore_ce`` walks one trace.  Every state it passes to ``emit``
-    and to ``entry_hook`` (node and parent), kept until the run is over,
-    matches full construction, so none shares what the trace changes
+@pytest.mark.parametrize(
+    "walk, level", TRACE_WALKS,
+    ids=[lvl.value if w is explore_ce else f"dfs-{lvl.value}" for w, lvl in TRACE_WALKS],
+)
+def test_trace_snapshots_and_undo_are_exact(walk, level, monkeypatch):
+    """Both walks run on one trace.  Every state ``explore_ce`` passes to
+    ``emit`` and to ``entry_hook`` (node and parent), and every state
+    ``dfs`` emits, kept until the run is over, matches full construction,
+    its cached verdict included, so none shares what the trace changes
     later, and an emitted state without the hook has a replay's locals;
     and the trace materialized just before each push equals it
     materialized just after the matching pop.  Over the examples, the
-    gate's corner programs and 100 random programs."""
-    programs = _examples_corners_and_draws(25, 100)
+    gate's corner programs and 100 random programs (50 for ``dfs``)."""
+    programs = _examples_corners_and_draws(25, 100 if walk is explore_ce else 50)
     hooked: dict[int, ExplorationState] = {}
     emitted: list[ExplorationState] = []
 
@@ -514,12 +553,17 @@ def test_trace_snapshots_and_undo_are_exact(level, monkeypatch):
         hooked.update((id(st), st) for st in states if st is not None)
 
     for prog in programs:
-        explore_ce(prog, level, emit=keep, entry_hook=keep)
-        explore_ce(prog, level, emit=emitted.append)
+        if walk is explore_ce:
+            explore_ce(prog, level, emit=keep, entry_hook=keep)
+        walk(prog, level, emit=emitted.append)
     for st in list(hooked.values()) + emitted:
         _assert_matches_full_construction(st, level)
+    replayed: dict[tuple, tuple] = {}  # dfs emits a history many times
     for st in emitted:
-        assert st.sessions == replay(st.program, st.history.history, st.history.order).sessions
+        key = (id(st.program), canonical_encode(st.history.history))
+        if key not in replayed:
+            replayed[key] = replay(st.program, st.history.history, st.history.order).sessions
+        assert st.sessions == replayed[key]
 
     push, pop = explorer._Trace.push, explorer._Trace.pop
     before: list[ExplorationState] = []
@@ -538,8 +582,22 @@ def test_trace_snapshots_and_undo_are_exact(level, monkeypatch):
     monkeypatch.setattr(explorer._Trace, "push", checked_push)
     monkeypatch.setattr(explorer._Trace, "pop", checked_pop)
     for prog in programs:
-        explore_ce(prog, level)
+        walk(prog, level)
     assert pops > 1000 and not before
+
+
+@pytest.mark.parametrize("level", [IsolationLevel.CC, IsolationLevel.SER], ids=["cc", "ser"])
+def test_dfs_builds_one_history_per_emission(level):
+    """``dfs`` walks one trace: the only histories it builds are its root's
+    and one per state it materializes for ``emit``; none per node."""
+    for name in sorted(EXAMPLE_PROGRAMS):
+        with track_history_memory() as tracker:
+            stats = dfs(example(name), level, emit=lambda st: None)
+            assert tracker.registered == stats.outputs + 1
+            assert stats.recursive_calls > 2 * stats.outputs
+        with track_history_memory() as tracker:
+            dfs(example(name), level)
+            assert tracker.registered == 1
 
 # ---------------------------------------------------------------------------
 # Reorder candidates
@@ -1406,14 +1464,15 @@ def test_ctrl_c_raises_with_partial_counters():
 
 @pytest.mark.parametrize("name", ["racing_reads", "abort_flip"])
 def test_retained_states_do_not_keep_their_ancestors_alive(name):
-    """A derived history records its parent's consistency cache, never the
-    parent itself: keeping the emitted states keeps only their own
-    histories alive.  SER (dfs) and TRUE (explore_ce) fill no closure."""
+    """The walks materialize emitted states from their trace, which keeps
+    nothing of them: keeping the emitted states keeps only their own
+    histories alive, over many more nodes than emissions.  SER (dfs) and
+    TRUE (explore_ce) fill no closure."""
     program = parse(EXAMPLE_PROGRAMS[name])
     kept: list[ExplorationState] = []
     with track_history_memory() as tracker:
-        dfs(program, IsolationLevel.SER, emit=kept.append)
-        explore_ce(program, IsolationLevel.TRUE, emit=kept.append)
+        naive = dfs(program, IsolationLevel.SER, emit=kept.append)
+        walked = explore_ce(program, IsolationLevel.TRUE, emit=kept.append)
         gc.collect()
-        assert tracker.registered > 3 * len(kept)
+        assert naive.recursive_calls + walked.recursive_calls > 3 * len(kept)
         assert tracker.live <= len(kept) + 2

@@ -18,14 +18,18 @@ from fixtures import (
     init_log,
     pending_reader_extension,
     pending_writer_extension,
+    random_prefix,
     run_fresh,
     snapshot_blocker,
 )
 from txndpor import isolation
-from txndpor.explorer import causal_extension_exists
-from txndpor.generate import random_history, random_prefix, random_program
+from txndpor.explorer import _committed_writers, _schedule, _Trace, causal_extension_exists
+from txndpor.generate import random_history, random_program
 from txndpor.isolation import (
     _commit_order,
+    _forced_after,
+    _forced_closure,
+    _witness_after,
     axiom_instances,
     brute_force_consistency,
     brute_force_consistency_cached,
@@ -36,8 +40,10 @@ from txndpor.isolation import (
 )
 from txndpor.model import (
     ABORT,
-    COMMITTED,
+    BEGIN,
     INIT_TXN,
+    WRITE,
+    Event,
     EventId,
     History,
     IsolationLevel,
@@ -49,7 +55,7 @@ from txndpor.model import (
     read_event,
     write_event,
 )
-from txndpor.program import ExplorationState, apply_event, parse, step_local
+from txndpor.program import ExplorationState, parse
 
 ALL_LEVELS = (
     IsolationLevel.RC,
@@ -390,60 +396,72 @@ def test_order_search_witness_is_the_first_valid_extension(seed):
 CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
 
-def _random_walk(rng: random.Random, program):
-    """States of one random run: any session may begin next, and an
-    external read observes any committed writer, consistent or not."""
-    st = ExplorationState.initial(program)
-    yield st
-    while True:
-        hist = st.history.history
-        pending = hist.pending_txns()
-        if pending:
-            action = step_local(st, pending[0].session)
-            writer = None
-            if action.is_external_read:
-                writer = rng.choice([
-                    t for t in hist.txn_ids
-                    if hist.txn(t).status == COMMITTED
-                    and hist.txn(t).writes_var(action.event.var)
-                ])
-            st = apply_event(st, action.event, writer=writer)
-        else:
-            starts = [
-                tid for s in range(len(program.sessions))
-                if (tid := st.next_unstarted_txn(s)) is not None
-            ]
-            if not starts:
-                return
-            st = apply_event(st, begin_event(rng.choice(starts)))
-        yield st
+def _random_walk(rng: random.Random, program, levels):
+    """One random run, on one trace per level: any session may begin next,
+    and an external read observes any committed writer, consistent or not.
+    Yields the last event (None at the start) and the traces, each
+    standing just after it with its verdict derived from its parent's."""
+    traces = [_Trace(ExplorationState.initial(program), level) for level in levels]
+    yield None, traces
+    lead = traces[0]
+    while actions := list(_schedule(lead)):
+        action = rng.choice(actions) if actions[0].event.kind == BEGIN else actions[0]
+        writer = None
+        if action.is_external_read:
+            writer = rng.choice(sorted(_committed_writers(lead.starts, lead.by_id, action.event.var)))
+        for tr in traces:
+            tr.push(action, writer)
+            tr.enter(action, writer)
+        yield action.event, traces
 
 
-def _assert_derived_matches_full(h: History, level: IsolationLevel) -> bool:
-    full = check_consistency(History(h.logs, h.wr), level)
-    assert check_consistency(h, level) == full, (h, level)
+def _verdict(h: History, level: IsolationLevel):
+    """``h``'s cached verdict at ``level``, checked first."""
+    check_consistency(h, level)
+    return h.consistency_cache[level]
+
+
+def _edit(parent: History, event: Event, writer: TxnId | None, rule, level: IsolationLevel):
+    """``parent`` extended by ``event`` (observing ``writer``), and the
+    verdict ``rule`` (``_forced_after`` or ``_witness_after``) derives for
+    it from ``parent``'s, with the arguments the trace gives it."""
+    t = event.id.txn
+    if event.kind == BEGIN:
+        child = parent.with_begin(t, event)
+    else:
+        child = parent.with_event(event, writer)
+    first_write = event.kind == WRITE and event.var not in parent.by_id[t].write_set
+    return child, rule(child, level, _verdict(parent, level), event, writer, first_write)
+
+
+def _assert_closure_matches_full(h: History, reach, level: IsolationLevel) -> bool:
+    """``reach``, a forced closure derived for ``h``, is the one full
+    construction computes, and its verdict the brute-force oracle's."""
+    full = _forced_closure(History(h.logs, h.wr), level)
+    assert reach == full, (h, level)
     if len(h.txn_ids) <= 8:
-        assert brute_force_consistency(h, level) == full, (h, level)
-    return full
+        assert brute_force_consistency(h, level) == (full is not None), (h, level)
+    return full is not None
 
 
 def test_derived_closures_agree_with_full_construction_and_brute_force():
-    """Every step of random runs is checked at RC, RA and CC from its
-    parent's cached closure; the verdict must equal full construction's
-    (no cache) and the brute-force oracle's."""
+    """Every step of random runs is checked at RC, RA and CC on a trace,
+    whose closure is derived from its parent's; it must equal full
+    construction's (no cache), and the verdict the brute-force oracle's."""
     checks = inconsistent = 0
     for seed in range(400):
         rng = random.Random(seed)
         program = parse(random_program(rng))
         for _ in range(2):
-            for step, st in enumerate(_random_walk(rng, program)):
-                h = st.history.history
-                for level in CLOSURE_LEVELS:
-                    # The parent was checked one step earlier, so every
-                    # check after the initial one takes the derived path.
-                    assert step == 0 or level in h.derivation[0]
+            for _, traces in _random_walk(rng, program, CLOSURE_LEVELS):
+                for tr in traces:
+                    # Derived by the push: the check is a cache hit.
+                    assert tr.level in tr.consistency_cache
+                    h = tr.state().history.history
                     checks += 1
-                    inconsistent += not _assert_derived_matches_full(h, level)
+                    verdict = _assert_closure_matches_full(h, tr.consistency_cache[tr.level], tr.level)
+                    assert check_consistency(tr, tr.level) == verdict
+                    inconsistent += not verdict
     assert checks > 20_000
     assert inconsistent > 500
 
@@ -474,12 +492,12 @@ def test_derived_closure_when_the_extended_transaction_has_causal_successors():
         ),
         ((EventId(t1, 1), INIT_TXN),),
     ))
-    read = h.with_event(read_event(t0, 1, "z"), writer=w)
-    write = h.with_event(write_event(t0, 1, "x", 2))
     verdicts = {IsolationLevel.RC: True, IsolationLevel.RA: True, IsolationLevel.CC: False}
     for level, expected in verdicts.items():
-        assert _assert_derived_matches_full(read, level) == expected
-        assert _assert_derived_matches_full(write, level) == (level is IsolationLevel.RC)
+        read, reach = _edit(h, read_event(t0, 1, "z"), w, _forced_after, level)
+        assert _assert_closure_matches_full(read, reach, level) == expected
+        write, reach = _edit(h, write_event(t0, 1, "x", 2), None, _forced_after, level)
+        assert _assert_closure_matches_full(write, reach, level) == (level is IsolationLevel.RC)
 
 
 def test_derived_closure_of_an_inconsistent_parent():
@@ -496,25 +514,27 @@ def test_derived_closure_of_an_inconsistent_parent():
         ((EventId(t1, 1), INIT_TXN),),
     ))
     assert not check_consistency(h, IsolationLevel.RA)
-    for child in (
-        h.with_event(read_event(t0, 2, "y"), writer=w),
-        h.with_event(write_event(t0, 2, "y", 3)),
-        h.with_event(commit_event(t0, 2)),
+    for event, writer in (
+        (read_event(t0, 2, "y"), w),
+        (write_event(t0, 2, "y", 3), None),
+        (commit_event(t0, 2), None),
     ):
         for level in CLOSURE_LEVELS:
-            assert _assert_derived_matches_full(child, level) == (
+            child, reach = _edit(h, event, writer, _forced_after, level)
+            assert _assert_closure_matches_full(child, reach, level) == (
                 level is IsolationLevel.RC
             )
-    aborted = h.with_event(abort_event(t0, 2))
     for level in CLOSURE_LEVELS:
-        assert _assert_derived_matches_full(aborted, level)
+        aborted, reach = _edit(h, abort_event(t0, 2), None, _forced_after, level)
+        assert _assert_closure_matches_full(aborted, reach, level)
 
 
 def test_derived_closure_of_a_begin():
+    """A begin into a new session and one into an existing session."""
     h = _checked(causal_cycle_history())
-    child = h.with_begin(TxnId(2, 0))
-    for level in CLOSURE_LEVELS:
-        assert _assert_derived_matches_full(child, level) == CYCLE_VERDICTS[level]
+    for level, txn in itertools.product(CLOSURE_LEVELS, (TxnId(2, 0), TxnId(0, 2))):
+        child, reach = _edit(h, begin_event(txn), None, _forced_after, level)
+        assert _assert_closure_matches_full(child, reach, level) == CYCLE_VERDICTS[level]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +545,7 @@ WITNESS_LEVELS = (IsolationLevel.SER, IsolationLevel.SI)
 
 
 def _count_searches(monkeypatch) -> list[int]:
-    """Count the full searches :func:`check_consistency` runs from now on."""
+    """Count the full searches the checker and the trace run from now on."""
     calls = [0]
 
     def counted(h, level):
@@ -536,34 +556,46 @@ def _count_searches(monkeypatch) -> list[int]:
     return calls
 
 
-def _assert_witness_matches_search(h: History, level: IsolationLevel) -> bool:
-    verdict = check_consistency(h, level)
-    assert verdict == (_commit_order(h, level) is not None), (h, level)
+def _assert_witness_matches_search(h: History, order, level: IsolationLevel) -> bool:
+    """``order``, a witness derived for ``h`` or None, is found exactly when
+    full construction's search and the brute-force oracle find one, and
+    is a linear extension of so/wr that satisfies the level."""
+    full = History(h.logs, h.wr)
+    verdict = order is not None
+    assert verdict == (_commit_order(full, level) is not None), (h, level)
     if len(h.txn_ids) <= 8:
         assert brute_force_consistency(h, level) == verdict, (h, level)
+    if verdict:
+        pos = {t: i for i, t in enumerate(order)}
+        assert sorted(order) == list(full.txn_ids), (h, level)
+        assert all(pos[a] < pos[b] for a, succ in full.causal_closure.items() for b in succ)
+        assert total_order_satisfies(full, level, pos), (h, level)
     return verdict
 
 
 def test_derived_ser_si_verdicts_agree_with_full_search_and_brute_force(monkeypatch):
     """Every step of random runs, aborts included, is checked at SER and SI
-    from its parent's cached witness; the verdict must equal the full
-    search's and the brute-force oracle's, and most checks must be
-    answered without a search."""
+    on a trace, whose witness is derived from its parent's; the verdict
+    must equal the full search's and the brute-force oracle's, and most
+    checks must be answered without a search."""
     searches = _count_searches(monkeypatch)
     checks = inconsistent = aborts = 0
     for seed in range(400):
         rng = random.Random(seed)
         program = parse(random_program(rng))
         for _ in range(2):
-            for step, st in enumerate(_random_walk(rng, program)):
-                h = st.history.history
-                aborts += step > 0 and h.derivation[1].kind == ABORT
-                for level in WITNESS_LEVELS:
-                    # The parent was checked one step earlier, so every
-                    # check after the initial one consults its witness.
-                    assert step == 0 or level in h.derivation[0]
+            for event, traces in _random_walk(rng, program, WITNESS_LEVELS):
+                aborts += event is not None and event.kind == ABORT
+                for tr in traces:
+                    # Derived by the push: the check is a cache hit.
+                    assert tr.level in tr.consistency_cache
+                    h = tr.state().history.history
                     checks += 1
-                    inconsistent += not _assert_witness_matches_search(h, level)
+                    verdict = _assert_witness_matches_search(
+                        h, tr.consistency_cache[tr.level], tr.level
+                    )
+                    assert check_consistency(tr, tr.level) == verdict
+                    inconsistent += not verdict
     assert checks > 20_000
     assert inconsistent > 1_000
     assert aborts > 200
@@ -578,13 +610,13 @@ T00, T01, T10 = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
 
 
 def _witness_edits():
-    """(rule, parent, child, {level: (verdict, searched)}) for each rule of
-    the isolation module docstring, with hand-worked verdicts."""
+    """(rule, parent, event, writer, {level: (verdict, searched)}) for each
+    rule of the isolation module docstring, with hand-worked verdicts."""
     init = init_log("x", "y")
     both_derived = {level: (True, False) for level in WITNESS_LEVELS}
 
     opened = History((init, _x_writer(T10)), ())
-    yield "begin", opened, opened.with_begin(T00), both_derived
+    yield "begin", opened, begin_event(T00), None, both_derived
 
     writing = History((init, _log(T00, write_event(T00, 1, "x", 1))), ())
     for rule, event in (
@@ -593,7 +625,7 @@ def _witness_edits():
         ("repeated write", write_event(T00, 2, "x", 2)),
         ("internal read", read_event(T00, 2, "x")),
     ):
-        yield rule, writing, writing.with_event(event), both_derived
+        yield rule, writing, event, None, both_derived
 
     # t0 wrote x while its session successor t1 read x from init: init <
     # t0 < t1 breaks both levels, and only aborting t0 mends it.
@@ -602,21 +634,21 @@ def _witness_edits():
          _log(T01, read_event(T01, 1, "x"), commit_event(T01, 2))),
         ((EventId(T01, 1), INIT_TXN),),
     )
-    yield "abort of an inconsistent parent", broken, broken.with_event(
-        abort_event(T00, 2)
-    ), {level: (True, True) for level in WITNESS_LEVELS}
+    yield "abort of an inconsistent parent", broken, abort_event(T00, 2), None, {
+        level: (True, True) for level in WITNESS_LEVELS
+    }
 
     reader_last = History((init, _x_writer(T00), _log(T10)), ())
-    yield "read, writer before the reader", reader_last, reader_last.with_event(
-        read_event(T10, 1, "x"), writer=T00
-    ), {IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)}
+    yield "read, writer before the reader", reader_last, read_event(T10, 1, "x"), T00, {
+        IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)
+    }
 
     # The parent's witness is (init, t0, t10): the fast path must fall
     # back, not answer False.
     reader_first = History((init, _log(T00), _x_writer(T10)), ())
-    yield "read, writer after the reader", reader_first, reader_first.with_event(
-        read_event(T00, 1, "x"), writer=T10
-    ), {level: (True, True) for level in WITNESS_LEVELS}
+    yield "read, writer after the reader", reader_first, read_event(T00, 1, "x"), T10, {
+        level: (True, True) for level in WITNESS_LEVELS
+    }
 
     # t10 already read y from t01, so t01's x lies between t00 and t10.
     between = History(
@@ -626,17 +658,17 @@ def _witness_edits():
          _log(T10, read_event(T10, 1, "y"))),
         ((EventId(T10, 1), T01),),
     )
-    yield "read, a writer between", between, between.with_event(
-        read_event(T10, 2, "x"), writer=T00
-    ), {level: (False, True) for level in WITNESS_LEVELS}
+    yield "read, a writer between", between, read_event(T10, 2, "x"), T00, {
+        level: (False, True) for level in WITNESS_LEVELS
+    }
 
     read_before = History(
         (init, _log(T00, read_event(T00, 1, "x"), commit_event(T00, 2)), _log(T10)),
         ((EventId(T00, 1), INIT_TXN),),
     )
-    yield "first write after the reader", read_before, read_before.with_event(
-        write_event(T10, 1, "x", 1)
-    ), {IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)}
+    yield "first write after the reader", read_before, write_event(T10, 1, "x", 1), None, {
+        IsolationLevel.SER: (True, False), IsolationLevel.SI: (True, True)
+    }
 
     # The parent's witness is (init, t00, t10), where t00's new x would lie
     # between init and t10's read; t10 can still go first.
@@ -644,27 +676,32 @@ def _witness_edits():
         (init, _log(T00), _log(T10, read_event(T10, 1, "x"), commit_event(T10, 2))),
         ((EventId(T10, 1), INIT_TXN),),
     )
-    yield "first write before a reader", read_after, read_after.with_event(
-        write_event(T00, 1, "x", 1)
-    ), {level: (True, True) for level in WITNESS_LEVELS}
+    yield "first write before a reader", read_after, write_event(T00, 1, "x", 1), None, {
+        level: (True, True) for level in WITNESS_LEVELS
+    }
 
     successor_read = History(
         (init, _log(T00), _log(T01, read_event(T01, 1, "x"), commit_event(T01, 2))),
         ((EventId(T01, 1), INIT_TXN),),
     )
     yield "first write before a session successor's read", successor_read, (
-        successor_read.with_event(write_event(T00, 1, "x", 2))
-    ), {level: (False, True) for level in WITNESS_LEVELS}
+        write_event(T00, 1, "x", 2)
+    ), None, {level: (False, True) for level in WITNESS_LEVELS}
 
 
 @pytest.mark.parametrize("level", WITNESS_LEVELS)
 def test_witness_rules_on_hand_built_edits(level, monkeypatch):
+    """Each rule of ``_witness_after``, applied to a hand-built edit from
+    its parent's witness, gives the worked verdict, searching exactly when
+    no rule keeps the parent's witness, and a valid witness."""
     searches = _count_searches(monkeypatch)
-    for rule, parent, child, expected in _witness_edits():
-        check_consistency(parent, level)
+    for rule, parent, event, writer, expected in _witness_edits():
+        _verdict(parent, level)
         before = searches[0]
-        verdict = _assert_witness_matches_search(child, level)
-        assert (verdict, searches[0] > before) == expected[level], (rule, level)
+        child, order = _edit(parent, event, writer, _witness_after, level)
+        searched = searches[0] > before
+        verdict = _assert_witness_matches_search(child, order, level)
+        assert (verdict, searched) == expected[level], (rule, level)
 
 
 @pytest.mark.parametrize("level", WITNESS_LEVELS)
@@ -673,25 +710,27 @@ def test_find_commit_order_ignores_a_derived_witness(level):
     not the first valid extension; find_commit_order still finds that."""
     parent = History((init_log("x"), _x_writer(T10)), ())
     assert check_consistency(parent, level)
-    child = parent.with_begin(T00)
+    child, order = _edit(parent, begin_event(T00), None, _witness_after, level)
+    assert order == (INIT_TXN, T10, T00)
+    child.consistency_cache[level] = order
     assert check_consistency(child, level)
-    assert child.consistency_cache[level] == (INIT_TXN, T10, T00)
     assert find_commit_order(child, level).order == (INIT_TXN, T00, T10)
     assert _first_valid_extension(child, level) == (INIT_TXN, T00, T10)
 
 
 def test_find_commit_order_is_the_full_search_after_derived_checks():
     """On random runs, find_commit_order returns the first valid extension
-    whatever witness check_consistency has cached."""
+    whatever witness the trace has derived and its snapshot carries."""
     differing = 0
     for seed in range(60):
         rng = random.Random(seed)
         program = parse(random_program(rng))
-        for st in _random_walk(rng, program):
-            h = st.history.history
-            for level in WITNESS_LEVELS:
-                if not check_consistency(h, level):
+        for _, traces in _random_walk(rng, program, WITNESS_LEVELS):
+            for tr in traces:
+                level = tr.level
+                if not check_consistency(tr, level):
                     continue
+                h = tr.state().history.history
                 found = find_commit_order(h, level).order
                 assert found == _commit_order(History(h.logs, h.wr), level)
                 if h.consistency_cache[level] != found:

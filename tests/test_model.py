@@ -17,14 +17,16 @@ from fixtures import (
     causal_cycle_history,
     containment_trio,
     init_log,
+    is_prefix,
     order_positions,
+    random_prefix,
     run_fresh,
     track_history_memory,
 )
 from txndpor import explorer, model
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import dfs, explore_ce
-from txndpor.generate import random_history, random_prefix, random_program
+from txndpor.generate import random_history, random_program
 from txndpor.isolation import check_consistency
 from txndpor.model import (
     ABORTED,
@@ -47,12 +49,11 @@ from txndpor.model import (
     causal_reachable,
     commit_event,
     drop_events,
-    is_prefix,
     read_event,
     write_event,
 )
 from txndpor.oracles import canonical_sort
-from txndpor.program import advance, parse
+from txndpor.program import parse
 
 T0 = TxnId(0, 0)
 T1 = TxnId(1, 0)
@@ -572,7 +573,9 @@ def test_with_event_tells_an_internal_read_by_the_open_logs_writes():
     assert str(caught.value) == str(built.value) == (
         f"read {read_y.id} is internal, cannot have a writer"
     )
-    assert h.with_event(read_y).derivation[1:] == (read_y, None, False)
+    internal = h.with_event(read_y)
+    assert internal.by_id[T0].events[-1] == read_y
+    assert (internal.wr, internal.writers) == (h.wr, h.writers)
 
 
 def _sessions_zero_and_two() -> OrderedHistory:
@@ -600,7 +603,7 @@ def test_derived_begin_orders_like_full_construction(txn):
                                 key=lambda log: log.id)), h.history.wr)
     for derived in (h.history.with_begin(txn), h.history.with_begin(txn, begin),
                     h.append(begin).history):
-        assert derived.derivation is not None
+        assert "causal_adjacency" not in vars(derived)  # derived, not validated
         assert derived.logs == full.logs
         assert derived.txn_ids == full.txn_ids
         assert list(derived.by_id) == list(full.by_id)
@@ -688,12 +691,13 @@ def test_entered_states_carry_the_logs_and_writers_full_construction_gives(
         entered += 1
 
     if walk == "dfs":
-        def checked_advance(*args):
-            child = advance(*args)
-            check(child)
-            return child
+        enter = explorer._Trace.enter
 
-        monkeypatch.setattr(explorer, "advance", checked_advance)
+        def checked_enter(self, *args):
+            enter(self, *args)
+            check(self.state())
+
+        monkeypatch.setattr(explorer._Trace, "enter", checked_enter)
         for source in sources:
             dfs(parse(source), level)
     else:

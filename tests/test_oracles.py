@@ -20,6 +20,7 @@ from fixtures import (
     entered_states,
     example,
     init_log,
+    iterate_prev,
     order_positions,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
@@ -42,7 +43,6 @@ from txndpor.oracles import (
     canonical_order,
     canonical_sort,
     is_or_respectful,
-    iterate_prev,
     max_completion,
     minimal_dependency,
     prev,
