@@ -11,12 +11,14 @@ that read observing the newly committed writer, deleting everything that
 causally intervened.  The optimality gate accepts exactly one route to every
 history, which is what makes the enumeration duplicate-free.
 
-A swap cuts the current state instead of rebuilding it from the root (see
-:func:`_swap_base`); an ordered history runs its transactions one at a time,
-so no transaction but the reader is ever cut partway.  The gate builds no cut
-at all: which writer the cut would offer each affected read is a query on the
-current history (:func:`reads_causally_latest`, whose docstring proves the two
-agree).
+A swap is built from the walk's trace, not rebuilt from the root
+(:meth:`_Trace.swap`): an ordered history runs its transactions one at a
+time, so no transaction but the reader is ever cut partway, and the swapped
+history is the trace restricted to the transactions it keeps plus the
+reader's events up to the pivot, stepped again.  The gate's queries build no
+cut at all: which writer the cut would offer each affected read is a query
+on the current history (:func:`reads_causally_latest`, whose docstring
+proves the two agree).
 
 :func:`explore_ce`, :func:`explore_ce_star` and :func:`dfs` walk one mutable
 trace (``_Trace``), as TruSt keeps one execution graph: at most one
@@ -27,11 +29,12 @@ child's verdict from its parent's: the forced closure at RC, RA and CC, a
 witness order at SER and SI.  :func:`explore_ce` decides each read's
 writers on the trace, as :func:`valid_writes` decides them, and reads each
 commit's reorder candidates from it.  A state is materialized from the
-trace only where a caller needs one: for the gate, when a commit has
-candidates; for ``emit`` and the strong level's check on a complete
+trace only where a caller needs one: for the gate's queries, when a commit
+has candidates; for ``emit`` and the strong level's check on a complete
 history; and for ``entry_hook``.  These states share no dict the trace
-changes in place, so callers may keep them.  Each swap the gate takes
-starts a fresh trace for its subtree.
+changes in place, so callers may keep them.  Each swap the gate takes is
+walked on a fresh trace, which the gate builds from the walk's and returns;
+no walk cuts or replays a history.
 
 The trace and the immutable model run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
@@ -61,15 +64,20 @@ serializable histories via causally consistent scheduling.
 
 :func:`dfs` is the deliberately naive baseline used to cross-check coverage:
 it branches over every action of the rule (including which session begins
-next) and therefore emits the same history many times.  The gate and the
-public functions stay on the immutable model.
+next) and therefore emits the same history many times.
+
+The public functions take and return states.  :func:`optimality`, given a
+state, swaps on a trace made from it and returns the swapped trace's state.
+:func:`swap` stays on the immutable model: it cuts the state and replays the
+reader (:func:`_swap_base`), and is the reference the trace's swap is
+tested against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .isolation import (
     _forced_after,
@@ -115,7 +123,6 @@ from .program import (
     advance,
     apply_event,
     replay,
-    step_local,
 )
 
 
@@ -327,40 +334,61 @@ def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> Explo
 
     The history loses ``dropped`` and the whole reader; each session that
     lost transactions goes back to the locals its first lost one began
-    with, and only the reader's events before ``r`` are replayed on top.
-    Kept events keep their writers and so their values; only the pivot,
-    appended next, can bring in a new one.  The cut is :func:`_swap_cut`,
-    whose relations the reader's begin carries on instead of recomputing."""
+    with (:func:`_rewind`), and only the reader's events before ``r`` are
+    replayed on top.  Kept events keep their writers and so their values;
+    only the pivot, appended next, can bring in a new one.  The cut is
+    :func:`_swap_cut`, whose relations the reader's begin carries on
+    instead of recomputing.  The walk swaps on its trace instead
+    (:meth:`_Trace.swap`); this is the reference it is tested against."""
     h = st.history
     reader = h.history.txn(r.txn)
     cut = _swap_cut(h, dropped | {ev.id for ev in reader.events})
+    lost = {eid.txn for eid in dropped} | {r.txn}
+    assert lost.isdisjoint(cut.history.by_id), "swap cuts a transaction partway"
     sessions = list(st.sessions)
-    for tid in sorted({eid.txn for eid in dropped} | {r.txn}, reverse=True):  # first lost last
-        assert tid not in cut.history.by_id, f"swap cuts {tid} partway"
-        begun = sessions[tid.session].begun
-        sessions[tid.session] = LocalState(begun[tid.index], tid.index, begun=begun[: tid.index])
+    _rewind(sessions, lost)
     base = ExplorationState(st.program, cut, tuple(sessions))
     return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
 
 
+def _rewind(sessions: list[LocalState], lost: Iterable[TxnId]) -> None:
+    """Set each session that loses transactions of ``lost`` back to the
+    locals its first lost one began with, from ``LocalState.begun``."""
+    for tid in sorted(lost, reverse=True):  # first lost last
+        begun = sessions[tid.session].begun
+        sessions[tid.session] = LocalState(begun[tid.index], tid.index, begun=begun[: tid.index])
+
+
 def _swap_cut(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
     """``drop_events(h, dropped)`` for a swap, the reader's events among
-    ``dropped``: whole transactions go, none reaching a kept one (the second
-    bullet of :func:`reads_causally_latest`).  So the cut carries ``h``'s
-    causal closure restricted to the kept transactions, and ``h``'s ids,
-    sessions, writer index and wr map without the dropped ones."""
+    ``dropped``, carrying ``h``'s relations restricted to the kept
+    transactions (:func:`_restricted`)."""
     cut = drop_events(h, dropped)
     hist, kept = h.history, cut.history.by_id
+    txn_ids, sessions, closure, writers, wr_map = _restricted(hist, hist.sessions, kept)
     cut.history.__dict__.update(  # fresh and unshared: fill its lazy relations
-        txn_ids=tuple(kept),
-        causal_closure={u: hist.causal_closure[u].intersection(kept) for u in kept},
-        sessions={s: ts for s, txns in hist.sessions.items()
-                  if (ts := tuple(u for u in txns if u in kept))},
-        writers={x: ws for x, txns in hist.writers.items()
-                 if (ws := tuple(u for u in txns if u in kept))},
-        wr_map={rid: w for rid, w in hist.wr_map.items() if rid not in dropped},
+        txn_ids=txn_ids, sessions=sessions, causal_closure=closure, writers=writers, wr_map=wr_map
     )
     return cut
+
+
+def _restricted(
+    h: History, sessions: dict[int, tuple[TxnId, ...]], kept: Container[TxnId]
+) -> tuple:
+    """The transaction ids, session lists, causal closure, writer index and
+    wr map of a swap's cut, from those of ``h``, a history or the walk's
+    trace, whose session lists are ``sessions``, and the transactions the
+    cut keeps.  Whole transactions go, the reader's included, and none
+    reaches a kept one (the second bullet of :func:`reads_causally_latest`),
+    so the causal closure restricts too."""
+    ids = tuple(u for u in h.txn_ids if u in kept)
+    return (
+        ids,
+        {s: ts for s, txns in sessions.items() if (ts := tuple(u for u in txns if u in kept))},
+        {u: h.causal_closure[u].intersection(kept) for u in ids},
+        {x: ws for x, txns in h.writers.items() if (ws := tuple(u for u in txns if u in kept))},
+        {rid: w for rid, w in h.wr_map.items() if rid.txn in kept},
+    )
 
 
 def _pivot(h: OrderedHistory, r: EventId, t: TxnId) -> Event:
@@ -509,8 +537,8 @@ def reads_causally_latest(
 
 
 def optimality(
-    st: ExplorationState, r: EventId, t: TxnId, level: IsolationLevel
-) -> ExplorationState | None:
+    st: ExplorationState | _Trace, r: EventId, t: TxnId, level: IsolationLevel
+) -> ExplorationState | _Trace | None:
     """The swap gate: accept the pivot only on the canonical route.
 
     Requires every external read the swap would delete — and the pivot
@@ -521,10 +549,17 @@ def optimality(
 
     Returns the swapped state ``swap(st, r, t)`` when the pivot passes, for
     the caller to enter, and None when it is rejected.  The rebuilt history
-    is checked before the pivot is applied, so a rejected swap runs no code.
+    is checked before the pivot is entered, so a rejected swap runs no code.
     Raises ``ValueError`` on the arguments :func:`swap` refuses.
+
+    ``st`` is a state or the walk's trace.  The first two requirements are
+    queries on its state; the swap is :meth:`_Trace.swap`'s.  Given the
+    walk's trace, which it leaves as it is, the gate returns the swapped
+    trace; given a state, it swaps on a trace made from it and returns the
+    swapped trace's state.
     """
-    h = st.history
+    tr = st if isinstance(st, _Trace) else _Trace(st, level)
+    h = tr.state().history
     _pivot(h, r, t)
     dropset = _swap_drop_set(h, r, t)
     affected = [
@@ -537,12 +572,8 @@ def optimality(
         return None
     if not all(reads_causally_latest(h, level, read_id, t) for read_id in affected):
         return None
-    base = _swap_base(st, r, dropset)
-    pivot = step_local(base, r.txn.session)
-    rebuilt = base.history.append(pivot.event, writer=t)
-    if not check_consistency(rebuilt.history, level):
-        return None
-    return advance(base, pivot, t, rebuilt)
+    new = tr.swap(r, t)
+    return new if new is None or st is tr else new.state()
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +600,9 @@ class _Trace:
     never changed, so a materialized state may share them.  :meth:`pop`
     undoes the last push: the undo stack holds, per event, the replaced log
     and local state and the previous relations, so it is never longer than
-    the walk is deep.
+    the walk is deep.  :meth:`state` keeps what it materializes until the
+    next push, enter or pop.  :meth:`swap` builds a taken swap's trace from
+    this one, which it leaves as it is.
     """
 
     def __init__(self, st: ExplorationState, level: IsolationLevel):
@@ -589,6 +622,7 @@ class _Trace:
         }
         self.length = len(h.order)
         self.undo: list[tuple] = []
+        self.snapshot: ExplorationState | None = st
 
     def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
         """The (writer, forced closure) of each child ``action`` leads to:
@@ -604,11 +638,22 @@ class _Trace:
         and derive the verdict (``after``), or take ``reach``, the forced
         closure a read's decision computed."""
         event = action.event
-        kind, t = event.kind, event.id.txn
-        by_id, cache, level = self.by_id, self.consistency_cache, self.level
-        old = by_id.get(t)
-        self.undo.append((event, writer, old, self.sessions[t.session], self.txn_ids,
+        t = event.id.txn
+        cache, level = self.consistency_cache, self.level
+        self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
                           self.session_txns, self.causal_closure, self.writers, cache.get(level)))
+        first_write = self._apply(event, writer)
+        if cache:
+            cache[level] = reach if reach is not None else self.after(
+                self, level, cache[level], event, writer, first_write
+            )
+
+    def _apply(self, event: Event, writer: TxnId | None) -> bool:
+        """The edit rules: apply ``event``, an external read observing
+        ``writer``, to the relations, with no undo entry and no verdict.
+        Returns whether it is a first write of its variable."""
+        kind, t = event.kind, event.id.txn
+        old = self.by_id.get(t)
         first_write = False
         if kind == BEGIN:
             log, self.txn_ids, self.session_txns, self.causal_closure = _begun(
@@ -625,18 +670,17 @@ class _Trace:
             elif kind == WRITE and event.var not in old.write_set:  # type: ignore[union-attr]
                 first_write = True
                 self.writers = _with_writer(self.writers, event.var, t)  # type: ignore[arg-type]
-        by_id[t] = log
+        self.by_id[t] = log
         self.length += 1
-        if cache:
-            cache[level] = reach if reach is not None else self.after(
-                self, level, cache[level], event, writer, first_write
-            )
+        self.snapshot = None
+        return first_write
 
     def enter(self, action: NextAction, writer: TxnId | None = None) -> None:
         """Step the locals past the pushed ``action``, an external read
         observing ``writer`` (``_local_after`` reads only its log)."""
         s = action.event.id.txn.session
         self.sessions[s] = _local_after(self.program, self.sessions[s], action, self.by_id, writer)
+        self.snapshot = None
 
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
@@ -653,23 +697,72 @@ class _Trace:
             del self.wr_map[event.id]
         if self.consistency_cache:
             self.consistency_cache[self.level] = reach
+        self.snapshot = None
+
+    def swap(self, r: EventId, t: TxnId) -> "_Trace | None":
+        """The trace of ``swap(self.state(), r, t)``, entered, or None when
+        its history is inconsistent at ``level``; ``r`` is a read a swap
+        toward ``t`` can pivot on (:func:`_pivot`).
+
+        No transaction but the reader is cut partway, so the swap's trace is
+        built from this one, left as it is, in four steps: (1) its relations
+        restricted to the kept transactions, those that entered before the
+        reader plus ``t`` and whatever is causally before it
+        (:func:`_restricted`); (2) each session that lost transactions
+        rewound (:func:`_rewind`); (3) the reader's events before ``r``
+        stepped again with their writers, by the step, edit and local-state
+        rules, with no undo entry and no verdict; (4) ``r`` applied
+        observing ``t`` and the history checked once, from scratch, before
+        the pivot is entered, so a rejected swap runs no program code.
+        """
+        reader, starts = r.txn, self.starts
+        kept = {u for u, i in starts.items()
+                if i < starts[reader] or u == t or t in self.causal_closure[u]}
+        new = object.__new__(_Trace)
+        new.program, new.level, new.after = self.program, self.level, self.after
+        new.txn_ids, new.session_txns, new.causal_closure, new.writers, new.wr_map = _restricted(
+            self, self.session_txns, kept  # type: ignore[arg-type]
+        )
+        new.by_id = {u: log for u, log in self.by_id.items() if u in kept}
+        new.starts, new.length = {}, 0
+        for u, log in new.by_id.items():
+            new.starts[u] = new.length
+            new.length += len(log.events)
+        new.sessions = list(self.sessions)
+        _rewind(new.sessions, [u for u in starts if u not in kept])
+        new.consistency_cache, new.undo, new.snapshot = {}, [], None
+        s = reader.session
+        action = NextAction(self.by_id[reader].events[0])
+        for _ in range(r.index):
+            writer = self.wr_map.get(action.event.id)
+            new._apply(action.event, writer)
+            new.enter(action, writer)
+            action = _step(new.sessions[s], reader, new.by_id[reader])
+        new._apply(action.event, t)
+        if not check_consistency(new, new.level):
+            return None
+        new.enter(action, t)
+        return new
 
     def state(self) -> ExplorationState:
         """The state the trace stands at, sharing no dict it changes in
         place; its verdict at ``level`` cached, its logs by id and wr map
-        left to be computed on first use."""
-        logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
-        hist = History._derived(
-            logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
-            sessions=self.session_txns, causal_closure=self.causal_closure,
-            writers=self.writers, consistency_cache=dict(self.consistency_cache),
-        )
-        h = object.__new__(OrderedHistory)
-        h.__dict__.update(
-            history=hist, starts=dict(self.starts),
-            order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
-        )
-        return ExplorationState(self.program, h, tuple(self.sessions))
+        left to be computed on first use.  Kept until the next push, enter
+        or pop, so a node materializes its state at most once."""
+        if self.snapshot is None:
+            logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
+            hist = History._derived(
+                logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
+                sessions=self.session_txns, causal_closure=self.causal_closure,
+                writers=self.writers, consistency_cache=dict(self.consistency_cache),
+            )
+            h = object.__new__(OrderedHistory)
+            h.__dict__.update(
+                history=hist, starts=dict(self.starts),
+                order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
+            )
+            self.snapshot = ExplorationState(self.program, h, tuple(self.sessions))
+        return self.snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +875,8 @@ def _explore(
     stats = RunStats()
 
     # A node is (trace, parent, state): the trace stands at the node, whose
-    # state is materialized for the entry hook and for a swap, else None.
+    # state is materialized for the entry hook, else None.  A swap's node
+    # stands on the trace the gate built for it.
     def successors(
         tr: _Trace, parent: ExplorationState | None, st: ExplorationState | None
     ) -> Iterator[tuple]:
@@ -812,16 +906,15 @@ def _explore(
             yield tr, st, child
             if action.event.kind == COMMIT:  # only a commit has candidates
                 t = action.event.id.txn
-                candidates = _reorderings(t, tr.starts, tr.by_id, tr.causal_closure)
-                if candidates and child is None:
-                    child = tr.state()  # what the gate reads
-                for cand in candidates:
-                    swapped_st = optimality(child, cand.read, cand.writer, weak)  # type: ignore[arg-type]
-                    if swapped_st is None:
+                if child is not None:  # back at the commit: the gate reads the hook's state
+                    tr.snapshot = child
+                for cand in _reorderings(t, tr.starts, tr.by_id, tr.causal_closure):
+                    swapped_tr = optimality(tr, cand.read, cand.writer, weak)
+                    if swapped_tr is None:
                         stats.swaps_rejected += 1
-                    else:  # on a fresh trace
+                    else:
                         stats.swaps_taken += 1
-                        yield _Trace(swapped_st, weak), child, swapped_st
+                        yield swapped_tr, child, None if entry_hook is None else swapped_tr.state()
             tr.pop()
 
     initial = ExplorationState.initial(program)

@@ -24,7 +24,7 @@ from fixtures import (
     run_fresh,
     track_history_memory,
 )
-from txndpor import explorer
+from txndpor import explorer, isolation
 from txndpor import program as program_module
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import (
@@ -599,6 +599,18 @@ def test_dfs_builds_one_history_per_emission(level):
             dfs(example(name), level)
             assert tracker.registered == 1
 
+@pytest.mark.parametrize("level", EXTENSIBLE, ids=[lvl.value for lvl in EXTENSIBLE])
+def test_hooked_explore_ce_builds_one_history_per_node(level):
+    """With an entry hook, ``explore_ce`` builds one ``History`` per node,
+    the state its hook gets, and no other: the gate reads its commit's
+    hooked state, and a taken swap builds its trace from the walk's."""
+    for name in sorted(EXAMPLE_PROGRAMS):
+        with track_history_memory() as tracker:
+            stats = explore_ce(example(name), level, emit=lambda st: None,
+                               entry_hook=lambda parent, st: None)
+            assert tracker.registered == stats.recursive_calls
+
+
 # ---------------------------------------------------------------------------
 # Reorder candidates
 # ---------------------------------------------------------------------------
@@ -759,7 +771,9 @@ def _swap_base_from_root(st: ExplorationState, r, dropped) -> ExplorationState:
 def test_swaps_match_a_replay_from_the_root(level):
     """On every (state, candidate) explore_ce reaches, the swap base cut
     from the current state, and the swap itself, equal the states replayed
-    from the root, per-session local state included."""
+    from the root, per-session local state included.  The gate, which swaps
+    on a trace, returns None or that same swap, whose cached verdict is
+    full construction's."""
     rng = random.Random(9)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(random_program(rng)) for _ in range(150)]
@@ -772,9 +786,42 @@ def test_swaps_match_a_replay_from_the_root(level):
                 reference = _swap_base_from_root(st, r, dropped)
                 assert _swap_base(st, r, dropped) == reference
                 pivot = st.history.history.event(r)
-                assert swap(st, r, t) == apply_event(reference, pivot, writer=t)
+                swapped_st = swap(st, r, t)
+                assert swapped_st == apply_event(reference, pivot, writer=t)
+                accepted = optimality(st, r, t, level)
+                assert accepted is None or accepted == swapped_st
+                if accepted is not None:
+                    _assert_matches_full_construction(accepted, level)
                 checked += 1
     assert checked > 200
+
+
+# One reader of 60 reads of x and one writer of x.
+LONG_READER = (
+    "session s { txn { " + " ".join(f"b{i} = read(x);" for i in range(60)) + " } }\n"
+    "session w { txn { write(x, 1); } }\n"
+)
+
+
+def test_swaps_re_step_their_reader_without_a_verdict_per_read(monkeypatch):
+    """A swap re-steps the reader's events before its pivot and checks the
+    rebuilt history once, deriving no verdict per re-stepped read: at cc
+    the run computes forced edges at most once per node and gate call, not
+    once per re-stepped read.  Every read is a pivot; the rebuilt check
+    rejects all but the first, after re-stepping up to 59 reads."""
+    calls = 0
+    forced_edges_of = isolation._forced_edges_of
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return forced_edges_of(*args)
+
+    monkeypatch.setattr(isolation, "_forced_edges_of", counted)
+    monkeypatch.setattr(explorer, "_forced_edges_of", counted)
+    stats = explore_ce(parse(LONG_READER), IsolationLevel.CC)
+    assert (stats.swaps_taken, stats.swaps_rejected) == (1, 59)
+    assert calls <= stats.recursive_calls + stats.swaps_taken + stats.swaps_rejected
 
 
 # The relations a swap's cut carries, derived by restriction.
@@ -1257,12 +1304,21 @@ GATE_HEAVY_RUNS = {
     "name, level", sorted(GATE_HEAVY_RUNS, key=lambda key: (key[0], key[1].value)),
     ids=lambda x: getattr(x, "value", x),
 )
-def test_gate_heavy_fingerprints_match_frozen_values(name, level):
+def test_gate_heavy_fingerprints_match_frozen_values(name, level, monkeypatch):
     """Every counter and the emission sequence, frozen on the runs where the
     gate does the most work, from the gate that built a cut history per
-    query: the query on the current history must take the same swaps."""
+    query: the query on the current history must take the same swaps.  The
+    run cuts, replays and appends to no history, so the values also pin
+    that each taken swap is built on the walk's trace."""
     outputs, calls, taken, rejected, depth, sha = GATE_HEAVY_RUNS[name, level]
     digest = hashlib.sha256()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk cut or replayed a history")
+
+    for obj, attr in [(explorer, "replay"), (explorer, "drop_events"),
+                      (explorer, "apply_event"), (OrderedHistory, "append")]:
+        monkeypatch.setattr(obj, attr, refuse)
 
     def emit(st: ExplorationState) -> None:
         digest.update(canonical_encode(st.history.history) + b"\n")
