@@ -106,6 +106,7 @@ from .model import (
     TransactionLog,
     TxnId,
     _begun,
+    _past_with_edge,
     _with_writer,
     _without_writer,
     begin_event,
@@ -224,8 +225,10 @@ def valid_writes(
     the reader entered last, and only an accepted writer's state is built,
     its closure cached as its verdict.  At TRUE every writer is accepted;
     when ``st`` is inconsistent, none is.  Raises ``ValueError`` when
-    ``action`` is not an external read.
+    ``action`` is not an external read, and at SER and SI, whose reads are
+    not decided on the parent.
     """
+    _check_levels(level)
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
     children = {}
@@ -278,7 +281,7 @@ def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool
         raise ValueError(f"event {e.id} is not the next event of {t}")
     if e.kind == READ and e.var not in log.write_set:
         return any(
-            t in h.causal_closure[w] and check_consistency(h.with_event(e, writer=w), level)
+            w in h.causal_past[t] and check_consistency(h.with_event(e, writer=w), level)
             for w in h.writers.get(e.var, ())  # type: ignore[arg-type]
         )
     return check_consistency(h.with_event(e), level)
@@ -298,26 +301,27 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
     unrelated to ``t``; ``t`` entered last, so every such reader ran entirely
     before it.  Candidates come in the order of the history.  A ``t`` that
     writes nothing has none; otherwise each reader is tested by membership in
-    its causal closure and each read by membership in ``t``'s write set.
+    ``t``'s causal past and each read by membership in ``t``'s write set.
     """
     if h.last_event.kind != COMMIT:
         return []
-    return _reorderings(h.order[-1].txn, h.starts, h.history.by_id, h.history.causal_closure)
+    return _reorderings(h.order[-1].txn, h.starts, h.history.by_id, h.history.causal_past)
 
 
 def _reorderings(
     t: TxnId, starts: dict[TxnId, int], by_id: dict[TxnId, TransactionLog],
-    closure: dict[TxnId, frozenset[TxnId]],
+    past: dict[TxnId, frozenset[TxnId]],
 ) -> list[ReorderCandidate]:
     """:func:`compute_reorderings` of a history whose last event commits
-    ``t``, from its entry order, logs by id and causal closure."""
+    ``t``, from its entry order, logs by id and causal past."""
     write_set = by_id[t].write_set
     if not write_set:
         return []
+    before = past[t]
     return [
         ReorderCandidate(read.id, t)
         for reader in starts
-        if reader != t and t not in closure[reader]
+        if reader != t and reader not in before
         for read in by_id[reader].read_set
         if read.var in write_set
     ]
@@ -325,8 +329,8 @@ def _reorderings(
 
 def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     """Events strictly after ``r`` whose transaction is not causally before ``t``."""
-    after, closure = h.order[h.starts[r.txn] + r.index + 1 :], h.history.causal_closure
-    return {eid for eid in after if eid.txn != t and t not in closure[eid.txn]}
+    after, before = h.order[h.starts[r.txn] + r.index + 1 :], h.history.causal_past[t]
+    return {eid for eid in after if eid.txn != t and eid.txn not in before}
 
 
 def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:
@@ -365,9 +369,9 @@ def _swap_cut(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
     transactions (:func:`_restricted`)."""
     cut = drop_events(h, dropped)
     hist, kept = h.history, cut.history.by_id
-    txn_ids, sessions, closure, writers, wr_map = _restricted(hist, hist.sessions, kept)
+    txn_ids, sessions, past, writers, wr_map = _restricted(hist, hist.sessions, kept)
     cut.history.__dict__.update(  # fresh and unshared: fill its lazy relations
-        txn_ids=txn_ids, sessions=sessions, causal_closure=closure, writers=writers, wr_map=wr_map
+        txn_ids=txn_ids, sessions=sessions, causal_past=past, writers=writers, wr_map=wr_map
     )
     return cut
 
@@ -375,17 +379,17 @@ def _swap_cut(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
 def _restricted(
     h: History, sessions: dict[int, tuple[TxnId, ...]], kept: Container[TxnId]
 ) -> tuple:
-    """The transaction ids, session lists, causal closure, writer index and
-    wr map of a swap's cut, from those of ``h``, a history or the walk's
-    trace, whose session lists are ``sessions``, and the transactions the
-    cut keeps.  Whole transactions go, the reader's included, and none
-    reaches a kept one (the second bullet of :func:`reads_causally_latest`),
-    so the causal closure restricts too."""
+    """The transaction ids, session lists, causal past, writer index and wr
+    map of a swap's cut, from those of ``h``, a history or the walk's trace,
+    whose session lists are ``sessions``, and the transactions the cut
+    keeps.  Whole transactions go, the reader's included, and none reaches
+    a kept one (the second bullet of :func:`reads_causally_latest`), so a
+    kept transaction's past holds only kept ones and carries over as is."""
     ids = tuple(u for u in h.txn_ids if u in kept)
     return (
         ids,
         {s: ts for s, txns in sessions.items() if (ts := tuple(u for u in txns if u in kept))},
-        {u: h.causal_closure[u].intersection(kept) for u in ids},
+        {u: h.causal_past[u] for u in ids},
         {x: ws for x, txns in h.writers.items() if (ws := tuple(u for u in txns if u in kept))},
         {rid: w for rid, w in h.wr_map.items() if rid.txn in kept},
     )
@@ -433,8 +437,8 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
     Reads produced by plain scheduling never satisfy this; the read a swap
     pivots on always does, and the verdict is stable under extending the
     history, since the reader's earlier observations are frozen.  The query
-    looks only at the writer's causal successors and the reader's wr edges
-    before ``r``.
+    looks only at which causal pasts hold the writer and at the reader's wr
+    edges before ``r``.
     """
     hist = h.history
     if r.txn not in hist.by_id or not 0 <= r.index < len(hist.by_id[r.txn].events):
@@ -445,13 +449,13 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
     reader = r.txn
     if not h.txn_before_event(t, r) or not reader < t:
         return False
-    after_t = hist.causal_closure[t]
-    for other in after_t:
-        if other < reader and not h.event_before_txn(r, other):
+    past = hist.causal_past
+    for other in hist.txn_ids:
+        if other < reader and t in past[other] and not h.event_before_txn(r, other):
             return False
     for ev in hist.by_id[reader].events[: r.index]:
         w = hist.wr_map.get(ev.id)  # only external reads have one
-        if w == t or w in after_t:
+        if w is not None and (w == t or t in past[w]):
             return False
     return True
 
@@ -468,7 +472,8 @@ def reads_causally_latest(
     re-appended reading from them.  True when ``r``'s writer in ``h`` is the
     highest-priority candidate.  ``h`` must be ``level``-consistent and let
     reads observe committed writers only, as every state :func:`explore_ce`
-    and :func:`dfs` enter does.
+    and :func:`dfs` enter does.  Raises ``ValueError`` at SER and SI, where
+    no query on ``h`` decides the cut.
 
     The cut is never built: the verdict is a query on ``h``, exact by the
     following.  Let R be the reader; a transaction the cut keeps whole is
@@ -481,12 +486,13 @@ def reads_causally_latest(
       readers run after it commits, so after ``r``, and none is causally
       before ``t``, or R would be; a dropped transaction causally before a
       kept one would be kept.  So every so/wr path between kept
-      transactions stays among them, and ``h.causal_closure`` restricted
-      to them is the cut's causality, except toward R: R's causal past P
-      in the cut is its session predecessors, the writers of its reads
-      before ``r`` and whatever reaches those.  As the query only adds
-      edges between kept transactions, it may close ``h.causal_closure``
-      under them whole: no cycle through a cut transaction can close.
+      transactions stays among them, and a kept transaction's past in
+      ``h.causal_past`` is its past in the cut.  R's causal past P in the
+      cut is its direct predecessors there (its session predecessors and
+      the writers of its reads before ``r``) and their pasts.  As the
+      query only adds edges between kept transactions, it may close
+      ``h.causal_past`` under them whole: no cycle through a cut
+      transaction can close.
     - The cut is consistent.  Its forced edges are those of the kept
       reads.  A kept transaction's reads keep ``h``'s premises, and a
       writer meeting one is kept and is not R, so their edges are the
@@ -508,29 +514,27 @@ def reads_causally_latest(
       is that ``r``'s writer is in P and every member of P above it that
       writes the variable is rejected.
     """
+    _check_levels(level)
     hist = h.history
     var = _pivot(h, r, t).var
     reader = r.txn
-    closure, current = hist.causal_closure, hist.wr_map.get(r)
+    past, current = hist.causal_past, hist.wr_map.get(r)
     earlier = [(e.var, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
     same = hist.sessions[reader.session]
     direct = {w for _, w in earlier} | {INIT_TXN, *same[: same.index(reader)]}
-    past = direct | {u for u in hist.txn_ids if not closure[u].isdisjoint(direct)}
-    if current not in past:
+    p = direct.union(*map(past.__getitem__, direct))
+    if current not in p:
         return False
-    above = [w for w in past if w > current and hist.by_id[w].writes_var(var)]  # type: ignore[arg-type]
+    above = [w for w in p if w > current and hist.by_id[w].writes_var(var)]  # type: ignore[arg-type]
     if not above or level is IsolationLevel.TRUE:
         return not above
-    kept = {
-        u for u in hist.txn_ids
-        if u != reader and (h.txn_before_event(u, r) or causally_before_or_equal(hist, u, t))
-    }
-    reach = closure_with_edges(closure, _forced_edges_of(hist, level, kept, hist.writers))
+    start, before_t = h.starts[reader], past[t]
+    kept = {u for u, i in h.starts.items() if i < start or u == t or u in before_t}
+    reach = closure_with_edges(past, _forced_edges_of(hist, level, kept, hist.writers))
     # R's reads in the cut, then r observing w; at cc R's premise is P.
-    in_p = {u: frozenset([reader] if u in past else []) for u in hist.txn_ids}
     return all(
         closure_with_edges(
-            reach, _read_edges(level, reader, earlier + [(var, w)], hist.writers, in_p)  # type: ignore[arg-type]
+            reach, _read_edges(level, reader, earlier + [(var, w)], hist.writers, {reader: p})
         ) is None
         for w in above
     )
@@ -550,7 +554,8 @@ def optimality(
     Returns the swapped state ``swap(st, r, t)`` when the pivot passes, for
     the caller to enter, and None when it is rejected.  The rebuilt history
     is checked before the pivot is entered, so a rejected swap runs no code.
-    Raises ``ValueError`` on the arguments :func:`swap` refuses.
+    Raises ``ValueError`` on the arguments :func:`swap` refuses and at a
+    level :func:`explore_ce` does not walk.
 
     ``st`` is a state or the walk's trace.  The first two requirements are
     queries on its state; the swap is :meth:`_Trace.swap`'s.  Given the
@@ -558,6 +563,7 @@ def optimality(
     trace; given a state, it swaps on a trace made from it and returns the
     swapped trace's state.
     """
+    _check_levels(level)
     tr = st if isinstance(st, _Trace) else _Trace(st, level)
     h = tr.state().history
     _pivot(h, r, t)
@@ -589,9 +595,12 @@ class _Trace:
     rules shared with the immutable model read it as they read those:
     ``program``, the sessions' local states ``sessions``, the logs
     ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
-    the session lists ``session_txns``, ``causal_closure``, ``writers`` and
+    the session lists ``session_txns``, ``causal_past``, ``writers`` and
     ``consistency_cache``, which holds the verdict at ``level``: the forced
-    closure at RC, RA and CC, a witness order at SER and SI.
+    closure as each transaction's past at RC, RA and CC, a witness order at
+    SER and SI.  An event edits the transaction that entered last, which
+    nothing follows, so a begin or a read changes one entry of the causal
+    past (``model._past_with_edge``).
 
     :meth:`push` applies one event and derives the verdict, :meth:`enter`
     steps the session's locals past it.  ``by_id``, ``starts``, ``wr_map``,
@@ -614,7 +623,7 @@ class _Trace:
         self.starts = dict(h.starts)
         self.wr_map = dict(hist.wr_map)
         self.txn_ids, self.session_txns = hist.txn_ids, hist.sessions
-        self.causal_closure, self.writers = hist.causal_closure, hist.writers
+        self.causal_past, self.writers = hist.causal_past, hist.writers
         closure = level in EXTENSIBLE_LEVELS
         self.after = _forced_after if closure else _witness_after
         self.consistency_cache = {} if level is IsolationLevel.TRUE else {
@@ -641,7 +650,7 @@ class _Trace:
         t = event.id.txn
         cache, level = self.consistency_cache, self.level
         self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
-                          self.session_txns, self.causal_closure, self.writers, cache.get(level)))
+                          self.session_txns, self.causal_past, self.writers, cache.get(level)))
         first_write = self._apply(event, writer)
         if cache:
             cache[level] = reach if reach is not None else self.after(
@@ -656,15 +665,15 @@ class _Trace:
         old = self.by_id.get(t)
         first_write = False
         if kind == BEGIN:
-            log, self.txn_ids, self.session_txns, self.causal_closure = _begun(
-                self.txn_ids, self.session_txns, self.causal_closure, event
+            log, self.txn_ids, self.session_txns, self.causal_past = _begun(
+                self.txn_ids, self.session_txns, self.causal_past, event
             )
             self.starts[t] = self.length
         else:
             log = old.extended(event)  # type: ignore[union-attr]
             if writer is not None:
                 self.wr_map[event.id] = writer
-                self.causal_closure = closure_with_edges(self.causal_closure, [(writer, t)])
+                self.causal_past = _past_with_edge(self.causal_past, writer, t)
             elif kind == ABORT:
                 self.writers = _without_writer(self.writers, old)  # type: ignore[arg-type]
             elif kind == WRITE and event.var not in old.write_set:  # type: ignore[union-attr]
@@ -684,7 +693,7 @@ class _Trace:
 
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
-        (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_closure,
+        (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_past,
          self.writers, reach) = self.undo.pop()
         t = event.id.txn
         self.sessions[t.session] = ls
@@ -715,12 +724,11 @@ class _Trace:
         observing ``t`` and the history checked once, from scratch, before
         the pivot is entered, so a rejected swap runs no program code.
         """
-        reader, starts = r.txn, self.starts
-        kept = {u for u, i in starts.items()
-                if i < starts[reader] or u == t or t in self.causal_closure[u]}
+        reader, starts, before_t = r.txn, self.starts, self.causal_past[t]
+        kept = {u for u, i in starts.items() if i < starts[reader] or u == t or u in before_t}
         new = object.__new__(_Trace)
         new.program, new.level, new.after = self.program, self.level, self.after
-        new.txn_ids, new.session_txns, new.causal_closure, new.writers, new.wr_map = _restricted(
+        new.txn_ids, new.session_txns, new.causal_past, new.writers, new.wr_map = _restricted(
             self, self.session_txns, kept  # type: ignore[arg-type]
         )
         new.by_id = {u: log for u, log in self.by_id.items() if u in kept}
@@ -753,7 +761,7 @@ class _Trace:
             logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
             hist = History._derived(
                 logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
-                sessions=self.session_txns, causal_closure=self.causal_closure,
+                sessions=self.session_txns, causal_past=self.causal_past,
                 writers=self.writers, consistency_cache=dict(self.consistency_cache),
             )
             h = object.__new__(OrderedHistory)
@@ -908,7 +916,7 @@ def _explore(
                 t = action.event.id.txn
                 if child is not None:  # back at the commit: the gate reads the hook's state
                     tr.snapshot = child
-                for cand in _reorderings(t, tr.starts, tr.by_id, tr.causal_closure):
+                for cand in _reorderings(t, tr.starts, tr.by_id, tr.causal_past):
                     swapped_tr = optimality(tr, cand.read, cand.writer, weak)
                     if swapped_tr is None:
                         stats.swaps_rejected += 1

@@ -10,19 +10,23 @@ be ordered before ``t1``.
 For read committed, read atomic and causal consistency the premise never
 mentions the commit order, so consistency is acyclicity of G = session
 order, write-read and the forced conclusion edges.  The transitive closure
-of G (None on a cycle) is cached per history and level, computed from
-scratch on first use.  The explorer's trace carries it at its level and
-derives each child's from its parent's (:func:`_forced_after`), where
-(a, b) closes a cycle iff a == b or b reaches a.  A begin of ``t`` adds
-(session predecessor or init, ``t``); a commit, a read without a writer or
-a repeated write adds nothing; a first write by ``t`` adds the forced edges
-with overwriter ``t``; a read of ``t`` observing ``w`` adds (``w``, ``t``)
-and the forced edges of the reads of ``t`` and of what ``t`` reaches, whose
-premises alone can change.  This is exact because such edits only add
-transactions, writes and wr edges, in which every premise is monotone: G
-only grows, and a parent's cycle stays.  An abort removes forced edges, so
-it takes one full computation.  A first write is one whose variable is not
-yet in the open log's ``write_set``.
+of G, as each transaction's *past* (its strict predecessors; None on a
+cycle), is cached per history and level, computed from scratch on first
+use.  The explorer's trace carries it at its level and derives each child's
+from its parent's (:func:`_forced_after`), where (a, b) closes a cycle iff
+a == b or b is in a's past.  A begin of ``t`` adds (session predecessor or
+init, ``t``); a commit, a read without a writer or a repeated write adds
+nothing; a first write by ``t`` adds the forced edges with overwriter
+``t``; a read of ``t`` observing ``w`` adds (``w``, ``t``) and the forced
+edges of the reads of ``t`` and of what follows ``t``, whose premises alone
+can change.  This is exact because such edits only add transactions,
+writes and wr edges, in which every premise is monotone: G only grows, and
+a parent's cycle stays.  An abort removes forced edges, so it takes one
+full computation.  A first write is one whose variable is not yet in the
+open log's ``write_set``.  In the walks the edited transaction entered
+last and nothing follows it, so an edge into it changes its own past alone
+(``model._past_with_edge``): only forced edges between older transactions
+rewrite every past that holds their target.
 
 Serializability and snapshot isolation quantify over the commit order itself.
 Both are decided by one search that commits transactions one at a time,
@@ -98,6 +102,7 @@ from .model import (
     History,
     IsolationLevel,
     TxnId,
+    _past_with_edge,
     canonical_encode,
     causal_reachable,
     closure_with_edges,
@@ -176,7 +181,7 @@ def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
         edges any witnessing commit order must contain.
     """
     if level not in _CLOSURE_LEVELS:
-        raise ValueError(f"no order-free premise for {level}")
+        raise ValueError(f"no order-free premise for {level.value}")
     return set(_forced_edges_of(h, level, h.by_id, h.writers))
 
 
@@ -193,12 +198,12 @@ def _forced_edges_of(
     wr_map = h.wr_map
     for t3 in readers:
         reads = [(ev.var, wr_map[ev.id]) for ev in h.by_id[t3].read_set if ev.id in wr_map]
-        yield from _read_edges(level, t3, reads, writers, h.causal_closure)  # type: ignore[arg-type]
+        yield from _read_edges(level, t3, reads, writers, h.causal_past)  # type: ignore[arg-type]
 
 
 def _read_edges(
     level: IsolationLevel, t3: TxnId, reads: list[tuple[str, TxnId]],
-    writers: dict[str, tuple[TxnId, ...]], closure: dict[TxnId, frozenset[TxnId]],
+    writers: dict[str, tuple[TxnId, ...]], past: dict[TxnId, frozenset[TxnId]],
 ) -> Iterator[tuple[TxnId, TxnId]]:
     """The forced edges (t2, w) of ``t3``'s ``reads``, (variable, writer)
     pairs in program order.
@@ -206,11 +211,13 @@ def _read_edges(
     A read of ``x`` observing ``w`` forces every ``t2 != w`` in
     ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
     of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
-    at CC ``t3`` is in ``closure[t2]``.  The RA premise is an id test, since
-    the session order is the ids' order: ``t2`` is init or earlier in
-    ``t3``'s session, or one of ``reads`` observes it.
+    at CC ``t2`` is in ``past[t3]``, the one entry of ``past`` read.  The RA
+    premise is an id test, since the session order is the ids' order:
+    ``t2`` is init or earlier in ``t3``'s session, or one of ``reads``
+    observes it.
     """
     observed = {w for _, w in reads}
+    before = past[t3]
     seen = set()
     for var, w in reads:
         for t2 in writers.get(var, ()):
@@ -222,7 +229,7 @@ def _read_edges(
                 premise = (t2 == INIT_TXN or t2 in observed
                            or (t2.session == t3.session and t2 < t3))
             else:
-                premise = t3 in closure[t2]
+                premise = t2 in before
             if premise:
                 yield t2, w
         seen.add(w)
@@ -231,18 +238,20 @@ def _read_edges(
 def _read_closures(
     h: History, level: IsolationLevel, read: Event, candidates: Iterable[TxnId]
 ) -> Iterator[tuple[TxnId, dict | None]]:
-    """Each ``w`` of ``candidates`` with the closure :func:`_forced_after`
-    derives for ``h`` extended by ``read`` observing ``w``, built on ``h``
-    alone.
-    ``h`` is ``level``-consistent (RC, RA, CC) and ``read``'s transaction
-    entered it last, as in the walks."""
-    reach, t, closure = _forced_closure(h, level), read.id.txn, h.causal_closure
+    """Each ``w`` of ``candidates`` with the forced closure
+    :func:`_forced_after` derives for ``h`` extended by ``read`` observing
+    ``w``, built on ``h`` alone.  ``h`` is ``level``-consistent (RC, RA,
+    CC) and ``read``'s transaction ``t`` entered it last, as in the walks:
+    nothing follows ``t``, so (``w``, ``t``) changes only ``t``'s entry of
+    the causal past (the CC premise) and of the forced closure, whose other
+    entries only the forced edges of ``t``'s reads can change."""
+    reach, t, past = _forced_closure(h, level), read.id.txn, h.causal_past
     reads = [(ev.var, h.wr_map[ev.id]) for ev in h.by_id[t].read_set if ev.id in h.wr_map]
     for w in candidates:
         if level is IsolationLevel.CC:  # the child's causality toward t
-            closure = closure_with_edges(h.causal_closure, [(w, t)])
-        edges = _read_edges(level, t, reads + [(read.var, w)], h.writers, closure)  # type: ignore[arg-type]
-        yield w, closure_with_edges(reach, [(w, t), *edges])  # type: ignore[arg-type]
+            past = _past_with_edge(h.causal_past, w, t)
+        edges = _read_edges(level, t, reads + [(read.var, w)], h.writers, past)  # type: ignore[arg-type]
+        yield w, closure_with_edges(_past_with_edge(reach, w, t), edges)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
 
     The frontier search of the module docstring.  Transactions are indexed
     ``0..n-1``, the placed and open sets are int bitmasks, ``preds[t]`` holds
-    ``t``'s causal predecessors (from ``causal_closure``), ``conflicts[t]``
+    ``t``'s causal past (``causal_past``), ``conflicts[t]``
     the transactions that may not run concurrently with ``t`` and
     ``by_over[t]`` the (writer bit, reader index) of the instances whose
     overwriter is ``t``.  A placed set is always downward closed under so/wr,
@@ -268,10 +277,7 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
     txns = h.txn_ids
     n = len(txns)
     idx = {t: i for i, t in enumerate(txns)}
-    preds = [0] * n
-    for a, succs in h.causal_closure.items():
-        for b in succs:
-            preds[idx[b]] |= 1 << idx[a]
+    preds = [sum(1 << idx[u] for u in h.causal_past[t]) for t in txns]
     full = (1 << n) - 1
     writers = h.writers
     if level is IsolationLevel.SER:
@@ -428,11 +434,12 @@ def _witness_after(
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
-    """The transitive closure of so, wr and the forced edges, or None on a
-    cycle: cached per history and level, else computed from scratch."""
+    """The transitive closure of so, wr and the forced edges as each
+    transaction's past, or None on a cycle: cached per history and level,
+    else computed from scratch."""
     cache = h.consistency_cache
     if level not in cache:
-        cache[level] = closure_with_edges(h.causal_closure, forced_edges(h, level))
+        cache[level] = closure_with_edges(h.causal_past, forced_edges(h, level))
     return cache[level]
 
 
@@ -443,40 +450,40 @@ def _forced_after(
     """The forced closure of ``h``, the history just after ``event`` (with
     ``writer``, a first write or not) was appended to one whose forced
     closure is ``reach``: the rules of the module docstring.  Reads only
-    ``h``'s logs by id, transaction ids, causal closure, wr map and writer
+    ``h``'s logs by id, transaction ids, causal past, wr map and writer
     index, which the explorer's trace carries under the same names.
 
     A first write of ``x`` by ``t`` adds the forced edges whose overwriter
-    is ``t``, and only readers in ``h.causal_closure[t]`` can have one: the
-    premise relating ``t`` to a reader puts the reader there at each level.
+    is ``t``, and only readers whose causal past holds ``t`` can have one:
+    the premise relating ``t`` to a reader puts ``t`` there at each level.
     At RC the reader observed ``t``; at RA it follows ``t`` in its session
     or observed ``t``; at CC ``t`` is causally before it by definition.
     ``t`` itself is never such a reader.  In the walks ``t`` is the last
-    pending transaction, so its closure is empty.
+    pending transaction, so it has no successor, and a begin's new
+    transaction has none either: its edge changes its own past alone.
 
     So a read of ``t`` observing ``w`` in the walks adds (``w``, ``t``) and
     the forced edges of ``t``'s reads alone, which need no child:
     :func:`_read_closures` asks them of the parent, with the CC premise
-    ``t2 == w`` or ``t2`` reaching ``w`` or ``t`` in the parent.
+    ``t2`` in ``t``'s past in the parent, or ``t2 == w``, or ``t2`` in
+    ``w``'s past.
     """
     if event.kind == ABORT:  # it takes away the aborted writes' forced edges
-        return closure_with_edges(h.causal_closure, _forced_edges_of(h, level, h.by_id, h.writers))
+        return closure_with_edges(h.causal_past, _forced_edges_of(h, level, h.by_id, h.writers))
     if reach is None:  # every other edit only adds edges: a cycle stays
         return None
     t = event.id.txn
     if event.kind == BEGIN:
         before = h.txn_ids[bisect_left(h.txn_ids, t) - 1]
-        pred = before if before.session == t.session else INIT_TXN
-        return closure_with_edges({**reach, t: frozenset()}, [(pred, t)])
+        return _past_with_edge(reach, before if before.session == t.session else INIT_TXN, t)
+    if writer is None and not first_write:
+        return reach
+    after = [u for u, past in h.causal_past.items() if t in past]  # empty in the walks
     if writer is not None:
-        readers = h.causal_closure[t] | {t}
-        new = _forced_edges_of(h, level, readers, h.writers)
+        new = _forced_edges_of(h, level, after + [t], h.writers)
         return closure_with_edges(reach, [(writer, t), *new])
-    if first_write:
-        readers = h.causal_closure[t]
-        new = _forced_edges_of(h, level, readers, {event.var: (t,)})  # type: ignore[dict-item]
-        return closure_with_edges(reach, new)
-    return reach
+    new = _forced_edges_of(h, level, after, {event.var: (t,)})  # type: ignore[dict-item]
+    return closure_with_edges(reach, new)
 
 
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
@@ -490,13 +497,13 @@ def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     if level in (IsolationLevel.SER, IsolationLevel.SI):
         order = _commit_order(h, level)
         return None if order is None else CommitOrder(order)
-    reach = h.causal_closure if level is IsolationLevel.TRUE else _forced_closure(h, level)
-    if reach is None:
+    past = h.causal_past if level is IsolationLevel.TRUE else _forced_closure(h, level)
+    if past is None:
         return None
     order: list[TxnId] = []
     left = list(h.txn_ids)  # sorted
     while left:
-        first = next(t for t in left if not any(t in reach[u] for u in left))
+        first = next(t for t in left if past[t].isdisjoint(left))
         order.append(first)
         left.remove(first)
     return CommitOrder(tuple(order))

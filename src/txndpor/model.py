@@ -27,12 +27,12 @@ instead, which applies the same relation changes (:func:`_begun`,
 histories only where a caller needs one.  The one-event edits (:meth:`History.with_begin`,
 :meth:`History.with_event`, :meth:`OrderedHistory.append`) carry six of the
 parent's derived relations forward updated by the delta: the index by id, the
-transaction ids, sessions, causal closure, wr map and the writer index
-:attr:`History.writers`.  The session-order pairs, so/wr adjacency and wr
-transaction pairs are views computed on first use; only full construction
-and the literal reference checkers read them.  Each edit costs what its
-event changes: a new log or wr edge goes in at its ``bisect`` position, and a
-begin's log holds the very event ``append`` was given.  Only a begin that is
+transaction ids, sessions, causal past, wr map and the writer index
+:attr:`History.writers`.  The causal closure (each transaction's successors),
+session-order pairs, so/wr adjacency and wr transaction pairs are views
+computed on first use, which nothing on the walks' path computes.  Each edit
+costs what its event changes: a new log or wr edge goes in at its ``bisect``
+position, and a begin's log holds the very event ``append`` was given.  Only a begin that is
 not last in its session, or is in the init session, is fully validated.
 :meth:`History.with_event` extends the open log by
 :meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
@@ -471,19 +471,23 @@ class History:
         return {t: tuple(sorted(s)) for t, s in adj.items()}
 
     @lazy_property
+    def causal_past(self) -> dict[TxnId, frozenset[TxnId]]:
+        """t -> every transaction strictly before t in so union wr: its
+        causal past.  Derived edits carry it; from scratch it takes one pass
+        over so/wr in topological order."""
+        adj = self.causal_adjacency
+        past: dict[TxnId, set[TxnId]] = {t: set() for t in adj}
+        for t in reversed([*graphlib.TopologicalSorter(adj).static_order()]):  # sources first
+            for u in adj[t]:
+                past[u] |= past[t] | {t}
+        return {t: frozenset(p) for t, p in past.items()}
+
+    @lazy_property
     def causal_closure(self) -> dict[TxnId, frozenset[TxnId]]:
-        """t -> every transaction strictly reachable from t via so union wr."""
-        out: dict[TxnId, frozenset[TxnId]] = {}
-        for start in self.txn_ids:
-            seen: set[TxnId] = set()
-            stack = list(self.causal_adjacency[start])
-            while stack:
-                node = stack.pop()
-                if node not in seen:
-                    seen.add(node)
-                    stack.extend(self.causal_adjacency[node])
-            out[start] = frozenset(seen)
-        return out
+        """t -> every transaction strictly reachable from t via so union wr:
+        the inverse of :attr:`causal_past`, which no derived edit carries."""
+        past = self.causal_past
+        return {u: frozenset(t for t in past if u in past[t]) for u in self.txn_ids}
 
     @lazy_property
     def wr_txn_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:
@@ -537,9 +541,7 @@ class History:
                 or begin.kind != BEGIN or begin.id != (txn, 0)):
             log = TransactionLog(txn, (begin,))
             return History(self.logs[:i] + (log,) + self.logs[i:], self.wr)
-        log, txn_ids, sessions, closure = _begun(
-            self.txn_ids, self.sessions, self.causal_closure, begin
-        )
+        log, txn_ids, sessions, past = _begun(self.txn_ids, self.sessions, self.causal_past, begin)
         logs = self.logs[:i] + (log,) + self.logs[i:]
         return History._derived(
             logs,
@@ -547,7 +549,7 @@ class History:
             by_id=dict(zip(txn_ids, logs)),
             txn_ids=txn_ids,
             sessions=sessions,
-            causal_closure=closure,
+            causal_past=past,
             wr_map=self.wr_map,
             writers=self.writers,
         )
@@ -560,7 +562,7 @@ class History:
         edge and, for an abort, the reads observing the aborting transaction
         are checked.  The relations :meth:`with_begin` carries are carried
         over: a wr edge goes into ``wr`` at its ``bisect`` position, adds its
-        read to ``wr_map`` and (writer, reader) to the closure.  The writer
+        read to ``wr_map`` and (writer, reader) to the causal past.  The writer
         index changes only on a first write of a variable, which inserts the
         transaction in order, and on an abort, which removes it.  The open
         log's ``write_set`` tells a first write and an internal read.
@@ -583,11 +585,11 @@ class History:
             writers = _with_writer(writers, event.var, log.id)  # type: ignore[arg-type]
         wr = self.wr
         wr_map = self.wr_map
-        closure = self.causal_closure
+        past = self.causal_past
         if writer is not None:
             _check_wr_edge(self.by_id, event, event.var in log.write_set, writer)
-            closure = closure_with_edges(closure, [(writer, log.id)])
-            if closure is None:
+            past = closure_with_edges(past, [(writer, log.id)])
+            if past is None:
                 raise ValueError("so union wr is cyclic")
             j = bisect(wr, edge := (event.id, writer))
             wr = wr[:j] + (edge,) + wr[j:]
@@ -598,7 +600,7 @@ class History:
             by_id={**self.by_id, log.id: new_log},
             txn_ids=self.txn_ids,
             sessions=self.sessions,
-            causal_closure=closure,
+            causal_past=past,
             wr_map=wr_map,
             writers=writers,
         )
@@ -627,25 +629,23 @@ def _check_wr_edge(
 
 def _begun(
     txn_ids: tuple[TxnId, ...], sessions: dict[int, tuple[TxnId, ...]],
-    closure: dict[TxnId, frozenset[TxnId]], begin: Event,
+    past: dict[TxnId, frozenset[TxnId]], begin: Event,
 ) -> tuple[TransactionLog, tuple[TxnId, ...], dict[int, tuple[TxnId, ...]], dict]:
     """A begin of ``begin``'s transaction ``t``, last in its session and not
     init: its log, built as :meth:`TransactionLog.extended` builds one, and
-    the transaction ids, session lists and causal closure updated by it.
+    the transaction ids, session lists and causal past updated by it.
     ``t`` goes in at its ``bisect`` position, ``sessions`` is re-sorted only
-    for a new session, and (session predecessor or init, ``t``) joins the
-    closure in one pass."""
+    for a new session, and ``t``'s past is its session predecessor's (or
+    init's) plus that transaction (:func:`_past_with_edge`)."""
     t = begin.id.txn
     log = object.__new__(TransactionLog)
     log.__dict__.update(id=t, events=(begin,), status=PENDING, write_set={}, read_set=())
     i = bisect(txn_ids, t)
     same = sessions.get(t.session, ())
     grown = {**sessions, t.session: same + (t,)}
-    pred = same[-1] if same else INIT_TXN
-    closure = {x: r | {t} if x == pred or pred in r else r for x, r in closure.items()}
-    closure[t] = frozenset()
     return (log, txn_ids[:i] + (t,) + txn_ids[i:],
-            grown if same else dict(sorted(grown.items())), closure)
+            grown if same else dict(sorted(grown.items())),
+            _past_with_edge(past, same[-1] if same else INIT_TXN, t))
 
 
 def _with_writer(
@@ -679,19 +679,32 @@ def _without_writer(
 
 
 def closure_with_edges(
-    reach: dict[TxnId, frozenset[TxnId]], edges: Iterable[tuple[TxnId, TxnId]]
+    past: dict[TxnId, frozenset[TxnId]], edges: Iterable[tuple[TxnId, TxnId]]
 ) -> dict[TxnId, frozenset[TxnId]] | None:
-    """The transitive closure ``reach`` (each transaction's strict
-    successors) closed under ``edges``: a new dict, or ``reach`` itself when
-    every edge is already in it, or None when an edge closes a cycle."""
+    """The transitive closure ``past`` (each transaction's strict
+    predecessors) closed under ``edges``: a new dict, or ``past`` itself when
+    every edge is already in it, or None when an edge closes a cycle.
+    (a, b) closes one iff a == b or b is in a's past; otherwise ``b`` and
+    every transaction whose past holds ``b`` gain a's past and ``a``."""
     for a, b in edges:
-        if a == b or a in reach[b]:
+        if a == b or b in past[a]:
             return None
-        if b in reach[a]:
+        if a in past[b]:
             continue
-        gained = reach[b] | {b}
-        reach = {x: r | gained if x == a or a in r else r for x, r in reach.items()}
-    return reach
+        gained = past[a] | {a}
+        past = {x: p | gained if x == b or b in p else p for x, p in past.items()}
+    return past
+
+
+def _past_with_edge(
+    past: dict[TxnId, frozenset[TxnId]], w: TxnId, t: TxnId
+) -> dict[TxnId, frozenset[TxnId]]:
+    """``past`` closed under the edge (``w``, ``t``) for a ``t``, possibly
+    new, that nothing follows, as the last transaction to enter a walk:
+    only ``t``'s entry changes, and ``past`` itself when ``w`` is already
+    before ``t``."""
+    mine = past.get(t, ())
+    return past if w in mine else {**past, t: past[w].union(mine, (w,))}
 
 
 def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:
@@ -700,7 +713,7 @@ def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:
         raise ValueError(f"unknown transaction {a}")
     if b not in h.by_id:
         raise ValueError(f"unknown transaction {b}")
-    return b in h.causal_closure[a]
+    return a in h.causal_past[b]
 
 
 def causally_before_or_equal(h: History, a: TxnId, b: TxnId) -> bool:
@@ -738,10 +751,10 @@ class OrderedHistory:
                 raise ValueError(f"order interleaves {eid.txn} with {order[i - 1].txn}")
             if eid.index != i - starts[eid.txn]:
                 raise ValueError(f"event {eid} is not the next of {eid.txn}")
-        closure = self.history.causal_closure
-        for a, first in starts.items():
-            for b in closure[a]:
-                if starts[b] < first:
+        past = self.history.causal_past
+        for b, first in starts.items():
+            for a in past[b]:
+                if starts[a] > first:
                     raise ValueError(f"order violates so/wr between {a} and {b}")
 
     @classmethod
@@ -788,7 +801,7 @@ class OrderedHistory:
             if writer is not None:
                 raise ValueError("begin takes no writer")
             hist = self.history.with_begin(txn, event)
-            if after := hist.causal_closure[txn]:
+            if after := [u for u, past in hist.causal_past.items() if txn in past]:
                 raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
             starts = {**starts, txn: len(self.order)}
         else:

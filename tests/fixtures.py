@@ -263,6 +263,38 @@ def snapshot_blocker() -> tuple[History, object]:
 
 
 # ---------------------------------------------------------------------------
+# Causal pasts, for the tests of derived edits.
+# ---------------------------------------------------------------------------
+
+
+def reachable_by_search(adjacency: dict) -> dict:
+    """Each node of ``adjacency`` (node -> direct successors) with every
+    node strictly reachable from it, by a plain search from each node."""
+    out = {}
+    for start in adjacency:
+        seen: set = set()
+        stack = list(adjacency[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(adjacency[node])
+        out[start] = frozenset(seen)
+    return out
+
+
+def assert_causal_past_matches_full_construction(h: History) -> None:
+    """``h``'s causal past, however it was derived, equals the one full
+    construction gives, and is the exact inverse of ``h``'s causal closure,
+    which equals the successors a search over so/wr finds."""
+    full = History(h.logs, h.wr)
+    assert h.causal_past == full.causal_past, h
+    after = reachable_by_search(full.causal_adjacency)
+    assert h.causal_closure == after, h
+    assert h.causal_past == {t: frozenset(u for u in after if t in after[u]) for t in after}, h
+
+
+# ---------------------------------------------------------------------------
 # Prefixes and predecessor chains, for the containment and oracle tests.
 # ---------------------------------------------------------------------------
 

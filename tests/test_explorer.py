@@ -465,9 +465,10 @@ VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
     "walk, level", VIEW_WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in VIEW_WALKS]
 )
 def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
-    """No state the walks enter past the root holds the session-order pairs,
-    the so/wr adjacency or the wr transaction pairs, even once the run is
-    over: derived edits do not carry them and nothing on the walks' path
+    """No state the walks enter past the root holds the causal closure (the
+    successor view of the causal past), the session-order pairs, the so/wr
+    adjacency or the wr transaction pairs, even once the run is over:
+    derived edits do not carry them and nothing on the walks' path
     computes them.  Each state's ``starts`` equals its definition from the
     order.  ``explore_ce``'s states come from its entry hook, ``dfs``'s from
     its emissions."""
@@ -480,7 +481,7 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
                        entry_hook=lambda parent, st: states.append(st) if parent else None)
     assert states
     for st in states:
-        assert not HISTORY_VIEWS & vars(st.history.history).keys(), st.history.order
+        assert not {"causal_closure", *HISTORY_VIEWS} & vars(st.history.history).keys(), st.history.order
     for st in states:
         h = st.history
         first: dict[TxnId, int] = {}
@@ -494,7 +495,7 @@ TRACE_WALKS = [(explore_ce, level) for level in TRACE_LEVELS] + [
     (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
 ]
 # The relations a materialized state carries or computes on first use.
-CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_closure", "wr_map", "writers")
+CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_past", "wr_map", "writers")
 
 
 def _assert_matches_full_construction(st: ExplorationState, level: IsolationLevel) -> None:
@@ -825,7 +826,7 @@ def test_swaps_re_step_their_reader_without_a_verdict_per_read(monkeypatch):
 
 
 # The relations a swap's cut carries, derived by restriction.
-CUT_RELATIONS = ("txn_ids", "sessions", "causal_closure", "writers", "wr_map")
+CUT_RELATIONS = ("txn_ids", "sessions", "causal_past", "writers", "wr_map")
 
 
 @pytest.mark.parametrize("level", EXTENSIBLE)
@@ -1178,6 +1179,28 @@ def test_valid_writes_reject_what_is_not_an_external_read():
         with pytest.raises(ValueError) as caught:
             valid_writes(st, action, IsolationLevel.CC)
         assert str(caught.value) == f"{action.event} is not an external read"
+
+
+@pytest.mark.parametrize("call", ["optimality", "reads_causally_latest", "valid_writes"])
+@pytest.mark.parametrize("level", [IsolationLevel.SER, IsolationLevel.SI], ids=["ser", "si"])
+def test_decisions_on_the_parent_refuse_the_levels_explore_ce_cannot_walk(call, level):
+    """The gate, its query and the read decision answer at CC on
+    racing_reads, but at SER and SI no decision on the parent is exact:
+    each raises the message ``explore_ce`` gives for that level."""
+    states = [st for _, st in entered_states(example("racing_reads"), IsolationLevel.CC)]
+    st, cand = next((st, c) for st in states for c in compute_reorderings(st.history)
+                    if optimality(st, c.read, c.writer, IsolationLevel.CC) is not None)
+    reader, action = next((st, a) for st in states
+                          if (a := next_event(st)) is not None and a.is_external_read)
+    assert valid_writes(reader, action, IsolationLevel.CC)
+    message = f"{level.value} is not causally extensible; use dfs instead"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if call == "optimality":
+            optimality(st, cand.read, cand.writer, level)
+        elif call == "reads_causally_latest":
+            reads_causally_latest(st.history, level, cand.read, cand.writer)
+        else:
+            valid_writes(reader, action, level)
 
 
 # ---------------------------------------------------------------------------

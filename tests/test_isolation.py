@@ -14,6 +14,7 @@ from fixtures import (
     CYCLE_T2,
     CYCLE_VERDICTS,
     SNAP_RIGHT,
+    assert_causal_past_matches_full_construction,
     causal_cycle_history,
     init_log,
     pending_reader_extension,
@@ -23,7 +24,15 @@ from fixtures import (
     snapshot_blocker,
 )
 from txndpor import isolation
-from txndpor.explorer import _committed_writers, _schedule, _Trace, causal_extension_exists
+from txndpor.explorer import (
+    _committed_writers,
+    _reorderings,
+    _schedule,
+    _swap_cut,
+    _swap_drop_set,
+    _Trace,
+    causal_extension_exists,
+)
 from txndpor.generate import random_history, random_program
 from txndpor.isolation import (
     _commit_order,
@@ -41,6 +50,7 @@ from txndpor.isolation import (
 from txndpor.model import (
     ABORT,
     BEGIN,
+    COMMIT,
     INIT_TXN,
     WRITE,
     Event,
@@ -55,7 +65,7 @@ from txndpor.model import (
     read_event,
     write_event,
 )
-from txndpor.program import ExplorationState, parse
+from txndpor.program import ExplorationState, NextAction, parse
 
 ALL_LEVELS = (
     IsolationLevel.RC,
@@ -217,6 +227,12 @@ def test_forced_edges_are_those_the_literal_premise_grants(seed):
             for readers in subsets:
                 edges = set(isolation._forced_edges_of(x, level, readers, x.writers))
                 assert edges == {(i.overwriter, i.writer) for i in granted if i.reader in readers}
+
+
+@pytest.mark.parametrize("level", [IsolationLevel.TRUE, IsolationLevel.SI, IsolationLevel.SER])
+def test_forced_edges_name_a_level_without_an_order_free_premise(level):
+    with pytest.raises(ValueError, match=f"^no order-free premise for {level.value}$"):
+        forced_edges(causal_cycle_history(), level)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -444,16 +460,43 @@ def _assert_closure_matches_full(h: History, reach, level: IsolationLevel) -> bo
     return full is not None
 
 
+def _assert_pasts_of_pop_and_swaps(tr: _Trace, event: Event) -> int:
+    """The trace popped back to just before ``event``, and, when ``event``
+    commits, the cut and the trace of each swap its reorder candidates
+    offer carry the causal past full construction gives.  Leaves the trace
+    as it stood; returns the number of swap traces checked."""
+    t = event.id.txn
+    writer, entered = tr.undo[-1][1], tr.sessions[t.session]
+    tr.pop()
+    assert_causal_past_matches_full_construction(tr.state().history.history)
+    tr.push(NextAction(event), writer)  # the push reads only the event
+    tr.sessions[t.session] = entered
+    if event.kind != COMMIT:
+        return 0
+    swaps, h = 0, tr.state().history
+    for cand in _reorderings(t, tr.starts, tr.by_id, tr.causal_past):
+        reader = h.history.by_id[cand.read.txn]
+        dropped = _swap_drop_set(h, cand.read, t) | {ev.id for ev in reader.events}
+        assert_causal_past_matches_full_construction(_swap_cut(h, dropped).history)
+        new = tr.swap(cand.read, t)
+        if new is not None:
+            assert_causal_past_matches_full_construction(new.state().history.history)
+            swaps += 1
+    return swaps
+
+
 def test_derived_closures_agree_with_full_construction_and_brute_force():
     """Every step of random runs is checked at RC, RA and CC on a trace,
     whose closure is derived from its parent's; it must equal full
-    construction's (no cache), and the verdict the brute-force oracle's."""
-    checks = inconsistent = 0
+    construction's (no cache), and the verdict the brute-force oracle's.
+    After every push, pop, swap and swap cut on the RC trace the causal
+    past is full construction's and the inverse of the causal closure."""
+    checks = inconsistent = swaps = 0
     for seed in range(400):
         rng = random.Random(seed)
         program = parse(random_program(rng))
         for _ in range(2):
-            for _, traces in _random_walk(rng, program, CLOSURE_LEVELS):
+            for event, traces in _random_walk(rng, program, CLOSURE_LEVELS):
                 for tr in traces:
                     # Derived by the push: the check is a cache hit.
                     assert tr.level in tr.consistency_cache
@@ -462,8 +505,13 @@ def test_derived_closures_agree_with_full_construction_and_brute_force():
                     verdict = _assert_closure_matches_full(h, tr.consistency_cache[tr.level], tr.level)
                     assert check_consistency(tr, tr.level) == verdict
                     inconsistent += not verdict
+                # Pasts are the same at every level.
+                assert_causal_past_matches_full_construction(traces[0].state().history.history)
+                if event is not None:
+                    swaps += _assert_pasts_of_pop_and_swaps(traces[0], event)
     assert checks > 20_000
     assert inconsistent > 500
+    assert swaps > 400
 
 
 def _checked(h: History) -> History:

@@ -14,12 +14,14 @@ from fixtures import (
     CYCLE_T3,
     CYCLE_WR_LIFT,
     TRIO_WRITER,
+    assert_causal_past_matches_full_construction,
     causal_cycle_history,
     containment_trio,
     init_log,
     is_prefix,
     order_positions,
     random_prefix,
+    reachable_by_search,
     run_fresh,
     track_history_memory,
 )
@@ -292,6 +294,61 @@ def test_causal_reachability_matches_closure_matrix(seed):
             assert causal_reachable(h, a, b) == reach[(a, b)]
 
 
+def _pasts_by_search(nodes, edges) -> dict | None:
+    """Each node's strict predecessors under ``edges``, or None when they
+    close a cycle, by a plain search from every node."""
+    after = reachable_by_search({n: [b for a, b in edges if a == n] for n in nodes})
+    if any(n in after[n] for n in nodes):
+        return None
+    return {n: frozenset(u for u in nodes if n in after[u]) for n in nodes}
+
+
+def _random_dag(rng: random.Random) -> tuple[list[int], list[tuple[int, int]], dict]:
+    """A random DAG over up to 8 nodes, its edges and its causal past."""
+    nodes = list(range(rng.randint(1, 8)))
+    edges = [(a, b) for a in nodes for b in nodes if a < b and rng.random() < 0.3]
+    return nodes, edges, _pasts_by_search(nodes, edges)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_closures_with_edges_match_a_search(seed):
+    """``closure_with_edges`` on a random DAG's past, for a random edge
+    sequence, is None exactly when the edges close a cycle, the very same
+    dict when every edge is already in it, and otherwise the past a plain
+    search finds."""
+    rng = random.Random(seed)
+    nodes, edges, past = _random_dag(rng)
+    for _ in range(4):
+        new = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 3))]
+        expected = _pasts_by_search(nodes, edges + new)
+        got = model.closure_with_edges(past, new)
+        if expected is None:
+            assert got is None, (edges, new)
+        elif all(a in past[b] for a, b in new):
+            assert got is past, (edges, new)
+        else:
+            assert got == expected, (edges, new)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_one_entry_rule_matches_a_search(seed):
+    """``_past_with_edge`` for a ``t`` no node follows, in the past or new,
+    and any ``w``, gives the past a plain search finds, changing ``t``'s
+    entry alone, and the very same dict when ``w`` is already before ``t``."""
+    rng = random.Random(seed)
+    nodes, edges, past = _random_dag(rng)
+    w = rng.choice(nodes)
+    sinks = [t for t in nodes if not any(t in past[u] for u in nodes)] + [len(nodes)]
+    t = rng.choice([u for u in sinks if u != w])
+    got = model._past_with_edge(past, w, t)
+    assert got == _pasts_by_search(sorted({*nodes, t}), edges + [(w, t)])
+    assert all(got[u] is past[u] for u in nodes if u != t)
+    if t in past and w in past[t]:
+        assert got is past
+
+
 # ---------------------------------------------------------------------------
 # Sub-history containment
 # ---------------------------------------------------------------------------
@@ -407,7 +464,7 @@ def test_ordered_histories_refuse_a_transaction_out_of_program_order():
 # use.  All eight must equal full construction's.
 HISTORY_VIEWS = ("so_pairs", "causal_adjacency", "wr_txn_pairs")
 HISTORY_RELATIONS = (
-    "by_id", "txn_ids", "sessions", "causal_closure", "wr_map", *HISTORY_VIEWS,
+    "by_id", "txn_ids", "sessions", "causal_past", "wr_map", *HISTORY_VIEWS,
 )
 # Ordered edits carry ``starts``, their one order relation.
 ORDER_RELATIONS = ("starts",)
@@ -470,7 +527,9 @@ def test_derived_edits_match_full_construction(seed):
     """Every edit derived from a valid parent equals the same history built
     by full validation, with equal derived relations, and raises exactly
     when full construction raises (with the same message for the history).
-    Walks a few random edits deep so that parents are themselves derived."""
+    Its causal past is the inverse of its causal closure, which a search
+    over so/wr confirms.  Walks a few random edits deep so that parents are
+    themselves derived."""
     rng = random.Random(seed)
     h = random_history(rng)
     for start in (h, random_prefix(rng, h)):
@@ -494,6 +553,7 @@ def test_derived_edits_match_full_construction(seed):
                 assert err == full_err, (event, writer)
                 if full is not None:
                     _assert_same_value(derived, full, HISTORY_RELATIONS, carried)
+                    assert_causal_past_matches_full_construction(derived)
                 order = current.order + (event.id,)
                 full_oh = (
                     None if full is None else _outcome(lambda: OrderedHistory(full, order))[0]
@@ -503,6 +563,7 @@ def test_derived_edits_match_full_construction(seed):
                 if oh is not None:
                     _assert_same_value(oh, full_oh, ORDER_RELATIONS, True)
                     _assert_same_value(oh.history, full, HISTORY_RELATIONS, carried)
+                    assert_causal_past_matches_full_construction(oh.history)
                     accepted.append(oh)
             if not accepted:
                 break
