@@ -109,7 +109,6 @@ from .model import (
     _past_with_edge,
     _with_writer,
     _without_writer,
-    begin_event,
     causally_before_or_equal,
     closure_with_edges,
     drop_events,
@@ -119,6 +118,7 @@ from .program import (
     LocalState,
     NextAction,
     Program,
+    _action,
     _local_after,
     _step,
     advance,
@@ -196,7 +196,7 @@ def _schedule(st: ExplorationState) -> Iterator[NextAction]:
         return
     for session, decl in enumerate(st.program.sessions):
         if sessions[session].txn_index < len(decl.txns):
-            yield NextAction(begin_event(TxnId(session, sessions[session].txn_index)))
+            yield _action(TxnId(session, sessions[session].txn_index), 0, BEGIN)
 
 
 def next_event(st: ExplorationState) -> NextAction | None:

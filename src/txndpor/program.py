@@ -28,16 +28,26 @@ explorer steps each event once, unchecked: its walks by ``_local_after``,
 its gate by :func:`advance`.  :func:`replay` rebuilds a state from scratch
 (or from a swap's cut state) along a sequence of a history's events, checking
 each through :func:`apply_event`.
+
+Every action a step or a begin produces comes from one bounded memo
+(``_action``, 1,024 entries) keyed by the action's whole value, so a walk
+builds each distinct event once, by the validating constructor, and shares
+it, its cached encoding included (hash-consing).  A hit returns what a miss
+builds, because the key holds every field of the action; a write's value
+is evaluated before the lookup, so evaluation errors are not memoized.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 from .model import (
+    ABORT,
     BEGIN,
+    COMMIT,
     COMMITTED,
     INIT_TXN,
     READ,
@@ -48,12 +58,7 @@ from .model import (
     OrderedHistory,
     TransactionLog,
     TxnId,
-    abort_event,
-    begin_event,
-    commit_event,
     lazy_property,
-    read_event,
-    write_event,
 )
 
 
@@ -178,14 +183,14 @@ class Program:
         return tuple(sorted(out))
 
     @lazy_property
-    def asserts(self) -> tuple[tuple[int, Expr], ...]:
-        """(session index, condition) for every assert instruction."""
+    def asserts(self) -> tuple[tuple[int, AssertInstr], ...]:
+        """(session index, instruction) for every assert instruction."""
         out = []
         for s, sess in enumerate(self.sessions):
             for txn in sess.txns:
                 for instr in txn.instrs:
                     if isinstance(instr, AssertInstr):
-                        out.append((s, instr.cond))
+                        out.append((s, instr))
         return tuple(out)
 
     def txn_body(self, tid: TxnId) -> Transaction:
@@ -521,6 +526,15 @@ def eval_expr(expr: Expr, env: dict[str, int]) -> int:
         raise ProgramError("expression nested too deeply") from None
 
 
+def _eval_at(instr: Instr, expr: Expr, env: dict[str, int]) -> int:
+    """:func:`eval_expr` of ``instr``'s ``expr``; an error names the
+    instruction's ``line:col`` first, as a parse error does."""
+    try:
+        return eval_expr(expr, env)
+    except ProgramError as e:
+        raise ProgramError(f"{instr.at[0]}:{instr.at[1]}: {e}") from None
+
+
 def _eval(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, IntLiteral):
         return expr.value
@@ -587,11 +601,11 @@ def _normalize(env: dict[str, int], queue: tuple[Instr, ...]) -> tuple[Instr, ..
     while items:
         head = items[0]
         if isinstance(head, AssignInstr):
-            env[head.target] = eval_expr(head.expr, env)
+            env[head.target] = _eval_at(head, head.expr, env)
             items.pop(0)
         elif isinstance(head, IfInstr):
             items.pop(0)
-            if eval_expr(head.cond, env) != 0:
+            if _eval_at(head, head.cond, env) != 0:
                 items.insert(0, head.body)
         elif isinstance(head, AssertInstr):
             items.pop(0)  # evaluated at the end of the run, not here
@@ -666,22 +680,32 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
 
 def _step(ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
     """The step rule: the next event of ``tid``, open in a session at
-    ``ls``, whose log so far is ``log``."""
+    ``ls``, whose log so far is ``log``.  The action comes from
+    ``_action``, a memo of at most 1,024 actions keyed by every field an
+    action carries, so a hit is what a miss would build.  A write's value
+    is evaluated first, as part of the key; each kind is looked up with one
+    number of arguments, so each value has one entry."""
     index = len(log.events)
     if not ls.queue:
-        return NextAction(commit_event(tid, index))
+        return _action(tid, index, COMMIT)
     head = ls.queue[0]
     if isinstance(head, AbortInstr):
-        return NextAction(abort_event(tid, index))
+        return _action(tid, index, ABORT)
     if isinstance(head, ReadInstr):
         own = log.write_set.get(head.var)  # the open log's last write of it
-        return NextAction(
-            read_event(tid, index, head.var), target=head.target,
-            internal_value=None if own is None else own.value,
-        )
+        return _action(tid, index, READ, head.var, None, head.target,
+                       None if own is None else own.value)
     assert isinstance(head, WriteInstr)
-    value = eval_expr(head.expr, ls.env)
-    return NextAction(write_event(tid, index, head.var, value))
+    return _action(tid, index, WRITE, head.var, _eval_at(head, head.expr, ls.env))
+
+
+@lru_cache(maxsize=1024)
+def _action(txn: TxnId, index: int, kind: str, var: str | None = None, value: int | None = None,
+            target: str | None = None, internal_value: int | None = None) -> NextAction:
+    """The action of one event value, built by the validating constructors
+    on a miss and shared on every hit.  Values are ints, never bools, and
+    variables strs, so equal keys are equal actions."""
+    return NextAction(Event(EventId(txn, index), kind, var, value), target, internal_value)
 
 
 def apply_event(
@@ -702,7 +726,7 @@ def apply_event(
         raise ProgramError(f"session {session} is not in the program")
     if event.kind == BEGIN and not st.sessions[session].in_txn:
         tid = st.next_unstarted_txn(session)
-        action = NextAction(begin_event(tid)) if tid is not None else None
+        action = _action(tid, 0, BEGIN) if tid is not None else None
     else:
         action = step_local(st, session)
     if action is None or action.event != event:
@@ -846,12 +870,12 @@ def assertions(st: ExplorationState) -> list[str]:
     ``"session NAME: assert(COND)"``; an empty list means all held.
     """
     violated = []
-    for session, cond in st.program.asserts:
+    for session, instr in st.program.asserts:
         final = TxnId(session, len(st.program.sessions[session].txns) - 1)
         log = st.history.history.by_id.get(final)
         if log is None or log.status != COMMITTED:
             continue
-        if eval_expr(cond, st.sessions[session].env) == 0:
+        if _eval_at(instr, instr.cond, st.sessions[session].env) == 0:
             name = st.program.sessions[session].name
-            violated.append(f"session {name}: assert({format_expr(cond)})")
+            violated.append(f"session {name}: assert({format_expr(instr.cond)})")
     return violated

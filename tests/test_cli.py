@@ -270,6 +270,23 @@ def test_run_rejects_a_too_deeply_nested_expression(tmp_path, expr):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "instr, col",
+    [("write(z, y + 1);", 5), ("a = y + 1;", 5), ("if (y + 1 == 0) { abort; }", 5),
+     ("assert(y + 1 == 0);", 5), ("a = 0; if (0 == a) { b = y + 1; }", 26)],
+    ids=["write", "assignment", "condition", "assert", "nested"],
+)
+def test_run_names_the_instruction_an_evaluation_error_happens_in(tmp_path, capsys, instr, col):
+    """An error raised while the program runs is prefixed by the line and
+    column of the instruction whose expression failed, as a parse error is."""
+    path = tmp_path / "overflow.txn"
+    path.write_text(f"session s {{\n  txn {{\n    y = 9223372036854775807;\n    {instr}\n  }}\n}}\n")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: 4:{col}: 64-bit signed overflow during evaluation\n"
+    assert "distinct histories" not in captured.out
+
+
 def test_run_reports_a_long_violated_assert(tmp_path):
     """A 600-term condition is evaluated and its violation rendered at the
     default recursion limit of a fresh interpreter."""

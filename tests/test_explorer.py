@@ -1099,6 +1099,42 @@ def test_swapped_query_matches_the_scan_it_replaces(level):
     assert verdicts.count(True) > 50 and verdicts.count(False) > 400
 
 
+# a's read of y can observe a transaction t of b while a's earlier read of x
+# observes c, which read y from t: an earlier read whose writer causally
+# follows t, which only the causal-past test in ``swapped``'s last clause
+# tells from a pivot.
+LATER_EARLIER_READ = (
+    "session a { txn { p = read(x); q = read(y); } } session b { txn { write(y, 1); } txn { write(y, 2); } }"
+    " session c { txn { r = read(y); write(x, r); } }"
+)
+# level -> (outputs, nodes, swaps taken, swaps rejected, max depth)
+LATER_EARLIER_READ_RUNS = {
+    IsolationLevel.RC: (18, 84, 8, 14, 24),
+    IsolationLevel.RA: (18, 84, 8, 14, 24),
+    IsolationLevel.CC: (15, 75, 8, 12, 24),
+}
+
+
+@pytest.mark.parametrize("level", EXTENSIBLE)
+def test_swapped_rejects_a_read_behind_an_earlier_read_of_a_later_writer(level):
+    """On a program where an earlier read of the reader observes a
+    transaction causally after the pivot's writer, ``swapped`` agrees with
+    the scan on every gate query, the counters are frozen, and the run
+    emits ``dfs``'s distinct histories.  Without the causal-past test in
+    its last clause the run emits one history twice and loses another."""
+    prog = parse(LATER_EARLIER_READ)
+    for h, rid, _ in _gate_queries(prog, level):
+        assert swapped(h, rid) == _swapped_by_scan(h, rid), (h, rid)
+    emitted: list[bytes] = []
+    stats = explore_ce(prog, level, emit=lambda s: emitted.append(canonical_encode(s.history.history)))
+    naive: set[bytes] = set()
+    dfs(prog, level, emit=lambda s: naive.add(canonical_encode(s.history.history)))
+    assert (stats.outputs, stats.recursive_calls, stats.swaps_taken, stats.swaps_rejected,
+            stats.max_depth) == LATER_EARLIER_READ_RUNS[level]
+    assert (stats.blocked_calls, stats.inconsistent_branch_entries) == (0, 0)
+    assert len(emitted) == len(set(emitted)) and set(emitted) == naive
+
+
 def test_gate_query_builds_no_history(monkeypatch):
     """The query builds no transaction log, history or ordered history and
     cuts nothing, yet keeps the reference's verdicts."""
@@ -1351,6 +1387,73 @@ def test_gate_heavy_fingerprints_match_frozen_values(name, level, monkeypatch):
     assert (stats.blocked_calls, stats.inconsistent_branch_entries) == (0, 0)
     assert (stats.swaps_taken, stats.swaps_rejected, stats.max_depth) == (taken, rejected, depth)
     assert digest.hexdigest() == sha
+
+
+def _action_fields(action: NextAction) -> list:
+    """Every field of ``action`` with its exact type, so that an int and a
+    bool of equal value, or a tuple and a ``TxnId``, differ."""
+    ev = action.event
+    values = (ev.id.txn, ev.id.index, ev.kind, ev.var, ev.value, action.target, action.internal_value)
+    return [type(action), type(ev), type(ev.id)] + [(v, type(v)) for v in values]
+
+
+MEMO_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
+    (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
+]
+
+
+@pytest.mark.parametrize(
+    "walk, level", MEMO_WALKS,
+    ids=[lvl.value if w is explore_ce else f"dfs-{lvl.value}" for w, lvl in MEMO_WALKS],
+)
+def test_step_memo_gives_what_an_uncached_step_builds(walk, level, monkeypatch):
+    """At every state the walk enters, on the examples and 50 random
+    programs, each action of the scheduling rule, taken from the step memo,
+    equals field by field the action built with the memo bypassed by its
+    ``__wrapped__`` function, and most of them are hits: the memo's key
+    holds every field of the action it returns."""
+    memo = program_module._action
+    schedule, checked = explorer._schedule, []
+
+    def compared(st):
+        warm = list(schedule(st))
+        with monkeypatch.context() as m:
+            for namespace in (program_module, explorer):
+                m.setattr(namespace, "_action", memo.__wrapped__)
+            cold = list(schedule(st))
+        assert [_action_fields(a) for a in warm] == [_action_fields(a) for a in cold]
+        checked.append(len(warm))
+        return iter(warm)
+
+    monkeypatch.setattr(explorer, "_schedule", compared)
+    rng = random.Random(31)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(random_program(rng)) for _ in range(50)]
+    memo.cache_clear()
+    nodes = sum(walk(prog, level).recursive_calls for prog in programs)
+    info = memo.cache_info()
+    assert len(checked) == nodes and max(checked) > 1
+    assert info.hits > 4 * info.misses and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize(
+    "name, level", [("prog3", IsolationLevel.RC), ("prog3", IsolationLevel.CC),
+                    ("ring3x2", IsolationLevel.RA)],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_runs_with_the_step_memo_emptied_at_every_node_match_warm_runs(name, level):
+    """A run whose entry hook empties the step memo at every node, so that
+    nearly every action is built afresh, takes the same counters and emits
+    the same histories in the same order as a run that finds them in it."""
+    prog = parse(GATE_HEAVY_SOURCES[name])
+    runs = []
+    for hook in (lambda parent, st: None, lambda parent, st: program_module._action.cache_clear()):
+        digest = hashlib.sha256()
+        stats = explore_ce(prog, level, entry_hook=hook, emit=lambda st: digest.update(
+            canonical_encode(st.history.history) + b"\n"))
+        runs.append((stats.outputs, stats.recursive_calls, stats.swaps_taken,
+                     stats.swaps_rejected, stats.max_depth, digest.hexdigest()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))

@@ -71,24 +71,27 @@ def test_every_module_parses_at_the_supported_python_floor(path):
 
 
 def _unbounded_memos(source: str) -> list[int]:
-    """Lines of ``source`` that use ``functools.cache`` or an ``lru_cache``
-    with ``maxsize=None``."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+    """Lines of ``source`` that use ``functools.cache``, or an ``lru_cache``
+    whose ``maxsize`` is not written as a positive int literal: ``None``, a
+    name, an expression, zero, a bool, or left to its default."""
+    lines, tree = [], ast.parse(source)
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
             found = any(alias.name == "cache" for alias in node.names)
-        elif isinstance(node, ast.Attribute):
-            found = (node.attr == "cache" and isinstance(node.value, ast.Name)
-                     and node.value.id == "functools")
+        elif isinstance(node, ast.Attribute) and name == "cache":
+            found = isinstance(node.value, ast.Name) and node.value.id == "functools"
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
-            found = name == "lru_cache" and any(
-                isinstance(size, ast.Constant) and size.value is None for size in sizes
+            found = name == "lru_cache" and not (
+                len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                and type(sizes[0].value) is int and sizes[0].value > 0
             )
-        else:
-            found = False
+        else:  # a bare ``@lru_cache`` takes the default size
+            found = name == "lru_cache" and id(node) not in calls
         if found:
             lines.append(node.lineno)
     return lines
@@ -96,16 +99,31 @@ def _unbounded_memos(source: str) -> list[int]:
 
 def test_library_memos_are_bounded():
     """No memo in the library can grow without bound over a long run, such as
-    a ``txndpor verify`` of a large program: no ``functools.cache`` and no
-    ``lru_cache(maxsize=None)``."""
+    a ``txndpor verify`` of a large program: no ``functools.cache``, and every
+    ``lru_cache`` states its bound as a positive int literal, which a reader
+    can see and no setting can lift."""
     for unbounded in (
         "from functools import cache",
         "import functools\n@functools.cache\ndef f(x): pass",
         "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass",
         "import functools\n@functools.lru_cache(None)\ndef f(x): pass",
+        "SIZE = 64\n@lru_cache(maxsize=SIZE)\ndef f(x): pass",
+        "@lru_cache(maxsize=2 ** 10)\ndef f(x): pass",
+        "@lru_cache(maxsize=0)\ndef f(x): pass",
+        "@lru_cache(maxsize=-1)\ndef f(x): pass",
+        "@lru_cache(maxsize=True)\ndef f(x): pass",
+        "@lru_cache(maxsize=1.5)\ndef f(x): pass",
+        "@lru_cache()\ndef f(x): pass",
+        "@lru_cache\ndef f(x): pass",
+        "import functools\n@functools.lru_cache\ndef f(x): pass",
     ):
         assert _unbounded_memos(unbounded), unbounded
-    assert _unbounded_memos("cache = {}\n@lru_cache(maxsize=64)\ndef f(x): pass") == []
+    for bounded in (
+        "cache = {}\n@lru_cache(maxsize=64)\ndef f(x): pass",
+        "import functools\n@functools.lru_cache(1_024)\ndef f(x): pass",
+        "@lru_cache(maxsize=8, typed=True)\ndef f(x): pass",
+    ):
+        assert _unbounded_memos(bounded) == [], bounded
     offenders = {
         path.name: lines
         for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))

@@ -71,7 +71,7 @@ def test_parse_program_structure():
 def test_parse_collects_asserts_with_sessions():
     prog = parse(COUNTER_SOURCE)
     assert [s for s, _ in prog.asserts] == [0]
-    assert format_expr(prog.asserts[0][1]) == "1 <= w"
+    assert format_expr(prog.asserts[0][1].cond) == "1 <= w"
 
 
 @pytest.mark.parametrize(
