@@ -36,13 +36,14 @@ changes in place, so callers may keep them.  Each swap the gate takes is
 walked on a fresh trace, which the gate builds from the walk's and returns;
 no walk cuts or replays a history.
 
-The trace and the immutable model run one copy of each rule: the step
+The walks and the public functions run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
 the candidate writers (:func:`_committed_writers`), the read decision
 (:func:`_accepted`), the reorderings (:func:`_reorderings`) and the
-relation changes of a begin (``model._begun``), a first write and an abort
-(``model._with_writer``, ``model._without_writer``), each over plain
-relations that the trace carries under :class:`History`'s names.
+transactions a swap keeps (:func:`_kept`), each over plain relations that
+the trace carries under :class:`History`'s names.  What an event changes in
+those relations is the trace's rule alone (``_Trace._apply``); the model's
+one-event edits build their results by full validation.
 
 Every state a walk enters is the state that was checked.  A read's writer
 is decided on the parent, whose reader entered last; :func:`dfs`, the
@@ -66,16 +67,20 @@ serializable histories via causally consistent scheduling.
 it branches over every action of the rule (including which session begins
 next) and therefore emits the same history many times.
 
-The public functions take and return states.  :func:`optimality`, given a
-state, swaps on a trace made from it and returns the swapped trace's state.
-:func:`swap` stays on the immutable model: it cuts the state and replays the
-reader (:func:`_swap_base`), and is the reference the trace's swap is
-tested against.
+The public functions take and return states.  :func:`valid_writes` and
+:func:`optimality`, given a state, decide, push or swap on a trace made from
+it and return the trace's states.  :func:`swap` is the plain reference the
+trace's swap is tested against: it cuts the state (:func:`drop_events`),
+replays the program from the root along the cut and the reader's events
+before the pivot (:func:`replay`), and applies the pivot
+(:func:`apply_event`), each event checked against the program and each
+history built by the validating constructors.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator
 
@@ -105,10 +110,7 @@ from .model import (
     OrderedHistory,
     TransactionLog,
     TxnId,
-    _begun,
     _past_with_edge,
-    _with_writer,
-    _without_writer,
     causally_before_or_equal,
     closure_with_edges,
     drop_events,
@@ -121,7 +123,6 @@ from .program import (
     _action,
     _local_after,
     _step,
-    advance,
     apply_event,
     replay,
 )
@@ -220,24 +221,30 @@ def valid_writes(
 
     Keys are the committed transactions the read may observe, in the order
     they entered the history; each value is ``st`` extended by the read
-    observing that writer, when its history is ``level``-consistent.  Each
-    writer is decided on ``st`` (:func:`isolation._read_closures`), since
-    the reader entered last, and only an accepted writer's state is built,
-    its closure cached as its verdict.  At TRUE every writer is accepted;
-    when ``st`` is inconsistent, none is.  Raises ``ValueError`` when
-    ``action`` is not an external read, and at SER and SI, whose reads are
-    not decided on the parent.
+    observing that writer, when its history is ``level``-consistent.  The
+    decision is the walk's own, on a trace made from ``st``
+    (:meth:`_Trace.children`): each writer is decided on ``st``, since the
+    reader entered last, and only an accepted writer's state is pushed,
+    entered and materialized, its closure cached as its verdict.  At TRUE
+    every writer is accepted; when ``st`` is inconsistent, none is.  Raises
+    ``ValueError`` when ``action`` is not an external read, and at SER and
+    SI, whose reads are not decided on the parent, and when the reader is
+    not the transaction that entered ``st`` last, which the order forbids
+    extending (:class:`OrderedHistory`).
     """
     _check_levels(level)
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
+    reader, last = action.event.id.txn, st.history.order[-1].txn
+    if reader != last:
+        raise ValueError(f"order interleaves {reader} with {last}")
+    tr = _Trace(st, level)
     children = {}
-    writers = _committed_writers(st.history.starts, st.by_id, action.event.var)  # type: ignore[arg-type]
-    for t, reach in _accepted(st.history.history, level, action.event, writers):
-        h = st.history.append(action.event, writer=t)
-        if reach is not None:
-            h.history.consistency_cache[level] = reach
-        children[t] = advance(st, action, t, h)
+    for t, reach in tr.children(action):
+        tr.push(action, t, reach)
+        tr.enter(action, t)
+        children[t] = tr.state()
+        tr.pop()
     return children
 
 
@@ -333,26 +340,15 @@ def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
     return {eid for eid in after if eid.txn != t and eid.txn not in before}
 
 
-def _swap_base(st: ExplorationState, r: EventId, dropped: set[EventId]) -> ExplorationState:
-    """``st`` cut back to what a swap on ``r`` keeps, up to just before ``r``.
-
-    The history loses ``dropped`` and the whole reader; each session that
-    lost transactions goes back to the locals its first lost one began
-    with (:func:`_rewind`), and only the reader's events before ``r`` are
-    replayed on top.  Kept events keep their writers and so their values;
-    only the pivot, appended next, can bring in a new one.  The cut is
-    :func:`_swap_cut`, whose relations the reader's begin carries on
-    instead of recomputing.  The walk swaps on its trace instead
-    (:meth:`_Trace.swap`); this is the reference it is tested against."""
-    h = st.history
-    reader = h.history.txn(r.txn)
-    cut = _swap_cut(h, dropped | {ev.id for ev in reader.events})
-    lost = {eid.txn for eid in dropped} | {r.txn}
-    assert lost.isdisjoint(cut.history.by_id), "swap cuts a transaction partway"
-    sessions = list(st.sessions)
-    _rewind(sessions, lost)
-    base = ExplorationState(st.program, cut, tuple(sessions))
-    return replay(st.program, h.history, [ev.id for ev in reader.events[: r.index]], base)
+def _kept(
+    starts: dict[TxnId, int], past: dict[TxnId, frozenset[TxnId]], r: EventId, t: TxnId
+) -> set[TxnId]:
+    """The transactions a swap of the read ``r`` toward ``t`` keeps whole,
+    from the entry order ``starts`` and causal past ``past``: those that
+    entered before ``r``'s reader, ``t`` and ``t``'s causal past (the first
+    bullet of :func:`reads_causally_latest`)."""
+    start, before_t = starts[r.txn], past[t]
+    return {u for u, i in starts.items() if i < start or u == t or u in before_t}
 
 
 def _rewind(sessions: list[LocalState], lost: Iterable[TxnId]) -> None:
@@ -363,35 +359,21 @@ def _rewind(sessions: list[LocalState], lost: Iterable[TxnId]) -> None:
         sessions[tid.session] = LocalState(begun[tid.index], tid.index, begun=begun[: tid.index])
 
 
-def _swap_cut(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
-    """``drop_events(h, dropped)`` for a swap, the reader's events among
-    ``dropped``, carrying ``h``'s relations restricted to the kept
-    transactions (:func:`_restricted`)."""
-    cut = drop_events(h, dropped)
-    hist, kept = h.history, cut.history.by_id
-    txn_ids, sessions, past, writers, wr_map = _restricted(hist, hist.sessions, kept)
-    cut.history.__dict__.update(  # fresh and unshared: fill its lazy relations
-        txn_ids=txn_ids, sessions=sessions, causal_past=past, writers=writers, wr_map=wr_map
-    )
-    return cut
-
-
-def _restricted(
-    h: History, sessions: dict[int, tuple[TxnId, ...]], kept: Container[TxnId]
-) -> tuple:
+def _restricted(tr: _Trace, kept: Container[TxnId]) -> tuple:
     """The transaction ids, session lists, causal past, writer index and wr
-    map of a swap's cut, from those of ``h``, a history or the walk's trace,
-    whose session lists are ``sessions``, and the transactions the cut
-    keeps.  Whole transactions go, the reader's included, and none reaches
-    a kept one (the second bullet of :func:`reads_causally_latest`), so a
-    kept transaction's past holds only kept ones and carries over as is."""
-    ids = tuple(u for u in h.txn_ids if u in kept)
+    map of a swap's cut, from those of the walk's trace ``tr`` and the
+    transactions the cut keeps.  Whole transactions go, the reader's
+    included, and none reaches a kept one (the second bullet of
+    :func:`reads_causally_latest`), so a kept transaction's past holds only
+    kept ones and carries over as is."""
+    ids = tuple(u for u in tr.txn_ids if u in kept)
     return (
         ids,
-        {s: ts for s, txns in sessions.items() if (ts := tuple(u for u in txns if u in kept))},
-        {u: h.causal_past[u] for u in ids},
-        {x: ws for x, txns in h.writers.items() if (ws := tuple(u for u in txns if u in kept))},
-        {rid: w for rid, w in h.wr_map.items() if rid.txn in kept},
+        {s: ts for s, txns in tr.session_txns.items()
+         if (ts := tuple(u for u in txns if u in kept))},
+        {u: tr.causal_past[u] for u in ids},
+        {x: ws for x, txns in tr.writers.items() if (ws := tuple(u for u in txns if u in kept))},
+        {rid: w for rid, w in tr.wr_map.items() if rid.txn in kept},
     )
 
 
@@ -416,9 +398,19 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     ``t``.  Other sessions keep their local state as of the cut and the
     reader is replayed along its kept events, so its remaining control flow
     is recomputed from the new value of ``r``.
+
+    The reference the walk's swap (:meth:`_Trace.swap`) is tested against,
+    built the plain way: :func:`drop_events` cuts the state, refusing to
+    orphan a kept read; :func:`replay` runs the program from the root along
+    the cut's order and the reader's events before ``r``; and
+    :func:`apply_event` applies the pivot.  The rebuilt history is not
+    checked against any level.
     """
-    pivot = _pivot(st.history, r, t)
-    base = _swap_base(st, r, _swap_drop_set(st.history, r, t))
+    h = st.history
+    pivot = _pivot(h, r, t)
+    reader = h.history.by_id[r.txn].events
+    cut = drop_events(h, _swap_drop_set(h, r, t) | {ev.id for ev in reader})
+    base = replay(st.program, h.history, cut.order + tuple(ev.id for ev in reader[: r.index]))
     return apply_event(base, pivot, writer=t)
 
 
@@ -528,8 +520,7 @@ def reads_causally_latest(
     above = [w for w in p if w > current and hist.by_id[w].writes_var(var)]  # type: ignore[arg-type]
     if not above or level is IsolationLevel.TRUE:
         return not above
-    start, before_t = h.starts[reader], past[t]
-    kept = {u for u, i in h.starts.items() if i < start or u == t or u in before_t}
+    kept = _kept(h.starts, past, r, t)
     reach = closure_with_edges(past, _forced_edges_of(hist, level, kept, hist.writers))
     # R's reads in the cut, then r observing w; at cc R's premise is P.
     return all(
@@ -665,20 +656,35 @@ class _Trace:
         old = self.by_id.get(t)
         first_write = False
         if kind == BEGIN:
-            log, self.txn_ids, self.session_txns, self.causal_past = _begun(
-                self.txn_ids, self.session_txns, self.causal_past, event
-            )
+            # t begins last in its session, its log built with the
+            # relations extended() carries; it goes in at its bisect
+            # position, and its past is its session predecessor's (or
+            # init's) plus that transaction.
+            log = object.__new__(TransactionLog)
+            log.__dict__.update(id=t, events=(event,), status=PENDING, write_set={}, read_set=())
+            i = bisect(self.txn_ids, t)
+            self.txn_ids = self.txn_ids[:i] + (t,) + self.txn_ids[i:]
+            same = self.session_txns.get(t.session, ())
+            grown = {**self.session_txns, t.session: same + (t,)}
+            self.session_txns = grown if same else dict(sorted(grown.items()))
+            self.causal_past = _past_with_edge(self.causal_past, same[-1] if same else INIT_TXN, t)
             self.starts[t] = self.length
         else:
             log = old.extended(event)  # type: ignore[union-attr]
             if writer is not None:
                 self.wr_map[event.id] = writer
                 self.causal_past = _past_with_edge(self.causal_past, writer, t)
-            elif kind == ABORT:
-                self.writers = _without_writer(self.writers, old)  # type: ignore[arg-type]
+            elif kind == ABORT and old.write_set:  # type: ignore[union-attr]
+                writers = self.writers = dict(self.writers)
+                for var in old.write_set:  # type: ignore[union-attr]
+                    if ws := tuple(u for u in writers[var] if u != t):
+                        writers[var] = ws
+                    else:
+                        del writers[var]
             elif kind == WRITE and event.var not in old.write_set:  # type: ignore[union-attr]
                 first_write = True
-                self.writers = _with_writer(self.writers, event.var, t)  # type: ignore[arg-type]
+                ws = self.writers.get(event.var, ()) + (t,)  # type: ignore[arg-type]
+                self.writers = {**self.writers, event.var: tuple(sorted(ws))}  # type: ignore[dict-item]
         self.by_id[t] = log
         self.length += 1
         self.snapshot = None
@@ -716,20 +722,20 @@ class _Trace:
         No transaction but the reader is cut partway, so the swap's trace is
         built from this one, left as it is, in four steps: (1) its relations
         restricted to the kept transactions, those that entered before the
-        reader plus ``t`` and whatever is causally before it
-        (:func:`_restricted`); (2) each session that lost transactions
+        reader plus ``t`` and whatever is causally before it (:func:`_kept`,
+        :func:`_restricted`); (2) each session that lost transactions
         rewound (:func:`_rewind`); (3) the reader's events before ``r``
         stepped again with their writers, by the step, edit and local-state
         rules, with no undo entry and no verdict; (4) ``r`` applied
         observing ``t`` and the history checked once, from scratch, before
         the pivot is entered, so a rejected swap runs no program code.
         """
-        reader, starts, before_t = r.txn, self.starts, self.causal_past[t]
-        kept = {u for u, i in starts.items() if i < starts[reader] or u == t or u in before_t}
+        reader, starts = r.txn, self.starts
+        kept = _kept(starts, self.causal_past, r, t)
         new = object.__new__(_Trace)
         new.program, new.level, new.after = self.program, self.level, self.after
         new.txn_ids, new.session_txns, new.causal_past, new.writers, new.wr_map = _restricted(
-            self, self.session_txns, kept  # type: ignore[arg-type]
+            self, kept
         )
         new.by_id = {u: log for u, log in self.by_id.items() if u in kept}
         new.starts, new.length = {}, 0

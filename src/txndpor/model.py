@@ -17,33 +17,19 @@ Typical construction goes through :class:`OrderedHistory`::
 
 All values are immutable; mutation happens by producing new values.
 
-Full validation runs wherever a history enters from outside: ``History(...)``,
-``OrderedHistory(...)`` and :func:`canonical_decode`.  The derived edits
-start from an already valid value and check only what the edit can break,
-with the same rules and messages.  They serve the gate's swaps and the
-public editing API; both of the explorer's walks run on a mutable trace
-instead, which applies the same relation changes (:func:`_begun`,
-:func:`_with_writer`, :func:`_without_writer`) in place and materializes
-histories only where a caller needs one.  The one-event edits (:meth:`History.with_begin`,
-:meth:`History.with_event`, :meth:`OrderedHistory.append`) carry six of the
-parent's derived relations forward updated by the delta: the index by id, the
-transaction ids, sessions, causal past, wr map and the writer index
-:attr:`History.writers`.  The causal closure (each transaction's successors),
-session-order pairs, so/wr adjacency and wr transaction pairs are views
-computed on first use, which nothing on the walks' path computes.  Each edit
-costs what its event changes: a new log or wr edge goes in at its ``bisect``
-position, and a begin's log holds the very event ``append`` was given.  Only a begin that is
-not last in its session, or is in the init session, is fully validated.
-:meth:`History.with_event` extends the open log by
-:meth:`TransactionLog.extended`, which checks in O(1) that the log is pending
-and the event is its next one and no begin, and carries ``status``,
-``write_set`` and ``read_set``; any other event goes to the validating
-constructor, which raises.  An edit starts with an empty consistency
-cache: it records nothing of its parent.  :meth:`OrderedHistory.append`
-carries ``starts``, which only a begin changes.  :func:`drop_events`
-recomputes the relations from the result instead, since deleting events can
-shrink causality; only the cut a swap makes, which drops no transaction that
-reaches a kept one, is given them by restriction (``explorer._swap_cut``).
+Full validation runs wherever a history is built: ``History(...)``,
+``OrderedHistory(...)``, :func:`canonical_decode` and the one-event edits
+(:meth:`History.with_begin`, :meth:`History.with_event`,
+:meth:`OrderedHistory.append`).  An edit first refuses, with its own message,
+what no valid history continues with: a begin of a transaction that already
+began, an event that is not the next of its transaction, a writer on an event
+other than a read.  It then builds its result by the validating constructors,
+which raise for anything else.  The explorer's walks edit no value: they run
+on a mutable trace (``explorer._Trace``), which applies each event's relation
+changes in place and materializes histories only where a caller needs one,
+by :meth:`History._derived`.  :func:`drop_events` builds its cut by
+``_derived`` too: it re-checks only what a deletion can break, and leaves
+every relation but the logs by id to be computed on first use.
 Lazy relations fill by :class:`lazy_property`, which takes no lock.
 
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
@@ -56,7 +42,6 @@ ASCII escaper; an event's variable is a ``str`` and its value an ``int``.
 
 from __future__ import annotations
 
-import graphlib
 import json
 from bisect import bisect
 from dataclasses import dataclass
@@ -384,12 +369,21 @@ class History:
             if reader is None or read_id.index >= len(reader.events):
                 raise ValueError(f"wr source read {read_id} not in history")
             ev = reader.events[read_id.index]
-            _check_wr_edge(by_id, ev, ev not in reader.read_set, writer)
-        # so union wr must stay acyclic; graphlib's cycle search is iterative.
-        try:
-            graphlib.TopologicalSorter(self.causal_adjacency).prepare()
-        except graphlib.CycleError:
-            raise ValueError("so union wr is cyclic") from None
+            if ev.kind != READ:
+                raise ValueError(f"wr source {ev.id} is not a read")
+            if ev not in reader.read_set:
+                raise ValueError(f"read {ev.id} is internal, cannot have a writer")
+            if writer == ev.id.txn:
+                raise ValueError(f"read {ev.id} reads from its own transaction")
+            wlog = by_id.get(writer)
+            if wlog is None:
+                raise ValueError(f"writer {writer} of read {ev.id} not in history")
+            if wlog.status == ABORTED:
+                raise ValueError(f"read {ev.id} reads from aborted {writer}")
+            if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
+                raise ValueError(f"writer {writer} does not write {ev.var!r}")
+        if _sources_first(self.causal_adjacency) is None:
+            raise ValueError("so union wr is cyclic")
 
     # -- basic accessors ----------------------------------------------------
 
@@ -473,11 +467,11 @@ class History:
     @lazy_property
     def causal_past(self) -> dict[TxnId, frozenset[TxnId]]:
         """t -> every transaction strictly before t in so union wr: its
-        causal past.  Derived edits carry it; from scratch it takes one pass
-        over so/wr in topological order."""
+        causal past.  The walk's trace carries it; from scratch it takes one
+        pass over so/wr in topological order."""
         adj = self.causal_adjacency
         past: dict[TxnId, set[TxnId]] = {t: set() for t in adj}
-        for t in reversed([*graphlib.TopologicalSorter(adj).static_order()]):  # sources first
+        for t in _sources_first(adj):  # type: ignore[union-attr]
             for u in adj[t]:
                 past[u] |= past[t] | {t}
         return {t: frozenset(p) for t, p in past.items()}
@@ -485,7 +479,8 @@ class History:
     @lazy_property
     def causal_closure(self) -> dict[TxnId, frozenset[TxnId]]:
         """t -> every transaction strictly reachable from t via so union wr:
-        the inverse of :attr:`causal_past`, which no derived edit carries."""
+        the inverse of :attr:`causal_past`, which the walk's trace does not
+        carry."""
         past = self.causal_past
         return {u: frozenset(t for t in past if u in past[t]) for u in self.txn_ids}
 
@@ -496,7 +491,7 @@ class History:
     @lazy_property
     def writers(self) -> dict[str, tuple[TxnId, ...]]:
         """Variable -> the transactions whose ``write_set`` holds it, in
-        ``logs`` order.  Never mutated, so derived edits share it."""
+        ``logs`` order.  Never mutated, so the walk's snapshots share it."""
         out: dict[str, list[TxnId]] = {}
         for log in self.logs:
             for var in log.write_set:
@@ -512,13 +507,13 @@ class History:
 
     @classmethod
     def _derived(cls, logs, wr, **relations) -> "History":
-        """A child of a valid history whose delta the caller has checked.
+        """A history whose validity the caller vouches for.
 
-        Skips ``__post_init__``; ``relations`` are the parent's derived
-        relations updated by the delta and become the child's cached
-        properties.  A relation left out (the one-event edits leave out the
-        session-order pairs, so/wr adjacency and wr transaction pairs,
-        ``drop_events`` all but ``by_id``) is computed on first use.
+        Skips ``__post_init__``; ``relations`` become its cached
+        properties, and a relation left out is computed on first use.  It
+        serves the walk's snapshots (``explorer._Trace.state``), which
+        carry the trace's relations, and :func:`drop_events`, which carries
+        only ``by_id``.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -527,155 +522,57 @@ class History:
     def with_begin(self, txn: TxnId, begin: Event | None = None) -> "History":
         """Open ``txn`` with its begin event ``begin`` (built when not given).
 
-        The log goes in at its ``bisect`` position.  A begin that comes last
-        in a non-init session is derived from this history, its log and
-        relations by :func:`_begun`.  Any other begin, or an event that is
-        not ``txn``'s begin, goes through full validation.
+        The log goes in at its ``bisect`` position and the result is built
+        by the validating constructors, which raise when ``begin`` is not
+        ``txn``'s begin.
         """
         if txn in self.by_id:
             raise ValueError(f"transaction {txn} already began")
-        begin = begin or begin_event(txn)
         i = bisect(self.txn_ids, txn)
-        same = self.sessions.get(txn.session, ())
-        if (txn.session < 0 or (same and same[-1] > txn)
-                or begin.kind != BEGIN or begin.id != (txn, 0)):
-            log = TransactionLog(txn, (begin,))
-            return History(self.logs[:i] + (log,) + self.logs[i:], self.wr)
-        log, txn_ids, sessions, past = _begun(self.txn_ids, self.sessions, self.causal_past, begin)
-        logs = self.logs[:i] + (log,) + self.logs[i:]
-        return History._derived(
-            logs,
-            self.wr,
-            by_id=dict(zip(txn_ids, logs)),
-            txn_ids=txn_ids,
-            sessions=sessions,
-            causal_past=past,
-            wr_map=self.wr_map,
-            writers=self.writers,
-        )
+        log = TransactionLog(txn, (begin or begin_event(txn),))
+        return History(self.logs[:i] + (log,) + self.logs[i:], self.wr)
 
     def with_event(self, event: Event, writer: TxnId | None = None) -> "History":
         """Append one event to its (existing) transaction, optionally with a wr edge.
 
-        Derived from this history: the new log is
-        :meth:`TransactionLog.extended`, and only its O(1) checks, the new wr
-        edge and, for an abort, the reads observing the aborting transaction
-        are checked.  The relations :meth:`with_begin` carries are carried
-        over: a wr edge goes into ``wr`` at its ``bisect`` position, adds its
-        read to ``wr_map`` and (writer, reader) to the causal past.  The writer
-        index changes only on a first write of a variable, which inserts the
-        transaction in order, and on an abort, which removes it.  The open
-        log's ``write_set`` tells a first write and an internal read.
+        The extended log and the result are built by the validating
+        constructors; the wr edge goes into ``wr`` at its ``bisect``
+        position.
         """
         log = self.txn(event.id.txn)
         if event.id.index != len(log.events):
             raise ValueError(f"event {event.id} is not the next of {log.id}")
-        new_log = log.extended(event)
+        new_log = TransactionLog(log.id, log.events + (event,))
         if writer is not None and event.kind != READ:
             raise ValueError("only reads take a writer")
         i = self.txn_ids.index(log.id)
-        logs = self.logs[:i] + (new_log,) + self.logs[i + 1 :]
-        writers = self.writers
-        if event.kind == ABORT:
-            for read_id, w in self.wr:
-                if w == log.id:
-                    raise ValueError(f"read {read_id} reads from aborted {w}")
-            writers = _without_writer(writers, log)
-        elif event.kind == WRITE and event.var not in log.write_set:  # a first write
-            writers = _with_writer(writers, event.var, log.id)  # type: ignore[arg-type]
         wr = self.wr
-        wr_map = self.wr_map
-        past = self.causal_past
         if writer is not None:
-            _check_wr_edge(self.by_id, event, event.var in log.write_set, writer)
-            past = closure_with_edges(past, [(writer, log.id)])
-            if past is None:
-                raise ValueError("so union wr is cyclic")
             j = bisect(wr, edge := (event.id, writer))
             wr = wr[:j] + (edge,) + wr[j:]
-            wr_map = {**wr_map, event.id: writer}
-        return History._derived(
-            logs,
-            wr,
-            by_id={**self.by_id, log.id: new_log},
-            txn_ids=self.txn_ids,
-            sessions=self.sessions,
-            causal_past=past,
-            wr_map=wr_map,
-            writers=writers,
-        )
-
-
-def _check_wr_edge(
-    by_id: dict[TxnId, TransactionLog], ev: Event, internal: bool, writer: TxnId
-) -> None:
-    """Reject a wr edge from ``writer`` to the event ``ev`` that no valid
-    history has (cycles aside); ``internal``: ``ev``'s transaction wrote its
-    variable before it."""
-    if ev.kind != READ:
-        raise ValueError(f"wr source {ev.id} is not a read")
-    if internal:
-        raise ValueError(f"read {ev.id} is internal, cannot have a writer")
-    if writer == ev.id.txn:
-        raise ValueError(f"read {ev.id} reads from its own transaction")
-    wlog = by_id.get(writer)
-    if wlog is None:
-        raise ValueError(f"writer {writer} of read {ev.id} not in history")
-    if wlog.status == ABORTED:
-        raise ValueError(f"read {ev.id} reads from aborted {writer}")
-    if not wlog.writes_var(ev.var):  # type: ignore[arg-type]
-        raise ValueError(f"writer {writer} does not write {ev.var!r}")
-
-
-def _begun(
-    txn_ids: tuple[TxnId, ...], sessions: dict[int, tuple[TxnId, ...]],
-    past: dict[TxnId, frozenset[TxnId]], begin: Event,
-) -> tuple[TransactionLog, tuple[TxnId, ...], dict[int, tuple[TxnId, ...]], dict]:
-    """A begin of ``begin``'s transaction ``t``, last in its session and not
-    init: its log, built as :meth:`TransactionLog.extended` builds one, and
-    the transaction ids, session lists and causal past updated by it.
-    ``t`` goes in at its ``bisect`` position, ``sessions`` is re-sorted only
-    for a new session, and ``t``'s past is its session predecessor's (or
-    init's) plus that transaction (:func:`_past_with_edge`)."""
-    t = begin.id.txn
-    log = object.__new__(TransactionLog)
-    log.__dict__.update(id=t, events=(begin,), status=PENDING, write_set={}, read_set=())
-    i = bisect(txn_ids, t)
-    same = sessions.get(t.session, ())
-    grown = {**sessions, t.session: same + (t,)}
-    return (log, txn_ids[:i] + (t,) + txn_ids[i:],
-            grown if same else dict(sorted(grown.items())),
-            _past_with_edge(past, same[-1] if same else INIT_TXN, t))
-
-
-def _with_writer(
-    writers: dict[str, tuple[TxnId, ...]], var: str, t: TxnId
-) -> dict[str, tuple[TxnId, ...]]:
-    """The writer index after ``t``'s first write of ``var``: ``t`` inserted
-    in order, in a new dict."""
-    return {**writers, var: tuple(sorted(writers.get(var, ()) + (t,)))}
-
-
-def _without_writer(
-    writers: dict[str, tuple[TxnId, ...]], log: TransactionLog
-) -> dict[str, tuple[TxnId, ...]]:
-    """The writer index after ``log``'s transaction aborts: it leaves the
-    entry of every variable it wrote, in a new dict (``writers`` itself
-    when it wrote nothing)."""
-    if not log.write_set:
-        return writers
-    writers = dict(writers)
-    for var in log.write_set:
-        if kept := tuple(t for t in writers[var] if t != log.id):
-            writers[var] = kept
-        else:
-            del writers[var]
-    return writers
+        return History(self.logs[:i] + (new_log,) + self.logs[i + 1 :], wr)
 
 
 # ---------------------------------------------------------------------------
 # Relation helpers
 # ---------------------------------------------------------------------------
+
+
+def _sources_first(adj: dict[TxnId, tuple[TxnId, ...]]) -> list[TxnId] | None:
+    """The transactions of successor lists ``adj`` in a topological order,
+    or None when they hold a cycle: Kahn's pass, iterative, which orders
+    every transaction exactly when no cycle blocks one."""
+    preds = dict.fromkeys(adj, 0)
+    for successors in adj.values():
+        for b in successors:
+            preds[b] += 1
+    ready = [t for t, n in preds.items() if not n]
+    for a in ready:
+        for b in adj[a]:
+            preds[b] -= 1
+            if not preds[b]:
+                ready.append(b)
+    return ready if len(ready) == len(adj) else None
 
 
 def closure_with_edges(
@@ -735,6 +632,13 @@ class OrderedHistory:
     may be pending, but only the last to enter is extended.  :attr:`starts`,
     each transaction's first position in entry order, is the one order
     relation; an event's position is its transaction's start plus its index.
+
+    Construction checks the entry order against the direct so/wr edges
+    (:attr:`History.causal_adjacency`) only, which builds no closure.  It
+    accepts what a check of every pair in :attr:`History.causal_past`
+    accepts: a direct edge is such a pair, and a pair is joined by a path
+    of direct edges, each entering in order, so by transitivity the pair
+    does.
     """
 
     history: History
@@ -751,10 +655,9 @@ class OrderedHistory:
                 raise ValueError(f"order interleaves {eid.txn} with {order[i - 1].txn}")
             if eid.index != i - starts[eid.txn]:
                 raise ValueError(f"event {eid} is not the next of {eid.txn}")
-        past = self.history.causal_past
-        for b, first in starts.items():
-            for a in past[b]:
-                if starts[a] > first:
+        for a, successors in self.history.causal_adjacency.items():
+            for b in successors:
+                if starts[a] > starts[b]:
                     raise ValueError(f"order violates so/wr between {a} and {b}")
 
     @classmethod
@@ -791,26 +694,16 @@ class OrderedHistory:
         A begin event opens a new log, which enters last; any other event
         extends the pending log of the last transaction to enter.
         ``writer`` attaches the wr edge of an external read.  The result is
-        derived from this value: a begin is checked to have no causal
-        successor (one that is not last in its session always has one), and
-        a read's writer entered earlier, so it needs no check of its own.
+        built by :meth:`History.with_begin` or :meth:`History.with_event`
+        and the validating constructor.
         """
-        txn = event.id.txn
-        starts = self.starts
         if event.kind == BEGIN:
             if writer is not None:
                 raise ValueError("begin takes no writer")
-            hist = self.history.with_begin(txn, event)
-            if after := [u for u, past in hist.causal_past.items() if txn in past]:
-                raise ValueError(f"order violates so/wr between {txn} and {min(after)}")
-            starts = {**starts, txn: len(self.order)}
+            hist = self.history.with_begin(event.id.txn, event)
         else:
             hist = self.history.with_event(event, writer)
-            if txn != (last := self.order[-1].txn):
-                raise ValueError(f"order interleaves {txn} with {last}")
-        h = object.__new__(OrderedHistory)
-        h.__dict__.update(history=hist, order=self.order + (event.id,), starts=starts)
-        return h
+        return OrderedHistory(hist, self.order + (event.id,))
 
 
 def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
@@ -824,7 +717,10 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
     surviving reads' writers and init are re-checked; a deletion keeps ids
     sorted and unique, reads' own wr checks, so union wr acyclic, each
     transaction's events consecutive and the order of entry extending so
-    union wr.  Relations are recomputed: a cut may lose wr edges.
+    union wr.  Relations are recomputed: a cut may lose wr edges.  Unlike
+    the one-event edits it skips full validation, which would re-check all
+    of that on every cut: ``oracles.prev`` cuts every state a checked run
+    enters.
     """
     cut = {eid.txn for eid in dropped}
     new_logs = []

@@ -23,11 +23,12 @@ state reached by running the program along it; ``in_txn`` marks a session's
 open transaction, whose log's ``write_set`` answers its internal reads.
 :func:`apply_event` is the
 checked boundary: it accepts an event only if it equals the program's own
-next event for its session, then applies it with :func:`advance`.  The
-explorer steps each event once, unchecked: its walks by ``_local_after``,
-its gate by :func:`advance`.  :func:`replay` rebuilds a state from scratch
-(or from a swap's cut state) along a sequence of a history's events, checking
-each through :func:`apply_event`.
+next event for its session, then appends it to the history, which the
+validating constructors check, and steps the session's locals by
+``_local_after``.  The explorer's walks step each event once, unchecked, on
+their trace, by the same ``_local_after``.  :func:`replay` rebuilds a state
+from scratch along a sequence of a history's events, checking each through
+:func:`apply_event`.
 
 Every action a step or a begin produces comes from one bounded memo
 (``_action``, 1,024 entries) keyed by the action's whole value, so a walk
@@ -576,8 +577,9 @@ class LocalState:
     ``queue`` holds the remaining instructions of the open transaction with
     silent instructions (assignments, resolved conditionals, asserts) already
     consumed, so its head — when present — is always a database action.
-    ``begun`` holds the locals each begun transaction started from, so a
-    swap can set the session back to any of its begins without a replay.
+    ``begun`` holds the locals each begun transaction started from, so the
+    walk's swap (``explorer._Trace.swap``) can set the session back to any
+    of its begins without a replay.
     """
 
     locals: tuple[tuple[str, int], ...] = ()
@@ -718,8 +720,8 @@ def apply_event(
     resolves in its open one, a write's value included.  An external read
     needs a committed ``writer`` that writes its variable, and observes that
     writer's final write on it; no other event takes a writer.  Raises
-    :class:`ProgramError` for any other input, and applies the event with
-    :func:`advance` otherwise.
+    :class:`ProgramError` for any other input; otherwise appends the event
+    by :meth:`OrderedHistory.append` and steps the session's locals past it.
     """
     session = event.id.txn.session
     if not 0 <= session < len(st.sessions):
@@ -745,28 +747,8 @@ def apply_event(
     elif writer is not None:
         what = "internal reads" if event.kind == READ else f"{event.kind} events"
         raise ProgramError(f"{what} take no writer")
-    return advance(st, action, writer)
-
-
-def advance(
-    st: ExplorationState,
-    action: NextAction,
-    writer: TxnId | None = None,
-    history: OrderedHistory | None = None,
-) -> ExplorationState:
-    """Apply ``action``, the program's next event as :func:`step_local` or a
-    begin of :meth:`ExplorationState.next_unstarted_txn` gives it, unchecked.
-
-    ``writer`` is an external read's writer, whose final write on the
-    variable the read observes.  ``history``, when given, is
-    ``st.history.append(action.event, writer=writer)`` already built and
-    checked by the caller, and is entered as is: no program code after the
-    event runs before that check.
-    """
-    event = action.event
-    session = event.id.txn.session
-    hist = history if history is not None else st.history.append(event, writer=writer)
-    new_ls = _local_after(st.program, st.sessions[session], action, st.history.history.by_id, writer)
+    hist = st.history.append(event, writer=writer)
+    new_ls = _local_after(st.program, st.sessions[session], action, st.by_id, writer)
     sessions = st.sessions[:session] + (new_ls,) + st.sessions[session + 1 :]
     return ExplorationState(st.program, hist, sessions)
 
@@ -799,17 +781,15 @@ def _local_after(
     return LocalState(ls.locals, ls.txn_index + 1, False, (), ls.begun)  # COMMIT or ABORT
 
 
-def replay(program: Program, history: History, order: Iterable[EventId],
-           start: ExplorationState | None = None) -> ExplorationState:
+def replay(program: Program, history: History, order: Iterable[EventId]) -> ExplorationState:
     """Re-execute ``program`` along ``order``, rebuilding local state.
 
     Each event of ``order`` is taken, with its writer, from ``history`` and
     appended by :func:`apply_event`, which checks it against the program,
-    starting from ``start`` (a swap's cut state) or the initial state.
-    Init events are skipped; ``history``'s init transaction must be the
-    starting state's.
+    starting from the initial state.  Init events are skipped; ``history``'s
+    init transaction must be the program's.
     """
-    st = start if start is not None else ExplorationState.initial(program)
+    st = ExplorationState.initial(program)
     if history.txn(INIT_TXN).events != st.history.history.txn(INIT_TXN).events:
         raise ProgramError("initial transaction does not match the program")
     wr_map = history.wr_map

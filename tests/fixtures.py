@@ -263,7 +263,7 @@ def snapshot_blocker() -> tuple[History, object]:
 
 
 # ---------------------------------------------------------------------------
-# Causal pasts, for the tests of derived edits.
+# Causal pasts, for the tests of edits, traces and cuts.
 # ---------------------------------------------------------------------------
 
 
@@ -508,8 +508,9 @@ class HistoryMemoryTracker:
 
 
 # The two ways a history comes to exist: full validation, which the
-# generated __init__ reaches through the class attribute, and the derived
-# edits.
+# generated __init__ reaches through the class attribute, and
+# History._derived, which serves the trace's snapshots (_Trace.state()) and
+# drop_events.
 _POST_INIT = History.__dict__["__post_init__"]
 _DERIVED = History.__dict__["_derived"]
 

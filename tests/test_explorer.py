@@ -31,7 +31,6 @@ from txndpor.explorer import (
     ReorderCandidate,
     RunInterrupted,
     TimeLimitExceeded,
-    _swap_base,
     _swap_drop_set,
     causal_extension_exists,
     compute_reorderings,
@@ -86,7 +85,6 @@ from txndpor.program import (
     NextAction,
     _freeze_env,
     _normalize,
-    advance,
     apply_event,
     parse,
     replay,
@@ -319,19 +317,20 @@ def test_writers_decided_on_the_parent_match_build_then_check(level):
     """On every state explore_ce enters whose next action is an external
     read, on the examples, the corner programs and 100 random programs,
     ``valid_writes`` gives the keys, in order, and the children of building
-    each extension and checking it.  Each child's cached closure is its
-    forced closure recomputed from full construction, without a cache."""
+    each extension by ``apply_event`` and checking it.  Each child's cached
+    closure is its forced closure recomputed from full construction,
+    without a cache."""
     rejected = 0
     for st, action in _next_reads(_examples_corners_and_draws(21, 100), level):
         hist = st.history.history
         built = {
-            t: st.history.append(action.event, writer=t)
+            t: apply_event(st, action.event, writer=t)
             for t in st.history.starts
             if hist.txn(t).status == COMMITTED and hist.txn(t).writes_var(action.event.var)
         }
         expected = {
-            t: advance(st, action, t, h)
-            for t, h in built.items() if check_consistency(h.history, level)
+            t: child for t, child in built.items()
+            if check_consistency(child.history.history, level)
         }
         children = valid_writes(st, action, level)
         assert list(children) == list(expected)
@@ -345,21 +344,21 @@ def test_writers_decided_on_the_parent_match_build_then_check(level):
 
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_valid_writes_build_nothing_for_a_rejected_writer(level, monkeypatch):
-    """``valid_writes`` appends the read once per writer it accepts and
-    builds nothing by full construction, so a rejected writer costs no
-    history and no ordered history."""
+    """``valid_writes`` pushes the read on its trace once per writer it
+    accepts and builds nothing by full construction, so a rejected writer
+    costs no history and no ordered history."""
     cases = list(_next_reads(_examples_corners_and_draws(22, 100), level))
     appended: list[TxnId] = []
-    append = OrderedHistory.append
+    push = explorer._Trace.push
 
-    def counted(self, event, writer=None):
+    def counted(self, action, writer=None, reach=None):
         appended.append(writer)
-        return append(self, event, writer)
+        return push(self, action, writer, reach)
 
     def refuse(*args, **kwargs):
         raise AssertionError("valid_writes built a history by full construction")
 
-    monkeypatch.setattr(OrderedHistory, "append", counted)
+    monkeypatch.setattr(explorer._Trace, "push", counted)
     monkeypatch.setattr(OrderedHistory, "__post_init__", refuse)
     monkeypatch.setattr(History, "__post_init__", refuse)
     rejected = 0
@@ -433,8 +432,8 @@ def test_write_steps_keep_the_locals_the_env_path_computes(walk, level, monkeypa
     programs and 50 random programs, the session's new ``LocalState``
     equals the one built by running the rest of the queue on a copy of the
     locals and freezing them, whether or not a silent instruction follows
-    the write.  Both walks step locals on their trace, and the swaps'
-    replays through ``advance``, by the one rule ``_local_after``."""
+    the write.  Both walks step locals on their trace, and their swaps
+    re-step the reader there, by the one rule ``_local_after``."""
     followed: list[bool] = []
     local_after = program_module._local_after
 
@@ -468,7 +467,7 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
     """No state the walks enter past the root holds the causal closure (the
     successor view of the causal past), the session-order pairs, the so/wr
     adjacency or the wr transaction pairs, even once the run is over:
-    derived edits do not carry them and nothing on the walks' path
+    the trace's snapshots do not carry them and nothing on the walks' path
     computes them.  Each state's ``starts`` equals its definition from the
     order.  ``explore_ce``'s states come from its entry hook, ``dfs``'s from
     its emissions."""
@@ -759,42 +758,36 @@ def test_swap_result_minus_its_pivot_is_a_prefix_of_the_parent():
         assert checked > 0
 
 
-def _swap_base_from_root(st: ExplorationState, r, dropped) -> ExplorationState:
-    """The swap base rebuilt from the root: every kept event of the other
-    transactions, then the reader's events before ``r``, replayed in order."""
-    h = st.history
-    others = [eid for eid in h.order if eid.txn != r.txn and eid not in dropped]
-    prefix = [eid for eid in h.order if eid.txn == r.txn and eid.index < r.index]
-    return replay(st.program, h.history, others + prefix)
-
-
 @pytest.mark.parametrize("level", (IsolationLevel.CC, IsolationLevel.RC))
 def test_swaps_match_a_replay_from_the_root(level):
-    """On every (state, candidate) explore_ce reaches, the swap base cut
-    from the current state, and the swap itself, equal the states replayed
-    from the root, per-session local state included.  The gate, which swaps
-    on a trace, returns None or that same swap, whose cached verdict is
-    full construction's."""
+    """On every (state, candidate) explore_ce reaches, the walk's swap on a
+    trace made from the state is the public ``swap``, which replays from
+    the root, per-session local state included, when that swap's history
+    is consistent, and None exactly when it is not; at cc some are not.
+    The gate, which swaps on a trace, returns None or that same swap, whose
+    cached verdict is full construction's."""
     rng = random.Random(9)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(random_program(rng)) for _ in range(150)]
-    checked = 0
+    checked = rejected = 0
     for prog in programs:
         for _, st in entered_states(prog, level):
             for cand in compute_reorderings(st.history):
                 r, t = cand.read, cand.writer
-                dropped = _swap_drop_set(st.history, r, t)
-                reference = _swap_base_from_root(st, r, dropped)
-                assert _swap_base(st, r, dropped) == reference
-                pivot = st.history.history.event(r)
-                swapped_st = swap(st, r, t)
-                assert swapped_st == apply_event(reference, pivot, writer=t)
+                reference = swap(st, r, t)
+                traced = explorer._Trace(st, level).swap(r, t)
+                if check_consistency(reference.history.history, level):
+                    assert traced is not None and traced.state() == reference
+                else:
+                    assert traced is None
+                    rejected += 1
                 accepted = optimality(st, r, t, level)
-                assert accepted is None or accepted == swapped_st
+                assert accepted is None or accepted == reference
                 if accepted is not None:
                     _assert_matches_full_construction(accepted, level)
                 checked += 1
     assert checked > 200
+    assert rejected or level is IsolationLevel.RC
 
 
 # One reader of 60 reads of x and one writer of x.
@@ -825,32 +818,31 @@ def test_swaps_re_step_their_reader_without_a_verdict_per_read(monkeypatch):
     assert calls <= stats.recursive_calls + stats.swaps_taken + stats.swaps_rejected
 
 
-# The relations a swap's cut carries, derived by restriction.
-CUT_RELATIONS = ("txn_ids", "sessions", "causal_past", "writers", "wr_map")
+# The relations a swap's trace carries, restricted from the walk's trace
+# and edited by the reader's re-stepped events, with their History names.
+CUT_RELATIONS = {
+    "txn_ids": "txn_ids", "session_txns": "sessions", "causal_past": "causal_past",
+    "writers": "writers", "wr_map": "wr_map",
+}
 
 
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_swap_cuts_carry_the_relations_of_full_construction(level):
     """On every swap explore_ce takes, on the examples, the corner programs
-    and 100 random programs, the cut is ``drop_events``' and carries its
-    ids, sessions, causal closure, writer index and wr map, each equal to
-    the same history's by full construction."""
+    and 100 random programs, the trace ``_Trace.swap`` builds carries ids,
+    sessions, causal closure, writer index and wr map, each equal to those
+    of its history by full construction."""
     swaps = 0
     for prog in _examples_corners_and_draws(23, 100):
         for _, st in entered_states(prog, level):
-            h = st.history
-            for cand in compute_reorderings(h):
-                r, t = cand.read, cand.writer
-                if optimality(st, r, t, level) is None:
+            for cand in compute_reorderings(st.history):
+                new = explorer._Trace(st, level).swap(cand.read, cand.writer)
+                if new is None or optimality(st, cand.read, cand.writer, level) is None:
                     continue
-                reader = h.history.txn(r.txn)
-                dropped = _swap_drop_set(h, r, t) | {ev.id for ev in reader.events}
-                cut = explorer._swap_cut(h, dropped)
-                assert cut == drop_events(h, dropped)
-                full = History(cut.history.logs, cut.history.wr)
-                for name in CUT_RELATIONS:
-                    assert name in vars(cut.history), name
-                    assert getattr(cut.history, name) == getattr(full, name), name
+                h = new.state().history.history
+                full = History(h.logs, h.wr)
+                for name, relation in CUT_RELATIONS.items():
+                    assert getattr(new, name) == getattr(full, relation), name
                 swaps += 1
     assert swaps > 100
 
@@ -1215,6 +1207,22 @@ def test_valid_writes_reject_what_is_not_an_external_read():
         with pytest.raises(ValueError) as caught:
             valid_writes(st, action, IsolationLevel.CC)
         assert str(caught.value) == f"{action.event} is not an external read"
+
+
+def test_valid_writes_refuse_a_reader_that_did_not_enter_last():
+    """Two transactions may be pending, but only the last to enter is
+    extended: the read of the first raises the order's message, and the
+    same read is decided once it is the last to enter."""
+    prog = parse("session a { txn { r = read(x); } } session b { txn { write(x, 1); } }")
+    a, b = TxnId(0, 0), TxnId(1, 0)
+    st = _drive(ExplorationState.initial(prog), [(begin_event(a), None), (begin_event(b), None)])
+    action = step_local(st, 0)
+    assert action.is_external_read and st.history.history.pending_txns() == (a, b)
+    with pytest.raises(ValueError) as caught:
+        valid_writes(st, action, IsolationLevel.CC)
+    assert str(caught.value) == f"order interleaves {a} with {b}"
+    st = _drive(ExplorationState.initial(prog), [(begin_event(a), None)])
+    assert list(valid_writes(st, step_local(st, 0), IsolationLevel.CC)) == [INIT_TXN]
 
 
 @pytest.mark.parametrize("call", ["optimality", "reads_causally_latest", "valid_writes"])

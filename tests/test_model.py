@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,19 @@ def test_history_rejects_causal_cycles():
             logs=(ini, a, b),
             wr=tuple(sorted([(EventId(T0, 1), T1), (EventId(T1, 1), T0)])),
         )
+
+
+def test_history_rejects_a_read_from_a_session_successor():
+    """A read from a later transaction of its own session closes a cycle
+    with the session order; the same logs with the read observing init
+    build."""
+    ini, later = init_log("x"), TxnId(0, 1)
+    writer = TransactionLog(later, (begin_event(later), write_event(later, 1, "x", 1),
+                                    commit_event(later, 2)))
+    with pytest.raises(ValueError, match="so union wr is cyclic"):
+        History(logs=(ini, _reader(), writer), wr=((EventId(T0, 1), later),))
+    h = History(logs=(ini, _reader(), writer), wr=((EventId(T0, 1), INIT_TXN),))
+    assert h.causal_past[later] == {INIT_TXN, T0}
 
 
 def test_long_session_history_is_checked_without_deep_recursion():
@@ -456,17 +470,50 @@ def test_ordered_histories_refuse_a_transaction_out_of_program_order():
     assert str(built.value) == str(appended.value) == message
 
 
+def test_ordered_histories_refuse_an_order_against_so_or_wr():
+    """A transaction that enters before its session predecessor (by
+    ``append``) or before the writer it reads from (by the constructor) is
+    refused, naming the edge.  On random histories and random entry orders
+    of their transactions, the constructor's check of the direct so/wr
+    edges accepts exactly the orders that respect every pair of the causal
+    closure."""
+    later = OrderedHistory.initial(("x",)).append(begin_event(TxnId(0, 1)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"order violates so/wr between {T0} and {TxnId(0, 1)}")):
+        later.append(begin_event(T0))
+    init = OrderedHistory.initial(("x",))
+    read = read_event(T1, 1, "x")
+    writer = TransactionLog(T0, (begin_event(T0), write_event(T0, 1, "x", 1), commit_event(T0, 2)))
+    reader = TransactionLog(T1, (begin_event(T1), read, commit_event(T1, 2)))
+    hist = History((init.history.logs[0], writer, reader), ((read.id, T0),))
+    order = init.order + tuple(ev.id for log in (reader, writer) for ev in log.events)
+    with pytest.raises(ValueError, match=re.escape(f"order violates so/wr between {T0} and {T1}")):
+        OrderedHistory(hist, order)
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(300):
+        h = random_history(rng)
+        txns = list(h.txn_ids)
+        rng.shuffle(txns)
+        pos = {t: i for i, t in enumerate(txns)}
+        respects = all(pos[a] < pos[b] for b, past in h.causal_past.items() for a in past)
+        built, _ = _outcome(lambda: OrderedHistory(
+            h, tuple(ev.id for t in txns for ev in h.txn(t).events)))
+        assert (built is not None) == respects
+        outcomes.add(respects)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
-# Derived edits
+# One-event edits
 # ---------------------------------------------------------------------------
 
-# Derived edits carry the first five; the three views are computed on first
-# use.  All eight must equal full construction's.
+# The relations an edited history must share with full construction's.
 HISTORY_VIEWS = ("so_pairs", "causal_adjacency", "wr_txn_pairs")
 HISTORY_RELATIONS = (
     "by_id", "txn_ids", "sessions", "causal_past", "wr_map", *HISTORY_VIEWS,
 )
-# Ordered edits carry ``starts``, their one order relation.
+# An ordered history's one order relation.
 ORDER_RELATIONS = ("starts",)
 
 
@@ -513,23 +560,21 @@ def _outcome(build):
         return None, str(exc)
 
 
-def _assert_same_value(derived, full, relations, carried: bool) -> None:
-    assert derived == full
+def _assert_same_value(edited, full, relations) -> None:
+    assert edited == full
     for name in relations:
-        assert not carried or name in HISTORY_VIEWS or name in vars(derived), name
-    for name in relations:
-        assert getattr(derived, name) == getattr(full, name), name
+        assert getattr(edited, name) == getattr(full, name), name
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
 def test_derived_edits_match_full_construction(seed):
-    """Every edit derived from a valid parent equals the same history built
-    by full validation, with equal derived relations, and raises exactly
-    when full construction raises (with the same message for the history).
-    Its causal past is the inverse of its causal closure, which a search
-    over so/wr confirms.  Walks a few random edits deep so that parents are
-    themselves derived."""
+    """Every one-event edit of a valid parent equals the same history built
+    by full validation from scratch, with equal relations, and raises
+    exactly when full construction raises (with the same message for the
+    history).  Its causal past is the inverse of its causal closure, which
+    a search over so/wr confirms.  Walks a few random edits deep so that
+    parents are themselves edits."""
     rng = random.Random(seed)
     h = random_history(rng)
     for start in (h, random_prefix(rng, h)):
@@ -538,13 +583,6 @@ def test_derived_edits_match_full_construction(seed):
             hist = current.history
             accepted = []
             for event, writer in _next_edits(hist):
-                tid = event.id.txn
-                # Only a begin that is not last in a non-init session is
-                # built by full validation instead of derived.
-                carried = event.kind != BEGIN or (
-                    tid.session >= 0
-                    and all(t < tid for t in hist.sessions.get(tid.session, ()))
-                )
                 full, full_err = _outcome(lambda: _full_edit(hist, event, writer))
                 if event.kind == BEGIN:
                     derived, err = _outcome(lambda: hist.with_begin(event.id.txn))
@@ -552,7 +590,7 @@ def test_derived_edits_match_full_construction(seed):
                     derived, err = _outcome(lambda: hist.with_event(event, writer))
                 assert err == full_err, (event, writer)
                 if full is not None:
-                    _assert_same_value(derived, full, HISTORY_RELATIONS, carried)
+                    _assert_same_value(derived, full, HISTORY_RELATIONS)
                     assert_causal_past_matches_full_construction(derived)
                 order = current.order + (event.id,)
                 full_oh = (
@@ -561,8 +599,8 @@ def test_derived_edits_match_full_construction(seed):
                 oh, _ = _outcome(lambda: current.append(event, writer))
                 assert (oh is None) == (full_oh is None), (event, writer)
                 if oh is not None:
-                    _assert_same_value(oh, full_oh, ORDER_RELATIONS, True)
-                    _assert_same_value(oh.history, full, HISTORY_RELATIONS, carried)
+                    _assert_same_value(oh, full_oh, ORDER_RELATIONS)
+                    _assert_same_value(oh.history, full, HISTORY_RELATIONS)
                     assert_causal_past_matches_full_construction(oh.history)
                     accepted.append(oh)
             if not accepted:
@@ -653,9 +691,9 @@ def _sessions_zero_and_two() -> OrderedHistory:
 ], ids=["existing-session", "existing-last-session", "gap-in-session",
         "new-session-in-a-gap", "new-last-session"])
 def test_derived_begin_orders_like_full_construction(txn):
-    """A derived begin into an existing session, a new session or a gap puts
-    the new log where full construction does: ``logs``, ``txn_ids``,
-    ``list(by_id)`` and ``list(sessions)`` are equal in order.
+    """A begin into an existing session, a new session or a gap puts the new
+    log where full construction from sorted logs does: ``logs``,
+    ``txn_ids``, ``list(by_id)`` and ``list(sessions)`` are equal in order.
     ``append(begin)`` stores the very event it was passed, as
     ``with_begin(txn, begin)`` does."""
     h = _sessions_zero_and_two()
@@ -664,7 +702,6 @@ def test_derived_begin_orders_like_full_construction(txn):
                                 key=lambda log: log.id)), h.history.wr)
     for derived in (h.history.with_begin(txn), h.history.with_begin(txn, begin),
                     h.append(begin).history):
-        assert "causal_adjacency" not in vars(derived)  # derived, not validated
         assert derived.logs == full.logs
         assert derived.txn_ids == full.txn_ids
         assert list(derived.by_id) == list(full.by_id)
@@ -681,9 +718,9 @@ def test_derived_begin_orders_like_full_construction(txn):
      "transaction TxnId(session=1, index=0) does not start with begin"),
 ])
 def test_with_begin_refuses_what_is_not_the_transactions_begin(begin, message):
-    """An event that is not ``txn``'s begin goes to full validation, which
-    raises; the lean path never stores it.  ``append`` of a misnumbered
-    begin raises the same."""
+    """An event that is not ``txn``'s begin is refused by the validating
+    constructor, with its message.  ``append`` of a misnumbered begin
+    raises the same."""
     h = _sessions_zero_and_two()
     for edit in [lambda: h.history.with_begin(TxnId(1, 0), begin)] + (
         [lambda: h.append(begin)] if begin.kind == BEGIN else []
@@ -832,8 +869,8 @@ def test_derived_drop_matches_full_construction():
             assert err == full_err, (kind, dropped)
             outcomes.setdefault(kind, set()).add(err is None)
             if full is not None:
-                _assert_same_value(derived, full, ORDER_RELATIONS, False)
-                _assert_same_value(derived.history, full.history, HISTORY_RELATIONS, False)
+                _assert_same_value(derived, full, ORDER_RELATIONS)
+                _assert_same_value(derived.history, full.history, HISTORY_RELATIONS)
                 for level in (IsolationLevel.RC, IsolationLevel.CC):
                     assert check_consistency(derived.history, level) == check_consistency(
                         full.history, level
