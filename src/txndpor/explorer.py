@@ -334,12 +334,6 @@ def _reorderings(
     ]
 
 
-def _swap_drop_set(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
-    """Events strictly after ``r`` whose transaction is not causally before ``t``."""
-    after, before = h.order[h.starts[r.txn] + r.index + 1 :], h.history.causal_past[t]
-    return {eid for eid in after if eid.txn != t and eid.txn not in before}
-
-
 def _kept(
     starts: dict[TxnId, int], past: dict[TxnId, frozenset[TxnId]], r: EventId, t: TxnId
 ) -> set[TxnId]:
@@ -400,16 +394,18 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     is recomputed from the new value of ``r``.
 
     The reference the walk's swap (:meth:`_Trace.swap`) is tested against,
-    built the plain way: :func:`drop_events` cuts the state, refusing to
-    orphan a kept read; :func:`replay` runs the program from the root along
-    the cut's order and the reader's events before ``r``; and
-    :func:`apply_event` applies the pivot.  The rebuilt history is not
+    built the plain way: :func:`drop_events` cuts every event of the
+    transactions :func:`_kept` leaves out, the reader's whole log included,
+    and refuses to orphan a kept read; :func:`replay` runs the program from
+    the root along the cut's order and the reader's events before ``r``;
+    and :func:`apply_event` applies the pivot.  The rebuilt history is not
     checked against any level.
     """
     h = st.history
     pivot = _pivot(h, r, t)
-    reader = h.history.by_id[r.txn].events
-    cut = drop_events(h, _swap_drop_set(h, r, t) | {ev.id for ev in reader})
+    kept, logs = _kept(h.starts, h.history.causal_past, r, t), h.history.by_id
+    cut = drop_events(h, {ev.id for u in logs if u not in kept for ev in logs[u].events})
+    reader = logs[r.txn].events
     base = replay(st.program, h.history, cut.order + tuple(ev.id for ev in reader[: r.index]))
     return apply_event(base, pivot, writer=t)
 
@@ -536,9 +532,10 @@ def optimality(
 ) -> ExplorationState | _Trace | None:
     """The swap gate: accept the pivot only on the canonical route.
 
-    Requires every external read the swap would delete — and the pivot
-    itself — to be an unswapped read already observing its highest-priority
-    writer, and the rebuilt history to be consistent.  Exactly one pivot
+    Requires every external read the swap would delete — the reads of each
+    transaction :func:`_kept` leaves out, the reader's from the pivot on —
+    to be an unswapped read already observing its highest-priority writer,
+    and the rebuilt history to be consistent.  Exactly one pivot
     into any given history passes this gate, which keeps the enumeration
     duplicate-free.
 
@@ -558,12 +555,13 @@ def optimality(
     tr = st if isinstance(st, _Trace) else _Trace(st, level)
     h = tr.state().history
     _pivot(h, r, t)
-    dropset = _swap_drop_set(h, r, t)
+    kept = _kept(h.starts, h.history.causal_past, r, t)
     affected = [
         read.id
         for u in h.starts
+        if u not in kept
         for read in h.history.by_id[u].read_set
-        if read.id == r or read.id in dropset
+        if u != r.txn or read.id >= r
     ]
     if any(swapped(h, read_id) for read_id in affected):
         return None

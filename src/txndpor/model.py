@@ -27,10 +27,10 @@ other than a read.  It then builds its result by the validating constructors,
 which raise for anything else.  The explorer's walks edit no value: they run
 on a mutable trace (``explorer._Trace``), which applies each event's relation
 changes in place and materializes histories only where a caller needs one,
-by :meth:`History._derived`.  :func:`drop_events` builds its cut by
-``_derived`` too: it re-checks only what a deletion can break, and leaves
-every relation but the logs by id to be computed on first use.
-Lazy relations fill by :class:`lazy_property`, which takes no lock.
+by :meth:`History._derived`.  :func:`drop_events` refuses, with its own
+message, a cut that orphans a surviving read, then builds its result by the
+validating constructors too.  Lazy relations fill by :class:`lazy_property`,
+which takes no lock.
 
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` without calling it, from fragments of the immutable
@@ -512,8 +512,8 @@ class History:
         Skips ``__post_init__``; ``relations`` become its cached
         properties, and a relation left out is computed on first use.  It
         serves the walk's snapshots (``explorer._Trace.state``), which
-        carry the trace's relations, and :func:`drop_events`, which carries
-        only ``by_id``.
+        carry the trace's relations, and ``oracles.prev``'s removal of the
+        last event of the last transaction to enter, which carries none.
         """
         h = object.__new__(cls)
         h.__dict__.update(relations, logs=logs, wr=wr)
@@ -710,17 +710,10 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
     """Remove a set of events, discarding logs emptied entirely.
 
     wr edges whose read was dropped disappear.  Ids absent from the history
-    are ignored.  Raises if a surviving read's writer loses the write it
-    observes (callers must include such reads in the drop set).
-
-    Derived from ``h``: only truncated logs (still program-order prefixes),
-    surviving reads' writers and init are re-checked; a deletion keeps ids
-    sorted and unique, reads' own wr checks, so union wr acyclic, each
-    transaction's events consecutive and the order of entry extending so
-    union wr.  Relations are recomputed: a cut may lose wr edges.  Unlike
-    the one-event edits it skips full validation, which would re-check all
-    of that on every cut: ``oracles.prev`` cuts every state a checked run
-    enters.
+    are ignored.  Raises, with its own message, if a surviving read's
+    writer loses the write it observes (callers must include such reads in
+    the drop set); the result is built by the validating constructors,
+    which raise for anything else the cut breaks.
     """
     cut = {eid.txn for eid in dropped}
     new_logs = []
@@ -740,15 +733,8 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
                 f"dropping writer events of {writer} while read {read_id} survives"
             )
         new_wr.append((read_id, writer))
-    if INIT_TXN not in survivors:
-        raise ValueError("history lacks the init transaction")
-    if survivors[INIT_TXN].status != COMMITTED:
-        raise ValueError("init transaction must be committed")
-    hist = History._derived(tuple(new_logs), tuple(new_wr), by_id=survivors)
     order = tuple(eid for eid in h.order if eid not in dropped)
-    out = object.__new__(OrderedHistory)
-    out.__dict__.update(history=hist, order=order)
-    return out
+    return OrderedHistory(History(tuple(new_logs), tuple(new_wr)), order)
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,18 @@ from functools import cmp_to_key
 
 from .isolation import check_consistency
 from .model import (
-    ABORTED,
-    BEGIN,
     INIT_TXN,
     EventId,
     History,
     IsolationLevel,
     OrderedHistory,
+    TransactionLog,
     TxnId,
     begin_event,
     causal_reachable,
     causally_before_or_equal,
-    drop_events,
 )
-from .program import ExplorationState, Program, apply_event, replay, step_local
+from .program import ExplorationState, NextAction, Program, apply_event, replay, step_local
 from .explorer import swapped
 
 # ---------------------------------------------------------------------------
@@ -169,62 +167,45 @@ def is_or_respectful(
 
 
 def max_completion(
-    program: Program, base: OrderedHistory, bound: TxnId, level: IsolationLevel
+    st: ExplorationState, bound: TxnId, level: IsolationLevel
 ) -> ExplorationState:
-    """Deterministically finish every transaction below ``bound``.
+    """Deterministically finish every transaction of ``st`` below ``bound``.
 
     Repeatedly appends the smallest next event among sessions whose current
     activity belongs to a transaction of lower priority than ``bound``;
     external reads observe the highest-priority causally preceding writer
-    that keeps the history consistent.  This reconstructs exactly the
-    completion a swap deleted.
+    that keeps the history consistent: writers are tried from the highest
+    priority down, and the first consistent result is kept.  This
+    reconstructs exactly the completion a swap deleted.
     """
-    st = replay(program, base.history, base.order)
     for _ in range(10_000):
         candidates = []
-        for session in range(len(program.sessions)):
-            ls = st.sessions[session]
+        for session, ls in enumerate(st.sessions):
             if ls.in_txn:
-                u = TxnId(session, ls.txn_index)
-                if u < bound:
-                    candidates.append(step_local(st, session).event)
+                if TxnId(session, ls.txn_index) < bound:
+                    candidates.append(step_local(st, session))
             else:
                 tid = st.next_unstarted_txn(session)
                 if tid is not None and tid < bound:
-                    candidates.append(begin_event(tid))
+                    candidates.append(NextAction(begin_event(tid)))
         if not candidates:
             return st
-        event = min(candidates, key=lambda ev: ev.id)
-        if event.kind == BEGIN:
+        action = min(candidates, key=lambda a: a.event.id)
+        event = action.event
+        if not action.is_external_read:
             st = apply_event(st, event)
             continue
-        action = step_local(st, event.id.txn.session)
-        if action.is_external_read:
-            st = apply_event(st, event, writer=_latest_writer(st, event, level))
+        hist = st.history.history
+        before = hist.causal_past[event.id.txn]
+        for w in reversed(hist.writers.get(event.var, ())):  # type: ignore[arg-type]
+            if w in before:
+                nxt = apply_event(st, event, writer=w)
+                if check_consistency(nxt.history.history, level):
+                    st = nxt
+                    break
         else:
-            st = apply_event(st, event)
+            raise ValueError(f"no causal writer available for {event.id}")
     raise RuntimeError("completion did not terminate")
-
-
-def _latest_writer(
-    st: ExplorationState, event, level: IsolationLevel
-) -> TxnId:
-    hist = st.history.history
-    reader = event.id.txn
-    candidates = []
-    for t in hist.txn_ids:
-        if t == reader:
-            continue
-        log = hist.txn(t)
-        if log.status == ABORTED or not log.writes_var(event.var):
-            continue
-        if not causal_reachable(hist, t, reader):
-            continue
-        if check_consistency(hist.with_event(event, writer=t), level):
-            candidates.append(t)
-    if not candidates:
-        raise ValueError(f"no causal writer available for {event.id}")
-    return max(candidates)
 
 
 def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:
@@ -233,14 +214,20 @@ def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:
     The starting history is its own predecessor.  Otherwise, when the last
     event is not a swapped read, the predecessor simply lacks that event;
     when it is one, the predecessor is the swap's source, recovered by
-    dropping the read and deterministically re-completing every transaction
-    below its writer's priority.
+    replaying the program along the order without the read and
+    deterministically re-completing every transaction below its writer's
+    priority (:func:`max_completion`).
     """
-    if all(eid.txn == INIT_TXN for eid in h.order):
-        return h.history
-    last = h.order[-1]
+    last, hist = h.order[-1], h.history
+    if last.txn == INIT_TXN:  # init precedes every transaction in so: its events come first
+        return hist
     if swapped(h, last):
-        writer = h.history.wr_map[last]
-        base = drop_events(h, {last})
-        return max_completion(program, base, writer, level).history.history
-    return drop_events(h, {last}).history
+        base = replay(program, hist, h.order[:-1])
+        return max_completion(base, hist.wr_map[last], level).history.history
+    # No read observes the transaction that entered last, so every check of
+    # ``h`` still holds without its last event.
+    i = hist.txn_ids.index(last.txn)
+    log = hist.logs[i]
+    kept = (TransactionLog(log.id, log.events[:-1]),) if last.index else ()
+    wr = tuple(p for p in hist.wr if p[0] != last)
+    return History._derived(hist.logs[:i] + kept + hist.logs[i + 1 :], wr)

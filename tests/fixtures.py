@@ -510,7 +510,7 @@ class HistoryMemoryTracker:
 # The two ways a history comes to exist: full validation, which the
 # generated __init__ reaches through the class attribute, and
 # History._derived, which serves the trace's snapshots (_Trace.state()) and
-# drop_events.
+# oracles.prev's removal of a last event.
 _POST_INIT = History.__dict__["__post_init__"]
 _DERIVED = History.__dict__["_derived"]
 

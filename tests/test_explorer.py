@@ -31,7 +31,7 @@ from txndpor.explorer import (
     ReorderCandidate,
     RunInterrupted,
     TimeLimitExceeded,
-    _swap_drop_set,
+    _kept,
     causal_extension_exists,
     compute_reorderings,
     dfs,
@@ -665,8 +665,9 @@ def _reorderings_by_scan(h: OrderedHistory) -> list[ReorderCandidate]:
 
 
 def _drop_set_by_scan(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
-    """The reference for ``_swap_drop_set``: each later event's transaction
-    tested by the validating ``causally_before_or_equal``."""
+    """The events a swap of ``r`` toward ``t`` deletes after ``r``: each
+    later event's transaction tested by the validating
+    ``causally_before_or_equal``."""
     after = h.order[h.starts[r.txn] + r.index + 1 :]
     return {eid for eid in after if not causally_before_or_equal(h.history, eid.txn, t)}
 
@@ -675,8 +676,9 @@ def _drop_set_by_scan(h: OrderedHistory, r: EventId, t: TxnId) -> set[EventId]:
 def test_reorderings_match_the_scans_they_replace(level):
     """On every commit state explore_ce enters, on the examples, the gate's
     corner programs and 150 random programs, ``compute_reorderings`` gives
-    the reference's candidates in the same order, and ``_swap_drop_set``
-    the reference's drop set for every candidate."""
+    the reference's candidates in the same order, and for every candidate
+    the transactions ``_kept`` leaves out are the reader and those of the
+    reference's drop set."""
     commits = writeless = candidates = 0
     for prog in _examples_corners_and_draws(23, 150):
         for _, st in entered_states(prog, level):
@@ -686,9 +688,11 @@ def test_reorderings_match_the_scans_they_replace(level):
             cands = compute_reorderings(h)
             assert cands == _reorderings_by_scan(h), h.order
             for c in cands:
-                assert _swap_drop_set(h, c.read, c.writer) == _drop_set_by_scan(
-                    h, c.read, c.writer
-                ), (h.order, c)
+                kept = _kept(h.starts, h.history.causal_past, c.read, c.writer)
+                scan = _drop_set_by_scan(h, c.read, c.writer)
+                assert set(h.starts) - kept == {c.read.txn} | {eid.txn for eid in scan}, (
+                    h.order, c
+                )
             commits += 1
             writeless += not h.history.txn(h.order[-1].txn).write_set
             candidates += len(cands)
@@ -961,7 +965,7 @@ def _reads_causally_latest_by_cut(h, level, r, t) -> bool:
     ``r``'s writer in ``h``."""
     if causally_before_or_equal(h.history, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
-    base = drop_events(h, _swap_drop_set(h, r, t) | {r}).history
+    base = drop_events(h, _drop_set_by_scan(h, r, t) | {r}).history
     fresh = Event(r, READ, var=h.history.event(r).var)
     closure = base.causal_closure
     for w in reversed(base.txn_ids):
@@ -981,7 +985,7 @@ def _gate_queries(prog, level):
     for _, st in entered_states(prog, level):
         h = st.history
         for cand in compute_reorderings(h):
-            dropped = _swap_drop_set(h, cand.read, cand.writer)
+            dropped = _drop_set_by_scan(h, cand.read, cand.writer)
             for log in h.history.logs:
                 for read in log.read_set:
                     if read.id == cand.read or read.id in dropped:

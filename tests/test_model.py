@@ -847,12 +847,13 @@ def _drop_sets(rng: random.Random, oh: OrderedHistory) -> list[tuple[str, set[Ev
     return out
 
 
-def test_derived_drop_matches_full_construction():
-    """``drop_events`` derived from its valid parent equals the same cut built
-    by full validation, with equal derived relations and the same
-    consistency verdict, and raises exactly when full construction raises,
-    with the same message.  Parents are random histories, their prefixes,
-    and the states explore_ce enters on the example programs."""
+def test_drop_events_matches_full_construction():
+    """``drop_events``, which keeps its parent's untouched logs, equals the
+    same cut with every surviving log rebuilt, with equal relations and the
+    same consistency verdict, and raises exactly when that cut raises, with
+    the same message: its orphaned-read check or the validating
+    constructors'.  Parents are random histories, their prefixes, and the
+    states explore_ce enters on the example programs."""
     rng = random.Random(0)
     parents = []
     for seed in range(120):
@@ -865,14 +866,14 @@ def test_derived_drop_matches_full_construction():
     for oh in parents:
         for kind, dropped in _drop_sets(rng, oh):
             full, full_err = _outcome(lambda: _full_drop(oh, dropped))
-            derived, err = _outcome(lambda: drop_events(oh, dropped))
+            cut, err = _outcome(lambda: drop_events(oh, dropped))
             assert err == full_err, (kind, dropped)
             outcomes.setdefault(kind, set()).add(err is None)
             if full is not None:
-                _assert_same_value(derived, full, ORDER_RELATIONS)
-                _assert_same_value(derived.history, full.history, HISTORY_RELATIONS)
+                _assert_same_value(cut, full, ORDER_RELATIONS)
+                _assert_same_value(cut.history, full.history, HISTORY_RELATIONS)
                 for level in (IsolationLevel.RC, IsolationLevel.CC):
-                    assert check_consistency(derived.history, level) == check_consistency(
+                    assert check_consistency(cut.history, level) == check_consistency(
                         full.history, level
                     )
     # An empty drop always passes; losing an init event, a middle event or

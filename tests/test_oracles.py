@@ -47,7 +47,7 @@ from txndpor.oracles import (
     minimal_dependency,
     prev,
 )
-from txndpor.program import parse
+from txndpor.program import ExplorationState, parse
 
 # ---------------------------------------------------------------------------
 # Canonical transaction order
@@ -295,6 +295,29 @@ def test_prev_rebuilds_the_completion_a_swap_tore_down():
         assert prev(base.program, res.history, IsolationLevel.CC) == base.history.history
 
 
+@pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+def test_prev_builds_what_full_validation_builds(level):
+    """On every state explore_ce enters, on the examples and 40 random
+    programs, ``prev``'s predecessor is the entered parent's history and
+    equals the history the validating constructor builds from its logs and
+    wr, which raises nothing: the removal of a last event that skips
+    validation builds only valid histories."""
+    level = IsolationLevel.from_name(level)
+    rng = random.Random(9)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(random_program(rng)) for _ in range(40)]
+    swaps = steps = 0
+    for prog in programs:
+        for parent, node in entered_states(prog, level)[1:]:
+            p = prev(prog, node.history, level)
+            assert p == History(p.logs, p.wr) == parent.history.history, node.history.order
+            if swapped(node.history, node.history.order[-1]):
+                swaps += 1
+            else:
+                steps += 1
+    assert swaps > 20 and steps > 500
+
+
 # frozen predecessor-chain lengths per emitted history, causal consistency
 PREV_CHAINS = {
     "abort_flip": [12, 14, 18],
@@ -336,15 +359,13 @@ def test_iterate_prev_enforces_its_limit():
 
 def test_completion_below_the_lowest_priority_does_nothing():
     prog = example("racing_reads")
-    start = OrderedHistory.initial(prog.variables)
-    done = max_completion(prog, start, TxnId(0, 0), IsolationLevel.CC)
+    done = max_completion(ExplorationState.initial(prog), TxnId(0, 0), IsolationLevel.CC)
     assert done.history.history.txn_ids == (INIT_TXN,)
 
 
 def test_completion_above_everything_runs_the_whole_program():
     prog = example("racing_reads")
-    start = OrderedHistory.initial(prog.variables)
-    done = max_completion(prog, start, TxnId(99, 0), IsolationLevel.CC)
+    done = max_completion(ExplorationState.initial(prog), TxnId(99, 0), IsolationLevel.CC)
     h = done.history.history
     assert not h.pending_txns()
     assert len(h.txn_ids) == 5

@@ -200,10 +200,9 @@ def test_library_fills_lazy_relations_without_a_lock():
     assert offenders == {}
 
 
-def _history_allocations(source: str) -> list[tuple[str, int]]:
-    """(enclosing ``Class.function``, line) of every ``History`` that
-    ``source`` makes without its constructor: ``object.__new__(History)``,
-    or ``object.__new__(cls)`` in a method of ``History``."""
+def _call_sites(source: str, accept) -> list[tuple[str, int]]:
+    """(enclosing ``Class.function``, line) of every call in ``source`` that
+    ``accept(call, enclosing class name)`` accepts."""
     found = []
 
     def visit(node: ast.AST, cls: str, func: str) -> None:
@@ -211,15 +210,27 @@ def _history_allocations(source: str) -> list[tuple[str, int]]:
             cls, func = node.name, ""
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not func:
             func = node.name
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
-            target = ast.unparse(node.args[0]) if node.args else ""
-            if target.split(".")[-1] == "History" or (target == "cls" and cls == "History"):
-                found.append((f"{cls}.{func}" if cls else func, node.lineno))
+        elif isinstance(node, ast.Call) and accept(node, cls):
+            found.append((f"{cls}.{func}" if cls else func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, func)
 
     visit(ast.parse(source), "", "")
     return found
+
+
+def _history_allocations(source: str) -> list[tuple[str, int]]:
+    """(enclosing ``Class.function``, line) of every ``History`` that
+    ``source`` makes without its constructor: ``object.__new__(History)``,
+    or ``object.__new__(cls)`` in a method of ``History``."""
+
+    def allocates(call: ast.Call, cls: str) -> bool:
+        if ast.unparse(call.func) != "object.__new__":
+            return False
+        target = ast.unparse(call.args[0]) if call.args else ""
+        return target.split(".")[-1] == "History" or (target == "cls" and cls == "History")
+
+    return _call_sites(source, allocates)
 
 
 def test_histories_are_allocated_only_in_the_derived_constructor():
@@ -251,3 +262,32 @@ def test_histories_are_allocated_only_in_the_derived_constructor():
     }
     assert [site for site, _ in found.pop("model.py")] == ["History._derived"]
     assert found == {}
+
+
+def _derived_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing ``Class.function``, line) of every ``…._derived(...)`` call."""
+    return _call_sites(
+        source, lambda call, _: isinstance(call.func, ast.Attribute) and call.func.attr == "_derived"
+    )
+
+
+def test_only_the_trace_and_prev_build_unvalidated_histories():
+    """``History._derived`` skips validation, so it is called only where the
+    caller vouches for the history: the walk's snapshots (``_Trace.state``)
+    and ``oracles.prev``'s removal of the last event of the last
+    transaction to enter.  ``drop_events`` and the one-event edits build
+    theirs by the validating constructors."""
+    seeded = (
+        "def cut(h):\n"
+        "    return model.History._derived(h.logs, h.wr)\n"
+        "class History:\n"
+        "    def edit(self):\n"
+        "        return type(self)(self.logs, self.wr), self._derived((), ())\n"
+    )
+    assert _derived_calls(seeded) == [("cut", 2), ("History.edit", 5)]
+    found = {
+        path.name: [site for site, _ in sites]
+        for path in sorted(Path(txndpor.__file__).parent.glob("*.py"))
+        if (sites := _derived_calls(path.read_text()))
+    }
+    assert found == {"explorer.py": ["_Trace.state"], "oracles.py": ["prev"]}
