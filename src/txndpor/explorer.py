@@ -28,13 +28,13 @@ subtree, and for a commit its swaps, are done.  The trace derives each
 child's verdict from its parent's: the forced closure at RC, RA and CC, a
 witness order at SER and SI.  :func:`explore_ce` decides each read's
 writers on the trace, as :func:`valid_writes` decides them, and reads each
-commit's reorder candidates from it.  A state is materialized from the
-trace only where a caller needs one: for the gate's queries, when a commit
-has candidates; for ``emit`` and the strong level's check on a complete
-history; and for ``entry_hook``.  These states share no dict the trace
-changes in place, so callers may keep them.  Each swap the gate takes is
-walked on a fresh trace, which the gate builds from the walk's and returns;
-no walk cuts or replays a history.
+commit's reorder candidates from it; the gate's queries read it too.  A
+state is materialized from the trace only where a caller needs one: for
+``emit`` and the strong level's check on a complete history, and for
+``entry_hook``.  These states share no dict the trace changes in place, so
+callers may keep them.  Each swap the gate takes is walked on a fresh
+trace, which the gate builds from the walk's and returns; no walk cuts or
+replays a history.
 
 The walks and the public functions run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
@@ -80,7 +80,7 @@ history built by the validating constructors.
 from __future__ import annotations
 
 import time
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator
 
@@ -371,14 +371,16 @@ def _restricted(tr: _Trace, kept: Container[TxnId]) -> tuple:
     )
 
 
-def _pivot(h: OrderedHistory, r: EventId, t: TxnId) -> Event:
+def _pivot(h: OrderedHistory | _Trace, r: EventId, t: TxnId) -> Event:
     """The event ``r``, which must be an external read of ``h`` whose reader
-    is not causally before ``t``: a read a swap toward ``t`` can pivot on."""
-    log = h.history.by_id.get(r.txn)
+    is not causally before ``t``: a read a swap toward ``t`` can pivot on.
+    ``h`` is an ordered history or the walk's trace."""
+    hist = h if isinstance(h, _Trace) else h.history
+    log = hist.by_id.get(r.txn)
     ev = next((e for e in log.read_set if e.id == r), None) if log else None
     if ev is None:
         raise ValueError(f"event {r} is not an external read of the history")
-    if causally_before_or_equal(h.history, r.txn, t):
+    if causally_before_or_equal(hist, r.txn, t):
         raise ValueError(f"reader {r.txn} is causally before {t}")
     return ev
 
@@ -410,7 +412,7 @@ def swap(st: ExplorationState, r: EventId, t: TxnId) -> ExplorationState:
     return apply_event(base, pivot, writer=t)
 
 
-def swapped(h: OrderedHistory, r: EventId) -> bool:
+def swapped(h: OrderedHistory | _Trace, r: EventId) -> bool:
     """Whether read ``r`` sits in the position a swap leaves behind.
 
     True exactly when ``r`` observes a transaction that ran entirely before
@@ -426,20 +428,20 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
     pivots on always does, and the verdict is stable under extending the
     history, since the reader's earlier observations are frozen.  The query
     looks only at which causal pasts hold the writer and at the reader's wr
-    edges before ``r``.
+    edges before ``r``.  ``h`` is an ordered history or the walk's trace.
     """
-    hist = h.history
+    hist, starts = h if isinstance(h, _Trace) else h.history, h.starts
     if r.txn not in hist.by_id or not 0 <= r.index < len(hist.by_id[r.txn].events):
         raise ValueError(f"event {r} not in history")
     t = hist.wr_map.get(r)
     if t is None:
         return False
     reader = r.txn
-    if not h.txn_before_event(t, r) or not reader < t:
+    if not starts[t] < starts[reader] or not reader < t:
         return False
     past = hist.causal_past
     for other in hist.txn_ids:
-        if other < reader and t in past[other] and not h.event_before_txn(r, other):
+        if other < reader and t in past[other] and not starts[reader] < starts[other]:
             return False
     for ev in hist.by_id[reader].events[: r.index]:
         w = hist.wr_map.get(ev.id)  # only external reads have one
@@ -449,7 +451,7 @@ def swapped(h: OrderedHistory, r: EventId) -> bool:
 
 
 def reads_causally_latest(
-    h: OrderedHistory, level: IsolationLevel, r: EventId, t: TxnId
+    h: OrderedHistory | _Trace, level: IsolationLevel, r: EventId, t: TxnId
 ) -> bool:
     """Whether ``r`` observes the highest-priority writer available to it.
 
@@ -458,10 +460,11 @@ def reads_causally_latest(
     candidates are the transactions causally before the reader that write
     the variable and keep the cut history consistent when ``r`` is
     re-appended reading from them.  True when ``r``'s writer in ``h`` is the
-    highest-priority candidate.  ``h`` must be ``level``-consistent and let
-    reads observe committed writers only, as every state :func:`explore_ce`
-    and :func:`dfs` enter does.  Raises ``ValueError`` at SER and SI, where
-    no query on ``h`` decides the cut.
+    highest-priority candidate.  ``h`` is an ordered history or the walk's
+    trace; it must be ``level``-consistent and let reads observe committed
+    writers only, as every state :func:`explore_ce` and :func:`dfs` enter
+    does.  Raises ``ValueError`` at SER and SI, where no query on ``h``
+    decides the cut.
 
     The cut is never built: the verdict is a query on ``h``, exact by the
     following.  Let R be the reader; a transaction the cut keeps whole is
@@ -503,13 +506,14 @@ def reads_causally_latest(
       writes the variable is rejected.
     """
     _check_levels(level)
-    hist = h.history
+    hist = h if isinstance(h, _Trace) else h.history
     var = _pivot(h, r, t).var
     reader = r.txn
     past, current = hist.causal_past, hist.wr_map.get(r)
     earlier = [(e.var, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
-    same = hist.sessions[reader.session]
-    direct = {w for _, w in earlier} | {INIT_TXN, *same[: same.index(reader)]}
+    # R's session predecessor, or init: its past holds R's earlier ones.
+    before = hist.txn_ids[bisect_left(hist.txn_ids, reader) - 1]
+    direct = {w for _, w in earlier} | {before if before.session == reader.session else INIT_TXN}
     p = direct.union(*map(past.__getitem__, direct))
     if current not in p:
         return False
@@ -546,26 +550,25 @@ def optimality(
     level :func:`explore_ce` does not walk.
 
     ``st`` is a state or the walk's trace.  The first two requirements are
-    queries on its state; the swap is :meth:`_Trace.swap`'s.  Given the
+    queries on the trace; the swap is :meth:`_Trace.swap`'s.  Given the
     walk's trace, which it leaves as it is, the gate returns the swapped
     trace; given a state, it swaps on a trace made from it and returns the
     swapped trace's state.
     """
     _check_levels(level)
     tr = st if isinstance(st, _Trace) else _Trace(st, level)
-    h = tr.state().history
-    _pivot(h, r, t)
-    kept = _kept(h.starts, h.history.causal_past, r, t)
+    _pivot(tr, r, t)
+    kept = _kept(tr.starts, tr.causal_past, r, t)
     affected = [
         read.id
-        for u in h.starts
+        for u in tr.starts
         if u not in kept
-        for read in h.history.by_id[u].read_set
+        for read in tr.by_id[u].read_set
         if u != r.txn or read.id >= r
     ]
-    if any(swapped(h, read_id) for read_id in affected):
+    if any(swapped(tr, read_id) for read_id in affected):
         return None
-    if not all(reads_causally_latest(h, level, read_id, t) for read_id in affected):
+    if not all(reads_causally_latest(tr, level, read_id, t) for read_id in affected):
         return None
     new = tr.swap(r, t)
     return new if new is None or st is tr else new.state()
@@ -598,9 +601,8 @@ class _Trace:
     never changed, so a materialized state may share them.  :meth:`pop`
     undoes the last push: the undo stack holds, per event, the replaced log
     and local state and the previous relations, so it is never longer than
-    the walk is deep.  :meth:`state` keeps what it materializes until the
-    next push, enter or pop.  :meth:`swap` builds a taken swap's trace from
-    this one, which it leaves as it is.
+    the walk is deep.  :meth:`swap` builds a taken swap's trace from this
+    one, which it leaves as it is.
     """
 
     def __init__(self, st: ExplorationState, level: IsolationLevel):
@@ -620,7 +622,6 @@ class _Trace:
         }
         self.length = len(h.order)
         self.undo: list[tuple] = []
-        self.snapshot: ExplorationState | None = st
 
     def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
         """The (writer, forced closure) of each child ``action`` leads to:
@@ -685,7 +686,6 @@ class _Trace:
                 self.writers = {**self.writers, event.var: tuple(sorted(ws))}  # type: ignore[dict-item]
         self.by_id[t] = log
         self.length += 1
-        self.snapshot = None
         return first_write
 
     def enter(self, action: NextAction, writer: TxnId | None = None) -> None:
@@ -693,7 +693,6 @@ class _Trace:
         observing ``writer`` (``_local_after`` reads only its log)."""
         s = action.event.id.txn.session
         self.sessions[s] = _local_after(self.program, self.sessions[s], action, self.by_id, writer)
-        self.snapshot = None
 
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
@@ -710,7 +709,6 @@ class _Trace:
             del self.wr_map[event.id]
         if self.consistency_cache:
             self.consistency_cache[self.level] = reach
-        self.snapshot = None
 
     def swap(self, r: EventId, t: TxnId) -> "_Trace | None":
         """The trace of ``swap(self.state(), r, t)``, entered, or None when
@@ -742,7 +740,7 @@ class _Trace:
             new.length += len(log.events)
         new.sessions = list(self.sessions)
         _rewind(new.sessions, [u for u in starts if u not in kept])
-        new.consistency_cache, new.undo, new.snapshot = {}, [], None
+        new.consistency_cache, new.undo = {}, []
         s = reader.session
         action = NextAction(self.by_id[reader].events[0])
         for _ in range(r.index):
@@ -759,22 +757,19 @@ class _Trace:
     def state(self) -> ExplorationState:
         """The state the trace stands at, sharing no dict it changes in
         place; its verdict at ``level`` cached, its logs by id and wr map
-        left to be computed on first use.  Kept until the next push, enter
-        or pop, so a node materializes its state at most once."""
-        if self.snapshot is None:
-            logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
-            hist = History._derived(
-                logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
-                sessions=self.session_txns, causal_past=self.causal_past,
-                writers=self.writers, consistency_cache=dict(self.consistency_cache),
-            )
-            h = object.__new__(OrderedHistory)
-            h.__dict__.update(
-                history=hist, starts=dict(self.starts),
-                order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
-            )
-            self.snapshot = ExplorationState(self.program, h, tuple(self.sessions))
-        return self.snapshot
+        left to be computed on first use."""
+        logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
+        hist = History._derived(
+            logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
+            sessions=self.session_txns, causal_past=self.causal_past,
+            writers=self.writers, consistency_cache=dict(self.consistency_cache),
+        )
+        h = object.__new__(OrderedHistory)
+        h.__dict__.update(
+            history=hist, starts=dict(self.starts),
+            order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
+        )
+        return ExplorationState(self.program, h, tuple(self.sessions))
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +913,6 @@ def _explore(
             yield tr, st, child
             if action.event.kind == COMMIT:  # only a commit has candidates
                 t = action.event.id.txn
-                if child is not None:  # back at the commit: the gate reads the hook's state
-                    tr.snapshot = child
                 for cand in _reorderings(t, tr.starts, tr.by_id, tr.causal_past):
                     swapped_tr = optimality(tr, cand.read, cand.writer, weak)
                     if swapped_tr is None:

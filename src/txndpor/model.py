@@ -680,14 +680,6 @@ class OrderedHistory:
     def last_event(self) -> Event:
         return self.history.event(self.order[-1])
 
-    def txn_before_event(self, txn: TxnId, eid: EventId) -> bool:
-        """All of ``txn``'s events precede ``eid`` in the order."""
-        return self.starts[txn] < self.starts[eid.txn]
-
-    def event_before_txn(self, eid: EventId, txn: TxnId) -> bool:
-        """``eid`` precedes all of ``txn``'s events in the order."""
-        return self.starts[eid.txn] < self.starts[txn]
-
     def append(self, event: Event, writer: TxnId | None = None) -> "OrderedHistory":
         """Extend with one event at the end of the order.
 

@@ -599,11 +599,32 @@ def test_dfs_builds_one_history_per_emission(level):
             dfs(example(name), level)
             assert tracker.registered == 1
 
+
+@pytest.mark.parametrize(
+    "weak,strong",
+    [(level, None) for level in (IsolationLevel.TRUE, *EXTENSIBLE)]
+    + [(IsolationLevel.CC, IsolationLevel.SER)],
+    ids=["true", "rc", "ra", "cc", "cc-ser"],
+)
+def test_unhooked_explore_ce_builds_one_history_per_leaf(weak, strong):
+    """With no entry hook, ``explore_ce`` and ``explore_ce_star`` build the
+    root's ``History`` and one per complete history, for ``emit`` or the
+    strong check, and no other: the gate asks its queries on the walk's
+    trace, and a taken swap builds its trace from the walk's."""
+    for name in sorted(EXAMPLE_PROGRAMS):
+        with track_history_memory() as tracker:
+            if strong is None:
+                stats = explore_ce(example(name), weak, emit=lambda st: None)
+            else:
+                stats = explore_ce_star(example(name), weak, strong, emit=lambda st: None)
+            assert tracker.registered == stats.outputs + stats.filtered_outputs + 1, name
+
+
 @pytest.mark.parametrize("level", EXTENSIBLE, ids=[lvl.value for lvl in EXTENSIBLE])
 def test_hooked_explore_ce_builds_one_history_per_node(level):
     """With an entry hook, ``explore_ce`` builds one ``History`` per node,
-    the state its hook gets, and no other: the gate reads its commit's
-    hooked state, and a taken swap builds its trace from the walk's."""
+    the state its hook gets, and no other: the gate reads the walk's trace,
+    and a taken swap builds its trace from the walk's."""
     for name in sorted(EXAMPLE_PROGRAMS):
         with track_history_memory() as tracker:
             stats = explore_ce(example(name), level, emit=lambda st: None,
@@ -979,9 +1000,10 @@ def _reads_causally_latest_by_cut(h, level, r, t) -> bool:
 
 
 def _gate_queries(prog, level):
-    """Every (history, affected read, pivot's writer) the gate of
-    ``explore_ce`` can ask about: for each candidate pivot at each entered
-    state, the pivot and each external read its swap would delete."""
+    """Every (entered state, its history, affected read, pivot's writer) the
+    gate of ``explore_ce`` can ask about: for each candidate pivot at each
+    entered state, the pivot and each external read its swap would
+    delete."""
     for _, st in entered_states(prog, level):
         h = st.history
         for cand in compute_reorderings(h):
@@ -989,7 +1011,7 @@ def _gate_queries(prog, level):
             for log in h.history.logs:
                 for read in log.read_set:
                     if read.id == cand.read or read.id in dropped:
-                        yield h, read.id, cand.writer
+                        yield st, h, read.id, cand.writer
 
 
 # Small programs on which a gate that gets one premise of the cut wrong
@@ -1032,17 +1054,20 @@ GATE_CORNER_PROGRAMS = [
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_gate_query_matches_the_cut_it_replaces(level):
     """On every query explore_ce's gate can make, on the examples, the corner
-    programs and 150 random programs, the query on the current history gives
-    the verdict of the cut history built and checked from scratch."""
+    programs and 150 random programs, the query on the current history, and
+    on the walk's trace standing at it, gives the verdict of the cut history
+    built and checked from scratch."""
     rng = random.Random(13)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
     programs += [parse(random_program(rng)) for _ in range(150)]
     verdicts = []
     for prog in programs:
-        for h, rid, t in _gate_queries(prog, level):
+        for st, h, rid, t in _gate_queries(prog, level):
             expected = _reads_causally_latest_by_cut(h, level, rid, t)
             assert reads_causally_latest(h, level, rid, t) == expected, (h, rid, t)
+            tr = explorer._Trace(st, level)
+            assert reads_causally_latest(tr, level, rid, t) == expected, (h, rid, t)
             verdicts.append(expected)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
@@ -1056,14 +1081,14 @@ def _swapped_by_scan(h, r) -> bool:
     if t is None:
         return False
     reader = r.txn
-    if not h.txn_before_event(t, r):
+    if not h.starts[t] < h.starts[reader]:
         return False
     if not reader < t:
         return False
     for other in h.history.txn_ids:
         if not other < reader:
             continue
-        if h.event_before_txn(r, other):
+        if h.starts[reader] < h.starts[other]:
             continue
         if causal_reachable(h.history, t, other):
             return False
@@ -1080,17 +1105,19 @@ def _swapped_by_scan(h, r) -> bool:
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_swapped_query_matches_the_scan_it_replaces(level):
     """On every read explore_ce's gate can ask ``swapped`` about, on the
-    examples, the corner programs and 150 random programs, the query gives
-    the verdict of the full scan."""
+    examples, the corner programs and 150 random programs, the query on the
+    history, and on the walk's trace standing at it, gives the verdict of
+    the full scan."""
     rng = random.Random(13)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
     programs += [parse(random_program(rng)) for _ in range(150)]
     verdicts = []
     for prog in programs:
-        for h, rid, _ in _gate_queries(prog, level):
+        for st, h, rid, _ in _gate_queries(prog, level):
             expected = _swapped_by_scan(h, rid)
             assert swapped(h, rid) == expected, (h, rid)
+            assert swapped(explorer._Trace(st, level), rid) == expected, (h, rid)
             verdicts.append(expected)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 400
 
@@ -1119,7 +1146,7 @@ def test_swapped_rejects_a_read_behind_an_earlier_read_of_a_later_writer(level):
     emits ``dfs``'s distinct histories.  Without the causal-past test in
     its last clause the run emits one history twice and loses another."""
     prog = parse(LATER_EARLIER_READ)
-    for h, rid, _ in _gate_queries(prog, level):
+    for _, h, rid, _ in _gate_queries(prog, level):
         assert swapped(h, rid) == _swapped_by_scan(h, rid), (h, rid)
     emitted: list[bytes] = []
     stats = explore_ce(prog, level, emit=lambda s: emitted.append(canonical_encode(s.history.history)))
@@ -1132,15 +1159,17 @@ def test_swapped_rejects_a_read_behind_an_earlier_read_of_a_later_writer(level):
 
 
 def test_gate_query_builds_no_history(monkeypatch):
-    """The query builds no transaction log, history or ordered history and
-    cuts nothing, yet keeps the reference's verdicts."""
+    """The query, on a history or on the walk's trace, builds no
+    transaction log, history or ordered history and cuts nothing, yet keeps
+    the reference's verdicts."""
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(source) for source in GATE_CORNER_PROGRAMS]
     cases = [
-        (h, level, rid, t, _reads_causally_latest_by_cut(h, level, rid, t))
+        (h, explorer._Trace(st, level), level, rid, t,
+         _reads_causally_latest_by_cut(h, level, rid, t))
         for level in EXTENSIBLE
         for prog in programs
-        for h, rid, t in _gate_queries(prog, level)
+        for st, h, rid, t in _gate_queries(prog, level)
     ]
 
     def refuse(*args, **kwargs):
@@ -1153,8 +1182,9 @@ def test_gate_query_builds_no_history(monkeypatch):
         (OrderedHistory, "append"), (TransactionLog, "__post_init__"),
     ]:
         monkeypatch.setattr(cls, name, refuse)
-    for h, level, rid, t, expected in cases:
+    for h, tr, level, rid, t, expected in cases:
         assert reads_causally_latest(h, level, rid, t) == expected
+        assert reads_causally_latest(tr, level, rid, t) == expected
     assert {expected for *_, expected in cases} == {True, False}
 
 
