@@ -53,11 +53,12 @@ event is stepped once and no program code runs on a rejected child or
 swap.  The only histories built and checked but never entered are those
 the gate rejects and the extensions :func:`causal_extension_exists` tries.
 
-Both searches follow one scheduling rule read from the session states,
-``_schedule``: the open transaction steps on, else any session may begin;
-:func:`next_event` takes the first action and :func:`dfs` all.  Both run in
-one loop, ``_walk``, over an explicit stack of per-node generators, so no
-run is bounded by the interpreter's recursion limit.
+Both searches follow one scheduling rule, ``_schedule``: the one pending
+transaction steps on, else any session may begin.  The paper's invariant
+leaves at most one pending, so the trace carries it and a state finds it
+by one scan.  :func:`next_event` takes the first action and :func:`dfs`
+all.  Both run in one loop, ``_walk``, over an explicit stack of per-node
+generators, so no run is bounded by the interpreter's recursion limit.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
@@ -175,35 +176,29 @@ class RunInterrupted(KeyboardInterrupt):
 # ---------------------------------------------------------------------------
 
 
-def _schedule(st: ExplorationState) -> Iterator[NextAction]:
+def _schedule(st: ExplorationState) -> list[NextAction]:
     """The scheduling rule: the actions the walks may take next from ``st``.
 
-    The open transaction, read from the session states, is driven to its
-    next database event; with none open, each session begins its next
-    transaction, in session order; a complete run yields nothing.  Raises
-    ValueError when more than one transaction is open.  ``st`` is a state or
-    the walk's trace: it reads only the program, the sessions' local states
-    and the logs by id.
+    The one pending transaction, ``st.pending``, is driven to its next
+    database event; with none, each session begins its next transaction, in
+    session order; a complete run has none.  ``st`` is a state, whose
+    ``pending`` scans the sessions and raises ValueError when more than one
+    transaction is open, or the walk's trace, which carries it.
     """
-    sessions = st.sessions
-    open_sessions = [s for s, ls in enumerate(sessions) if ls.in_txn]
-    if len(open_sessions) > 1:
-        pending = tuple(TxnId(s, sessions[s].txn_index) for s in open_sessions)
-        raise ValueError(f"multiple pending transactions: {pending}")
-    if open_sessions:
-        ls = sessions[open_sessions[0]]
-        tid = TxnId(open_sessions[0], ls.txn_index)
-        yield _step(ls, tid, st.by_id[tid])
-        return
-    for session, decl in enumerate(st.program.sessions):
-        if sessions[session].txn_index < len(decl.txns):
-            yield _action(TxnId(session, sessions[session].txn_index), 0, BEGIN)
+    t, sessions = st.pending, st.sessions
+    if t is not None:
+        return [_step(sessions[t.session], t, st.by_id[t])]
+    return [
+        _action(TxnId(s, ls.txn_index), 0, BEGIN)
+        for s, (ls, decl) in enumerate(zip(sessions, st.program.sessions))
+        if ls.txn_index < len(decl.txns)
+    ]
 
 
 def next_event(st: ExplorationState) -> NextAction | None:
-    """The unique next event under the fixed scheduling priority: the first
-    action of :func:`_schedule`, or None when the run is complete."""
-    return next(_schedule(st), None)
+    """The unique next event under the fixed scheduling priority: the pending
+    transaction's step, else the first begin (:func:`_schedule`); or None."""
+    return next(iter(_schedule(st)), None)
 
 
 def _committed_writers(
@@ -587,8 +582,9 @@ class _Trace:
     rules shared with the immutable model read it as they read those:
     ``program``, the sessions' local states ``sessions``, the logs
     ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
-    the session lists ``session_txns``, ``causal_past``, ``writers`` and
-    ``consistency_cache``, which holds the verdict at ``level``: the forced
+    the session lists ``session_txns``, ``causal_past``, ``writers``, the
+    one open transaction ``pending`` (or None), and ``consistency_cache``,
+    which holds the verdict at ``level``: the forced
     closure as each transaction's past at RC, RA and CC, a witness order at
     SER and SI.  An event edits the transaction that entered last, which
     nothing follows, so a begin or a read changes one entry of the causal
@@ -600,9 +596,9 @@ class _Trace:
     the other relations are replaced by the new value the edit builds,
     never changed, so a materialized state may share them.  :meth:`pop`
     undoes the last push: the undo stack holds, per event, the replaced log
-    and local state and the previous relations, so it is never longer than
-    the walk is deep.  :meth:`swap` builds a taken swap's trace from this
-    one, which it leaves as it is.
+    and local state, the previous relations and ``pending``, so it is never
+    longer than the walk is deep.  :meth:`swap` builds a taken swap's trace
+    from this one, which it leaves as it is, with the reader pending.
     """
 
     def __init__(self, st: ExplorationState, level: IsolationLevel):
@@ -620,7 +616,7 @@ class _Trace:
         self.consistency_cache = {} if level is IsolationLevel.TRUE else {
             level: (_forced_closure if closure else _witness)(hist, level)
         }
-        self.length = len(h.order)
+        self.length, self.pending = len(h.order), st.pending
         self.undo: list[tuple] = []
 
     def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
@@ -634,13 +630,18 @@ class _Trace:
 
     def push(self, action: NextAction, writer: TxnId | None = None, reach: dict | None = None):
         """Apply ``action``'s event, an external read observing ``writer``,
-        and derive the verdict (``after``), or take ``reach``, the forced
-        closure a read's decision computed."""
+        set ``pending`` by it, and derive the verdict (``after``), or take
+        ``reach``, the forced closure a read's decision computed."""
         event = action.event
-        t = event.id.txn
+        t, kind = event.id.txn, event.kind
         cache, level = self.consistency_cache, self.level
         self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
-                          self.session_txns, self.causal_past, self.writers, cache.get(level)))
+                          self.session_txns, self.causal_past, self.writers, cache.get(level),
+                          self.pending))
+        if kind == BEGIN:
+            self.pending = t
+        elif kind == COMMIT or kind == ABORT:
+            self.pending = None
         first_write = self._apply(event, writer)
         if cache:
             cache[level] = reach if reach is not None else self.after(
@@ -697,7 +698,7 @@ class _Trace:
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
         (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_past,
-         self.writers, reach) = self.undo.pop()
+         self.writers, reach, self.pending) = self.undo.pop()
         t = event.id.txn
         self.sessions[t.session] = ls
         self.length -= 1
@@ -740,7 +741,7 @@ class _Trace:
             new.length += len(log.events)
         new.sessions = list(self.sessions)
         _rewind(new.sessions, [u for u in starts if u not in kept])
-        new.consistency_cache, new.undo = {}, []
+        new.consistency_cache, new.undo, new.pending = {}, [], reader
         s = reader.session
         action = NextAction(self.by_id[reader].events[0])
         for _ in range(r.index):
@@ -757,7 +758,8 @@ class _Trace:
     def state(self) -> ExplorationState:
         """The state the trace stands at, sharing no dict it changes in
         place; its verdict at ``level`` cached, its logs by id and wr map
-        left to be computed on first use."""
+        left to be computed on first use, and its per-event order left to
+        :class:`OrderedHistory`'s view of ``starts`` and the logs."""
         logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
         hist = History._derived(
             logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
@@ -765,10 +767,7 @@ class _Trace:
             writers=self.writers, consistency_cache=dict(self.consistency_cache),
         )
         h = object.__new__(OrderedHistory)
-        h.__dict__.update(
-            history=hist, starts=dict(self.starts),
-            order=tuple([ev.id for log in self.by_id.values() for ev in log.events]),
-        )
+        h.__dict__.update(history=hist, starts=dict(self.starts))
         return ExplorationState(self.program, h, tuple(self.sessions))
 
 

@@ -632,6 +632,8 @@ class OrderedHistory:
     may be pending, but only the last to enter is extended.  :attr:`starts`,
     each transaction's first position in entry order, is the one order
     relation; an event's position is its transaction's start plus its index.
+    On the states the explorer's trace builds, which carry ``starts``,
+    ``order`` is a view built on first read (:meth:`__getattr__`).
 
     Construction checks the entry order against the direct so/wr edges
     (:attr:`History.causal_adjacency`) only, which builds no closure.  It
@@ -670,6 +672,16 @@ class OrderedHistory:
         log = TransactionLog(INIT_TXN, tuple(events))
         hist = History((log,), ())
         return cls(hist, tuple(ev.id for ev in events))
+
+    def __getattr__(self, name: str):
+        """``order`` on a state the walk's trace builds, which carries
+        ``starts`` and leaves the order to be built on first read, from
+        ``starts`` and the logs."""
+        if name != "order" or "starts" not in self.__dict__:
+            raise AttributeError(name)
+        by_id = self.history.by_id
+        order = self.__dict__["order"] = tuple(ev.id for t in self.starts for ev in by_id[t].events)
+        return order
 
     @lazy_property
     def starts(self) -> dict[TxnId, int]:

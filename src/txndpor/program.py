@@ -657,6 +657,16 @@ class ExplorationState:
         carries them."""
         return self.history.history.by_id
 
+    @property
+    def pending(self) -> TxnId | None:
+        """The open transaction, by a scan of the sessions, or None (the
+        explorer's trace carries it instead).  Raises ValueError when more
+        than one is open, which no state the explorer builds allows."""
+        open_ = [TxnId(s, ls.txn_index) for s, ls in enumerate(self.sessions) if ls.in_txn]
+        if len(open_) > 1:
+            raise ValueError(f"multiple pending transactions: {tuple(open_)}")
+        return open_[0] if open_ else None
+
     def next_unstarted_txn(self, session: int) -> TxnId | None:
         ls = self.sessions[session]
         if ls.in_txn or ls.txn_index >= len(self.program.sessions[session].txns):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import re
 from pathlib import Path
@@ -86,6 +88,7 @@ from txndpor.program import (
     _freeze_env,
     _normalize,
     apply_event,
+    assertions,
     parse,
     replay,
     step_local,
@@ -543,9 +546,41 @@ def test_trace_snapshots_and_undo_are_exact(walk, level, monkeypatch):
     its cached verdict included, so none shares what the trace changes
     later, and an emitted state without the hook has a replay's locals;
     and the trace materialized just before each push equals it
-    materialized just after the matching pop.  Over the examples, the
-    gate's corner programs and 100 random programs (50 for ``dfs``)."""
+    materialized just after the matching pop, its pending transaction
+    restored too.  On every state materialized there, the trace's
+    ``pending`` is the state's scan and the history's one pending
+    transaction.  Over the examples, the gate's corner programs and 100
+    random programs (50 for ``dfs``)."""
     programs = _examples_corners_and_draws(25, 100 if walk is explore_ce else 50)
+    push, pop = explorer._Trace.push, explorer._Trace.pop
+    before: list[tuple[ExplorationState, TxnId | None]] = []
+    pops = 0
+
+    def materialized(tr: explorer._Trace) -> ExplorationState:
+        st = tr.state()
+        assert tr.pending == st.pending
+        assert st.history.history.pending_txns() == (() if tr.pending is None else (tr.pending,))
+        return st
+
+    def checked_push(self, *args):
+        before.append((materialized(self), self.pending))
+        push(self, *args)
+
+    def checked_pop(self):
+        nonlocal pops
+        pop(self)
+        st, pending = before.pop()
+        assert self.pending == pending
+        assert _same_materialized(materialized(self), st)
+        pops += 1
+
+    with monkeypatch.context() as patched:  # first: a lost pending derails the walk
+        patched.setattr(explorer._Trace, "push", checked_push)
+        patched.setattr(explorer._Trace, "pop", checked_pop)
+        for prog in programs:
+            walk(prog, level)
+    assert pops > 1000 and not before
+
     hooked: dict[int, ExplorationState] = {}
     emitted: list[ExplorationState] = []
 
@@ -565,25 +600,60 @@ def test_trace_snapshots_and_undo_are_exact(walk, level, monkeypatch):
             replayed[key] = replay(st.program, st.history.history, st.history.order).sessions
         assert st.sessions == replayed[key]
 
-    push, pop = explorer._Trace.push, explorer._Trace.pop
-    before: list[ExplorationState] = []
-    pops = 0
 
-    def checked_push(self, *args):
-        before.append(self.state())
-        push(self, *args)
+ORDER_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
+    (dfs, IsolationLevel.SER), (dfs, IsolationLevel.SI)
+]
 
-    def checked_pop(self):
-        nonlocal pops
-        pop(self)
-        assert _same_materialized(self.state(), before.pop())
-        pops += 1
 
-    monkeypatch.setattr(explorer._Trace, "push", checked_push)
-    monkeypatch.setattr(explorer._Trace, "pop", checked_pop)
-    for prog in programs:
-        walk(prog, level)
-    assert pops > 1000 and not before
+@pytest.mark.parametrize(
+    "walk, level", ORDER_WALKS,
+    ids=[lvl.value if w is explore_ce else f"dfs-{lvl.value}" for w, lvl in ORDER_WALKS],
+)
+def test_snapshot_order_is_a_view_of_starts_and_the_logs(walk, level):
+    """Every state a walk emits leaves its per-event order unbuilt.  Read,
+    the view lists each transaction's events in entry order, and the state
+    equals and hashes as the validated ``OrderedHistory`` of its logs, wr
+    and that order.  The first state of each history (``dfs`` emits one
+    many times) also prints as it, and a deep copy and a pickle of it,
+    made unbuilt, round-trip.  Over the examples, the gate's corner
+    programs and 40 random programs (10 for ``dfs``)."""
+    emitted: list[ExplorationState] = []
+    for prog in _examples_corners_and_draws(31, 40 if walk is explore_ce else 10):
+        walk(prog, level, emit=emitted.append)
+    assert len(emitted) > 100
+    copied: set[tuple] = set()
+    for st in emitted:
+        h = st.history
+        key = (id(st.program), canonical_encode(h.history))
+        first = key not in copied
+        copied.add(key)
+        copies = [copy.deepcopy(st), pickle.loads(pickle.dumps(st))] if first else []
+        assert not any("order" in vars(c.history) for c in [st, *copies])
+        entry = tuple(sorted(h.history.event_ids, key=lambda e: h.starts[e.txn] + e.index))
+        assert h.order == entry
+        full = OrderedHistory(History(h.history.logs, h.history.wr), entry)
+        assert h == full and hash(h) == hash(full)
+        assert not first or repr(h) == repr(full)
+        assert all(c == st and c.history.order == entry for c in copies)
+
+
+def test_unhooked_explore_ce_builds_no_order_for_emit():
+    """An unhooked ``explore_ce`` whose emit encodes each history and
+    evaluates the program's assertions, as ``txndpor run`` does, builds no
+    emitted state's per-event order."""
+    emitted: list[ExplorationState] = []
+
+    def emit(st: ExplorationState) -> None:
+        canonical_encode(st.history.history)
+        assertions(st)
+        emitted.append(st)
+
+    for level in EXTENSIBLE:
+        for prog in _examples_corners_and_draws(37, 30):
+            explore_ce(prog, level, emit=emit)
+    assert len(emitted) > 100
+    assert not any("order" in vars(st.history) for st in emitted)
 
 
 @pytest.mark.parametrize("level", [IsolationLevel.CC, IsolationLevel.SER], ids=["cc", "ser"])
@@ -789,7 +859,8 @@ def test_swaps_match_a_replay_from_the_root(level):
     trace made from the state is the public ``swap``, which replays from
     the root, per-session local state included, when that swap's history
     is consistent, and None exactly when it is not; at cc some are not.
-    The gate, which swaps on a trace, returns None or that same swap, whose
+    The swapped trace carries the reader as its pending transaction.  The
+    gate, which swaps on a trace, returns None or that same swap, whose
     cached verdict is full construction's."""
     rng = random.Random(9)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
@@ -803,6 +874,7 @@ def test_swaps_match_a_replay_from_the_root(level):
                 traced = explorer._Trace(st, level).swap(r, t)
                 if check_consistency(reference.history.history, level):
                     assert traced is not None and traced.state() == reference
+                    assert traced.pending == r.txn
                 else:
                     assert traced is None
                     rejected += 1
