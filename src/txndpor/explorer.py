@@ -52,6 +52,13 @@ steps the session's locals; the gate checks each history it builds.  Each
 event is stepped once and no program code runs on a rejected child or
 swap.  The only histories built and checked but never entered are those
 the gate rejects and the extensions :func:`causal_extension_exists` tries.
+A step is cheap when it repeats: the step and local-state rules run each
+transaction's compiled body from the session's ``pc`` behind bounded memos
+keyed by one step's inputs (``program._action``, ``program._silent_run``,
+``program._write_value``), and a log keeps its last extension
+(:meth:`TransactionLog.extended`), so siblings that push the same event
+share one log.  No memo is keyed by a history or holds a state, so
+what a walk retains still grows only with its depth.
 
 Both searches follow one scheduling rule, ``_schedule``: the one pending
 transaction steps on, else any session may begin.  The paper's invariant
@@ -187,7 +194,7 @@ def _schedule(st: ExplorationState) -> list[NextAction]:
     """
     t, sessions = st.pending, st.sessions
     if t is not None:
-        return [_step(sessions[t.session], t, st.by_id[t])]
+        return [_step(st.program, sessions[t.session], t, st.by_id[t])]
     return [
         _action(TxnId(s, ls.txn_index), 0, BEGIN)
         for s, (ls, decl) in enumerate(zip(sessions, st.program.sessions))
@@ -748,7 +755,7 @@ class _Trace:
             writer = self.wr_map.get(action.event.id)
             new._apply(action.event, writer)
             new.enter(action, writer)
-            action = _step(new.sessions[s], reader, new.by_id[reader])
+            action = _step(new.program, new.sessions[s], reader, new.by_id[reader])
         new._apply(action.event, t)
         if not check_consistency(new, new.level):
             return None

@@ -253,7 +253,22 @@ class TransactionLog:
         Checks in O(1) what the event can break: that this log is pending and
         that ``event`` is its next event and no begin.  Any other input goes
         through the validating constructor, which raises its usual message.
+
+        The log keeps its last extension, ``(event, log)``, outside its
+        fields, so ``==``, ``hash`` and ``repr`` ignore it, and returns that
+        log again when ``event`` *is* the same object: a sibling that takes
+        the same hash-consed event (``program._action``) shares one log, with
+        the relations and ``fragment`` cached on it.  A hit is what a miss
+        builds, since the result depends only on this log and the event; an
+        equal but distinct event misses and replaces the entry.  Each log
+        holds at most one extension, and that one at most one of its own, so
+        a log the walk keeps reaches at most one further log per position
+        left in its transaction: the logs a walk retains stay O(depth ×
+        transaction length), and no table outside the logs holds any.
         """
+        last = self.__dict__.get("_extension")
+        if last is not None and last[0] is event:
+            return last[1]
         kind, eid = event.kind, event.id
         if (self.status != PENDING or kind == BEGIN
                 or eid.index != len(self.events) or eid.txn != self.id):
@@ -272,6 +287,7 @@ class TransactionLog:
             read_set=read_set,
             status=COMMITTED if kind == COMMIT else ABORTED if kind == ABORT else PENDING,
         )
+        self.__dict__["_extension"] = (event, log)
         return log
 
     def writes_var(self, var: str) -> bool:

@@ -30,12 +30,28 @@ their trace, by the same ``_local_after``.  :func:`replay` rebuilds a state
 from scratch along a sequence of a history's events, checking each through
 :func:`apply_event`.
 
-Every action a step or a begin produces comes from one bounded memo
-(``_action``, 1,024 entries) keyed by the action's whole value, so a walk
-builds each distinct event once, by the validating constructor, and shares
-it, its cached encoding included (hash-consing).  A hit returns what a miss
-builds, because the key holds every field of the action; a write's value
-is evaluated before the lookup, so evaluation errors are not memoized.
+A transaction body runs compiled: on its first step it is flattened once
+(``Transaction.code``) into a tuple of instructions in which each ``if``
+becomes a conditional jump past its body, and a session's
+:class:`LocalState` holds a program counter ``pc`` into it.  Three bounded
+memos hash-cons what a step computes, so a walk builds each distinct value
+once and shares it:
+
+- ``_action`` (1,024 entries): each action a step or a begin produces,
+  keyed by the action's whole value, so each distinct event is built once
+  by the validating constructor, its cached encoding included;
+- ``_silent_run`` (4,096 entries): the ``pc`` and locals after an event,
+  keyed by the compiled body, the ``pc`` to run from, the locals, and the
+  local a read sets with its value; it sets that local, then runs the
+  assigns, ifs and asserts up to the next database instruction;
+- ``_write_value`` (1,024 entries): a write's value, keyed by the body, the
+  write's ``pc`` and the locals.
+
+A hit returns what a miss builds, because each function is pure over its
+key: a compiled body is hashed and compared by identity, so its key stands
+for its exact instructions, locals and values are ints, never bools, and
+variables and targets strs.  Errors raise on a miss and are never stored.
+No memo holds a log or a state, and none grows with the run.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     ABORT,
@@ -146,12 +162,49 @@ class AssertInstr(_Located):
 
 
 Instr = ReadInstr | WriteInstr | AssignInstr | IfInstr | AbortInstr | AssertInstr
-_SILENT = (AssignInstr, IfInstr, AssertInstr)  # run between database events
+
+
+@dataclass(frozen=True)
+class _Branch(_Located):
+    """A compiled ``if``: when ``cond`` evaluates to 0, the run goes on at
+    ``end``, past the body; ``at`` is the ``if``'s."""
+
+    cond: Expr
+    end: int
+
+
+class _Code(tuple):
+    """A transaction body compiled to a flat instruction tuple, hashed and
+    compared by identity: a memo key holding it costs one pointer hash,
+    never a walk of nested instructions, and stands for these exact
+    instructions."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
 @dataclass(frozen=True)
 class Transaction:
     instrs: tuple[Instr, ...]
+
+    @lazy_property
+    def code(self) -> _Code:
+        """The body compiled on its first step: each chain of nested ``if``s
+        becomes one ``_Branch`` per ``if``, each jumping past the chain's
+        innermost instruction, which follows them.  Flattened by a loop, so
+        the deepest nesting the parser accepts compiles at any stack depth."""
+        out: list = []
+        for instr in self.instrs:
+            chain = []
+            while isinstance(instr, IfInstr):
+                chain.append(instr)
+                instr = instr.body
+            end = len(out) + len(chain) + 1
+            out.extend(_Branch(i.cond, end, at=i.at) for i in chain)
+            out.append(instr)
+        return _Code(out)
 
 
 @dataclass(frozen=True)
@@ -168,19 +221,13 @@ class Program:
     def variables(self) -> tuple[str, ...]:
         """All shared variables mentioned anywhere, sorted."""
         out: set[str] = set()
-
-        def scan(instr: Instr) -> None:
-            if isinstance(instr, ReadInstr):
-                out.add(instr.var)
-            elif isinstance(instr, WriteInstr):
-                out.add(instr.var)
-            elif isinstance(instr, IfInstr):
-                scan(instr.body)
-
         for sess in self.sessions:
             for txn in sess.txns:
                 for instr in txn.instrs:
-                    scan(instr)
+                    while isinstance(instr, IfInstr):
+                        instr = instr.body
+                    if isinstance(instr, (ReadInstr, WriteInstr)):
+                        out.add(instr.var)
         return tuple(sorted(out))
 
     @lazy_property
@@ -570,22 +617,24 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalState:
-    """One session's runtime position: locals, current transaction, residue.
+class LocalState(NamedTuple):
+    """One session's runtime position: locals, current transaction, ``pc``.
 
-    ``queue`` holds the remaining instructions of the open transaction with
-    silent instructions (assignments, resolved conditionals, asserts) already
-    consumed, so its head — when present — is always a database action.
-    ``begun`` holds the locals each begun transaction started from, so the
-    walk's swap (``explorer._Trace.swap``) can set the session back to any
-    of its begins without a replay.
+    ``pc`` indexes the open transaction's compiled body
+    (``Transaction.code``).  Silent instructions (assignments, branches,
+    asserts) are run as soon as they are reached, so ``pc`` always stands
+    at a database instruction, or at the body's end, where the transaction
+    commits; it is 0 between transactions.  ``begun`` holds the locals each
+    begun transaction started from, so the walk's swap
+    (``explorer._Trace.swap``) can set the session back to any of its
+    begins without a replay.  A named tuple, since the walks build one per
+    event: it costs a third of a frozen dataclass's ``__init__``.
     """
 
     locals: tuple[tuple[str, int], ...] = ()
     txn_index: int = 0
     in_txn: bool = False
-    queue: tuple[Instr, ...] = ()
+    pc: int = 0
     begun: tuple[tuple[tuple[str, int], ...], ...] = ()
 
     @property
@@ -597,23 +646,38 @@ def _freeze_env(env: dict[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(env.items()))
 
 
-def _normalize(env: dict[str, int], queue: tuple[Instr, ...]) -> tuple[Instr, ...]:
-    """Consume silent instructions; mutates ``env`` in place."""
-    items = list(queue)
-    while items:
-        head = items[0]
-        if isinstance(head, AssignInstr):
-            env[head.target] = _eval_at(head, head.expr, env)
-            items.pop(0)
-        elif isinstance(head, IfInstr):
-            items.pop(0)
-            if _eval_at(head, head.cond, env) != 0:
-                items.insert(0, head.body)
-        elif isinstance(head, AssertInstr):
-            items.pop(0)  # evaluated at the end of the run, not here
-        else:
+@lru_cache(maxsize=4096)
+def _silent_run(
+    code: _Code, pc: int, locals: tuple[tuple[str, int], ...], target: str | None,
+    value: int | None,
+) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """The ``pc`` and locals after an event: set ``target`` (a read's
+    local, or None) to ``value``, then run ``code`` from ``pc`` through its
+    silent instructions up to the next database instruction or the end.
+    Asserts are skipped here; :func:`assertions` evaluates them at the end
+    of the run."""
+    env = dict(locals)
+    if target is not None:
+        env[target] = value  # type: ignore[assignment]
+    while pc < len(code):
+        instr = code[pc]
+        if isinstance(instr, AssignInstr):
+            env[instr.target] = _eval_at(instr, instr.expr, env)
+        elif isinstance(instr, _Branch):
+            if _eval_at(instr, instr.cond, env) == 0:
+                pc = instr.end
+                continue
+        elif not isinstance(instr, AssertInstr):
             break
-    return tuple(items)
+        pc += 1
+    return pc, _freeze_env(env)
+
+
+@lru_cache(maxsize=1024)
+def _write_value(code: _Code, pc: int, locals: tuple[tuple[str, int], ...]) -> int:
+    """The value of the write at ``code[pc]`` under ``locals``."""
+    instr = code[pc]
+    return _eval_at(instr, instr.expr, dict(locals))
 
 
 @dataclass(frozen=True)
@@ -678,8 +742,9 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     """Resolve the next database event of a session's open transaction.
 
     The session must have a transaction open.  Silent instructions were
-    already consumed when the transaction reached this point, so the result
-    is determined by the queue head (or commit, when the queue is empty).
+    already run when the transaction reached this point, so the result is
+    determined by the instruction at the session's ``pc`` (or commit, at
+    the body's end).
     """
     if not 0 <= session < len(st.sessions):
         raise ProgramError(f"session {session} is not in the program")
@@ -687,28 +752,30 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     if not ls.in_txn:
         raise ProgramError(f"session {session} has no open transaction")
     tid = TxnId(session, ls.txn_index)
-    return _step(ls, tid, st.history.history.txn(tid))
+    return _step(st.program, ls, tid, st.history.history.txn(tid))
 
 
-def _step(ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
+def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
     """The step rule: the next event of ``tid``, open in a session at
-    ``ls``, whose log so far is ``log``.  The action comes from
-    ``_action``, a memo of at most 1,024 actions keyed by every field an
-    action carries, so a hit is what a miss would build.  A write's value
-    is evaluated first, as part of the key; each kind is looked up with one
-    number of arguments, so each value has one entry."""
+    ``ls``, whose log so far is ``log``, read from the instruction at
+    ``ls.pc`` of its compiled body.  A write's value comes from
+    ``_write_value`` and the action from ``_action``, bounded memos whose
+    keys hold every input of what they return, so a hit is what a miss
+    would build.  Each kind is looked up in ``_action`` with one number of
+    arguments, so each value has one entry."""
     index = len(log.events)
-    if not ls.queue:
+    code = program.txn_body(tid).code
+    pc = ls.pc
+    if pc == len(code):
         return _action(tid, index, COMMIT)
-    head = ls.queue[0]
-    if isinstance(head, AbortInstr):
-        return _action(tid, index, ABORT)
-    if isinstance(head, ReadInstr):
-        own = log.write_set.get(head.var)  # the open log's last write of it
-        return _action(tid, index, READ, head.var, None, head.target,
+    instr = code[pc]
+    if isinstance(instr, ReadInstr):
+        own = log.write_set.get(instr.var)  # the open log's last write of it
+        return _action(tid, index, READ, instr.var, None, instr.target,
                        None if own is None else own.value)
-    assert isinstance(head, WriteInstr)
-    return _action(tid, index, WRITE, head.var, _eval_at(head, head.expr, ls.env))
+    if isinstance(instr, WriteInstr):
+        return _action(tid, index, WRITE, instr.var, _write_value(code, pc, ls.locals))
+    return _action(tid, index, ABORT)
 
 
 @lru_cache(maxsize=1024)
@@ -769,26 +836,24 @@ def _local_after(
 ) -> LocalState:
     """The local-state rule: the session at ``ls`` after ``action``, an
     external read observing ``writer``'s final write, from the logs
-    ``by_id`` before the event."""
+    ``by_id`` before the event.  A begin runs its body from ``pc`` 0 and
+    any other event from the instruction after ``ls.pc``, by
+    ``_silent_run``, whose key holds the body, the ``pc``, the locals and
+    the local a read sets with its value: every input of its result, so a
+    hit is what a miss would build."""
     event = action.event
-    if event.kind == BEGIN:
-        env = ls.env
-        queue = _normalize(env, program.txn_body(event.id.txn).instrs)
-        return LocalState(_freeze_env(env), ls.txn_index, True, queue, ls.begun + (ls.locals,))
-    if event.kind == WRITE and (len(ls.queue) < 2 or not isinstance(ls.queue[1], _SILENT)):
-        # A write changes no local, and no silent instruction follows it.
-        return LocalState(ls.locals, ls.txn_index, ls.in_txn, ls.queue[1:], ls.begun)
-    if event.kind in (READ, WRITE):
-        env = ls.env
-        if event.kind == READ:
-            assert action.target is not None
-            env[action.target] = (
-                action.internal_value if writer is None
-                else by_id[writer].write_set[event.var].value  # type: ignore[index]
-            )
-        queue = _normalize(env, ls.queue[1:])
-        return LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
-    return LocalState(ls.locals, ls.txn_index + 1, False, (), ls.begun)  # COMMIT or ABORT
+    kind, tid = event.kind, event.id.txn
+    if kind == COMMIT or kind == ABORT:
+        return LocalState(ls.locals, ls.txn_index + 1, False, 0, ls.begun)
+    code = program.txn_body(tid).code
+    if kind == BEGIN:
+        pc, begun = 0, ls.begun + (ls.locals,)
+    else:
+        pc, begun = ls.pc + 1, ls.begun
+    value = (action.internal_value if writer is None
+             else by_id[writer].write_set[event.var].value)  # type: ignore[index]
+    pc, locals = _silent_run(code, pc, ls.locals, action.target, value)
+    return LocalState(locals, ls.txn_index, True, pc, begun)
 
 
 def replay(program: Program, history: History, order: Iterable[EventId]) -> ExplorationState:

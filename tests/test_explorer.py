@@ -8,6 +8,7 @@ import hashlib
 import pickle
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -82,11 +83,8 @@ from txndpor.program import (
     AssertInstr,
     AssignInstr,
     ExplorationState,
-    IfInstr,
     LocalState,
     NextAction,
-    _freeze_env,
-    _normalize,
     apply_event,
     assertions,
     parse,
@@ -427,35 +425,70 @@ def test_walks_enter_the_states_the_checked_path_builds(walk, level, monkeypatch
     assert not parents
 
 
+STEP_KINDS = {"begin", "internal read", "external read", "write, silent next", "write, database next",
+              "commit", "abort"}
+STEP_MEMOS = ("_action", "_silent_run", "_write_value")
+
+
+def _step_kind(prog, ls: LocalState, action: NextAction, writer: TxnId | None) -> str:
+    """Which of ``STEP_KINDS`` the step from ``ls`` by ``action`` is."""
+    kind = action.event.kind
+    if kind == READ:
+        return "internal read" if writer is None else "external read"
+    if kind == WRITE:
+        code = prog.txn_body(action.event.id.txn).code
+        nxt = code[ls.pc + 1] if ls.pc + 1 < len(code) else None
+        silent = isinstance(nxt, (AssignInstr, program_module._Branch, AssertInstr))
+        return "write, silent next" if silent else "write, database next"
+    return {BEGIN: "begin", COMMIT: "commit", ABORT: "abort"}[kind]
+
+
+def _local_fields(ls: LocalState) -> list:
+    """Every field of ``ls`` with the exact type of each value, so that an
+    int and a bool of equal value differ."""
+    return [ls.txn_index, ls.in_txn, (ls.pc, type(ls.pc)), ls.begun,
+            [(name, value, type(value)) for name, value in ls.locals]]
+
+
 @pytest.mark.parametrize(
     "walk, level", WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in WALKS]
 )
-def test_write_steps_keep_the_locals_the_env_path_computes(walk, level, monkeypatch):
-    """On every write step of the walks over the examples, the corner
-    programs and 50 random programs, the session's new ``LocalState``
-    equals the one built by running the rest of the queue on a copy of the
-    locals and freezing them, whether or not a silent instruction follows
-    the write.  Both walks step locals on their trace, and their swaps
-    re-step the reader there, by the one rule ``_local_after``."""
-    followed: list[bool] = []
-    local_after = program_module._local_after
+def test_memoized_steps_equal_the_uncached_rule(walk, level, monkeypatch):
+    """On every step the walks take over the examples, the corner programs
+    and 50 random programs, of every kind in ``STEP_KINDS``, ``_step`` and
+    ``_local_after`` return, field by field, what the same rule returns
+    with its memos bypassed by their ``__wrapped__`` functions, which run
+    the compiled body on a fresh env: each memo's key holds every input of
+    what it returns.  The walks' swaps re-step the reader by the same two
+    rules."""
+    step, local_after = program_module._step, program_module._local_after
+    memos = {name: getattr(program_module, name) for name in STEP_MEMOS}
+    kinds: set[str] = set()
+
+    def uncached(rule, *args):
+        with monkeypatch.context() as m:
+            for name, memo in memos.items():
+                m.setattr(program_module, name, memo.__wrapped__)
+            return rule(*args)
+
+    def checked_step(prog, ls, tid, log):
+        action = step(prog, ls, tid, log)
+        assert _action_fields(action) == _action_fields(uncached(step, prog, ls, tid, log))
+        return action
 
     def checked_local_after(prog, ls, action, by_id, writer):
         new = local_after(prog, ls, action, by_id, writer)
-        if action.event.kind == WRITE:
-            env = ls.env
-            queue = _normalize(env, ls.queue[1:])
-            expected = LocalState(_freeze_env(env), ls.txn_index, ls.in_txn, queue, ls.begun)
-            assert new == expected
-            followed.append(len(ls.queue) > 1 and isinstance(
-                ls.queue[1], (AssignInstr, IfInstr, AssertInstr)))
+        cold = uncached(local_after, prog, ls, action, by_id, writer)
+        assert _local_fields(new) == _local_fields(cold)
+        kinds.add(_step_kind(prog, ls, action, writer))
         return new
 
-    monkeypatch.setattr(program_module, "_local_after", checked_local_after)
-    monkeypatch.setattr(explorer, "_local_after", checked_local_after)
+    for namespace in (program_module, explorer):
+        monkeypatch.setattr(namespace, "_step", checked_step)
+        monkeypatch.setattr(namespace, "_local_after", checked_local_after)
     for prog in _examples_corners_and_draws(24, 50):
         walk(prog, level)
-    assert followed.count(True) and followed.count(False)
+    assert kinds == STEP_KINDS
 
 
 VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
@@ -1548,6 +1581,63 @@ def test_step_memo_gives_what_an_uncached_step_builds(walk, level, monkeypatch):
     info = memo.cache_info()
     assert len(checked) == nodes and max(checked) > 1
     assert info.hits > 4 * info.misses and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize(
+    "walk, level", MEMO_WALKS,
+    ids=[lvl.value if w is explore_ce else f"dfs-{lvl.value}" for w, lvl in MEMO_WALKS],
+)
+def test_extended_logs_equal_the_validated_log(walk, level, monkeypatch):
+    """On every ``extended`` call of the walk over the examples, the corner
+    programs and 50 random programs, the log returned equals the validated
+    ``TransactionLog(log.id, log.events + (event,))``, with its status,
+    write set, read set and any fragment cached on it; many calls return
+    the log's kept last extension, which a hit must equal too."""
+    extended = TransactionLog.extended
+    hits = calls = 0
+
+    def checked(log, event):
+        nonlocal hits, calls
+        last = vars(log).get("_extension")
+        new = extended(log, event)
+        fresh = TransactionLog(log.id, log.events + (event,))
+        assert new == fresh
+        assert (new.status, new.write_set, new.read_set) == (
+            fresh.status, fresh.write_set, fresh.read_set)
+        assert vars(new).get("fragment", fresh.fragment) == fresh.fragment
+        calls += 1
+        hits += last is not None and last[1] is new
+        return new
+
+    monkeypatch.setattr(TransactionLog, "extended", checked)
+    for prog in _examples_corners_and_draws(43, 50):
+        walk(prog, level, emit=lambda st: canonical_encode(st.history.history))
+    assert hits > calls // 8 > 0
+
+
+def test_logs_a_finished_run_built_are_all_freed(monkeypatch):
+    """Once ``explore_ce`` returns and the states it emitted are dropped,
+    every log its traces stored is freed: logs keep their last extension
+    on themselves, never in a table that outlives the run."""
+    refs: list[weakref.ref] = []
+    apply = explorer._Trace._apply
+
+    def recorded(tr, event, writer):
+        first_write = apply(tr, event, writer)
+        refs.append(weakref.ref(tr.by_id[event.id.txn]))
+        return first_write
+
+    monkeypatch.setattr(explorer._Trace, "_apply", recorded)
+    programs = [parse(GATE_HEAVY_SOURCES["prog3"]), *_examples_corners_and_draws(47, 10)]
+    for level in (IsolationLevel.RC, IsolationLevel.CC):
+        for prog in programs:
+            emitted: list[ExplorationState] = []
+            explore_ce(prog, level, emit=emitted.append)
+            assert emitted
+            del emitted
+    gc.collect()
+    assert len(refs) > 1000
+    assert [ref() for ref in refs if ref() is not None] == []
 
 
 @pytest.mark.parametrize(

@@ -768,6 +768,28 @@ def test_extended_logs_carry_their_read_set():
     assert extended > 500
 
 
+def test_a_log_reuses_its_last_extension_only_for_the_same_event_object():
+    """``extended`` returns the log's kept last extension only when the
+    event is that very object: an equal, distinct event misses, builds an
+    equal log and takes the entry over.  ``==``, ``hash`` and ``repr``
+    ignore the entry."""
+    log = TransactionLog(T0, (begin_event(T0),))
+    bare = TransactionLog(T0, (begin_event(T0),))
+    event, twin = read_event(T0, 1, "x"), read_event(T0, 1, "x")
+    assert event == twin and event is not twin
+    first = log.extended(event)
+    assert log.extended(event) is first
+    second = log.extended(twin)
+    assert second == first and second is not first
+    assert log.extended(twin) is second
+    assert log.extended(event) is not first
+    assert log == bare and hash(log) == hash(bare) and repr(log) == repr(bare)
+    grown = first.extended(commit_event(T0, 2))
+    again = TransactionLog(T0, first.events + (commit_event(T0, 2),))
+    assert first == TransactionLog(T0, first.events) and grown == again
+    assert hash(grown) == hash(again) and repr(grown) == repr(again)
+
+
 DERIVED_WALKS = [("explore_ce", lv) for lv in ("rc", "ra", "cc")] + [("dfs", "ser"), ("dfs", "si")]
 
 

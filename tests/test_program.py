@@ -216,6 +216,45 @@ def test_too_deep_an_expression_is_reported_on_its_line(expr):
     assert info.value.line == 3
 
 
+def _nested_ifs(depth: int) -> str:
+    """A program whose one conditional write sits under ``depth`` nested
+    ``if``s, all on the same condition, racing a writer of ``x``."""
+    chain = "if (a == 0) { " * depth + "write(y, 1);" + " }" * depth
+    return f"session s {{ txn {{ a = read(x); {chain} }} }}\nsession t {{ txn {{ write(x, 2); }} }}"
+
+
+def test_deepest_if_nesting_the_parser_accepts_runs_from_a_deep_stack():
+    """A body's ``if`` chains are flattened by a loop, and no step of a run
+    recurses over them: the deepest nesting ``parse`` accepts, found by
+    bisection, compiles and explores from 500 frames down the stack, and
+    gives the histories of the same program with one ``if``."""
+    lo, hi = 1, 4000  # parse accepts lo and rejects hi
+    parse(_nested_ifs(lo))
+    with pytest.raises(ParseError):
+        parse(_nested_ifs(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(_nested_ifs(mid))
+            lo = mid
+        except ParseError:
+            hi = mid
+    assert lo > 500
+
+    def explored(prog, frames: int) -> list[bytes]:
+        if frames:
+            return explored(prog, frames - 1)
+        out: list[bytes] = []
+        for level in (IsolationLevel.RC, IsolationLevel.CC):
+            explore_ce(prog, level, emit=lambda st: out.append(canonical_encode(st.history.history)))
+        dfs(prog, IsolationLevel.SER, emit=lambda st: out.append(canonical_encode(st.history.history)))
+        return out
+
+    shallow = explored(parse(_nested_ifs(1)), 0)
+    assert len(set(shallow)) > 1
+    assert explored(parse(_nested_ifs(lo)), 500) == shallow
+
+
 # ---------------------------------------------------------------------------
 # Formatting round trips
 # ---------------------------------------------------------------------------
