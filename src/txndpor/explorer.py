@@ -38,8 +38,8 @@ replays a history.
 
 The walks and the public functions run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
-the candidate writers (:func:`_committed_writers`), the read decision
-(:func:`_accepted`), the reorderings (:func:`_reorderings`) and the
+the candidate writers (:meth:`_Trace.committed_writers`), the read decision
+(:meth:`_Trace.children`), the reorderings (:func:`_reorderings`) and the
 transactions a swap keeps (:func:`_kept`), each over plain relations that
 the trace carries under :class:`History`'s names.  What an event changes in
 those relations is the trace's rule alone (``_Trace._apply``); the model's
@@ -53,7 +53,7 @@ event is stepped once and no program code runs on a rejected child or
 swap.  The only histories built and checked but never entered are those
 the gate rejects and the extensions :func:`causal_extension_exists` tries.
 A step is cheap when it repeats: the step and local-state rules run each
-transaction's compiled body from the session's ``pc`` behind bounded memos
+transaction's body from the session's ``pc`` behind bounded memos
 keyed by one step's inputs (``program._action``, ``program._silent_run``,
 ``program._write_value``), and a log keeps its last extension
 (:meth:`TransactionLog.extended`), so siblings that push the same event
@@ -106,7 +106,6 @@ from .model import (
     ABORT,
     BEGIN,
     COMMIT,
-    COMMITTED,
     INIT_TXN,
     PENDING,
     READ,
@@ -208,14 +207,6 @@ def next_event(st: ExplorationState) -> NextAction | None:
     return next(iter(_schedule(st)), None)
 
 
-def _committed_writers(
-    starts: dict[TxnId, int], by_id: dict[TxnId, TransactionLog], var: str
-) -> list[TxnId | None]:
-    """Each committed transaction that writes ``var``, in the order they
-    entered (``starts`` is keyed in that order)."""
-    return [t for t in starts if by_id[t].status == COMMITTED and by_id[t].writes_var(var)]
-
-
 def valid_writes(
     st: ExplorationState, action: NextAction, level: IsolationLevel
 ) -> dict[TxnId, ExplorationState]:
@@ -248,19 +239,6 @@ def valid_writes(
         children[t] = tr.state()
         tr.pop()
     return children
-
-
-def _accepted(h: History, level: IsolationLevel, read: Event, writers: list) -> list[tuple]:
-    """The read decision: each of ``writers`` that ``read``, by the
-    transaction that entered ``h`` last, may observe at ``level``, with the
-    forced closure of ``h`` extended by it (:func:`isolation._read_closures`;
-    None at TRUE, which accepts every writer).  None is accepted when ``h``
-    is inconsistent.  ``h`` is a history or the walk's trace."""
-    if level is IsolationLevel.TRUE:
-        return [(w, None) for w in writers]
-    if _forced_closure(h, level) is None:
-        return []
-    return [(w, reach) for w, reach in _read_closures(h, level, read, writers) if reach is not None]
 
 
 # The levels at which every reachable history extends by its next event
@@ -626,14 +604,30 @@ class _Trace:
         self.length, self.pending = len(h.order), st.pending
         self.undo: list[tuple] = []
 
+    def committed_writers(self, var: str) -> list[TxnId]:
+        """The committed writers of ``var`` in the order they entered:
+        ``writers[var]``, when the one pending transaction reads ``var``
+        externally, so has not written it, and :meth:`_apply` has removed
+        the aborted writers."""
+        return sorted(self.writers.get(var, ()), key=self.starts.__getitem__)
+
     def children(self, action: NextAction) -> list[tuple[TxnId | None, dict | None]]:
         """The (writer, forced closure) of each child ``action`` leads to:
-        an external read's :func:`_accepted` writers, else the one child
-        whose verdict :meth:`push` derives."""
+        for an external read, by the transaction that entered last, each
+        committed writer it may observe at ``level``, with the forced
+        closure extended by it (:func:`isolation._read_closures`; None at
+        TRUE, which accepts every writer), and none when the trace is
+        inconsistent; else the one child whose verdict :meth:`push`
+        derives."""
         if not action.is_external_read:
             return [(None, None)]
-        writers = _committed_writers(self.starts, self.by_id, action.event.var)  # type: ignore[arg-type]
-        return _accepted(self, self.level, action.event, writers)  # type: ignore[arg-type]
+        writers = self.committed_writers(action.event.var)  # type: ignore[arg-type]
+        if self.level is IsolationLevel.TRUE:
+            return [(w, None) for w in writers]
+        if self.consistency_cache[self.level] is None:
+            return []
+        return [(w, reach) for w, reach in _read_closures(self, self.level, action.event, writers)
+                if reach is not None]
 
     def push(self, action: NextAction, writer: TxnId | None = None, reach: dict | None = None):
         """Apply ``action``'s event, an external read observing ``writer``,
@@ -968,7 +962,7 @@ def dfs(
         blocked = True
         for a in actions:
             var = a.event.var if a.is_external_read else None
-            for w in [None] if var is None else _committed_writers(tr.starts, tr.by_id, var):
+            for w in [None] if var is None else tr.committed_writers(var):
                 tr.push(a, w)
                 # Checked here, on the trace, so traced runs count them under dfs.
                 if check_consistency(tr, level):

@@ -29,7 +29,6 @@ from .model import (
     write_event,
 )
 from .program import (
-    IfInstr,
     Program,
     ProgramError,
     SessionDecl,
@@ -225,23 +224,17 @@ def _program_reductions(p: Program) -> Iterator[Program]:
         if len(sess.txns) > 1:
             smaller = SessionDecl(sess.name, sess.txns[:-1])
             yield Program(p.sessions[:i] + (smaller,) + p.sessions[i + 1 :])
+    # Dropping a guard runs what it guarded unconditionally.
     for i, sess in enumerate(p.sessions):
         for j, txn in enumerate(sess.txns):
-            for k, instr in enumerate(txn.instrs):
-                if len(txn.instrs) > 1:
-                    cut = Transaction(txn.instrs[:k] + txn.instrs[k + 1 :])
-                    txns = sess.txns[:j] + (cut,) + sess.txns[j + 1 :]
-                    yield Program(
-                        p.sessions[:i] + (SessionDecl(sess.name, txns),) + p.sessions[i + 1 :]
-                    )
-                if isinstance(instr, IfInstr):
-                    flat = Transaction(
-                        txn.instrs[:k] + (instr.body,) + txn.instrs[k + 1 :]
-                    )
-                    txns = sess.txns[:j] + (flat,) + sess.txns[j + 1 :]
-                    yield Program(
-                        p.sessions[:i] + (SessionDecl(sess.name, txns),) + p.sessions[i + 1 :]
-                    )
+            if len(txn.instrs) == 1:
+                continue
+            for k in range(len(txn.instrs)):
+                cut = Transaction(txn.instrs[:k] + txn.instrs[k + 1 :])
+                txns = sess.txns[:j] + (cut,) + sess.txns[j + 1 :]
+                yield Program(
+                    p.sessions[:i] + (SessionDecl(sess.name, txns),) + p.sessions[i + 1 :]
+                )
 
 
 def shrink_failing_program(source: str, still_fails: Callable[[Program], bool]) -> str:

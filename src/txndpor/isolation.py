@@ -14,19 +14,20 @@ of G, as each transaction's *past* (its strict predecessors; None on a
 cycle), is cached per history and level, computed from scratch on first
 use.  The explorer's trace carries it at its level and derives each child's
 from its parent's (:func:`_forced_after`), where (a, b) closes a cycle iff
-a == b or b is in a's past.  A begin of ``t`` adds (session predecessor or
-init, ``t``); a commit, a read without a writer or a repeated write adds
-nothing; a first write by ``t`` adds the forced edges with overwriter
-``t``; a read of ``t`` observing ``w`` adds (``w``, ``t``) and the forced
-edges of the reads of ``t`` and of what follows ``t``, whose premises alone
-can change.  This is exact because such edits only add transactions,
-writes and wr edges, in which every premise is monotone: G only grows, and
-a parent's cycle stays.  An abort removes forced edges, so it takes one
-full computation.  A first write is one whose variable is not yet in the
-open log's ``write_set``.  In the walks the edited transaction entered
-last and nothing follows it, so an edge into it changes its own past alone
-(``model._past_with_edge``): only forced edges between older transactions
-rewrite every past that holds their target.
+a == b or b is in a's past.  The derivation holds only for an edit of the
+transaction that entered last, with nothing after it: no session successor
+has begun and no read observes it, as in the walks, which only extend the
+one pending transaction.  A begin of ``t`` adds (session predecessor or
+init, ``t``); a read of ``t`` observing ``w`` adds (``w``, ``t``) and the
+forced edges of the reads of ``t``, whose premises alone can change; every
+other event but an abort adds nothing.  A write by ``t`` adds no forced
+edge: one whose overwriter is ``t`` needs a reader that ``t`` is causally
+before, and nothing follows ``t``.  This is exact because such edits only add
+transactions, writes and wr edges, in which every premise is monotone: G
+only grows, and a parent's cycle stays.  An abort removes forced edges, so
+it takes one full computation.  An edge into ``t`` changes its own past
+alone (``model._past_with_edge``): only forced edges between older
+transactions rewrite every past that holds their target.
 
 Serializability and snapshot isolation quantify over the commit order itself.
 Both are decided by one search that commits transactions one at a time,
@@ -448,22 +449,25 @@ def _forced_after(
     writer: TxnId | None, first_write: bool,
 ) -> dict | None:
     """The forced closure of ``h``, the history just after ``event`` (with
-    ``writer``, a first write or not) was appended to one whose forced
-    closure is ``reach``: the rules of the module docstring.  Reads only
-    ``h``'s logs by id, transaction ids, causal past, wr map and writer
-    index, which the explorer's trace carries under the same names.
+    ``writer``) was appended to one whose forced closure is ``reach``: the
+    rules of the module docstring.  Reads only ``h``'s logs by id,
+    transaction ids, causal past, wr map and writer index, which the
+    explorer's trace carries under the same names.  ``first_write`` is
+    unused: it is part of the signature :func:`_witness_after` shares.
 
-    A first write of ``x`` by ``t`` adds the forced edges whose overwriter
-    is ``t``, and only readers whose causal past holds ``t`` can have one:
-    the premise relating ``t`` to a reader puts ``t`` there at each level.
-    At RC the reader observed ``t``; at RA it follows ``t`` in its session
-    or observed ``t``; at CC ``t`` is causally before it by definition.
-    ``t`` itself is never such a reader.  In the walks ``t`` is the last
-    pending transaction, so it has no successor, and a begin's new
-    transaction has none either: its edge changes its own past alone.
+    Precondition: ``event``'s transaction ``t`` entered ``h`` last and
+    nothing follows it, so no transaction's causal past holds ``t``.  The
+    one caller, the explorer's ``_Trace.push``, only extends the pending
+    transaction, which entered last.  A write of ``x`` by ``t`` then adds no
+    forced edge: one whose overwriter is ``t`` needs a reader whose causal
+    past holds ``t``, as the premise relating ``t`` to a reader puts ``t``
+    there at each level (at RC the reader observed ``t``; at RA it follows
+    ``t`` in its session or observed ``t``; at CC ``t`` is causally before
+    it by definition).  A begin's new transaction has no successor either:
+    its edge changes its own past alone.
 
-    So a read of ``t`` observing ``w`` in the walks adds (``w``, ``t``) and
-    the forced edges of ``t``'s reads alone, which need no child:
+    So a read of ``t`` observing ``w`` adds (``w``, ``t``) and the forced
+    edges of ``t``'s reads alone, which need no child:
     :func:`_read_closures` asks them of the parent, with the CC premise
     ``t2`` in ``t``'s past in the parent, or ``t2 == w``, or ``t2`` in
     ``w``'s past.
@@ -476,14 +480,9 @@ def _forced_after(
     if event.kind == BEGIN:
         before = h.txn_ids[bisect_left(h.txn_ids, t) - 1]
         return _past_with_edge(reach, before if before.session == t.session else INIT_TXN, t)
-    if writer is None and not first_write:
+    if writer is None:
         return reach
-    after = [u for u, past in h.causal_past.items() if t in past]  # empty in the walks
-    if writer is not None:
-        new = _forced_edges_of(h, level, after + [t], h.writers)
-        return closure_with_edges(reach, [(writer, t), *new])
-    new = _forced_edges_of(h, level, after, {event.var: (t,)})  # type: ignore[dict-item]
-    return closure_with_edges(reach, new)
+    return closure_with_edges(reach, [(writer, t), *_forced_edges_of(h, level, [t], h.writers)])
 
 
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:

@@ -14,9 +14,9 @@ Programs are written in a small imperative language::
 Each session is a sequence of transactions over shared integer variables
 (initially 0) and session-local variables.  Reads, writes, commits and aborts
 are the observable database events; assignments, conditionals and asserts run
-silently between them.  ``if`` bodies hold a single (possibly nested)
-instruction, and an ``assert`` may only appear as the last instruction of a
-session's final transaction.
+silently between them.  An ``if`` body holds one instruction, which may
+itself be an ``if``, and an ``assert`` may only appear as the last
+instruction of a session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
 state reached by running the program along it; ``in_txn`` marks a session's
@@ -30,9 +30,11 @@ their trace, by the same ``_local_after``.  :func:`replay` rebuilds a state
 from scratch along a sequence of a history's events, checking each through
 :func:`apply_event`.
 
-A transaction body runs compiled: on its first step it is flattened once
-(``Transaction.code``) into a tuple of instructions in which each ``if``
-becomes a conditional jump past its body, and a session's
+A transaction body is one flat tuple of instructions (``Transaction.instrs``)
+in which an ``if`` guards the instruction after it, so a chain of nested
+``if``s is its guards in a row followed by the one instruction they guard.
+No walk of a program recurses: only expressions nest.  A run executes the
+tuple itself, wrapped once as ``Transaction.code``, and a session's
 :class:`LocalState` holds a program counter ``pc`` into it.  Three bounded
 memos hash-cons what a step computes, so a walk builds each distinct value
 once and shares it:
@@ -41,14 +43,15 @@ once and shares it:
   keyed by the action's whole value, so each distinct event is built once
   by the validating constructor, its cached encoding included;
 - ``_silent_run`` (4,096 entries): the ``pc`` and locals after an event,
-  keyed by the compiled body, the ``pc`` to run from, the locals, and the
+  keyed by the body's code, the ``pc`` to run from, the locals, and the
   local a read sets with its value; it sets that local, then runs the
-  assigns, ifs and asserts up to the next database instruction;
-- ``_write_value`` (1,024 entries): a write's value, keyed by the body, the
-  write's ``pc`` and the locals.
+  assigns, guards and asserts up to the next database instruction, skipping
+  what a false guard guards;
+- ``_write_value`` (1,024 entries): a write's value, keyed by the body's
+  code, the write's ``pc`` and the locals.
 
 A hit returns what a miss builds, because each function is pure over its
-key: a compiled body is hashed and compared by identity, so its key stands
+key: a body's code is hashed and compared by identity, so its key stands
 for its exact instructions, locals and values are ints, never bools, and
 variables and targets strs.  Errors raise on a miss and are never stored.
 No memo holds a log or a state, and none grows with the run.
@@ -147,8 +150,11 @@ class AssignInstr(_Located):
 
 @dataclass(frozen=True)
 class IfInstr(_Located):
+    """A guard: the instruction after it in the body runs only when
+    ``cond`` is not 0.  That instruction may be another guard, so a chain
+    of nested ``if``s is stored flat, its guards in a row."""
+
     cond: Expr
-    body: "Instr"
 
 
 @dataclass(frozen=True)
@@ -164,20 +170,10 @@ class AssertInstr(_Located):
 Instr = ReadInstr | WriteInstr | AssignInstr | IfInstr | AbortInstr | AssertInstr
 
 
-@dataclass(frozen=True)
-class _Branch(_Located):
-    """A compiled ``if``: when ``cond`` evaluates to 0, the run goes on at
-    ``end``, past the body; ``at`` is the ``if``'s."""
-
-    cond: Expr
-    end: int
-
-
 class _Code(tuple):
-    """A transaction body compiled to a flat instruction tuple, hashed and
-    compared by identity: a memo key holding it costs one pointer hash,
-    never a walk of nested instructions, and stands for these exact
-    instructions."""
+    """A transaction body's instructions, hashed and compared by identity:
+    a memo key holding it costs one pointer hash, never a walk of the
+    instructions, and stands for these exact instructions."""
 
     __slots__ = ()
     __hash__ = object.__hash__
@@ -191,20 +187,9 @@ class Transaction:
 
     @lazy_property
     def code(self) -> _Code:
-        """The body compiled on its first step: each chain of nested ``if``s
-        becomes one ``_Branch`` per ``if``, each jumping past the chain's
-        innermost instruction, which follows them.  Flattened by a loop, so
-        the deepest nesting the parser accepts compiles at any stack depth."""
-        out: list = []
-        for instr in self.instrs:
-            chain = []
-            while isinstance(instr, IfInstr):
-                chain.append(instr)
-                instr = instr.body
-            end = len(out) + len(chain) + 1
-            out.extend(_Branch(i.cond, end, at=i.at) for i in chain)
-            out.append(instr)
-        return _Code(out)
+        """``instrs`` as the run keys its memos by, wrapped on the body's
+        first step."""
+        return _Code(self.instrs)
 
 
 @dataclass(frozen=True)
@@ -224,8 +209,6 @@ class Program:
         for sess in self.sessions:
             for txn in sess.txns:
                 for instr in txn.instrs:
-                    while isinstance(instr, IfInstr):
-                        instr = instr.body
                     if isinstance(instr, (ReadInstr, WriteInstr)):
                         out.add(instr.var)
         return tuple(sorted(out))
@@ -370,9 +353,22 @@ class _Parser:
     def parse_txn(self) -> Transaction:
         self.expect_keyword("txn")
         self.expect_op("{")
-        instrs = []
+        instrs: list[Instr] = []
         while not (self.peek().kind == "op" and self.peek().text == "}"):
+            # A chain of nested ifs, by a loop: its guards, the one
+            # instruction they guard, then a closing brace per guard.
+            guards = 0
+            while self.at_keyword("if"):
+                at = (self.peek().line, self.peek().col)
+                self.next()
+                self.expect_op("(")
+                instrs.append(IfInstr(self.parse_expr(), at=at))
+                self.expect_op(")")
+                self.expect_op("{")
+                guards += 1
             instrs.append(self.parse_instr())
+            for _ in range(guards):
+                self.expect_op("}")
         if not instrs:
             raise self.error("a transaction needs at least one instruction")
         self.next()  # closing brace
@@ -390,15 +386,6 @@ class _Parser:
             self.expect_op(")")
             self.expect_op(";")
             return WriteInstr(var, expr, at=at)
-        if tok.kind == "ident" and tok.text == "if":
-            self.next()
-            self.expect_op("(")
-            cond = self.parse_expr()
-            self.expect_op(")")
-            self.expect_op("{")
-            body = self.parse_instr()
-            self.expect_op("}")
-            return IfInstr(cond, body, at=at)
         if tok.kind == "ident" and tok.text == "abort":
             self.next()
             self.expect_op(";")
@@ -472,7 +459,9 @@ def parse(text: str) -> Program:
     Raises:
         ParseError: on syntax errors, duplicate session names, empty
             transaction bodies, misplaced asserts, a local that may be read
-            before it is assigned, or expressions nested too deeply.
+            before it is assigned, or expressions nested too deeply.  Only
+            expressions can nest too deeply: a chain of nested ``if``s is
+            read by a loop, to any depth.
     """
     parser = _Parser(text)
     try:
@@ -488,23 +477,19 @@ def _check_assert_positions(program: Program) -> None:
     for sess in program.sessions:
         for t, txn in enumerate(sess.txns):
             for pos, instr in enumerate(txn.instrs):
-                nested = instr
-                while isinstance(nested, IfInstr):
-                    nested = nested.body
-                if nested is not instr and isinstance(nested, AssertInstr):
+                if not isinstance(instr, AssertInstr):
+                    continue
+                if pos and isinstance(txn.instrs[pos - 1], IfInstr):
                     raise ParseError(
                         f"assert inside a conditional in session {sess.name!r}",
-                        *nested.at,
+                        *instr.at,
                     )
-                if isinstance(instr, AssertInstr):
-                    last_txn = t == len(sess.txns) - 1
-                    last_pos = pos == len(txn.instrs) - 1
-                    if not (last_txn and last_pos):
-                        raise ParseError(
-                            f"assert must be the last instruction of the final "
-                            f"transaction of session {sess.name!r}",
-                            *instr.at,
-                        )
+                if not (t == len(sess.txns) - 1 and pos == len(txn.instrs) - 1):
+                    raise ParseError(
+                        f"assert must be the last instruction of the final "
+                        f"transaction of session {sess.name!r}",
+                        *instr.at,
+                    )
 
 
 def _expr_locals(expr: Expr) -> set[str]:
@@ -520,10 +505,12 @@ def _check_definite_assignment(program: Program) -> None:
         defined: set[str] = set()
         for txn in sess.txns:
             exits: list[set[str]] = []
-
-            def require(instr: Instr, expr: Expr, cur: set[str]) -> None:
+            cur = set(defined)
+            dead = guarded = False  # guarded: the instruction may not run
+            for instr in txn.instrs:
+                expr = getattr(instr, "expr", getattr(instr, "cond", None))
                 try:
-                    missing = _expr_locals(expr) - cur
+                    missing = set() if expr is None else _expr_locals(expr) - cur
                 except RecursionError:
                     raise ParseError("expression nested too deeply", *instr.at) from None
                 if missing:
@@ -532,31 +519,13 @@ def _check_definite_assignment(program: Program) -> None:
                         f"assignment in session {sess.name!r}",
                         *instr.at,
                     )
-
-            def walk(instr: Instr, cur: set[str], dead: bool) -> bool:
-                """Returns whether execution is dead after this instruction."""
-                if isinstance(instr, ReadInstr):
-                    cur.add(instr.target)
-                elif isinstance(instr, AssignInstr):
-                    require(instr, instr.expr, cur)
-                    cur.add(instr.target)
-                elif isinstance(instr, WriteInstr):
-                    require(instr, instr.expr, cur)
-                elif isinstance(instr, AssertInstr):
-                    require(instr, instr.cond, cur)
-                elif isinstance(instr, AbortInstr):
+                if isinstance(instr, AbortInstr):
                     if not dead:
                         exits.append(set(cur))
-                    return True
-                else:  # IfInstr: the body may not run, so its gains don't survive
-                    require(instr, instr.cond, cur)
-                    walk(instr.body, set(cur), dead)
-                return dead
-
-            dead = False
-            cur = set(defined)
-            for instr in txn.instrs:
-                dead = walk(instr, cur, dead)
+                    dead = dead or not guarded
+                elif isinstance(instr, (ReadInstr, AssignInstr)) and not guarded:
+                    cur.add(instr.target)
+                guarded = isinstance(instr, IfInstr)
             if not dead:
                 exits.append(cur)
             defined = set.intersection(*exits)
@@ -620,9 +589,8 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
 class LocalState(NamedTuple):
     """One session's runtime position: locals, current transaction, ``pc``.
 
-    ``pc`` indexes the open transaction's compiled body
-    (``Transaction.code``).  Silent instructions (assignments, branches,
-    asserts) are run as soon as they are reached, so ``pc`` always stands
+    ``pc`` indexes the open transaction's body (``Transaction.code``).
+    Silent instructions (assignments, guards, asserts) are run as soon as they are reached, so ``pc`` always stands
     at a database instruction, or at the body's end, where the transaction
     commits; it is 0 between transactions.  ``begun`` holds the locals each
     begun transaction started from, so the walk's swap
@@ -653,9 +621,10 @@ def _silent_run(
 ) -> tuple[int, tuple[tuple[str, int], ...]]:
     """The ``pc`` and locals after an event: set ``target`` (a read's
     local, or None) to ``value``, then run ``code`` from ``pc`` through its
-    silent instructions up to the next database instruction or the end.
-    Asserts are skipped here; :func:`assertions` evaluates them at the end
-    of the run."""
+    silent instructions up to the next database instruction or the end.  A
+    guard whose condition is 0 skips the rest of its chain and the
+    instruction it guards.  Asserts are skipped here; :func:`assertions`
+    evaluates them at the end of the run."""
     env = dict(locals)
     if target is not None:
         env[target] = value  # type: ignore[assignment]
@@ -663,10 +632,11 @@ def _silent_run(
         instr = code[pc]
         if isinstance(instr, AssignInstr):
             env[instr.target] = _eval_at(instr, instr.expr, env)
-        elif isinstance(instr, _Branch):
+        elif isinstance(instr, IfInstr):
             if _eval_at(instr, instr.cond, env) == 0:
-                pc = instr.end
-                continue
+                pc += 1
+                while isinstance(code[pc], IfInstr):
+                    pc += 1
         elif not isinstance(instr, AssertInstr):
             break
         pc += 1
@@ -758,7 +728,7 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
 def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
     """The step rule: the next event of ``tid``, open in a session at
     ``ls``, whose log so far is ``log``, read from the instruction at
-    ``ls.pc`` of its compiled body.  A write's value comes from
+    ``ls.pc`` of its body.  A write's value comes from
     ``_write_value`` and the action from ``_action``, bounded memos whose
     keys hold every input of what they return, so a hit is what a miss
     would build.  Each kind is looked up in ``_action`` with one number of
@@ -899,20 +869,30 @@ def format_instr(instr: Instr) -> str:
     if isinstance(instr, AssignInstr):
         return f"{instr.target} = {format_expr(instr.expr)};"
     if isinstance(instr, IfInstr):
-        return f"if ({format_expr(instr.cond)}) {{ {format_instr(instr.body)} }}"
+        return f"if ({format_expr(instr.cond)}) {{"
     if isinstance(instr, AbortInstr):
         return "abort;"
     return f"assert({format_expr(instr.cond)});"
 
 
 def format_program(program: Program) -> str:
-    """Render a program back to source (inverse of :func:`parse`)."""
+    """Render a program back to source (inverse of :func:`parse`).  A guard
+    opens a brace that the instruction it guards closes, with the rest of
+    its chain's."""
     lines = []
     for sess in program.sessions:
         lines.append(f"session {sess.name} {{")
         for txn in sess.txns:
-            body = " ".join(format_instr(i) for i in txn.instrs)
-            lines.append(f"  txn {{ {body} }}")
+            parts, guards = [], 0
+            for instr in txn.instrs:
+                text = format_instr(instr)
+                if isinstance(instr, IfInstr):
+                    guards += 1
+                else:
+                    text += " }" * guards
+                    guards = 0
+                parts.append(text)
+            lines.append(f"  txn {{ {' '.join(parts)} }}")
         lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -20,6 +20,7 @@ from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import explore_ce
 from txndpor.isolation import find_commit_order
 from txndpor.model import (
+    COMMITTED,
     INIT_TXN,
     EventId,
     History,
@@ -297,6 +298,13 @@ def assert_causal_past_matches_full_construction(h: History) -> None:
 # ---------------------------------------------------------------------------
 # Prefixes and predecessor chains, for the containment and oracle tests.
 # ---------------------------------------------------------------------------
+
+
+def committed_writers_by_scan(tr, var: str) -> list[TxnId]:
+    """The reference for ``_Trace.committed_writers``: a scan of every log
+    of the trace ``tr`` in entry order for the committed writers of
+    ``var``."""
+    return [t for t in tr.starts if tr.by_id[t].status == COMMITTED and tr.by_id[t].writes_var(var)]
 
 
 def is_prefix(p: History, h: History) -> bool:

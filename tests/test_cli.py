@@ -273,8 +273,9 @@ def test_run_rejects_a_too_deeply_nested_expression(tmp_path, expr):
 @pytest.mark.parametrize(
     "instr, col",
     [("write(z, y + 1);", 5), ("a = y + 1;", 5), ("if (y + 1 == 0) { abort; }", 5),
-     ("assert(y + 1 == 0);", 5), ("a = 0; if (0 == a) { b = y + 1; }", 26)],
-    ids=["write", "assignment", "condition", "assert", "nested"],
+     ("assert(y + 1 == 0);", 5), ("a = 0; if (0 == a) { b = y + 1; }", 26),
+     ("if (0 == 0) { if (y + 1 == 0) { abort; } }", 19)],
+    ids=["write", "assignment", "condition", "assert", "nested", "inner-condition"],
 )
 def test_run_names_the_instruction_an_evaluation_error_happens_in(tmp_path, capsys, instr, col):
     """An error raised while the program runs is prefixed by the line and

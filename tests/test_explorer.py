@@ -20,6 +20,7 @@ from fixtures import (
     FLIP_SECOND_READER,
     FLIP_X_WRITER,
     abort_flip_baseline_state,
+    committed_writers_by_scan,
     entered_states,
     example,
     is_prefix,
@@ -83,6 +84,7 @@ from txndpor.program import (
     AssertInstr,
     AssignInstr,
     ExplorationState,
+    IfInstr,
     LocalState,
     NextAction,
     apply_event,
@@ -367,7 +369,9 @@ def test_valid_writes_build_nothing_for_a_rejected_writer(level, monkeypatch):
         appended.clear()
         children = valid_writes(st, action, level)
         assert appended == list(children)
-        writers = explorer._committed_writers(st.history.starts, st.by_id, action.event.var)
+        tr = explorer._Trace(st, level)
+        writers = tr.committed_writers(action.event.var)
+        assert writers == committed_writers_by_scan(tr, action.event.var)
         rejected += len(writers) - len(children)
     assert rejected > 100
 
@@ -438,7 +442,7 @@ def _step_kind(prog, ls: LocalState, action: NextAction, writer: TxnId | None) -
     if kind == WRITE:
         code = prog.txn_body(action.event.id.txn).code
         nxt = code[ls.pc + 1] if ls.pc + 1 < len(code) else None
-        silent = isinstance(nxt, (AssignInstr, program_module._Branch, AssertInstr))
+        silent = isinstance(nxt, (AssignInstr, IfInstr, AssertInstr))
         return "write, silent next" if silent else "write, database next"
     return {BEGIN: "begin", COMMIT: "commit", ABORT: "abort"}[kind]
 
@@ -458,7 +462,7 @@ def test_memoized_steps_equal_the_uncached_rule(walk, level, monkeypatch):
     and 50 random programs, of every kind in ``STEP_KINDS``, ``_step`` and
     ``_local_after`` return, field by field, what the same rule returns
     with its memos bypassed by their ``__wrapped__`` functions, which run
-    the compiled body on a fresh env: each memo's key holds every input of
+    the body on a fresh env: each memo's key holds every input of
     what it returns.  The walks' swaps re-step the reader by the same two
     rules."""
     step, local_after = program_module._step, program_module._local_after
@@ -582,7 +586,9 @@ def test_trace_snapshots_and_undo_are_exact(walk, level, monkeypatch):
     materialized just after the matching pop, its pending transaction
     restored too.  On every state materialized there, the trace's
     ``pending`` is the state's scan and the history's one pending
-    transaction.  Over the examples, the gate's corner programs and 100
+    transaction.  Before each push no causal past on the trace holds the
+    pushed event's transaction: nothing follows it, the precondition of
+    the derived closures (``isolation._forced_after``).  Over the examples, the gate's corner programs and 100
     random programs (50 for ``dfs``)."""
     programs = _examples_corners_and_draws(25, 100 if walk is explore_ce else 50)
     push, pop = explorer._Trace.push, explorer._Trace.pop
@@ -595,9 +601,11 @@ def test_trace_snapshots_and_undo_are_exact(walk, level, monkeypatch):
         assert st.history.history.pending_txns() == (() if tr.pending is None else (tr.pending,))
         return st
 
-    def checked_push(self, *args):
+    def checked_push(self, action, *args):
+        t = action.event.id.txn
+        assert all(t not in past for past in self.causal_past.values())
         before.append((materialized(self), self.pending))
-        push(self, *args)
+        push(self, action, *args)
 
     def checked_pop(self):
         nonlocal pops

@@ -16,6 +16,7 @@ from fixtures import (
     SNAP_RIGHT,
     assert_causal_past_matches_full_construction,
     causal_cycle_history,
+    committed_writers_by_scan,
     init_log,
     pending_reader_extension,
     pending_writer_extension,
@@ -25,7 +26,6 @@ from fixtures import (
 )
 from txndpor import isolation
 from txndpor.explorer import (
-    _committed_writers,
     _reorderings,
     _schedule,
     _Trace,
@@ -422,7 +422,9 @@ def _random_walk(rng: random.Random, program, levels):
         action = rng.choice(actions) if actions[0].event.kind == BEGIN else actions[0]
         writer = None
         if action.is_external_read:
-            writer = rng.choice(sorted(_committed_writers(lead.starts, lead.by_id, action.event.var)))
+            writers = lead.committed_writers(action.event.var)
+            assert writers == committed_writers_by_scan(lead, action.event.var)
+            writer = rng.choice(sorted(writers))
         for tr in traces:
             tr.push(action, writer)
             tr.enter(action, writer)
@@ -517,30 +519,6 @@ def _checked(h: History) -> History:
 
 def _log(tid: TxnId, *events) -> TransactionLog:
     return TransactionLog(tid, (begin_event(tid),) + events)
-
-
-def test_derived_closure_when_the_extended_transaction_has_causal_successors():
-    """t0 is still pending while its session successor t1 already read x
-    from init.  t0 reading z from w puts w causally before t1, so w's x
-    must precede init at CC (a cycle); t0 writing x puts t0 before t1's
-    observed init at RA and CC."""
-    t0, t1, w = TxnId(0, 0), TxnId(0, 1), TxnId(1, 0)
-    h = _checked(History(
-        (
-            init_log("x", "z"),
-            _log(t0),
-            _log(t1, read_event(t1, 1, "x"), commit_event(t1, 2)),
-            _log(w, write_event(w, 1, "x", 1), write_event(w, 2, "z", 1),
-                 commit_event(w, 3)),
-        ),
-        ((EventId(t1, 1), INIT_TXN),),
-    ))
-    verdicts = {IsolationLevel.RC: True, IsolationLevel.RA: True, IsolationLevel.CC: False}
-    for level, expected in verdicts.items():
-        read, reach = _edit(h, read_event(t0, 1, "z"), w, _forced_after, level)
-        assert _assert_closure_matches_full(read, reach, level) == expected
-        write, reach = _edit(h, write_event(t0, 1, "x", 2), None, _forced_after, level)
-        assert _assert_closure_matches_full(write, reach, level) == (level is IsolationLevel.RC)
 
 
 def test_derived_closure_of_an_inconsistent_parent():

@@ -32,6 +32,7 @@ from txndpor.model import (
     write_event,
 )
 from txndpor.program import (
+    AbortInstr,
     AssignInstr,
     BinaryOp,
     ExplorationState,
@@ -62,8 +63,9 @@ def test_parse_program_structure():
     assert [len(s.txns) for s in prog.sessions] == [2, 2]
     first = prog.sessions[0].txns[0].instrs
     assert isinstance(first[0], ReadInstr) and first[0].target == "a"
-    assert isinstance(first[1], IfInstr)
-    assert isinstance(first[2], WriteInstr) and first[2].var == "y"
+    assert isinstance(first[1], IfInstr) and format_expr(first[1].cond) == "a == 0"
+    assert isinstance(first[2], AbortInstr)
+    assert isinstance(first[3], WriteInstr) and first[3].var == "y"
     assert prog.variables == ("x", "y")
     assert prog.asserts == ()
 
@@ -100,10 +102,25 @@ def test_use_before_assignment_is_rejected():
         parse("session s { txn { write(x, a); } }")
 
 
-def test_conditional_assignment_does_not_count_as_definite():
-    src = "session s { txn { b = read(x); if (b == 0) { a = 1; } write(y, a); } }"
+@pytest.mark.parametrize(
+    "chain", ["if (b == 0) { a = 1; }", "if (b == 0) { if (b == 1) { a = 1; } }"],
+    ids=["if", "nested"],
+)
+def test_conditional_assignment_does_not_count_as_definite(chain):
+    src = f"session s {{ txn {{ b = read(x); {chain} write(y, a); }} }}"
     with pytest.raises(ParseError, match="'a' may be used before assignment"):
         parse(src)
+
+
+def test_an_abort_under_a_nested_chain_is_an_exit():
+    """The guarded abort may leave the transaction before ``a`` is
+    assigned, so ``a`` is not defined in the next one; it does not end
+    the body, so ``a`` is defined after it in the same one."""
+    chain = "b = read(x); if (b == 0) { if (b == 1) { abort; } } a = 1;"
+    parse(f"session s {{ txn {{ {chain} write(y, a); }} }}")
+    with pytest.raises(ParseError, match="'a' may be used before assignment") as info:
+        parse(f"session s {{ txn {{ {chain} }}\n  txn {{ write(y, a); }} }}")
+    assert (info.value.line, info.value.col) == (2, 9)
 
 
 def test_duplicate_session_name_is_rejected():
@@ -117,6 +134,9 @@ def test_assert_must_close_the_final_transaction():
         parse("session s { txn { assert(1 == 1); write(x, 1); } }")
     with pytest.raises(ParseError, match="assert inside a conditional"):
         parse("session s { txn { a = read(x); if (a == 1) { assert(a == 1); } } }")
+    with pytest.raises(ParseError, match="assert inside a conditional") as info:
+        parse("session s { txn { a = read(x);\n if (a == 1) { if (a == 0) { assert(a == 1); } } } }")
+    assert (info.value.line, info.value.col) == (2, 30)
 
 
 @pytest.mark.parametrize(
@@ -223,23 +243,19 @@ def _nested_ifs(depth: int) -> str:
     return f"session s {{ txn {{ a = read(x); {chain} }} }}\nsession t {{ txn {{ write(x, 2); }} }}"
 
 
-def test_deepest_if_nesting_the_parser_accepts_runs_from_a_deep_stack():
-    """A body's ``if`` chains are flattened by a loop, and no step of a run
-    recurses over them: the deepest nesting ``parse`` accepts, found by
-    bisection, compiles and explores from 500 frames down the stack, and
-    gives the histories of the same program with one ``if``."""
-    lo, hi = 1, 4000  # parse accepts lo and rejects hi
-    parse(_nested_ifs(lo))
-    with pytest.raises(ParseError):
-        parse(_nested_ifs(hi))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            parse(_nested_ifs(mid))
-            lo = mid
-        except ParseError:
-            hi = mid
-    assert lo > 500
+@pytest.mark.parametrize("depth", [987, 988, 5000])
+def test_deep_if_chains_parse_compare_print_and_run_from_a_deep_stack(depth):
+    """A chain of nested ``if``s is stored flat, its guards in a row, and no
+    walk of a program recurses over instructions.  987 levels once made
+    ``==``, ``hash`` and ``repr`` of the parsed program overflow the stack,
+    and 988 failed to parse as an expression nested too deeply.  Each depth
+    parses twice to equal, hash-equal programs that print, round-trip
+    through ``format_program`` and explore from 500 frames down the stack
+    to the histories of the same program with one ``if``."""
+    prog, again = parse(_nested_ifs(depth)), parse(_nested_ifs(depth))
+    assert prog == again and hash(prog) == hash(again)
+    assert repr(prog).startswith("Program(")
+    assert parse(format_program(prog)) == prog
 
     def explored(prog, frames: int) -> list[bytes]:
         if frames:
@@ -252,7 +268,7 @@ def test_deepest_if_nesting_the_parser_accepts_runs_from_a_deep_stack():
 
     shallow = explored(parse(_nested_ifs(1)), 0)
     assert len(set(shallow)) > 1
-    assert explored(parse(_nested_ifs(lo)), 500) == shallow
+    assert explored(prog, 500) == shallow
 
 
 # ---------------------------------------------------------------------------
