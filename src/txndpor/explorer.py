@@ -38,12 +38,20 @@ replays a history.
 
 The walks and the public functions run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
-the candidate writers (:meth:`_Trace.committed_writers`), the read decision
-(:meth:`_Trace.children`), the reorderings (:func:`_reorderings`) and the
-transactions a swap keeps (:func:`_kept`), each over plain relations that
-the trace carries under :class:`History`'s names.  What an event changes in
-those relations is the trace's rule alone (``_Trace._apply``); the model's
-one-event edits build their results by full validation.
+the candidate writers (:meth:`_Trace.committed_writers`), the reorderings
+(:func:`_reorderings`) and the transactions a swap keeps (:func:`_kept`),
+each over plain relations that the trace carries under :class:`History`'s
+names.  What an event changes in those relations is the trace's rule alone
+(``_Trace._apply``); the model's one-event edits build their results by
+full validation.  A read is decided two ways, on purpose.
+:func:`explore_ce`, :func:`explore_ce_star` and :func:`valid_writes` decide
+it on the parent (:meth:`_Trace.children`).  :func:`dfs`, the naive
+reference, never calls ``children``: it pushes each committed writer and
+checks the verdict that :meth:`_Trace.push` derives, by
+``isolation._forced_after``'s read rule or ``isolation._witness_after``.
+``test_writers_decided_on_the_parent_match_build_then_check`` and
+``test_derived_closures_agree_with_full_construction_and_brute_force``
+hold the two derivations to full construction.
 
 Every state a walk enters is the state that was checked.  A read's writer
 is decided on the parent, whose reader entered last; :func:`dfs`, the
@@ -618,7 +626,9 @@ class _Trace:
         closure extended by it (:func:`isolation._read_closures`; None at
         TRUE, which accepts every writer), and none when the trace is
         inconsistent; else the one child whose verdict :meth:`push`
-        derives."""
+        derives.  :func:`dfs` does not call it: it pushes every writer and
+        checks the verdict :meth:`push` derives, the reference this
+        decision is tested against."""
         if not action.is_external_read:
             return [(None, None)]
         writers = self.committed_writers(action.event.var)  # type: ignore[arg-type]

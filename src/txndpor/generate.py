@@ -10,7 +10,7 @@ enumerator.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .model import (
     ABORTED,
@@ -38,6 +38,7 @@ from .program import (
 )
 
 _VARS = ("x", "y", "z")
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +238,34 @@ def _program_reductions(p: Program) -> Iterator[Program]:
                 )
 
 
-def shrink_failing_program(source: str, still_fails: Callable[[Program], bool]) -> str:
-    """Greedily minimize a failing program, preserving failure of the predicate."""
-    current = parse(source)
-    changed = True
-    while changed:
-        changed = False
-        for cand in _program_reductions(current):
+def _shrink(value: T, reductions: Callable[[T], Iterable[T]], still_fails: Callable[[T], bool]) -> T:
+    """Greedily minimize ``value``: take the first of its ``reductions`` on
+    which ``still_fails`` returns True, until none does.  A reduction on
+    which ``still_fails`` raises is skipped, so the result always fails."""
+    while True:
+        for cand in reductions(value):
             try:
-                reparsed = parse(format_program(cand))
-            except ProgramError:
-                continue
-            try:
-                if still_fails(reparsed):
-                    current = reparsed
-                    changed = True
+                if still_fails(cand):
+                    value = cand
                     break
             except Exception:
-                current = reparsed
-                changed = True
-                break
-    return format_program(current)
+                continue
+        else:
+            return value
+
+
+def _reparsed_reductions(p: Program) -> Iterator[Program]:
+    """The reductions of ``p`` that print and parse again, as parsed."""
+    for cand in _program_reductions(p):
+        try:
+            yield parse(format_program(cand))
+        except ProgramError:
+            continue
+
+
+def shrink_failing_program(source: str, still_fails: Callable[[Program], bool]) -> str:
+    """Greedily minimize a failing program, preserving failure of the predicate."""
+    return format_program(_shrink(parse(source), _reparsed_reductions, still_fails))
 
 
 def _history_reductions(h: History) -> Iterator[History]:
@@ -292,15 +300,4 @@ def _history_reductions(h: History) -> Iterator[History]:
 
 def shrink_failing_history(h: History, still_fails: Callable[[History], bool]) -> History:
     """Greedily minimize a failing history, preserving failure of the predicate."""
-    changed = True
-    while changed:
-        changed = False
-        for cand in _history_reductions(h):
-            try:
-                if still_fails(cand):
-                    h = cand
-                    changed = True
-                    break
-            except ValueError:
-                continue
-    return h
+    return _shrink(h, _history_reductions, still_fails)

@@ -80,7 +80,9 @@ Anything else searches: a read or first write at SI, which can add prefix
 or conflict witnesses to older instances; a failed SER rule; a parent
 without a witness.  So every False comes from the search.
 :func:`find_commit_order` always searches, for the lexicographically first
-witness.
+witness.  Below SI it runs the same search over the forced closure (the
+causal past at TRUE) with no conflicts and no instances, so it places the
+smallest transaction whose predecessors are placed and never backtracks.
 
 :func:`brute_force_consistency` is a deliberately independent re-statement:
 it enumerates every order extension outright and evaluates the axioms
@@ -164,10 +166,18 @@ def _premise_static(h: History, level: IsolationLevel, inst: AxiomInstance) -> b
             if rid.txn == t3
         )
     if level is IsolationLevel.RA:
-        return (t2, t3) in h.so_pairs or (t2, t3) in h.wr_txn_pairs
+        return _so_wr_step(h, t2, t3)
     if level is IsolationLevel.CC:
         return causal_reachable(h, t2, t3)
     raise ValueError(f"{level} premise depends on the commit order")
+
+
+def _so_wr_step(h: History, t: TxnId, t3: TxnId) -> bool:
+    """Whether (``t``, ``t3``) is one so or wr step.  The session order is
+    the ids' order, as :class:`History` defines it: init is before every
+    other transaction, and within a session the lower index is first."""
+    return (t == INIT_TXN != t3 or t.session == t3.session and t < t3
+            or (t, t3) in h.wr_txn_pairs)
 
 
 def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
@@ -260,41 +270,49 @@ def _read_closures(
 # ---------------------------------------------------------------------------
 
 
-def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
-    """The first so/wr linear extension, in ``txn_ids`` order, that SER or SI
-    accepts.
+def _commit_order(
+    h: History, level: IsolationLevel, past: dict[TxnId, frozenset[TxnId]]
+) -> tuple[TxnId, ...] | None:
+    """The first linear extension of ``past``, in ``txn_ids`` order, that
+    ``level`` accepts, or None.
 
-    The frontier search of the module docstring.  Transactions are indexed
-    ``0..n-1``, the placed and open sets are int bitmasks, ``preds[t]`` holds
-    ``t``'s causal past (``causal_past``), ``conflicts[t]``
-    the transactions that may not run concurrently with ``t`` and
-    ``by_over[t]`` the (writer bit, reader index) of the instances whose
-    overwriter is ``t``.  A placed set is always downward closed under so/wr,
-    so "every causal predecessor placed" admits exactly the candidates that
-    "every direct predecessor placed" does: the search, its memo and its
-    witness are those of the direct so/wr predecessors.  It reads only
-    relations the explorer's trace carries.
+    ``past`` maps each transaction to its strict predecessors in a
+    transitively closed relation that holds so and wr: the causal past at
+    TRUE, SER and SI, the forced closure at RC, RA and CC.  The frontier
+    search of the module docstring.  Transactions are indexed ``0..n-1``,
+    the placed and open sets are int bitmasks, ``preds[t]`` holds
+    ``past[t]``, ``conflicts[t]`` the transactions that may not run
+    concurrently with ``t`` and ``by_over[t]`` the (writer bit, reader
+    index) of the instances whose overwriter is ``t``.  Below SI there are
+    neither, as every extension of ``past`` is a witness: the search places
+    the smallest transaction whose predecessors are placed and never
+    backtracks.  A placed set is always downward closed under ``past``, so
+    "every predecessor placed" admits exactly the candidates that "every
+    direct predecessor placed" does: the search, its memo and its witness
+    are those of the direct edges.  It reads only relations the explorer's
+    trace carries.
     """
     txns = h.txn_ids
     n = len(txns)
     idx = {t: i for i, t in enumerate(txns)}
-    preds = [sum(1 << idx[u] for u in h.causal_past[t]) for t in txns]
+    preds = [sum(1 << idx[u] for u in past[t]) for t in txns]
     full = (1 << n) - 1
     writers = h.writers
-    if level is IsolationLevel.SER:
-        conflicts = [full ^ 1 << i for i in range(n)]
-    else:
-        conflicts = [0] * n
-        for ws in writers.values():
-            mask = sum(1 << idx[t] for t in ws)
-            for t in ws:
-                conflicts[idx[t]] |= mask ^ 1 << idx[t]
+    conflicts = [0] * n
     by_over: list[list[tuple[int, int]]] = [[] for _ in txns]
-    for rid, w in h.wr_map.items():
-        r = rid.txn
-        for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
-            if t2 != w and t2 != r:  # t2 == t3 never meets a premise
-                by_over[idx[t2]].append((1 << idx[w], idx[r]))
+    if level in (IsolationLevel.SER, IsolationLevel.SI):
+        if level is IsolationLevel.SER:
+            conflicts = [full ^ 1 << i for i in range(n)]
+        else:
+            for ws in writers.values():
+                mask = sum(1 << idx[t] for t in ws)
+                for t in ws:
+                    conflicts[idx[t]] |= mask ^ 1 << idx[t]
+        for rid, w in h.wr_map.items():
+            r = rid.txn
+            for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
+                if t2 != w and t2 != r:  # t2 == t3 never meets a premise
+                    by_over[idx[t2]].append((1 << idx[w], idx[r]))
 
     failed: set[int] = set()
     order: list[int] = []
@@ -335,10 +353,7 @@ def _commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None
 
 def _prefix_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
     """Transactions one so/wr step before ``t3`` (the t4 of the prefix premise)."""
-    return tuple(
-        t for t in h.txn_ids
-        if (t, t3) in h.so_pairs or (t, t3) in h.wr_txn_pairs
-    )
+    return tuple(t for t in h.txn_ids if _so_wr_step(h, t, t3))
 
 
 def _conflict_witnesses(h: History, t3: TxnId) -> tuple[TxnId, ...]:
@@ -404,7 +419,7 @@ def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
     search's."""
     cache = h.consistency_cache
     if level not in cache:
-        cache[level] = _commit_order(h, level)
+        cache[level] = _commit_order(h, level, h.causal_past)
     return cache[level]
 
 
@@ -431,7 +446,7 @@ def _witness_after(
             if any(pos[w] < pos[t] < pos[r.txn] for r, w in h.wr_map.items()
                    if h.by_id[r.txn].events[r.index].var == x):
                 order = None
-    return _commit_order(h, level) if order is None else order
+    return _commit_order(h, level, h.causal_past) if order is None else order
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
@@ -488,24 +503,15 @@ def _forced_after(
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     """A witnessing commit order, or None when the history is inconsistent.
 
-    For SER and SI one frontier search decides both, and the witness is
-    the first valid so/wr linear extension in ``txn_ids`` order; for the
-    other levels the witness is the smallest-first topological order of so,
-    wr and the forced edges, which exists exactly when they are acyclic.
+    The witness is the first valid linear extension in ``txn_ids`` order,
+    found by :func:`_commit_order` over the causal past at TRUE, SER and
+    SI, and over the forced closure at RC, RA and CC.  There it is the
+    smallest-first topological order of so, wr and the forced edges, which
+    exists exactly when they are acyclic.
     """
-    if level in (IsolationLevel.SER, IsolationLevel.SI):
-        order = _commit_order(h, level)
-        return None if order is None else CommitOrder(order)
-    past = h.causal_past if level is IsolationLevel.TRUE else _forced_closure(h, level)
-    if past is None:
-        return None
-    order: list[TxnId] = []
-    left = list(h.txn_ids)  # sorted
-    while left:
-        first = next(t for t in left if past[t].isdisjoint(left))
-        order.append(first)
-        left.remove(first)
-    return CommitOrder(tuple(order))
+    past = _forced_closure(h, level) if level in _CLOSURE_LEVELS else h.causal_past
+    order = None if past is None else _commit_order(h, level, past)
+    return None if order is None else CommitOrder(order)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +533,7 @@ def brute_force_consistency(h: History, level: IsolationLevel) -> bool:
             f"brute force limited to {_BRUTE_FORCE_LIMIT} transactions, "
             f"got {len(h.txn_ids)}"
         )
-    base = set(h.so_pairs) | set(h.wr_txn_pairs)
-    preds: dict[TxnId, set[TxnId]] = {t: set() for t in h.txn_ids}
-    for a, b in base:
-        preds[b].add(a)
+    preds = {b: [a for a in h.txn_ids if _so_wr_step(h, a, b)] for b in h.txn_ids}
 
     pos: dict[TxnId, int] = {}
 

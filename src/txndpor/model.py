@@ -456,18 +456,6 @@ class History:
         return {s: tuple(sorted(ts)) for s, ts in out.items()}
 
     @lazy_property
-    def so_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:
-        """The session order as a relation: same-session pairs plus init before all."""
-        pairs = {
-            (INIT_TXN, tid) for tid in self.txn_ids if tid != INIT_TXN
-        }
-        for txns in self.sessions.values():
-            for i, a in enumerate(txns):
-                for b in txns[i + 1 :]:
-                    pairs.add((a, b))
-        return frozenset(pairs)
-
-    @lazy_property
     def causal_adjacency(self) -> dict[TxnId, tuple[TxnId, ...]]:
         """Successor lists for so union wr (session successors, not the closure)."""
         adj: dict[TxnId, set[TxnId]] = {t: set() for t in self.txn_ids}
@@ -491,14 +479,6 @@ class History:
             for u in adj[t]:
                 past[u] |= past[t] | {t}
         return {t: frozenset(p) for t, p in past.items()}
-
-    @lazy_property
-    def causal_closure(self) -> dict[TxnId, frozenset[TxnId]]:
-        """t -> every transaction strictly reachable from t via so union wr:
-        the inverse of :attr:`causal_past`, which the walk's trace does not
-        carry."""
-        past = self.causal_past
-        return {u: frozenset(t for t in past if u in past[t]) for u in self.txn_ids}
 
     @lazy_property
     def wr_txn_pairs(self) -> frozenset[tuple[TxnId, TxnId]]:

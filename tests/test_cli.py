@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,7 +15,15 @@ from txndpor import cli
 from txndpor.cli import main
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import RunInterrupted, RunStats
-from txndpor.model import canonical_decode
+from txndpor.generate import (
+    random_history,
+    random_program,
+    shrink_failing_history,
+    shrink_failing_program,
+)
+from txndpor.isolation import check_consistency
+from txndpor.model import IsolationLevel, canonical_decode, canonical_encode
+from txndpor.program import format_program, parse
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:
@@ -452,6 +461,121 @@ def test_verify_rejects_negative_cases(capsys):
     assert captured.err.startswith("error: ")
     assert "'--cases'" in captured.err
     assert "vacuous" not in captured.out
+
+
+def _size(p) -> tuple[int, int, int]:
+    """(sessions, transactions, instructions) of a program."""
+    txns = [t for sess in p.sessions for t in sess.txns]
+    return len(p.sessions), len(txns), sum(len(t.instrs) for t in txns)
+
+
+def _three_instructions_in_two_sessions(p) -> bool:
+    sessions, _, instrs = _size(p)
+    return sessions >= 2 and instrs >= 3
+
+
+def _two_wr_edges(h) -> bool:
+    return len(h.wr) >= 2
+
+
+def test_shrinkers_keep_the_failure_and_reach_a_fixed_point():
+    """A plain predicate shrinks a random program and a random history to
+    one that re-parses or decodes, still fails, is no larger than the
+    input, and shrinks no further."""
+    rng = random.Random(4)
+    programs = (random_program(rng) for _ in range(100))
+    src = next(s for s in programs if _size(parse(s))[2] > 6
+               and _three_instructions_in_two_sessions(parse(s)))
+    shrunk = shrink_failing_program(src, _three_instructions_in_two_sessions)
+    prog = parse(shrunk)
+    assert format_program(prog) == shrunk
+    assert _three_instructions_in_two_sessions(prog)
+    before = _size(parse(src))
+    assert all(a <= b for a, b in zip(_size(prog), before)) and _size(prog) != before
+    assert shrink_failing_program(shrunk, _three_instructions_in_two_sessions) == shrunk
+
+    histories = (random_history(rng, max_txns=7) for _ in range(100))
+    h = next(x for x in histories if len(x.wr) > 3)
+    small = shrink_failing_history(h, _two_wr_edges)
+    assert canonical_decode(canonical_encode(small)) == small
+    assert _two_wr_edges(small)
+    assert len(small.logs) <= len(h.logs)
+    assert sum(len(log.events) for log in small.logs) < sum(len(log.events) for log in h.logs)
+    assert shrink_failing_history(small, _two_wr_edges) == small
+
+
+def test_shrinkers_skip_a_candidate_the_check_raises_on():
+    """A candidate on which the check raises is skipped, never kept: a
+    check that raises on one-session programs, or on histories of fewer
+    than two transactions beside init, never yields one.  Ctrl-C in the
+    check still stops the shrink."""
+    def two_sessions(p):
+        if len(p.sessions) < 2:
+            raise ValueError("one session")
+        return True
+
+    src = "session a { txn { write(x, 1); } }\nsession b { txn { write(x, 5); } }\n"
+    assert len(parse(shrink_failing_program(src, two_sessions)).sessions) == 2
+
+    def two_txns(h):
+        if len(h.logs) < 3:
+            raise RuntimeError("fewer than two transactions")
+        return True
+
+    rng = random.Random(4)
+    h = next(x for x in (random_history(rng) for _ in range(100)) if len(x.logs) > 4)
+    assert len(shrink_failing_history(h, two_txns).logs) == 3
+
+    def interrupted(_):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        shrink_failing_program(src, interrupted)
+
+
+def test_verify_reports_a_planted_axioms_fault_as_a_shrunk_history(capsys, monkeypatch):
+    """With a brute-force oracle that disagrees at RA on every history of
+    two or more wr edges, ``verify`` exits 1 and prints a history that
+    decodes and still disagrees."""
+    real = cli.brute_force_consistency
+
+    def planted(h, level):
+        verdict = real(h, level)
+        return not verdict if level is IsolationLevel.RA and len(h.wr) >= 2 else verdict
+
+    monkeypatch.setattr(cli, "brute_force_consistency", planted)
+    assert main(["verify", "--suite", "axioms", "--cases", "25", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    head, text = out.split("\n", 1)
+    assert head == "axioms: FAILED"
+    message, encoded = text.split("\n", 1)
+    assert message == "consistency checker disagrees with brute force at ra on:"
+    bad = canonical_decode(encoded.strip().encode())
+    assert check_consistency(bad, IsolationLevel.RA) != planted(bad, IsolationLevel.RA)
+
+
+def test_verify_reports_a_planted_optimality_fault_as_a_shrunk_program(capsys, monkeypatch):
+    """With an ``explore_ce`` that emits each history twice on programs of
+    two or more sessions, ``verify`` exits 1 and prints a program that
+    parses and still emits a duplicate."""
+    real = cli.explore_ce
+
+    def doubled(prog, level, *, emit=None, **kwargs):
+        if emit is not None and len(prog.sessions) >= 2:
+            once = emit
+
+            def emit(st):
+                once(st)
+                once(st)
+
+        return real(prog, level, emit=emit, **kwargs)
+
+    monkeypatch.setattr(cli, "explore_ce", doubled)
+    assert main(["verify", "--suite", "optimality", "--cases", "2", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    head, message, text = out.split("\n", 2)
+    assert (head, message) == ("optimality: FAILED", "duplicate emission for:")
+    assert cli._duplicated(parse(text), IsolationLevel.CC)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ from txndpor.program import (
 
 EXTENSIBLE = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 # History relations only full construction and the reference checkers read.
-HISTORY_VIEWS = {"so_pairs", "causal_adjacency", "wr_txn_pairs"}
+HISTORY_VIEWS = {"causal_adjacency", "wr_txn_pairs"}
 WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [(dfs, IsolationLevel.SER)]
 
 
@@ -504,9 +504,8 @@ VIEW_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
     "walk, level", VIEW_WALKS, ids=[f"{w.__name__}-{lvl.value}" for w, lvl in VIEW_WALKS]
 )
 def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
-    """No state the walks enter past the root holds the causal closure (the
-    successor view of the causal past), the session-order pairs, the so/wr
-    adjacency or the wr transaction pairs, even once the run is over:
+    """No state the walks enter past the root holds the so/wr adjacency or
+    the wr transaction pairs, even once the run is over:
     the trace's snapshots do not carry them and nothing on the walks' path
     computes them.  Each state's ``starts`` equals its definition from the
     order.  ``explore_ce``'s states come from its entry hook, ``dfs``'s from
@@ -520,7 +519,7 @@ def test_walks_leave_the_full_construction_views_uncomputed(walk, level):
                        entry_hook=lambda parent, st: states.append(st) if parent else None)
     assert states
     for st in states:
-        assert not {"causal_closure", *HISTORY_VIEWS} & vars(st.history.history).keys(), st.history.order
+        assert not HISTORY_VIEWS & vars(st.history.history).keys(), st.history.order
     for st in states:
         h = st.history
         first: dict[TxnId, int] = {}
@@ -557,11 +556,11 @@ def _assert_matches_full_construction(st: ExplorationState, level: IsolationLeve
     elif level in EXTENSIBLE:
         assert verdict == _forced_closure(full, level)
     else:
-        assert (verdict is None) == (_commit_order(full, level) is None)
+        assert (verdict is None) == (_commit_order(full, level, full.causal_past) is None)
         if verdict is not None:
             pos = {t: i for i, t in enumerate(verdict)}
             assert sorted(verdict) == list(full.txn_ids)
-            assert all(pos[a] < pos[b] for a, succ in full.causal_closure.items() for b in succ)
+            assert all(pos[a] < pos[b] for b, past in full.causal_past.items() for a in past)
             assert total_order_satisfies(full, level, pos)
 
 
@@ -968,7 +967,7 @@ CUT_RELATIONS = {
 def test_swap_cuts_carry_the_relations_of_full_construction(level):
     """On every swap explore_ce takes, on the examples, the corner programs
     and 100 random programs, the trace ``_Trace.swap`` builds carries ids,
-    sessions, causal closure, writer index and wr map, each equal to those
+    sessions, causal past, writer index and wr map, each equal to those
     of its history by full construction."""
     swaps = 0
     for prog in _examples_corners_and_draws(23, 100):
@@ -1101,10 +1100,10 @@ def _reads_causally_latest_by_cut(h, level, r, t) -> bool:
         raise ValueError(f"reader {r.txn} is causally before {t}")
     base = drop_events(h, _drop_set_by_scan(h, r, t) | {r}).history
     fresh = Event(r, READ, var=h.history.event(r).var)
-    closure = base.causal_closure
+    past = base.causal_past[r.txn]
     for w in reversed(base.txn_ids):
         if (
-            r.txn in closure[w]
+            w in past
             and base.txn(w).writes_var(fresh.var)
             and check_consistency(base.with_event(fresh, writer=w), level)
         ):

@@ -59,6 +59,7 @@ from txndpor.model import (
     TxnId,
     abort_event,
     begin_event,
+    closure_with_edges,
     commit_event,
     read_event,
     write_event,
@@ -218,7 +219,7 @@ def test_forced_edges_are_those_the_literal_premise_grants(seed):
     for x in (h, random_prefix(rng, h)):
         t = rng.choice(x.txn_ids)
         subsets = (rng.sample(x.txn_ids, rng.randint(0, len(x.txn_ids))),
-                   x.causal_closure[t] | {t})
+                   {u for u, past in x.causal_past.items() if t in past} | {t})
         for level in (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC):
             granted = [i for i in axiom_instances(x) if isolation._premise_static(x, level, i)]
             assert forced_edges(x, level) == {(i.overwriter, i.writer) for i in granted}
@@ -382,7 +383,7 @@ def test_long_session_history_is_decided_without_deep_recursion():
 def _first_valid_extension(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
     """The first so/wr linear extension, in ``txn_ids`` order, that the
     literal axioms accept."""
-    base = h.so_pairs | h.wr_txn_pairs
+    base = [(a, b) for a, succ in h.causal_adjacency.items() for b in succ]
     for order in itertools.permutations(h.txn_ids):  # lexicographic in txn_ids
         pos = {t: i for i, t in enumerate(order)}
         if all(pos[a] < pos[b] for a, b in base) and total_order_satisfies(h, level, pos):
@@ -401,6 +402,37 @@ def test_order_search_witness_is_the_first_valid_extension(seed):
             witness = find_commit_order(x, level)
             expected = _first_valid_extension(x, level)
             assert (witness.order if witness else None) == expected, (x, level)
+
+
+def _smallest_first(past: dict[TxnId, frozenset[TxnId]]) -> tuple[TxnId, ...]:
+    """The reference witness below SI: repeatedly take the smallest
+    transaction whose predecessors in ``past`` are all taken."""
+    order: list[TxnId] = []
+    left = sorted(past)
+    while left:
+        first = next(t for t in left if past[t].isdisjoint(left))
+        order.append(first)
+        left.remove(first)
+    return tuple(order)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_weak_witness_is_the_smallest_first_order_of_the_closure(seed):
+    """At RC, RA, CC and TRUE the frontier search returns the smallest-first
+    topological order of the forced closure (the causal past at TRUE),
+    built here from scratch, and None exactly when that closure is None."""
+    rng = random.Random(seed)
+    h = random_history(rng, max_txns=7)
+    for x in (h, random_prefix(rng, h)):
+        for level in (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC, IsolationLevel.TRUE):
+            past = x.causal_past
+            if level is not IsolationLevel.TRUE:
+                past = closure_with_edges(past, forced_edges(x, level))
+            witness = find_commit_order(x, level)
+            assert (witness is None) == (past is None), (x, level)
+            if past is not None:
+                assert witness.order == _smallest_first(past), (x, level)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +519,7 @@ def test_derived_closures_agree_with_full_construction_and_brute_force():
     whose closure is derived from its parent's; it must equal full
     construction's (no cache), and the verdict the brute-force oracle's.
     After every push, pop, swap and swap cut on the RC trace the causal
-    past is full construction's and the inverse of the causal closure."""
+    past is full construction's and the inverse of a search's successors."""
     checks = inconsistent = swaps = 0
     for seed in range(400):
         rng = random.Random(seed)
@@ -569,9 +601,9 @@ def _count_searches(monkeypatch) -> list[int]:
     """Count the full searches the checker and the trace run from now on."""
     calls = [0]
 
-    def counted(h, level):
+    def counted(h, level, past):
         calls[0] += 1
-        return _commit_order(h, level)
+        return _commit_order(h, level, past)
 
     monkeypatch.setattr(isolation, "_commit_order", counted)
     return calls
@@ -583,13 +615,13 @@ def _assert_witness_matches_search(h: History, order, level: IsolationLevel) -> 
     is a linear extension of so/wr that satisfies the level."""
     full = History(h.logs, h.wr)
     verdict = order is not None
-    assert verdict == (_commit_order(full, level) is not None), (h, level)
+    assert verdict == (_commit_order(full, level, full.causal_past) is not None), (h, level)
     if len(h.txn_ids) <= 8:
         assert brute_force_consistency(h, level) == verdict, (h, level)
     if verdict:
         pos = {t: i for i, t in enumerate(order)}
         assert sorted(order) == list(full.txn_ids), (h, level)
-        assert all(pos[a] < pos[b] for a, succ in full.causal_closure.items() for b in succ)
+        assert all(pos[a] < pos[b] for b, past in full.causal_past.items() for a in past)
         assert total_order_satisfies(full, level, pos), (h, level)
     return verdict
 
@@ -753,7 +785,8 @@ def test_find_commit_order_is_the_full_search_after_derived_checks():
                     continue
                 h = tr.state().history.history
                 found = find_commit_order(h, level).order
-                assert found == _commit_order(History(h.logs, h.wr), level)
+                full = History(h.logs, h.wr)
+                assert found == _commit_order(full, level, full.causal_past)
                 if h.consistency_cache[level] != found:
                     differing += 1
                     if len(h.txn_ids) <= 6:

@@ -261,13 +261,12 @@ def test_long_session_history_is_checked_without_deep_recursion():
 
 
 def test_init_precedes_all_sessions_in_session_order():
+    """Sessions list their transactions by index, and init is the so
+    predecessor of each session's first, so it is before all others."""
     h = causal_cycle_history()
-    so = set(h.so_pairs)
-    for t in h.txn_ids:
-        if t != INIT_TXN:
-            assert (INIT_TXN, t) in so
-    assert (TxnId(0, 0), TxnId(0, 1)) in so
-    assert (TxnId(0, 0), TxnId(1, 1)) not in so
+    assert h.sessions == {0: (TxnId(0, 0), TxnId(0, 1)), 1: (TxnId(1, 0), TxnId(1, 1))}
+    assert set(h.causal_adjacency[INIT_TXN]) == {TxnId(0, 0), TxnId(1, 0)}
+    assert all(INIT_TXN in h.causal_past[t] for t in h.txn_ids if t != INIT_TXN)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def test_causal_reachability_matches_closure_matrix(seed):
     """Reachability agrees with an independently computed transitive closure."""
     h = histories(seed)
     ids = list(h.txn_ids)
-    edge = {(a, b) for (a, b) in h.so_pairs} | set(h.wr_txn_pairs)
+    edge = {(a, b) for a, succ in h.causal_adjacency.items() for b in succ}
     reach = {pair: pair in edge for pair in [(a, b) for a in ids for b in ids]}
     for k in ids:
         for a in ids:
@@ -416,8 +415,9 @@ def test_canonical_sort_lists_every_event_once_in_causal_order():
     oh = canonical_sort(h)
     assert sorted(oh.order) == sorted(h.event_ids)
     pos = order_positions(oh)
-    for a, b in set(h.so_pairs) | set(h.wr_txn_pairs):
-        assert pos[EventId(a, 0)] < pos[EventId(b, 0)]
+    for a, succ in h.causal_adjacency.items():
+        for b in succ:
+            assert pos[EventId(a, 0)] < pos[EventId(b, 0)]
     for eid in oh.order:
         if eid.index > 0:
             assert pos[EventId(eid.txn, eid.index - 1)] < pos[eid]
@@ -509,7 +509,7 @@ def test_ordered_histories_refuse_an_order_against_so_or_wr():
 # ---------------------------------------------------------------------------
 
 # The relations an edited history must share with full construction's.
-HISTORY_VIEWS = ("so_pairs", "causal_adjacency", "wr_txn_pairs")
+HISTORY_VIEWS = ("causal_adjacency", "wr_txn_pairs")
 HISTORY_RELATIONS = (
     "by_id", "txn_ids", "sessions", "causal_past", "wr_map", *HISTORY_VIEWS,
 )
@@ -572,8 +572,8 @@ def test_derived_edits_match_full_construction(seed):
     """Every one-event edit of a valid parent equals the same history built
     by full validation from scratch, with equal relations, and raises
     exactly when full construction raises (with the same message for the
-    history).  Its causal past is the inverse of its causal closure, which
-    a search over so/wr confirms.  Walks a few random edits deep so that
+    history).  Its causal past is the inverse of the successors a search
+    over so/wr finds.  Walks a few random edits deep so that
     parents are themselves edits."""
     rng = random.Random(seed)
     h = random_history(rng)
