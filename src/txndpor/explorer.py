@@ -30,11 +30,13 @@ witness order at SER and SI.  :func:`explore_ce` decides each read's
 writers on the trace, as :func:`valid_writes` decides them, and reads each
 commit's reorder candidates from it; the gate's queries read it too.  A
 state is materialized from the trace only where a caller needs one: for
-``emit`` and the strong level's check on a complete history, and for
-``entry_hook``.  These states share no dict the trace changes in place, so
-callers may keep them.  Each swap the gate takes is walked on a fresh
-trace, which the gate builds from the walk's and returns; no walk cuts or
-replays a history.
+``emit`` and for ``entry_hook``.  :func:`explore_ce_star` checks a
+complete history at the strong level on the trace and drops that verdict
+from the trace's cache once an emitted state has copied it, so a leaf it
+filters out builds no state.  These states share no dict the trace
+changes in place, so callers may keep them.  Each swap the gate takes is
+walked on a fresh trace, which the gate builds from the walk's and
+returns; no walk cuts or replays a history.
 
 The walks and the public functions run one copy of each rule: the step
 (``program._step``), the local-state update (``program._local_after``),
@@ -903,14 +905,15 @@ def _explore(
             entry_hook(parent, st)
         action = next_event(tr)
         if action is None:
-            if st is None and (emit is not None or strong is not None):
-                st = tr.state()
-            if strong is None or check_consistency(st.history.history, strong):
+            h = tr if st is None else st.history.history
+            if strong is None or check_consistency(h, strong):
                 stats.outputs += 1
                 if emit is not None:
-                    emit(st)
+                    emit(tr.state() if st is None else st)
             else:
                 stats.filtered_outputs += 1
+            if h is tr and strong not in (None, weak):  # the trace caches weak alone
+                tr.consistency_cache.pop(strong, None)
             return
         children = tr.children(action)
         if not children:

@@ -10,6 +10,7 @@ enumerator.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .model import (
@@ -268,19 +269,30 @@ def shrink_failing_program(source: str, still_fails: Callable[[Program], bool]) 
     return format_program(_shrink(parse(source), _reparsed_reductions, still_fails))
 
 
+def _without_txn(h: History, gone: TxnId) -> History:
+    """``h`` without ``gone``, which no read observes: the later
+    transactions of its session move down one index, with their events'
+    ids and the wr edges that name them."""
+    def moved(t: TxnId) -> TxnId:
+        return TxnId(t.session, t.index - 1) if t.session == gone.session and t > gone else t
+
+    logs = tuple(
+        TransactionLog(moved(log.id), tuple(replace(e, id=EventId(moved(log.id), e.id.index))
+                                            for e in log.events))
+        for log in h.logs if log.id != gone
+    )
+    wr = tuple(sorted((EventId(moved(r.txn), r.index), moved(w)) for r, w in h.wr if r.txn != gone))
+    return History(logs, wr)
+
+
 def _history_reductions(h: History) -> Iterator[History]:
     read_by_others = {w for _, w in h.wr}
     for log in h.logs:
-        if log.id == INIT_TXN:
-            continue
-        last_in_session = all(
-            other.id.session != log.id.session or other.id.index <= log.id.index
-            for other in h.logs
-        )
-        if last_in_session and log.id not in read_by_others:
-            logs = tuple(l for l in h.logs if l.id != log.id)
-            wr = tuple(p for p in h.wr if p[0].txn != log.id)
-            yield History(logs, wr)
+        if log.id != INIT_TXN and log.id not in read_by_others:
+            try:
+                yield _without_txn(h, log.id)
+            except ValueError:
+                continue
     for log in h.logs:
         if log.id == INIT_TXN or len(log.events) <= 1:
             continue

@@ -78,7 +78,15 @@ holds a pending transaction's writes and none of an aborted one's.
 
 Anything else searches: a read or first write at SI, which can add prefix
 or conflict witnesses to older instances; a failed SER rule; a parent
-without a witness.  So every False comes from the search.
+without a witness.  A read that is not causally latest is refuted before
+it would search, at both levels: ``t`` observes ``w`` on ``x`` while
+another writer ``t2`` of ``x`` has ``t2`` in ``t``'s causal past and ``w``
+in ``t2``'s.  The CC instance (``x``, ``w``, ``t2``, ``t``) then forces
+``t2`` before ``w`` while so/wr puts ``w`` before ``t2``, in every order
+extending them.  Its SER premise ``t2 <co t`` and its SI prefix premise
+(``t2`` is, or is before, the last transaction on a so/wr path to ``t``)
+hold in every such order too, so no witness exists.  So every False comes
+from the search or from this CC instance.
 :func:`find_commit_order` always searches, for the lexicographically first
 witness.  Below SI it runs the same search over the forced closure (the
 causal past at TRUE) with no conflicts and no instances, so it places the
@@ -279,9 +287,10 @@ def _commit_order(
     ``past`` maps each transaction to its strict predecessors in a
     transitively closed relation that holds so and wr: the causal past at
     TRUE, SER and SI, the forced closure at RC, RA and CC.  The frontier
-    search of the module docstring.  Transactions are indexed ``0..n-1``,
-    the placed and open sets are int bitmasks, ``preds[t]`` holds
-    ``past[t]``, ``conflicts[t]`` the transactions that may not run
+    search of the module docstring.  Transactions are indexed ``0..n-1``
+    and ``bit`` maps each to its bit, the placed and open sets are int
+    bitmasks, ``preds[t]`` holds ``past[t]`` as the sum of its members'
+    bits, ``conflicts[t]`` the transactions that may not run
     concurrently with ``t`` and ``by_over[t]`` the (writer bit, reader
     index) of the instances whose overwriter is ``t``.  Below SI there are
     neither, as every extension of ``past`` is a witness: the search places
@@ -295,7 +304,8 @@ def _commit_order(
     txns = h.txn_ids
     n = len(txns)
     idx = {t: i for i, t in enumerate(txns)}
-    preds = [sum(1 << idx[u] for u in past[t]) for t in txns]
+    bit = {t: 1 << i for i, t in enumerate(txns)}
+    preds = [sum(map(bit.__getitem__, past[t])) for t in txns]
     full = (1 << n) - 1
     writers = h.writers
     conflicts = [0] * n
@@ -305,14 +315,14 @@ def _commit_order(
             conflicts = [full ^ 1 << i for i in range(n)]
         else:
             for ws in writers.values():
-                mask = sum(1 << idx[t] for t in ws)
+                mask = sum(map(bit.__getitem__, ws))
                 for t in ws:
-                    conflicts[idx[t]] |= mask ^ 1 << idx[t]
+                    conflicts[idx[t]] |= mask ^ bit[t]
         for rid, w in h.wr_map.items():
             r = rid.txn
             for t2 in writers.get(h.by_id[r].events[rid.index].var, ()):  # type: ignore[arg-type]
                 if t2 != w and t2 != r:  # t2 == t3 never meets a premise
-                    by_over[idx[t2]].append((1 << idx[w], idx[r]))
+                    by_over[idx[t2]].append((bit[w], idx[r]))
 
     failed: set[int] = set()
     order: list[int] = []
@@ -430,9 +440,18 @@ def _witness_after(
     """The witness order of ``h`` at SER or SI, the history just after
     ``event`` (with ``writer``, a first write or not) was appended to one
     whose witness is ``order``: ``order``, a begin's transaction appended,
-    where a rule of the module docstring keeps it, else the search's."""
+    where a rule of the module docstring keeps it, else the search's.
+
+    A read of ``t`` observing ``w`` on ``x`` is refuted before it would
+    search when another writer ``t2`` of ``x`` is causally before ``t``
+    with ``w`` causally before ``t2``: CC forces ``t2`` before ``w``
+    against so/wr, and the SER and SI premises of that instance hold for
+    any ``t2`` causally before ``t``, so neither level has a witness.
+    ``t2 != w`` needs no test, as no causal past holds its own
+    transaction, and ``t`` writes no ``x`` before an external read of it.
+    A False is thus the search's or this instance's."""
+    t, x = event.id.txn, event.var
     if order is not None:
-        t, x = event.id.txn, event.var
         if event.kind == BEGIN:
             return order + (t,)
         if level is IsolationLevel.SI and (writer is not None or first_write):
@@ -446,7 +465,12 @@ def _witness_after(
             if any(pos[w] < pos[t] < pos[r.txn] for r, w in h.wr_map.items()
                    if h.by_id[r.txn].events[r.index].var == x):
                 order = None
-    return _commit_order(h, level, h.causal_past) if order is None else order
+    if order is not None:
+        return order
+    past = h.causal_past
+    if writer is not None and any(t2 in past[t] and writer in past[t2] for t2 in h.writers[x]):
+        return None  # w before t2 before t, t2 writing x: not even CC
+    return _commit_order(h, level, past)
 
 
 def _forced_closure(h: History, level: IsolationLevel) -> dict | None:

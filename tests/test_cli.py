@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from fixtures import init_log
 
 import txndpor
 from txndpor import cli
@@ -16,13 +17,28 @@ from txndpor.cli import main
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import RunInterrupted, RunStats
 from txndpor.generate import (
+    _history_reductions,
+    _without_txn,
     random_history,
     random_program,
     shrink_failing_history,
     shrink_failing_program,
 )
 from txndpor.isolation import check_consistency
-from txndpor.model import IsolationLevel, canonical_decode, canonical_encode
+from txndpor.model import (
+    INIT_TXN,
+    EventId,
+    History,
+    IsolationLevel,
+    TransactionLog,
+    TxnId,
+    begin_event,
+    canonical_decode,
+    canonical_encode,
+    commit_event,
+    read_event,
+    write_event,
+)
 from txndpor.program import format_program, parse
 
 
@@ -504,6 +520,35 @@ def test_shrinkers_keep_the_failure_and_reach_a_fixed_point():
     assert shrink_failing_history(small, _two_wr_edges) == small
 
 
+def _txn(tid: TxnId, *body) -> TransactionLog:
+    """``tid``'s log: begin, then each (kind, var, value) of ``body``."""
+    events = [begin_event(tid)]
+    for kind, *args in body:
+        events.append({"r": read_event, "w": write_event, "c": commit_event}[kind](
+            tid, len(events), *args))
+    return TransactionLog(tid, tuple(events))
+
+
+def test_a_history_reduction_drops_an_unobserved_transaction_mid_session():
+    """Dropping a transaction that no read observes moves its session's
+    later transactions down one index, with their events' ids and the wr
+    edges that name them as reader or writer."""
+    t00, t01, t02, t10 = TxnId(0, 0), TxnId(0, 1), TxnId(0, 2), TxnId(1, 0)
+    h = History(
+        (init_log("x", "y"), _txn(t00, ("w", "y", 1), ("c",)),
+         _txn(t01, ("w", "x", 2), ("c",)), _txn(t02, ("r", "x")),
+         _txn(t10, ("r", "x"), ("w", "x", 3), ("c",))),
+        ((EventId(t02, 1), t10), (EventId(t10, 1), t01)),
+    )
+    expected = History(
+        (init_log("x", "y"), _txn(t00, ("w", "x", 2), ("c",)), _txn(t01, ("r", "x")),
+         _txn(t10, ("r", "x"), ("w", "x", 3), ("c",))),
+        ((EventId(t01, 1), t10), (EventId(t10, 1), t00)),
+    )
+    assert _without_txn(h, t00) == expected
+    assert expected in list(_history_reductions(h))
+
+
 def test_shrinkers_skip_a_candidate_the_check_raises_on():
     """A candidate on which the check raises is skipped, never kept: a
     check that raises on one-session programs, or on histories of fewer
@@ -536,7 +581,9 @@ def test_shrinkers_skip_a_candidate_the_check_raises_on():
 def test_verify_reports_a_planted_axioms_fault_as_a_shrunk_history(capsys, monkeypatch):
     """With a brute-force oracle that disagrees at RA on every history of
     two or more wr edges, ``verify`` exits 1 and prints a history that
-    decodes and still disagrees."""
+    decodes and still disagrees.  The shrink keeps no transaction it could
+    still drop, one with session successors included, so no begin-only
+    transaction is left."""
     real = cli.brute_force_consistency
 
     def planted(h, level):
@@ -551,7 +598,15 @@ def test_verify_reports_a_planted_axioms_fault_as_a_shrunk_history(capsys, monke
     message, encoded = text.split("\n", 1)
     assert message == "consistency checker disagrees with brute force at ra on:"
     bad = canonical_decode(encoded.strip().encode())
-    assert check_consistency(bad, IsolationLevel.RA) != planted(bad, IsolationLevel.RA)
+
+    def disagrees(h):
+        return check_consistency(h, IsolationLevel.RA) != planted(h, IsolationLevel.RA)
+
+    assert disagrees(bad)
+    observed = {w for _, w in bad.wr}
+    unread = [log.id for log in bad.logs if log.id != INIT_TXN and log.id not in observed]
+    assert not any(disagrees(_without_txn(bad, t)) for t in unread)
+    assert all(len(log.events) > 1 for log in bad.logs)
 
 
 def test_verify_reports_a_planted_optimality_fault_as_a_shrunk_program(capsys, monkeypatch):

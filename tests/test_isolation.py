@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -597,12 +598,13 @@ def test_derived_closure_of_a_begin():
 WITNESS_LEVELS = (IsolationLevel.SER, IsolationLevel.SI)
 
 
-def _count_searches(monkeypatch) -> list[int]:
-    """Count the full searches the checker and the trace run from now on."""
-    calls = [0]
+def _count_searches(monkeypatch) -> Counter:
+    """Count, per level, the full searches the checker and the trace run
+    from now on."""
+    calls: Counter = Counter()
 
     def counted(h, level, past):
-        calls[0] += 1
+        calls[level] += 1
         return _commit_order(h, level, past)
 
     monkeypatch.setattr(isolation, "_commit_order", counted)
@@ -630,13 +632,16 @@ def test_derived_ser_si_verdicts_agree_with_full_search_and_brute_force(monkeypa
     """Every step of random runs, aborts included, is checked at SER and SI
     on a trace, whose witness is derived from its parent's; the verdict
     must equal the full search's and the brute-force oracle's, and most
-    checks must be answered without a search."""
+    checks must be answered without a search.  Both levels refute some
+    reads that are not causally latest without one."""
     searches = _count_searches(monkeypatch)
+    refuted: Counter = Counter()
     checks = inconsistent = aborts = 0
     for seed in range(400):
         rng = random.Random(seed)
         program = parse(random_program(rng))
         for _ in range(2):
+            before = searches.copy()  # the searches of the walk's next pushes
             for event, traces in _random_walk(rng, program, WITNESS_LEVELS):
                 aborts += event is not None and event.kind == ABORT
                 for tr in traces:
@@ -649,10 +654,15 @@ def test_derived_ser_si_verdicts_agree_with_full_search_and_brute_force(monkeypa
                     )
                     assert check_consistency(tr, tr.level) == verdict
                     inconsistent += not verdict
+                    refuted[tr.level] += (not verdict and event is not None
+                                          and event.id in tr.wr_map
+                                          and searches[tr.level] == before[tr.level])
+                before = searches.copy()
     assert checks > 20_000
     assert inconsistent > 1_000
     assert aborts > 200
-    assert searches[0] < checks / 2
+    assert sum(searches.values()) < checks / 2
+    assert all(refuted[level] > 50 for level in WITNESS_LEVELS)
 
 
 def _x_writer(tid: TxnId) -> TransactionLog:
@@ -711,8 +721,28 @@ def _witness_edits():
          _log(T10, read_event(T10, 1, "y"))),
         ((EventId(T10, 1), T01),),
     )
+    # t01 is causally before t10 and t00 before t01: refuted unsearched.
     yield "read, a writer between", between, read_event(T10, 2, "x"), T00, {
-        level: (False, True) for level in WITNESS_LEVELS
+        level: (False, False) for level in WITNESS_LEVELS
+    }
+
+    # The parent's witness is (init, t00, t01, t10), with t01's x between
+    # t00 and t10, but t01 is not causally before t10: t10 can go first.
+    latest = History((init, _x_writer(T00), _x_writer(T01), _log(T10)), ())
+    yield "read, causally latest, a writer between", latest, read_event(T10, 1, "x"), T00, {
+        level: (True, True) for level in WITNESS_LEVELS
+    }
+
+    # Write skew: t00 read x from init and wrote y, t10 wrote x and reads y
+    # from init.  The read is causally latest, so SER searches to refute it.
+    skew = History(
+        (init, _log(T00, read_event(T00, 1, "x"), write_event(T00, 2, "y", 1),
+                    commit_event(T00, 3)),
+         _log(T10, write_event(T10, 1, "x", 1))),
+        ((EventId(T00, 1), INIT_TXN),),
+    )
+    yield "read, causally latest, write skew", skew, read_event(T10, 2, "y"), INIT_TXN, {
+        IsolationLevel.SER: (False, True), IsolationLevel.SI: (True, True)
     }
 
     read_before = History(
@@ -750,9 +780,9 @@ def test_witness_rules_on_hand_built_edits(level, monkeypatch):
     searches = _count_searches(monkeypatch)
     for rule, parent, event, writer, expected in _witness_edits():
         _verdict(parent, level)
-        before = searches[0]
+        before = searches[level]
         child, order = _edit(parent, event, writer, _witness_after, level)
-        searched = searches[0] > before
+        searched = searches[level] > before
         verdict = _assert_witness_matches_search(child, order, level)
         assert (verdict, searched) == expected[level], (rule, level)
 
