@@ -67,8 +67,11 @@ transaction's body from the session's ``pc`` behind bounded memos
 keyed by one step's inputs (``program._action``, ``program._silent_run``,
 ``program._write_value``), and a log keeps its last extension
 (:meth:`TransactionLog.extended`), so siblings that push the same event
-share one log.  No memo is keyed by a history or holds a state, so
-what a walk retains still grows only with its depth.
+share one log.  A run begins each transaction's log once
+(``_Trace.begin_logs``), so every sibling, revisit and swap that begins it
+extends one chain.  No memo is keyed by a history or holds a state, and
+that table holds one log per transaction and dies with the run, so what a
+walk retains grows only with its depth and the program's size.
 
 Both searches follow one scheduling rule, ``_schedule``: the one pending
 transaction steps on, else any session may begin.  The paper's invariant
@@ -594,6 +597,12 @@ class _Trace:
     and local state, the previous relations and ``pending``, so it is never
     longer than the walk is deep.  :meth:`swap` builds a taken swap's trace
     from this one, which it leaves as it is, with the reader pending.
+
+    ``begin_logs`` holds the run's one begin log per transaction, built on
+    its first begin and shared with a swap's trace, so every begin of a
+    transaction pushes one log, whose :meth:`TransactionLog.extended` slot
+    carries the transaction's chain across siblings, revisits and swaps.
+    It dies with the run.
     """
 
     def __init__(self, st: ExplorationState, level: IsolationLevel):
@@ -613,6 +622,7 @@ class _Trace:
         }
         self.length, self.pending = len(h.order), st.pending
         self.undo: list[tuple] = []
+        self.begin_logs: dict[TxnId, TransactionLog] = {}
 
     def committed_writers(self, var: str) -> list[TxnId]:
         """The committed writers of ``var`` in the order they entered:
@@ -669,12 +679,16 @@ class _Trace:
         old = self.by_id.get(t)
         first_write = False
         if kind == BEGIN:
-            # t begins last in its session, its log built with the
-            # relations extended() carries; it goes in at its bisect
-            # position, and its past is its session predecessor's (or
-            # init's) plus that transaction.
-            log = object.__new__(TransactionLog)
-            log.__dict__.update(id=t, events=(event,), status=PENDING, write_set={}, read_set=())
+            # t begins last in its session, with the run's one begin log of
+            # t, built on its first begin with the relations extended()
+            # carries, so every begin of t extends one chain; it goes in at
+            # its bisect position, and its past is its session
+            # predecessor's (or init's) plus that transaction.
+            log = self.begin_logs.get(t)
+            if log is None:
+                log = self.begin_logs[t] = object.__new__(TransactionLog)
+                log.__dict__.update(id=t, events=(event,), status=PENDING, write_set={},
+                                    read_set=())
             i = bisect(self.txn_ids, t)
             self.txn_ids = self.txn_ids[:i] + (t,) + self.txn_ids[i:]
             same = self.session_txns.get(t.session, ())
@@ -755,6 +769,7 @@ class _Trace:
         new.sessions = list(self.sessions)
         _rewind(new.sessions, [u for u in starts if u not in kept])
         new.consistency_cache, new.undo, new.pending = {}, [], reader
+        new.begin_logs = self.begin_logs
         s = reader.session
         action = NextAction(self.by_id[reader].events[0])
         for _ in range(r.index):

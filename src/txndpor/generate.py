@@ -297,11 +297,12 @@ def _history_reductions(h: History) -> Iterator[History]:
         if log.id == INIT_TXN or len(log.events) <= 1:
             continue
         last = log.events[-1]
-        if last.kind == WRITE and any(
+        shorter = TransactionLog(log.id, log.events[:-1])
+        # a write some read observes stays unless an earlier one shadows it
+        if last.kind == WRITE and not shorter.writes_var(last.var) and any(
             h.event(rid).var == last.var and w == log.id for rid, w in h.wr
         ):
             continue
-        shorter = TransactionLog(log.id, log.events[:-1])
         logs = tuple(shorter if l.id == log.id else l for l in h.logs)
         wr = tuple(p for p in h.wr if p[0] != last.id)
         try:

@@ -263,8 +263,10 @@ class TransactionLog:
         equal but distinct event misses and replaces the entry.  Each log
         holds at most one extension, and that one at most one of its own, so
         a log the walk keeps reaches at most one further log per position
-        left in its transaction: the logs a walk retains stay O(depth ×
-        transaction length), and no table outside the logs holds any.
+        left in its transaction.  The one table outside the logs is a run's
+        begin logs (``explorer._Trace.begin_logs``), one per transaction
+        the run begins, each the head of one chain: the logs a run retains
+        stay O(depth × transaction length + program size).
         """
         last = self.__dict__.get("_extension")
         if last is not None and last[0] is event:

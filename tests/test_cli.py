@@ -27,6 +27,7 @@ from txndpor.generate import (
 from txndpor.isolation import check_consistency
 from txndpor.model import (
     INIT_TXN,
+    WRITE,
     EventId,
     History,
     IsolationLevel,
@@ -583,7 +584,8 @@ def test_verify_reports_a_planted_axioms_fault_as_a_shrunk_history(capsys, monke
     two or more wr edges, ``verify`` exits 1 and prints a history that
     decodes and still disagrees.  The shrink keeps no transaction it could
     still drop, one with session successors included, so no begin-only
-    transaction is left."""
+    transaction is left, and no log ends in a write that an earlier write of
+    the same variable in that log shadows."""
     real = cli.brute_force_consistency
 
     def planted(h, level):
@@ -607,6 +609,9 @@ def test_verify_reports_a_planted_axioms_fault_as_a_shrunk_history(capsys, monke
     unread = [log.id for log in bad.logs if log.id != INIT_TXN and log.id not in observed]
     assert not any(disagrees(_without_txn(bad, t)) for t in unread)
     assert all(len(log.events) > 1 for log in bad.logs)
+    for log in bad.logs:
+        *head, last = log.events
+        assert last.kind != WRITE or all(e.kind != WRITE or e.var != last.var for e in head), log
 
 
 def test_verify_reports_a_planted_optimality_fault_as_a_shrunk_program(capsys, monkeypatch):

@@ -62,6 +62,7 @@ from txndpor.model import (
     COMMIT,
     COMMITTED,
     INIT_TXN,
+    PENDING,
     READ,
     WRITE,
     Event,
@@ -1625,10 +1626,20 @@ def test_extended_logs_equal_the_validated_log(walk, level, monkeypatch):
     assert hits > calls // 8 > 0
 
 
+_RUNS = {
+    "ce-rc": lambda prog, emit: explore_ce(prog, IsolationLevel.RC, emit=emit),
+    "ce-cc": lambda prog, emit: explore_ce(prog, IsolationLevel.CC, emit=emit),
+    "star-cc-ser": lambda prog, emit: explore_ce_star(
+        prog, IsolationLevel.CC, IsolationLevel.SER, emit=emit),
+    "dfs-ser": lambda prog, emit: dfs(prog, IsolationLevel.SER, emit=emit),
+}
+
+
 def test_logs_a_finished_run_built_are_all_freed(monkeypatch):
-    """Once ``explore_ce`` returns and the states it emitted are dropped,
-    every log its traces stored is freed: logs keep their last extension
-    on themselves, never in a table that outlives the run."""
+    """Once a run returns and the states it emitted are dropped, every log
+    its traces stored is freed: logs keep their last extension on
+    themselves, and the run's begin logs live in a table of its traces,
+    never in one that outlives the run."""
     refs: list[weakref.ref] = []
     apply = explorer._Trace._apply
 
@@ -1639,15 +1650,55 @@ def test_logs_a_finished_run_built_are_all_freed(monkeypatch):
 
     monkeypatch.setattr(explorer._Trace, "_apply", recorded)
     programs = [parse(GATE_HEAVY_SOURCES["prog3"]), *_examples_corners_and_draws(47, 10)]
-    for level in (IsolationLevel.RC, IsolationLevel.CC):
-        for prog in programs:
+    for run, walk in _RUNS.items():
+        for prog in programs[1:] if run == "dfs-ser" else programs:  # dfs on prog3: ~14 s
             emitted: list[ExplorationState] = []
-            explore_ce(prog, level, emit=emitted.append)
+            walk(prog, emitted.append)
             assert emitted
             del emitted
     gc.collect()
     assert len(refs) > 1000
     assert [ref() for ref in refs if ref() is not None] == []
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_a_run_begins_each_transaction_log_once(monkeypatch, run):
+    """Every begin of a transaction in one run, on the walk's traces and on
+    a swap's re-step of the reader, stores the same log object: the begin
+    log built on its first begin, holding that begin alone, so that the
+    transaction's later events extend one chain of logs."""
+    begun: dict[TxnId, TransactionLog] = {}
+    counts = {"begins": 0, "in swap": 0, "transactions": 0}
+    in_swap = False
+    apply, swap_trace = explorer._Trace._apply, explorer._Trace.swap
+
+    def recorded(tr, event, writer):
+        first_write = apply(tr, event, writer)
+        if event.kind == BEGIN:
+            log = tr.by_id[event.id.txn]
+            assert log.events == (event,) and log.status == PENDING
+            assert log is begun.setdefault(event.id.txn, log), (run, event)
+            counts["begins"] += 1
+            counts["in swap"] += in_swap
+        return first_write
+
+    def swapping(tr, r, t):
+        nonlocal in_swap
+        in_swap = True
+        try:
+            return swap_trace(tr, r, t)
+        finally:
+            in_swap = False
+
+    monkeypatch.setattr(explorer._Trace, "_apply", recorded)
+    monkeypatch.setattr(explorer._Trace, "swap", swapping)
+    programs = [parse(GATE_HEAVY_SOURCES["prog3"]), *_examples_corners_and_draws(53, 6)]
+    for prog in programs[1:] if run == "dfs-ser" else programs:  # dfs on prog3: ~14 s
+        begun.clear()
+        _RUNS[run](prog, None)
+        counts["transactions"] += len(begun)
+    assert counts["begins"] > 2 * counts["transactions"] > 0
+    assert (counts["in swap"] > 0) == (run != "dfs-ser")
 
 
 @pytest.mark.parametrize(
