@@ -101,7 +101,7 @@ history built by the validating constructors.
 from __future__ import annotations
 
 import time
-from bisect import bisect, bisect_left
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator
 
@@ -119,7 +119,6 @@ from .model import (
     ABORT,
     BEGIN,
     COMMIT,
-    INIT_TXN,
     PENDING,
     READ,
     WRITE,
@@ -131,6 +130,7 @@ from .model import (
     TransactionLog,
     TxnId,
     _past_with_edge,
+    _so_before,
     causally_before_or_equal,
     closure_with_edges,
     drop_events,
@@ -347,17 +347,15 @@ def _rewind(sessions: list[LocalState], lost: Iterable[TxnId]) -> None:
 
 
 def _restricted(tr: _Trace, kept: Container[TxnId]) -> tuple:
-    """The transaction ids, session lists, causal past, writer index and wr
-    map of a swap's cut, from those of the walk's trace ``tr`` and the
-    transactions the cut keeps.  Whole transactions go, the reader's
-    included, and none reaches a kept one (the second bullet of
-    :func:`reads_causally_latest`), so a kept transaction's past holds only
-    kept ones and carries over as is."""
+    """The transaction ids, causal past, writer index and wr map of a
+    swap's cut, from those of the walk's trace ``tr`` and the transactions
+    the cut keeps; its session lists are its ids'.  Whole transactions go,
+    the reader's included, and none reaches a kept one (the second bullet
+    of :func:`reads_causally_latest`), so a kept transaction's past holds
+    only kept ones and carries over as is."""
     ids = tuple(u for u in tr.txn_ids if u in kept)
     return (
         ids,
-        {s: ts for s, txns in tr.session_txns.items()
-         if (ts := tuple(u for u in txns if u in kept))},
         {u: tr.causal_past[u] for u in ids},
         {x: ws for x, txns in tr.writers.items() if (ws := tuple(u for u in txns if u in kept))},
         {rid: w for rid, w in tr.wr_map.items() if rid.txn in kept},
@@ -505,8 +503,7 @@ def reads_causally_latest(
     past, current = hist.causal_past, hist.wr_map.get(r)
     earlier = [(e.var, hist.wr_map[e.id]) for e in hist.by_id[reader].read_set if e.id < r]
     # R's session predecessor, or init: its past holds R's earlier ones.
-    before = hist.txn_ids[bisect_left(hist.txn_ids, reader) - 1]
-    direct = {w for _, w in earlier} | {before if before.session == reader.session else INIT_TXN}
+    direct = {w for _, w in earlier} | {_so_before(hist.txn_ids, reader)}
     p = direct.union(*map(past.__getitem__, direct))
     if current not in p:
         return False
@@ -514,7 +511,7 @@ def reads_causally_latest(
     if not above or level is IsolationLevel.TRUE:
         return not above
     kept = _kept(h.starts, past, r, t)
-    reach = closure_with_edges(past, _forced_edges_of(hist, level, kept, hist.writers))
+    reach = closure_with_edges(past, _forced_edges_of(hist, level, kept))
     # R's reads in the cut, then r observing w; at cc R's premise is P.
     return all(
         closure_with_edges(
@@ -580,13 +577,15 @@ class _Trace:
     rules shared with the immutable model read it as they read those:
     ``program``, the sessions' local states ``sessions``, the logs
     ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
-    the session lists ``session_txns``, ``causal_past``, ``writers``, the
-    one open transaction ``pending`` (or None), and ``consistency_cache``,
-    which holds the verdict at ``level``: the forced
-    closure as each transaction's past at RC, RA and CC, a witness order at
-    SER and SI.  An event edits the transaction that entered last, which
-    nothing follows, so a begin or a read changes one entry of the causal
-    past (``model._past_with_edge``).
+    ``causal_past``, ``writers``, the one open transaction ``pending`` (or
+    None), and ``consistency_cache``, which holds the verdict at
+    ``level``: the forced closure as each transaction's past at RC, RA and
+    CC, a witness order at SER and SI.  An event edits the transaction
+    that entered last, which nothing follows, so a begin or a read changes
+    one entry of the causal past (``model._past_with_edge``).  Each
+    relation is carried once: the session lists are the sorted
+    ``txn_ids``' (``model._so_before``), and where a begin starts is where
+    the logs of ``by_id`` end.
 
     :meth:`push` applies one event and derives the verdict, :meth:`enter`
     steps the session's locals past it.  ``by_id``, ``starts``, ``wr_map``,
@@ -613,14 +612,14 @@ class _Trace:
         self.by_id = {t: hist.by_id[t] for t in h.starts}
         self.starts = dict(h.starts)
         self.wr_map = dict(hist.wr_map)
-        self.txn_ids, self.session_txns = hist.txn_ids, hist.sessions
+        self.txn_ids = hist.txn_ids
         self.causal_past, self.writers = hist.causal_past, hist.writers
         closure = level in EXTENSIBLE_LEVELS
         self.after = _forced_after if closure else _witness_after
         self.consistency_cache = {} if level is IsolationLevel.TRUE else {
             level: (_forced_closure if closure else _witness)(hist, level)
         }
-        self.length, self.pending = len(h.order), st.pending
+        self.pending = st.pending
         self.undo: list[tuple] = []
         self.begin_logs: dict[TxnId, TransactionLog] = {}
 
@@ -659,8 +658,7 @@ class _Trace:
         t, kind = event.id.txn, event.kind
         cache, level = self.consistency_cache, self.level
         self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
-                          self.session_txns, self.causal_past, self.writers, cache.get(level),
-                          self.pending))
+                          self.causal_past, self.writers, cache.get(level), self.pending))
         if kind == BEGIN:
             self.pending = t
         elif kind == COMMIT or kind == ABORT:
@@ -681,21 +679,20 @@ class _Trace:
         if kind == BEGIN:
             # t begins last in its session, with the run's one begin log of
             # t, built on its first begin with the relations extended()
-            # carries, so every begin of t extends one chain; it goes in at
-            # its bisect position, and its past is its session
-            # predecessor's (or init's) plus that transaction.
+            # carries, so every begin of t extends one chain; its past is
+            # its session predecessor's (or init's) plus that transaction,
+            # it goes in at its bisect position, and it starts where the
+            # transaction that entered last, which is complete, ends.
             log = self.begin_logs.get(t)
             if log is None:
                 log = self.begin_logs[t] = object.__new__(TransactionLog)
                 log.__dict__.update(id=t, events=(event,), status=PENDING, write_set={},
                                     read_set=())
+            self.causal_past = _past_with_edge(self.causal_past, _so_before(self.txn_ids, t), t)
             i = bisect(self.txn_ids, t)
             self.txn_ids = self.txn_ids[:i] + (t,) + self.txn_ids[i:]
-            same = self.session_txns.get(t.session, ())
-            grown = {**self.session_txns, t.session: same + (t,)}
-            self.session_txns = grown if same else dict(sorted(grown.items()))
-            self.causal_past = _past_with_edge(self.causal_past, same[-1] if same else INIT_TXN, t)
-            self.starts[t] = self.length
+            last = next(reversed(self.starts))
+            self.starts[t] = self.starts[last] + len(self.by_id[last].events)
         else:
             log = old.extended(event)  # type: ignore[union-attr]
             if writer is not None:
@@ -713,7 +710,6 @@ class _Trace:
                 ws = self.writers.get(event.var, ()) + (t,)  # type: ignore[arg-type]
                 self.writers = {**self.writers, event.var: tuple(sorted(ws))}  # type: ignore[dict-item]
         self.by_id[t] = log
-        self.length += 1
         return first_write
 
     def enter(self, action: NextAction, writer: TxnId | None = None) -> None:
@@ -724,11 +720,10 @@ class _Trace:
 
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
-        (event, writer, old, ls, self.txn_ids, self.session_txns, self.causal_past,
-         self.writers, reach, self.pending) = self.undo.pop()
+        (event, writer, old, ls, self.txn_ids, self.causal_past, self.writers, reach,
+         self.pending) = self.undo.pop()
         t = event.id.txn
         self.sessions[t.session] = ls
-        self.length -= 1
         if old is None:
             del self.by_id[t], self.starts[t]
         else:
@@ -758,14 +753,11 @@ class _Trace:
         kept = _kept(starts, self.causal_past, r, t)
         new = object.__new__(_Trace)
         new.program, new.level, new.after = self.program, self.level, self.after
-        new.txn_ids, new.session_txns, new.causal_past, new.writers, new.wr_map = _restricted(
-            self, kept
-        )
+        new.txn_ids, new.causal_past, new.writers, new.wr_map = _restricted(self, kept)
         new.by_id = {u: log for u, log in self.by_id.items() if u in kept}
-        new.starts, new.length = {}, 0
+        new.starts, start = {}, 0
         for u, log in new.by_id.items():
-            new.starts[u] = new.length
-            new.length += len(log.events)
+            new.starts[u], start = start, start + len(log.events)
         new.sessions = list(self.sessions)
         _rewind(new.sessions, [u for u in starts if u not in kept])
         new.consistency_cache, new.undo, new.pending = {}, [], reader
@@ -785,14 +777,15 @@ class _Trace:
 
     def state(self) -> ExplorationState:
         """The state the trace stands at, sharing no dict it changes in
-        place; its verdict at ``level`` cached, its logs by id and wr map
-        left to be computed on first use, and its per-event order left to
-        :class:`OrderedHistory`'s view of ``starts`` and the logs."""
+        place; its verdict at ``level`` cached, its logs by id, session
+        lists and wr map left to be computed on first use, and its
+        per-event order left to :class:`OrderedHistory`'s view of
+        ``starts`` and the logs."""
         logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
         hist = History._derived(
             logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
-            sessions=self.session_txns, causal_past=self.causal_past,
-            writers=self.writers, consistency_cache=dict(self.consistency_cache),
+            causal_past=self.causal_past, writers=self.writers,
+            consistency_cache=dict(self.consistency_cache),
         )
         h = object.__new__(OrderedHistory)
         h.__dict__.update(history=hist, starts=dict(self.starts))

@@ -47,22 +47,17 @@ T = TypeVar("T")
 # ---------------------------------------------------------------------------
 
 
-def random_history(
-    rng: random.Random,
-    *,
-    max_txns: int = 5,
-    max_vars: int = 2,
-    max_events: int = 3,
-) -> History:
+def random_history(rng: random.Random, *, max_txns: int = 5) -> History:
     """A random valid history with at most ``max_txns`` transactions plus init.
 
-    Transactions are spread over up to three sessions and interleaved along
+    Transactions are spread over up to three sessions, use one or two
+    variables, hold one to three reads and writes, and are interleaved along
     a hidden global order; each external read observes a random earlier
     non-aborted writer of its variable (init always qualifies), which keeps
     session order and write-read acyclic by construction.  Statuses mix
     committed, aborted and pending transactions.
     """
-    variables = _VARS[: rng.randint(1, max_vars)]
+    variables = _VARS[: rng.randint(1, 2)]
     n_txns = rng.randint(1, max_txns)
     n_sessions = rng.randint(1, min(3, n_txns))
     session_of: list[int] = [s for s in range(n_sessions)]
@@ -96,7 +91,7 @@ def random_history(
         events = [begin_event(tid)]
         own_writes: set[str] = set()
         this_writes: list[str] = []
-        for _ in range(rng.randint(1, max_events)):
+        for _ in range(rng.randint(1, 3)):
             var = rng.choice(variables)
             index = len(events)
             if rng.random() < 0.5:
@@ -128,37 +123,31 @@ def random_history(
 # ---------------------------------------------------------------------------
 
 
-def random_program(
-    rng: random.Random,
-    *,
-    min_sessions: int = 1,
-    max_sessions: int = 3,
-    max_txns: int = 2,
-    max_instrs: int = 3,
-    max_vars: int = 2,
-) -> str:
+def random_program(rng: random.Random, *, max_sessions: int = 3) -> str:
     """Source text of a random well-formed program within small bounds.
 
     Mostly two-session programs with a few reads and writes; a smaller share
-    uses three sessions with lighter read pressure to keep the baseline's
-    branching in check.  Conditionals, aborts, assignments and an occasional
+    uses three sessions (at most ``max_sessions``) with lighter read
+    pressure to keep the baseline's branching in check.  Each session runs
+    one or two transactions of up to three instructions over one or two
+    variables.  Conditionals, aborts, assignments and an occasional
     trailing assert are sprinkled in.
     """
     roll = rng.random()
     if roll < 0.60:
-        n_sessions, instr_cap, read_weight = 2, max_instrs, 0.45
+        n_sessions, instr_cap, read_weight = 2, 3, 0.45
     elif roll < 0.85:
         n_sessions, instr_cap, read_weight = 3, 2, 0.40
     else:
         n_sessions, instr_cap, read_weight = 3, 2, 0.25
-    n_sessions = min(max(n_sessions, min_sessions), max_sessions)
-    variables = _VARS[: rng.randint(1, max_vars)]
+    n_sessions = min(n_sessions, max_sessions)
+    variables = _VARS[: rng.randint(1, 2)]
     next_local = 0
     lines = []
     for s in range(n_sessions):
         lines.append(f"session s{s} {{")
         defined: list[str] = []
-        n_txns = rng.randint(1, max_txns)
+        n_txns = rng.randint(1, 2)
         for t in range(n_txns):
             instrs: list[str] = []
             # Definitions after a possible abort exit do not survive the

@@ -99,7 +99,6 @@ literally.  It exists to cross-check the optimized decision procedures.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -114,6 +113,7 @@ from .model import (
     IsolationLevel,
     TxnId,
     _past_with_edge,
+    _so_before,
     canonical_encode,
     causal_reachable,
     closure_with_edges,
@@ -201,15 +201,14 @@ def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
     """
     if level not in _CLOSURE_LEVELS:
         raise ValueError(f"no order-free premise for {level.value}")
-    return set(_forced_edges_of(h, level, h.by_id, h.writers))
+    return set(_forced_edges_of(h, level, h.by_id))
 
 
 _CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
 
 def _forced_edges_of(
-    h: History, level: IsolationLevel, readers: Iterable[TxnId],
-    writers: dict[str, tuple[TxnId, ...]],
+    h: History, level: IsolationLevel, readers: Iterable[TxnId]
 ) -> Iterator[tuple[TxnId, TxnId]]:
     """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC):
     :func:`_read_edges` of each reader's reads, its log's ``read_set`` in
@@ -217,7 +216,7 @@ def _forced_edges_of(
     wr_map = h.wr_map
     for t3 in readers:
         reads = [(ev.var, wr_map[ev.id]) for ev in h.by_id[t3].read_set if ev.id in wr_map]
-        yield from _read_edges(level, t3, reads, writers, h.causal_past)  # type: ignore[arg-type]
+        yield from _read_edges(level, t3, reads, h.writers, h.causal_past)  # type: ignore[arg-type]
 
 
 def _read_edges(
@@ -512,16 +511,15 @@ def _forced_after(
     ``w``'s past.
     """
     if event.kind == ABORT:  # it takes away the aborted writes' forced edges
-        return closure_with_edges(h.causal_past, _forced_edges_of(h, level, h.by_id, h.writers))
+        return closure_with_edges(h.causal_past, _forced_edges_of(h, level, h.by_id))
     if reach is None:  # every other edit only adds edges: a cycle stays
         return None
     t = event.id.txn
     if event.kind == BEGIN:
-        before = h.txn_ids[bisect_left(h.txn_ids, t) - 1]
-        return _past_with_edge(reach, before if before.session == t.session else INIT_TXN, t)
+        return _past_with_edge(reach, _so_before(h.txn_ids, t), t)
     if writer is None:
         return reach
-    return closure_with_edges(reach, [(writer, t), *_forced_edges_of(h, level, [t], h.writers)])
+    return closure_with_edges(reach, [(writer, t), *_forced_edges_of(h, level, [t])])
 
 
 def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:

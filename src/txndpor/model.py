@@ -35,15 +35,15 @@ which takes no lock.
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` without calling it, from fragments of the immutable
 values emitted histories share: each event and each log caches its own, and
-bounded memos hold the ``so`` part per tuple of session lists and each ``wr``
-edge.  Keys are written in sorted order and variables escaped by ``json``'s
+bounded memos hold the ``so`` part per tuple of transaction ids and each
+``wr`` edge.  Keys are written in sorted order and variables escaped by ``json``'s
 ASCII escaper; an event's variable is a ``str`` and its value an ``int``.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -602,6 +602,15 @@ def _past_with_edge(
     return past if w in mine else {**past, t: past[w].union(mine, (w,))}
 
 
+def _so_before(txn_ids: tuple[TxnId, ...], t: TxnId) -> TxnId:
+    """``t``'s session predecessor among the sorted ids ``txn_ids``, which
+    may or may not hold ``t``, or init when it has none: the session order
+    is the ids' order, so it is the id just below ``t`` if in ``t``'s
+    session."""
+    before = txn_ids[bisect_left(txn_ids, t) - 1]
+    return before if before.session == t.session else INIT_TXN
+
+
 def causal_reachable(h: History, a: TxnId, b: TxnId) -> bool:
     """Whether (a, b) is in the strict transitive closure of so union wr."""
     if a not in h.by_id:
@@ -755,26 +764,28 @@ def canonical_encode(h: History) -> bytes:
 
     Each ``txns`` entry is its log's cached :attr:`TransactionLog.fragment`,
     the join of its events' cached :attr:`Event.fragment`.  The ``so`` part
-    is memoized per tuple of session lists (:func:`_so_fragment`, 64
-    entries; all complete histories of a program share one) and each ``wr``
-    edge per edge (:func:`_wr_fragment`, 1,024 entries).  A history's ``wr``
-    is never cached whole: one log appears in histories with different
-    writers.
+    is memoized per tuple of transaction ids, from which it groups the
+    sessions (:func:`_so_fragment`, 64 entries; all complete histories of a
+    program share one), and each ``wr`` edge per edge (:func:`_wr_fragment`,
+    1,024 entries).  A history's ``wr`` is never cached whole: one log
+    appears in histories with different writers.
     """
-    so = _so_fragment(tuple(h.sessions.values()))
+    so = _so_fragment(h.txn_ids)
     wr = ",".join(map(_wr_fragment, h.wr))
     txns = ",".join(log.fragment for log in h.logs)
     return f'{{"so":{{{so}}},"txns":[{txns}],"wr":[{wr}]}}'.encode()
 
 
 @lru_cache(maxsize=64)
-def _so_fragment(sessions: tuple[tuple[TxnId, ...], ...]) -> str:
-    """The ``so`` object's members for the session lists ``sessions``, keyed
-    by session ids sorted as strings, as ``sort_keys`` does."""
-    return ",".join(
-        f'"{txns[0].session}":[{",".join(f"[{t.session},{t.index}]" for t in txns)}]'
-        for txns in sorted(sessions, key=lambda txns: str(txns[0].session))
-    )
+def _so_fragment(txn_ids: tuple[TxnId, ...]) -> str:
+    """The ``so`` object's members for the sorted transaction ids
+    ``txn_ids``: each session's transactions, init left out, keyed by
+    session ids sorted as strings, as ``sort_keys`` does."""
+    sessions: dict[str, list[str]] = {}
+    for t in txn_ids:
+        if t != INIT_TXN:
+            sessions.setdefault(str(t.session), []).append(f"[{t.session},{t.index}]")
+    return ",".join(f'"{s}":[{",".join(ts)}]' for s, ts in sorted(sessions.items()))
 
 
 @lru_cache(maxsize=1024)

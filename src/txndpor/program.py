@@ -322,9 +322,7 @@ class _Parser:
 
     def parse_program(self) -> Program:
         sessions = []
-        while not self.at_keyword("session"):
-            if self.peek().kind == "eof" and sessions:
-                break
+        if not self.at_keyword("session"):
             raise self.error("expected 'session'")
         while self.at_keyword("session"):
             sessions.append(self.parse_session())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -493,6 +494,32 @@ def _three_instructions_in_two_sessions(p) -> bool:
 
 def _two_wr_edges(h) -> bool:
     return len(h.wr) >= 2
+
+
+# The sha256 digests pin the draws of seeds 0-299: verify's corpora and the
+# benchmark's random programs are such draws, so a generator edit that
+# moves one fails here.
+@pytest.mark.parametrize("options, digest", [
+    ({}, "fe03db66c79b0507fa7c4c7fc5c28da201321168403c016255651dc29ad9867d"),
+    ({"max_sessions": 2}, "45b1b22760f729f34ac618253f4a48aa792ba378b77232f9f69d31976b81625c"),
+], ids=["default", "max_sessions=2"])
+def test_random_program_draws_are_stable(options, digest):
+    """The sources ``random_program`` draws are the pinned ones."""
+    sources = "".join(random_program(random.Random(s), **options) for s in range(300))
+    assert hashlib.sha256(sources.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("options, digest", [
+    ({}, "4b5dccab6aefabc79721b299f4d3acb2f6a552a6ecd1cd85662b097bd40867a0"),
+    ({"max_txns": 7}, "b5a28508f90c586c7a5e0df2f7deca5e4e321f040aa6b83e9e3996e825dd10a8"),
+], ids=["default", "max_txns=7"])
+def test_random_history_draws_are_stable(options, digest):
+    """The encodings of the histories ``random_history`` draws are the
+    pinned ones."""
+    encodings = b"\n".join(
+        canonical_encode(random_history(random.Random(s), **options)) for s in range(300)
+    )
+    assert hashlib.sha256(encodings).hexdigest() == digest
 
 
 def test_shrinkers_keep_the_failure_and_reach_a_fixed_point():

@@ -960,19 +960,16 @@ def test_swaps_re_step_their_reader_without_a_verdict_per_read(monkeypatch):
 
 
 # The relations a swap's trace carries, restricted from the walk's trace
-# and edited by the reader's re-stepped events, with their History names.
-CUT_RELATIONS = {
-    "txn_ids": "txn_ids", "session_txns": "sessions", "causal_past": "causal_past",
-    "writers": "writers", "wr_map": "wr_map",
-}
+# and edited by the reader's re-stepped events, under their History names.
+CUT_RELATIONS = ("txn_ids", "causal_past", "writers", "wr_map")
 
 
 @pytest.mark.parametrize("level", EXTENSIBLE)
 def test_swap_cuts_carry_the_relations_of_full_construction(level):
     """On every swap explore_ce takes, on the examples, the corner programs
     and 100 random programs, the trace ``_Trace.swap`` builds carries ids,
-    sessions, causal past, writer index and wr map, each equal to those
-    of its history by full construction."""
+    causal past, writer index and wr map, each equal to those of its
+    history by full construction."""
     swaps = 0
     for prog in _examples_corners_and_draws(23, 100):
         for _, st in entered_states(prog, level):
@@ -982,8 +979,8 @@ def test_swap_cuts_carry_the_relations_of_full_construction(level):
                     continue
                 h = new.state().history.history
                 full = History(h.logs, h.wr)
-                for name, relation in CUT_RELATIONS.items():
-                    assert getattr(new, name) == getattr(full, relation), name
+                for name in CUT_RELATIONS:
+                    assert getattr(new, name) == getattr(full, name), name
                 swaps += 1
     assert swaps > 100
 

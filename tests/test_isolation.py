@@ -225,7 +225,7 @@ def test_forced_edges_are_those_the_literal_premise_grants(seed):
             granted = [i for i in axiom_instances(x) if isolation._premise_static(x, level, i)]
             assert forced_edges(x, level) == {(i.overwriter, i.writer) for i in granted}
             for readers in subsets:
-                edges = set(isolation._forced_edges_of(x, level, readers, x.writers))
+                edges = set(isolation._forced_edges_of(x, level, readers))
                 assert edges == {(i.overwriter, i.writer) for i in granted if i.reader in readers}
 
 

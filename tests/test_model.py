@@ -269,6 +269,33 @@ def test_init_precedes_all_sessions_in_session_order():
     assert all(INIT_TXN in h.causal_past[t] for t in h.txn_ids if t != INIT_TXN)
 
 
+def _session_predecessors(h: History, s: int) -> list[tuple[TxnId, TxnId]]:
+    """(t, t's session predecessor or init) for each transaction ``t`` of
+    session ``s`` in ``h.sessions``, and for the next one to begin there."""
+    txns = h.sessions.get(s, ())
+    nxt = TxnId(s, txns[-1].index + 1 if txns else 0)
+    return list(zip(txns + (nxt,), (INIT_TXN,) + txns))
+
+
+def test_so_before_is_the_predecessor_in_the_session_lists():
+    """``_so_before`` finds each transaction's session predecessor, or
+    init, as ``History.sessions`` lists them: for transactions present and
+    for the next one to begin in each session or a new one, on random
+    histories and on a decoded history whose session 0 skips index 1."""
+    t00, t02 = TxnId(0, 0), TxnId(0, 2)
+    gap = canonical_decode(canonical_encode(History(
+        (init_log("x"), TransactionLog(t00, (begin_event(t00), commit_event(t00, 1))),
+         TransactionLog(t02, (begin_event(t02),))), ()
+    )))
+    assert gap.sessions == {0: (t00, t02)}
+    assert model._so_before(gap.txn_ids, TxnId(0, 1)) == t00
+    histories = [gap] + [random_history(random.Random(seed)) for seed in range(200)]
+    for h in histories:
+        for s in range(max(h.sessions) + 2):
+            for t, before in _session_predecessors(h, s):
+                assert model._so_before(h.txn_ids, t) == before, (h, t)
+
+
 # ---------------------------------------------------------------------------
 # Relations over the cycle fixture
 # ---------------------------------------------------------------------------
