@@ -75,10 +75,12 @@ walk retains grows only with its depth and the program's size.
 
 Both searches follow one scheduling rule, ``_schedule``: the one pending
 transaction steps on, else any session may begin.  The paper's invariant
-leaves at most one pending, so the trace carries it and a state finds it
-by one scan.  :func:`next_event` takes the first action and :func:`dfs`
-all.  Both run in one loop, ``_walk``, over an explicit stack of per-node
-generators, so no run is bounded by the interpreter's recursion limit.
+leaves at most one pending, so which one follows from each event: the
+trace sets it on every push and pop from the event itself, and a state
+reads it off its history's logs.  :func:`next_event` takes the first
+action and :func:`dfs` all.  Both run in one loop, ``_walk``, over an
+explicit stack of per-node generators, so no run is bounded by the
+interpreter's recursion limit.
 
 :func:`explore_ce_star` runs the same traversal under a weak level but only
 emits histories that also satisfy a stronger level, enumerating e.g.
@@ -107,11 +109,11 @@ from typing import Callable, Container, Iterable, Iterator
 
 from .isolation import (
     _forced_after,
-    _forced_closure,
     _forced_edges_of,
+    _PastDeadline,
     _read_closures,
     _read_edges,
-    _witness,
+    _verdict,
     _witness_after,
     check_consistency,
 )
@@ -201,8 +203,9 @@ def _schedule(st: ExplorationState) -> list[NextAction]:
     The one pending transaction, ``st.pending``, is driven to its next
     database event; with none, each session begins its next transaction, in
     session order; a complete run has none.  ``st`` is a state, whose
-    ``pending`` scans the sessions and raises ValueError when more than one
-    transaction is open, or the walk's trace, which carries it.
+    ``pending`` is its history's one pending transaction and raises
+    ValueError when more than one is open, or the walk's trace, which
+    carries it.
     """
     t, sessions = st.pending, st.sessions
     if t is not None:
@@ -579,11 +582,13 @@ class _Trace:
     ``by_id`` (keyed in entry order), ``starts``, ``wr_map``, ``txn_ids``,
     ``causal_past``, ``writers``, the one open transaction ``pending`` (or
     None), and ``consistency_cache``, which holds the verdict at
-    ``level``: the forced closure as each transaction's past at RC, RA and
-    CC, a witness order at SER and SI.  An event edits the transaction
-    that entered last, which nothing follows, so a begin or a read changes
-    one entry of the causal past (``model._past_with_edge``).  Each
-    relation is carried once: the session lists are the sorted
+    ``level`` (``isolation._verdict``): the forced closure as each
+    transaction's past at RC, RA and CC, a witness order at SER and SI.
+    ``deadline`` is the run's, a ``time.monotonic`` value or None, which
+    the SER and SI searches on the trace poll.  An event edits the
+    transaction that entered last, which nothing follows, so a begin or a
+    read changes one entry of the causal past (``model._past_with_edge``).
+    Each relation is carried once: the session lists are the sorted
     ``txn_ids``' (``model._so_before``), and where a begin starts is where
     the logs of ``by_id`` end.
 
@@ -591,10 +596,14 @@ class _Trace:
     steps the session's locals past it.  ``by_id``, ``starts``, ``wr_map``,
     ``sessions`` and ``consistency_cache`` change in place, one key each;
     the other relations are replaced by the new value the edit builds,
-    never changed, so a materialized state may share them.  :meth:`pop`
-    undoes the last push: the undo stack holds, per event, the replaced log
-    and local state, the previous relations and ``pending``, so it is never
-    longer than the walk is deep.  :meth:`swap` builds a taken swap's trace
+    never changed, so a materialized state may share them.  ``pending``
+    follows from the event alone: a push sets it to the event's
+    transaction, or None after a commit or an abort, and a pop to None
+    before a begin, else to the event's transaction.  :meth:`pop` undoes
+    the last push: the undo stack holds, per event, the event and its
+    writer, the replaced log and local state, the previous ``txn_ids``,
+    causal past and writer index, and the verdict, so it is never longer
+    than the walk is deep.  :meth:`swap` builds a taken swap's trace
     from this one, which it leaves as it is, with the reader pending.
 
     ``begin_logs`` holds the run's one begin log per transaction, built on
@@ -614,14 +623,14 @@ class _Trace:
         self.wr_map = dict(hist.wr_map)
         self.txn_ids = hist.txn_ids
         self.causal_past, self.writers = hist.causal_past, hist.writers
-        closure = level in EXTENSIBLE_LEVELS
-        self.after = _forced_after if closure else _witness_after
+        self.after = _forced_after if level in EXTENSIBLE_LEVELS else _witness_after
         self.consistency_cache = {} if level is IsolationLevel.TRUE else {
-            level: (_forced_closure if closure else _witness)(hist, level)
+            level: _verdict(hist, level)
         }
         self.pending = st.pending
         self.undo: list[tuple] = []
         self.begin_logs: dict[TxnId, TransactionLog] = {}
+        self.deadline: float | None = None
 
     def committed_writers(self, var: str) -> list[TxnId]:
         """The committed writers of ``var`` in the order they entered:
@@ -658,11 +667,8 @@ class _Trace:
         t, kind = event.id.txn, event.kind
         cache, level = self.consistency_cache, self.level
         self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
-                          self.causal_past, self.writers, cache.get(level), self.pending))
-        if kind == BEGIN:
-            self.pending = t
-        elif kind == COMMIT or kind == ABORT:
-            self.pending = None
+                          self.causal_past, self.writers, cache.get(level)))
+        self.pending = None if kind == COMMIT or kind == ABORT else t
         first_write = self._apply(event, writer)
         if cache:
             cache[level] = reach if reach is not None else self.after(
@@ -720,9 +726,10 @@ class _Trace:
 
     def pop(self) -> None:
         """Undo the last :meth:`push`, and :meth:`enter` if it followed."""
-        (event, writer, old, ls, self.txn_ids, self.causal_past, self.writers, reach,
-         self.pending) = self.undo.pop()
+        (event, writer, old, ls, self.txn_ids, self.causal_past, self.writers,
+         reach) = self.undo.pop()
         t = event.id.txn
+        self.pending = None if event.kind == BEGIN else t
         self.sessions[t.session] = ls
         if old is None:
             del self.by_id[t], self.starts[t]
@@ -761,7 +768,7 @@ class _Trace:
         new.sessions = list(self.sessions)
         _rewind(new.sessions, [u for u in starts if u not in kept])
         new.consistency_cache, new.undo, new.pending = {}, [], reader
-        new.begin_logs = self.begin_logs
+        new.begin_logs, new.deadline = self.begin_logs, self.deadline
         s = reader.session
         action = NextAction(self.by_id[reader].events[0])
         for _ in range(r.index):
@@ -867,11 +874,14 @@ def _walk(
     """Depth-first search from the node ``root`` over a stack of one
     generator per open node: ``successors(*node)`` does the node's work,
     then yields its children's nodes.  A node's depth is the stack's height
-    when it is yielded; only this loop counts nodes, checks the time and
-    turns Ctrl-C into :class:`RunInterrupted`."""
+    when it is yielded; only this loop counts nodes and turns Ctrl-C into
+    :class:`RunInterrupted`.  The time is checked here, at each node, and
+    inside the SER and SI searches, which read the deadline off the trace
+    ``root[0]`` and the swaps' traces built from it."""
     if time_limit is not None and not time_limit >= 0:  # NaN too
         raise ValueError(f"time_limit must be a number of seconds >= 0, not {time_limit}")
     start = time.monotonic()
+    deadline = root[0].deadline = None if time_limit is None else start + time_limit
     stack: list[Iterator[tuple]] = [iter([root])]
     try:
         while stack:
@@ -881,9 +891,11 @@ def _walk(
                 continue
             stats.recursive_calls += 1
             stats.max_depth = max(stats.max_depth, len(stack))
-            if time_limit is not None and time.monotonic() - start > time_limit:
+            if deadline is not None and time.monotonic() > deadline:
                 raise TimeLimitExceeded(stats)
             stack.append(successors(*node))
+    except _PastDeadline:
+        raise TimeLimitExceeded(stats) from None
     except KeyboardInterrupt:
         raise RunInterrupted(stats) from None
     finally:
@@ -913,14 +925,13 @@ def _explore(
             entry_hook(parent, st)
         action = next_event(tr)
         if action is None:
-            h = tr if st is None else st.history.history
-            if strong is None or check_consistency(h, strong):
+            if strong is None or check_consistency(tr, strong):
                 stats.outputs += 1
                 if emit is not None:
                     emit(tr.state() if st is None else st)
             else:
                 stats.filtered_outputs += 1
-            if h is tr and strong not in (None, weak):  # the trace caches weak alone
+            if strong not in (None, weak):  # the trace caches weak alone
                 tr.consistency_cache.pop(strong, None)
             return
         children = tr.children(action)

@@ -9,11 +9,12 @@ be ordered before ``t1``.
 
 For read committed, read atomic and causal consistency the premise never
 mentions the commit order, so consistency is acyclicity of G = session
-order, write-read and the forced conclusion edges.  The transitive closure
-of G, as each transaction's *past* (its strict predecessors; None on a
-cycle), is cached per history and level, computed from scratch on first
-use.  The explorer's trace carries it at its level and derives each child's
-from its parent's (:func:`_forced_after`), where (a, b) closes a cycle iff
+order, write-read and the forced conclusion edges.  The *verdict* at these
+levels is the transitive closure of G, as each transaction's *past* (its
+strict predecessors; None on a cycle).  One function, :func:`_verdict`,
+caches a history's verdict at every level and computes it from scratch on
+first use.  The explorer's trace carries it at its level and derives each
+child's from its parent's (:func:`_forced_after`), where (a, b) closes a cycle iff
 a == b or b is in a's past.  The derivation holds only for an edit of the
 transaction that entered last, with nothing after it: no session successor
 has begun and no read observes it, as in the walks, which only extend the
@@ -52,11 +53,13 @@ transaction's own commit or just before the first commit that overwrites
 one of its reads whose writer has already committed.  In that form
 everything the rule reads is in (placed, open), so a failed pair can never
 be completed.  As the memo only cuts subtrees without a completion, the
-first order found is the lexicographically first witness.
+first order found is the lexicographically first witness.  A walk with a
+time limit stops the search too: its trace carries the deadline, which the
+search polls (:func:`_commit_order`).
 
-:func:`check_consistency` caches a witness order per history at SER and SI
-(None when there is none), found by the search on first use.  The
-explorer's trace carries it at its level and derives each child's from its
+At SER and SI the verdict is a witness order (None when there is none),
+which :func:`_verdict` finds by the search on first use.  The explorer's
+trace carries it at its level and derives each child's from its
 parent's witness ``o`` (:func:`_witness_after`).  Instances are read as
 :func:`total_order_satisfies` reads them: a wr edge plus another
 transaction whose ``write_set`` holds the variable, where ``write_set``
@@ -99,6 +102,7 @@ literally.  It exists to cross-check the optimized decision procedures.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -263,7 +267,7 @@ def _read_closures(
     nothing follows ``t``, so (``w``, ``t``) changes only ``t``'s entry of
     the causal past (the CC premise) and of the forced closure, whose other
     entries only the forced edges of ``t``'s reads can change."""
-    reach, t, past = _forced_closure(h, level), read.id.txn, h.causal_past
+    reach, t, past = _verdict(h, level), read.id.txn, h.causal_past
     reads = [(ev.var, h.wr_map[ev.id]) for ev in h.by_id[t].read_set if ev.id in h.wr_map]
     for w in candidates:
         if level is IsolationLevel.CC:  # the child's causality toward t
@@ -275,6 +279,11 @@ def _read_closures(
 # ---------------------------------------------------------------------------
 # Order-dependent premises (snapshot isolation, serializability)
 # ---------------------------------------------------------------------------
+
+
+class _PastDeadline(Exception):
+    """Raised by :func:`_commit_order` once its history's ``deadline``
+    has passed; the explorer's walk reports it as its time limit."""
 
 
 def _commit_order(
@@ -298,8 +307,13 @@ def _commit_order(
     "every predecessor placed" admits exactly the candidates that "every
     direct predecessor placed" does: the search, its memo and its witness
     are those of the direct edges.  It reads only relations the explorer's
-    trace carries.
+    trace carries, and the ``deadline`` (a ``time.monotonic`` value) that
+    the trace carries for a run with a time limit: every 1,024 failed
+    pairs it reads the clock and raises :class:`_PastDeadline` once the
+    deadline has passed.  A history carries none, so a search without a
+    deadline reads no clock.
     """
+    deadline = getattr(h, "deadline", None)
     txns = h.txn_ids
     n = len(txns)
     idx = {t: i for i, t in enumerate(txns)}
@@ -352,6 +366,8 @@ def _commit_order(
                     break
         else:
             failed.add(placed | opened << n)
+            if deadline is not None and not len(failed) & 1023 and time.monotonic() > deadline:
+                raise _PastDeadline
             if not order:
                 return None
             tried.pop()
@@ -414,21 +430,22 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
 
     Returns:
         True when some strict total commit order extending session order and
-        write-read satisfies every axiom instance of the level.
+        write-read satisfies every axiom instance of the level: at TRUE
+        always, else when ``h``'s verdict (:func:`_verdict`) is not None.
     """
-    if level is IsolationLevel.TRUE:
-        return True
-    if level in _CLOSURE_LEVELS:
-        return _forced_closure(h, level) is not None
-    return _witness(h, level) is not None
+    return level is IsolationLevel.TRUE or _verdict(h, level) is not None
 
 
-def _witness(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
-    """A SER or SI witness order of ``h``, or None: cached, else the
-    search's."""
+def _verdict(h: History, level: IsolationLevel) -> dict | tuple[TxnId, ...] | None:
+    """The verdict of ``h`` at ``level`` (RC, RA, CC, SER or SI), None when
+    ``h`` is inconsistent: the forced closure as each transaction's past at
+    RC, RA and CC, a witness order at SER and SI.  Cached per history and
+    level; else computed from scratch, the closure of so, wr and
+    :func:`forced_edges`, or the search's first witness."""
     cache = h.consistency_cache
     if level not in cache:
-        cache[level] = _commit_order(h, level, h.causal_past)
+        cache[level] = (closure_with_edges(h.causal_past, forced_edges(h, level))
+                        if level in _CLOSURE_LEVELS else _commit_order(h, level, h.causal_past))
     return cache[level]
 
 
@@ -470,16 +487,6 @@ def _witness_after(
     if writer is not None and any(t2 in past[t] and writer in past[t2] for t2 in h.writers[x]):
         return None  # w before t2 before t, t2 writing x: not even CC
     return _commit_order(h, level, past)
-
-
-def _forced_closure(h: History, level: IsolationLevel) -> dict | None:
-    """The transitive closure of so, wr and the forced edges as each
-    transaction's past, or None on a cycle: cached per history and level,
-    else computed from scratch."""
-    cache = h.consistency_cache
-    if level not in cache:
-        cache[level] = closure_with_edges(h.causal_past, forced_edges(h, level))
-    return cache[level]
 
 
 def _forced_after(
@@ -531,7 +538,7 @@ def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     smallest-first topological order of so, wr and the forced edges, which
     exists exactly when they are acyclic.
     """
-    past = _forced_closure(h, level) if level in _CLOSURE_LEVELS else h.causal_past
+    past = _verdict(h, level) if level in _CLOSURE_LEVELS else h.causal_past
     order = None if past is None else _commit_order(h, level, past)
     return None if order is None else CommitOrder(order)
 

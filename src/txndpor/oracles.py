@@ -181,13 +181,12 @@ def max_completion(
     for _ in range(10_000):
         candidates = []
         for session, ls in enumerate(st.sessions):
-            if ls.in_txn:
-                if TxnId(session, ls.txn_index) < bound:
+            tid = TxnId(session, ls.txn_index)
+            if tid in st.by_id:
+                if tid < bound:
                     candidates.append(step_local(st, session))
-            else:
-                tid = st.next_unstarted_txn(session)
-                if tid is not None and tid < bound:
-                    candidates.append(NextAction(begin_event(tid)))
+            elif st.next_unstarted_txn(session) is not None and tid < bound:
+                candidates.append(NextAction(begin_event(tid)))
         if not candidates:
             return st
         action = min(candidates, key=lambda a: a.event.id)

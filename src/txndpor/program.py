@@ -19,9 +19,9 @@ itself be an ``if``, and an ``assert`` may only appear as the last
 instruction of a session's final transaction.
 
 :class:`ExplorationState` pairs an ordered history with the per-session local
-state reached by running the program along it; ``in_txn`` marks a session's
-open transaction, whose log's ``write_set`` answers its internal reads.
-:func:`apply_event` is the
+state reached by running the program along it.  A session's transaction
+``txn_index`` is open iff the history holds its log, whose ``write_set``
+answers its internal reads; nothing else marks it.  :func:`apply_event` is the
 checked boundary: it accepts an event only if it equals the program's own
 next event for its session, then appends it to the history, which the
 validating constructors check, and steps the session's locals by
@@ -59,6 +59,7 @@ No memo holds a log or a state, and none grows with the run.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -95,6 +96,16 @@ class ParseError(ProgramError):
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+
+# The binary operators by precedence, loosest first, each with its function
+# on ints: the parser, the evaluator and the printer read this one table.
+_PRECEDENCE = (
+    {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le},
+    {"+": operator.add, "-": operator.sub},
+    {"*": operator.mul},
+)
+_COMPARISONS = _PRECEDENCE[0]
+_OPERATORS = {op: fn for ops in _PRECEDENCE for op, fn in ops.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -408,30 +419,21 @@ class _Parser:
         self.expect_op(";")
         return AssignInstr(target, expr, at=at)
 
-    def parse_expr(self) -> Expr:
-        left = self.parse_sum()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("==", "!=", "<", "<="):
-            self.next()
-            right = self.parse_sum()
-            return BinaryOp(tok.text, left, right)
-        return left
-
-    def parse_sum(self) -> Expr:
-        expr = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            expr = BinaryOp(op, expr, self.parse_term())
-        return expr
-
-    def parse_term(self) -> Expr:
-        expr = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.next()
-            expr = BinaryOp("*", expr, self.parse_factor())
-        return expr
-
-    def parse_factor(self) -> Expr:
+    def parse_expr(self, level: int = 0) -> Expr:
+        """An expression over the operators of ``_PRECEDENCE[level:]``: the
+        level's operators between operands of the next level, folded left,
+        except that a comparison takes one right operand, so comparisons do
+        not chain.  Past the table, a factor: an integer, a negated factor,
+        a parenthesized expression or a local.  One frame per level, so a
+        parenthesis nests four."""
+        if level < len(_PRECEDENCE):
+            ops = _PRECEDENCE[level]
+            expr = self.parse_expr(level + 1)
+            while self.peek().text in ops:
+                expr = BinaryOp(self.next().text, expr, self.parse_expr(level + 1))
+                if ops is _COMPARISONS:
+                    break
+            return expr
         tok = self.peek()
         if tok.kind == "int":
             self.next()
@@ -441,7 +443,7 @@ class _Parser:
             return IntLiteral(value)
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return BinaryOp("-", IntLiteral(0), self.parse_factor())
+            return BinaryOp("-", IntLiteral(0), self.parse_expr(level))
         if tok.kind == "op" and tok.text == "(":
             self.next()
             expr = self.parse_expr()
@@ -558,25 +560,10 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
             return env[expr.name]
         except KeyError:
             raise ProgramError(f"local {expr.name!r} is unassigned") from None
-    left = _eval(expr.left, env)
-    right = _eval(expr.right, env)
-    if expr.op == "+":
-        value = left + right
-    elif expr.op == "-":
-        value = left - right
-    elif expr.op == "*":
-        value = left * right
-    elif expr.op == "==":
-        return 1 if left == right else 0
-    elif expr.op == "!=":
-        return 1 if left != right else 0
-    elif expr.op == "<":
-        return 1 if left < right else 0
-    else:  # <=
-        return 1 if left <= right else 0
+    value = _OPERATORS[expr.op](_eval(expr.left, env), _eval(expr.right, env))
     if value < _I64_MIN or value > _I64_MAX:
         raise ProgramError("64-bit signed overflow during evaluation")
-    return value
+    return int(value)  # a comparison's bool as 0 or 1
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +574,13 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
 class LocalState(NamedTuple):
     """One session's runtime position: locals, current transaction, ``pc``.
 
-    ``pc`` indexes the open transaction's body (``Transaction.code``).
-    Silent instructions (assignments, guards, asserts) are run as soon as they are reached, so ``pc`` always stands
-    at a database instruction, or at the body's end, where the transaction
-    commits; it is 0 between transactions.  ``begun`` holds the locals each
+    ``pc`` indexes the open transaction's body (``Transaction.code``).  The
+    transaction ``txn_index`` is open iff the history holds its log, which
+    is read there, not marked here: a commit or an abort moves
+    ``txn_index`` on to a transaction not yet begun.  Silent instructions
+    (assignments, guards, asserts) are run as soon as they are reached, so
+    ``pc`` always stands at a database instruction, or at the body's end,
+    where the transaction commits; it is 0 between transactions.  ``begun`` holds the locals each
     begun transaction started from, so the walk's swap
     (``explorer._Trace.swap``) can set the session back to any of its
     begins without a replay.  A named tuple, since the walks build one per
@@ -599,7 +589,6 @@ class LocalState(NamedTuple):
 
     locals: tuple[tuple[str, int], ...] = ()
     txn_index: int = 0
-    in_txn: bool = False
     pc: int = 0
     begun: tuple[tuple[tuple[str, int], ...], ...] = ()
 
@@ -691,19 +680,20 @@ class ExplorationState:
 
     @property
     def pending(self) -> TxnId | None:
-        """The open transaction, by a scan of the sessions, or None (the
-        explorer's trace carries it instead).  Raises ValueError when more
-        than one is open, which no state the explorer builds allows."""
-        open_ = [TxnId(s, ls.txn_index) for s, ls in enumerate(self.sessions) if ls.in_txn]
+        """The open transaction, the history's one pending transaction
+        (init aside), or None; the explorer's trace carries it instead.
+        Raises ValueError when more than one is open, which no state the
+        explorer builds allows."""
+        open_ = self.history.history.pending_txns()
         if len(open_) > 1:
-            raise ValueError(f"multiple pending transactions: {tuple(open_)}")
+            raise ValueError(f"multiple pending transactions: {open_}")
         return open_[0] if open_ else None
 
     def next_unstarted_txn(self, session: int) -> TxnId | None:
-        ls = self.sessions[session]
-        if ls.in_txn or ls.txn_index >= len(self.program.sessions[session].txns):
+        tid = TxnId(session, self.sessions[session].txn_index)
+        if tid in self.by_id or tid.index >= len(self.program.sessions[session].txns):
             return None
-        return TxnId(session, ls.txn_index)
+        return tid
 
 
 def step_local(st: ExplorationState, session: int) -> NextAction:
@@ -717,10 +707,10 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
     if not 0 <= session < len(st.sessions):
         raise ProgramError(f"session {session} is not in the program")
     ls = st.sessions[session]
-    if not ls.in_txn:
-        raise ProgramError(f"session {session} has no open transaction")
     tid = TxnId(session, ls.txn_index)
-    return _step(st.program, ls, tid, st.history.history.txn(tid))
+    if tid not in st.by_id:
+        raise ProgramError(f"session {session} has no open transaction")
+    return _step(st.program, ls, tid, st.by_id[tid])
 
 
 def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
@@ -771,7 +761,7 @@ def apply_event(
     session = event.id.txn.session
     if not 0 <= session < len(st.sessions):
         raise ProgramError(f"session {session} is not in the program")
-    if event.kind == BEGIN and not st.sessions[session].in_txn:
+    if event.kind == BEGIN and TxnId(session, st.sessions[session].txn_index) not in st.by_id:
         tid = st.next_unstarted_txn(session)
         action = _action(tid, 0, BEGIN) if tid is not None else None
     else:
@@ -812,7 +802,7 @@ def _local_after(
     event = action.event
     kind, tid = event.kind, event.id.txn
     if kind == COMMIT or kind == ABORT:
-        return LocalState(ls.locals, ls.txn_index + 1, False, 0, ls.begun)
+        return LocalState(ls.locals, ls.txn_index + 1, 0, ls.begun)
     code = program.txn_body(tid).code
     if kind == BEGIN:
         pc, begun = 0, ls.begun + (ls.locals,)
@@ -821,7 +811,7 @@ def _local_after(
     value = (action.internal_value if writer is None
              else by_id[writer].write_set[event.var].value)  # type: ignore[index]
     pc, locals = _silent_run(code, pc, ls.locals, action.target, value)
-    return LocalState(locals, ls.txn_index, True, pc, begun)
+    return LocalState(locals, ls.txn_index, pc, begun)
 
 
 def replay(program: Program, history: History, order: Iterable[EventId]) -> ExplorationState:
@@ -853,7 +843,7 @@ def format_expr(expr: Expr) -> str:
     sides = []
     for child in (expr.left, expr.right):
         text = format_expr(child)
-        if isinstance(child, BinaryOp) and (tight or child.op in ("==", "!=", "<", "<=")):
+        if isinstance(child, BinaryOp) and (tight or child.op in _COMPARISONS):
             text = f"({text})"
         sides.append(text)
     return f"{sides[0]} {expr.op} {sides[1]}"

@@ -8,6 +8,7 @@ import hashlib
 import pickle
 import random
 import re
+import time
 import weakref
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from txndpor.explorer import (
 from txndpor.generate import random_program
 from txndpor.isolation import (
     _commit_order,
-    _forced_closure,
+    _verdict as _forced_closure,
     check_consistency,
     total_order_satisfies,
 )
@@ -137,7 +138,7 @@ def _schedule_by_scan(st: ExplorationState) -> list[NextAction]:
     and ``dfs`` each stated it, ``dfs``'s completeness test first, the open
     transaction found by scanning every log's status."""
     if all(
-        not ls.in_txn and ls.txn_index == len(st.program.sessions[s].txns)
+        ls.txn_index == len(st.program.sessions[s].txns)
         for s, ls in enumerate(st.sessions)
     ):
         return []
@@ -451,7 +452,7 @@ def _step_kind(prog, ls: LocalState, action: NextAction, writer: TxnId | None) -
 def _local_fields(ls: LocalState) -> list:
     """Every field of ``ls`` with the exact type of each value, so that an
     int and a bool of equal value differ."""
-    return [ls.txn_index, ls.in_txn, (ls.pc, type(ls.pc)), ls.begun,
+    return [ls.txn_index, (ls.pc, type(ls.pc)), ls.begun,
             [(name, value, type(value)) for name, value in ls.locals]]
 
 
@@ -1879,6 +1880,57 @@ def test_time_limit_raises_with_partial_counters():
 def test_time_limit_applies_to_the_naive_search_too():
     with pytest.raises(TimeLimitExceeded):
         dfs(example("racing_reads"), IsolationLevel.CC, time_limit=0.0)
+
+
+def _lost_update_with_bystanders(bystanders: int) -> str:
+    """Two read-modify-write sessions on ``x``, which SI refutes only after
+    trying the orders of ``bystanders`` sessions of three blind writes."""
+    racers = "".join(
+        f"session {name} {{ txn {{ l = read(x); write(x, l + 1); }} }}\n" for name in "ab"
+    )
+    return racers + "".join(
+        f"session z{i} {{ " + " ".join(f"txn {{ write(z{i}, {j}); }}" for j in range(3)) + " }\n"
+        for i in range(bystanders)
+    )
+
+
+def test_time_limit_reaches_inside_the_si_search():
+    """With 10 bystander sessions one SI search runs for seconds: the
+    star walk's first leaf took about 7 s before its filter returned.  The
+    search polls the run's deadline, so both the star filter (cc walk, si
+    filter) and dfs at si stop within the 0.2 s budget plus 1 s of slack
+    for a loaded machine, with the run's partial counters."""
+    program = parse(_lost_update_with_bystanders(10))
+    for run in (
+        lambda: explore_ce_star(program, IsolationLevel.CC, IsolationLevel.SI, time_limit=0.2),
+        lambda: dfs(program, IsolationLevel.SI, time_limit=0.2),
+    ):
+        start = time.monotonic()
+        with pytest.raises(TimeLimitExceeded) as exc:
+            run()
+        assert time.monotonic() - start < 0.2 + 1.0
+        assert exc.value.stats.recursive_calls > 0
+
+
+def test_a_swap_trace_carries_the_run_deadline(monkeypatch):
+    """Every trace a taken swap builds carries the walk's deadline, so the
+    strong filter at the leaves under a swap polls it too; a run with no
+    time limit has none."""
+    swap, seen = explorer._Trace.swap, []
+
+    def recorded(self, r, t):
+        new = swap(self, r, t)
+        if new is not None:
+            seen.append((self.deadline, new.deadline))
+        return new
+
+    monkeypatch.setattr(explorer._Trace, "swap", recorded)
+    program = example("racing_reads")
+    explore_ce_star(program, IsolationLevel.CC, IsolationLevel.SI, time_limit=600.0)
+    assert seen and all(ours is not None and theirs == ours for ours, theirs in seen)
+    seen.clear()
+    explore_ce_star(program, IsolationLevel.CC, IsolationLevel.SI)
+    assert seen and all(ours is None and theirs is None for ours, theirs in seen)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1.0])

@@ -36,7 +36,7 @@ from txndpor.generate import random_history, random_program
 from txndpor.isolation import (
     _commit_order,
     _forced_after,
-    _forced_closure,
+    _verdict as _forced_closure,
     _witness_after,
     axiom_instances,
     brute_force_consistency,

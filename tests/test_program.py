@@ -13,6 +13,7 @@ from fixtures import (
     COUNTER_SOURCE,
     OWN_WRITE_SOURCE,
     example,
+    run_fresh,
 )
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import dfs, explore_ce
@@ -38,6 +39,7 @@ from txndpor.program import (
     ExplorationState,
     IntLiteral,
     IfInstr,
+    LocalRef,
     ParseError,
     ProgramError,
     ReadInstr,
@@ -234,6 +236,68 @@ def test_too_deep_an_expression_is_reported_on_its_line(expr):
     with pytest.raises(ParseError, match="expression nested too deeply") as info:
         parse(text)
     assert info.value.line == 3
+
+
+def _expr(text: str):
+    """The expression ``text`` as it parses, with locals ``a`` to ``d``."""
+    reads = " ".join(f"{n} = read(x);" for n in "abcd")
+    prog = parse(f"session s {{ txn {{ {reads} e = {text}; }} }}")
+    return prog.sessions[0].txns[0].instrs[-1].expr
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("7 + 2", 9), ("7 - 2", 5), ("7 * 2", 14), ("7 - 9", -2),
+        ("7 == 7", 1), ("7 == 2", 0), ("7 != 2", 1), ("7 != 7", 0),
+        ("2 < 7", 1), ("7 < 7", 0), ("7 < 2", 0),
+        ("2 <= 7", 1), ("7 <= 7", 1), ("8 <= 7", 0),
+        # * binds tighter than + and -, and both than a comparison.
+        ("1 + 2 * 3", 7), ("2 * 3 - 1", 5), ("3 == 1 + 2", 1), ("1 < 2 * 3", 1),
+        ("2 * 3 != 6", 0), ("1 + 1 <= 1", 0),
+        # + and - fold left.
+        ("7 - 2 - 1", 4), ("8 - 2 + 1", 7), ("(7 - 2) * (1 + 1)", 10),
+        ("-3 * 2", -6), ("- -3", 3),
+    ],
+)
+def test_expression_operators_evaluate_to_exact_ints(text, value):
+    """Every operator yields an ``int``, never a ``bool``: the step memos'
+    keys hold locals and values, and ``True`` would key like ``1``."""
+    got = eval_expr(_expr(text), {})
+    assert got == value and type(got) is int
+
+
+def test_expression_precedence_associativity_printing_and_errors():
+    """The parse tree of each precedence level, the printed form of a
+    negated factor, a chained comparison rejected where the second operator
+    stands, and the 64-bit overflow message of each arithmetic operator."""
+    a, b, c, d = (LocalRef(n) for n in "abcd")
+    assert _expr("a + b * c < d - a") == BinaryOp(
+        "<", BinaryOp("+", a, BinaryOp("*", b, c)), BinaryOp("-", d, a)
+    )
+    assert _expr("a - b - c") == BinaryOp("-", BinaryOp("-", a, b), c)
+    assert _expr("a * b * c") == BinaryOp("*", BinaryOp("*", a, b), c)
+    assert format_expr(_expr("-a * 2")) == "(0 - a) * 2"
+    with pytest.raises(ParseError, match="^1:29: expected ';', found '<'$"):
+        parse("session s { txn { a = 1 < 2 < 3; } }")
+    big = 2**63 - 1
+    for text in (f"{big} + 1", f"0 - {big} - 2", f"{big} * 2"):
+        with pytest.raises(ProgramError, match="^64-bit signed overflow during evaluation$"):
+            eval_expr(_expr(text), {})
+
+
+def test_parenthesized_expressions_nest_240_deep_in_a_fresh_interpreter():
+    """The parser recurses a fixed number of frames per parenthesis; 240
+    levels parse from a fresh interpreter's stack under the default
+    recursion limit."""
+    code = (
+        "from txndpor.program import eval_expr, parse\n"
+        "p = parse('session s { txn { a = ' + '(' * 240 + '1 + 2' + ')' * 240 + '; } }')\n"
+        "print(eval_expr(p.sessions[0].txns[0].instrs[0].expr, {}))\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
 
 
 def _nested_ifs(depth: int) -> str:
