@@ -25,11 +25,15 @@ trace (``_Trace``), as TruSt keeps one execution graph: at most one
 transaction is pending, and only the last to enter is extended, so a
 depth-first walk pushes each child's event and pops it once the child's
 subtree, and for a commit its swaps, are done.  The trace derives each
-child's verdict from its parent's: the forced closure at RC, RA and CC, a
-witness order at SER and SI.  :func:`explore_ce` decides each read's
-writers on the trace, as :func:`valid_writes` decides them, and reads each
-commit's reorder candidates from it; the gate's queries read it too.  A
-state is materialized from the trace only where a caller needs one: for
+child's verdict from its parent's at every level: the forced closure at
+the causally extensible levels TRUE, RC, RA and CC, where TRUE forces no
+edge, so its closure is the causal past, and a witness order at SER and
+SI.  No walk treats TRUE apart: its reads, gate and swaps run the rules of
+the other extensible levels, whose premises it never meets.
+:func:`explore_ce` decides each read's writers on the trace, as
+:func:`valid_writes` decides them, and reads each commit's reorder
+candidates from it; the gate's queries read it too.  A state is
+materialized from the trace only where a caller needs one: for
 ``emit`` and for ``entry_hook``.  :func:`explore_ce_star` checks a
 complete history at the strong level on the trace and drops that verdict
 from the trace's cache once an emitted state has copied it, so a leaf it
@@ -108,6 +112,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator
 
 from .isolation import (
+    EXTENSIBLE_LEVELS,
     _forced_after,
     _forced_edges_of,
     _PastDeadline,
@@ -234,8 +239,9 @@ def valid_writes(
     decision is the walk's own, on a trace made from ``st``
     (:meth:`_Trace.children`): each writer is decided on ``st``, since the
     reader entered last, and only an accepted writer's state is pushed,
-    entered and materialized, its closure cached as its verdict.  At TRUE
-    every writer is accepted; when ``st`` is inconsistent, none is.  Raises
+    entered and materialized, its closure cached as its verdict.  At TRUE,
+    which forces no edge, every writer is accepted; when ``st`` is
+    inconsistent, none is.  Raises
     ``ValueError`` when ``action`` is not an external read, and at SER and
     SI, whose reads are not decided on the parent, and when the reader is
     not the transaction that entered ``st`` last, which the order forbids
@@ -255,16 +261,6 @@ def valid_writes(
         children[t] = tr.state()
         tr.pop()
     return children
-
-
-# The levels at which every reachable history extends by its next event
-# (see causal_extension_exists); explore_ce runs only under these.
-EXTENSIBLE_LEVELS = (
-    IsolationLevel.TRUE,
-    IsolationLevel.RC,
-    IsolationLevel.RA,
-    IsolationLevel.CC,
-)
 
 
 def causal_extension_exists(h: History, e: Event, level: IsolationLevel) -> bool:
@@ -495,9 +491,10 @@ def reads_causally_latest(
       a ``w_y != w`` on a variable ``w`` writes.  ``w`` is accepted iff
       these edges close no cycle in the closure of the cut's graph.
     - ``r``'s own writer, when in P, is always accepted: every edge it
-      adds is one of ``h``'s.  At TRUE every candidate is.  So the verdict
-      is that ``r``'s writer is in P and every member of P above it that
-      writes the variable is rejected.
+      adds is one of ``h``'s.  At TRUE every candidate is, as no edge is
+      forced.  So the verdict is that ``r``'s writer is in P and every
+      member of P above it that writes the variable is rejected: with none
+      above, at once, and else by the closure of the forced edges.
     """
     _check_levels(level)
     hist = h if isinstance(h, _Trace) else h.history
@@ -511,8 +508,8 @@ def reads_causally_latest(
     if current not in p:
         return False
     above = [w for w in p if w > current and hist.by_id[w].writes_var(var)]  # type: ignore[arg-type]
-    if not above or level is IsolationLevel.TRUE:
-        return not above
+    if not above:
+        return True
     kept = _kept(h.starts, past, r, t)
     reach = closure_with_edges(past, _forced_edges_of(hist, level, kept))
     # R's reads in the cut, then r observing w; at cc R's premise is P.
@@ -583,7 +580,7 @@ class _Trace:
     ``causal_past``, ``writers``, the one open transaction ``pending`` (or
     None), and ``consistency_cache``, which holds the verdict at
     ``level`` (``isolation._verdict``): the forced closure as each
-    transaction's past at RC, RA and CC, a witness order at SER and SI.
+    transaction's past at TRUE, RC, RA and CC, a witness order at SER and SI.
     ``deadline`` is the run's, a ``time.monotonic`` value or None, which
     the SER and SI searches on the trace poll.  An event edits the
     transaction that entered last, which nothing follows, so a begin or a
@@ -624,9 +621,7 @@ class _Trace:
         self.txn_ids = hist.txn_ids
         self.causal_past, self.writers = hist.causal_past, hist.writers
         self.after = _forced_after if level in EXTENSIBLE_LEVELS else _witness_after
-        self.consistency_cache = {} if level is IsolationLevel.TRUE else {
-            level: _verdict(hist, level)
-        }
+        self.consistency_cache = {level: _verdict(hist, level)}
         self.pending = st.pending
         self.undo: list[tuple] = []
         self.begin_logs: dict[TxnId, TransactionLog] = {}
@@ -643,19 +638,17 @@ class _Trace:
         """The (writer, forced closure) of each child ``action`` leads to:
         for an external read, by the transaction that entered last, each
         committed writer it may observe at ``level``, with the forced
-        closure extended by it (:func:`isolation._read_closures`; None at
-        TRUE, which accepts every writer), and none when the trace is
-        inconsistent; else the one child whose verdict :meth:`push`
+        closure extended by it (:func:`isolation._read_closures`, which at
+        TRUE accepts every writer with its causal past), and none when the
+        trace is inconsistent; else the one child whose verdict :meth:`push`
         derives.  :func:`dfs` does not call it: it pushes every writer and
         checks the verdict :meth:`push` derives, the reference this
         decision is tested against."""
         if not action.is_external_read:
             return [(None, None)]
-        writers = self.committed_writers(action.event.var)  # type: ignore[arg-type]
-        if self.level is IsolationLevel.TRUE:
-            return [(w, None) for w in writers]
         if self.consistency_cache[self.level] is None:
             return []
+        writers = self.committed_writers(action.event.var)  # type: ignore[arg-type]
         return [(w, reach) for w, reach in _read_closures(self, self.level, action.event, writers)
                 if reach is not None]
 
@@ -667,13 +660,12 @@ class _Trace:
         t, kind = event.id.txn, event.kind
         cache, level = self.consistency_cache, self.level
         self.undo.append((event, writer, self.by_id.get(t), self.sessions[t.session], self.txn_ids,
-                          self.causal_past, self.writers, cache.get(level)))
+                          self.causal_past, self.writers, cache[level]))
         self.pending = None if kind == COMMIT or kind == ABORT else t
         first_write = self._apply(event, writer)
-        if cache:
-            cache[level] = reach if reach is not None else self.after(
-                self, level, cache[level], event, writer, first_write
-            )
+        cache[level] = reach if reach is not None else self.after(
+            self, level, cache[level], event, writer, first_write
+        )
 
     def _apply(self, event: Event, writer: TxnId | None) -> bool:
         """The edit rules: apply ``event``, an external read observing
@@ -737,8 +729,7 @@ class _Trace:
             self.by_id[t] = old
         if writer is not None:
             del self.wr_map[event.id]
-        if self.consistency_cache:
-            self.consistency_cache[self.level] = reach
+        self.consistency_cache[self.level] = reach
 
     def swap(self, r: EventId, t: TxnId) -> "_Trace | None":
         """The trace of ``swap(self.state(), r, t)``, entered, or None when

@@ -21,6 +21,7 @@ from .model import (
     WRITE,
     EventId,
     History,
+    OrderedHistory,
     TransactionLog,
     TxnId,
     abort_event,
@@ -76,11 +77,7 @@ def random_history(rng: random.Random, *, max_txns: int = 5) -> History:
         if not remaining[s]:
             del remaining[s]
 
-    init_events = [begin_event(INIT_TXN)]
-    for i, var in enumerate(sorted(variables)):
-        init_events.append(write_event(INIT_TXN, i + 1, var, 0))
-    init_events.append(commit_event(INIT_TXN, len(init_events)))
-    logs = [TransactionLog(INIT_TXN, tuple(init_events))]
+    logs = list(OrderedHistory.initial(variables).history.logs)
 
     writers_so_far: list[tuple[TxnId, str]] = [(INIT_TXN, v) for v in variables]
     aborted: set[TxnId] = set()

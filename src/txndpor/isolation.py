@@ -9,9 +9,12 @@ be ordered before ``t1``.
 
 For read committed, read atomic and causal consistency the premise never
 mentions the commit order, so consistency is acyclicity of G = session
-order, write-read and the forced conclusion edges.  The *verdict* at these
-levels is the transitive closure of G, as each transaction's *past* (its
-strict predecessors; None on a cycle).  One function, :func:`_verdict`,
+order, write-read and the forced conclusion edges.  TRUE is the level with
+no axiom: no premise holds, so it forces no edge and G is so/wr, which is
+acyclic in every history.  These are the causally extensible levels
+(:data:`EXTENSIBLE_LEVELS`).  The *verdict* at these levels is the
+transitive closure of G, as each transaction's *past* (its strict
+predecessors; None on a cycle), which at TRUE is the causal past.  One function, :func:`_verdict`,
 caches a history's verdict at every level and computes it from scratch on
 first use.  The explorer's trace carries it at its level and derives each
 child's from its parent's (:func:`_forced_after`), where (a, b) closes a cycle iff
@@ -193,7 +196,8 @@ def _so_wr_step(h: History, t: TxnId, t3: TxnId) -> bool:
 
 
 def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
-    """Conclusion edges forced by order-free premises (RC, RA, CC only).
+    """Conclusion edges forced by order-free premises (RC, RA, CC only;
+    TRUE has no premise, so it forces none and is refused as well).
 
     Args:
         h: the history under test.
@@ -203,18 +207,22 @@ def forced_edges(h: History, level: IsolationLevel) -> set[tuple[TxnId, TxnId]]:
         All pairs (overwriter, writer) whose axiom premise holds, i.e. the
         edges any witnessing commit order must contain.
     """
-    if level not in _CLOSURE_LEVELS:
+    if level is IsolationLevel.TRUE or level not in EXTENSIBLE_LEVELS:
         raise ValueError(f"no order-free premise for {level.value}")
     return set(_forced_edges_of(h, level, h.by_id))
 
 
-_CLOSURE_LEVELS = (IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+# The levels at which every reachable history extends by its next event, so
+# whose verdict is a forced closure: TRUE, whose closure forces no edge, and
+# the levels whose premise ignores the commit order.
+EXTENSIBLE_LEVELS = (IsolationLevel.TRUE, IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
 
 
 def _forced_edges_of(
     h: History, level: IsolationLevel, readers: Iterable[TxnId]
 ) -> Iterator[tuple[TxnId, TxnId]]:
-    """The forced edges (t2, w) of the reads by ``readers`` (RC, RA, CC):
+    """The forced edges (t2, w) of the reads by ``readers`` (TRUE, RC, RA,
+    CC):
     :func:`_read_edges` of each reader's reads, its log's ``read_set`` in
     program order with writers from ``wr_map``."""
     wr_map = h.wr_map
@@ -230,7 +238,8 @@ def _read_edges(
     """The forced edges (t2, w) of ``t3``'s ``reads``, (variable, writer)
     pairs in program order.
 
-    A read of ``x`` observing ``w`` forces every ``t2 != w`` in
+    At TRUE no premise holds, so there are none.  Else a read of ``x``
+    observing ``w`` forces every ``t2 != w`` in
     ``writers[x]`` before ``w`` when the premise holds: at RC an earlier read
     of ``t3`` observed ``t2``, at RA ``t2`` is one so/wr step before ``t3``,
     at CC ``t2`` is in ``past[t3]``, the one entry of ``past`` read.  The RA
@@ -238,6 +247,8 @@ def _read_edges(
     ``t2`` is init or earlier in ``t3``'s session, or one of ``reads``
     observes it.
     """
+    if level is IsolationLevel.TRUE:
+        return
     observed = {w for _, w in reads}
     before = past[t3]
     seen = set()
@@ -262,8 +273,8 @@ def _read_closures(
 ) -> Iterator[tuple[TxnId, dict | None]]:
     """Each ``w`` of ``candidates`` with the forced closure
     :func:`_forced_after` derives for ``h`` extended by ``read`` observing
-    ``w``, built on ``h`` alone.  ``h`` is ``level``-consistent (RC, RA,
-    CC) and ``read``'s transaction ``t`` entered it last, as in the walks:
+    ``w``, built on ``h`` alone.  ``h`` is ``level``-consistent (TRUE, RC,
+    RA, CC) and ``read``'s transaction ``t`` entered it last, as in the walks:
     nothing follows ``t``, so (``w``, ``t``) changes only ``t``'s entry of
     the causal past (the CC premise) and of the forced closure, whose other
     entries only the forced edges of ``t``'s reads can change."""
@@ -294,7 +305,8 @@ def _commit_order(
 
     ``past`` maps each transaction to its strict predecessors in a
     transitively closed relation that holds so and wr: the causal past at
-    TRUE, SER and SI, the forced closure at RC, RA and CC.  The frontier
+    SER and SI, the forced closure at TRUE, RC, RA and CC, which at TRUE is
+    the causal past too.  The frontier
     search of the module docstring.  Transactions are indexed ``0..n-1``
     and ``bit`` maps each to its bit, the placed and open sets are int
     bitmasks, ``preds[t]`` holds ``past[t]`` as the sum of its members'
@@ -430,22 +442,24 @@ def check_consistency(h: History, level: IsolationLevel) -> bool:
 
     Returns:
         True when some strict total commit order extending session order and
-        write-read satisfies every axiom instance of the level: at TRUE
-        always, else when ``h``'s verdict (:func:`_verdict`) is not None.
+        write-read satisfies every axiom instance of the level, which is
+        when ``h``'s verdict (:func:`_verdict`) is not None: always at
+        TRUE, whose verdict is the causal past.
     """
-    return level is IsolationLevel.TRUE or _verdict(h, level) is not None
+    return _verdict(h, level) is not None
 
 
 def _verdict(h: History, level: IsolationLevel) -> dict | tuple[TxnId, ...] | None:
-    """The verdict of ``h`` at ``level`` (RC, RA, CC, SER or SI), None when
-    ``h`` is inconsistent: the forced closure as each transaction's past at
-    RC, RA and CC, a witness order at SER and SI.  Cached per history and
-    level; else computed from scratch, the closure of so, wr and
-    :func:`forced_edges`, or the search's first witness."""
+    """The verdict of ``h`` at ``level``, None when ``h`` is inconsistent:
+    the forced closure as each transaction's past at TRUE, RC, RA and CC
+    (at TRUE the causal past, as nothing is forced), a witness order at SER
+    and SI.  Cached per history and level; else computed from scratch, the
+    closure of so, wr and the forced edges, or the search's first
+    witness."""
     cache = h.consistency_cache
     if level not in cache:
-        cache[level] = (closure_with_edges(h.causal_past, forced_edges(h, level))
-                        if level in _CLOSURE_LEVELS else _commit_order(h, level, h.causal_past))
+        cache[level] = (closure_with_edges(h.causal_past, _forced_edges_of(h, level, h.by_id))
+                        if level in EXTENSIBLE_LEVELS else _commit_order(h, level, h.causal_past))
     return cache[level]
 
 
@@ -533,12 +547,12 @@ def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
     """A witnessing commit order, or None when the history is inconsistent.
 
     The witness is the first valid linear extension in ``txn_ids`` order,
-    found by :func:`_commit_order` over the causal past at TRUE, SER and
-    SI, and over the forced closure at RC, RA and CC.  There it is the
-    smallest-first topological order of so, wr and the forced edges, which
-    exists exactly when they are acyclic.
+    found by :func:`_commit_order` over the causal past at SER and SI, and
+    over the forced closure, the verdict, at TRUE, RC, RA and CC.  There it
+    is the smallest-first topological order of so, wr and the forced edges
+    (none at TRUE), which exists exactly when they are acyclic.
     """
-    past = _verdict(h, level) if level in _CLOSURE_LEVELS else h.causal_past
+    past = _verdict(h, level) if level in EXTENSIBLE_LEVELS else h.causal_past
     order = None if past is None else _commit_order(h, level, past)
     return None if order is None else CommitOrder(order)
 

@@ -302,7 +302,7 @@ class TransactionLog:
 
 
 class IsolationLevel(Enum):
-    """Consistency predicate selector, ordered by strength.
+    """Consistency predicate selector, declared in order of strength.
 
     TRUE accepts every history; the rest are the usual weak isolation levels,
     with SER the strongest.
@@ -320,7 +320,8 @@ class IsolationLevel(Enum):
 
     @property
     def strength(self) -> int:
-        return _STRENGTH[self]
+        """The level's position in the declaration order, weakest first."""
+        return list(IsolationLevel).index(self)
 
     def at_least(self, other: "IsolationLevel") -> bool:
         """True when this level is at least as strong as ``other``."""
@@ -332,16 +333,6 @@ class IsolationLevel(Enum):
             return cls(name.lower())
         except ValueError:
             raise ValueError(f"unknown isolation level {name!r}") from None
-
-
-_STRENGTH = {
-    IsolationLevel.TRUE: 0,
-    IsolationLevel.RC: 1,
-    IsolationLevel.RA: 2,
-    IsolationLevel.CC: 3,
-    IsolationLevel.SI: 4,
-    IsolationLevel.SER: 5,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,10 @@ from .model import (
     OrderedHistory,
     TransactionLog,
     TxnId,
-    begin_event,
     causal_reachable,
     causally_before_or_equal,
 )
-from .program import ExplorationState, NextAction, Program, apply_event, replay, step_local
+from .program import ExplorationState, Program, _next_action, apply_event, replay
 from .explorer import swapped
 
 # ---------------------------------------------------------------------------
@@ -171,22 +170,20 @@ def max_completion(
 ) -> ExplorationState:
     """Deterministically finish every transaction of ``st`` below ``bound``.
 
-    Repeatedly appends the smallest next event among sessions whose current
-    activity belongs to a transaction of lower priority than ``bound``;
+    Repeatedly appends the smallest of the sessions' next actions
+    (``program._next_action``) whose transaction has lower priority than
+    ``bound``;
     external reads observe the highest-priority causally preceding writer
     that keeps the history consistent: writers are tried from the highest
     priority down, and the first consistent result is kept.  This
     reconstructs exactly the completion a swap deleted.
     """
     for _ in range(10_000):
-        candidates = []
-        for session, ls in enumerate(st.sessions):
-            tid = TxnId(session, ls.txn_index)
-            if tid in st.by_id:
-                if tid < bound:
-                    candidates.append(step_local(st, session))
-            elif st.next_unstarted_txn(session) is not None and tid < bound:
-                candidates.append(NextAction(begin_event(tid)))
+        candidates = [
+            action for session, ls in enumerate(st.sessions)
+            if (action := _next_action(st.program, ls, session, st.by_id)) is not None
+            and action.event.id.txn < bound
+        ]
         if not candidates:
             return st
         action = min(candidates, key=lambda a: a.event.id)

@@ -689,12 +689,6 @@ class ExplorationState:
             raise ValueError(f"multiple pending transactions: {open_}")
         return open_[0] if open_ else None
 
-    def next_unstarted_txn(self, session: int) -> TxnId | None:
-        tid = TxnId(session, self.sessions[session].txn_index)
-        if tid in self.by_id or tid.index >= len(self.program.sessions[session].txns):
-            return None
-        return tid
-
 
 def step_local(st: ExplorationState, session: int) -> NextAction:
     """Resolve the next database event of a session's open transaction.
@@ -736,6 +730,18 @@ def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> 
     return _action(tid, index, ABORT)
 
 
+def _next_action(
+    program: Program, ls: LocalState, session: int, by_id: dict[TxnId, TransactionLog]
+) -> NextAction | None:
+    """A session's next action, the session at ``ls`` over the logs
+    ``by_id``: its open transaction's step, else the begin of its next
+    transaction, else None once every transaction of the session ran."""
+    tid = TxnId(session, ls.txn_index)
+    if tid in by_id:
+        return _step(program, ls, tid, by_id[tid])
+    return _action(tid, 0, BEGIN) if tid.index < len(program.sessions[session].txns) else None
+
+
 @lru_cache(maxsize=1024)
 def _action(txn: TxnId, index: int, kind: str, var: str | None = None, value: int | None = None,
             target: str | None = None, internal_value: int | None = None) -> NextAction:
@@ -750,9 +756,11 @@ def apply_event(
 ) -> ExplorationState:
     """Apply one database event, checked against the program semantics.
 
-    ``event`` must equal the program's own next event of its session: the
-    begin of the session's next transaction, or what :func:`step_local`
-    resolves in its open one, a write's value included.  An external read
+    ``event`` must equal the program's own next event of its session, a
+    write's value included: for a begin, the session's next action
+    (:func:`_next_action`), the begin of its next transaction when none is
+    open; for any other event, what :func:`step_local` resolves in its open
+    transaction.  An external read
     needs a committed ``writer`` that writes its variable, and observes that
     writer's final write on it; no other event takes a writer.  Raises
     :class:`ProgramError` for any other input; otherwise appends the event
@@ -761,11 +769,8 @@ def apply_event(
     session = event.id.txn.session
     if not 0 <= session < len(st.sessions):
         raise ProgramError(f"session {session} is not in the program")
-    if event.kind == BEGIN and TxnId(session, st.sessions[session].txn_index) not in st.by_id:
-        tid = st.next_unstarted_txn(session)
-        action = _action(tid, 0, BEGIN) if tid is not None else None
-    else:
-        action = step_local(st, session)
+    action = (_next_action(st.program, st.sessions[session], session, st.by_id)
+              if event.kind == BEGIN else step_local(st, session))
     if action is None or action.event != event:
         raise ProgramError(
             f"{event} does not match the program's next event "
@@ -838,14 +843,16 @@ def format_expr(expr: Expr) -> str:
     if isinstance(expr, LocalRef):
         return expr.name
     # One frame per nesting level, as in evaluation: an assert that evaluated
-    # can be formatted.
-    tight = expr.op == "*"
+    # can be formatted.  A product parenthesizes every operation it holds, a
+    # comparison is parenthesized wherever it stands, and so is a right
+    # operand of its parent's precedence group, which the parser would fold
+    # to the left: 5 - (2 + a), not 5 - 2 + a.
+    loose = _OPERATORS if expr.op == "*" else _COMPARISONS
+    group = next(ops for ops in _PRECEDENCE if expr.op in ops)
     sides = []
-    for child in (expr.left, expr.right):
+    for child, wrapped in ((expr.left, loose), (expr.right, loose | group)):
         text = format_expr(child)
-        if isinstance(child, BinaryOp) and (tight or child.op in _COMPARISONS):
-            text = f"({text})"
-        sides.append(text)
+        sides.append(f"({text})" if isinstance(child, BinaryOp) and child.op in wrapped else text)
     return f"{sides[0]} {expr.op} {sides[1]}"
 
 

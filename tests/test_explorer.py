@@ -149,8 +149,9 @@ def _schedule_by_scan(st: ExplorationState) -> list[NextAction]:
         return [step_local(st, pending[0].session)]
     return [
         NextAction(begin_event(tid))
-        for session in range(len(st.program.sessions))
-        if (tid := st.next_unstarted_txn(session)) is not None
+        for session, ls in enumerate(st.sessions)
+        if (tid := TxnId(session, ls.txn_index)) not in st.by_id
+        and tid.index < len(st.program.sessions[session].txns)
     ]
 
 
@@ -541,7 +542,8 @@ CARRIED_RELATIONS = ("by_id", "txn_ids", "sessions", "causal_past", "wr_map", "w
 def _assert_matches_full_construction(st: ExplorationState, level: IsolationLevel) -> None:
     """``st``'s history carries the relations and the verdict at ``level``
     of the same logs and wr built by full validation, and ``starts`` is its
-    definition from the order.  At SER and SI the verdict is a witness: a
+    definition from the order.  At TRUE the verdict is the causal past,
+    the closure of no forced edge.  At SER and SI the verdict is a witness: a
     linear extension of so/wr that satisfies the level, found exactly when
     the search finds one."""
     h = st.history
@@ -554,7 +556,7 @@ def _assert_matches_full_construction(st: ExplorationState, level: IsolationLeve
     assert list(h.starts.items()) == list(first.items())
     verdict = h.history.consistency_cache.get(level)
     if level is IsolationLevel.TRUE:
-        assert level not in h.history.consistency_cache
+        assert verdict == full.causal_past
     elif level in EXTENSIBLE:
         assert verdict == _forced_closure(full, level)
     else:

@@ -44,6 +44,33 @@ def test_bench_tracer_finds_every_binding_it_wraps():
     assert proc.returncode == 0, proc.stderr
 
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_identity_record_matches_itself_and_names_a_planted_change(tmp_path):
+    """``tools/identity.py`` finds a checkout identical to its own record,
+    exit 0, and names the one counter planted in a copy of it, exit 1."""
+    record, planted = tmp_path / "record.json", tmp_path / "planted.json"
+    code = (
+        "import contextlib, io, json, identity\n"
+        f"assert identity.main(['--record', {str(record)!r}]) == 0\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert identity.main(['--against', {str(record)!r}]) == 0\n"
+        "print(out.getvalue(), end='')\n"
+        f"data = json.loads(open({str(record)!r}).read())\n"
+        "data['api']['pair_reader/dfs/cc']['recursive_calls'] += 1\n"
+        f"open({str(planted)!r}, 'w').write(json.dumps(data))\n"
+        f"print(identity.main(['--against', {str(planted)!r}]))\n"
+    )
+    proc = run_fresh(code, TOOLS)
+    assert proc.returncode == 0, proc.stderr
+    same, differs, code = proc.stdout.splitlines()
+    assert re.fullmatch(r"identical: \d+ entries", same)
+    assert differs == "differs: api/pair_reader/dfs/cc/recursive_calls: recorded 21, now 20"
+    assert code == "1"
+
+
 def test_library_never_changes_the_recursion_limit():
     """The searches keep their own stack; no module may raise the
     interpreter-wide recursion limit."""

@@ -351,6 +351,34 @@ def test_format_expr_parenthesizes_only_where_needed():
     assert format_expr(instrs[2].expr) == "a + 1 * 2"
 
 
+# Source -> how it prints: a right operand of ``+`` or ``-`` that is
+# itself a sum or difference keeps its parentheses; the rest print as before.
+PRINTED = {
+    "5 - (2 + a)": "5 - (2 + a)",
+    "5 - -a": "5 - (0 - a)",
+    "a + (b - c) - (d + 1)": "a + (b - c) - (d + 1)",
+    "a - b - c": "a - b - c",
+    "-a * 2": "(0 - a) * 2",
+    "(a * b) * c": "(a * b) * c",
+    "a <= b + 9": "a <= b + 9",
+    "a + 1 * 2": "a + 1 * 2",
+}
+
+
+def test_format_keeps_a_right_operands_parentheses():
+    """Each expression of ``PRINTED`` prints as given and parses back to
+    itself, and so do the examples and 300 ``random_program`` draws."""
+    for text, printed in PRINTED.items():
+        expr = _expr(text)
+        assert format_expr(expr) == printed
+        assert _expr(printed) == expr
+    rng = random.Random(38)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(random_program(rng)) for _ in range(300)]
+    programs.append(parse("session s { txn { a = read(x); b = a - (1 - a); assert(b == 5 - -a); } }"))
+    assert [parse(format_program(p)) for p in programs] == programs
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
 def test_examples_round_trip_through_format(name):
     prog = example(name)
