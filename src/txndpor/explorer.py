@@ -250,7 +250,7 @@ def valid_writes(
     _check_levels(level)
     if not action.is_external_read:
         raise ValueError(f"{action.event} is not an external read")
-    reader, last = action.event.id.txn, st.history.order[-1].txn
+    reader, last = action.event.id.txn, st.history.entered[-1]
     if reader != last:
         raise ValueError(f"order interleaves {reader} with {last}")
     tr = _Trace(st, level)
@@ -304,7 +304,7 @@ def compute_reorderings(h: OrderedHistory) -> list[ReorderCandidate]:
     """
     if h.last_event.kind != COMMIT:
         return []
-    return _reorderings(h.order[-1].txn, h.starts, h.history.by_id, h.history.causal_past)
+    return _reorderings(h.entered[-1], h.starts, h.history.by_id, h.history.causal_past)
 
 
 def _reorderings(
@@ -775,10 +775,9 @@ class _Trace:
 
     def state(self) -> ExplorationState:
         """The state the trace stands at, sharing no dict it changes in
-        place; its verdict at ``level`` cached, its logs by id, session
-        lists and wr map left to be computed on first use, and its
-        per-event order left to :class:`OrderedHistory`'s view of
-        ``starts`` and the logs."""
+        place; its verdict at ``level`` cached, its entry order and
+        ``starts`` carried, and its logs by id, session lists, wr map and
+        per-event order left to be computed on first use."""
         logs = tuple(map(self.by_id.__getitem__, self.txn_ids))
         hist = History._derived(
             logs, tuple(sorted(self.wr_map.items())), txn_ids=self.txn_ids,
@@ -786,7 +785,7 @@ class _Trace:
             consistency_cache=dict(self.consistency_cache),
         )
         h = object.__new__(OrderedHistory)
-        h.__dict__.update(history=hist, starts=dict(self.starts))
+        h.__dict__.update(history=hist, entered=tuple(self.starts), starts=dict(self.starts))
         return ExplorationState(self.program, h, tuple(self.sessions))
 
 

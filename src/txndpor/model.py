@@ -3,11 +3,12 @@
 A history abstracts one execution's database interaction: a set of transaction
 logs together with a session order (derived from positional transaction ids)
 and a write-read relation mapping each external read to the transaction whose
-write it observes.  An ordered history additionally carries the total order in
-which events were appended during exploration: each transaction's events
-consecutively and in program order, the transactions in an order extending so
-union wr.  So transactions enter one at a time, and the order is fixed by
-where each one starts (:attr:`OrderedHistory.starts`).
+write it observes.  An ordered history additionally carries the order in which
+its transactions entered during exploration, an order extending so union wr.
+Transactions enter one at a time and only the last to enter is extended, so
+the total order of events is derived, not stored: each transaction's events
+consecutively and in program order, in entry order
+(:attr:`OrderedHistory.order`).
 
 Typical construction goes through :class:`OrderedHistory`::
 
@@ -23,14 +24,15 @@ Full validation runs wherever a history is built: ``History(...)``,
 :meth:`OrderedHistory.append`).  An edit first refuses, with its own message,
 what no valid history continues with: a begin of a transaction that already
 began, an event that is not the next of its transaction, a writer on an event
-other than a read.  It then builds its result by the validating constructors,
-which raise for anything else.  The explorer's walks edit no value: they run
-on a mutable trace (``explorer._Trace``), which applies each event's relation
-changes in place and materializes histories only where a caller needs one,
-by :meth:`History._derived`.  :func:`drop_events` refuses, with its own
-message, a cut that orphans a surviving read, then builds its result by the
-validating constructors too.  Lazy relations fill by :class:`lazy_property`,
-which takes no lock.
+other than a read, and, in :meth:`OrderedHistory.append`, an event of a
+transaction other than the last to enter.  It then builds its result by the
+validating constructors, which raise for anything else.  The explorer's
+walks edit no value: they run on a mutable trace (``explorer._Trace``),
+which applies each event's relation changes in place and materializes
+histories only where a caller needs one, by :meth:`History._derived`.
+:func:`drop_events` refuses, with its own message, a cut that orphans a
+surviving read, then builds its result by the validating constructors too.
+Lazy relations fill by :class:`lazy_property`, which takes no lock.
 
 :func:`canonical_encode` writes the bytes of ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` without calling it, from fragments of the immutable
@@ -414,10 +416,6 @@ class History:
     def wr_map(self) -> dict[EventId, TxnId]:
         return dict(self.wr)
 
-    @lazy_property
-    def event_ids(self) -> frozenset[EventId]:
-        return frozenset(ev.id for log in self.logs for ev in log.events)
-
     def events(self) -> Iterator[Event]:
         for log in self.logs:
             yield from log.events
@@ -625,13 +623,13 @@ def causally_before_or_equal(h: History, a: TxnId, b: TxnId) -> bool:
 class OrderedHistory:
     """A history plus the order in which its transactions entered.
 
-    The order lists each transaction's events consecutively and in program
-    order, and the transactions in an order extending so union wr.  Several
-    may be pending, but only the last to enter is extended.  :attr:`starts`,
-    each transaction's first position in entry order, is the one order
-    relation; an event's position is its transaction's start plus its index.
-    On the states the explorer's trace builds, which carry ``starts``,
-    ``order`` is a view built on first read (:meth:`__getattr__`).
+    ``entered`` lists the history's transactions, each once, in an order
+    extending so union wr.  Several may be pending, but only the last to
+    enter is extended.  The per-event views are derived on first read:
+    :attr:`order` lists each transaction's events consecutively and in
+    program order, in entry order, and :attr:`starts` maps each transaction
+    to the position of its begin there; an event's position is its
+    transaction's start plus its index.
 
     Construction checks the entry order against the direct so/wr edges
     (:attr:`History.causal_adjacency`) only, which builds no closure.  It
@@ -642,19 +640,12 @@ class OrderedHistory:
     """
 
     history: History
-    order: tuple[EventId, ...]
+    entered: tuple[TxnId, ...]
 
     def __post_init__(self) -> None:
-        if set(self.order) != self.history.event_ids or len(self.order) != len(
-            self.history.event_ids
-        ):
-            raise ValueError("order must list exactly the history's events")
-        order, starts = self.order, self.starts
-        for i, eid in enumerate(order):
-            if eid.index and order[i - 1].txn != eid.txn:
-                raise ValueError(f"order interleaves {eid.txn} with {order[i - 1].txn}")
-            if eid.index != i - starts[eid.txn]:
-                raise ValueError(f"event {eid} is not the next of {eid.txn}")
+        if sorted(self.entered) != list(self.history.txn_ids):
+            raise ValueError("entered must list each of the history's transactions once")
+        starts = self.starts
         for a, successors in self.history.causal_adjacency.items():
             for b in successors:
                 if starts[a] > starts[b]:
@@ -668,44 +659,47 @@ class OrderedHistory:
             events.append(write_event(INIT_TXN, i + 1, var, 0))
         events.append(commit_event(INIT_TXN, len(events)))
         log = TransactionLog(INIT_TXN, tuple(events))
-        hist = History((log,), ())
-        return cls(hist, tuple(ev.id for ev in events))
+        return cls(History((log,), ()), (INIT_TXN,))
 
-    def __getattr__(self, name: str):
-        """``order`` on a state the walk's trace builds, which carries
-        ``starts`` and leaves the order to be built on first read, from
-        ``starts`` and the logs."""
-        if name != "order" or "starts" not in self.__dict__:
-            raise AttributeError(name)
+    @lazy_property
+    def order(self) -> tuple[EventId, ...]:
+        """Every event, each transaction's consecutively, in entry order."""
         by_id = self.history.by_id
-        order = self.__dict__["order"] = tuple(ev.id for t in self.starts for ev in by_id[t].events)
-        return order
+        return tuple(ev.id for t in self.entered for ev in by_id[t].events)
 
     @lazy_property
     def starts(self) -> dict[TxnId, int]:
-        """Transaction -> position of its begin, keyed in entry order."""
-        return {eid.txn: i for i, eid in enumerate(self.order) if not eid.index}
+        """Transaction -> position of its begin in :attr:`order`, keyed in
+        entry order."""
+        by_id, starts, start = self.history.by_id, {}, 0
+        for t in self.entered:
+            starts[t], start = start, start + len(by_id[t].events)
+        return starts
 
     @property
     def last_event(self) -> Event:
-        return self.history.event(self.order[-1])
+        return self.history.by_id[self.entered[-1]].events[-1]
 
     def append(self, event: Event, writer: TxnId | None = None) -> "OrderedHistory":
         """Extend with one event at the end of the order.
 
         A begin event opens a new log, which enters last; any other event
-        extends the pending log of the last transaction to enter.
-        ``writer`` attaches the wr edge of an external read.  The result is
-        built by :meth:`History.with_begin` or :meth:`History.with_event`
-        and the validating constructor.
+        extends the pending log of the last transaction to enter, and an
+        event of another transaction is refused once
+        :meth:`History.with_event` has checked it.  ``writer`` attaches the
+        wr edge of an external read.  The result is built by
+        :meth:`History.with_begin` or :meth:`History.with_event` and the
+        validating constructor.
         """
+        t = event.id.txn
         if event.kind == BEGIN:
             if writer is not None:
                 raise ValueError("begin takes no writer")
-            hist = self.history.with_begin(event.id.txn, event)
-        else:
-            hist = self.history.with_event(event, writer)
-        return OrderedHistory(hist, self.order + (event.id,))
+            return OrderedHistory(self.history.with_begin(t, event), self.entered + (t,))
+        hist = self.history.with_event(event, writer)
+        if t != self.entered[-1]:
+            raise ValueError(f"order interleaves {t} with {self.entered[-1]}")
+        return OrderedHistory(hist, self.entered)
 
 
 def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
@@ -735,8 +729,8 @@ def drop_events(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
                 f"dropping writer events of {writer} while read {read_id} survives"
             )
         new_wr.append((read_id, writer))
-    order = tuple(eid for eid in h.order if eid not in dropped)
-    return OrderedHistory(History(tuple(new_logs), tuple(new_wr)), order)
+    entered = tuple(t for t in h.entered if t in survivors)
+    return OrderedHistory(History(tuple(new_logs), tuple(new_wr)), entered)
 
 
 # ---------------------------------------------------------------------------

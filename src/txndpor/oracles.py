@@ -81,7 +81,7 @@ def minimal_dependency(
     for distinct transactions of a real history).
     """
     steps: list[tuple[EventId | None, EventId, EventId]] = []
-    for _ in range(len(h.event_ids) + 1):
+    for _ in range(sum(len(log.events) for log in h.logs) + 1):
         a = min(_dependencies(h, t, e))
         a2 = min(_dependencies(h, t2, e))
         steps.append((e, a, a2))
@@ -112,9 +112,7 @@ def canonical_sort(h: History) -> OrderedHistory:
             return 0
         return -1 if canonical_order(h, a, b) else 1
 
-    txns = sorted(h.txn_ids, key=cmp_to_key(compare))
-    order = tuple(ev.id for t in txns for ev in h.txn(t).events)
-    return OrderedHistory(h, order)
+    return OrderedHistory(h, tuple(sorted(h.txn_ids, key=cmp_to_key(compare))))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +147,12 @@ def is_or_respectful(
     # Each transaction's events are consecutive, so an event of ``a`` comes
     # after one of a lower-priority ``b`` exactly when ``a`` entered after
     # ``b``; an incomplete ``a`` misses events after every ``b``.
-    entered = list(dict.fromkeys(eid.txn for eid in h.order))
-    incomplete = [*hist.pending_txns(),
-                  *(t for t in static_txns or () if t != INIT_TXN and t not in hist.by_id)]
+    incomplete = (*hist.pending_txns(),
+                  *(t for t in static_txns or () if t != INIT_TXN and t not in hist.by_id))
     return all(
         witness(b, a)
-        for i, b in enumerate(entered)
-        for a in entered[i + 1 :] + incomplete
+        for i, b in enumerate(h.entered)
+        for a in h.entered[i + 1 :] + incomplete
         if a < b
     )
 
@@ -214,7 +211,7 @@ def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:
     deterministically re-completing every transaction below its writer's
     priority (:func:`max_completion`).
     """
-    last, hist = h.order[-1], h.history
+    last, hist = h.last_event.id, h.history
     if last.txn == INIT_TXN:  # init precedes every transaction in so: its events come first
         return hist
     if swapped(h, last):

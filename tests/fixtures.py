@@ -318,7 +318,7 @@ def is_prefix(p: History, h: History) -> bool:
         other = h.by_id.get(log.id)
         if other is None or log.events != other.events[: len(log.events)]:
             return False
-    p_events = p.event_ids
+    p_events = {ev.id for ev in p.events()}
     expected_wr = tuple(sorted(pair for pair in h.wr if pair[0] in p_events))
     if p.wr != expected_wr:
         return False

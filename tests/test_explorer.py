@@ -82,6 +82,7 @@ from txndpor.model import (
     read_event,
     write_event,
 )
+from txndpor.oracles import prev
 from txndpor.program import (
     AssertInstr,
     AssignInstr,
@@ -656,11 +657,11 @@ ORDER_WALKS = [(explore_ce, level) for level in EXTENSIBLE] + [
 )
 def test_snapshot_order_is_a_view_of_starts_and_the_logs(walk, level):
     """Every state a walk emits leaves its per-event order unbuilt.  Read,
-    the view lists each transaction's events in entry order, and the state
-    equals and hashes as the validated ``OrderedHistory`` of its logs, wr
-    and that order.  The first state of each history (``dfs`` emits one
-    many times) also prints as it, and a deep copy and a pickle of it,
-    made unbuilt, round-trip.  Over the examples, the gate's corner
+    it lists each transaction's events in the order ``starts`` gives, and
+    the state equals and hashes as the validated ``OrderedHistory`` of its
+    logs, wr and entry order.  The first state of each history (``dfs``
+    emits one many times) also prints as it, and a deep copy and a pickle
+    of it, made unbuilt, round-trip.  Over the examples, the gate's corner
     programs and 40 random programs (10 for ``dfs``)."""
     emitted: list[ExplorationState] = []
     for prog in _examples_corners_and_draws(31, 40 if walk is explore_ce else 10):
@@ -674,9 +675,10 @@ def test_snapshot_order_is_a_view_of_starts_and_the_logs(walk, level):
         copied.add(key)
         copies = [copy.deepcopy(st), pickle.loads(pickle.dumps(st))] if first else []
         assert not any("order" in vars(c.history) for c in [st, *copies])
-        entry = tuple(sorted(h.history.event_ids, key=lambda e: h.starts[e.txn] + e.index))
+        entry = tuple(sorted((ev.id for ev in h.history.events()),
+                             key=lambda e: h.starts[e.txn] + e.index))
         assert h.order == entry
-        full = OrderedHistory(History(h.history.logs, h.history.wr), entry)
+        full = OrderedHistory(History(h.history.logs, h.history.wr), h.entered)
         assert h == full and hash(h) == hash(full)
         assert not first or repr(h) == repr(full)
         assert all(c == st and c.history.order == entry for c in copies)
@@ -685,7 +687,11 @@ def test_snapshot_order_is_a_view_of_starts_and_the_logs(walk, level):
 def test_unhooked_explore_ce_builds_no_order_for_emit():
     """An unhooked ``explore_ce`` whose emit encodes each history and
     evaluates the program's assertions, as ``txndpor run`` does, builds no
-    emitted state's per-event order."""
+    emitted state's per-event order.  Nor do the queries that read only the
+    entry order, on every state a hooked ``explore_ce`` enters at CC on the
+    examples: :func:`compute_reorderings`, ``last_event``,
+    :func:`valid_writes` of the last transaction to enter's external read,
+    and :func:`oracles.prev` of a state whose last event is no swapped read."""
     emitted: list[ExplorationState] = []
 
     def emit(st: ExplorationState) -> None:
@@ -698,6 +704,22 @@ def test_unhooked_explore_ce_builds_no_order_for_emit():
             explore_ce(prog, level, emit=emit)
     assert len(emitted) > 100
     assert not any("order" in vars(st.history) for st in emitted)
+    cc = IsolationLevel.CC
+    entered = [st for name in sorted(EXAMPLE_PROGRAMS)
+               for _, st in entered_states(example(name), cc)]
+    reads = prevs = 0
+    for st in entered:
+        h = st.history
+        compute_reorderings(h)
+        last = h.last_event.id
+        action = next_event(st)
+        if action is not None and action.is_external_read and action.event.id.txn == h.entered[-1]:
+            reads += bool(valid_writes(st, action, cc))
+        if not swapped(h, last):
+            prevs += 1
+            prev(st.program, h, cc)
+        assert "order" not in vars(h), h.entered
+    assert reads and 0 < prevs < len(entered)
 
 
 @pytest.mark.parametrize("level", [IsolationLevel.CC, IsolationLevel.SER], ids=["cc", "ser"])

@@ -440,7 +440,7 @@ def test_random_downward_closed_subsets_are_contained(seed):
 def test_canonical_sort_lists_every_event_once_in_causal_order():
     h = causal_cycle_history()
     oh = canonical_sort(h)
-    assert sorted(oh.order) == sorted(h.event_ids)
+    assert sorted(oh.order) == sorted(ev.id for ev in h.events())
     pos = order_positions(oh)
     for a, succ in h.causal_adjacency.items():
         for b in succ:
@@ -473,28 +473,20 @@ def test_drop_events_rejects_orphaning_a_surviving_read():
 
 
 def test_ordered_histories_refuse_to_interleave_transactions():
-    """Once T1 has begun, pending T0 takes no further event: ``append`` and
-    the validating constructor refuse the order alike, naming both."""
+    """Once T1 has begun, pending T0 takes no further event: ``append``
+    refuses it, naming both."""
     h = OrderedHistory.initial(("x",)).append(begin_event(T0)).append(begin_event(T1))
-    write = write_event(T0, 1, "x", 1)
     with pytest.raises(ValueError) as appended:
-        h.append(write)
-    with pytest.raises(ValueError) as built:
-        OrderedHistory(h.history.with_event(write), h.order + (write.id,))
-    assert str(appended.value) == str(built.value) == f"order interleaves {T0} with {T1}"
+        h.append(write_event(T0, 1, "x", 1))
+    assert str(appended.value) == f"order interleaves {T0} with {T1}"
 
 
 def test_ordered_histories_refuse_a_transaction_out_of_program_order():
-    """T0's events listed consecutively, but its commit before its write."""
+    """T0's commit appended before its write."""
     h = OrderedHistory.initial(("x",)).append(begin_event(T0))
-    full = h.history.with_event(write_event(T0, 1, "x", 1))
-    order = h.order + (EventId(T0, 2), EventId(T0, 1))
-    with pytest.raises(ValueError) as built:
-        OrderedHistory(full.with_event(commit_event(T0, 2)), order)
     with pytest.raises(ValueError) as appended:
         h.append(commit_event(T0, 2))
-    message = f"event {EventId(T0, 2)} is not the next of {T0}"
-    assert str(built.value) == str(appended.value) == message
+    assert str(appended.value) == f"event {EventId(T0, 2)} is not the next of {T0}"
 
 
 def test_ordered_histories_refuse_an_order_against_so_or_wr():
@@ -503,7 +495,9 @@ def test_ordered_histories_refuse_an_order_against_so_or_wr():
     refused, naming the edge.  On random histories and random entry orders
     of their transactions, the constructor's check of the direct so/wr
     edges accepts exactly the orders that respect every pair of the causal
-    closure."""
+    closure.  On each order it accepts, ``order`` lists each transaction's
+    events consecutively, in entry order, and ``starts`` gives the position
+    of each transaction's begin in ``order``."""
     later = OrderedHistory.initial(("x",)).append(begin_event(TxnId(0, 1)))
     with pytest.raises(ValueError, match=re.escape(
             f"order violates so/wr between {T0} and {TxnId(0, 1)}")):
@@ -513,9 +507,8 @@ def test_ordered_histories_refuse_an_order_against_so_or_wr():
     writer = TransactionLog(T0, (begin_event(T0), write_event(T0, 1, "x", 1), commit_event(T0, 2)))
     reader = TransactionLog(T1, (begin_event(T1), read, commit_event(T1, 2)))
     hist = History((init.history.logs[0], writer, reader), ((read.id, T0),))
-    order = init.order + tuple(ev.id for log in (reader, writer) for ev in log.events)
     with pytest.raises(ValueError, match=re.escape(f"order violates so/wr between {T0} and {T1}")):
-        OrderedHistory(hist, order)
+        OrderedHistory(hist, (INIT_TXN, T1, T0))
     rng = random.Random(3)
     outcomes = set()
     for _ in range(300):
@@ -524,10 +517,12 @@ def test_ordered_histories_refuse_an_order_against_so_or_wr():
         rng.shuffle(txns)
         pos = {t: i for i, t in enumerate(txns)}
         respects = all(pos[a] < pos[b] for b, past in h.causal_past.items() for a in past)
-        built, _ = _outcome(lambda: OrderedHistory(
-            h, tuple(ev.id for t in txns for ev in h.txn(t).events)))
+        built, _ = _outcome(lambda: OrderedHistory(h, tuple(txns)))
         assert (built is not None) == respects
         outcomes.add(respects)
+        if built is not None:
+            assert built.order == tuple(ev.id for t in txns for ev in h.txn(t).events)
+            assert built.starts == {t: built.order.index(EventId(t, 0)) for t in txns}
     assert outcomes == {True, False}
 
 
@@ -619,9 +614,10 @@ def test_derived_edits_match_full_construction(seed):
                 if full is not None:
                     _assert_same_value(derived, full, HISTORY_RELATIONS)
                     assert_causal_past_matches_full_construction(derived)
-                order = current.order + (event.id,)
+                entered = current.entered + ((event.id.txn,) if event.kind == BEGIN else ())
                 full_oh = (
-                    None if full is None else _outcome(lambda: OrderedHistory(full, order))[0]
+                    None if full is None or event.id.txn != entered[-1]
+                    else _outcome(lambda: OrderedHistory(full, entered))[0]
                 )
                 oh, _ = _outcome(lambda: current.append(event, writer))
                 assert (oh is None) == (full_oh is None), (event, writer)
@@ -872,8 +868,8 @@ def _full_drop(h: OrderedHistory, dropped: set[EventId]) -> OrderedHistory:
                 f"dropping writer events of {writer} while read {read_id} survives"
             )
         wr.append((read_id, writer))
-    order = tuple(eid for eid in h.order if eid not in dropped)
-    return OrderedHistory(History(tuple(logs), tuple(sorted(wr))), order)
+    entered = tuple(t for t in h.entered if t in survivors)
+    return OrderedHistory(History(tuple(logs), tuple(sorted(wr))), entered)
 
 
 def _drop_sets(rng: random.Random, oh: OrderedHistory) -> list[tuple[str, set[EventId]]]:

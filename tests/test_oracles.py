@@ -149,7 +149,7 @@ def _two_writers(complete: bool) -> History:
 
 
 def _ordered(h: History, txns) -> OrderedHistory:
-    return OrderedHistory(h, tuple(ev.id for t in txns for ev in h.txn(t).events))
+    return OrderedHistory(h, tuple(txns))
 
 
 def test_priority_inversions_need_a_swapped_witness():

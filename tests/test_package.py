@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import importlib.util
+import io
 import pkgutil
 import re
 from pathlib import Path
@@ -69,6 +72,44 @@ def test_identity_record_matches_itself_and_names_a_planted_change(tmp_path):
     assert re.fullmatch(r"identical: \d+ entries", same)
     assert differs == "differs: api/pair_reader/dfs/cc/recursive_calls: recorded 21, now 20"
     assert code == "1"
+
+
+CODE_LINES_SNIPPET = '''"""A module docstring,
+on two lines."""
+
+import os  # a trailing comment
+
+
+def f(a):
+    """A function docstring."""
+    # a comment-only line
+    x = max(
+        a,
+        1)
+    "a bare string statement"
+    return os.sep, x
+'''
+
+
+def test_code_lines_counts_the_lines_that_hold_code():
+    """``tools/code_lines.py`` counts, in a snippet, the import, the
+    ``def``, the three lines of the call and the ``return``: six lines by
+    hand, skipping docstrings, the comment-only line, blank lines and the
+    bare string statement.  ``main()`` prints one row per module of the
+    package and a total equal to their sum."""
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.code_lines(CODE_LINES_SNIPPET) == 6
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code_lines.main()
+    header, *rows, total = [line.split() for line in out.getvalue().splitlines()]
+    assert header == ["module", "physical", "code"]
+    modules = sorted(path.name for path in Path(txndpor.__file__).parent.glob("*.py"))
+    assert [name for name, _, _ in rows] == modules
+    sums = [sum(int(row[i].replace(",", "")) for row in rows) for i in (1, 2)]
+    assert total == ["total", *(f"{n:,}" for n in sums)]
 
 
 def test_library_never_changes_the_recursion_limit():

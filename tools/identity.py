@@ -9,11 +9,13 @@ sits in:
   counters but ``wall_time``, the raw emissions, and sha256 digests of the
   distinct and of the assert-violating histories;
 - each example program through ``txndpor run --emit`` at ``--level cc``,
-  ``--level rc``, ``--level true`` and ``--mode dfs --level ser``: the
+  ``--level rc``, ``--level ra``, ``--level true``, ``--mode dfs --level
+  ser`` and ``--mode explore-ce-star --weak-level cc --level ser``: the
   sha256 of the emitted bytes and the printed report but its wall time;
-- each example program through ``explore_ce`` and ``dfs`` at TRUE, RC and
-  CC, and ``explore_ce_star`` from TRUE to CC: the counters and the sha256
-  of the emissions in the order they came.
+- each example program through ``explore_ce`` at TRUE, RC, RA and CC,
+  ``dfs`` at every level, and ``explore_ce_star`` from TRUE to CC and from
+  CC to SI and to SER: the counters and the sha256 of the emissions in the
+  order they came.
 
 Run from anywhere::
 
@@ -45,12 +47,19 @@ from txndpor import cli, examples, explorer, model, program  # noqa: E402
 from txndpor.model import IsolationLevel  # noqa: E402
 
 SEEDS = (1, 2, 7)
-LEVELS = (IsolationLevel.TRUE, IsolationLevel.RC, IsolationLevel.CC)
+CE_LEVELS = (IsolationLevel.TRUE, IsolationLevel.RC, IsolationLevel.RA, IsolationLevel.CC)
+STAR_LEVELS = (
+    (IsolationLevel.TRUE, IsolationLevel.CC),
+    (IsolationLevel.CC, IsolationLevel.SI),
+    (IsolationLevel.CC, IsolationLevel.SER),
+)
 CLI_RUNS = {
     "cc": ["--level", "cc"],
     "rc": ["--level", "rc"],
+    "ra": ["--level", "ra"],
     "true": ["--level", "true"],
     "dfs-ser": ["--mode", "dfs", "--level", "ser"],
+    "star-cc-ser": ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "ser"],
 }
 
 
@@ -106,12 +115,14 @@ def _api_runs() -> dict:
     out = {}
     for name, source in sorted(examples.EXAMPLE_PROGRAMS.items()):
         prog = program.parse(source)
-        for level in LEVELS:
+        for level in CE_LEVELS:
             out[f"{name}/explore_ce/{level.value}"] = _api_run(explorer.explore_ce, prog, level)
+        for level in IsolationLevel:
             out[f"{name}/dfs/{level.value}"] = _api_run(explorer.dfs, prog, level)
-        out[f"{name}/explore_ce_star/true-cc"] = _api_run(
-            explorer.explore_ce_star, prog, IsolationLevel.TRUE, IsolationLevel.CC
-        )
+        for weak, strong in STAR_LEVELS:
+            out[f"{name}/explore_ce_star/{weak.value}-{strong.value}"] = _api_run(
+                explorer.explore_ce_star, prog, weak, strong
+            )
     return out
 
 
