@@ -25,7 +25,6 @@ from .explorer import (
 )
 from .isolation import (
     AxiomInstance,
-    CommitOrder,
     brute_force_consistency,
     check_consistency,
     forced_edges,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomInstance",
-    "CommitOrder",
     "Event",
     "EventId",
     "ExplorationState",

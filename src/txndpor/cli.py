@@ -162,7 +162,7 @@ def _oracle_hook(prog: Program, level: IsolationLevel):
             raise OracleCheckError(
                 f"predecessor mismatch at {canonical_encode(st.history.history)!r}"
             )
-        appearance = list(st.history.starts)
+        appearance = st.history.entered
         for a, b in zip(appearance, appearance[1:]):
             if not canonical_order(st.history.history, a, b):
                 raise OracleCheckError(
@@ -227,7 +227,6 @@ def run(
     _log.info("running %s at %s", mode, level.value)
 
     seen: set[bytes] = set()
-    raw = 0
     violated: set[str] = set()  # rendered violated asserts, over all histories
     partial: BaseException | None = None  # what cut the run short
     hook = None
@@ -235,8 +234,6 @@ def run(
         hook = _oracle_hook(prog, weak_level or level)
 
     def on_emit(st: ExplorationState) -> None:
-        nonlocal raw
-        raw += 1
         encoded = canonical_encode(st.history.history)
         fresh = encoded not in seen
         seen.add(encoded)
@@ -267,7 +264,7 @@ def run(
             stats_out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     click.echo(f"distinct histories: {len(seen)}")
-    click.echo(f"raw emissions: {raw}")
+    click.echo(f"raw emissions: {stats.outputs}")
     click.echo(f"filtered: {stats.filtered_outputs}")
     click.echo(f"blocked calls: {stats.blocked_calls}")
     click.echo(f"inconsistent entries: {stats.inconsistent_branch_entries}")

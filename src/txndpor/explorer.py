@@ -67,15 +67,15 @@ event is stepped once and no program code runs on a rejected child or
 swap.  The only histories built and checked but never entered are those
 the gate rejects and the extensions :func:`causal_extension_exists` tries.
 A step is cheap when it repeats: the step and local-state rules run each
-transaction's body from the session's ``pc`` behind bounded memos
-keyed by one step's inputs (``program._action``, ``program._silent_run``,
-``program._write_value``), and a log keeps its last extension
-(:meth:`TransactionLog.extended`), so siblings that push the same event
-share one log.  A run begins each transaction's log once
-(``_Trace.begin_logs``), so every sibling, revisit and swap that begins it
-extends one chain.  No memo is keyed by a history or holds a state, and
-that table holds one log per transaction and dies with the run, so what a
-walk retains grows only with its depth and the program's size.
+transaction's body from the session's ``pc`` behind bounded memos keyed
+by one step's inputs (``program._action``, ``program._silent_run``), and a
+log keeps its last extension (:meth:`TransactionLog.extended`), so
+siblings that push the same event share one log.  A run begins each
+transaction's log once (``_Trace.begin_logs``), so every sibling, revisit
+and swap that begins it extends one chain.  No memo is keyed by a history
+or holds a state, and that table holds one log per transaction and dies
+with the run, so what a walk retains grows only with its depth and the
+program's size.
 
 Both searches follow one scheduling rule, ``_schedule``: the one pending
 transaction steps on, else any session may begin.  The paper's invariant
@@ -676,16 +676,14 @@ class _Trace:
         first_write = False
         if kind == BEGIN:
             # t begins last in its session, with the run's one begin log of
-            # t, built on its first begin with the relations extended()
-            # carries, so every begin of t extends one chain; its past is
-            # its session predecessor's (or init's) plus that transaction,
-            # it goes in at its bisect position, and it starts where the
-            # transaction that entered last, which is complete, ends.
+            # t, built on its first begin, so every begin of t extends one
+            # chain; its past is its session predecessor's (or init's) plus
+            # that transaction, it goes in at its bisect position, and it
+            # starts where the transaction that entered last, which is
+            # complete, ends.
             log = self.begin_logs.get(t)
             if log is None:
-                log = self.begin_logs[t] = object.__new__(TransactionLog)
-                log.__dict__.update(id=t, events=(event,), status=PENDING, write_set={},
-                                    read_set=())
+                log = self.begin_logs[t] = TransactionLog(t, (event,))
             self.causal_past = _past_with_edge(self.causal_past, _so_before(self.txn_ids, t), t)
             i = bisect(self.txn_ids, t)
             self.txn_ids = self.txn_ids[:i] + (t,) + self.txn_ids[i:]
@@ -851,7 +849,7 @@ def _check_levels(weak: IsolationLevel, strong: IsolationLevel | None = None) ->
     if weak not in EXTENSIBLE_LEVELS:
         hint = "; use dfs instead" if strong is None else ""
         raise ValueError(f"{weak.value} is not causally extensible{hint}")
-    if strong is not None and not strong.at_least(weak):
+    if strong is not None and strong.strength < weak.strength:
         raise ValueError(f"{strong.value} is weaker than the traversal level {weak.value}")
 
 

@@ -148,13 +148,6 @@ class AxiomInstance:
     read: EventId
 
 
-@dataclass(frozen=True)
-class CommitOrder:
-    """A strict total order over a history's transactions."""
-
-    order: tuple[TxnId, ...]
-
-
 def axiom_instances(h: History) -> tuple[AxiomInstance, ...]:
     """All axiom instances of a history, independent of level."""
     out = []
@@ -543,18 +536,18 @@ def _forced_after(
     return closure_with_edges(reach, [(writer, t), *_forced_edges_of(h, level, [t])])
 
 
-def find_commit_order(h: History, level: IsolationLevel) -> CommitOrder | None:
+def find_commit_order(h: History, level: IsolationLevel) -> tuple[TxnId, ...] | None:
     """A witnessing commit order, or None when the history is inconsistent.
 
-    The witness is the first valid linear extension in ``txn_ids`` order,
-    found by :func:`_commit_order` over the causal past at SER and SI, and
-    over the forced closure, the verdict, at TRUE, RC, RA and CC.  There it
-    is the smallest-first topological order of so, wr and the forced edges
-    (none at TRUE), which exists exactly when they are acyclic.
+    The witness is every transaction of ``h`` in a tuple, the first valid
+    linear extension in ``txn_ids`` order, found by :func:`_commit_order`
+    over the causal past at SER and SI, and over the forced closure, the
+    verdict, at TRUE, RC, RA and CC.  There it is the smallest-first
+    topological order of so, wr and the forced edges (none at TRUE), which
+    exists exactly when they are acyclic.
     """
     past = _verdict(h, level) if level in EXTENSIBLE_LEVELS else h.causal_past
-    order = None if past is None else _commit_order(h, level, past)
-    return None if order is None else CommitOrder(order)
+    return None if past is None else _commit_order(h, level, past)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class lazy_property:
@@ -325,10 +325,6 @@ class IsolationLevel(Enum):
         """The level's position in the declaration order, weakest first."""
         return list(IsolationLevel).index(self)
 
-    def at_least(self, other: "IsolationLevel") -> bool:
-        """True when this level is at least as strong as ``other``."""
-        return self.strength >= other.strength
-
     @classmethod
     def from_name(cls, name: str) -> "IsolationLevel":
         try:
@@ -416,19 +412,11 @@ class History:
     def wr_map(self) -> dict[EventId, TxnId]:
         return dict(self.wr)
 
-    def events(self) -> Iterator[Event]:
-        for log in self.logs:
-            yield from log.events
-
     def event(self, eid: EventId) -> Event:
         log = self.txn(eid.txn)
         if eid.index >= len(log.events):
             raise ValueError(f"unknown event {eid}")
         return log.events[eid.index]
-
-    @lazy_property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(self.txn(INIT_TXN).write_set))
 
     def pending_txns(self) -> tuple[TxnId, ...]:
         return tuple(

@@ -18,7 +18,6 @@ traversal bug shows up as a disagreement here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .isolation import check_consistency
@@ -41,18 +40,6 @@ from .explorer import swapped
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DepTrace:
-    """The separating steps taken while comparing two transactions.
-
-    Each step records the pivot event the comparison descended through and
-    the two minimal dependencies found under it; the last step is the one
-    that differed.
-    """
-
-    steps: tuple[tuple[EventId | None, EventId, EventId], ...]
-
-
 def _dependencies(h: History, t: TxnId, e: EventId | None) -> list[EventId]:
     """Events anchoring ``t``'s position relative to pivot ``e``.
 
@@ -72,13 +59,16 @@ def _dependencies(h: History, t: TxnId, e: EventId | None) -> list[EventId]:
 
 def minimal_dependency(
     h: History, t: TxnId, t2: TxnId, e: EventId | None = None
-) -> tuple[bool, DepTrace]:
+) -> tuple[bool, tuple[tuple[EventId | None, EventId, EventId], ...]]:
     """Compare two causally unrelated transactions by minimal dependencies.
 
     Repeatedly takes the smallest dependency of each side under the current
-    pivot; the first disagreement decides.  Raises if the descent fails to
-    separate the transactions within the history's event count (it cannot,
-    for distinct transactions of a real history).
+    pivot; the first disagreement decides.  Returns whether ``t`` comes
+    first, and the steps taken: each the pivot the comparison descended
+    through and the two minimal dependencies found under it, the last step
+    the one that differed.  Raises if the descent fails to separate the
+    transactions within the history's event count (it cannot, for distinct
+    transactions of a real history).
     """
     steps: list[tuple[EventId | None, EventId, EventId]] = []
     for _ in range(sum(len(log.events) for log in h.logs) + 1):
@@ -86,7 +76,7 @@ def minimal_dependency(
         a2 = min(_dependencies(h, t2, e))
         steps.append((e, a, a2))
         if a != a2:
-            return a < a2, DepTrace(tuple(steps))
+            return a < a2, tuple(steps)
         e = a
     raise ValueError(f"minimal dependencies of {t} and {t2} never separated")
 
@@ -175,7 +165,7 @@ def max_completion(
     priority down, and the first consistent result is kept.  This
     reconstructs exactly the completion a swap deleted.
     """
-    for _ in range(10_000):
+    while True:
         candidates = [
             action for session, ls in enumerate(st.sessions)
             if (action := _next_action(st.program, ls, session, st.by_id)) is not None
@@ -198,7 +188,6 @@ def max_completion(
                     break
         else:
             raise ValueError(f"no causal writer available for {event.id}")
-    raise RuntimeError("completion did not terminate")
 
 
 def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:

@@ -35,7 +35,7 @@ in which an ``if`` guards the instruction after it, so a chain of nested
 ``if``s is its guards in a row followed by the one instruction they guard.
 No walk of a program recurses: only expressions nest.  A run executes the
 tuple itself, wrapped once as ``Transaction.code``, and a session's
-:class:`LocalState` holds a program counter ``pc`` into it.  Three bounded
+:class:`LocalState` holds a program counter ``pc`` into it.  Two bounded
 memos hash-cons what a step computes, so a walk builds each distinct value
 once and shares it:
 
@@ -46,9 +46,7 @@ once and shares it:
   keyed by the body's code, the ``pc`` to run from, the locals, and the
   local a read sets with its value; it sets that local, then runs the
   assigns, guards and asserts up to the next database instruction, skipping
-  what a false guard guards;
-- ``_write_value`` (1,024 entries): a write's value, keyed by the body's
-  code, the write's ``pc`` and the locals.
+  what a false guard guards.
 
 A hit returns what a miss builds, because each function is pure over its
 key: a body's code is hashed and compared by identity, so its key stands
@@ -630,13 +628,6 @@ def _silent_run(
     return pc, _freeze_env(env)
 
 
-@lru_cache(maxsize=1024)
-def _write_value(code: _Code, pc: int, locals: tuple[tuple[str, int], ...]) -> int:
-    """The value of the write at ``code[pc]`` under ``locals``."""
-    instr = code[pc]
-    return _eval_at(instr, instr.expr, dict(locals))
-
-
 @dataclass(frozen=True)
 class NextAction:
     """The next database event a pending transaction will produce.
@@ -710,11 +701,11 @@ def step_local(st: ExplorationState, session: int) -> NextAction:
 def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> NextAction:
     """The step rule: the next event of ``tid``, open in a session at
     ``ls``, whose log so far is ``log``, read from the instruction at
-    ``ls.pc`` of its body.  A write's value comes from
-    ``_write_value`` and the action from ``_action``, bounded memos whose
-    keys hold every input of what they return, so a hit is what a miss
-    would build.  Each kind is looked up in ``_action`` with one number of
-    arguments, so each value has one entry."""
+    ``ls.pc`` of its body.  A write's value is evaluated here, under the
+    session's locals; the action comes from ``_action``, a bounded memo
+    whose key holds every input of what it returns, so a hit is what a
+    miss would build.  Each kind is looked up in ``_action`` with one
+    number of arguments, so each value has one entry."""
     index = len(log.events)
     code = program.txn_body(tid).code
     pc = ls.pc
@@ -726,7 +717,7 @@ def _step(program: Program, ls: LocalState, tid: TxnId, log: TransactionLog) -> 
         return _action(tid, index, READ, instr.var, None, instr.target,
                        None if own is None else own.value)
     if isinstance(instr, WriteInstr):
-        return _action(tid, index, WRITE, instr.var, _write_value(code, pc, ls.locals))
+        return _action(tid, index, WRITE, instr.var, _eval_at(instr, instr.expr, ls.env))
     return _action(tid, index, ABORT)
 
 

@@ -318,7 +318,7 @@ def is_prefix(p: History, h: History) -> bool:
         other = h.by_id.get(log.id)
         if other is None or log.events != other.events[: len(log.events)]:
             return False
-    p_events = {ev.id for ev in p.events()}
+    p_events = {ev.id for log in p.logs for ev in log.events}
     expected_wr = tuple(sorted(pair for pair in h.wr if pair[0] in p_events))
     if p.wr != expected_wr:
         return False
@@ -345,7 +345,7 @@ def random_prefix(rng: random.Random, h: History) -> History:
     """A random downward-closed prefix of ``h`` (possibly all or init-only)."""
     block_order = find_commit_order(h, IsolationLevel.TRUE)
     assert block_order is not None
-    sequence = [ev.id for t in block_order.order for ev in h.txn(t).events]
+    sequence = [ev.id for t in block_order for ev in h.txn(t).events]
     floor = len(h.txn(INIT_TXN).events)
     k = rng.randint(floor, len(sequence))
     kept = set(sequence[:k])

@@ -267,6 +267,19 @@ def test_run_writes_stats_json(program_file, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("args", [
+    ["--level", "cc"],
+    ["--mode", "dfs", "--level", "ser"],
+    ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "ser"],
+], ids=lambda args: "-".join(args[1::2]))
+def test_run_prints_the_outputs_counter_as_raw_emissions(program_file, tmp_path, capsys, args):
+    stats = tmp_path / "stats.json"
+    for name in EXAMPLE_PROGRAMS:
+        assert main(["run", program_file(name), *args, "--stats-json", str(stats)]) == 0
+        outputs = json.loads(stats.read_text())["outputs"]
+        assert f"raw emissions: {outputs}" in _lines(capsys), name
+
+
 def test_run_oracle_check_passes_on_examples(program_file, capsys):
     assert main(["run", program_file("abort_flip"), "--oracle-check"]) == 0
     code = main(

@@ -105,7 +105,7 @@ def test_commit_order_witness_exists_only_when_consistent():
     h = causal_cycle_history()
     witness = find_commit_order(h, IsolationLevel.RC)
     assert witness is not None
-    pos = {t: i for i, t in enumerate(witness.order)}
+    pos = {t: i for i, t in enumerate(witness)}
     assert total_order_satisfies(h, IsolationLevel.RC, pos)
     assert find_commit_order(h, IsolationLevel.CC) is None
     assert find_commit_order(h, IsolationLevel.SER) is None
@@ -243,9 +243,9 @@ def test_commit_order_witnesses_validate(seed):
         witness = find_commit_order(h, level)
         assert (witness is not None) == check_consistency(h, level)
         if witness is not None:
-            pos = {t: i for i, t in enumerate(witness.order)}
+            pos = {t: i for i, t in enumerate(witness)}
             assert total_order_satisfies(h, level, pos)
-            assert sorted(witness.order) == sorted(h.txn_ids)
+            assert sorted(witness) == sorted(h.txn_ids)
 
 
 def test_trivial_level_accepts_everything():
@@ -402,7 +402,7 @@ def test_order_search_witness_is_the_first_valid_extension(seed):
         for level in (IsolationLevel.SER, IsolationLevel.SI):
             witness = find_commit_order(x, level)
             expected = _first_valid_extension(x, level)
-            assert (witness.order if witness else None) == expected, (x, level)
+            assert witness == expected, (x, level)
 
 
 def _smallest_first(past: dict[TxnId, frozenset[TxnId]]) -> tuple[TxnId, ...]:
@@ -433,7 +433,7 @@ def test_weak_witness_is_the_smallest_first_order_of_the_closure(seed):
             witness = find_commit_order(x, level)
             assert (witness is None) == (past is None), (x, level)
             if past is not None:
-                assert witness.order == _smallest_first(past), (x, level)
+                assert witness == _smallest_first(past), (x, level)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +797,7 @@ def test_find_commit_order_ignores_a_derived_witness(level):
     assert order == (INIT_TXN, T10, T00)
     child.consistency_cache[level] = order
     assert check_consistency(child, level)
-    assert find_commit_order(child, level).order == (INIT_TXN, T00, T10)
+    assert find_commit_order(child, level) == (INIT_TXN, T00, T10)
     assert _first_valid_extension(child, level) == (INIT_TXN, T00, T10)
 
 
@@ -814,7 +814,7 @@ def test_find_commit_order_is_the_full_search_after_derived_checks():
                 if not check_consistency(tr, level):
                     continue
                 h = tr.state().history.history
-                found = find_commit_order(h, level).order
+                found = find_commit_order(h, level)
                 full = History(h.logs, h.wr)
                 assert found == _commit_order(full, level, full.causal_past)
                 if h.consistency_cache[level] != found:

@@ -440,7 +440,7 @@ def test_random_downward_closed_subsets_are_contained(seed):
 def test_canonical_sort_lists_every_event_once_in_causal_order():
     h = causal_cycle_history()
     oh = canonical_sort(h)
-    assert sorted(oh.order) == sorted(ev.id for ev in h.events())
+    assert sorted(oh.order) == sorted(ev.id for log in h.logs for ev in log.events)
     pos = order_positions(oh)
     for a, succ in h.causal_adjacency.items():
         for b in succ:
@@ -549,7 +549,7 @@ def _next_edits(h: History) -> list[tuple[Event, TxnId | None]]:
     for p in h.pending_txns():
         i = len(h.txn(p).events)
         edits += [(commit_event(p, i), None), (abort_event(p, i), None)]
-        for var in h.variables:
+        for var in sorted(h.txn(INIT_TXN).write_set):
             edits += [(write_event(p, i, var, 7), None), (read_event(p, i, var), None)]
             edits += [(read_event(p, i, var), w) for w in h.txn_ids]
     top = max(t.session for t in h.txn_ids)
@@ -1087,7 +1087,7 @@ def test_event_fragment_is_computed_on_first_encoding_only():
     log = TransactionLog(t, (begin_event(t), read_event(t, 1, ODD_VAR),
                              write_event(t, 2, "x", -3), abort_event(t, 3)))
     h = History((init_log("x", ODD_VAR), log), ((EventId(t, 1), INIT_TXN),))
-    events = list(h.events())
+    events = [ev for log in h.logs for ev in log.events]
     assert not any("fragment" in vars(ev) for ev in events)
     assert canonical_encode(h) == _reference_encode(h)
     assert all("fragment" in vars(ev) for ev in events)

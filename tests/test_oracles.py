@@ -56,10 +56,10 @@ from txndpor.program import ExplorationState, parse
 
 def test_minimal_dependency_separates_unrelated_readers_in_one_step():
     full, _, _ = containment_trio()
-    first, trace = minimal_dependency(full, TRIO_READER_XY, TRIO_READER_X)
+    first, steps = minimal_dependency(full, TRIO_READER_XY, TRIO_READER_X)
     assert first is True
-    assert len(trace.steps) == 1
-    pivot, a, a2 = trace.steps[0]
+    assert len(steps) == 1
+    pivot, a, a2 = steps[0]
     assert pivot is None
     assert (a.txn, a2.txn) == (TRIO_READER_XY, TRIO_READER_X)
     assert minimal_dependency(full, TRIO_READER_X, TRIO_READER_XY)[0] is False

@@ -10,8 +10,9 @@ sits in:
   distinct and of the assert-violating histories;
 - each example program through ``txndpor run --emit`` at ``--level cc``,
   ``--level rc``, ``--level ra``, ``--level true``, ``--mode dfs --level
-  ser`` and ``--mode explore-ce-star --weak-level cc --level ser``: the
-  sha256 of the emitted bytes and the printed report but its wall time;
+  ser`` and ``--mode explore-ce-star --weak-level cc --level ser``, and
+  the first, second and last of these with ``--oracle-check``: the sha256
+  of the emitted bytes and the printed report but its wall time;
 - each example program through ``explore_ce`` at TRUE, RC, RA and CC,
   ``dfs`` at every level, and ``explore_ce_star`` from TRUE to CC and from
   CC to SI and to SER: the counters and the sha256 of the emissions in the
@@ -60,6 +61,10 @@ CLI_RUNS = {
     "true": ["--level", "true"],
     "dfs-ser": ["--mode", "dfs", "--level", "ser"],
     "star-cc-ser": ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "ser"],
+    "cc-oracles": ["--level", "cc", "--oracle-check"],
+    "rc-oracles": ["--level", "rc", "--oracle-check"],
+    "star-cc-ser-oracles": ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "ser",
+                            "--oracle-check"],
 }
 
 
