@@ -107,7 +107,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .model import (
@@ -121,7 +120,6 @@ from .model import (
     TxnId,
     _past_with_edge,
     _so_before,
-    canonical_encode,
     causal_reachable,
     closure_with_edges,
 )
@@ -586,15 +584,3 @@ def brute_force_consistency(h: History, level: IsolationLevel) -> bool:
         return False
 
     return extend()
-
-
-@lru_cache(maxsize=200_000)
-def _brute_force_cached(encoded: bytes, level: IsolationLevel) -> bool:
-    from .model import canonical_decode
-
-    return brute_force_consistency(canonical_decode(encoded), level)
-
-
-def brute_force_consistency_cached(h: History, level: IsolationLevel) -> bool:
-    """Memoized wrapper keyed by canonical encoding (for large test corpora)."""
-    return _brute_force_cached(canonical_encode(h), level)

@@ -325,13 +325,6 @@ class IsolationLevel(Enum):
         """The level's position in the declaration order, weakest first."""
         return list(IsolationLevel).index(self)
 
-    @classmethod
-    def from_name(cls, name: str) -> "IsolationLevel":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown isolation level {name!r}") from None
-
 
 # ---------------------------------------------------------------------------
 # Histories

@@ -12,8 +12,16 @@ state directly so tests can verify them against real runs:
   last event, unless it is a swapped read, in which case deterministically
   rebuild the completion the swap tore down.
 
-These are written against the definitions, not the enumerator's code, so a
-traversal bug shows up as a disagreement here.
+These are written against the definitions, not the enumerator's traversal,
+so a traversal bug shows up as a disagreement here.  One piece is shared:
+:func:`is_or_respectful` and :func:`prev` recognize a swapped read by
+:func:`explorer.swapped`, which is also the swap gate's first clause.  The
+gate's verdict does not depend on it: its second clause refuses every read
+the first refuses (:func:`explorer.optimality`).
+
+:func:`entry_check` applies the three at every state a walk enters; it is
+what ``txndpor run --oracle-check`` and ``txndpor verify --suite oracles``
+run.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .model import (
     OrderedHistory,
     TransactionLog,
     TxnId,
+    canonical_encode,
     causal_reachable,
     causally_before_or_equal,
 )
@@ -213,3 +222,41 @@ def prev(program: Program, h: OrderedHistory, level: IsolationLevel) -> History:
     kept = (TransactionLog(log.id, log.events[:-1]),) if last.index else ()
     wr = tuple(p for p in hist.wr if p[0] != last)
     return History._derived(hist.logs[:i] + kept + hist.logs[i + 1 :], wr)
+
+
+# ---------------------------------------------------------------------------
+# All three at every entered state
+# ---------------------------------------------------------------------------
+
+
+class OracleCheckError(RuntimeError):
+    """An exploration state failed one of the uniqueness oracles."""
+
+
+def entry_check(program: Program, level: IsolationLevel):
+    """The ``entry_hook`` of :func:`explorer.explore_ce` and
+    :func:`explorer.explore_ce_star` that checks the three facts above at
+    every state a walk of ``program`` at ``level`` (the traversal level)
+    enters.  It raises :class:`OracleCheckError` on the first that fails:
+    the state is not order-respectful, its :func:`prev` is not the parent
+    it was entered from, or two transactions that entered one after the
+    other are out of canonical order."""
+    txns = tuple(TxnId(s, i) for s, sess in enumerate(program.sessions)
+                 for i in range(len(sess.txns)))
+
+    def hook(parent: ExplorationState | None, st: ExplorationState) -> None:
+        h = st.history
+        if not is_or_respectful(h, txns):
+            raise OracleCheckError(
+                f"state is not order-respectful: {canonical_encode(h.history)!r}"
+            )
+        expected = (parent if parent is not None else st).history.history
+        if prev(program, h, level) != expected:
+            raise OracleCheckError(f"predecessor mismatch at {canonical_encode(h.history)!r}")
+        for a, b in zip(h.entered, h.entered[1:]):
+            if not canonical_order(h.history, a, b):
+                raise OracleCheckError(
+                    f"maintained order disagrees with canonical order on {a}, {b}"
+                )
+
+    return hook

@@ -308,12 +308,6 @@ class _Parser:
             raise self.error(f"expected {op!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
-    def expect_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        self.next()
-
     def expect_name(self) -> str:
         tok = self.peek()
         if tok.kind != "ident":
@@ -345,7 +339,7 @@ class _Parser:
         return Program(tuple(sessions))
 
     def parse_session(self) -> SessionDecl:
-        self.expect_keyword("session")
+        self.next()  # "session", which the caller's at_keyword saw
         at = (self.peek().line, self.peek().col)
         name = self.expect_name()
         self.expect_op("{")
@@ -358,7 +352,7 @@ class _Parser:
         return SessionDecl(name, tuple(txns), at=at)
 
     def parse_txn(self) -> Transaction:
-        self.expect_keyword("txn")
+        self.next()  # "txn", which the caller's at_keyword saw
         self.expect_op("{")
         instrs: list[Instr] = []
         while not (self.peek().kind == "op" and self.peek().text == "}"):

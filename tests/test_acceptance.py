@@ -57,7 +57,7 @@ from txndpor.model import (
     read_event,
     write_event,
 )
-from txndpor.oracles import canonical_order, is_or_respectful, prev
+from txndpor.oracles import OracleCheckError, entry_check
 from txndpor.program import Program, parse
 
 CHECKED_LEVELS = (
@@ -114,33 +114,17 @@ class ProgramRuns:
 def _entry_checker(program: Program, level: IsolationLevel, run: LevelRun):
     """Every recursion entry must be order-respectful, agree with the
     canonical transaction order, and sit exactly one predecessor step below
-    its parent."""
-    static_txns = tuple(
-        TxnId(s, i)
-        for s in range(len(program.sessions))
-        for i in range(len(program.sessions[s].txns))
-    )
+    its parent (:func:`oracles.entry_check`).  Counts the entries and
+    records the first three failures."""
+    check = entry_check(program, level)
 
     def hook(parent, st) -> None:
         run.entries += 1
-        if len(run.oracle_violations) >= 3:
-            return
-        if not is_or_respectful(st.history, static_txns):
-            run.oracle_violations.append("entered state is not order-respectful")
-            return
-        expected = (parent if parent is not None else st).history.history
-        if prev(program, st.history, level) != expected:
-            run.oracle_violations.append(
-                "predecessor oracle disagrees with the entry edge"
-            )
-            return
-        order = list(st.history.starts)  # keyed in entry order
-        for a, b in zip(order, order[1:]):
-            if not canonical_order(st.history.history, a, b):
-                run.oracle_violations.append(
-                    f"maintained order disagrees with canonical order on {a}, {b}"
-                )
-                return
+        if len(run.oracle_violations) < 3:
+            try:
+                check(parent, st)
+            except OracleCheckError as exc:
+                run.oracle_violations.append(str(exc))
 
     return hook
 

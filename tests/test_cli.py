@@ -13,7 +13,7 @@ import pytest
 from fixtures import init_log
 
 import txndpor
-from txndpor import cli
+from txndpor import cli, explorer
 from txndpor.cli import main
 from txndpor.examples import EXAMPLE_PROGRAMS
 from txndpor.explorer import RunInterrupted, RunStats
@@ -170,6 +170,14 @@ def test_run_star_mode_requires_weak_level(program_file, capsys):
     )
     assert code == 1
     assert "requires --weak-level" in capsys.readouterr().err
+
+
+def test_run_refuses_a_weak_level_outside_star_mode(program_file, capsys):
+    code = main(["run", program_file("cross_writes"), "--weak-level", "cc"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--weak-level only applies to explore-ce-star" in captured.err
+    assert "distinct histories" not in captured.out
 
 
 def test_run_rejects_non_extensible_exploration(program_file, capsys):
@@ -678,6 +686,40 @@ def test_verify_reports_a_planted_optimality_fault_as_a_shrunk_program(capsys, m
     assert cli._duplicated(parse(text), IsolationLevel.CC)
 
 
+def _accept_every_read(h, level, r, t) -> bool:
+    """A gate fault: the swap gate's second clause accepts every read."""
+    return True
+
+
+def test_run_oracle_check_reports_a_planted_gate_fault(program_file, capsys, monkeypatch):
+    """With a gate whose second clause accepts every read, the walk takes a
+    swap off the canonical route on ``racing_reads``, and ``--oracle-check``
+    exits 1: the entered state's predecessor is not the parent it was
+    entered from.  The other examples still pass."""
+    monkeypatch.setattr(explorer, "reads_causally_latest", _accept_every_read)
+    for name in sorted(EXAMPLE_PROGRAMS):
+        code = main(["run", program_file(name), "--oracle-check"])
+        err = capsys.readouterr().err
+        if name == "racing_reads":
+            assert code == 1
+            assert err.startswith("oracle check failed: predecessor mismatch at b'{"), err
+        else:
+            assert (name, code, err) == (name, 0, "")
+
+
+def test_verify_reports_a_planted_gate_fault_as_a_shrunk_program(capsys, monkeypatch):
+    """With the same gate fault, ``verify --suite oracles`` exits 1 and
+    prints a program of three sessions that parses and still fails the
+    oracles."""
+    monkeypatch.setattr(explorer, "reads_causally_latest", _accept_every_read)
+    assert main(["verify", "--suite", "oracles", "--cases", "25"]) == 1
+    head, message, text = capsys.readouterr().out.split("\n", 2)
+    assert (head, message) == ("oracles: FAILED", "oracle violation for:")
+    prog = parse(text)
+    assert len(prog.sessions) == 3
+    assert cli._violates_oracles(prog, IsolationLevel.CC)
+
+
 # ---------------------------------------------------------------------------
 # Environment and entry points
 # ---------------------------------------------------------------------------
@@ -693,6 +735,21 @@ def test_log_environment_variable_is_validated(program_file, capsys, monkeypatch
 def test_log_environment_variable_accepts_info(program_file, capsys, monkeypatch):
     monkeypatch.setenv("TXNDPOR_LOG", "info")
     assert main(["run", program_file("pair_reader")]) == 0
+
+
+def test_log_environment_variable_accepts_trace(program_file, capsys, monkeypatch):
+    monkeypatch.setenv("TXNDPOR_LOG", "trace")
+    assert main(["run", program_file("pair_reader")]) == 0
+
+
+def test_no_command_is_a_usage_error_and_help_is_not(capsys):
+    """``txndpor`` alone exits 1 with the usage on stderr; ``--help`` exits 0
+    with it on stdout."""
+    assert main([]) == 1
+    assert capsys.readouterr().err.startswith("error: Usage:")
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Usage:") and "verify" in out
 
 
 def test_module_entry_point(tmp_path):

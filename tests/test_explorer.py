@@ -1297,6 +1297,37 @@ def test_swapped_rejects_a_read_behind_an_earlier_read_of_a_later_writer(level):
     assert len(emitted) == len(set(emitted)) and set(emitted) == naive
 
 
+@pytest.mark.parametrize("level", EXTENSIBLE_LEVELS)
+def test_gate_refuses_by_its_second_clause_every_read_its_first_refuses(level, monkeypatch):
+    """On every gate call explore_ce makes, on the examples and 50 random
+    programs, each read the swap would delete that ``swapped`` accepts is
+    one ``reads_causally_latest`` refuses (the argument in its docstring),
+    so the first clause decides nothing the second would not.  Such reads
+    occur, so the check is not vacuous."""
+    real = explorer.optimality
+    refused = 0
+
+    def checked(tr, r, t, lvl):
+        nonlocal refused
+        kept = _kept(tr.starts, tr.causal_past, r, t)
+        for u in tr.starts:
+            if u in kept:
+                continue
+            for read in tr.by_id[u].read_set:
+                if (u != r.txn or read.id >= r) and swapped(tr, read.id):
+                    assert not reads_causally_latest(tr, lvl, read.id, t), (r, t, read.id)
+                    refused += 1
+        return real(tr, r, t, lvl)
+
+    monkeypatch.setattr(explorer, "optimality", checked)
+    rng = random.Random(0)
+    programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
+    programs += [parse(random_program(rng)) for _ in range(50)]
+    for prog in programs:
+        explore_ce(prog, level)
+    assert refused > 0
+
+
 def test_gate_query_builds_no_history(monkeypatch):
     """The query, on a history or on the walk's trace, builds no
     transaction log, history or ordered history and cuts nothing, yet keeps

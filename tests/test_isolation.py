@@ -40,7 +40,6 @@ from txndpor.isolation import (
     _witness_after,
     axiom_instances,
     brute_force_consistency,
-    brute_force_consistency_cached,
     check_consistency,
     find_commit_order,
     forced_edges,
@@ -251,17 +250,6 @@ def test_commit_order_witnesses_validate(seed):
 def test_trivial_level_accepts_everything():
     assert check_consistency(causal_cycle_history(), IsolationLevel.TRUE)
     assert brute_force_consistency(causal_cycle_history(), IsolationLevel.TRUE)
-
-
-def test_cached_brute_force_matches_uncached():
-    h = causal_cycle_history()
-    for level in ALL_LEVELS:
-        assert brute_force_consistency_cached(h, level) == brute_force_consistency(
-            h, level
-        )
-        assert brute_force_consistency_cached(h, level) == brute_force_consistency(
-            h, level
-        )
 
 
 def test_init_only_history_is_consistent_everywhere():

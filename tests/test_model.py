@@ -822,7 +822,7 @@ def test_entered_states_carry_the_logs_and_writers_full_construction_gives(
 ):
     """Every state the walk enters, on the examples and 40 random programs,
     carries logs and a writer index equal to those built from scratch."""
-    level = IsolationLevel.from_name(level)
+    level = IsolationLevel(level)
     rng = random.Random(14)
     sources = [EXAMPLE_PROGRAMS[name] for name in sorted(EXAMPLE_PROGRAMS)]
     sources += [random_program(rng) for _ in range(40)]
@@ -1175,6 +1175,16 @@ def _set(path: tuple, value):
         (_set(("so",), {"0": [[5, 5]]}), "so disagrees"),
         (_set(("so",), {}), "so disagrees"),
         (_set(("so",), {"0": [[0, False]]}), "so entry must be an integer"),
+        (_set(("txns", 1, "events", 0, "kind"), "jump"), "unknown event kind 'jump'"),
+        (_set(("txns", 1, "events", 0, "var"), "x"), "begin events carry no variable"),
+        (_set(("txns", 1, "events", 1, "value"), 3), "read events carry a variable and no value"),
+        (lambda doc: (doc["txns"][1]["events"][2].pop("value"), doc)[1],
+         "write events carry a variable and a value"),
+        (_set(("txns", 1, "events"), []), "has no events"),
+        (lambda doc: dict(doc, wr=doc["wr"] * 2), "has two writers"),
+        (_set(("wr", 0, 0), [0, 0, 9]), "not in history"),
+        (_set(("wr", 0, 0), [0, 0, 2]), "is not a read"),
+        (_set(("wr", 0, 1), [5, 0]), r"of read .* not in history"),
     ],
 )
 def test_decode_rejects_what_no_history_encodes_to(edit, message):

@@ -302,7 +302,7 @@ def test_prev_builds_what_full_validation_builds(level):
     equals the history the validating constructor builds from its logs and
     wr, which raises nothing: the removal of a last event that skips
     validation builds only valid histories."""
-    level = IsolationLevel.from_name(level)
+    level = IsolationLevel(level)
     rng = random.Random(9)
     programs = [example(name) for name in sorted(EXAMPLE_PROGRAMS)]
     programs += [parse(random_program(rng)) for _ in range(40)]

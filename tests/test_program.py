@@ -89,6 +89,17 @@ def test_parse_collects_asserts_with_sessions():
             38,
             "unexpected character '>'",
         ),
+        ("session { txn { write(x, 1); } }", 1, 9, "expected a name"),
+        ("session txn { txn { write(x, 1); } }", 1, 9, "'txn' is a keyword"),
+        ("session s { txn { write(x, 1); } } x", 1, 36, "expected 'session' or end of input"),
+        ("session a { }", 1, 13, "a session needs at least one transaction"),
+        ("session s { txn { } }", 1, 19, "a transaction needs at least one instruction"),
+        (
+            "session s { txn { write(x, 9223372036854775808); } }",
+            1,
+            28,
+            "integer literal out of 64-bit range",
+        ),
     ],
 )
 def test_parse_errors_carry_position(source, line, col, fragment):

@@ -13,6 +13,8 @@ sits in:
   ser`` and ``--mode explore-ce-star --weak-level cc --level ser``, and
   the first, second and last of these with ``--oracle-check``: the sha256
   of the emitted bytes and the printed report but its wall time;
+- ``txndpor verify --suite all --cases 25 --seed 3`` at ``--level cc``
+  and ``--level rc``: the exit code and the printed report;
 - each example program through ``explore_ce`` at TRUE, RC, RA and CC,
   ``dfs`` at every level, and ``explore_ce_star`` from TRUE to CC and from
   CC to SI and to SER: the counters and the sha256 of the emissions in the
@@ -66,6 +68,7 @@ CLI_RUNS = {
     "star-cc-ser-oracles": ["--mode", "explore-ce-star", "--weak-level", "cc", "--level", "ser",
                             "--oracle-check"],
 }
+VERIFY_LEVELS = ("cc", "rc")
 
 
 def _workloads() -> dict:
@@ -81,24 +84,34 @@ def _workloads() -> dict:
     return out
 
 
+def _cli(args: list[str]) -> tuple[int, list[str]]:
+    """The exit code of ``txndpor ARGS`` and its printed lines but the wall time."""
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli.main(args)
+    return code, [line for line in report.getvalue().splitlines()
+                  if not line.startswith("wall time:")]
+
+
 def _cli_runs(tmp: Path) -> dict:
-    """Example and run -> the sha256 of its ``--emit`` file and its report."""
+    """Example and run -> the sha256 of its ``--emit`` file and its report;
+    ``verify`` and level -> its exit code and report."""
     out = {}
     for name, source in sorted(examples.EXAMPLE_PROGRAMS.items()):
         path = tmp / f"{name}.txn"
         path.write_text(source)
         for run, options in CLI_RUNS.items():
             emitted = tmp / "emitted.jsonl"
-            report = io.StringIO()
-            with contextlib.redirect_stdout(report):
-                code = cli.main(["run", str(path), "--emit", str(emitted), *options])
-            lines = [line for line in report.getvalue().splitlines()
-                     if not line.startswith("wall time:")]
+            code, lines = _cli(["run", str(path), "--emit", str(emitted), *options])
             out[f"{name}/{run}"] = {
                 "exit": code,
                 "emit_sha256": hashlib.sha256(emitted.read_bytes()).hexdigest(),
                 "report": lines,
             }
+    for level in VERIFY_LEVELS:
+        code, lines = _cli(["verify", "--suite", "all", "--cases", "25", "--seed", "3",
+                            "--level", level])
+        out[f"verify/{level}"] = {"exit": code, "report": lines}
     return out
 
 
